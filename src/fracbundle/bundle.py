@@ -71,10 +71,6 @@ class HermitianBundle:
         if dev > UNITARITY_TOL:
             raise BundleError(f"potential is not Hermitian (max deviation {dev:.3e})")
 
-    @property
-    def section_dim(self):
-        return self.manifold.num_vertices * self.rank
-
     def transport_lookup(self):
         """Dict (x, y) -> unitary carrying data from y to x, both orientations."""
         out = {}

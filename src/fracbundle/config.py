@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .bundle import build_bundle
-from .errors import ConfigError
+from .errors import ConfigError, FracBundleError
 from .manifold import Region, build_manifold
 
 KNOWN_TASKS = (
@@ -62,33 +63,53 @@ def _require(cond, fieldname, message):
         raise ConfigError(fieldname, message)
 
 
+@contextmanager
+def _section(fieldname):
+    """Report any failure to read or build one config field as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (FracBundleError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(fieldname, f"{type(exc).__name__}: {exc}") from exc
+
+
 def parse_config(raw) -> ExperimentConfig:
     """Validate a raw dict (parsed JSON) into an ExperimentConfig."""
     _require(isinstance(raw, dict), "config", "top level must be an object")
     for key in ("manifold", "bundle", "region", "time", "tasks"):
         _require(key in raw, key, "missing required section")
+    for key in ("manifold", "bundle", "region", "time"):
+        _require(isinstance(raw[key], dict), key, "must be an object")
     man = raw["manifold"]
     _require(man.get("kind") in ("cycle", "torus_grid"), "manifold.kind",
              "must be 'cycle' or 'torus_grid'")
     bun = raw["bundle"]
-    _require(int(bun.get("rank", 0)) >= 1, "bundle.rank", "must be >= 1")
+    with _section("bundle.rank"):
+        rank = int(bun.get("rank", 0))
+    _require(rank >= 1, "bundle.rank", "must be >= 1")
     time_sec = raw["time"]
-    horizon = float(time_sec.get("horizon", 0.0))
+    with _section("time.horizon"):
+        horizon = float(time_sec.get("horizon", 0.0))
     _require(horizon > 0, "time.horizon", "must be positive")
-    steps = int(time_sec.get("steps", 0))
+    with _section("time.steps"):
+        steps = int(time_sec.get("steps", 0))
     _require(steps >= 4 and steps % 2 == 0, "time.steps", "must be an even integer >= 4")
-    tasks = tuple(raw["tasks"])
+    with _section("tasks"):
+        tasks = tuple(raw["tasks"])
     _require(len(tasks) > 0, "tasks", "task list must be nonempty")
     for t in tasks:
         _require(t in KNOWN_TASKS, "tasks", f"unknown task {t!r}")
     _require(len(set(tasks)) == len(tasks), "tasks", "tasks must be unique")
-    orders = tuple(float(s) for s in raw.get("orders", [0.5]))
+    with _section("orders"):
+        orders = tuple(float(s) for s in raw.get("orders", [0.5]))
     for s in orders:
         _require(0 < s < 1, "orders", "fractional orders must lie in (0, 1)")
     tol = dict(raw.get("tolerances", {}))
     for key in tol:
         _require(key in DEFAULT_TOLERANCES, "tolerances", f"unknown tolerance {key!r}")
-    seed = int(raw.get("seed", 0))
+    with _section("seed"):
+        seed = int(raw.get("seed", 0))
     return ExperimentConfig(
         manifold=dict(man),
         bundle=dict(bun),
@@ -105,23 +126,27 @@ def parse_config(raw) -> ExperimentConfig:
 
 
 def build_scene(cfg: ExperimentConfig):
-    """Manifold, bundle, and observation region from the config."""
-    m = build_manifold(cfg.manifold)
+    """Manifold, bundle, and observation region from the config.
+
+    A section that cannot be built raises ConfigError naming the section.
+    """
+    with _section("manifold"):
+        m = build_manifold(cfg.manifold)
     bun = cfg.bundle
-    kwargs = {}
     if bun.get("connection", "trivial") == "explicit" or bun.get("potential") == "explicit":
         raise ConfigError("bundle", "explicit structures are not expressible in config files")
-    b = build_bundle(
-        m,
-        int(bun["rank"]),
-        connection=bun.get("connection", "trivial"),
-        potential=bun.get("potential", "zero"),
-        seed=bun.get("seed", cfg.seed),
-        potential_scale=float(bun.get("potential_scale", 1.0)),
-        potential_shift=float(bun.get("potential_shift", 0.0)),
-        **kwargs,
-    )
-    region = build_region(m, cfg.region)
+    with _section("bundle"):
+        b = build_bundle(
+            m,
+            int(bun["rank"]),
+            connection=bun.get("connection", "trivial"),
+            potential=bun.get("potential", "zero"),
+            seed=bun.get("seed", cfg.seed),
+            potential_scale=float(bun.get("potential_scale", 1.0)),
+            potential_shift=float(bun.get("potential_shift", 0.0)),
+        )
+    with _section("region"):
+        region = build_region(m, cfg.region)
     return m, b, region
 
 

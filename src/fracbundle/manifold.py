@@ -89,10 +89,6 @@ class DiscreteManifold:
                 nbrs.add(int(a))
         return sorted(nbrs)
 
-    def edge_index(self):
-        """Map frozenset({x, y}) -> edge position, for attribute lookup."""
-        return {frozenset((int(a), int(b))): i for i, (a, b) in enumerate(self.edges)}
-
 
 @dataclass(frozen=True)
 class Region:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import HermitianBundle, l2_inner
+from .bundle import HermitianBundle
 from .errors import OperatorError
 
 DEFAULT_KERNEL_THRESHOLD = 1e-10
@@ -155,16 +155,6 @@ def apply_function(op: SpectralOperator, phi, u, exclude_kernel=False):
     if not np.all(np.isfinite(vals)):
         raise OperatorError("spectral symbol is singular on an included eigenvalue")
     return op.synthesize(vals * op.coefficients(u))
-
-
-def operator_norm_bounds(op: SpectralOperator, u):
-    """Rayleigh quotient of u, guaranteed inside [min, max] eigenvalue."""
-    den = l2_inner(op.bundle, u, u).real
-    if den <= 0:
-        raise OperatorError("Rayleigh quotient of the zero section")
-    pu = op.to_section(op.matrix @ op.to_flat(u))
-    num = l2_inner(op.bundle, u, pu).real
-    return num / den
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import next_fast_len
 
 from . import modefun
 from .bundle import l2_norm
@@ -68,9 +68,6 @@ class TimeSection:
     @staticmethod
     def zeros(grid, num_vertices, rank):
         return TimeSection(grid, np.zeros((len(grid), num_vertices, rank), dtype=np.complex128))
-
-    def at_time(self, t):
-        return self.values[self.grid.index_of(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +143,34 @@ def duhamel_weights(eigenvalues, dt, n_steps):
     return A, B
 
 
-def mode_convolve(A, B, coeffs):
-    """Convolve PL nodal mode coefficients with the (A, B) weight family.
+def pl_spectra(A, B):
+    """FFTs of a weight pair (A, B) with N+1 rows, at the convolution length.
 
-    coeffs: (N+1, K) nodal values; returns (N+1, K) mode solution samples.
+    The length next_fast_len(2(N+1) - 1) holds the full linear convolution
+    of two (N+1)-row series, so the circular products never wrap into the
+    first N+1 output rows.
     """
-    n1 = coeffs.shape[0]
-    a_full = fftconvolve(A, coeffs, axes=0)[:n1]
-    # right-endpoint weights pair B(m) with the source at index j - m + 1;
+    n = next_fast_len(2 * A.shape[0] - 1)
+    return np.fft.fft(A, n=n, axis=0), np.fft.fft(B, n=n, axis=0)
+
+
+def mode_convolve(spectra, src, subscripts):
+    """Exact Duhamel response to a piecewise-linear source, by FFT.
+
+    spectra = pl_spectra(A, B); src holds N+1 nodal source samples along
+    axis 0.  Returns the N+1 response samples
+        out[j] = sum_m A[m] src[j - m] + B[m] src[j - m + 1],  out[0] = 0,
+    where each product is the einsum `subscripts` of a kernel spectrum and a
+    source spectrum: "tk,tk->tk" per mode, "tij,tj->ti" for a dense region
+    source, "ti,t->ti" for one source column.
+    """
+    fa, fb = spectra
+    n = fa.shape[0]
+    acc = np.einsum(subscripts, fa, np.fft.fft(src, n=n, axis=0))
+    # right-endpoint weights pair B[m] with the source at index j - m + 1;
     # convolving against the shifted source keeps the interval list causal
-    b_full = fftconvolve(B, coeffs[1:], axes=0)[:n1]
-    out = a_full + b_full
+    acc += np.einsum(subscripts, fb, np.fft.fft(src[1:], n=n, axis=0))
+    out = np.fft.ifft(acc, axis=0)[:src.shape[0]]
     out[0] = 0.0  # no interval precedes t = 0 (zero initial data, exactly)
     return out
 
@@ -175,7 +189,7 @@ def duhamel_solve(op: SpectralOperator, f: TimeSection) -> TimeSection:
     wflat = np.repeat(op.bundle.manifold.volumes, r)
     coeffs = (f.values.reshape(n1, op.dim) * wflat[None, :]) @ op.eigensections.conj()
     A, B = duhamel_weights(op.eigenvalues, grid.dt, grid.n_steps)
-    wmodes = mode_convolve(A, B, coeffs)
+    wmodes = mode_convolve(pl_spectra(A, B), coeffs, "tk,tk->tk")
     out = np.einsum("nk,jk->jn", op.eigensections, wmodes).reshape(n1, V, r)
     return TimeSection(grid, out)
 

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import timequad
 from .errors import ReconstructionError
-from .s2s import WaveMapData, gram_matrix
+from .s2s import WaveMapData, blago_bilinear, gram_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +69,6 @@ class SourceFamily:
             mask &= np.array([int(f) in fs for f in self.fiber])
         return np.nonzero(mask)[0]
 
-    def nodal(self, idx, dim):
-        out = np.zeros((self.profiles.shape[1], dim), dtype=np.complex128)
-        out[:, self.components()[idx]] = self.profiles[idx]
-        return out
-
 
 def build_source_family(wmap: WaveMapData, vertices, leads, width, fibers=None):
     """Probe family over given local vertices and emission leads."""
@@ -112,92 +106,34 @@ def build_source_family(wmap: WaveMapData, vertices, leads, width, fibers=None):
 
 def family_responses(wmap: WaveMapData, fam: SourceFamily):
     """Map responses of every family member: (m, N+1, D)."""
-    n1 = len(wmap.grid)
-    D = wmap.local.dim
+    return wmap.respond(fam.profiles, components=fam.components())
+
+
+def family_gram(wmap: WaveMapData, fam: SourceFamily):
+    """Hermitian Gram of the family's wave states at time T, from map data."""
     comps = fam.components()
-    mu = wmap.local.weights_flat()
-    L = 1
-    while L < 2 * n1:
-        L *= 2
-    fa = np.fft.fft(wmap.conv_a, n=L, axis=0)
-    fb = np.fft.fft(wmap.conv_b, n=L, axis=0)
-    out = np.empty((len(fam), n1, D), dtype=np.complex128)
-    for i in range(len(fam)):
-        c = comps[i]
-        prof = fam.profiles[i] * mu[c]
-        fp = np.fft.fft(prof, n=L)
-        fps = np.fft.fft(prof[1:], n=L)
-        resp = fa[:, :, c] * fp[:, None] + fb[:, :, c] * fps[:, None]
-        out[i] = np.fft.ifft(resp, axis=0)[:n1]
-        out[i, 0] = 0.0
-    return out
-
-
-def family_gram(wmap: WaveMapData, fam: SourceFamily, responses=None):
-    """Hermitian Gram of the family's wave states at time T, from map data.
-
-    Exploits the delta-in-space structure: the pairing of member a against
-    member b touches only component c_a of the averaged response of b and
-    component c_b of the response of a.
-    """
-    grid = wmap.grid
-    dt = grid.dt
-    n_half = wmap.half_index
-    mu = wmap.local.weights_flat()
-    comps = fam.components()
-    m = len(fam)
-    if responses is None:
-        responses = family_responses(wmap, fam)
-
-    # term 1: E1_b = test array of J(response_b); row side is sparse
-    E1 = np.empty_like(responses)
-    for bidx in range(m):
-        jr = timequad.time_average_nodes(responses[bidx], dt)
-        E1[bidx] = timequad.pl_times_sampled_array(jr, n_half, dt)
-    T1 = np.empty((m, m), dtype=np.complex128)
-    for c in np.unique(comps):
-        rows = np.nonzero(comps == c)[0]
-        pr = np.conj(fam.profiles[rows]) * mu[c]
-        T1[rows, :] = pr @ E1[:, :, c].T
-
-    # term 2: J h_b is exactly quadratic and spatially a delta at c_b
-    n1 = len(grid)
-    e2 = np.empty((m, n1), dtype=np.float64)
-    for bidx in range(m):
-        h = fam.profiles[bidx]
-        c0, c1, c2 = _jh_coeffs_scalar(h, dt, n_half)
-        e2[bidx] = timequad.quadratic_times_sampled_array(c0, c1, c2, n1, dt)
-    T2 = np.empty((m, m), dtype=np.complex128)
-    for c in np.unique(comps):
-        cols = np.nonzero(comps == c)[0]
-        Rslice = np.conj(responses[:, :, c]) * mu[c]
-        T2[:, cols] = Rslice @ e2[cols].T
-    G = T1 - T2
+    responses = family_responses(wmap, fam)
+    G = blago_bilinear(wmap, fam.profiles, fam.profiles, responses, responses,
+                       components=(comps, comps))
     return 0.5 * (G + G.conj().T)
-
-
-def _jh_coeffs_scalar(h, dt, n_half):
-    jh = timequad.time_average_linear(h, dt)
-    vj = jh[:n_half]
-    dj = -0.5 * (h[:n_half] + h[::-1][:n_half])
-    dh = h[1:] - h[:-1]
-    cj = -0.5 * (dh[:n_half] - dh[::-1][:n_half])
-    return vj, dj * dt, 0.5 * cj * dt
 
 
 # ---------------------------------------------------------------------------
 # projection residuals
 
-def _truncated_pinv_projection(G_span, q_cols, cutoff_factor):
-    """Projected squared norms q^* G^+ q with spectral-cutoff pseudoinverse."""
-    evals, evecs = np.linalg.eigh(G_span)
-    cut = cutoff_factor * max(np.trace(G_span).real / max(len(G_span), 1), 0.0)
-    keep = evals > max(cut, 0.0)
-    if not np.any(keep):
-        return np.zeros(q_cols.shape[1])
-    W = evecs[:, keep] / np.sqrt(evals[keep])[None, :]
-    proj = W.conj().T @ q_cols
-    return np.sum(np.abs(proj) ** 2, axis=0)
+def _truncated_pinv(G, cutoff_factor):
+    """Spectrally truncated pseudo-inverse of a Hermitian Gram.
+
+    Eigenvalues at or below cutoff_factor times the mean eigenvalue are
+    dropped.  Returns (evals, evecs, inv) with inv = 1 / evals on the kept
+    modes and 0 elsewhere, so G^+ = evecs diag(inv) evecs^*.
+    """
+    evals, evecs = np.linalg.eigh(G)
+    cut = cutoff_factor * max(np.trace(G).real / max(len(G), 1), 0.0)
+    keep = evals > cut
+    inv = np.zeros_like(evals)
+    inv[keep] = 1.0 / evals[keep]
+    return evals, evecs, inv
 
 
 def projection_residual(wmap: WaveMapData, targets, spans, reg_factor=1e-8):
@@ -218,7 +154,8 @@ def projection_residual(wmap: WaveMapData, targets, spans, reg_factor=1e-8):
         raise ReconstructionError("zero-norm target state")
     if len(spans) == 0:
         return np.ones(nt)
-    proj = _truncated_pinv_projection(G_ss, q, reg_factor)
+    _, evecs, inv = _truncated_pinv(G_ss, reg_factor)
+    proj = inv @ np.abs(evecs.conj().T @ q) ** 2
     res2 = np.clip((norms - proj) / norms, 0.0, 1.0)
     return np.sqrt(res2)
 
@@ -664,16 +601,14 @@ def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile
         at_T = responses[:, n_half, :]
         coeffs = []
         resid = []
-        evals, evecs = np.linalg.eigh(G)
-        cut = cfg.reg_factor * np.trace(G).real / len(G)
-        keep = evals > cut
-        gram_condition = float(evals[-1] / max(evals[keep].min(), 1e-300)) if np.any(keep) else np.inf
+        evals, evecs, inv = _truncated_pinv(G, cfg.reg_factor)
+        kept = evals[inv > 0]
+        gram_condition = float(evals[-1] / max(kept.min(), 1e-300)) if len(kept) else np.inf
         if gram_condition > condition_bound:
             raise ReconstructionError(
                 f"probe Gram condition {gram_condition:.2e} exceeds {condition_bound:.0e}; "
                 "the probe family cannot support the synthesis"
             )
-        inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
         for j in range(r):
             comp = y * r + j
             q = mu[comp] * np.conj(at_T[:, comp])
@@ -718,7 +653,8 @@ def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile
         Gbb = G[np.ix_(b_idx, b_idx)]
         # aggressive spectral cutoff: keep only the strongly excited span of
         # the non-reaching families so their dispersive tails do not count
-        proj_b = _truncated_pinv_operator(Gbb, frame_cutoff)
+        _, evecs, inv = _truncated_pinv(Gbb, frame_cutoff)
+        proj_b = (evecs * inv[None, :]) @ evecs.conj().T
         M = Gab @ proj_b @ Gab.conj().T
         M = 0.5 * (M + M.conj().T)
         evals, evecs = _generalized_smallest(M, Gaa, r, cfg.reg_factor)
@@ -744,15 +680,6 @@ def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile
         gram=gram,
         diagnostics=diagnostics,
     )
-
-
-def _truncated_pinv_operator(G, cutoff_factor):
-    evals, evecs = np.linalg.eigh(G)
-    cut = cutoff_factor * np.trace(G).real / max(len(G), 1)
-    keep = evals > cut
-    inv = np.zeros_like(evals)
-    inv[keep] = 1.0 / evals[keep]
-    return (evecs * inv[None, :]) @ evecs.conj().T
 
 
 def _generalized_smallest(M, G, count, reg_factor):

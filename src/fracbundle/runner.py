@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -561,7 +562,7 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
     """Run all configured tasks sequentially; failures are recorded, not fatal.
 
     workers caps the linear-algebra thread pools for the whole run when
-    threadpoolctl is available.
+    threadpoolctl is available; otherwise a notice goes to stderr.
     """
     limiter = None
     if workers is not None:
@@ -570,7 +571,8 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
 
             limiter = threadpool_limits(limits=int(workers))
         except ImportError:
-            limiter = None
+            print(f"workers={workers} ignored: threadpoolctl is not installed",
+                  file=sys.stderr)
     scene = _Scene(cfg)
     results = []
     for name in cfg.tasks:
@@ -585,7 +587,7 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
                 tolerances=_to_native(checks),
                 tables=tables,
             ))
-        except FracBundleError as exc:
+        except (FracBundleError, np.linalg.LinAlgError) as exc:
             results.append(TaskResult(
                 name=name, status="error", elapsed_s=time.time() - t0,
                 message=str(exc)))
@@ -604,17 +606,6 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
         "options": cfg.options,
     }
     return Report(config_echo=echo, seed=cfg.seed, tasks=results)
-
-
-def time_series_table(ts: TimeSection, vertices, fiber=0):
-    """CSV-ready propagator samples at probe vertices: one column per vertex."""
-    header = ["t"] + [f"v{v}_re" for v in vertices] + [f"v{v}_im" for v in vertices]
-    rows = []
-    for j, t in enumerate(ts.grid.times):
-        vals = [float(ts.values[j, v, fiber].real) for v in vertices]
-        vals += [float(ts.values[j, v, fiber].imag) for v in vertices]
-        rows.append([float(t)] + vals)
-    return header, rows
 
 
 def _to_native(d):

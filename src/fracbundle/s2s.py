@@ -24,7 +24,7 @@ from . import timequad
 from .errors import DataBoundaryError, OperatorError
 from .manifold import Region
 from .operator import SpectralOperator
-from .propagators import TimeGrid, TimeSection, duhamel_weights
+from .propagators import TimeGrid, TimeSection, duhamel_weights, mode_convolve, pl_spectra
 from .serialize import complex_from_list, complex_to_list, real_to_list
 
 
@@ -59,9 +59,6 @@ class LocalStructure:
 
     def weights_flat(self):
         return np.repeat(self.volumes, self.rank)
-
-    def local_index(self, vertex):
-        return self.vertices.index(int(vertex))
 
     def local_ball(self, center_local, radius):
         """Open ball inside the region w.r.t. the induced local metric."""
@@ -263,26 +260,27 @@ class WaveMapData:
             return arr
         raise OperatorError("unrecognized source shape")
 
-    def respond(self, sources):
+    def respond(self, sources, components=None):
         """Apply the map to a batch of nodal sources.
 
-        sources: (m, N+1, D) with D = |U| r; returns (m, N+1, D) responses,
-        exact for piecewise-linear sources.
+        sources: (m, N+1, D) with D = |U| r; or, with an integer array
+        components (m,) given, (m, N+1) time profiles of delta sources at
+        those flat components.  Returns (m, N+1, D) responses, exact for
+        piecewise-linear sources.
         """
-        m, n1, D = sources.shape
-        wf = sources * self.local.weights_flat()[None, None, :]
-        L = 1
-        while L < 2 * n1:
-            L *= 2
-        fa = np.fft.fft(self.conv_a, n=L, axis=0)
-        fb = np.fft.fft(self.conv_b, n=L, axis=0)
-        out = np.empty_like(sources)
-        for i in range(m):
-            fsrc = np.fft.fft(wf[i], n=L, axis=0)
-            fshift = np.fft.fft(wf[i, 1:], n=L, axis=0)
-            resp = np.einsum("tij,tj->ti", fa, fsrc) + np.einsum("tij,tj->ti", fb, fshift)
-            out[i] = np.fft.ifft(resp, axis=0)[:n1]
-            out[i, 0] = 0.0
+        mu = self.local.weights_flat()
+        out = np.empty((len(sources), len(self.grid), self.local.dim), dtype=np.complex128)
+        if components is None:
+            spectra = pl_spectra(self.conv_a, self.conv_b)
+            for i, src in enumerate(sources):
+                out[i] = mode_convolve(spectra, src * mu, "tij,tj->ti")
+            return out
+        # a delta source meets one kernel column: transforming only the
+        # columns in use, each once, keeps the working set one (L, D) block
+        for c in np.unique(components):
+            spectra = pl_spectra(self.conv_a[:, :, c], self.conv_b[:, :, c])
+            for i in np.nonzero(components == c)[0]:
+                out[i] = mode_convolve(spectra, sources[i] * mu[c], "ti,t->ti")
         return out
 
     def to_payload(self):
@@ -372,11 +370,14 @@ def _jh_quadratic_coeffs(h, dt, n_half):
     return vj, dj * dt, 0.5 * cj * dt
 
 
-def blago_bilinear(wmap: WaveMapData, F, H, responses_f=None, responses_h=None):
+def blago_bilinear(wmap: WaveMapData, F, H, responses_f=None, responses_h=None,
+                   components=None):
     """Matrix of wave-state pairings <w^f(T), w^h(T)> from map data alone.
 
     F: (mf, N+1, D) and H: (mh, N+1, D) nodal sources supported in the
-    region.  Uses the identity
+    region; or, with components = (cf, ch), (mf, N+1) and (mh, N+1) time
+    profiles of delta sources at the flat components cf and ch.  Uses the
+    identity
         <w^f(T), w^h(T)> = int_0^T [ <f, J L h> - <L f, J h> ] dt
     with the map responses computed exactly for piecewise-linear sources
     and the remaining time integrals by the high-order sampled rules.
@@ -385,28 +386,39 @@ def blago_bilinear(wmap: WaveMapData, F, H, responses_f=None, responses_h=None):
     dt = grid.dt
     n_half = wmap.half_index
     mu = wmap.local.weights_flat()
-    mf = F.shape[0]
-    mh = H.shape[0]
+    cf, ch = (None, None) if components is None else components
     if responses_h is None:
-        responses_h = wmap.respond(H)
+        responses_h = wmap.respond(H, components=ch)
     if responses_f is None:
-        responses_f = responses_h if H is F else wmap.respond(F)
+        responses_f = responses_h if H is F and cf is ch else wmap.respond(F, components=cf)
 
     # term 1: sources paired against the time average of the h responses
-    E1 = np.empty(H.shape, dtype=np.complex128)
-    for b in range(mh):
-        jr = timequad.time_average_nodes(responses_h[b], dt)
+    E1 = np.empty(responses_h.shape, dtype=np.complex128)
+    for b, resp in enumerate(responses_h):
+        jr = timequad.time_average_nodes(resp, dt)
         E1[b] = timequad.pl_times_sampled_array(jr, n_half, dt)
-    Fw = np.conj(F) * mu[None, None, :]
-    T1 = Fw.reshape(mf, -1) @ E1.reshape(mh, -1).T
-
     # term 2: f responses paired against the exact piecewise-quadratic J h
-    E2 = np.empty(H.shape, dtype=np.complex128)
-    for b in range(mh):
-        c0, c1, c2 = _jh_quadratic_coeffs(H[b], dt, n_half)
+    E2 = np.empty(H.shape, dtype=np.result_type(H, np.float64))
+    for b, h in enumerate(H):
+        c0, c1, c2 = _jh_quadratic_coeffs(h, dt, n_half)
         E2[b] = timequad.quadratic_times_sampled_array(c0, c1, c2, len(grid), dt)
-    Rw = np.conj(responses_f) * mu[None, None, :]
-    T2 = Rw.reshape(mf, -1) @ E2.reshape(mh, -1).T
+
+    if components is None:
+        Fw = np.conj(F) * mu[None, None, :]
+        Rw = np.conj(responses_f) * mu[None, None, :]
+        T1 = Fw.reshape(len(F), -1) @ E1.reshape(len(H), -1).T
+        T2 = Rw.reshape(len(F), -1) @ E2.reshape(len(H), -1).T
+        return T1 - T2
+    # delta sources: source a touches only component cf[a] of the averaged
+    # h responses, and J h_b is spatially a delta at component ch[b]
+    T1 = np.empty((len(F), len(H)), dtype=np.complex128)
+    for c in np.unique(cf):
+        rows = np.nonzero(cf == c)[0]
+        T1[rows, :] = (np.conj(F[rows]) * mu[c]) @ E1[:, :, c].T
+    T2 = np.empty((len(F), len(H)), dtype=np.complex128)
+    for c in np.unique(ch):
+        cols = np.nonzero(ch == c)[0]
+        T2[:, cols] = (np.conj(responses_f[:, :, c]) * mu[c]) @ E2[cols].T
     return T1 - T2
 
 

@@ -80,17 +80,6 @@ def bundle_to_payload(b):
     }
 
 
-def operator_matrix_payload(op):
-    """Optional dense-operator export for cross-language diffing."""
-    return {
-        "schema": "operator_matrix@1",
-        "dim": op.dim,
-        "rank": op.bundle.rank,
-        "matrix": complex_to_list(op.matrix),
-        "eigenvalues": real_to_list(op.eigenvalues),
-    }
-
-
 def bundle_from_payload(p):
     from .bundle import HermitianBundle
 

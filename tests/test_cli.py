@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from fracbundle.cli import main
 from fracbundle.config import parse_config
 from fracbundle.errors import ConfigError
+from fracbundle import runner
 from fracbundle.runner import emit_report, run_experiment
 
 BASE_CONFIG = {
@@ -131,14 +133,25 @@ def test_cli_pass_exit_code(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
-def test_cli_config_error_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("section, key, value", [
+    ("time", "horizon", 0.0),
+    ("manifold", "count", 2),
+    ("region", "count", None),  # None deletes the key
+    ("bundle", "rank", "two"),
+    ("bundle", "connection", "bogus"),
+], ids=["horizon", "cycle_count", "region_count", "rank", "connection"])
+def test_cli_config_error_exit_code(tmp_path, capsys, section, key, value):
     raw = json.loads(json.dumps(BASE_CONFIG))
-    raw["time"]["horizon"] = 0.0
+    if value is None:
+        del raw[section][key]
+    else:
+        raw[section][key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     code = main(["run", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and section in err
 
 
 def test_cli_missing_file_exit_code(tmp_path, capsys):
@@ -157,6 +170,25 @@ def test_cli_tolerance_failure_exit_code(tmp_path, capsys):
     assert "overall: fail" in capsys.readouterr().out
 
 
+def test_cli_workers_without_threadpoolctl_says_so(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    cfg_path = write_config(tmp_path, tasks=["verify_spectral"])
+    code = main(["run", cfg_path, "--out", str(tmp_path / "out"), "--workers", "1"])
+    assert code == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "threadpoolctl" in err[0]
+
+
+def test_linalg_error_is_recorded_per_task(monkeypatch):
+    def breaks(scene, cfg):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setitem(runner._TASKS, "verify_spectral", breaks)
+    rep = run_experiment(parse_config(BASE_CONFIG))
+    assert [t.status for t in rep.tasks] == ["error", "pass"]
+    assert "positive definite" in rep.tasks[0].message
+
+
 def test_cli_env_var_output_dir(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, tasks=["verify_spectral"])
     monkeypatch.setenv("FRACBUNDLE_OUT", str(tmp_path / "envout"))
@@ -171,34 +203,3 @@ def test_cli_seed_override_changes_echo(tmp_path):
     payload = json.loads((tmp_path / "a" / "report.json").read_text())
     assert payload["seed"] == 123
     assert payload["config"]["seed"] == 123  # echo suffices to re-run exactly
-
-
-def test_time_series_export_shape():
-    from fracbundle.manifold import build_manifold
-    from fracbundle.bundle import build_bundle
-    from fracbundle.operator import assemble
-    from fracbundle.propagators import TimeGrid, TimeSection, duhamel_solve
-    from fracbundle.runner import time_series_table
-
-    m = build_manifold({"kind": "cycle", "count": 8, "length": 8.0})
-    op = assemble(build_bundle(m, 1))
-    grid = TimeGrid(1.0, 16)
-    vals = np.zeros((len(grid), 8, 1), dtype=complex)
-    vals[:, 0, 0] = np.sin(np.pi * grid.times)
-    w = duhamel_solve(op, TimeSection(grid, vals))
-    header, rows = time_series_table(w, [0, 3])
-    assert header == ["t", "v0_re", "v3_re", "v0_im", "v3_im"]
-    assert len(rows) == len(grid)
-
-
-def test_operator_matrix_export_round_trip():
-    from fracbundle.manifold import build_manifold
-    from fracbundle.bundle import build_bundle
-    from fracbundle.operator import assemble
-    from fracbundle.serialize import complex_from_list, dumps, loads, operator_matrix_payload
-
-    m = build_manifold({"kind": "cycle", "count": 6, "length": 6.0})
-    op = assemble(build_bundle(m, 2, connection="random", seed=3))
-    payload = loads(dumps(operator_matrix_payload(op)))
-    mat = complex_from_list(payload["matrix"], (op.dim, op.dim))
-    assert np.array_equal(mat, op.matrix)

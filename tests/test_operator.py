@@ -6,7 +6,7 @@ import pytest
 from fracbundle.bundle import GaugeTransform, apply_gauge, build_bundle, l2_inner, pullback_bundle, torus_shift_iso
 from fracbundle.errors import OperatorError
 from fracbundle.manifold import build_manifold
-from fracbundle.operator import apply_function, assemble, kernel_projector, operator_norm_bounds
+from fracbundle.operator import apply_function, assemble, kernel_projector
 
 
 def cycle(n=8, length=None):
@@ -137,15 +137,6 @@ def test_spectrum_invariant_under_structure_iso():
     lam1 = assemble(b).eigenvalues
     lam2 = assemble(b2).eigenvalues
     assert np.max(np.abs(np.sort(lam1) - np.sort(lam2))) < 1e-9
-
-
-def test_rayleigh_quotient_within_bounds():
-    rng = np.random.default_rng(10)
-    b = build_bundle(torus(), 2, connection="random", potential="random_hermitian", seed=11)
-    op = assemble(b)
-    for _ in range(10):
-        q = operator_norm_bounds(op, b.random_section(rng))
-        assert op.min_eigenvalue - 1e-10 <= q <= op.max_eigenvalue + 1e-10
 
 
 def test_apply_function_identity_and_powers():

@@ -18,6 +18,8 @@ from fracbundle.propagators import (
     fractional_inverse_spectral,
     heat_apply,
     heat_kernel_matrix,
+    mode_convolve,
+    pl_spectra,
     transmutation_gaussian_check,
     transmutation_printed_residual,
     wave_cos_apply,
@@ -192,6 +194,30 @@ def test_duhamel_initial_conditions_zero():
     assert np.max(np.abs(w.values[0])) == 0.0
     # first step is O(dt^2): velocity at 0 vanishes
     assert np.max(np.abs(w.values[1])) < 10 * grid.dt**2 * np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize("subscripts, weight_shape, source_shape", [
+    ("tk,tk->tk", (5,), (5,)),      # per mode
+    ("tij,tj->ti", (4, 4), (4,)),   # dense region source
+    ("ti,t->ti", (4,), ()),         # one source column
+])
+def test_mode_convolve_matches_direct_sum(subscripts, weight_shape, source_shape):
+    rng = np.random.default_rng(13)
+    n1 = 9
+
+    def rand(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    A, B = rand((n1,) + weight_shape), rand((n1,) + weight_shape)
+    A[0] = B[0] = 0.0  # row 0 is the zero padding of duhamel_weights
+    src = rand((n1,) + source_shape)
+    out = mode_convolve(pl_spectra(A, B), src, subscripts)
+    pair = subscripts.replace("t", "")
+    direct = np.zeros_like(out)
+    for j in range(1, n1):
+        for m in range(1, j + 1):
+            direct[j] += np.einsum(pair, A[m], src[j - m]) + np.einsum(pair, B[m], src[j - m + 1])
+    assert np.max(np.abs(out - direct)) < 1e-12 * np.max(np.abs(direct))
 
 
 def test_duhamel_residual_second_order():

@@ -8,9 +8,11 @@ from fracbundle.errors import DataBoundaryError, OperatorError
 from fracbundle.manifold import Region, build_manifold
 from fracbundle.operator import assemble, kernel_projector
 from fracbundle.propagators import TimeGrid, TimeSection, duhamel_solve, fractional_apply, heat_kernel_matrix, wave_kernel_matrix
+from fracbundle.reconstruction import build_source_family
 from fracbundle.s2s import (
     FracMapData,
     WaveMapData,
+    blago_bilinear,
     blago_inner,
     frac_map_assemble,
     gram_matrix,
@@ -174,6 +176,26 @@ def test_wave_map_consistency_with_duhamel(wave_scene):
     resp = wmap.respond(wmap.source_array(f)[None])[0]
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(resp - direct)) < 1e-9 * scale
+
+
+def test_delta_source_paths_match_dense():
+    m = build_manifold({"kind": "torus_grid", "counts": [6, 6], "lengths": [6.0, 6.0]})
+    b = build_bundle(m, 2, connection="random", potential="random_hermitian", seed=4)
+    block = Region(m, tuple(i * 6 + j for i in range(3) for j in range(3)))
+    grid = TimeGrid(6.0, 240)
+    wmap = wave_map_assemble(assemble(b), block, grid)
+    fam = build_source_family(wmap, range(len(block)), [1.0, 1.5, 2.0], 1.0)
+    comps = fam.components()
+    assert len(fam) == 54
+    dense = np.zeros((len(fam), len(grid), wmap.local.dim))
+    dense[np.arange(len(fam)), :, comps] = fam.profiles
+
+    resp_delta = wmap.respond(fam.profiles, components=comps)
+    resp_dense = wmap.respond(dense)
+    assert np.max(np.abs(resp_delta - resp_dense)) <= 1e-12 * np.max(np.abs(resp_dense))
+    G_delta = blago_bilinear(wmap, fam.profiles, fam.profiles, components=(comps, comps))
+    G_dense = blago_bilinear(wmap, dense, dense)
+    assert np.max(np.abs(G_delta - G_dense)) <= 1e-12 * np.max(np.abs(G_dense))
 
 
 def test_source_support_validated(wave_scene):
