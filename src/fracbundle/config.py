@@ -35,6 +35,17 @@ DEFAULT_TOLERANCES = {
     "semigroup": 1e-10,
 }
 
+# options the tasks read as numbers, with the type each is read as
+NUMERIC_OPTIONS = {
+    "probe_delta": float,
+    "probe_lead_step": float,
+    "probe_width": float,
+    "eta": float,
+    "ray_bases": int,
+    "blago_pairs": int,
+    "round_trip_sections": int,
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -105,9 +116,18 @@ def parse_config(raw) -> ExperimentConfig:
         orders = tuple(float(s) for s in raw.get("orders", [0.5]))
     for s in orders:
         _require(0 < s < 1, "orders", "fractional orders must lie in (0, 1)")
-    tol = dict(raw.get("tolerances", {}))
+    with _section("tolerances"):
+        tol = dict(raw.get("tolerances", {}))
     for key in tol:
         _require(key in DEFAULT_TOLERANCES, "tolerances", f"unknown tolerance {key!r}")
+        with _section(f"tolerances.{key}"):
+            tol[key] = float(tol[key])
+    with _section("options"):
+        options = dict(raw.get("options", {}))
+    for key, kind in NUMERIC_OPTIONS.items():
+        if key in options:
+            with _section(f"options.{key}"):
+                options[key] = kind(options[key])
     with _section("seed"):
         seed = int(raw.get("seed", 0))
     return ExperimentConfig(
@@ -121,7 +141,7 @@ def parse_config(raw) -> ExperimentConfig:
         seed=seed,
         tolerances=tol,
         output_dir=str(raw.get("output_dir", "out")),
-        options=dict(raw.get("options", {})),
+        options=options,
     )
 
 

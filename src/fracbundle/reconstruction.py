@@ -60,13 +60,11 @@ class SourceFamily:
         """Indices of members inside a spatial set with lead below a budget."""
         mask = np.ones(len(self), dtype=bool)
         if vertices is not None:
-            vs = set(int(v) for v in vertices)
-            mask &= np.array([int(v) in vs for v in self.vertex])
+            mask &= np.isin(self.vertex, np.asarray(vertices, dtype=np.int64))
         if max_lead is not None:
             mask &= self.lead <= max_lead + 1e-12
         if fibers is not None:
-            fs = set(int(f) for f in fibers)
-            mask &= np.array([int(f) in fs for f in self.fiber])
+            mask &= np.isin(self.fiber, np.asarray(fibers, dtype=np.int64))
         return np.nonzero(mask)[0]
 
 
@@ -172,14 +170,45 @@ class ProbeConfig:
     width: float            # bump width
     max_lead: float = None  # ladder cap (default: horizon minus margin)
     tol_res: float = 0.05   # residual threshold for plain containment verdicts
+    # containment ridge reg_factor * tr(G) / m, one value per engine (G the
+    # m-probe Gram); also the spectral cutoff of the fiber-frame inverses
     reg_factor: float = 1e-8
     eta: float = 0.1        # first-arrival threshold
     eps: float = None       # containment shell (default: two mesh steps)
     cut_margin: float = 0.85  # exterior sweeps stay below this fraction of the cut time
 
 
+def prefix_residuals(gram, span_idx, target_idx, reg):
+    """Relative residuals of target states against every leading block of a span.
+
+    Row k holds, per target, the residual of projecting its state onto the
+    states span_idx[:k] under the ridge Gram G + reg I; row 0 is the empty
+    span (all ones).  One Cholesky factor L of the bordered matrix
+    [[G_SS, G_St], [G_tS, G_tt]] + reg I gives every row: its lower-left
+    block is Y^H with Y = L_SS^{-1} G_St, the factor of a leading block of
+    the span is the leading block of L_SS, so the projection onto
+    span_idx[:k] is the sum of |Y|^2 over the first k rows.  The bordered
+    matrix is a Gram plus reg I, hence positive definite even when targets
+    repeat span members.
+    """
+    s = np.asarray(span_idx, dtype=np.int64)
+    t = np.asarray(target_idx, dtype=np.int64)
+    idx = np.concatenate([s, t])
+    M = gram[np.ix_(idx, idx)]
+    M[np.diag_indices(len(idx))] += reg
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise ReconstructionError(f"containment Gram is not positive definite ({exc})") from exc
+    ns = len(s)
+    proj = np.zeros((ns + 1, len(t)))
+    np.cumsum(np.abs(L[ns:, :ns].T) ** 2, axis=0, out=proj[1:])
+    norms = np.real(gram[t, t])
+    return np.sqrt(np.clip((norms - proj) / norms, 0.0, 1.0))
+
+
 class ProbeEngine:
-    """Master probe family plus cached Gram for containment sweeps."""
+    """Master probe family plus its Gram for containment sweeps."""
 
     def __init__(self, wmap: WaveMapData, cfg: ProbeConfig):
         self.wmap = wmap
@@ -195,7 +224,9 @@ class ProbeEngine:
             wmap, range(wmap.local.size), leads, cfg.width
         )
         self.gram = family_gram(wmap, self.family)
-        self._chol_cache = {}
+        # sweeps share prefix factors across spans, so the ridge cannot
+        # depend on the span: one value for the whole family
+        self.reg = cfg.reg_factor * np.trace(self.gram).real / len(self.family)
 
     # probe selection ------------------------------------------------------
     def box_indices(self, center_local, radius_limit):
@@ -204,31 +235,25 @@ class ProbeEngine:
         verts = self.wmap.local.local_ball(center_local, self.cfg.delta)
         return self.family.select(vertices=verts, max_lead=radius_limit - self.cfg.delta)
 
+    def by_lead(self, idx):
+        """Probe indices in stable lead order: a smaller box is then a leading block."""
+        return idx[np.argsort(self.family.lead[idx], kind="stable")]
+
+    def box_sizes(self, ordered_idx, radius_limits):
+        """How many of the lead-ordered probes the box at each radius limit keeps.
+
+        Same budget as box_indices, radius_limit - delta up to 1e-12.
+        """
+        budgets = np.asarray(radius_limits) - self.cfg.delta + 1e-12
+        return np.searchsorted(self.family.lead[ordered_idx], budgets, side="right")
+
     # residual machinery -----------------------------------------------------
     def max_residual(self, target_idx, span_idx):
-        """Largest projection residual of target states onto the span states."""
-        t = np.asarray(target_idx, dtype=np.int64)
-        s = np.asarray(span_idx, dtype=np.int64)
-        if len(t) == 0:
+        """Largest projection residual of target states onto the span states
+        (the full-span row of prefix_residuals; 1 for an empty span)."""
+        if len(target_idx) == 0:
             raise ReconstructionError("no target probes in the box")
-        norms = np.real(np.diag(self.gram))[t]
-        if len(s) == 0:
-            return 1.0
-        key = (tuple(s.tolist()),)
-        fac = self._chol_cache.get(key)
-        if fac is None:
-            Gs = self.gram[np.ix_(s, s)]
-            reg = self.cfg.reg_factor * np.trace(Gs).real / len(s)
-            ident = np.eye(len(s))
-            fac = np.linalg.cholesky(Gs + reg * ident)
-            if len(self._chol_cache) > 4096:
-                self._chol_cache.clear()
-            self._chol_cache[key] = fac
-        q = self.gram[np.ix_(s, t)]
-        y = np.linalg.solve(fac, q)
-        proj = np.sum(np.abs(y) ** 2, axis=0)
-        res2 = np.clip((norms - proj) / norms, 0.0, 1.0)
-        return float(np.sqrt(np.max(res2)))
+        return float(np.max(prefix_residuals(self.gram, span_idx, target_idx, self.reg)[-1]))
 
     def containment(self, x, tau_x, y, tau_y, z=None, tau_z=None, tol_res=None):
         """Verdict for ball(x, tau_x) strictly inside ball(y, tau_y) [u ball(z, tau_z)].
@@ -241,12 +266,12 @@ class ProbeEngine:
         if min(tau_x, tau_y) <= delta or (z is not None and tau_z <= delta):
             raise ReconstructionError("ball radii must exceed the probe delta")
         t_idx = self.box_indices(x, tau_x)
-        s_idx = list(self.box_indices(y, tau_y))
+        s_idx = self.box_indices(y, tau_y)
         if z is not None:
-            s_idx = sorted(set(s_idx) | set(self.box_indices(z, tau_z)))
+            s_idx = np.union1d(s_idx, self.box_indices(z, tau_z))
         if len(t_idx) == 0:
             raise ReconstructionError("target box has no probes; enlarge tau_x")
-        return self.max_residual(t_idx, np.asarray(s_idx)) < tol
+        return self.max_residual(t_idx, s_idx) < tol
 
 
 def probe_engine(wmap: WaveMapData, cfg: ProbeConfig) -> ProbeEngine:
@@ -317,16 +342,17 @@ def _auto_threshold(res_lo, res_hi):
     return float(np.exp(0.5 * np.log(max(res_lo, 1e-12)) + 0.5 * np.log(max(res_hi, 1e-12))))
 
 
-def _first_accept(residual_at, r_grid, tol_res, lo_count=3):
-    """Binary search for the first radius whose residual clears the threshold.
+def _first_accept(curve, tol_res, lo_count=3):
+    """Binary search of a sweep's residual curve for the first radius that
+    clears the threshold.
 
     Containment verdicts are monotone along the sweep (enlarging the union
     can only help), so the acceptance set is an up-set of the grid.  The
     violation level is taken as the largest residual over the first few
     radii (the very first value can sit in a degenerate tiny-box regime).
     """
-    res_lo = max(residual_at(i) for i in range(min(lo_count, len(r_grid) - 1)))
-    res_hi = residual_at(len(r_grid) - 1)
+    res_lo = float(np.max(curve[:min(lo_count, len(curve) - 1)]))
+    res_hi = float(curve[-1])
     if tol_res is None:
         if res_lo < 0.05 and res_hi < 0.05:
             return 0, res_lo, res_hi  # accepted everywhere
@@ -337,16 +363,42 @@ def _first_accept(residual_at, r_grid, tol_res, lo_count=3):
         thr = tol_res
     if res_hi >= thr:
         return None, res_lo, res_hi
-    lo, hi = 0, len(r_grid) - 1
-    if residual_at(0) < thr:
+    lo, hi = 0, len(curve) - 1
+    if curve[0] < thr:
         return 0, res_lo, res_hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if residual_at(mid) < thr:
+        if curve[mid] < thr:
             hi = mid
         else:
             lo = mid
     return hi, res_lo, res_hi
+
+
+def _cut_time_curve(eng, x, y, s, r_grid, eps):
+    """Residual of box(y, r - s + eps) against box(x, r) at every sweep radius.
+
+    Both boxes are taken in lead order at the largest radius, so each
+    radius reads a leading block of one prefix_residuals table.  Radii
+    with no admissible target ball read 1.
+    """
+    delta = eng.cfg.delta
+    tau_t = r_grid - s + eps
+    valid = (tau_t > delta + 1e-12) & (r_grid > s)
+    curve = np.ones(len(r_grid))
+    if not np.any(valid):
+        return curve
+    span = eng.by_lead(eng.box_indices(x, r_grid[-1]))
+    targets = eng.by_lead(eng.box_indices(y, tau_t[-1]))
+    if len(targets) == 0:
+        return curve
+    res = prefix_residuals(eng.gram, span, targets, eng.reg)
+    n_span = eng.box_sizes(span, r_grid[valid])
+    n_tgt = eng.box_sizes(targets, tau_t[valid])
+    in_box = np.arange(len(targets))[None, :] < n_tgt[:, None]
+    worst = np.max(np.where(in_box, res[n_span], 0.0), axis=1)
+    curve[valid] = np.where(n_tgt > 0, worst, 1.0)
+    return curve
 
 
 def cut_time_estimate(wmap, x, y, s, r_grid, cfg: ProbeConfig, tol_res=None):
@@ -362,27 +414,24 @@ def cut_time_estimate(wmap, x, y, s, r_grid, cfg: ProbeConfig, tol_res=None):
     if len(r_grid) < 2:
         raise ReconstructionError("radius sweep needs at least two values")
     step = r_grid[1] - r_grid[0]
-    eps = _shell_width(wmap, cfg)
-    delta = cfg.delta
-
-    cache = {}
-
-    def residual_at(i):
-        if i not in cache:
-            r = r_grid[i]
-            tau_t = r - s + eps
-            if tau_t <= delta + 1e-12 or r <= s:
-                cache[i] = 1.0
-            else:
-                t_idx = eng.box_indices(y, tau_t)
-                cache[i] = (1.0 if len(t_idx) == 0
-                            else eng.max_residual(t_idx, eng.box_indices(x, r)))
-        return cache[i]
-
-    hit, _, _ = _first_accept(residual_at, r_grid, tol_res)
+    curve = _cut_time_curve(eng, x, y, s, r_grid, _shell_width(wmap, cfg))
+    hit, _, _ = _first_accept(curve, tol_res)
     if hit is None:
         return np.inf
     return float(r_grid[hit] - 0.5 * step)
+
+
+def _exterior_curve(eng, x_span, t_idx, z, r_grid):
+    """Residual of the target box against x_span u box(z, r) at every sweep radius.
+
+    The span is ordered [x_span, then the z-box members outside it by
+    lead], so the span at each radius is a leading block of the span at
+    the largest one.
+    """
+    z_box = eng.box_indices(z, r_grid[-1])
+    z_new = eng.by_lead(z_box[~np.isin(z_box, x_span)])
+    res = prefix_residuals(eng.gram, np.concatenate([x_span, z_new]), t_idx, eng.reg)
+    return np.max(res[len(x_span) + eng.box_sizes(z_new, r_grid)], axis=1)
 
 
 def exterior_distance(wmap, x, y, s, r_prime, z, r_grid, cfg: ProbeConfig, tol_res=None):
@@ -400,25 +449,14 @@ def exterior_distance(wmap, x, y, s, r_prime, z, r_grid, cfg: ProbeConfig, tol_r
         raise ReconstructionError("radius sweep needs at least two values")
     step = r_grid[1] - r_grid[0]
     eps = _shell_width(wmap, cfg)
-    delta = cfg.delta
     tau_target = r_prime - s + eps
-    if tau_target <= delta:
+    if tau_target <= cfg.delta:
         raise ReconstructionError("target ball too small for the probe delta")
     t_idx = eng.box_indices(y, tau_target)
     if len(t_idx) == 0:
         raise ReconstructionError("target box has no probes")
-    x_span = set(eng.box_indices(x, r_prime).tolist())
-
-    cache = {}
-
-    def residual_at(i):
-        if i not in cache:
-            r = r_grid[i]
-            s_idx = sorted(x_span | set(eng.box_indices(z, r).tolist()))
-            cache[i] = eng.max_residual(t_idx, np.asarray(s_idx, dtype=np.int64))
-        return cache[i]
-
-    hit, _, _ = _first_accept(residual_at, r_grid, tol_res)
+    curve = _exterior_curve(eng, eng.box_indices(x, r_prime), t_idx, z, r_grid)
+    hit, _, _ = _first_accept(curve, tol_res)
     if hit is None:
         return np.inf
     raw = float(r_grid[hit]) - 0.5 * step
@@ -435,6 +473,9 @@ class DistanceProfileSet:
     region_vertices: tuple
     profiles: np.ndarray  # (n_points, |U|)
     provenance: list
+    rays_skipped: int = 0       # rays from edge-of-region bases, not swept
+    lipschitz_dropped: int = 0  # profiles failing the 1-Lipschitz filter
+    duplicates_merged: int = 0  # near-duplicate profiles merged into an earlier one
 
     def __len__(self):
         return len(self.profiles)
@@ -455,7 +496,9 @@ def distance_family(wmap, rays, cfg: ProbeConfig, r_step=None, include_region_ro
 
     Region points contribute their first-arrival rows; exterior points come
     from the ray sweeps.  Profiles violating the 1-Lipschitz bound (with
-    dispersion slack) are dropped; near-duplicates are merged.
+    dispersion slack) are dropped; near-duplicates are merged.  The set
+    counts the rays skipped at edge-of-region bases and the profiles each
+    filter removed.
     """
     if not rays and not include_region_rows:
         raise ReconstructionError("empty reconstruction plan")
@@ -471,10 +514,12 @@ def distance_family(wmap, rays, cfg: ProbeConfig, r_step=None, include_region_ro
     diam_cap = wmap.horizon - cfg.delta
     ball_sizes = [len(wmap.local.local_ball(v, cfg.delta)) for v in range(n)]
     full_size = max(ball_sizes)
+    rays_skipped = 0
     for ray in rays:
         # edge-of-region bases have undersized probe boxes and produce mushy
         # cut profiles; skip them (callers pick interior bases for coverage)
         if ball_sizes[ray.x] < full_size or ball_sizes[ray.y] < full_size:
+            rays_skipped += 1
             continue
         s = first_arrival_distance(wmap, ray.x, ray.y, cfg.eta)
         cut_grid = np.arange(s + cfg.delta + r_step, diam_cap, r_step)
@@ -518,6 +563,9 @@ def distance_family(wmap, rays, cfg: ProbeConfig, r_step=None, include_region_ro
         region_vertices=wmap.local.vertices,
         profiles=np.asarray(merged).reshape(len(merged), n),
         provenance=merged_prov,
+        rays_skipped=rays_skipped,
+        lipschitz_dropped=len(profiles) - len(keep_p),
+        duplicates_merged=len(keep_p) - len(merged),
     )
 
 

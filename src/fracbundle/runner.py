@@ -459,6 +459,9 @@ def _task_reconstruct_distances(scene, cfg):
     rep = match_profiles(fam, oracle_profiles, rel_tol=cfg.tolerance("profile_match_rel"))
     measures["profile_match_fraction"] = rep["fraction"]
     measures["profiles_recovered"] = len(fam)
+    measures["rays_skipped_edge"] = fam.rays_skipped
+    measures["profiles_lipschitz_dropped"] = fam.lipschitz_dropped
+    measures["profiles_merged"] = fam.duplicates_merged
     prof_rows = [[k] + [float(v) for v in fam.profiles[k]] for k in range(len(fam))]
     tables["distance_profiles"] = (
         ["point"] + [f"z{j}" for j in range(len(region))], prof_rows)

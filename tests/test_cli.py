@@ -139,13 +139,16 @@ def test_cli_pass_exit_code(tmp_path, capsys):
     ("region", "count", None),  # None deletes the key
     ("bundle", "rank", "two"),
     ("bundle", "connection", "bogus"),
-], ids=["horizon", "cycle_count", "region_count", "rank", "connection"])
+    ("tolerances", "fractional_round_trip", "tight"),
+    ("options", "probe_delta", "big"),
+], ids=["horizon", "cycle_count", "region_count", "rank", "connection", "tolerance",
+        "option"])
 def test_cli_config_error_exit_code(tmp_path, capsys, section, key, value):
     raw = json.loads(json.dumps(BASE_CONFIG))
     if value is None:
         del raw[section][key]
     else:
-        raw[section][key] = value
+        raw.setdefault(section, {})[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     code = main(["run", str(path), "--out", str(tmp_path / "out")])

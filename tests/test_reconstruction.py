@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbundle.bundle import GaugeTransform, apply_gauge, build_bundle
 from fracbundle.errors import ReconstructionError
@@ -9,6 +11,9 @@ from fracbundle.manifold import Region, build_manifold, shortest_distances
 from fracbundle.operator import assemble
 from fracbundle.propagators import TimeGrid, TimeSection, duhamel_solve
 from fracbundle.reconstruction import (
+    _cut_time_curve,
+    _exterior_curve,
+    _shell_width,
     ProbeConfig,
     RayPlan,
     build_source_family,
@@ -20,6 +25,7 @@ from fracbundle.reconstruction import (
     first_arrival_matrix,
     gauge_invariant_compare,
     match_profiles,
+    prefix_residuals,
     probe_engine,
     projection_residual,
     recover_fiber_frame,
@@ -151,6 +157,74 @@ def test_containment_monotone_in_union_radius(cycle32_scene):
             assert res <= prev_res * 1.05  # monotone above the floor
         prev_res = res
     assert seen_true
+
+
+def _direct_residual(gram, target_idx, span_idx, reg):
+    """Largest target residual from a fresh factorization and solve of the span."""
+    t = np.asarray(target_idx, dtype=np.int64)
+    s = np.asarray(span_idx, dtype=np.int64)
+    if len(s) == 0:
+        return np.ones(len(t))
+    L = np.linalg.cholesky(gram[np.ix_(s, s)] + reg * np.eye(len(s)))
+    y = np.linalg.solve(L, gram[np.ix_(s, t)])
+    norms = np.real(np.diag(gram))[t]
+    proj = np.sum(np.abs(y) ** 2, axis=0)
+    return np.sqrt(np.clip((norms - proj) / norms, 0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prefix_residuals_match_per_prefix_solves(data):
+    m = data.draw(st.integers(2, 9), label="family size")
+    k = data.draw(st.integers(1, m + 2), label="Gram rank bound")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    A = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+    G = A.conj().T @ A
+    reg = data.draw(st.floats(1e-3, 1e-1), label="reg factor") * np.trace(G).real / m
+    order = data.draw(st.permutations(range(m)), label="span order")
+    span = np.asarray(order[:data.draw(st.integers(0, m), label="span size")], dtype=np.int64)
+    targets = np.asarray(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m,
+                                            unique=True), label="targets"), dtype=np.int64)
+    res = prefix_residuals(G, span, targets, reg)
+    assert res.shape == (len(span) + 1, len(targets))
+    direct = np.array([_direct_residual(G, targets, span[:j], reg)
+                       for j in range(len(span) + 1)])
+    assert np.max(np.abs(res - direct)) <= 1e-10
+    assert np.all((res >= 0.0) & (res <= 1.0))
+    assert np.all(np.diff(res, axis=0) <= 0.0)  # a longer prefix never projects less
+
+
+def test_sweep_curves_match_sorted_union_spans(cycle32_scene):
+    # the prefix curves of both sweeps against one factorization per radius
+    # over the sorted-union spans, at the engine ridge.  These span Grams
+    # have condition ~3e9, so two orderings of the same factorization differ
+    # by up to ~1e-9 in double precision; a prefix-count error moves the
+    # curve by 1e-6 or more.
+    m, b, op, U, wmap, cfg, h = cycle32_scene
+    eng = probe_engine(wmap, cfg)
+    eps = _shell_width(wmap, cfg)
+    x, y, z = 4, 5, 0
+    s = first_arrival_distance(wmap, x, y)
+    r_prime = 8 * h
+    r_grid = np.arange(cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
+    t_idx = eng.box_indices(y, r_prime - s + eps)
+    x_span = eng.box_indices(x, r_prime)
+    curve = _exterior_curve(eng, x_span, t_idx, z, r_grid)
+    direct = [np.max(_direct_residual(
+        eng.gram, t_idx, sorted(set(x_span) | set(eng.box_indices(z, r))), eng.reg))
+        for r in r_grid]
+    assert np.max(np.abs(curve - direct)) <= 1e-8
+
+    cut_grid = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
+    curve = _cut_time_curve(eng, x, y, s, cut_grid, eps)
+    direct = []
+    for r in cut_grid:
+        tau_t = r - s + eps
+        t_idx = eng.box_indices(y, tau_t) if tau_t > cfg.delta + 1e-12 and r > s else []
+        direct.append(np.max(_direct_residual(eng.gram, t_idx, eng.box_indices(x, r), eng.reg))
+                      if len(t_idx) else 1.0)
+    assert np.max(np.abs(curve - np.asarray(direct))) <= 1e-8
+    assert np.min(curve) < 0.05 < np.max(curve)  # the sweep crosses the verdict scale
 
 
 def test_first_arrival_properties(cycle32_scene):
