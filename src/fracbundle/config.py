@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -35,7 +36,8 @@ DEFAULT_TOLERANCES = {
     "semigroup": 1e-10,
 }
 
-# options the tasks read as numbers, with the type each is read as
+# options the tasks read as numbers, with the type each is read as; every
+# value must be positive and finite
 NUMERIC_OPTIONS = {
     "probe_delta": float,
     "probe_lead_step": float,
@@ -102,7 +104,7 @@ def parse_config(raw) -> ExperimentConfig:
     time_sec = raw["time"]
     with _section("time.horizon"):
         horizon = float(time_sec.get("horizon", 0.0))
-    _require(horizon > 0, "time.horizon", "must be positive")
+    _require(0 < horizon < math.inf, "time.horizon", "must be positive and finite")
     with _section("time.steps"):
         steps = int(time_sec.get("steps", 0))
     _require(steps >= 4 and steps % 2 == 0, "time.steps", "must be an even integer >= 4")
@@ -128,6 +130,7 @@ def parse_config(raw) -> ExperimentConfig:
         if key in options:
             with _section(f"options.{key}"):
                 options[key] = kind(options[key])
+            _require(0 < options[key] < math.inf, f"options.{key}", "must be positive and finite")
     with _section("seed"):
         seed = int(raw.get("seed", 0))
     return ExperimentConfig(

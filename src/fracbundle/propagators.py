@@ -10,6 +10,7 @@ the piecewise-linear reading of the source samples.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,54 +145,76 @@ def duhamel_weights(eigenvalues, dt, n_steps):
 
 
 def pl_spectra(A, B):
-    """FFTs of a weight pair (A, B) with N+1 rows, at the convolution length.
+    """Folded kernel spectrum of a weight pair (A, B) with N+1 rows.
 
-    The length next_fast_len(2(N+1) - 1) holds the full linear convolution
-    of two (N+1)-row series, so the circular products never wrap into the
-    first N+1 output rows.
+    With B_up[m] = B[m + 1] (B_up[N] = 0), the right-endpoint sum
+    sum_m B[m] f[j-m+1] equals (B_up * f)[j] - B_up[j] f[0], so one
+    convolution with A + B_up does the work of two.  Returns
+    (FFT(A + B_up), B[1:]): the spectrum at length next_fast_len(2(N+1) - 1),
+    which holds the full linear convolution of two (N+1)-row series so the
+    circular products never wrap into the first N+1 output rows, and the
+    first N rows of B_up for the f[0] correction.
     """
     n = next_fast_len(2 * A.shape[0] - 1)
-    return np.fft.fft(A, n=n, axis=0), np.fft.fft(B, n=n, axis=0)
+    folded = A.astype(np.result_type(A, B))
+    folded[:-1] += B[1:]
+    return np.fft.fft(folded, n=n, axis=0), B[1:]
 
 
 def mode_convolve(spectra, src, subscripts):
     """Exact Duhamel response to a piecewise-linear source, by FFT.
 
-    spectra = pl_spectra(A, B); src holds N+1 nodal source samples along
-    axis 0.  Returns the N+1 response samples
+    spectra = pl_spectra(A, B) with A[0] = B[0] = 0 (the zero padding of
+    duhamel_weights); src holds N+1 nodal source samples along axis 0.
+    Returns the N+1 response samples
         out[j] = sum_m A[m] src[j - m] + B[m] src[j - m + 1],  out[0] = 0,
-    where each product is the einsum `subscripts` of a kernel spectrum and a
-    source spectrum: "tk,tk->tk" per mode, "tij,tj->ti" for a dense region
-    source, "ti,t->ti" for one source column.
+    where each product is the einsum `subscripts` of a kernel and a source
+    sample: "tk,tk->tk" per mode, "tij,tj->ti" for a dense region source,
+    "ti,t->ti" for one source column.
     """
-    fa, fb = spectra
-    n = fa.shape[0]
-    acc = np.einsum(subscripts, fa, np.fft.fft(src, n=n, axis=0))
-    # right-endpoint weights pair B[m] with the source at index j - m + 1;
-    # convolving against the shifted source keeps the interval list causal
-    acc += np.einsum(subscripts, fb, np.fft.fft(src[1:], n=n, axis=0))
+    folded, b_up = spectra
+    n = folded.shape[0]
+    acc = np.einsum(subscripts, folded, np.fft.fft(src, n=n, axis=0))
     out = np.fft.ifft(acc, axis=0)[:src.shape[0]]
+    # the folded kernel also pairs B[j + 1] with src[0], a term the interval
+    # sum does not have
+    out[:-1] -= np.einsum(subscripts, b_up, src[:1])
     out[0] = 0.0  # no interval precedes t = 0 (zero initial data, exactly)
     return out
 
 
-def duhamel_solve(op: SpectralOperator, f: TimeSection) -> TimeSection:
+def duhamel_solve(op: SpectralOperator, f: TimeSection | Sequence[TimeSection]):
     """Solve (d^2/dt^2 + P) w = f with zero initial data.
 
     f is read as piecewise linear in time; each interval is integrated in
-    closed form per mode, so w is the exact solution for that source.
+    closed form per mode, so w is the exact solution for that source.  f may
+    also be a sequence of TimeSections on one grid: the weights and their
+    spectrum are then built once, every source is checked before the first
+    transform, and the solutions come back as a list in the same order.
     """
-    grid = f.grid
+    single = isinstance(f, TimeSection)
+    sources = [f] if single else list(f)
+    if not sources:
+        return []
+    grid = sources[0].grid
     n1 = len(grid)
-    V, r = f.values.shape[1:]
-    if V != op.bundle.manifold.num_vertices or r != op.bundle.rank:
-        raise OperatorError("source does not live on the operator's bundle")
+    V, r = op.bundle.manifold.num_vertices, op.bundle.rank
+    for src in sources:
+        if src.grid != grid:
+            raise OperatorError("batch sources must share one time grid")
+        if src.values.shape[1:] != (V, r):
+            raise OperatorError("source does not live on the operator's bundle")
     wflat = np.repeat(op.bundle.manifold.volumes, r)
-    coeffs = (f.values.reshape(n1, op.dim) * wflat[None, :]) @ op.eigensections.conj()
+    analysis = op.eigensections.conj()
+    synthesis = op.eigensections.T
     A, B = duhamel_weights(op.eigenvalues, grid.dt, grid.n_steps)
-    wmodes = mode_convolve(pl_spectra(A, B), coeffs, "tk,tk->tk")
-    out = np.einsum("nk,jk->jn", op.eigensections, wmodes).reshape(n1, V, r)
-    return TimeSection(grid, out)
+    spectra = pl_spectra(A, B)
+    out = []
+    for src in sources:
+        coeffs = (src.values.reshape(n1, op.dim) * wflat[None, :]) @ analysis
+        wmodes = mode_convolve(spectra, coeffs, "tk,tk->tk")
+        out.append(TimeSection(grid, (wmodes @ synthesis).reshape(n1, V, r)))
+    return out[0] if single else out
 
 
 def wave_pde_residual(op: SpectralOperator, f: TimeSection, w: TimeSection):

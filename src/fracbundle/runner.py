@@ -271,7 +271,7 @@ def _task_verify_blago(scene, cfg):
     wmap = scene.wmap
     batch = np.stack([wmap.source_array(s) for s in sources])
     G_engine = blago_bilinear(wmap, batch, batch)
-    states = [duhamel_solve(scene.op, f).values[wmap.half_index] for f in sources]
+    states = [w.values[wmap.half_index] for w in duhamel_solve(scene.op, sources)]
     G_direct = np.empty_like(G_engine)
     for i, si in enumerate(states):
         for j, sj in enumerate(states):
@@ -538,6 +538,8 @@ def _task_reconstruct_operator(scene, cfg):
         rec, rec2, loops, tol_cert=cfg.tolerance("gauge_pipeline_invariance"))
     measures["gauged_holonomy_deviation"] = rep2["holonomy_deviation"]
     measures["gauged_potential_deviation"] = rep2["potential_spectrum_deviation"]
+    # worst per-vertex least-squares condition number over both runs
+    measures["ls_condition"] = max(rec.diagnostics["ls_condition"], rec2.diagnostics["ls_condition"])
     rows = [["holonomy", rep["holonomy_deviation"]],
             ["potential_spectrum", rep["potential_spectrum_deviation"]],
             ["gauged_holonomy", rep2["holonomy_deviation"]],

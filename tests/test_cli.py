@@ -4,9 +4,12 @@ import csv
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fracbundle.cli import main
 from fracbundle.config import parse_config
@@ -95,6 +98,25 @@ def test_run_experiment_tolerance_failure_is_data():
     assert not rep.passed
 
 
+def test_reconstruct_operator_reports_ls_condition():
+    raw = {
+        "manifold": {"kind": "cycle", "count": 20, "length": 20.0},
+        "bundle": {"rank": 1, "connection": "random", "potential": "random_positive",
+                   "potential_scale": 0.3, "potential_shift": 0.2, "seed": 3},
+        "region": {"type": "arc", "start": 0, "count": 8},
+        "time": {"horizon": 8.0, "steps": 800},
+        "tasks": ["reconstruct_operator"],
+        "seed": 4,
+        "options": {"probe_delta": 1.2, "probe_lead_step": 0.5, "probe_width": 1.0},
+    }
+    cfg = parse_config(raw)
+    rep1, rep2 = run_experiment(cfg), run_experiment(cfg)
+    assert rep1.passed
+    cond = rep1.tasks[0].measures["ls_condition"]
+    assert 1.0 <= cond < 1e6
+    assert rep1.tasks[0].measures == rep2.tasks[0].measures  # bit-identical reruns
+
+
 def test_config_echo_reruns_exactly(tmp_path):
     cfg = parse_config(BASE_CONFIG)
     rep = run_experiment(cfg)
@@ -135,14 +157,16 @@ def test_cli_pass_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("section, key, value", [
     ("time", "horizon", 0.0),
+    ("time", "horizon", float("inf")),
     ("manifold", "count", 2),
     ("region", "count", None),  # None deletes the key
     ("bundle", "rank", "two"),
     ("bundle", "connection", "bogus"),
     ("tolerances", "fractional_round_trip", "tight"),
     ("options", "probe_delta", "big"),
-], ids=["horizon", "cycle_count", "region_count", "rank", "connection", "tolerance",
-        "option"])
+    ("options", "blago_pairs", -5),
+], ids=["horizon", "infinite_horizon", "cycle_count", "region_count", "rank", "connection",
+        "tolerance", "option", "negative_count_option"])
 def test_cli_config_error_exit_code(tmp_path, capsys, section, key, value):
     raw = json.loads(json.dumps(BASE_CONFIG))
     if value is None:
@@ -206,3 +230,73 @@ def test_cli_seed_override_changes_echo(tmp_path):
     payload = json.loads((tmp_path / "a" / "report.json").read_text())
     assert payload["seed"] == 123
     assert payload["config"]["seed"] == 123  # echo suffices to re-run exactly
+
+
+# -- exit-code contract on random configs ------------------------------------------
+
+CHEAP_TASKS = ["verify_spectral", "verify_transmutation", "verify_blago",
+               "verify_gauge_equivariance"]
+MISSING = object()
+
+# bad values per (section, key); section None is the top level
+BAD_VALUES = {
+    ("manifold", "kind"): ["sphere", 3, None, MISSING],
+    ("manifold", "count"): [2, 0, -3, 2.5, "many", None, MISSING],
+    ("manifold", "length"): [0.0, -1.0, float("inf"), float("nan"), "long", MISSING],
+    ("bundle", "rank"): [0, -1, 1.5, "two", None, [1]],
+    ("bundle", "connection"): ["bogus", "explicit", 7],
+    ("bundle", "potential"): ["bogus", "explicit", None],
+    ("bundle", "seed"): [-1, "abc", 1.5],
+    ("region", "type"): ["disc", "block", 4],
+    ("region", "start"): [-1, 1.5, "x", None],
+    ("region", "count"): [0, -2, 100, "x", None, MISSING],
+    ("time", "horizon"): [0.0, -1.0, float("inf"), float("nan"), "long", None],
+    ("time", "steps"): [0, 3, 7, 4.5, "many", None],
+    (None, "tasks"): [[], "verify_spectral", ["explode"], [5], ["verify_blago"] * 2, None, MISSING],
+    (None, "orders"): [[1.5], [0.0], [float("nan")], "0.5", [None], 3],
+    (None, "seed"): ["s", None, [1], 1.5],
+    (None, "tolerances"): [{"blago": "tight"}, {"nope": 1.0}, {"blago": -1.0}, [], "x"],
+    (None, "options"): [{"blago_pairs": "many"}, {"blago_pairs": -5}, {"blago_pairs": 0},
+                        {"round_trip_sections": -1}, {"eta": float("nan")}, 5],
+    (None, "manifold"): [[], "cycle", None, MISSING],
+    (None, "time"): [[], 4.5, MISSING],
+}
+MUTATIONS = [(field, bad) for field, values in BAD_VALUES.items() for bad in values]
+
+
+@st.composite
+def mutated_configs(draw):
+    """A small valid config on a 4-12 vertex cycle with one field set to a bad value."""
+    n = draw(st.integers(4, 12))
+    raw = {
+        "manifold": {"kind": "cycle", "count": n, "length": draw(st.floats(1.0, 10.0))},
+        "bundle": {"rank": draw(st.integers(1, 2)),
+                   "connection": draw(st.sampled_from(["trivial", "random"])),
+                   "potential": draw(st.sampled_from(["zero", "random_positive"])),
+                   "seed": draw(st.integers(0, 99))},
+        "region": {"type": "arc", "start": draw(st.integers(0, n - 1)),
+                   "count": draw(st.integers(1, n))},
+        "orders": [0.5],
+        "time": {"horizon": draw(st.floats(0.5, 3.0)), "steps": 2 * draw(st.integers(4, 24))},
+        "tasks": draw(st.lists(st.sampled_from(CHEAP_TASKS), min_size=1, max_size=2, unique=True)),
+        "seed": draw(st.integers(0, 99)),
+        "options": {"blago_pairs": draw(st.integers(1, 4))},
+    }
+    (section, key), bad = draw(st.sampled_from(MUTATIONS))
+    target = raw if section is None else raw[section]
+    if bad is MISSING:
+        target.pop(key, None)
+    else:
+        target[key] = bad
+    return raw
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=mutated_configs())
+def test_cli_random_bad_config_exits_with_a_contract_code(raw):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "config.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        code = main(["run", path, "--out", os.path.join(work, "out")])
+    assert code in (0, 1, 2)

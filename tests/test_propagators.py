@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracbundle import modefun
+from fracbundle import modefun, propagators
 from fracbundle.bundle import build_bundle, l2_inner, l2_norm
 from fracbundle.errors import OperatorError
 from fracbundle.manifold import build_manifold
@@ -13,6 +13,7 @@ from fracbundle.propagators import (
     TimeGrid,
     TimeSection,
     duhamel_solve,
+    duhamel_weights,
     fractional_apply,
     fractional_inverse_quadrature,
     fractional_inverse_spectral,
@@ -211,13 +212,68 @@ def test_mode_convolve_matches_direct_sum(subscripts, weight_shape, source_shape
     A, B = rand((n1,) + weight_shape), rand((n1,) + weight_shape)
     A[0] = B[0] = 0.0  # row 0 is the zero padding of duhamel_weights
     src = rand((n1,) + source_shape)
-    out = mode_convolve(pl_spectra(A, B), src, subscripts)
+    # a source only at row 0 isolates the folded kernel's -B[j + 1] src[0]
+    # correction: the response is A[j] src[0], not (A + B_up)[j] src[0]
+    row0 = np.zeros_like(src)
+    row0[0] = src[0]
     pair = subscripts.replace("t", "")
-    direct = np.zeros_like(out)
-    for j in range(1, n1):
-        for m in range(1, j + 1):
-            direct[j] += np.einsum(pair, A[m], src[j - m]) + np.einsum(pair, B[m], src[j - m + 1])
-    assert np.max(np.abs(out - direct)) < 1e-12 * np.max(np.abs(direct))
+    for f in (src, row0):
+        out = mode_convolve(pl_spectra(A, B), f, subscripts)
+        direct = np.zeros_like(out)
+        for j in range(1, n1):
+            for m in range(1, j + 1):
+                direct[j] += np.einsum(pair, A[m], f[j - m]) + np.einsum(pair, B[m], f[j - m + 1])
+        assert np.all(out[0] == 0.0)
+        assert np.max(np.abs(out - direct)) < 1e-12 * np.max(np.abs(direct))
+
+
+def _random_sections(rng, grid, op, count):
+    shape = (len(grid), op.bundle.manifold.num_vertices, op.bundle.rank)
+    return [TimeSection(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for _ in range(count)]
+
+
+def test_duhamel_batch_matches_single_solves():
+    rng = np.random.default_rng(17)
+    op = torus_op()
+    grid = TimeGrid(2.0, 64)
+    sources = _random_sections(rng, grid, op, 3)
+    batch = duhamel_solve(op, sources)
+    assert isinstance(batch, list) and len(batch) == 3
+    for f, w in zip(sources, batch):
+        assert np.array_equal(w.values, duhamel_solve(op, f).values)
+    # the matmul synthesis against an explicit sum over modes
+    n1 = len(grid)
+    V = op.eigensections
+    wflat = np.repeat(op.bundle.manifold.volumes, op.bundle.rank)
+    A, B = duhamel_weights(op.eigenvalues, grid.dt, grid.n_steps)
+    for f, w in zip(sources, batch):
+        coeffs = (f.values.reshape(n1, op.dim) * wflat) @ V.conj()
+        wmodes = mode_convolve(pl_spectra(A, B), coeffs, "tk,tk->tk")
+        explicit = sum(np.outer(wmodes[:, k], V[:, k]) for k in range(op.dim))
+        got = w.values.reshape(n1, op.dim)
+        assert np.max(np.abs(got - explicit)) < 1e-13 * np.max(np.abs(explicit))
+
+
+@pytest.mark.parametrize("bad", ["grid", "bundle"])
+def test_duhamel_batch_rejects_bad_source_before_any_transform(bad, monkeypatch):
+    rng = np.random.default_rng(18)
+    op = torus_op()
+    grid = TimeGrid(2.0, 64)
+    sources = _random_sections(rng, grid, op, 2)
+    if bad == "grid":
+        sources += _random_sections(rng, TimeGrid(2.0, 32), op, 1)
+    else:
+        sources.append(TimeSection(grid, np.ones((len(grid), op.bundle.manifold.num_vertices + 1,
+                                                  op.bundle.rank))))
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a source was transformed before the batch was checked")
+
+    monkeypatch.setattr(propagators, "mode_convolve", no_transform)
+    monkeypatch.setattr(propagators.np.fft, "fft", no_transform)
+    with pytest.raises(OperatorError):
+        duhamel_solve(op, sources)
 
 
 def test_duhamel_residual_second_order():
