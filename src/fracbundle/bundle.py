@@ -19,9 +19,9 @@ from .manifold import DiscreteManifold
 UNITARITY_TOL = 1e-12
 
 
-def _is_unitary(mat, tol=UNITARITY_TOL):
+def _is_unitary(mat):
     r = mat.shape[0]
-    return np.linalg.norm(mat @ mat.conj().T - np.eye(r)) <= tol * max(1.0, r)
+    return np.linalg.norm(mat @ mat.conj().T - np.eye(r)) <= UNITARITY_TOL * max(1.0, r)
 
 
 def random_unitary(rng, r):
@@ -293,14 +293,13 @@ def holonomy_trace(b: HermitianBundle, loop):
     return complex(np.trace(acc))
 
 
-def cycle_rotation_iso(bundle: HermitianBundle, shift, reflect=False, gauge=None):
-    """StructureIso on a cycle builder: rotation (optionally reflection) plus gauge."""
+def cycle_rotation_iso(bundle: HermitianBundle, shift, gauge=None):
+    """StructureIso on a cycle builder: rotation plus gauge."""
     m = bundle.manifold
     if m.meta.get("kind") != "cycle":
         raise GeometryError("cycle_rotation_iso needs a cycle manifold")
     n = m.num_vertices
-    idx = np.arange(n)
-    base = (-idx + shift) % n if reflect else (idx + shift) % n
+    base = (np.arange(n) + shift) % n
     fiber = (gauge.matrices if gauge is not None
              else GaugeTransform.identity(n, bundle.rank).matrices)
     return StructureIso(domain=bundle, codomain_manifold=m, base=base, fiber=fiber)

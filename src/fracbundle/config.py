@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .bundle import build_bundle
 from .errors import ConfigError, FracBundleError
 from .manifold import Region, build_manifold
+from .propagators import GammaQuadrature
 
 KNOWN_TASKS = (
     "verify_spectral",
@@ -48,6 +49,11 @@ NUMERIC_OPTIONS = {
     "round_trip_sections": int,
 }
 
+# GammaQuadrature fields, each read as the type of its default; every value
+# must be positive and finite, and t_cut_override may also be null
+GAMMA_FIELDS = {f.name: float if f.default is None else type(f.default)
+                for f in fields(GammaQuadrature)}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -83,7 +89,7 @@ def _section(fieldname):
         yield
     except ConfigError:
         raise
-    except (FracBundleError, KeyError, TypeError, ValueError) as exc:
+    except (FracBundleError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(fieldname, f"{type(exc).__name__}: {exc}") from exc
 
 
@@ -128,9 +134,19 @@ def parse_config(raw) -> ExperimentConfig:
         options = dict(raw.get("options", {}))
     for key, kind in NUMERIC_OPTIONS.items():
         if key in options:
-            with _section(f"options.{key}"):
-                options[key] = kind(options[key])
-            _require(0 < options[key] < math.inf, f"options.{key}", "must be positive and finite")
+            options[key] = _positive(f"options.{key}", kind, options[key])
+    if "gamma_quadrature" in options:
+        options["gamma_quadrature"] = _gamma_quadrature(options["gamma_quadrature"])
+    if "transmutation_times" in options:
+        times = options["transmutation_times"]
+        _require(isinstance(times, list) and times, "options.transmutation_times",
+                 "must be a nonempty list")
+        options["transmutation_times"] = [
+            _positive("options.transmutation_times", float, t) for t in times]
+    if "chart" in options:
+        chart = options["chart"]
+        _require(isinstance(chart, list) and all(type(v) is int and v >= 0 for v in chart),
+                 "options.chart", "must be a list of nonnegative integers")
     with _section("seed"):
         seed = int(raw.get("seed", 0))
     return ExperimentConfig(
@@ -146,6 +162,28 @@ def parse_config(raw) -> ExperimentConfig:
         output_dir=str(raw.get("output_dir", "out")),
         options=options,
     )
+
+
+def _positive(fieldname, kind, value):
+    """value converted to kind; it must be positive and finite."""
+    with _section(fieldname):
+        value = kind(value)
+    _require(0 < value < math.inf, fieldname, "must be positive and finite")
+    return value
+
+
+def _gamma_quadrature(raw):
+    """Validated GammaQuadrature keyword arguments."""
+    name = "options.gamma_quadrature"
+    _require(isinstance(raw, dict), name, "must be an object")
+    out = {}
+    for key, value in raw.items():
+        _require(key in GAMMA_FIELDS, name, f"unknown field {key!r}")
+        if value is None and key == "t_cut_override":
+            out[key] = None
+        else:
+            out[key] = _positive(f"{name}.{key}", GAMMA_FIELDS[key], value)
+    return out
 
 
 def build_scene(cfg: ExperimentConfig):

@@ -113,9 +113,6 @@ class Region:
     def __contains__(self, v):
         return int(v) in set(self.vertices)
 
-    def index_of(self, v):
-        return self.vertices.index(int(v))
-
 
 def build_manifold(spec):
     """Build a canonical discrete closed manifold from a descriptor.
@@ -194,7 +191,7 @@ def shortest_distances(m: DiscreteManifold) -> np.ndarray:
     return dist
 
 
-def ball_region(m: DiscreteManifold, center, radius, dist=None):
+def ball_region(m: DiscreteManifold, center, radius):
     """Open metric ball {y : d(center, y) < radius} as a Region.
 
     radius = 0 yields the empty set, which is returned as None since a
@@ -202,22 +199,18 @@ def ball_region(m: DiscreteManifold, center, radius, dist=None):
     """
     if radius < 0:
         raise GeometryError("radius must be nonnegative")
-    if dist is None:
-        dist = shortest_distances(m)
-    row = dist[int(center)]
+    row = shortest_distances(m)[int(center)]
     verts = tuple(int(v) for v in np.nonzero(row < radius)[0])
     if not verts:
         return None
     return Region(m, verts)
 
 
-def thickened_region(m: DiscreteManifold, u: Region, T, dist=None):
+def thickened_region(m: DiscreteManifold, u: Region, T):
     """Closed thickening {y : d(y, u) <= T} of a region."""
     if T < 0:
         raise GeometryError("thickening distance must be nonnegative")
-    if dist is None:
-        dist = shortest_distances(m)
-    rows = dist[list(u.vertices)]
+    rows = shortest_distances(m)[list(u.vertices)]
     d_to_u = rows.min(axis=0)
     verts = tuple(int(v) for v in np.nonzero(d_to_u <= T + 1e-12 * max(1.0, T))[0])
     return Region(m, verts)

@@ -14,14 +14,17 @@ evaluations are exact in time and the only discretization error is spatial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bundle import HermitianBundle
 from .errors import OperatorError
 
-DEFAULT_KERNEL_THRESHOLD = 1e-10
+# eigenvalues below KERNEL_THRESHOLD * max(1, lam_max) in magnitude are kernel modes
+KERNEL_THRESHOLD = 1e-10
+# an operator is nonnegative when lam_min >= -NONNEGATIVE_TOL * max(1, |lam_max|)
+NONNEGATIVE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,6 @@ class SpectralOperator:
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigensections: np.ndarray
-    kernel_threshold: float = DEFAULT_KERNEL_THRESHOLD
-    meta: dict = field(default_factory=dict, compare=False)
 
     @property
     def dim(self):
@@ -52,11 +53,11 @@ class SpectralOperator:
     def max_eigenvalue(self):
         return float(self.eigenvalues[-1])
 
-    def is_nonnegative(self, tol=1e-10):
-        return self.min_eigenvalue >= -tol * max(1.0, abs(self.max_eigenvalue))
+    def is_nonnegative(self):
+        return self.min_eigenvalue >= -NONNEGATIVE_TOL * max(1.0, abs(self.max_eigenvalue))
 
-    def require_nonnegative(self, tol=1e-10, what="fractional calculus"):
-        if not self.is_nonnegative(tol):
+    def require_nonnegative(self, what="fractional calculus"):
+        if not self.is_nonnegative():
             raise OperatorError(
                 f"{what} requires a nonnegative operator; "
                 f"min eigenvalue {self.min_eigenvalue:.6e}"
@@ -69,7 +70,7 @@ class SpectralOperator:
         (an error state surfaced by require_nonnegative) is not silently
         folded into the kernel.
         """
-        cut = self.kernel_threshold * max(1.0, self.max_eigenvalue)
+        cut = KERNEL_THRESHOLD * max(1.0, self.max_eigenvalue)
         return np.abs(self.eigenvalues) < cut
 
     # -- coordinate helpers -------------------------------------------------
@@ -94,7 +95,7 @@ class SpectralOperator:
         return self.to_section(self.eigensections @ np.asarray(coeffs, dtype=np.complex128))
 
 
-def assemble(b: HermitianBundle, kernel_threshold=DEFAULT_KERNEL_THRESHOLD) -> SpectralOperator:
+def assemble(b: HermitianBundle) -> SpectralOperator:
     """Assemble the connection operator of a bundle and eigendecompose it.
 
     The minimum eigenvalue is recorded (never shifted); fractional-power
@@ -133,8 +134,6 @@ def assemble(b: HermitianBundle, kernel_threshold=DEFAULT_KERNEL_THRESHOLD) -> S
         matrix=mat,
         eigenvalues=evals,
         eigensections=sections,
-        kernel_threshold=kernel_threshold,
-        meta={"min_eigenvalue": float(evals[0])},
     )
 
 

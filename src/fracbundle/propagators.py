@@ -46,9 +46,9 @@ class TimeGrid:
     def __len__(self):
         return self.n_steps + 1
 
-    def index_of(self, t, tol=1e-9):
+    def index_of(self, t):
         j = int(round(t / self.dt))
-        if j < 0 or j > self.n_steps or abs(j * self.dt - t) > tol * max(1.0, self.t_max):
+        if j < 0 or j > self.n_steps or abs(j * self.dt - t) > 1e-9 * max(1.0, self.t_max):
             raise OperatorError(f"time {t} is not on the grid")
         return j
 
@@ -252,12 +252,12 @@ def fractional_apply(op: SpectralOperator, s, u):
     return op.synthesize(vals * op.coefficients(u))
 
 
-def _require_no_kernel_component(op, u, tol=1e-8):
+def _require_no_kernel_component(op, u):
     proj = kernel_projector(op)
     frac = proj.kernel_fraction(u)
-    if frac > tol:
+    if frac > 1e-8:
         raise OperatorError(
-            f"input has kernel fraction {frac:.3e} > {tol:.0e}; "
+            f"input has kernel fraction {frac:.3e} > 1e-08; "
             "project onto the kernel complement first"
         )
     return proj
@@ -386,11 +386,11 @@ def transmutation_gaussian_check(op: SpectralOperator, t):
     return Q, E, err
 
 
-def transmutation_printed_residual(op: SpectralOperator, t, u, n_panel_nodes=8):
+def transmutation_printed_residual(op: SpectralOperator, t, u):
     """Residual of the half-line exponential-kernel transmutation form.
 
     Evaluates rhs = (4 sqrt(pi) t^{3/2})^{-1} Int_0^inf e^{-s/4t} G(s, P) u ds
-    by composite Gauss-Legendre (one heat-content formula reported in the
+    by composite 8-node Gauss-Legendre (one heat-content formula reported in the
     literature integrates by parts to a Gaussian kernel instead; this
     routine measures how far the exponential-kernel variant is from the
     heat semigroup, and is expected to be far from zero).  Returns
@@ -408,7 +408,7 @@ def transmutation_printed_residual(op: SpectralOperator, t, u, n_panel_nodes=8):
     omega_max = math.sqrt(max(op.max_eigenvalue, 0.0))
     s_max = -math.log(1e-18) / sigma
     panel = min(2.0 * math.pi / max(omega_max, 1e-6), s_max / 4.0)
-    glx, glw = np.polynomial.legendre.leggauss(n_panel_nodes)
+    glx, glw = np.polynomial.legendre.leggauss(8)
     edges = np.arange(0.0, s_max + panel, panel)
     vals = np.zeros(len(lam))
     for a, b in zip(edges[:-1], edges[1:]):

@@ -21,6 +21,17 @@ import numpy as np
 from .errors import ReconstructionError
 from .s2s import WaveMapData, blago_bilinear, gram_matrix
 
+# residual below which a plain containment verdict accepts
+CONTAINMENT_TOL = 0.05
+# ridge reg = RIDGE_FACTOR * tr(G) / m over an m-probe Gram G, and the
+# relative eigenvalue cutoff of the truncated pseudo-inverses
+RIDGE_FACTOR = 1e-8
+# exterior sweeps stay below this fraction of the ray's cut time
+CUT_MARGIN = 0.85
+# fiber-frame synthesis: largest accepted residual and probe Gram condition
+SYNTHESIS_TOL = 0.2
+MAX_GRAM_CONDITION = 1e14
+
 
 # ---------------------------------------------------------------------------
 # probe families
@@ -56,22 +67,16 @@ class SourceFamily:
     def components(self):
         return self.vertex * self.rank + self.fiber
 
-    def select(self, vertices=None, max_lead=None, fibers=None):
+    def select(self, vertices, max_lead):
         """Indices of members inside a spatial set with lead below a budget."""
-        mask = np.ones(len(self), dtype=bool)
-        if vertices is not None:
-            mask &= np.isin(self.vertex, np.asarray(vertices, dtype=np.int64))
-        if max_lead is not None:
-            mask &= self.lead <= max_lead + 1e-12
-        if fibers is not None:
-            mask &= np.isin(self.fiber, np.asarray(fibers, dtype=np.int64))
+        mask = np.isin(self.vertex, np.asarray(vertices, dtype=np.int64))
+        mask &= self.lead <= max_lead + 1e-12
         return np.nonzero(mask)[0]
 
 
-def build_source_family(wmap: WaveMapData, vertices, leads, width, fibers=None):
-    """Probe family over given local vertices and emission leads."""
+def build_source_family(wmap: WaveMapData, vertices, leads, width):
+    """Probe family over given local vertices and emission leads (every fiber)."""
     r = wmap.local.rank
-    fibers = range(r) if fibers is None else fibers
     times = wmap.grid.times
     T = wmap.horizon
     vs, fs, ls, profs = [], [], [], []
@@ -84,11 +89,9 @@ def build_source_family(wmap: WaveMapData, vertices, leads, width, fibers=None):
         for v in vertices:
             if not 0 <= int(v) < wmap.local.size:
                 raise ReconstructionError(f"vertex {v} is outside the observation region")
-            for f in fibers:
-                if not 0 <= int(f) < r:
-                    raise ReconstructionError(f"fiber index {f} exceeds the rank")
+            for f in range(r):
                 vs.append(int(v))
-                fs.append(int(f))
+                fs.append(f)
                 ls.append(float(lead))
                 profs.append(prof)
     if not vs:
@@ -134,7 +137,7 @@ def _truncated_pinv(G, cutoff_factor):
     return evals, evecs, inv
 
 
-def projection_residual(wmap: WaveMapData, targets, spans, reg_factor=1e-8):
+def projection_residual(wmap: WaveMapData, targets, spans):
     """Relative residual of projecting each target wave state onto the span.
 
     targets and spans are lists of sources (TimeSection or nodal arrays).
@@ -152,7 +155,7 @@ def projection_residual(wmap: WaveMapData, targets, spans, reg_factor=1e-8):
         raise ReconstructionError("zero-norm target state")
     if len(spans) == 0:
         return np.ones(nt)
-    _, evecs, inv = _truncated_pinv(G_ss, reg_factor)
+    _, evecs, inv = _truncated_pinv(G_ss, RIDGE_FACTOR)
     proj = inv @ np.abs(evecs.conj().T @ q) ** 2
     res2 = np.clip((norms - proj) / norms, 0.0, 1.0)
     return np.sqrt(res2)
@@ -165,17 +168,10 @@ def projection_residual(wmap: WaveMapData, targets, spans, reg_factor=1e-8):
 class ProbeConfig:
     """Knobs for the containment probe machinery (length units)."""
 
-    delta: float            # radius of source balls
-    lead_step: float        # spacing of emission leads
-    width: float            # bump width
-    max_lead: float = None  # ladder cap (default: horizon minus margin)
-    tol_res: float = 0.05   # residual threshold for plain containment verdicts
-    # containment ridge reg_factor * tr(G) / m, one value per engine (G the
-    # m-probe Gram); also the spectral cutoff of the fiber-frame inverses
-    reg_factor: float = 1e-8
-    eta: float = 0.1        # first-arrival threshold
-    eps: float = None       # containment shell (default: two mesh steps)
-    cut_margin: float = 0.85  # exterior sweeps stay below this fraction of the cut time
+    delta: float      # radius of source balls
+    lead_step: float  # spacing of emission leads
+    width: float      # bump width
+    eta: float = 0.1  # first-arrival threshold
 
 
 def prefix_residuals(gram, span_idx, target_idx, reg):
@@ -213,8 +209,7 @@ class ProbeEngine:
     def __init__(self, wmap: WaveMapData, cfg: ProbeConfig):
         self.wmap = wmap
         self.cfg = cfg
-        T = wmap.horizon
-        max_lead = cfg.max_lead if cfg.max_lead is not None else T - 8 * wmap.grid.dt
+        max_lead = wmap.horizon - 8 * wmap.grid.dt
         n_leads = int(np.floor((max_lead - cfg.width) / cfg.lead_step)) + 1
         if n_leads < 2:
             raise ReconstructionError("lead ladder is empty; enlarge the horizon")
@@ -226,7 +221,7 @@ class ProbeEngine:
         self.gram = family_gram(wmap, self.family)
         # sweeps share prefix factors across spans, so the ridge cannot
         # depend on the span: one value for the whole family
-        self.reg = cfg.reg_factor * np.trace(self.gram).real / len(self.family)
+        self.reg = RIDGE_FACTOR * np.trace(self.gram).real / len(self.family)
 
     # probe selection ------------------------------------------------------
     def box_indices(self, center_local, radius_limit):
@@ -255,13 +250,12 @@ class ProbeEngine:
             raise ReconstructionError("no target probes in the box")
         return float(np.max(prefix_residuals(self.gram, span_idx, target_idx, self.reg)[-1]))
 
-    def containment(self, x, tau_x, y, tau_y, z=None, tau_z=None, tol_res=None):
+    def containment(self, x, tau_x, y, tau_y, z=None, tau_z=None):
         """Verdict for ball(x, tau_x) strictly inside ball(y, tau_y) [u ball(z, tau_z)].
 
         True when every wave state excited inside the x box is reproduced by
-        the y (and z) boxes within the residual threshold.
+        the y (and z) boxes within the residual threshold CONTAINMENT_TOL.
         """
-        tol = self.cfg.tol_res if tol_res is None else tol_res
         delta = self.cfg.delta
         if min(tau_x, tau_y) <= delta or (z is not None and tau_z <= delta):
             raise ReconstructionError("ball radii must exceed the probe delta")
@@ -271,7 +265,7 @@ class ProbeEngine:
             s_idx = np.union1d(s_idx, self.box_indices(z, tau_z))
         if len(t_idx) == 0:
             raise ReconstructionError("target box has no probes; enlarge tau_x")
-        return self.max_residual(t_idx, s_idx) < tol
+        return self.max_residual(t_idx, s_idx) < CONTAINMENT_TOL
 
 
 def probe_engine(wmap: WaveMapData, cfg: ProbeConfig) -> ProbeEngine:
@@ -284,10 +278,9 @@ def probe_engine(wmap: WaveMapData, cfg: ProbeConfig) -> ProbeEngine:
     return eng
 
 
-def containment_test(wmap, x, tau_x, y, tau_y, z, tau_z, cfg: ProbeConfig, tol_res=None):
+def containment_test(wmap, x, tau_x, y, tau_y, z, tau_z, cfg: ProbeConfig):
     """Ball containment B(x, tau_x) in B(y, tau_y) u B(z, tau_z) from map data."""
-    eng = probe_engine(wmap, cfg)
-    return eng.containment(x, tau_x, y, tau_y, z, tau_z, tol_res=tol_res)
+    return probe_engine(wmap, cfg).containment(x, tau_x, y, tau_y, z, tau_z)
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +315,14 @@ def first_arrival_matrix(wmap: WaveMapData, eta=0.1):
     return out
 
 
-def _shell_width(wmap, cfg):
-    """Containment shell eps: two mesh steps by default.
+def _shell_width(wmap):
+    """Containment shell eps: two mesh steps.
 
     The continuum characterization quantifies over arbitrarily small
     shells; on a lattice a sub-mesh shell carries no vertices and the
     dispersive wavefront covers it, so the witness must be mesh-scale
     (the measured verdicts with a finer shell are uninformative).
     """
-    if cfg.eps is not None:
-        return cfg.eps
     return 2.0 * float(np.min(wmap.local.edge_lengths))
 
 
@@ -342,26 +333,21 @@ def _auto_threshold(res_lo, res_hi):
     return float(np.exp(0.5 * np.log(max(res_lo, 1e-12)) + 0.5 * np.log(max(res_hi, 1e-12))))
 
 
-def _first_accept(curve, tol_res, lo_count=3):
+def _first_accept(curve):
     """Binary search of a sweep's residual curve for the first radius that
-    clears the threshold.
+    clears the automatic threshold.
 
     Containment verdicts are monotone along the sweep (enlarging the union
     can only help), so the acceptance set is an up-set of the grid.  The
-    violation level is taken as the largest residual over the first few
+    violation level is taken as the largest residual over the first three
     radii (the very first value can sit in a degenerate tiny-box regime).
     """
-    res_lo = float(np.max(curve[:min(lo_count, len(curve) - 1)]))
+    res_lo = float(np.max(curve[:min(3, len(curve) - 1)]))
     res_hi = float(curve[-1])
-    if tol_res is None:
-        if res_lo < 0.05 and res_hi < 0.05:
-            return 0, res_lo, res_hi  # accepted everywhere
-        thr = _auto_threshold(res_lo, res_hi)
-        if thr is None:
-            return None, res_lo, res_hi
-    else:
-        thr = tol_res
-    if res_hi >= thr:
+    if res_lo < CONTAINMENT_TOL and res_hi < CONTAINMENT_TOL:
+        return 0, res_lo, res_hi  # accepted everywhere
+    thr = _auto_threshold(res_lo, res_hi)
+    if thr is None or res_hi >= thr:
         return None, res_lo, res_hi
     lo, hi = 0, len(curve) - 1
     if curve[0] < thr:
@@ -401,7 +387,7 @@ def _cut_time_curve(eng, x, y, s, r_grid, eps):
     return curve
 
 
-def cut_time_estimate(wmap, x, y, s, r_grid, cfg: ProbeConfig, tol_res=None):
+def cut_time_estimate(wmap, x, y, s, r_grid, cfg: ProbeConfig):
     """Smallest radius at which ball(y, r - s + eps) fits inside ball(x, r).
 
     Sweeps the given radii with a mesh-scale shell witness; the verdict
@@ -414,8 +400,8 @@ def cut_time_estimate(wmap, x, y, s, r_grid, cfg: ProbeConfig, tol_res=None):
     if len(r_grid) < 2:
         raise ReconstructionError("radius sweep needs at least two values")
     step = r_grid[1] - r_grid[0]
-    curve = _cut_time_curve(eng, x, y, s, r_grid, _shell_width(wmap, cfg))
-    hit, _, _ = _first_accept(curve, tol_res)
+    curve = _cut_time_curve(eng, x, y, s, r_grid, _shell_width(wmap))
+    hit, _, _ = _first_accept(curve)
     if hit is None:
         return np.inf
     return float(r_grid[hit] - 0.5 * step)
@@ -434,7 +420,7 @@ def _exterior_curve(eng, x_span, t_idx, z, r_grid):
     return np.max(res[len(x_span) + eng.box_sizes(z_new, r_grid)], axis=1)
 
 
-def exterior_distance(wmap, x, y, s, r_prime, z, r_grid, cfg: ProbeConfig, tol_res=None):
+def exterior_distance(wmap, x, y, s, r_prime, z, r_grid, cfg: ProbeConfig):
     """Distance from the ray point at parameter r_prime (through x toward y)
     to the region vertex z, via the two-ball containment sweep.
 
@@ -448,7 +434,7 @@ def exterior_distance(wmap, x, y, s, r_prime, z, r_grid, cfg: ProbeConfig, tol_r
     if len(r_grid) < 2:
         raise ReconstructionError("radius sweep needs at least two values")
     step = r_grid[1] - r_grid[0]
-    eps = _shell_width(wmap, cfg)
+    eps = _shell_width(wmap)
     tau_target = r_prime - s + eps
     if tau_target <= cfg.delta:
         raise ReconstructionError("target ball too small for the probe delta")
@@ -456,7 +442,7 @@ def exterior_distance(wmap, x, y, s, r_prime, z, r_grid, cfg: ProbeConfig, tol_r
     if len(t_idx) == 0:
         raise ReconstructionError("target box has no probes")
     curve = _exterior_curve(eng, eng.box_indices(x, r_prime), t_idx, z, r_grid)
-    hit, _, _ = _first_accept(curve, tol_res)
+    hit, _, _ = _first_accept(curve)
     if hit is None:
         return np.inf
     raw = float(r_grid[hit]) - 0.5 * step
@@ -490,28 +476,23 @@ class RayPlan:
     r_values: tuple
 
 
-def distance_family(wmap, rays, cfg: ProbeConfig, r_step=None, include_region_rows=True,
-                    lipschitz_slack=0.35, merge_tol=None):
+def distance_family(wmap, rays, cfg: ProbeConfig):
     """Recover the family of distance profiles d(p, .)|_U from map data.
 
     Region points contribute their first-arrival rows; exterior points come
-    from the ray sweeps.  Profiles violating the 1-Lipschitz bound (with
-    dispersion slack) are dropped; near-duplicates are merged.  The set
+    from the ray sweeps, in steps of half a mesh length.  Profiles violating
+    the 1-Lipschitz bound (with a dispersion slack of 0.35) are dropped;
+    profiles within 0.75 mesh lengths of an earlier one are merged.  The set
     counts the rays skipped at edge-of-region bases and the profiles each
     filter removed.
     """
-    if not rays and not include_region_rows:
-        raise ReconstructionError("empty reconstruction plan")
     n = wmap.local.size
     h = float(np.min(wmap.local.edge_lengths))
-    r_step = r_step if r_step is not None else h / 2
-    profiles, prov = [], []
-    if include_region_rows:
-        arr = first_arrival_matrix(wmap, cfg.eta)
-        for i in range(n):
-            profiles.append(arr[i])
-            prov.append({"kind": "region", "vertex": int(i)})
+    r_step = h / 2
+    profiles = list(first_arrival_matrix(wmap, cfg.eta))
+    prov = [{"kind": "region", "vertex": i} for i in range(n)]
     diam_cap = wmap.horizon - cfg.delta
+    rg = np.arange(r_step + cfg.delta, diam_cap, r_step)
     ball_sizes = [len(wmap.local.local_ball(v, cfg.delta)) for v in range(n)]
     full_size = max(ball_sizes)
     rays_skipped = 0
@@ -525,12 +506,11 @@ def distance_family(wmap, rays, cfg: ProbeConfig, r_step=None, include_region_ro
         cut_grid = np.arange(s + cfg.delta + r_step, diam_cap, r_step)
         tstar = cut_time_estimate(wmap, ray.x, ray.y, s, cut_grid, cfg)
         for r_prime in ray.r_values:
-            if r_prime >= min(cfg.cut_margin * tstar, diam_cap):
+            if r_prime >= min(CUT_MARGIN * tstar, diam_cap):
                 continue
             prof = np.empty(n)
             ok = True
             for z in range(n):
-                rg = np.arange(r_step + cfg.delta, diam_cap, r_step)
                 d = exterior_distance(wmap, ray.x, ray.y, s, r_prime, z, rg, cfg)
                 if not np.isfinite(d):
                     ok = False
@@ -541,22 +521,16 @@ def distance_family(wmap, rays, cfg: ProbeConfig, r_step=None, include_region_ro
                 prov.append({"kind": "ray", "x": int(ray.x), "y": int(ray.y), "r": float(r_prime)})
     # 1-Lipschitz validity filter against the local metric
     keep_p, keep_v = [], []
-    dloc = wmap.local.distances
+    slack = 0.35
+    bound = wmap.local.distances * (1 + slack) + slack * h + 1e-9
     for prof, pv in zip(profiles, prov):
-        bound = dloc * (1 + lipschitz_slack) + lipschitz_slack * h + 1e-9
         if np.all(np.abs(prof[:, None] - prof[None, :]) <= bound):
             keep_p.append(prof)
             keep_v.append(pv)
     # merge near-duplicates
-    merge_tol = merge_tol if merge_tol is not None else 0.75 * h
     merged, merged_prov = [], []
     for prof, pv in zip(keep_p, keep_v):
-        dup = False
-        for q in merged:
-            if np.max(np.abs(q - prof)) < merge_tol:
-                dup = True
-                break
-        if not dup:
+        if not any(np.max(np.abs(q - prof)) < 0.75 * h for q in merged):
             merged.append(prof)
             merged_prov.append(pv)
     return DistanceProfileSet(
@@ -569,23 +543,22 @@ def distance_family(wmap, rays, cfg: ProbeConfig, r_step=None, include_region_ro
     )
 
 
-def match_profiles(recovered: DistanceProfileSet, oracle_profiles, rel_tol=0.15, abs_tol=None):
+def match_profiles(recovered: DistanceProfileSet, oracle_profiles, rel_tol=0.15):
     """Fraction of oracle profiles matched by recovered ones in sup norm.
 
     A match requires sup-norm deviation within rel_tol of the oracle
-    profile scale (plus abs_tol); ambiguity (two oracle rows nearest to
+    profile scale; ambiguity (two oracle rows nearest to
     one recovered profile within tolerance of each other) is reported.
     """
     oracle = np.asarray(oracle_profiles)
     got = recovered.profiles
-    abs_tol = abs_tol if abs_tol is not None else 0.0
     matched = np.zeros(len(oracle), dtype=bool)
     assignments = []
     claims = {}
     for i, row in enumerate(oracle):
         devs = np.max(np.abs(got - row[None, :]), axis=1)
         j = int(np.argmin(devs))
-        tol = rel_tol * max(np.max(np.abs(row)), 1e-12) + abs_tol
+        tol = rel_tol * max(np.max(np.abs(row)), 1e-12)
         if devs[j] <= tol:
             matched[i] = True
             assignments.append((i, j, float(devs[j])))
@@ -620,8 +593,7 @@ class FiberProbe:
     diagnostics: dict = field(default_factory=dict)
 
 
-def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile=None,
-                        synth_tol=0.2, frame_cutoff=0.01, condition_bound=1e14):
+def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile=None):
     """Frame of fiber states concentrated at a vertex, from map data only.
 
     For y inside the region the frame is synthesized against the delta
@@ -649,12 +621,12 @@ def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile
         at_T = responses[:, n_half, :]
         coeffs = []
         resid = []
-        evals, evecs, inv = _truncated_pinv(G, cfg.reg_factor)
+        evals, evecs, inv = _truncated_pinv(G, RIDGE_FACTOR)
         kept = evals[inv > 0]
         gram_condition = float(evals[-1] / max(kept.min(), 1e-300)) if len(kept) else np.inf
-        if gram_condition > condition_bound:
+        if gram_condition > MAX_GRAM_CONDITION:
             raise ReconstructionError(
-                f"probe Gram condition {gram_condition:.2e} exceeds {condition_bound:.0e}; "
+                f"probe Gram condition {gram_condition:.2e} exceeds {MAX_GRAM_CONDITION:.0e}; "
                 "the probe family cannot support the synthesis"
             )
         for j in range(r):
@@ -666,9 +638,9 @@ def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile
             proj = float(np.real(np.vdot(q, c)))
             resid.append(np.sqrt(max(0.0, (target_norm - proj) / target_norm)))
         coeffs = np.asarray(coeffs)
-        if max(resid) > synth_tol:
+        if max(resid) > SYNTHESIS_TOL:
             raise ReconstructionError(
-                f"synthesis residual {max(resid):.3f} exceeds {synth_tol}; "
+                f"synthesis residual {max(resid):.3f} exceeds {SYNTHESIS_TOL}; "
                 "the target is not reachable at this horizon"
             )
         raw_gram = coeffs.conj() @ G @ coeffs.T
@@ -701,11 +673,11 @@ def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile
         Gbb = G[np.ix_(b_idx, b_idx)]
         # aggressive spectral cutoff: keep only the strongly excited span of
         # the non-reaching families so their dispersive tails do not count
-        _, evecs, inv = _truncated_pinv(Gbb, frame_cutoff)
+        _, evecs, inv = _truncated_pinv(Gbb, 0.01)
         proj_b = (evecs * inv[None, :]) @ evecs.conj().T
         M = Gab @ proj_b @ Gab.conj().T
         M = 0.5 * (M + M.conj().T)
-        evals, evecs = _generalized_smallest(M, Gaa, r, cfg.reg_factor)
+        evals, evecs = _generalized_smallest(M, Gaa, r)
         coeffs = np.zeros((r, len(fam)), dtype=np.complex128)
         for j in range(r):
             coeffs[j, a_idx] = evecs[:, j]
@@ -730,9 +702,9 @@ def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile
     )
 
 
-def _generalized_smallest(M, G, count, reg_factor):
+def _generalized_smallest(M, G, count):
     """Smallest eigenpairs of M c = lam G c for Hermitian M >= 0, G > 0."""
-    reg = reg_factor * np.trace(G).real / len(G)
+    reg = RIDGE_FACTOR * np.trace(G).real / len(G)
     L = np.linalg.cholesky(G + reg * np.eye(len(G)))
     Linv = np.linalg.inv(L)
     A = Linv @ M @ Linv.conj().T
@@ -779,8 +751,7 @@ def _polar_unitary(M):
     return u @ vt
 
 
-def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig, lead_count=24,
-                           rcond=1e-10):
+def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
     """Recover edge transports and the potential on a chart of the region.
 
     Uses the wave data twice: responses w^h(t, .) of a rich probe family
@@ -793,6 +764,9 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig, lead_coun
     local = wmap.local
     r = local.rank
     chart = [int(v) for v in chart]
+    for v in chart:
+        if not 0 <= v < local.size:
+            raise ReconstructionError(f"chart vertex {v} is outside the observation region")
     # neighbor map from the local edge list
     nbrs = {v: [] for v in range(local.size)}
     for (a, b) in local.edges:
@@ -801,12 +775,12 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig, lead_coun
     grid = wmap.grid
     dt = grid.dt
     n_half = wmap.half_index
-    # probe family: bumps ending well before T so the source term vanishes
-    # on the difference stencil
+    # probe family: 24 leads of bumps ending well before T so the source
+    # term vanishes on the difference stencil
     width = cfg.width
     min_lead = width + 6 * dt
     max_lead = wmap.horizon - 4 * dt
-    leads = np.linspace(min_lead, max_lead, lead_count)
+    leads = np.linspace(min_lead, max_lead, 24)
     fam = build_source_family(wmap, range(local.size), leads, width)
     responses = family_responses(wmap, fam)
     at_T = responses[:, n_half, :]
@@ -830,7 +804,7 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig, lead_coun
         Y = -d2[:, v * r:(v + 1) * r]
         # Y[h, a] = sum_{c, b} P[v, c][a, b] M[h, c*r + b]: lstsq returns the
         # stacked (c*r + b, a) layout, so each block is the plain transpose
-        sol, _, rank, svals = np.linalg.lstsq(M, Y, rcond=rcond)
+        sol, _, rank, svals = np.linalg.lstsq(M, Y, rcond=1e-10)
         conds.append(float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf)
         if rank < M.shape[1]:
             raise ReconstructionError(

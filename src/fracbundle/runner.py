@@ -139,18 +139,10 @@ class _Scene:
             eta=float(opts.get("eta", 0.1)),
         )
 
-    def random_sections(self, count, rng, region_only=False):
-        out = []
+    def random_sections(self, count, rng):
         V, r = self.manifold.num_vertices, self.bundle.rank
-        for _ in range(count):
-            u = np.zeros((V, r), dtype=complex)
-            if region_only:
-                idx = list(self.region.vertices)
-            else:
-                idx = list(range(V))
-            u[idx] = rng.standard_normal((len(idx), r)) + 1j * rng.standard_normal((len(idx), r))
-            out.append(u)
-        return out
+        return [rng.standard_normal((V, r)) + 1j * rng.standard_normal((V, r))
+                for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -581,20 +573,20 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
     scene = _Scene(cfg)
     results = []
     for name in cfg.tasks:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             ok, measures, checks, tables = _TASKS[name](scene, cfg)
             results.append(TaskResult(
                 name=name,
                 status="pass" if ok else "fail",
-                elapsed_s=time.time() - t0,
+                elapsed_s=time.perf_counter() - t0,
                 measures=_to_native(measures),
                 tolerances=_to_native(checks),
                 tables=tables,
             ))
         except (FracBundleError, np.linalg.LinAlgError) as exc:
             results.append(TaskResult(
-                name=name, status="error", elapsed_s=time.time() - t0,
+                name=name, status="error", elapsed_s=time.perf_counter() - t0,
                 message=str(exc)))
     if limiter is not None:
         limiter.unregister()
@@ -626,25 +618,22 @@ def _to_native(d):
     return out
 
 
-def emit_report(report: Report, out_dir, formats=("json", "csv")):
+def emit_report(report: Report, out_dir):
     """Write the JSON report and per-task CSV tables; returns file paths."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_payload(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        paths.append(path)
-    if "csv" in formats:
-        for task in report.tasks:
-            for name, (header, rows) in task.tables.items():
-                path = os.path.join(out_dir, f"{task.name}__{name}.csv")
-                with open(path, "w", newline="", encoding="utf-8") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(header)
-                    writer.writerows(rows)
-                paths.append(path)
+    path = os.path.join(out_dir, "report.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report.to_payload(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    paths = [path]
+    for task in report.tasks:
+        for name, (header, rows) in task.tables.items():
+            path = os.path.join(out_dir, f"{task.name}__{name}.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+            paths.append(path)
     return paths
 
 

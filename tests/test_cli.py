@@ -165,8 +165,19 @@ def test_cli_pass_exit_code(tmp_path, capsys):
     ("tolerances", "fractional_round_trip", "tight"),
     ("options", "probe_delta", "big"),
     ("options", "blago_pairs", -5),
+    ("options", "ray_bases", float("inf")),
+    ("options", "gamma_quadrature", {"bogus": 1}),
+    ("options", "gamma_quadrature", {"head_nodes": "x"}),
+    ("options", "gamma_quadrature", 3),
+    ("options", "transmutation_times", ["x"]),
+    ("options", "transmutation_times", 0.5),
+    ("options", "chart", ["x"]),
+    ("options", "chart", 3),
 ], ids=["horizon", "infinite_horizon", "cycle_count", "region_count", "rank", "connection",
-        "tolerance", "option", "negative_count_option"])
+        "tolerance", "option", "negative_count_option", "infinite_count_option",
+        "gamma_unknown_field",
+        "gamma_field_type", "gamma_not_object", "transmutation_time_type",
+        "transmutation_times_not_list", "chart_index_type", "chart_not_list"])
 def test_cli_config_error_exit_code(tmp_path, capsys, section, key, value):
     raw = json.loads(json.dumps(BASE_CONFIG))
     if value is None:
@@ -179,6 +190,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys, section, key, value):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and section in err
+    if section == "options":
+        assert f"options.{key}" in err
+
+
+def test_cli_chart_outside_region_is_a_task_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, tasks=["reconstruct_operator"],
+                            options={"chart": [2, 999]})
+    code = main(["run", cfg_path, "--out", str(tmp_path / "out")])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "reconstruct_operator: error" in out and "chart vertex 999" in out
 
 
 def test_cli_missing_file_exit_code(tmp_path, capsys):
@@ -257,7 +279,11 @@ BAD_VALUES = {
     (None, "seed"): ["s", None, [1], 1.5],
     (None, "tolerances"): [{"blago": "tight"}, {"nope": 1.0}, {"blago": -1.0}, [], "x"],
     (None, "options"): [{"blago_pairs": "many"}, {"blago_pairs": -5}, {"blago_pairs": 0},
-                        {"round_trip_sections": -1}, {"eta": float("nan")}, 5],
+                        {"round_trip_sections": -1}, {"eta": float("nan")}, 5,
+                        {"blago_pairs": float("inf")},
+                        {"gamma_quadrature": {"bogus": 1}},
+                        {"gamma_quadrature": {"head_nodes": "x"}}, {"gamma_quadrature": 3},
+                        {"transmutation_times": ["x"]}, {"transmutation_times": 0.5}],
     (None, "manifold"): [[], "cycle", None, MISSING],
     (None, "time"): [[], 4.5, MISSING],
 }

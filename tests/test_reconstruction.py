@@ -202,7 +202,7 @@ def test_sweep_curves_match_sorted_union_spans(cycle32_scene):
     # curve by 1e-6 or more.
     m, b, op, U, wmap, cfg, h = cycle32_scene
     eng = probe_engine(wmap, cfg)
-    eps = _shell_width(wmap, cfg)
+    eps = _shell_width(wmap)
     x, y, z = 4, 5, 0
     s = first_arrival_distance(wmap, x, y)
     r_prime = 8 * h
@@ -306,12 +306,6 @@ def test_distance_family_small_scene(cycle32_scene):
         assert np.max(dev) <= 0.35 * np.max(wmap.local.distances) + 0.35 * h + 1e-9
 
 
-def test_distance_family_requires_plan(cycle32_scene):
-    m, b, op, U, wmap, cfg, h = cycle32_scene
-    with pytest.raises(ReconstructionError):
-        distance_family(wmap, [], cfg, include_region_rows=False)
-
-
 def test_distance_family_whole_manifold_region():
     # with everything observed the family is exactly the first-arrival rows
     n, L = 16, 2 * np.pi
@@ -338,7 +332,7 @@ def test_containment_verdicts_match_ground_truth():
     op = assemble(build_bundle(m, 1))
     U = Region(m, tuple(range(16)))
     wmap = wave_map_assemble(op, U, TimeGrid(9.0, 1280))
-    cfg = ProbeConfig(delta=1.2 * h, lead_step=h, width=1.5 * h, eps=2 * h)
+    cfg = ProbeConfig(delta=1.2 * h, lead_step=h, width=1.5 * h)
     eng = probe_engine(wmap, cfg)
     dist = shortest_distances(m)
 
@@ -363,7 +357,7 @@ def test_containment_verdicts_match_ground_truth():
         if len(truths) > 1:
             continue
         want = truths.pop()
-        got = eng.containment(x, tx, y, ty, z, tz, tol_res=0.05)
+        got = eng.containment(x, tx, y, ty, z, tz)
         agree += int(got == want)
         total += 1
     assert agree / total >= 0.95, f"verdict agreement {agree}/{total}"
@@ -457,6 +451,13 @@ def test_recover_operator_trivial_bundle(cycle32_scene):
     rec = recover_local_operator(wmap, chart, cfg)
     assert np.max(np.abs(rec.transports - 1.0)) < 1e-3
     assert np.max(np.abs(rec.potentials)) < 1e-3
+
+
+@pytest.mark.parametrize("vertex", [999, -1])
+def test_recover_operator_rejects_chart_outside_region(cycle32_scene, vertex):
+    m, b, op, U, wmap, cfg, h = cycle32_scene
+    with pytest.raises(ReconstructionError, match=f"chart vertex {vertex} "):
+        recover_local_operator(wmap, [3, vertex], cfg)
 
 
 def test_recover_operator_random_phases(torus_scene):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracbundle.bundle import GaugeTransform, build_bundle, l2_inner, pullback_bundle, pullback_section, cycle_rotation_iso
+from fracbundle.bundle import GaugeTransform, apply_gauge, build_bundle, l2_inner, pullback_bundle, pullback_section, cycle_rotation_iso
 from fracbundle.errors import DataBoundaryError, OperatorError
 from fracbundle.manifold import Region, build_manifold
 from fracbundle.operator import assemble, kernel_projector
@@ -327,6 +329,52 @@ def test_gram_matrix_properties(wave_scene):
     assert abs(G[0, 2] - G[0, 0]) < 1e-8 * abs(G[0, 0])  # duplicated source
     ev = np.linalg.eigvalsh(G)
     assert ev.min() >= -1e-8 * np.trace(G).real
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(6, 12), rank=st.integers(1, 2), count=st.integers(3, 12),
+       seed=st.integers(0, 2**31 - 1))
+def test_pairing_engine_invariants_on_random_scenes(n, rank, count, seed):
+    # a random bundle on a small cycle, a short horizon and a few seeded
+    # bump sources: the Gram is Hermitian and PSD, the pairing is
+    # conjugate-linear in F and linear in H, and gauged map data with gauged
+    # sources reproduce the Gram
+    rng = np.random.default_rng(seed)
+    m = build_manifold({"kind": "cycle", "count": n, "length": 0.5 * n})
+    b = build_bundle(m, rank, connection="random", potential="random_positive", seed=seed)
+    U = arc_region(m, int(rng.integers(0, n)), min(count, n))
+    grid = TimeGrid(4.0, 128)  # T = 2
+    wmap = wave_map_assemble(assemble(b), U, grid)
+    sources = np.zeros((4, len(grid), len(U), rank), dtype=complex)
+    for k in range(len(sources)):
+        for _ in range(2):
+            width = rng.uniform(0.6, 1.2)
+            center = rng.uniform(width / 2, 2.0 - width / 2)
+            amp = rng.standard_normal() + 1j * rng.standard_normal()
+            sources[k, :, rng.integers(0, len(U)), rng.integers(0, rank)] += (
+                amp * bump(grid.times, center, width))
+    batch = sources.reshape(len(sources), len(grid), -1)
+
+    G = gram_matrix(wmap, list(batch))
+    trace = np.trace(G).real
+    assert np.array_equal(G, G.conj().T)
+    assert np.linalg.eigvalsh(G).min() >= -1e-10 * trace
+
+    F, H = batch[:2], batch[2:]
+    P = blago_bilinear(wmap, F, H)
+    scale = np.max(np.abs(P))
+    a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    combo_f = blago_bilinear(wmap, np.tensordot(a, F, axes=1)[None], H)[0]
+    assert np.max(np.abs(combo_f - np.conj(a) @ P)) <= 1e-10 * scale
+    combo_h = blago_bilinear(wmap, F, np.tensordot(a, H, axes=1)[None])[:, 0]
+    assert np.max(np.abs(combo_h - P @ a)) <= 1e-10 * scale
+
+    g = GaugeTransform.random(rng, n, rank)
+    wmap_g = wave_map_assemble(assemble(apply_gauge(b, g)), U, grid)
+    S = g.matrices[list(U.vertices)]
+    gauged = np.einsum("vji,ktvj->ktvi", S.conj(), sources)
+    G_g = gram_matrix(wmap_g, list(gauged.reshape(batch.shape)))
+    assert np.max(np.abs(G_g - G)) <= 1e-10 * np.max(np.abs(G))
 
 
 # -- serialization and the data boundary ---------------------------------------
