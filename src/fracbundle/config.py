@@ -128,8 +128,10 @@ def parse_config(raw) -> ExperimentConfig:
         tol = dict(raw.get("tolerances", {}))
     for key in tol:
         _require(key in DEFAULT_TOLERANCES, "tolerances", f"unknown tolerance {key!r}")
-        with _section(f"tolerances.{key}"):
-            tol[key] = float(tol[key])
+        tol[key] = _positive(f"tolerances.{key}", float, tol[key])
+    if "profile_match_fraction" in tol:
+        _require(tol["profile_match_fraction"] <= 1.0, "tolerances.profile_match_fraction",
+                 "must be in (0, 1]")
     with _section("options"):
         options = dict(raw.get("options", {}))
     for key, kind in NUMERIC_OPTIONS.items():

@@ -9,6 +9,7 @@ the piecewise-linear reading of the source samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -183,6 +184,46 @@ def mode_convolve(spectra, src, subscripts):
     return out
 
 
+def mode_convolve_rows(A, B, src, rows, subscripts):
+    """The interval sum of mode_convolve at the given rows only, summed directly.
+
+    With A[0] = B[0] = 0 the sum at row j is
+        out[j] = sum_{k<j} (A[k] + B[k+1]) src[j - k] + A[j] src[0],
+    the same folded kernel as pl_spectra, so out[0] = 0.  Only kernel rows
+    0..max(rows) and source rows 0..max(rows) are read: one product of the
+    shifted source rows against the folded kernel, with the einsum
+    `subscripts` of mode_convolve (which must not use the letter r).
+    Returns the len(rows) response samples along axis 0.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    top = int(rows.max())
+    folded = A[:top].astype(np.result_type(A, B))
+    folded += B[1:top + 1]
+    shifted = np.zeros((len(rows), top) + src.shape[1:], dtype=src.dtype)
+    for r, j in enumerate(rows):
+        shifted[r, :j] = src[j:0:-1]
+    kernel, source_out = subscripts.split(",")
+    source, output = source_out.split("->")
+    at_rows = output.replace("t", "r")
+    out = np.einsum(f"{kernel},r{source}->{at_rows}", folded, shifted, optimize=True)
+    out += np.einsum(f"{kernel.replace('t', 'r')},{source.replace('t', '')}->{at_rows}",
+                     A[rows], src[0])
+    return out
+
+
+def _check_batch(op: SpectralOperator, f):
+    """(sources, single) of a TimeSection or a sequence of them on one grid."""
+    single = isinstance(f, TimeSection)
+    sources = [f] if single else list(f)
+    V, r = op.bundle.manifold.num_vertices, op.bundle.rank
+    for src in sources:
+        if src.grid != sources[0].grid:
+            raise OperatorError("batch sources must share one time grid")
+        if src.values.shape[1:] != (V, r):
+            raise OperatorError("source does not live on the operator's bundle")
+    return sources, single
+
+
 def duhamel_solve(op: SpectralOperator, f: TimeSection | Sequence[TimeSection]):
     """Solve (d^2/dt^2 + P) w = f with zero initial data.
 
@@ -192,18 +233,12 @@ def duhamel_solve(op: SpectralOperator, f: TimeSection | Sequence[TimeSection]):
     spectrum are then built once, every source is checked before the first
     transform, and the solutions come back as a list in the same order.
     """
-    single = isinstance(f, TimeSection)
-    sources = [f] if single else list(f)
+    sources, single = _check_batch(op, f)
     if not sources:
         return []
     grid = sources[0].grid
     n1 = len(grid)
     V, r = op.bundle.manifold.num_vertices, op.bundle.rank
-    for src in sources:
-        if src.grid != grid:
-            raise OperatorError("batch sources must share one time grid")
-        if src.values.shape[1:] != (V, r):
-            raise OperatorError("source does not live on the operator's bundle")
     wflat = np.repeat(op.bundle.manifold.volumes, r)
     analysis = op.eigensections.conj()
     synthesis = op.eigensections.T
@@ -214,6 +249,34 @@ def duhamel_solve(op: SpectralOperator, f: TimeSection | Sequence[TimeSection]):
         coeffs = (src.values.reshape(n1, op.dim) * wflat[None, :]) @ analysis
         wmodes = mode_convolve(spectra, coeffs, "tk,tk->tk")
         out.append(TimeSection(grid, (wmodes @ synthesis).reshape(n1, V, r)))
+    return out[0] if single else out
+
+
+def duhamel_states(op: SpectralOperator, f: TimeSection | Sequence[TimeSection], rows):
+    """duhamel_solve(op, f).values[rows], without solving on the rest of the grid.
+
+    Each state is the direct interval sum mode_convolve_rows over source
+    rows 0..max(rows): the mode analysis reads only the source's nonzero
+    columns, and only the requested rows are synthesized.  No FFT is
+    involved, so this is an independent route to the same solution.
+    Returns an array (len(rows), V, r) per source, batched like duhamel_solve.
+    """
+    sources, single = _check_batch(op, f)
+    if not sources:
+        return []
+    rows = np.asarray(rows, dtype=np.int64)
+    top = int(rows.max())
+    grid = sources[0].grid
+    V, r = op.bundle.manifold.num_vertices, op.bundle.rank
+    wflat = np.repeat(op.bundle.manifold.volumes, r)
+    A, B = duhamel_weights(op.eigenvalues, grid.dt, top)  # rows 0..top of the full weights
+    out = []
+    for src in sources:
+        vals = src.values[:top + 1].reshape(top + 1, op.dim)
+        cols = np.nonzero(np.any(vals != 0, axis=0))[0]
+        coeffs = (vals[:, cols] * wflat[cols]) @ op.eigensections[cols].conj()
+        wmodes = mode_convolve_rows(A, B, coeffs, rows, "tk,tk->tk")
+        out.append((wmodes @ op.eigensections.T).reshape(len(rows), V, r))
     return out[0] if single else out
 
 
@@ -362,6 +425,10 @@ def fractional_inverse_quadrature(op: SpectralOperator, s, u, cfg=None):
 # ---------------------------------------------------------------------------
 # transmutation checks
 
+# largest (modes x nodes) cosine block transmutation_gaussian_check builds
+TRANSMUTATION_BLOCK = 1 << 20
+
+
 def transmutation_gaussian_check(op: SpectralOperator, t):
     """Check e^{-t lam} = (4 pi t)^{-1/2} Int e^{-s^2/4t} cos(s sqrt(lam)) ds
     per eigenvalue, by an aliasing-controlled trapezoid rule.
@@ -380,7 +447,12 @@ def transmutation_gaussian_check(op: SpectralOperator, t):
     X = 6.5
     xs = np.arange(-X, X + delta, delta)
     weights = np.exp(-(xs**2))
-    Q = (delta / math.sqrt(math.pi)) * (np.cos(np.outer(b, xs)) @ weights)
+    # the node count grows as sqrt(t lam_max): sum the cosine matrix in
+    # node chunks of at most TRANSMUTATION_BLOCK entries
+    step = max(1, TRANSMUTATION_BLOCK // len(b))
+    Q = functools.reduce(np.add, (np.cos(np.outer(b, xs[i:i + step])) @ weights[i:i + step]
+                                  for i in range(0, len(xs), step)))
+    Q = (delta / math.sqrt(math.pi)) * Q
     E = np.exp(-t * lam)
     err = np.abs(Q - E) / (1.0 + np.abs(E))
     return Q, E, err

@@ -614,11 +614,7 @@ def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile
         # reachability: some probe must cover the point
         if np.max(fam.lead) < cfg.width:
             raise ReconstructionError("probe family cannot reach the target")
-        responses = wmap.meta.get(("responses", cfg))
-        if responses is None:
-            responses = family_responses(wmap, fam)
-            wmap.meta[("responses", cfg)] = responses
-        at_T = responses[:, n_half, :]
+        at_T = wmap.respond(fam.profiles, components=fam.components(), rows=[n_half])[:, 0, :]
         coeffs = []
         resid = []
         evals, evecs, inv = _truncated_pinv(G, RIDGE_FACTOR)
@@ -782,10 +778,12 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
     max_lead = wmap.horizon - 4 * dt
     leads = np.linspace(min_lead, max_lead, 24)
     fam = build_source_family(wmap, range(local.size), leads, width)
-    responses = family_responses(wmap, fam)
-    at_T = responses[:, n_half, :]
+    # responses at the five stencil rows around T
+    near_T = wmap.respond(fam.profiles, components=fam.components(),
+                          rows=range(n_half - 2, n_half + 3))
+    at_T = near_T[:, 2, :]
     stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dt**2)
-    d2 = np.tensordot(stencil, responses[:, n_half - 2:n_half + 3, :], axes=(0, 1))
+    d2 = np.tensordot(stencil, near_T, axes=(0, 1))
     edge_lut = {}
     for i, (a, b) in enumerate(local.edges):
         edge_lut[(int(a), int(b))] = i

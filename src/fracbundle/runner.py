@@ -29,7 +29,7 @@ from .propagators import (
     GammaQuadrature,
     TimeGrid,
     TimeSection,
-    duhamel_solve,
+    duhamel_states,
     fractional_apply,
     fractional_inverse_quadrature,
     fractional_inverse_spectral,
@@ -263,7 +263,9 @@ def _task_verify_blago(scene, cfg):
     wmap = scene.wmap
     batch = np.stack([wmap.source_array(s) for s in sources])
     G_engine = blago_bilinear(wmap, batch, batch)
-    states = [w.values[wmap.half_index] for w in duhamel_solve(scene.op, sources)]
+    # the reference states come from the direct interval sum, not the FFT
+    # convolution the engine uses
+    states = [w[0] for w in duhamel_states(scene.op, sources, [wmap.half_index])]
     G_direct = np.empty_like(G_engine)
     for i, si in enumerate(states):
         for j, sj in enumerate(states):

@@ -24,7 +24,14 @@ from . import timequad
 from .errors import DataBoundaryError, OperatorError
 from .manifold import Region
 from .operator import SpectralOperator
-from .propagators import TimeGrid, TimeSection, duhamel_weights, mode_convolve, pl_spectra
+from .propagators import (
+    TimeGrid,
+    TimeSection,
+    duhamel_weights,
+    mode_convolve,
+    mode_convolve_rows,
+    pl_spectra,
+)
 from .serialize import complex_from_list, complex_to_list, real_to_list
 
 
@@ -260,15 +267,32 @@ class WaveMapData:
             return arr
         raise OperatorError("unrecognized source shape")
 
-    def respond(self, sources, components=None):
+    def respond(self, sources, components=None, rows=None):
         """Apply the map to a batch of nodal sources.
 
         sources: (m, N+1, D) with D = |U| r; or, with an integer array
         components (m,) given, (m, N+1) time profiles of delta sources at
         those flat components.  Returns (m, N+1, D) responses, exact for
-        piecewise-linear sources.
+        piecewise-linear sources.  With rows given, only those response
+        samples are evaluated, by the direct interval sum, and the result is
+        (m, len(rows), D); a time profile shared by several delta sources is
+        then evaluated once, against every kernel column.
         """
         mu = self.local.weights_flat()
+        if rows is not None:
+            if components is None:
+                batch = np.moveaxis(np.asarray(sources) * mu, 0, 1)
+                out = mode_convolve_rows(self.conv_a, self.conv_b, batch, rows, "tij,tsj->tsi")
+                return np.moveaxis(out, 1, 0)
+            sources = np.asarray(sources)
+            # the first source with each distinct profile stands for all of them
+            first = {}
+            firsts = [first.setdefault(p.tobytes(), i) for i, p in enumerate(sources)]
+            kept, which = np.unique(firsts, return_inverse=True)
+            out = mode_convolve_rows(self.conv_a, self.conv_b, sources[kept].T, rows,
+                                     "tij,tp->tpij")
+            # (m, len(rows), D): column c of the response to the profile of source i
+            return out[:, which, :, components] * mu[components, None, None]
         out = np.empty((len(sources), len(self.grid), self.local.dim), dtype=np.complex128)
         if components is None:
             spectra = pl_spectra(self.conv_a, self.conv_b)

@@ -163,6 +163,11 @@ def test_cli_pass_exit_code(tmp_path, capsys):
     ("bundle", "rank", "two"),
     ("bundle", "connection", "bogus"),
     ("tolerances", "fractional_round_trip", "tight"),
+    ("tolerances", "blago", -1.0),
+    ("tolerances", "blago", 0.0),
+    ("tolerances", "blago", float("inf")),
+    ("tolerances", "blago", float("nan")),
+    ("tolerances", "profile_match_fraction", 1.5),
     ("options", "probe_delta", "big"),
     ("options", "blago_pairs", -5),
     ("options", "ray_bases", float("inf")),
@@ -174,7 +179,8 @@ def test_cli_pass_exit_code(tmp_path, capsys):
     ("options", "chart", ["x"]),
     ("options", "chart", 3),
 ], ids=["horizon", "infinite_horizon", "cycle_count", "region_count", "rank", "connection",
-        "tolerance", "option", "negative_count_option", "infinite_count_option",
+        "tolerance", "negative_tolerance", "zero_tolerance", "infinite_tolerance",
+        "nan_tolerance", "match_fraction_above_one", "option", "negative_count_option", "infinite_count_option",
         "gamma_unknown_field",
         "gamma_field_type", "gamma_not_object", "transmutation_time_type",
         "transmutation_times_not_list", "chart_index_type", "chart_not_list"])
@@ -190,8 +196,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys, section, key, value):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and section in err
-    if section == "options":
-        assert f"options.{key}" in err
+    if section in ("options", "tolerances"):
+        assert f"{section}.{key}" in err
 
 
 def test_cli_chart_outside_region_is_a_task_error(tmp_path, capsys):
@@ -277,7 +283,8 @@ BAD_VALUES = {
     (None, "tasks"): [[], "verify_spectral", ["explode"], [5], ["verify_blago"] * 2, None, MISSING],
     (None, "orders"): [[1.5], [0.0], [float("nan")], "0.5", [None], 3],
     (None, "seed"): ["s", None, [1], 1.5],
-    (None, "tolerances"): [{"blago": "tight"}, {"nope": 1.0}, {"blago": -1.0}, [], "x"],
+    (None, "tolerances"): [{"blago": "tight"}, {"nope": 1.0}, {"blago": -1.0}, {"blago": 0.0},
+                           {"profile_match_fraction": 1.5}, [], "x"],
     (None, "options"): [{"blago_pairs": "many"}, {"blago_pairs": -5}, {"blago_pairs": 0},
                         {"round_trip_sections": -1}, {"eta": float("nan")}, 5,
                         {"blago_pairs": float("inf")},
@@ -326,3 +333,48 @@ def test_cli_random_bad_config_exits_with_a_contract_code(raw):
             json.dump(raw, fh)
         code = main(["run", path, "--out", os.path.join(work, "out")])
     assert code in (0, 1, 2)
+
+
+@st.composite
+def valid_configs(draw):
+    """A valid config on an 8-12 vertex cycle with a short grid and random tasks."""
+    n = draw(st.integers(8, 12))
+    raw = {
+        "manifold": {"kind": "cycle", "count": n, "length": draw(st.floats(4.0, 12.0))},
+        "bundle": {"rank": draw(st.integers(1, 2)),
+                   "connection": draw(st.sampled_from(["trivial", "random"])),
+                   "potential": draw(st.sampled_from(["zero", "random_positive"])),
+                   "seed": draw(st.integers(0, 99))},
+        "region": {"type": "arc", "start": draw(st.integers(0, n - 1)),
+                   "count": draw(st.integers(3, n))},
+        "orders": draw(st.lists(st.floats(0.1, 0.9), min_size=1, max_size=2)),
+        "time": {"horizon": draw(st.floats(0.5, 2.0)), "steps": 2 * draw(st.integers(4, 16))},
+        "tasks": draw(st.lists(st.sampled_from(list(runner._TASKS)), min_size=1, max_size=3,
+                               unique=True)),
+        "seed": draw(st.integers(0, 99)),
+        "tolerances": draw(st.dictionaries(
+            st.sampled_from(["blago", "fractional_round_trip", "profile_match_fraction"]),
+            st.floats(1e-12, 1.0), max_size=2)),
+        "options": {"blago_pairs": draw(st.integers(1, 4)),
+                    "round_trip_sections": draw(st.integers(1, 4)),
+                    "transmutation_times": draw(st.lists(st.floats(0.01, 10.0),
+                                                         min_size=1, max_size=2))},
+    }
+    return raw
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=valid_configs())
+def test_cli_random_valid_config_exits_0_or_1_and_reruns_exactly(raw):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "config.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        measures = []
+        for run in ("a", "b"):
+            out = os.path.join(work, run)
+            assert main(["run", path, "--out", out]) in (0, 1)
+            with open(os.path.join(out, "report.json")) as fh:
+                tasks = json.load(fh)["tasks"]
+            measures.append(json.dumps([t["measures"] for t in tasks], sort_keys=True))
+    assert measures[0] == measures[1]

@@ -13,6 +13,7 @@ from fracbundle.propagators import (
     TimeGrid,
     TimeSection,
     duhamel_solve,
+    duhamel_states,
     duhamel_weights,
     fractional_apply,
     fractional_inverse_quadrature,
@@ -20,6 +21,7 @@ from fracbundle.propagators import (
     heat_apply,
     heat_kernel_matrix,
     mode_convolve,
+    mode_convolve_rows,
     pl_spectra,
     transmutation_gaussian_check,
     transmutation_printed_residual,
@@ -225,6 +227,12 @@ def test_mode_convolve_matches_direct_sum(subscripts, weight_shape, source_shape
                 direct[j] += np.einsum(pair, A[m], f[j - m]) + np.einsum(pair, B[m], f[j - m + 1])
         assert np.all(out[0] == 0.0)
         assert np.max(np.abs(out - direct)) < 1e-12 * np.max(np.abs(direct))
+        # the direct rows form is the same sum, including j = 0 and j = N
+        rows = [0, 1, n1 // 2, n1 - 1, 3]
+        at_rows = mode_convolve_rows(A, B, f, rows, subscripts)
+        assert at_rows.shape == (len(rows),) + out.shape[1:]
+        assert np.all(at_rows[0] == 0.0)
+        assert np.max(np.abs(at_rows - out[rows])) < 1e-13 * np.max(np.abs(out))
 
 
 def _random_sections(rng, grid, op, count):
@@ -253,6 +261,31 @@ def test_duhamel_batch_matches_single_solves():
         explicit = sum(np.outer(wmodes[:, k], V[:, k]) for k in range(op.dim))
         got = w.values.reshape(n1, op.dim)
         assert np.max(np.abs(got - explicit)) < 1e-13 * np.max(np.abs(explicit))
+
+
+def test_duhamel_states_match_solve_rows(monkeypatch):
+    rng = np.random.default_rng(19)
+    op = torus_op()
+    grid = TimeGrid(2.0, 64)
+    sources = _random_sections(rng, grid, op, 2)
+    sources[1].values[:, 3:] = 0.0  # supported on three vertices
+    sources[1].values[:5] = 0.0     # and silent at first
+    rows = [0, 17, 32, 63, 64]
+    solved = [w.values[rows] for w in duhamel_solve(op, sources)]
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("the direct states went through the FFT convolution")
+
+    monkeypatch.setattr(propagators, "mode_convolve", no_transform)
+    monkeypatch.setattr(propagators.np.fft, "fft", no_transform)
+    states = duhamel_states(op, sources, rows)
+    assert len(states) == 2
+    for got, want in zip(states, solved):
+        assert got.shape == want.shape
+        assert np.all(got[0] == 0.0)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(duhamel_states(op, sources[1], rows), states[1])
+    assert duhamel_states(op, [], rows) == []
 
 
 @pytest.mark.parametrize("bad", ["grid", "bundle"])
@@ -400,6 +433,30 @@ def test_gaussian_transmutation_identity():
     for t in (0.1, 1.0):
         _, _, err = transmutation_gaussian_check(op, t)
         assert float(np.max(err)) < 1e-8
+
+
+def test_gaussian_transmutation_memory_is_bounded(monkeypatch):
+    # t = 1e10 on an 8-cycle needs about 8e5 trapezoid nodes: the cosine
+    # matrix is summed in node chunks of at most TRANSMUTATION_BLOCK entries
+    op = cycle_op(8)
+    largest = []
+    cos = np.cos
+
+    def recording_cos(x, *args, **kwargs):
+        largest.append(np.size(x))
+        return cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", recording_cos)
+    Q, E, _ = transmutation_gaussian_check(op, 1e10)
+    monkeypatch.setattr(np, "cos", cos)
+    assert len(largest) > 1 and max(largest) <= propagators.TRANSMUTATION_BLOCK
+    assert Q.shape == E.shape == (8,)
+    # chunking only regroups the trapezoid sum
+    torus = torus_op()
+    whole, _, _ = transmutation_gaussian_check(torus, 1.0)
+    monkeypatch.setattr(propagators, "TRANSMUTATION_BLOCK", 3 * torus.dim)
+    chunked, _, _ = transmutation_gaussian_check(torus, 1.0)
+    assert np.max(np.abs(chunked - whole)) < 1e-14
 
 
 def test_printed_form_residual_logged_not_small():

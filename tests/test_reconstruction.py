@@ -32,7 +32,7 @@ from fracbundle.reconstruction import (
     recover_local_operator,
 )
 from fracbundle.reference import chart_operator_from_bundle
-from fracbundle.s2s import wave_map_assemble
+from fracbundle.s2s import WaveMapData, wave_map_assemble
 
 
 def bump(times, center, width):
@@ -451,6 +451,24 @@ def test_recover_operator_trivial_bundle(cycle32_scene):
     rec = recover_local_operator(wmap, chart, cfg)
     assert np.max(np.abs(rec.transports - 1.0)) < 1e-3
     assert np.max(np.abs(rec.potentials)) < 1e-3
+
+
+def test_recovery_evaluates_only_rows_near_horizon(cycle32_scene, monkeypatch):
+    m, b, op, U, wmap, cfg, h = cycle32_scene
+    probe_engine(wmap, cfg)  # the probe Gram pairs full response series
+    shapes = []
+    respond = WaveMapData.respond
+
+    def recording_respond(self, *args, **kwargs):
+        out = respond(self, *args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(WaveMapData, "respond", recording_respond)
+    recover_fiber_frame(wmap, 5, cfg)
+    recover_local_operator(wmap, [3, 4, 5, 6], cfg)
+    assert [s[1] for s in shapes] == [1, 5]
+    assert not any(isinstance(k, tuple) and k[0] == "responses" for k in wmap.meta)
 
 
 @pytest.mark.parametrize("vertex", [999, -1])

@@ -180,7 +180,9 @@ def test_wave_map_consistency_with_duhamel(wave_scene):
     assert np.max(np.abs(resp - direct)) < 1e-9 * scale
 
 
-def test_delta_source_paths_match_dense():
+@pytest.fixture(scope="module")
+def probe_scene():
+    """Rank-2 random bundle on a 6x6 torus, 3x3 block, 54 delta probes and their dense form."""
     m = build_manifold({"kind": "torus_grid", "counts": [6, 6], "lengths": [6.0, 6.0]})
     b = build_bundle(m, 2, connection="random", potential="random_hermitian", seed=4)
     block = Region(m, tuple(i * 6 + j for i in range(3) for j in range(3)))
@@ -188,9 +190,15 @@ def test_delta_source_paths_match_dense():
     wmap = wave_map_assemble(assemble(b), block, grid)
     fam = build_source_family(wmap, range(len(block)), [1.0, 1.5, 2.0], 1.0)
     comps = fam.components()
-    assert len(fam) == 54
     dense = np.zeros((len(fam), len(grid), wmap.local.dim))
     dense[np.arange(len(fam)), :, comps] = fam.profiles
+    return wmap, fam, dense
+
+
+def test_delta_source_paths_match_dense(probe_scene):
+    wmap, fam, dense = probe_scene
+    comps = fam.components()
+    assert len(fam) == 54
 
     resp_delta = wmap.respond(fam.profiles, components=comps)
     resp_dense = wmap.respond(dense)
@@ -198,6 +206,22 @@ def test_delta_source_paths_match_dense():
     G_delta = blago_bilinear(wmap, fam.profiles, fam.profiles, components=(comps, comps))
     G_dense = blago_bilinear(wmap, dense, dense)
     assert np.max(np.abs(G_delta - G_dense)) <= 1e-12 * np.max(np.abs(G_dense))
+
+
+def test_respond_rows_match_full_series(probe_scene):
+    wmap, fam, dense = probe_scene
+    comps = fam.components()
+    n = wmap.grid.n_steps
+    rows = [0, 1, n // 2 - 2, n // 2, n // 2 + 2, n]
+    rng = np.random.default_rng(8)
+    # a dense source that is nonzero at t = 0 exercises the A[j] src[0] term
+    noise = rng.standard_normal(dense[:3].shape) + 1j * rng.standard_normal(dense[:3].shape)
+    for sources, kw in ((fam.profiles, {"components": comps}), (dense, {}), (noise, {})):
+        full = wmap.respond(sources, **kw)
+        at_rows = wmap.respond(sources, rows=rows, **kw)
+        assert at_rows.shape == (len(sources), len(rows), wmap.local.dim)
+        assert np.all(at_rows[:, 0] == 0.0)
+        assert np.max(np.abs(at_rows - full[:, rows])) <= 1e-13 * np.max(np.abs(full))
 
 
 def test_source_support_validated(wave_scene):
