@@ -2,7 +2,7 @@
 Laplacians: forward propagators, source-to-solution map data, and the
 inverse reconstruction pipeline that certifies recovery up to gauge."""
 
-from .manifold import DiscreteManifold, Region, build_manifold, shortest_distances, ball_region, thickened_region
+from .manifold import DiscreteManifold, Region, build_manifold, shortest_distances
 from .bundle import (
     HermitianBundle,
     GaugeTransform,
@@ -13,7 +13,6 @@ from .bundle import (
     apply_gauge,
     pullback_bundle,
     pullback_section,
-    holonomy_trace,
     cycle_rotation_iso,
     torus_shift_iso,
 )
@@ -22,8 +21,6 @@ from .propagators import (
     TimeGrid,
     TimeSection,
     heat_apply,
-    wave_kernel_apply,
-    wave_cos_apply,
     duhamel_solve,
     fractional_apply,
     fractional_inverse_spectral,
@@ -39,7 +36,6 @@ from .s2s import (
     local_structure,
     frac_map_assemble,
     wave_map_assemble,
-    time_average,
     blago_inner,
     gram_matrix,
 )
@@ -52,8 +48,6 @@ from .reconstruction import (
     ChartOperator,
     build_source_family,
     probe_engine,
-    projection_residual,
-    containment_test,
     first_arrival_distance,
     first_arrival_matrix,
     cut_time_estimate,

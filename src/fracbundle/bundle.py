@@ -79,9 +79,6 @@ class HermitianBundle:
             out[(int(b), int(a))] = self.transport[i].conj().T
         return out
 
-    def zero_section(self):
-        return np.zeros((self.manifold.num_vertices, self.rank), dtype=np.complex128)
-
     def random_section(self, rng):
         shape = (self.manifold.num_vertices, self.rank)
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -105,12 +102,6 @@ class GaugeTransform:
     @property
     def rank(self):
         return self.matrices.shape[1]
-
-    def compose(self, other):
-        """Pointwise product: applying self then other equals applying compose."""
-        if self.matrices.shape != other.matrices.shape:
-            raise BundleError("gauge shapes differ")
-        return GaugeTransform(np.einsum("vij,vjk->vik", self.matrices, other.matrices))
 
     def inverse(self):
         return GaugeTransform(np.conj(np.swapaxes(self.matrices, 1, 2)))
@@ -271,26 +262,6 @@ def pullback_section(iso: StructureIso, u):
         raise BundleError("section does not live on the iso domain bundle")
     gathered = u[iso.base]
     return np.einsum("vji,vj->vi", np.conj(iso.fiber), gathered)
-
-
-def holonomy_trace(b: HermitianBundle, loop):
-    """Trace of the ordered transport product along a closed edge path.
-
-    loop is a vertex sequence; the closing edge back to loop[0] is implied
-    if not already present.  Gauge-invariant up to roundoff.
-    """
-    verts = [int(v) for v in loop]
-    if len(verts) < 2:
-        raise BundleError("loop needs at least two vertices")
-    if verts[0] != verts[-1]:
-        verts = verts + [verts[0]]
-    lut = b.transport_lookup()
-    acc = np.eye(b.rank, dtype=np.complex128)
-    for a, bv in zip(verts[:-1], verts[1:]):
-        if (a, bv) not in lut:
-            raise BundleError(f"vertices {a} and {bv} are not adjacent")
-        acc = acc @ lut[(a, bv)]
-    return complex(np.trace(acc))
 
 
 def cycle_rotation_iso(bundle: HermitianBundle, shift, gauge=None):

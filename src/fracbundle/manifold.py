@@ -1,6 +1,9 @@
-"""Discrete closed manifolds as weighted graphs, plus the metric primitives
-(shortest-path distances, open balls, closed thickenings) consumed by the
-reconstruction layer.
+"""Discrete closed manifolds as weighted graphs, observation regions, and
+all-pairs shortest-path distances.
+
+The distances are the ground-truth metric that experiments score recovered
+distances against.  The reconstruction layer never imports this module: it
+reads only the local metric data frozen into the map objects of s2s.
 
 Conventions
 -----------
@@ -190,27 +193,3 @@ def shortest_distances(m: DiscreteManifold) -> np.ndarray:
     np.fill_diagonal(dist, 0.0)
     return dist
 
-
-def ball_region(m: DiscreteManifold, center, radius):
-    """Open metric ball {y : d(center, y) < radius} as a Region.
-
-    radius = 0 yields the empty set, which is returned as None since a
-    Region must be nonempty.
-    """
-    if radius < 0:
-        raise GeometryError("radius must be nonnegative")
-    row = shortest_distances(m)[int(center)]
-    verts = tuple(int(v) for v in np.nonzero(row < radius)[0])
-    if not verts:
-        return None
-    return Region(m, verts)
-
-
-def thickened_region(m: DiscreteManifold, u: Region, T):
-    """Closed thickening {y : d(y, u) <= T} of a region."""
-    if T < 0:
-        raise GeometryError("thickening distance must be nonnegative")
-    rows = shortest_distances(m)[list(u.vertices)]
-    d_to_u = rows.min(axis=0)
-    verts = tuple(int(v) for v in np.nonzero(d_to_u <= T + 1e-12 * max(1.0, T))[0])
-    return Region(m, verts)

@@ -137,22 +137,17 @@ def assemble(b: HermitianBundle) -> SpectralOperator:
     )
 
 
-def apply_function(op: SpectralOperator, phi, u, exclude_kernel=False):
+def apply_function(op: SpectralOperator, phi, u):
     """Apply the scalar function phi of the operator to a section.
 
-    phi maps an eigenvalue array to coefficients.  With exclude_kernel the
-    kernel modes are dropped before phi is evaluated (for symbols singular
-    at zero); otherwise phi must be finite on every eigenvalue, where the
-    kernel-classified modes are evaluated at exactly zero.
+    phi maps an eigenvalue array to coefficients and must be finite on every
+    eigenvalue; the kernel-classified modes are evaluated at exactly zero.
     """
-    mask = op.kernel_mask()
-    lam = np.where(mask, 0.0, op.eigenvalues)
-    keep = ~mask if exclude_kernel else np.ones(len(lam), dtype=bool)
-    vals = np.zeros(len(lam), dtype=np.complex128)
+    lam = np.where(op.kernel_mask(), 0.0, op.eigenvalues)
     with np.errstate(all="ignore"):
-        vals[keep] = phi(lam[keep])
+        vals = np.asarray(phi(lam), dtype=np.complex128)
     if not np.all(np.isfinite(vals)):
-        raise OperatorError("spectral symbol is singular on an included eigenvalue")
+        raise OperatorError("spectral symbol is singular on an eigenvalue")
     return op.synthesize(vals * op.coefficients(u))
 
 
@@ -166,11 +161,6 @@ class KernelProjector:
     @property
     def kernel_dimension(self):
         return int(np.sum(self.mask))
-
-    def project_kernel(self, u):
-        c = self.operator.coefficients(u)
-        c[~self.mask] = 0.0
-        return self.operator.synthesize(c)
 
     def project_complement(self, u):
         c = self.operator.coefficients(u)

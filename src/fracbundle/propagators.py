@@ -47,12 +47,6 @@ class TimeGrid:
     def __len__(self):
         return self.n_steps + 1
 
-    def index_of(self, t):
-        j = int(round(t / self.dt))
-        if j < 0 or j > self.n_steps or abs(j * self.dt - t) > 1e-9 * max(1.0, self.t_max):
-            raise OperatorError(f"time {t} is not on the grid")
-        return j
-
 
 @dataclass
 class TimeSection:
@@ -67,10 +61,6 @@ class TimeSection:
             raise OperatorError("time section values must be (N+1, V, r)")
         self.values = vals
 
-    @staticmethod
-    def zeros(grid, num_vertices, rank):
-        return TimeSection(grid, np.zeros((len(grid), num_vertices, rank), dtype=np.complex128))
-
 
 # ---------------------------------------------------------------------------
 # static propagators
@@ -80,16 +70,6 @@ def heat_apply(op: SpectralOperator, t, u):
     if t < 0:
         raise OperatorError("heat semigroup needs t >= 0")
     return apply_function(op, lambda lam: np.exp(-t * lam), u)
-
-
-def wave_kernel_apply(op: SpectralOperator, t, u):
-    """G(t, P) u: sin branch for positive modes, sinh branch for negative."""
-    return apply_function(op, lambda lam: modefun.wave_g(t, lam), u)
-
-
-def wave_cos_apply(op: SpectralOperator, t, u):
-    """cos(t sqrt(P)) u (cosh branch for negative modes)."""
-    return apply_function(op, lambda lam: modefun.wave_cos(lam * t**2), u)
 
 
 def heat_kernel_matrix(op: SpectralOperator, t):

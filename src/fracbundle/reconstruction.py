@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ReconstructionError
-from .s2s import WaveMapData, blago_bilinear, gram_matrix
+from .s2s import WaveMapData, blago_bilinear
 
 # residual below which a plain containment verdict accepts
 CONTAINMENT_TOL = 0.05
 # ridge reg = RIDGE_FACTOR * tr(G) / m over an m-probe Gram G, and the
-# relative eigenvalue cutoff of the truncated pseudo-inverses
+# relative eigenvalue cutoff of the fiber-frame pseudo-inverse
 RIDGE_FACTOR = 1e-8
 # exterior sweeps stay below this fraction of the ray's cut time
 CUT_MARGIN = 0.85
@@ -117,48 +117,6 @@ def family_gram(wmap: WaveMapData, fam: SourceFamily):
     G = blago_bilinear(wmap, fam.profiles, fam.profiles, responses, responses,
                        components=(comps, comps))
     return 0.5 * (G + G.conj().T)
-
-
-# ---------------------------------------------------------------------------
-# projection residuals
-
-def _truncated_pinv(G, cutoff_factor):
-    """Spectrally truncated pseudo-inverse of a Hermitian Gram.
-
-    Eigenvalues at or below cutoff_factor times the mean eigenvalue are
-    dropped.  Returns (evals, evecs, inv) with inv = 1 / evals on the kept
-    modes and 0 elsewhere, so G^+ = evecs diag(inv) evecs^*.
-    """
-    evals, evecs = np.linalg.eigh(G)
-    cut = cutoff_factor * max(np.trace(G).real / max(len(G), 1), 0.0)
-    keep = evals > cut
-    inv = np.zeros_like(evals)
-    inv[keep] = 1.0 / evals[keep]
-    return evals, evecs, inv
-
-
-def projection_residual(wmap: WaveMapData, targets, spans):
-    """Relative residual of projecting each target wave state onto the span.
-
-    targets and spans are lists of sources (TimeSection or nodal arrays).
-    Returns one residual in [0, 1] per target, computed purely from the
-    inner-product engine.
-    """
-    all_sources = list(targets) + list(spans)
-    G = gram_matrix(wmap, all_sources)
-    nt = len(targets)
-    G_tt = G[:nt, :nt]
-    G_ss = G[nt:, nt:]
-    q = G[nt:, :nt]
-    norms = np.real(np.diag(G_tt)).copy()
-    if np.any(norms <= 0):
-        raise ReconstructionError("zero-norm target state")
-    if len(spans) == 0:
-        return np.ones(nt)
-    _, evecs, inv = _truncated_pinv(G_ss, RIDGE_FACTOR)
-    proj = inv @ np.abs(evecs.conj().T @ q) ** 2
-    res2 = np.clip((norms - proj) / norms, 0.0, 1.0)
-    return np.sqrt(res2)
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +236,10 @@ def probe_engine(wmap: WaveMapData, cfg: ProbeConfig) -> ProbeEngine:
     return eng
 
 
-def containment_test(wmap, x, tau_x, y, tau_y, z, tau_z, cfg: ProbeConfig):
-    """Ball containment B(x, tau_x) in B(y, tau_y) u B(z, tau_z) from map data."""
-    return probe_engine(wmap, cfg).containment(x, tau_x, y, tau_y, z, tau_z)
-
-
 # ---------------------------------------------------------------------------
 # distances
 
-def first_arrival_distance(wmap: WaveMapData, x, y, eta=0.1):
+def first_arrival_distance(wmap: WaveMapData, x, y, eta):
     """Earliest grid time at which the raw kernel column from x is visible at y.
 
     Threshold eta is relative to the column's own peak over the grid.
@@ -306,7 +259,7 @@ def first_arrival_distance(wmap: WaveMapData, x, y, eta=0.1):
     return float(wmap.grid.times[hits[0]])
 
 
-def first_arrival_matrix(wmap: WaveMapData, eta=0.1):
+def first_arrival_matrix(wmap: WaveMapData, eta):
     n = wmap.local.size
     out = np.zeros((n, n))
     for i in range(n):
@@ -591,6 +544,21 @@ class FiberProbe:
     family: SourceFamily
     gram: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+
+
+def _truncated_pinv(G, cutoff_factor):
+    """Spectrally truncated pseudo-inverse of a Hermitian Gram.
+
+    Eigenvalues at or below cutoff_factor times the mean eigenvalue are
+    dropped.  Returns (evals, evecs, inv) with inv = 1 / evals on the kept
+    modes and 0 elsewhere, so G^+ = evecs diag(inv) evecs^*.
+    """
+    evals, evecs = np.linalg.eigh(G)
+    cut = cutoff_factor * max(np.trace(G).real / max(len(G), 1), 0.0)
+    keep = evals > cut
+    inv = np.zeros_like(evals)
+    inv[keep] = 1.0 / evals[keep]
+    return evals, evecs, inv
 
 
 def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile=None):

@@ -52,7 +52,7 @@ from .reconstruction import (
     recover_local_operator,
 )
 from .reference import chart_operator_from_bundle
-from .s2s import frac_map_assemble, wave_map_assemble
+from .s2s import blago_bilinear, frac_map_assemble, wave_map_assemble
 
 REPORT_SCHEMA = "fracbundle_report@1"
 
@@ -236,35 +236,38 @@ def _task_verify_transmutation(scene, cfg):
 
 
 def _seeded_pair_sources(scene, cfg, count, rng):
+    """Region data (count, N+1, |U|, r) of seeded sources: three random bumps each."""
     grid = scene.grid
-    V, r = scene.manifold.num_vertices, scene.bundle.rank
+    n, r = len(scene.region), scene.bundle.rank
     T = cfg.horizon
-    out = []
-    for _ in range(count):
-        vals = np.zeros((len(grid), V, r), dtype=complex)
+    vals = np.zeros((count, len(grid), n, r), dtype=complex)
+    for k in range(count):
         for _ in range(3):
-            v = scene.region.vertices[rng.integers(0, len(scene.region))]
+            i = rng.integers(0, n)
             j = rng.integers(0, r)
             width = rng.uniform(0.1 * T, 0.3 * T)
             start = rng.uniform(0.0, T - width)
             amp = rng.standard_normal() + 1j * rng.standard_normal()
-            vals[:, v, j] += amp * bump_profile(grid.times, start, width)
-        out.append(TimeSection(grid, vals))
-    return out
+            vals[k, :, i, j] += amp * bump_profile(grid.times, start, width)
+    return vals
 
 
 def _task_verify_blago(scene, cfg):
-    from .s2s import blago_bilinear
-
     rng = np.random.default_rng(cfg.seed + 2)
     n_pairs = int(cfg.options.get("blago_pairs", 100))
     n_sources = max(2, int(np.ceil((1 + np.sqrt(1 + 8 * n_pairs)) / 2)))
-    sources = _seeded_pair_sources(scene, cfg, n_sources, rng)
+    region_sources = _seeded_pair_sources(scene, cfg, n_sources, rng)
     wmap = scene.wmap
-    batch = np.stack([wmap.source_array(s) for s in sources])
+    grid = scene.grid
+    batch = region_sources.reshape(n_sources, len(grid), wmap.local.dim)
     G_engine = blago_bilinear(wmap, batch, batch)
-    # the reference states come from the direct interval sum, not the FFT
-    # convolution the engine uses
+    # the reference solves the same sources on the whole manifold by the
+    # direct interval sum, not the FFT convolution the engine uses
+    sources = []
+    for vals in region_sources:
+        full = np.zeros((len(grid), scene.manifold.num_vertices, scene.bundle.rank), dtype=complex)
+        full[:, list(scene.region.vertices)] = vals
+        sources.append(TimeSection(grid, full))
     states = [w[0] for w in duhamel_states(scene.op, sources, [wmap.half_index])]
     G_direct = np.empty_like(G_engine)
     for i, si in enumerate(states):

@@ -245,26 +245,29 @@ class WaveMapData:
         return self.grid.n_steps // 2
 
     def source_array(self, f):
-        """Validate and restrict a source to nodal region data (N+1, |U| r)."""
+        """Validate and restrict a source to nodal region data (N+1, |U| r).
+
+        A TimeSection is full-manifold data (N+1, V, r) and must vanish off
+        the region; an array is region data, (N+1, |U|, r) or (N+1, |U| r),
+        in region vertex order.
+        """
+        n1, rank = len(self.grid), self.local.rank
         if isinstance(f, TimeSection):
             if f.grid.n_steps != self.grid.n_steps or abs(f.grid.t_max - self.grid.t_max) > 1e-12:
                 raise OperatorError("source grid does not match the map grid")
             vals = f.values
-            nv = vals.shape[1]
-            if nv * vals.shape[2] == self.local.dim and list(vals.shape[1:]) == [self.local.size, self.local.rank]:
-                return vals.reshape(len(self.grid), self.local.dim)
-            # full-manifold array: must be supported in the region
-            arr = vals.reshape(len(self.grid), -1, self.local.rank)
-            mask = np.ones(arr.shape[1], dtype=bool)
-            mask[list(self.local.vertices)] = False
-            if np.any(np.abs(arr[:, mask, :]) > 0):
+            verts = list(self.local.vertices)
+            if vals.shape[2] != rank or vals.shape[1] <= max(verts):
+                raise OperatorError(f"source sections of shape {vals.shape[1:]} do not cover "
+                                    f"the region vertices at fiber rank {rank}")
+            off = np.ones(vals.shape[1], dtype=bool)
+            off[verts] = False
+            if np.any(vals[:, off, :] != 0):
                 raise DataBoundaryError("source is not supported in the observation region")
-            return arr[:, list(self.local.vertices), :].reshape(len(self.grid), self.local.dim)
+            return vals[:, verts, :].reshape(n1, self.local.dim)
         arr = np.asarray(f, dtype=np.complex128)
-        if arr.shape == (len(self.grid), self.local.size, self.local.rank):
-            return arr.reshape(len(self.grid), self.local.dim)
-        if arr.shape == (len(self.grid), self.local.dim):
-            return arr
+        if arr.shape in ((n1, self.local.size, rank), (n1, self.local.dim)):
+            return arr.reshape(n1, self.local.dim)
         raise OperatorError("unrecognized source shape")
 
     def respond(self, sources, components=None, rows=None):
@@ -362,22 +365,7 @@ def wave_map_assemble(op: SpectralOperator, region: Region, grid: TimeGrid) -> W
 
 
 # ---------------------------------------------------------------------------
-# time averaging and the inner-product engine
-
-def time_average(series, grid: TimeGrid, piecewise_linear=False):
-    """J phi(t) = (1/2) int_t^{2T - t} phi(s) ds at the grid nodes.
-
-    With piecewise_linear the prefix integrals are trapezoid sums (exact
-    for nodal piecewise-linear data); otherwise the high-order sampled
-    rule is used (exact through degree-5 polynomials).
-    """
-    arr = np.asarray(series)
-    if arr.shape[0] != len(grid):
-        raise OperatorError("series is not sampled on the grid")
-    if piecewise_linear:
-        return timequad.time_average_linear(arr, grid.dt)
-    return timequad.time_average_nodes(arr, grid.dt)
-
+# the inner-product engine
 
 def _jh_quadratic_coeffs(h, dt, n_half):
     """Exact local quadratic data of J h for piecewise-linear nodal h.

@@ -1,4 +1,4 @@
-"""Metric-geometry primitives: builders, distances, balls, thickenings."""
+"""Metric-geometry primitives: builders, distances, regions, open balls."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,10 @@ from fracbundle.errors import GeometryError
 from fracbundle.manifold import (
     DiscreteManifold,
     Region,
-    ball_region,
     build_manifold,
     shortest_distances,
-    thickened_region,
 )
+from fracbundle.s2s import local_structure
 
 
 def cycle(n=8, length=None):
@@ -148,23 +147,29 @@ def test_torus_distance_bfs_oracle():
     assert d[v_a, v_b] == pytest.approx(4.0)
 
 
-# -- balls and thickenings --------------------------------------------------
+# -- open balls ---------------------------------------------------------------
+# The probe boxes of the containment engine are open balls of the region's
+# local metric (LocalStructure.local_ball).  With every vertex observed, in
+# vertex order, local indices are vertex ids and the local metric is the
+# manifold's.
+
+def ball(m, center, radius):
+    return set(local_structure(Region(m, tuple(range(m.num_vertices))), 1).local_ball(center, radius))
+
 
 def test_ball_on_cycle():
     m = cycle(8)
-    ball = ball_region(m, 0, 1.5)
-    assert set(ball.vertices) == {7, 0, 1}
+    assert ball(m, 0, 1.5) == {7, 0, 1}
 
 
 def test_ball_zero_radius_empty():
     m = cycle(8)
-    assert ball_region(m, 0, 0.0) is None
+    assert ball(m, 0, 0.0) == set()
 
 
 def test_ball_open_convention_excludes_boundary():
     m = cycle(8)
-    ball = ball_region(m, 0, 1.0)
-    assert set(ball.vertices) == {0}
+    assert ball(m, 0, 1.0) == {0}
 
 
 def test_torus_ball_enumeration_oracle():
@@ -172,47 +177,12 @@ def test_torus_ball_enumeration_oracle():
     d = bfs_distances(m)
     expect = {v for v in range(16) if d[0, v] < 2.1}
     assert len(expect) == 11  # frozen from the enumeration oracle
-    ball = ball_region(m, 0, 2.1)
-    assert set(ball.vertices) == expect
+    assert ball(m, 0, 2.1) == expect
 
 
 def test_ball_monotone_in_radius():
     m = torus(5, 4, 5.0, 4.0)
-    inner = ball_region(m, 3, 1.5)
-    outer = ball_region(m, 3, 2.5)
-    assert set(inner.vertices) <= set(outer.vertices)
-
-
-def test_thickening_zero_is_identity():
-    m = cycle(8)
-    u = Region(m, (0, 1))
-    t = thickened_region(m, u, 0.0)
-    assert set(t.vertices) == {0, 1}
-
-
-def test_thickening_on_cycle():
-    m = cycle(8)
-    u = Region(m, (0,))
-    t = thickened_region(m, u, 2.0)
-    assert set(t.vertices) == {6, 7, 0, 1, 2}
-
-
-def test_thickening_torus_block_oracle():
-    m = torus(4, 4)
-    block = Region(m, (0, 1, 4, 5))  # 2x2 block, row-major
-    d = bfs_distances(m)
-    expect = {v for v in range(16) if min(d[u, v] for u in block.vertices) <= 1.0}
-    assert len(expect) == 12  # frozen from the enumeration oracle
-    t = thickened_region(m, block, 1.0)
-    assert set(t.vertices) == expect
-
-
-def test_region_contains_thickening_for_all_T():
-    m = torus(4, 4)
-    u = Region(m, (2, 3))
-    for T in (0.0, 0.5, 1.0, 3.0):
-        t = thickened_region(m, u, T)
-        assert set(u.vertices) <= set(t.vertices)
+    assert ball(m, 3, 1.5) <= ball(m, 3, 2.5)
 
 
 def test_region_validation():

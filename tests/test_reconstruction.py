@@ -14,10 +14,10 @@ from fracbundle.reconstruction import (
     _cut_time_curve,
     _exterior_curve,
     _shell_width,
+    RIDGE_FACTOR,
     ProbeConfig,
     RayPlan,
     build_source_family,
-    containment_test,
     cut_time_estimate,
     distance_family,
     exterior_distance,
@@ -27,12 +27,11 @@ from fracbundle.reconstruction import (
     match_profiles,
     prefix_residuals,
     probe_engine,
-    projection_residual,
     recover_fiber_frame,
     recover_local_operator,
 )
 from fracbundle.reference import chart_operator_from_bundle
-from fracbundle.s2s import WaveMapData, wave_map_assemble
+from fracbundle.s2s import WaveMapData, gram_matrix, wave_map_assemble
 
 
 def bump(times, center, width):
@@ -78,6 +77,15 @@ def torus_scene():
 
 # -- projection residuals -----------------------------------------------------
 
+def engine_residuals(wmap, targets, spans):
+    """prefix_residuals of source targets against every leading block of the
+    source spans, on their Gram at the engine's ridge; also returns the ridge."""
+    G = gram_matrix(wmap, list(targets) + list(spans))
+    reg = RIDGE_FACTOR * np.trace(G).real / len(G)
+    nt = len(targets)
+    return prefix_residuals(G, np.arange(nt, len(G)), np.arange(nt), reg), G, reg
+
+
 def test_projection_residual_self_and_empty(cycle32_scene):
     m, b, op, U, wmap, cfg, h = cycle32_scene
     grid = wmap.grid
@@ -88,10 +96,11 @@ def test_projection_residual_self_and_empty(cycle32_scene):
     f1 = src(2, 1.0, 0.5)
     f2 = src(5, 1.5, 0.6)
     f3 = src(7, 2.0, 0.5)
-    res = projection_residual(wmap, [f1], [f1, f2, f3])
-    assert res[0] < 1e-6  # member of its own span
-    res_empty = projection_residual(wmap, [f1], [])
-    assert res_empty[0] == 1.0
+    res, G, reg = engine_residuals(wmap, [f1], [f1, f2, f3])
+    assert res[0, 0] == 1.0  # the empty span
+    # member of its own span: only the ridge is left, |res|^2 <= reg / |f1|^2
+    assert res[-1, 0] <= np.sqrt(reg / G[0, 0].real) * (1 + 1e-6)
+    assert res[-1, 0] < 1e-3
 
 
 def test_projection_residual_far_target(cycle32_scene):
@@ -106,8 +115,8 @@ def test_projection_residual_far_target(cycle32_scene):
         sv = np.zeros((len(grid), m.num_vertices, 1), dtype=complex)
         sv[:, U.vertices[vloc], 0] = bump(grid.times, wmap.horizon - 0.3, 0.25)
         spans.append(TimeSection(grid, sv))
-    res = projection_residual(wmap, [target], spans)
-    assert res[0] > 0.9
+    res = engine_residuals(wmap, [target], spans)[0]
+    assert res[-1, 0] > 0.9
     # direct oracle agrees that the states are nearly orthogonal
     wt = duhamel_solve(op, target).values[wmap.half_index]
     overlaps = []
@@ -118,25 +127,17 @@ def test_projection_residual_far_target(cycle32_scene):
     assert max(overlaps) < 0.1
 
 
-def test_projection_residual_zero_target(cycle32_scene):
-    m, b, op, U, wmap, cfg, h = cycle32_scene
-    grid = wmap.grid
-    zero = TimeSection(grid, np.zeros((len(grid), m.num_vertices, 1), dtype=complex))
-    with pytest.raises(ReconstructionError):
-        projection_residual(wmap, [zero], [zero])
-
-
 # -- containment ---------------------------------------------------------------
 
 def test_containment_nested_balls_true(cycle32_scene):
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    assert containment_test(wmap, 5, 4 * h, 5, 5 * h, None, None, cfg)
+    assert probe_engine(wmap, cfg).containment(5, 4 * h, 5, 5 * h)
 
 
 def test_containment_tiny_union_false(cycle32_scene):
     m, b, op, U, wmap, cfg, h = cycle32_scene
     # B(5, 8h) reaches beyond the union of two barely-positive balls
-    assert not containment_test(wmap, 5, 8 * h, 5, 2 * h, 3, 2 * h, cfg)
+    assert not probe_engine(wmap, cfg).containment(5, 8 * h, 5, 2 * h, 3, 2 * h)
 
 
 def test_containment_monotone_in_union_radius(cycle32_scene):
@@ -204,7 +205,7 @@ def test_sweep_curves_match_sorted_union_spans(cycle32_scene):
     eng = probe_engine(wmap, cfg)
     eps = _shell_width(wmap)
     x, y, z = 4, 5, 0
-    s = first_arrival_distance(wmap, x, y)
+    s = first_arrival_distance(wmap, x, y, cfg.eta)
     r_prime = 8 * h
     r_grid = np.arange(cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
     t_idx = eng.box_indices(y, r_prime - s + eps)
@@ -231,19 +232,19 @@ def test_first_arrival_properties(cycle32_scene):
     m, b, op, U, wmap, cfg, h = cycle32_scene
     dist = shortest_distances(m)
     # self arrival is within a couple of grid steps of zero
-    assert first_arrival_distance(wmap, 3, 3) < 5 * wmap.grid.dt
+    assert first_arrival_distance(wmap, 3, 3, cfg.eta) < 5 * wmap.grid.dt
     # symmetry is exact by kernel reciprocity
-    assert first_arrival_distance(wmap, 2, 8) == first_arrival_distance(wmap, 8, 2)
+    assert first_arrival_distance(wmap, 2, 8, cfg.eta) == first_arrival_distance(wmap, 8, 2, cfg.eta)
     # accuracy for separated pairs
     for i, j in ((0, 5), (2, 9), (1, 7)):
         d_true = dist[U.vertices[i], U.vertices[j]]
-        d_est = first_arrival_distance(wmap, i, j)
+        d_est = first_arrival_distance(wmap, i, j, cfg.eta)
         assert abs(d_est - d_true) <= 0.15 * d_true
 
 
 def test_first_arrival_semimetric(cycle32_scene):
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    arr = first_arrival_matrix(wmap)
+    arr = first_arrival_matrix(wmap, cfg.eta)
     assert np.allclose(arr, arr.T)
     n = arr.shape[0]
     worst = 0.0
@@ -259,7 +260,7 @@ def test_cut_time_on_cycle(cycle32_scene):
     # a positive bias of a couple of steps, so the gate here is 20% (the
     # finer acceptance scene holds 15%)
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    s = first_arrival_distance(wmap, 4, 5)
+    s = first_arrival_distance(wmap, 4, 5, cfg.eta)
     r_grid = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
     tstar = cut_time_estimate(wmap, 4, 5, s, r_grid, cfg)
     assert abs(tstar - np.pi) <= 0.20 * np.pi
@@ -267,7 +268,7 @@ def test_cut_time_on_cycle(cycle32_scene):
 
 def test_cut_time_sentinel_when_sweep_below_distance(cycle32_scene):
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    s = first_arrival_distance(wmap, 4, 5)
+    s = first_arrival_distance(wmap, 4, 5, cfg.eta)
     r_grid = np.array([0.25 * s, 0.5 * s, 0.75 * s])  # entirely below the distance
     assert cut_time_estimate(wmap, 4, 5, s, r_grid, cfg) == np.inf
 
@@ -276,7 +277,7 @@ def test_exterior_distance_recovers_profile(cycle32_scene):
     m, b, op, U, wmap, cfg, h = cycle32_scene
     dist = shortest_distances(m)
     x, y = 4, 5
-    s = first_arrival_distance(wmap, x, y)
+    s = first_arrival_distance(wmap, x, y, cfg.eta)
     r_prime = 8 * h
     p = U.vertices[x] + 8  # along the +1 ray
     r_grid = np.arange(cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)

@@ -19,10 +19,10 @@ from fracbundle.s2s import (
     frac_map_assemble,
     gram_matrix,
     local_structure,
-    time_average,
     wave_map_assemble,
 )
 from fracbundle.serialize import dumps, loads
+from fracbundle.timequad import time_average_linear, time_average_nodes
 
 
 def bump(times, center, width):
@@ -232,6 +232,26 @@ def test_source_support_validated(wave_scene):
         wmap.source_array(TimeSection(grid, vals))
 
 
+
+def test_time_sections_are_read_as_manifold_data():
+    # a region covering every vertex in rotated order: TimeSection values are
+    # indexed by manifold vertex whatever their shape, never by region position
+    m, b, op = cycle_scene(8, 8.0, rank=2, connection="random", potential="random_positive", seed=3)
+    U = arc_region(m, 3, 8)
+    grid = TimeGrid(6.0, 240)
+    wmap = wave_map_assemble(op, U, grid)
+    f = make_source(grid, U, 2, 1, 0, center=1.0, width=0.8, num_vertices=8)
+    got = wmap.source_array(f).reshape(len(grid), 8, 2)
+    assert np.array_equal(got, f.values[:, list(U.vertices)])
+    w = duhamel_solve(op, f).values[wmap.half_index]
+    direct = l2_inner(b, w, w).real
+    assert abs(blago_inner(wmap, f, f) - direct) <= 1e-6 * direct
+    # a fiber rank other than the map's, or too few vertices for the region
+    for shape in ((len(grid), 16, 1), (len(grid), 7, 2)):
+        with pytest.raises(OperatorError):
+            wmap.source_array(TimeSection(grid, np.zeros(shape)))
+
+
 # -- time averaging -----------------------------------------------------------
 
 def test_time_average_closed_forms():
@@ -239,13 +259,13 @@ def test_time_average_closed_forms():
     T = 2.0
     ts = grid.times
     ones = np.ones(len(grid))
-    j1 = time_average(ones, grid, piecewise_linear=True)
+    j1 = time_average_linear(ones, grid.dt)
     assert np.allclose(j1, T - ts, atol=1e-12)
-    j2 = time_average(ts.copy(), grid, piecewise_linear=True)
+    j2 = time_average_linear(ts.copy(), grid.dt)
     assert np.allclose(j2, T * (T - ts), atol=1e-12)
     # sampled rule is exact through quintic polynomials
     for p in (2, 3, 5):
-        jp = time_average(ts**p, grid)
+        jp = time_average_nodes(ts**p, grid.dt)
         exact = ((2 * T - ts) ** (p + 1) - ts ** (p + 1)) / (2 * (p + 1))
         assert np.max(np.abs(jp - exact)) < 1e-12 * max(1.0, np.max(np.abs(exact)))
 
@@ -254,7 +274,7 @@ def test_time_average_vanishes_at_horizon():
     grid = TimeGrid(6.0, 120)
     rng = np.random.default_rng(2)
     series = rng.standard_normal(len(grid))
-    out = time_average(series, grid)
+    out = time_average_nodes(series, grid.dt)
     assert out[60] == 0.0
 
 
@@ -418,7 +438,7 @@ def test_wave_map_round_trip(wave_scene):
     assert blago_inner(back, f, h) == blago_inner(wmap, f, h)
     from fracbundle.reconstruction import first_arrival_distance
 
-    assert first_arrival_distance(back, 0, 5) == first_arrival_distance(wmap, 0, 5)
+    assert first_arrival_distance(back, 0, 5, 0.1) == first_arrival_distance(wmap, 0, 5, 0.1)
 
 
 def test_frac_map_round_trip():
