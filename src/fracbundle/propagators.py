@@ -125,21 +125,29 @@ def duhamel_weights(eigenvalues, dt, n_steps):
     return A, B
 
 
+def folded_kernel(A, B, rows):
+    """Rows 0..rows-1 (at most N+1) of the folded kernel A + B_up.
+
+    With B_up[m] = B[m + 1] (B_up[N] = 0), the right-endpoint sum
+    sum_m B[m] f[j-m+1] equals (B_up * f)[j] - B_up[j] f[0], so the interval
+    sum of a weight pair (A, B) is one convolution with A + B_up plus that
+    f[0] correction, which vanishes for sources with f[0] = 0.
+    """
+    folded = A[:rows].astype(np.result_type(A, B))
+    folded[:B.shape[0] - 1] += B[1:rows + 1]
+    return folded
+
+
 def pl_spectra(A, B):
     """Folded kernel spectrum of a weight pair (A, B) with N+1 rows.
 
-    With B_up[m] = B[m + 1] (B_up[N] = 0), the right-endpoint sum
-    sum_m B[m] f[j-m+1] equals (B_up * f)[j] - B_up[j] f[0], so one
-    convolution with A + B_up does the work of two.  Returns
-    (FFT(A + B_up), B[1:]): the spectrum at length next_fast_len(2(N+1) - 1),
-    which holds the full linear convolution of two (N+1)-row series so the
-    circular products never wrap into the first N+1 output rows, and the
-    first N rows of B_up for the f[0] correction.
+    Returns (FFT(folded_kernel(A, B, N+1)), B[1:]): the spectrum at length
+    next_fast_len(2(N+1) - 1), which holds the full linear convolution of
+    two (N+1)-row series so the circular products never wrap into the first
+    N+1 output rows, and the first N rows of B_up for the f[0] correction.
     """
     n = next_fast_len(2 * A.shape[0] - 1)
-    folded = A.astype(np.result_type(A, B))
-    folded[:-1] += B[1:]
-    return np.fft.fft(folded, n=n, axis=0), B[1:]
+    return np.fft.fft(folded_kernel(A, B, A.shape[0]), n=n, axis=0), B[1:]
 
 
 def mode_convolve(spectra, src, subscripts):
@@ -169,7 +177,7 @@ def mode_convolve_rows(A, B, src, rows, subscripts):
 
     With A[0] = B[0] = 0 the sum at row j is
         out[j] = sum_{k<j} (A[k] + B[k+1]) src[j - k] + A[j] src[0],
-    the same folded kernel as pl_spectra, so out[0] = 0.  Only kernel rows
+    with the rows of folded_kernel(A, B, j), so out[0] = 0.  Only kernel rows
     0..max(rows) and source rows 0..max(rows) are read: one product of the
     shifted source rows against the folded kernel, with the einsum
     `subscripts` of mode_convolve (which must not use the letter r).
@@ -177,8 +185,7 @@ def mode_convolve_rows(A, B, src, rows, subscripts):
     """
     rows = np.asarray(rows, dtype=np.int64)
     top = int(rows.max())
-    folded = A[:top].astype(np.result_type(A, B))
-    folded += B[1:top + 1]
+    folded = folded_kernel(A, B, top)
     shifted = np.zeros((len(rows), top) + src.shape[1:], dtype=src.dtype)
     for r, j in enumerate(rows):
         shifted[r, :j] = src[j:0:-1]

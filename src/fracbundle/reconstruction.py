@@ -113,9 +113,7 @@ def family_responses(wmap: WaveMapData, fam: SourceFamily):
 def family_gram(wmap: WaveMapData, fam: SourceFamily):
     """Hermitian Gram of the family's wave states at time T, from map data."""
     comps = fam.components()
-    responses = family_responses(wmap, fam)
-    G = blago_bilinear(wmap, fam.profiles, fam.profiles, responses, responses,
-                       components=(comps, comps))
+    G = blago_bilinear(wmap, fam.profiles, fam.profiles, components=(comps, comps))
     return 0.5 * (G + G.conj().T)
 
 
@@ -176,7 +174,10 @@ class ProbeEngine:
         self.family = build_source_family(
             wmap, range(wmap.local.size), leads, cfg.width
         )
-        self.gram = family_gram(wmap, self.family)
+        gram = family_gram(wmap, self.family)
+        # the map data of a real operator pair to an exactly real Gram; kept
+        # real, every sweep factors and gathers in real arithmetic
+        self.gram = gram if np.any(gram.imag) else np.ascontiguousarray(gram.real)
         # sweeps share prefix factors across spans, so the ridge cannot
         # depend on the span: one value for the whole family
         self.reg = RIDGE_FACTOR * np.trace(self.gram).real / len(self.family)

@@ -22,7 +22,7 @@ from .bundle import (
     torus_shift_iso,
 )
 from .config import ExperimentConfig, build_region, build_scene, parse_config
-from .errors import FracBundleError
+from .errors import ConfigError, FracBundleError
 from .manifold import shortest_distances
 from .operator import assemble, kernel_projector
 from .propagators import (
@@ -564,10 +564,13 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
     """Run all configured tasks sequentially; failures are recorded, not fatal.
 
     workers caps the linear-algebra thread pools for the whole run when
-    threadpoolctl is available; otherwise a notice goes to stderr.
+    threadpoolctl is available; otherwise a notice goes to stderr.  A cap
+    below 1 is a ConfigError.
     """
     limiter = None
     if workers is not None:
+        if workers < 1:
+            raise ConfigError("workers", f"must be a positive integer, got {workers}")
         try:
             from threadpoolctl import threadpool_limits
 
@@ -644,9 +647,12 @@ def emit_report(report: Report, out_dir):
 
 def run_from_file(config_path, out_dir=None, seed_override=None, workers=None):
     """Load a config file, run, emit artifacts; returns (report, exit_code)."""
-    with open(config_path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if seed_override is not None:
+    try:
+        with open(config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", f"file is not UTF-8 text ({exc})") from exc
+    if seed_override is not None and isinstance(raw, dict):  # parse_config rejects the rest
         raw["seed"] = int(seed_override)
     cfg = parse_config(raw)
     target = out_dir or os.environ.get("FRACBUNDLE_OUT") or cfg.output_dir

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from . import timequad
 from .errors import DataBoundaryError, OperatorError
@@ -28,6 +29,7 @@ from .propagators import (
     TimeGrid,
     TimeSection,
     duhamel_weights,
+    folded_kernel,
     mode_convolve,
     mode_convolve_rows,
     pl_spectra,
@@ -214,6 +216,14 @@ def frac_map_assemble(op: SpectralOperator, region: Region, s) -> FracMapData:
 # ---------------------------------------------------------------------------
 # wave map data
 
+def _distinct_rows(profiles):
+    """(kept, which): the first row with each distinct profile, and for every
+    row the position of its profile in profiles[kept]."""
+    first = {}
+    firsts = [first.setdefault(p.tobytes(), i) for i, p in enumerate(profiles)]
+    return np.unique(firsts, return_inverse=True)
+
+
 @dataclass(frozen=True)
 class WaveMapData:
     """Time-sampled wave response data on the observation region.
@@ -289,9 +299,7 @@ class WaveMapData:
                 return np.moveaxis(out, 1, 0)
             sources = np.asarray(sources)
             # the first source with each distinct profile stands for all of them
-            first = {}
-            firsts = [first.setdefault(p.tobytes(), i) for i, p in enumerate(sources)]
-            kept, which = np.unique(firsts, return_inverse=True)
+            kept, which = _distinct_rows(sources)
             out = mode_convolve_rows(self.conv_a, self.conv_b, sources[kept].T, rows,
                                      "tij,tp->tpij")
             # (m, len(rows), D): column c of the response to the profile of source i
@@ -382,27 +390,25 @@ def _jh_quadratic_coeffs(h, dt, n_half):
     return vj, dj * dt, 0.5 * cj * dt
 
 
-def blago_bilinear(wmap: WaveMapData, F, H, responses_f=None, responses_h=None,
-                   components=None):
+def blago_bilinear(wmap: WaveMapData, F, H, components=None):
     """Matrix of wave-state pairings <w^f(T), w^h(T)> from map data alone.
 
     F: (mf, N+1, D) and H: (mh, N+1, D) nodal sources supported in the
     region; or, with components = (cf, ch), (mf, N+1) and (mh, N+1) time
-    profiles of delta sources at the flat components cf and ch.  Uses the
-    identity
+    profiles of delta sources at the flat components cf and ch, each
+    vanishing at t = 0.  Uses the identity
         <w^f(T), w^h(T)> = int_0^T [ <f, J L h> - <L f, J h> ] dt
     with the map responses computed exactly for piecewise-linear sources
     and the remaining time integrals by the high-order sampled rules.
     """
+    if components is not None:
+        return _lag_pairing(wmap, F, H, *components)
     grid = wmap.grid
     dt = grid.dt
     n_half = wmap.half_index
     mu = wmap.local.weights_flat()
-    cf, ch = (None, None) if components is None else components
-    if responses_h is None:
-        responses_h = wmap.respond(H, components=ch)
-    if responses_f is None:
-        responses_f = responses_h if H is F and cf is ch else wmap.respond(F, components=cf)
+    responses_h = wmap.respond(H)
+    responses_f = responses_h if H is F else wmap.respond(F)
 
     # term 1: sources paired against the time average of the h responses
     E1 = np.empty(responses_h.shape, dtype=np.complex128)
@@ -415,23 +421,77 @@ def blago_bilinear(wmap: WaveMapData, F, H, responses_f=None, responses_h=None,
         c0, c1, c2 = _jh_quadratic_coeffs(h, dt, n_half)
         E2[b] = timequad.quadratic_times_sampled_array(c0, c1, c2, len(grid), dt)
 
-    if components is None:
-        Fw = np.conj(F) * mu[None, None, :]
-        Rw = np.conj(responses_f) * mu[None, None, :]
-        T1 = Fw.reshape(len(F), -1) @ E1.reshape(len(H), -1).T
-        T2 = Rw.reshape(len(F), -1) @ E2.reshape(len(H), -1).T
-        return T1 - T2
-    # delta sources: source a touches only component cf[a] of the averaged
-    # h responses, and J h_b is spatially a delta at component ch[b]
-    T1 = np.empty((len(F), len(H)), dtype=np.complex128)
-    for c in np.unique(cf):
-        rows = np.nonzero(cf == c)[0]
-        T1[rows, :] = (np.conj(F[rows]) * mu[c]) @ E1[:, :, c].T
-    T2 = np.empty((len(F), len(H)), dtype=np.complex128)
-    for c in np.unique(ch):
-        cols = np.nonzero(ch == c)[0]
-        T2[:, cols] = (np.conj(responses_f[:, :, c]) * mu[c]) @ E2[cols].T
+    Fw = np.conj(F) * mu[None, None, :]
+    Rw = np.conj(responses_f) * mu[None, None, :]
+    T1 = Fw.reshape(len(F), -1) @ E1.reshape(len(H), -1).T
+    T2 = Rw.reshape(len(F), -1) @ E2.reshape(len(H), -1).T
     return T1 - T2
+
+
+def _lag_tables(rows, profiles, n1):
+    """Per row a, the table C[k, m] = sum_j a[j] profiles[k, j - m], m = 0..n1-1.
+
+    Cross-correlations by FFT at a length that holds every lag without
+    wrapping; real data stays real.
+    """
+    n = next_fast_len(2 * n1 - 1)
+    if np.isrealobj(rows) and np.isrealobj(profiles):
+        fwd, inv = np.fft.rfft, np.fft.irfft
+    else:
+        fwd, inv = np.fft.fft, np.fft.ifft
+    spectra = np.conj(fwd(np.conj(profiles), n=n))
+    for a in rows:
+        yield inv(fwd(a, n=n) * spectra, n=n)[:, :n1]
+
+
+def _lag_pairing(wmap: WaveMapData, F, H, cf, ch):
+    """blago_bilinear for delta sources, from the L distinct time profiles.
+
+    The response of a delta source p at component c is column-wise
+    mu_c (K[:, :, c] * p) with K = folded_kernel(conv_a, conv_b, N+1), exact when
+    p[0] = 0.  Both terms of the identity are linear in time, so they move
+    onto the profiles: with w_l = (QJ)^T conj(f_l) (QJ the time average
+    followed by the pl_times_sampled_array rule) and e_l the J h test array
+    of h_l, the lag tables
+        X[l, l', m] = sum_j w_l[j] h_l'[j - m]
+        Y[l, l', m] = sum_j e_l[j] conj(f_l'[j - m])
+    give T1 = X @ K and T2 = Y @ conj(K), and the pairing of f_l at c with
+    h_l' at c' is mu_c mu_c' (T1[l, l', c, c'] - T2[l', l, c', c]).
+    """
+    F, H = np.asarray(F), np.asarray(H)
+    if np.any(F[:, 0] != 0) or np.any(H[:, 0] != 0):
+        raise OperatorError("delta-source profiles must vanish at t = 0")
+    grid = wmap.grid
+    dt = grid.dt
+    n1, n_half, d = len(grid), wmap.half_index, wmap.local.dim
+    kept_f, lf = _distinct_rows(F)
+    kept_h, lh = _distinct_rows(H)
+    pf, ph = F[kept_f], H[kept_h]
+    # QJ applied to every unit series: its columns give w_l = (QJ)^T conj(f_l)
+    unit = np.eye(n1)
+    qj = timequad.pl_times_sampled_array(timequad.time_average_nodes(unit, dt), n_half, dt)
+    w = np.conj(pf) @ qj
+    e = timequad.quadratic_times_sampled_array(*_jh_quadratic_coeffs(ph.T, dt, n_half),
+                                               n1, dt).T
+    kernel = np.ascontiguousarray(folded_kernel(wmap.conv_a, wmap.conv_b, n1),
+                                  dtype=np.complex128).reshape(n1, d * d)
+    kernel_re_im = kernel.view(np.float64)
+
+    def times_kernel(lags):
+        # a real lag table meets the real and imaginary parts in one real product
+        if np.isrealobj(lags):
+            return (lags @ kernel_re_im).view(np.complex128)
+        return lags @ kernel
+
+    T1 = np.array([times_kernel(x) for x in _lag_tables(w, ph, n1)])
+    # Y @ conj(K) = conj(conj(Y) @ K)
+    T2 = np.array([times_kernel(np.conj(y)) for y in _lag_tables(e, np.conj(pf), n1)]).conj()
+    T1 = T1.reshape(len(pf), len(ph), d, d)
+    T2 = T2.reshape(len(ph), len(pf), d, d)
+    mu = wmap.local.weights_flat()
+    lf, cf = lf[:, None], np.asarray(cf)[:, None]
+    lh, ch = lh[None, :], np.asarray(ch)[None, :]
+    return mu[cf] * mu[ch] * (T1[lf, lh, cf, ch] - T2[lh, lf, ch, cf])
 
 
 def blago_inner(wmap: WaveMapData, f, h):

@@ -155,49 +155,63 @@ def test_cli_pass_exit_code(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("time", "horizon", 0.0),
-    ("time", "horizon", float("inf")),
-    ("manifold", "count", 2),
-    ("region", "count", None),  # None deletes the key
-    ("bundle", "rank", "two"),
-    ("bundle", "connection", "bogus"),
-    ("tolerances", "fractional_round_trip", "tight"),
-    ("tolerances", "blago", -1.0),
-    ("tolerances", "blago", 0.0),
-    ("tolerances", "blago", float("inf")),
-    ("tolerances", "blago", float("nan")),
-    ("tolerances", "profile_match_fraction", 1.5),
-    ("options", "probe_delta", "big"),
-    ("options", "blago_pairs", -5),
-    ("options", "ray_bases", float("inf")),
-    ("options", "gamma_quadrature", {"bogus": 1}),
-    ("options", "gamma_quadrature", {"head_nodes": "x"}),
-    ("options", "gamma_quadrature", 3),
-    ("options", "transmutation_times", ["x"]),
-    ("options", "transmutation_times", 0.5),
-    ("options", "chart", ["x"]),
-    ("options", "chart", 3),
-], ids=["horizon", "infinite_horizon", "cycle_count", "region_count", "rank", "connection",
-        "tolerance", "negative_tolerance", "zero_tolerance", "infinite_tolerance",
-        "nan_tolerance", "match_fraction_above_one", "option", "negative_count_option", "infinite_count_option",
-        "gamma_unknown_field",
-        "gamma_field_type", "gamma_not_object", "transmutation_time_type",
-        "transmutation_times_not_list", "chart_index_type", "chart_not_list"])
-def test_cli_config_error_exit_code(tmp_path, capsys, section, key, value):
+# (section, key, value): BASE_CONFIG with one field replaced; None deletes it
+FIELD_ERRORS = {
+    "horizon": ("time", "horizon", 0.0),
+    "infinite_horizon": ("time", "horizon", float("inf")),
+    "cycle_count": ("manifold", "count", 2),
+    "region_count": ("region", "count", None),
+    "rank": ("bundle", "rank", "two"),
+    "connection": ("bundle", "connection", "bogus"),
+    "tolerance": ("tolerances", "fractional_round_trip", "tight"),
+    "negative_tolerance": ("tolerances", "blago", -1.0),
+    "zero_tolerance": ("tolerances", "blago", 0.0),
+    "infinite_tolerance": ("tolerances", "blago", float("inf")),
+    "nan_tolerance": ("tolerances", "blago", float("nan")),
+    "match_fraction_above_one": ("tolerances", "profile_match_fraction", 1.5),
+    "option": ("options", "probe_delta", "big"),
+    "negative_count_option": ("options", "blago_pairs", -5),
+    "infinite_count_option": ("options", "ray_bases", float("inf")),
+    "gamma_unknown_field": ("options", "gamma_quadrature", {"bogus": 1}),
+    "gamma_field_type": ("options", "gamma_quadrature", {"head_nodes": "x"}),
+    "gamma_not_object": ("options", "gamma_quadrature", 3),
+    "transmutation_time_type": ("options", "transmutation_times", ["x"]),
+    "transmutation_times_not_list": ("options", "transmutation_times", 0.5),
+    "chart_index_type": ("options", "chart", ["x"]),
+    "chart_not_list": ("options", "chart", 3),
+}
+
+
+def field_error_case(case_id, section, key, value):
+    """(file bytes, extra CLI args, text the error must name) for one bad field."""
     raw = json.loads(json.dumps(BASE_CONFIG))
     if value is None:
         del raw[section][key]
     else:
         raw.setdefault(section, {})[key] = value
+    where = f"{section}.{key}" if section in ("options", "tolerances") else section
+    return pytest.param(json.dumps(raw).encode(), [], where, id=case_id)
+
+
+BASE_BYTES = json.dumps(BASE_CONFIG).encode()
+
+
+@pytest.mark.parametrize("content, args, where", [
+    field_error_case(case_id, *edit) for case_id, edit in FIELD_ERRORS.items()
+] + [
+    pytest.param(b"[]", ["--seed-override", "3"], "config", id="list_top_level_seed_override"),
+    pytest.param(b'"x"', ["--seed-override", "3"], "config", id="string_top_level_seed_override"),
+    pytest.param(json.dumps(BASE_CONFIG).encode("utf-16"), [], "config", id="not_utf8"),
+    pytest.param(BASE_BYTES, ["--workers", "0"], "workers", id="zero_workers"),
+    pytest.param(BASE_BYTES, ["--workers", "-2"], "workers", id="negative_workers"),
+])
+def test_cli_config_error_exit_code(tmp_path, capsys, content, args, where):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(raw))
-    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    path.write_bytes(content)
+    code = main(["run", str(path), "--out", str(tmp_path / "out"), *args])
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error" in err and section in err
-    if section in ("options", "tolerances"):
-        assert f"{section}.{key}" in err
+    assert "config error" in err and where in err
 
 
 def test_cli_chart_outside_region_is_a_task_error(tmp_path, capsys):

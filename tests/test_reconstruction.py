@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracbundle import propagators, s2s
 from fracbundle.bundle import GaugeTransform, apply_gauge, build_bundle
 from fracbundle.errors import ReconstructionError
 from fracbundle.manifold import Region, build_manifold, shortest_distances
@@ -16,6 +17,7 @@ from fracbundle.reconstruction import (
     _shell_width,
     RIDGE_FACTOR,
     ProbeConfig,
+    ProbeEngine,
     RayPlan,
     build_source_family,
     cut_time_estimate,
@@ -193,6 +195,49 @@ def test_prefix_residuals_match_per_prefix_solves(data):
     assert np.max(np.abs(res - direct)) <= 1e-10
     assert np.all((res >= 0.0) & (res <= 1.0))
     assert np.all(np.diff(res, axis=0) <= 0.0)  # a longer prefix never projects less
+
+
+def sweep_curves(eng, wmap, cfg, h, s):
+    """Exterior and cut-time curves at x, y, z = 4, 5, 0, the sweeps checked below."""
+    eps = _shell_width(wmap)
+    x, y, z = 4, 5, 0
+    r_prime = 8 * h
+    r_grid = np.arange(cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
+    t_idx = eng.box_indices(y, r_prime - s + eps)
+    exterior = _exterior_curve(eng, eng.box_indices(x, r_prime), t_idx, z, r_grid)
+    cut_grid = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
+    return exterior, _cut_time_curve(eng, x, y, s, cut_grid, eps)
+
+
+def test_probe_engine_builds_no_probe_responses(cycle32_scene, monkeypatch):
+    m, b, op, U, wmap, cfg, h = cycle32_scene
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the probe Gram must not build response series")
+
+    monkeypatch.setattr(WaveMapData, "respond", forbidden)
+    monkeypatch.setattr(propagators, "mode_convolve", forbidden)
+    monkeypatch.setattr(s2s, "mode_convolve", forbidden)
+    eng = ProbeEngine(wmap, cfg)  # a fresh engine, not the one cached on wmap
+    assert eng.gram.shape == (len(eng.family), len(eng.family))
+
+
+def test_probe_engine_gram_real_exactly_when_data_real(cycle32_scene):
+    # the trivial bundle gives exactly real map data and a float64 Gram; a
+    # random gauge makes the data complex, and the complex engine must give
+    # the same sweeps (the gauge is a diagonal unitary congruence of the Gram)
+    m, b, op, U, wmap, cfg, h = cycle32_scene
+    eng = probe_engine(wmap, cfg)
+    assert eng.gram.dtype == np.float64
+    gauge = GaugeTransform.random(np.random.default_rng(17), m.num_vertices, 1)
+    wmap_g = wave_map_assemble(assemble(apply_gauge(b, gauge)), U, wmap.grid)
+    eng_g = probe_engine(wmap_g, cfg)
+    assert eng_g.gram.dtype == np.complex128 and np.any(eng_g.gram.imag)
+    s = first_arrival_distance(wmap, 4, 5, cfg.eta)
+    for real, gauged in zip(sweep_curves(eng, wmap, cfg, h, s),
+                            sweep_curves(eng_g, wmap_g, cfg, h, s)):
+        assert np.max(np.abs(real - gauged)) <= 1e-8
+    assert np.min(real) < 0.05 < np.max(real)  # the cut-time sweep crosses the verdict scale
 
 
 def test_sweep_curves_match_sorted_union_spans(cycle32_scene):
@@ -456,8 +501,7 @@ def test_recover_operator_trivial_bundle(cycle32_scene):
 
 def test_recovery_evaluates_only_rows_near_horizon(cycle32_scene, monkeypatch):
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    probe_engine(wmap, cfg)  # the probe Gram pairs full response series
-    shapes = []
+    shapes = []  # the probe Gram reads no responses: only the recoveries call respond
     respond = WaveMapData.respond
 
     def recording_respond(self, *args, **kwargs):

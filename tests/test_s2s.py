@@ -208,6 +208,66 @@ def test_delta_source_paths_match_dense(probe_scene):
     assert np.max(np.abs(G_delta - G_dense)) <= 1e-12 * np.max(np.abs(G_dense))
 
 
+def delta_family(rng, wmap, count, n_profiles, complex_amplitudes):
+    """count delta probes over n_profiles bumps in (0, T) at random components.
+
+    Members repeat profiles (and sometimes components); with complex
+    amplitudes each profile carries a random complex factor.
+    """
+    times, T = wmap.grid.times, wmap.horizon
+    profiles = []
+    for _ in range(n_profiles):
+        width = rng.uniform(0.3, 0.6 * T)
+        prof = bump(times, rng.uniform(width / 2 + 1e-3, T - width / 2), width)
+        if complex_amplitudes:
+            prof = prof * (rng.standard_normal() + 1j * rng.standard_normal())
+        profiles.append(prof)
+    which = rng.integers(0, n_profiles, count)
+    comps = rng.integers(0, wmap.local.dim, count)
+    sources = np.asarray(profiles)[which]
+    dense = np.zeros((count, len(times), wmap.local.dim), dtype=sources.dtype)
+    dense[np.arange(count), :, comps] = sources
+    return sources, comps, dense
+
+
+@settings(max_examples=25, deadline=None)
+@given(torus=st.booleans(), rank=st.integers(1, 2), complex_f=st.booleans(),
+       complex_h=st.booleans(), seed=st.integers(0, 2**31 - 1))
+def test_lag_pairing_matches_dense_sources(torus, rank, complex_f, complex_h, seed):
+    # the components= pairing runs on lag tables of the distinct profiles;
+    # the dense path pairs full response series of the same sources
+    rng = np.random.default_rng(seed)
+    if torus:
+        m = build_manifold({"kind": "torus_grid", "counts": [4, 3], "lengths": [2.0, 1.5]})
+        size = int(rng.integers(2, m.num_vertices + 1))
+        U = Region(m, tuple(int(v) for v in rng.choice(m.num_vertices, size, replace=False)))
+    else:
+        n = int(rng.integers(5, 11))
+        m = build_manifold({"kind": "cycle", "count": n, "length": 0.5 * n})
+        U = arc_region(m, int(rng.integers(0, n)), int(rng.integers(2, n + 1)))
+    b = build_bundle(m, rank, connection="random", potential="random_positive", seed=seed)
+    wmap = wave_map_assemble(assemble(b), U, TimeGrid(4.0, 128))
+    F, cf, dense_f = delta_family(rng, wmap, int(rng.integers(1, 9)), int(rng.integers(1, 4)),
+                                  complex_f)
+    H, ch, dense_h = delta_family(rng, wmap, int(rng.integers(1, 9)), int(rng.integers(1, 4)),
+                                  complex_h)
+    G_lag = blago_bilinear(wmap, F, H, components=(cf, ch))
+    G_dense = blago_bilinear(wmap, dense_f, dense_h)
+    assert G_lag.shape == (len(F), len(H))
+    assert np.max(np.abs(G_lag - G_dense)) <= 1e-12 * np.max(np.abs(G_dense))
+
+
+def test_lag_pairing_rejects_profiles_nonzero_at_start(probe_scene):
+    # the lag form drops the B_up[j] f[0] term, so a profile must vanish at t = 0
+    wmap, fam, dense = probe_scene
+    comps = fam.components()
+    for side in (0, 1):
+        profiles = [fam.profiles[:4].copy(), fam.profiles[:4].copy()]
+        profiles[side][2, 0] = 0.5
+        with pytest.raises(OperatorError, match="vanish at t = 0"):
+            blago_bilinear(wmap, *profiles, components=(comps[:4], comps[:4]))
+
+
 def test_respond_rows_match_full_series(probe_scene):
     wmap, fam, dense = probe_scene
     comps = fam.components()
