@@ -149,6 +149,8 @@ def parse_config(raw) -> ExperimentConfig:
         chart = options["chart"]
         _require(isinstance(chart, list) and all(type(v) is int and v >= 0 for v in chart),
                  "options.chart", "must be a list of nonnegative integers")
+        _require(len(chart) > 0, "options.chart", "must not be empty")
+        _require(len(set(chart)) == len(chart), "options.chart", "vertices must not repeat")
     with _section("seed"):
         seed = int(raw.get("seed", 0))
     return ExperimentConfig(

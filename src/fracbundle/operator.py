@@ -25,6 +25,8 @@ from .errors import OperatorError
 KERNEL_THRESHOLD = 1e-10
 # an operator is nonnegative when lam_min >= -NONNEGATIVE_TOL * max(1, |lam_max|)
 NONNEGATIVE_TOL = 1e-10
+# fractional inverses refuse inputs whose kernel fraction exceeds this
+KERNEL_FRACTION_TOL = 1e-8
 
 
 @dataclass(frozen=True)

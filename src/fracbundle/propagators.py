@@ -20,7 +20,7 @@ from scipy.fft import next_fast_len
 from . import modefun
 from .bundle import l2_norm
 from .errors import OperatorError, QuadratureError
-from .operator import SpectralOperator, apply_function, kernel_projector
+from .operator import KERNEL_FRACTION_TOL, SpectralOperator, apply_function, kernel_projector
 
 
 @dataclass(frozen=True)
@@ -305,9 +305,9 @@ def fractional_apply(op: SpectralOperator, s, u):
 def _require_no_kernel_component(op, u):
     proj = kernel_projector(op)
     frac = proj.kernel_fraction(u)
-    if frac > 1e-8:
+    if frac > KERNEL_FRACTION_TOL:
         raise OperatorError(
-            f"input has kernel fraction {frac:.3e} > 1e-08; "
+            f"input has kernel fraction {frac:.3e} > {KERNEL_FRACTION_TOL:.0e}; "
             "project onto the kernel complement first"
         )
     return proj

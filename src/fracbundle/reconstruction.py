@@ -185,13 +185,14 @@ class ProbeEngine:
     # probe selection ------------------------------------------------------
     def box_indices(self, center_local, radius_limit):
         """Probes in S(center, delta, radius_limit - delta): ball vertices,
-        lead budget radius_limit - delta."""
+        lead budget radius_limit - delta.
+
+        The indices come in lead order: the family is lead-major over
+        ascending leads and select returns ascending indices, so a smaller
+        box is a leading block of a larger one.
+        """
         verts = self.wmap.local.local_ball(center_local, self.cfg.delta)
         return self.family.select(vertices=verts, max_lead=radius_limit - self.cfg.delta)
-
-    def by_lead(self, idx):
-        """Probe indices in stable lead order: a smaller box is then a leading block."""
-        return idx[np.argsort(self.family.lead[idx], kind="stable")]
 
     def box_sizes(self, ordered_idx, radius_limits):
         """How many of the lead-ordered probes the box at each radius limit keeps.
@@ -328,8 +329,8 @@ def _cut_time_curve(eng, x, y, s, r_grid, eps):
     curve = np.ones(len(r_grid))
     if not np.any(valid):
         return curve
-    span = eng.by_lead(eng.box_indices(x, r_grid[-1]))
-    targets = eng.by_lead(eng.box_indices(y, tau_t[-1]))
+    span = eng.box_indices(x, r_grid[-1])
+    targets = eng.box_indices(y, tau_t[-1])
     if len(targets) == 0:
         return curve
     res = prefix_residuals(eng.gram, span, targets, eng.reg)
@@ -369,7 +370,7 @@ def _exterior_curve(eng, x_span, t_idx, z, r_grid):
     the largest one.
     """
     z_box = eng.box_indices(z, r_grid[-1])
-    z_new = eng.by_lead(z_box[~np.isin(z_box, x_span)])
+    z_new = z_box[~np.isin(z_box, x_span)]
     res = prefix_residuals(eng.gram, np.concatenate([x_span, z_new]), t_idx, eng.reg)
     return np.max(res[len(x_span) + eng.box_sizes(z_new, r_grid)], axis=1)
 
@@ -758,6 +759,7 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
         edge_lut[(int(a), int(b))] = i
         edge_lut[(int(b), int(a))] = i
     rec_edges = []
+    recorded = set()  # rec_edges in both orientations
     rec_transports = []
     rec_potentials = []
     conds = []
@@ -793,7 +795,7 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
         herm_dev = max(herm_dev, float(np.max(np.abs(Avv - Avv.conj().T))))
         rec_potentials.append(0.5 * (Avv + Avv.conj().T))
         for u in nbrs[v]:
-            if (v, u) in [(a, b) for a, b in rec_edges] or (u, v) in [(a, b) for a, b in rec_edges]:
+            if (v, u) in recorded:
                 continue
             i = edge_lut[(v, u)]
             w = local.edge_weights[i]
@@ -802,6 +804,7 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
             U = _polar_unitary(raw)
             unitary_dev = max(unitary_dev, float(np.max(np.abs(raw - U))))
             rec_edges.append((v, u))
+            recorded.update({(v, u), (u, v)})
             rec_transports.append(U)
     chart_index = {v: i for i, v in enumerate(chart)}
     edges_local = []

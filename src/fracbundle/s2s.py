@@ -24,7 +24,7 @@ from scipy.fft import next_fast_len
 from . import timequad
 from .errors import DataBoundaryError, OperatorError
 from .manifold import Region
-from .operator import SpectralOperator
+from .operator import KERNEL_FRACTION_TOL, SpectralOperator
 from .propagators import (
     TimeGrid,
     TimeSection,
@@ -155,7 +155,6 @@ class FracMapData:
     local: LocalStructure
     block: np.ndarray
     kernel_block: np.ndarray
-    kernel_tol: float = 1e-8
 
     def apply(self, f):
         """Map a region-supported section (|U|, r) to the solution on U."""
@@ -165,9 +164,9 @@ class FracMapData:
         if total > 0:
             ker = float(np.real(np.vdot(wf, self.kernel_block @ wf)))
             frac = np.sqrt(max(ker, 0.0) / total)
-            if frac > self.kernel_tol:
+            if frac > KERNEL_FRACTION_TOL:
                 raise OperatorError(
-                    f"source has kernel fraction {frac:.3e} > {self.kernel_tol:.0e}"
+                    f"source has kernel fraction {frac:.3e} > {KERNEL_FRACTION_TOL:.0e}"
                 )
         out = self.block @ wf
         return out.reshape(self.local.size, self.local.rank)
@@ -395,37 +394,31 @@ def blago_bilinear(wmap: WaveMapData, F, H, components=None):
 
     F: (mf, N+1, D) and H: (mh, N+1, D) nodal sources supported in the
     region; or, with components = (cf, ch), (mf, N+1) and (mh, N+1) time
-    profiles of delta sources at the flat components cf and ch, each
-    vanishing at t = 0.  Uses the identity
+    profiles of delta sources at the flat components cf and ch.  Uses the
+    identity
         <w^f(T), w^h(T)> = int_0^T [ <f, J L h> - <L f, J h> ] dt
-    with the map responses computed exactly for piecewise-linear sources
-    and the remaining time integrals by the high-order sampled rules.
+    with the map responses exact for piecewise-linear sources and the
+    remaining time integrals by the high-order sampled rules.  A dense
+    source is the sum of its nonzero columns: each column pairs as a delta
+    source and the pairings add up per source.
     """
     if components is not None:
-        return _lag_pairing(wmap, F, H, *components)
-    grid = wmap.grid
-    dt = grid.dt
-    n_half = wmap.half_index
-    mu = wmap.local.weights_flat()
-    responses_h = wmap.respond(H)
-    responses_f = responses_h if H is F else wmap.respond(F)
+        return _lag_pairing(wmap, np.asarray(F), np.asarray(H), *components)
+    pf, cf, of = _delta_columns(F)
+    ph, ch, oh = _delta_columns(H)
+    out = np.zeros((len(F), len(H)), dtype=np.complex128)
+    if len(pf) and len(ph):
+        np.add.at(out, (of[:, None], oh[None, :]), _lag_pairing(wmap, pf, ph, cf, ch))
+    return out
 
-    # term 1: sources paired against the time average of the h responses
-    E1 = np.empty(responses_h.shape, dtype=np.complex128)
-    for b, resp in enumerate(responses_h):
-        jr = timequad.time_average_nodes(resp, dt)
-        E1[b] = timequad.pl_times_sampled_array(jr, n_half, dt)
-    # term 2: f responses paired against the exact piecewise-quadratic J h
-    E2 = np.empty(H.shape, dtype=np.result_type(H, np.float64))
-    for b, h in enumerate(H):
-        c0, c1, c2 = _jh_quadratic_coeffs(h, dt, n_half)
-        E2[b] = timequad.quadratic_times_sampled_array(c0, c1, c2, len(grid), dt)
 
-    Fw = np.conj(F) * mu[None, None, :]
-    Rw = np.conj(responses_f) * mu[None, None, :]
-    T1 = Fw.reshape(len(F), -1) @ E1.reshape(len(H), -1).T
-    T2 = Rw.reshape(len(F), -1) @ E2.reshape(len(H), -1).T
-    return T1 - T2
+def _delta_columns(sources):
+    """(profiles, components, owners) of the nonzero columns of dense sources
+    (m, N+1, D): column k is the time profile of sources[owners[k]] at
+    components[k]."""
+    sources = np.asarray(sources)
+    owners, comps = np.nonzero(np.any(sources != 0, axis=1))
+    return sources[owners, :, comps], comps, owners
 
 
 def _lag_tables(rows, profiles, n1):
@@ -444,54 +437,91 @@ def _lag_tables(rows, profiles, n1):
         yield inv(fwd(a, n=n) * spectra, n=n)[:, :n1]
 
 
+def _time_average_test_matrix(n1, n_half, dt):
+    """QJ as an (n1, n1) matrix: time_average_nodes followed by
+    pl_times_sampled_array, applied to 64 unit columns at a time.
+
+    Both rules act on each column alone, so the blocks give the same matrix
+    as one pass over the identity, without its n1 x n1 temporaries.
+    """
+    block = 64
+    qj = np.empty((n1, n1))
+    for start in range(0, n1, block):
+        unit = np.eye(n1, min(block, n1 - start), -start)
+        qj[:, start:start + unit.shape[1]] = timequad.pl_times_sampled_array(
+            timequad.time_average_nodes(unit, dt), n_half, dt)
+    return qj
+
+
+def _rows_by_profile(which, comps, d):
+    """Per distinct profile, the sorted components where it sits; and per
+    source, its position in the concatenation of those lists."""
+    keys, pos = np.unique(which * d + np.asarray(comps), return_inverse=True)
+    return np.split(keys % d, np.flatnonzero(np.diff(keys // d)) + 1), pos
+
+
 def _lag_pairing(wmap: WaveMapData, F, H, cf, ch):
     """blago_bilinear for delta sources, from the L distinct time profiles.
 
     The response of a delta source p at component c is column-wise
-    mu_c (K[:, :, c] * p) with K = folded_kernel(conv_a, conv_b, N+1), exact when
-    p[0] = 0.  Both terms of the identity are linear in time, so they move
-    onto the profiles: with w_l = (QJ)^T conj(f_l) (QJ the time average
-    followed by the pl_times_sampled_array rule) and e_l the J h test array
-    of h_l, the lag tables
+    mu_c (K[:, :, c] * p - B_up p[0]) with K = folded_kernel(conv_a, conv_b,
+    N+1) and B_up[j] = conv_b[j + 1] (B_up[N] = 0).  Both terms of the
+    identity are linear in time, so they move onto the profiles: with
+    w_l = (QJ)^T conj(f_l) (QJ the time average followed by the
+    pl_times_sampled_array rule) and e_l the J h test array of h_l, the lag
+    tables
         X[l, l', m] = sum_j w_l[j] h_l'[j - m]
         Y[l, l', m] = sum_j e_l[j] conj(f_l'[j - m])
-    give T1 = X @ K and T2 = Y @ conj(K), and the pairing of f_l at c with
-    h_l' at c' is mu_c mu_c' (T1[l, l', c, c'] - T2[l', l, c', c]).
+    give T1 = X @ K - h_l'[0] (w_l @ B_up) and
+    T2 = Y @ conj(K) - conj(f_l'[0]) (e_l @ conj(B_up)), and the pairing
+    of f_l at c with h_l' at c' is mu_c mu_c' (T1[l, l', c, c'] -
+    T2[l', l, c', c]).  Each table meets only the kernel rows of the
+    components where its profile sits.
     """
-    F, H = np.asarray(F), np.asarray(H)
-    if np.any(F[:, 0] != 0) or np.any(H[:, 0] != 0):
-        raise OperatorError("delta-source profiles must vanish at t = 0")
     grid = wmap.grid
     dt = grid.dt
     n1, n_half, d = len(grid), wmap.half_index, wmap.local.dim
     kept_f, lf = _distinct_rows(F)
     kept_h, lh = _distinct_rows(H)
     pf, ph = F[kept_f], H[kept_h]
-    # QJ applied to every unit series: its columns give w_l = (QJ)^T conj(f_l)
-    unit = np.eye(n1)
-    qj = timequad.pl_times_sampled_array(timequad.time_average_nodes(unit, dt), n_half, dt)
-    w = np.conj(pf) @ qj
+    rows_f, rf = _rows_by_profile(lf, cf, d)
+    rows_h, rh = _rows_by_profile(lh, ch, d)
+    w = np.conj(pf) @ _time_average_test_matrix(n1, n_half, dt)
     e = timequad.quadratic_times_sampled_array(*_jh_quadratic_coeffs(ph.T, dt, n_half),
                                                n1, dt).T
     kernel = np.ascontiguousarray(folded_kernel(wmap.conv_a, wmap.conv_b, n1),
-                                  dtype=np.complex128).reshape(n1, d * d)
-    kernel_re_im = kernel.view(np.float64)
+                                  dtype=np.complex128)
+    b_up = np.ascontiguousarray(wmap.conv_b[1:])
 
-    def times_kernel(lags):
-        # a real lag table meets the real and imaginary parts in one real product
-        if np.isrealobj(lags):
-            return (lags @ kernel_re_im).view(np.complex128)
-        return lags @ kernel
+    def on_rows(blocks, rows):
+        # (len(blocks), len(rows) d): a view, not a copy, when rows are all d rows
+        if len(rows) == d:
+            return blocks.reshape(len(blocks), d * d)
+        return blocks[:, rows, :].reshape(len(blocks), -1)
 
-    T1 = np.array([times_kernel(x) for x in _lag_tables(w, ph, n1)])
+    def paired(tables, tests, rows, starts):
+        # sum_m table[:, m] K[m] - starts (test[:N] @ B_up) per test row, on
+        # its kernel rows, concatenated along axis 1: (len(starts), sum |rows|, d)
+        out = []
+        for table, test, at in zip(tables, tests, rows):
+            k = on_rows(kernel, at)
+            # a real lag table meets the real and imaginary parts in one real product
+            if np.isrealobj(table):
+                prod = (table @ k.view(np.float64)).view(np.complex128)
+            else:
+                prod = table @ k
+            prod -= np.multiply.outer(starts, test[:-1] @ on_rows(b_up, at))
+            out.append(prod.reshape(len(starts), len(at), d))
+        return np.concatenate(out, axis=1)
+
+    T1 = paired(_lag_tables(w, ph, n1), w, rows_f, ph[:, 0])
     # Y @ conj(K) = conj(conj(Y) @ K)
-    T2 = np.array([times_kernel(np.conj(y)) for y in _lag_tables(e, np.conj(pf), n1)]).conj()
-    T1 = T1.reshape(len(pf), len(ph), d, d)
-    T2 = T2.reshape(len(ph), len(pf), d, d)
+    T2 = paired((np.conj(y) for y in _lag_tables(e, np.conj(pf), n1)), np.conj(e),
+                rows_h, pf[:, 0]).conj()
     mu = wmap.local.weights_flat()
-    lf, cf = lf[:, None], np.asarray(cf)[:, None]
-    lh, ch = lh[None, :], np.asarray(ch)[None, :]
-    return mu[cf] * mu[ch] * (T1[lf, lh, cf, ch] - T2[lh, lf, ch, cf])
+    lf, rf, cf = lf[:, None], rf[:, None], np.asarray(cf)[:, None]
+    lh, rh, ch = lh[None, :], rh[None, :], np.asarray(ch)[None, :]
+    return mu[cf] * mu[ch] * (T1[lh, rf, ch] - T2[lf, rh, cf])
 
 
 def blago_inner(wmap: WaveMapData, f, h):

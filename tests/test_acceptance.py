@@ -303,7 +303,8 @@ def test_acceptance_9_data_boundary(cycle64_wave):
     frac_ok = frac_keys == {"schema", "order", "local", "block", "kernel_block"}
     # the reconstruction module must not reference full-operator structures
     import fracbundle.reconstruction as recon_mod
-    src = open(recon_mod.__file__).read()
+    with open(recon_mod.__file__) as fh:
+        src = fh.read()
     forbidden = [
         "SpectralOperator", "HermitianBundle", "DiscreteManifold",
         "eigensections", "op.matrix", "assemble(", "duhamel_solve",

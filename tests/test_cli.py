@@ -179,6 +179,8 @@ FIELD_ERRORS = {
     "transmutation_times_not_list": ("options", "transmutation_times", 0.5),
     "chart_index_type": ("options", "chart", ["x"]),
     "chart_not_list": ("options", "chart", 3),
+    "chart_empty": ("options", "chart", []),
+    "chart_repeated_index": ("options", "chart", [5, 6, 6, 9]),
 }
 
 

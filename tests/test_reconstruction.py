@@ -209,6 +209,20 @@ def sweep_curves(eng, wmap, cfg, h, s):
     return exterior, _cut_time_curve(eng, x, y, s, cut_grid, eps)
 
 
+def test_probe_boxes_come_in_lead_order(cycle32_scene):
+    # the sweeps read a smaller box as a leading block of a larger one, with
+    # no sort: the family is lead-major and select returns ascending indices
+    m, b, op, U, wmap, cfg, h = cycle32_scene
+    eng = probe_engine(wmap, cfg)
+    assert np.all(np.diff(eng.family.lead) >= 0)
+    for x in range(wmap.local.size):
+        for radius in (cfg.delta + cfg.width, cfg.delta + eng.leads[len(eng.leads) // 2],
+                       cfg.delta + eng.leads[-1]):
+            idx = eng.box_indices(x, radius)
+            assert len(idx) > 0 and np.all(np.diff(idx) > 0)
+            assert np.all(np.diff(eng.family.lead[idx]) >= 0)
+
+
 def test_probe_engine_builds_no_probe_responses(cycle32_scene, monkeypatch):
     m, b, op, U, wmap, cfg, h = cycle32_scene
 

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracbundle import propagators, s2s
 from fracbundle.bundle import GaugeTransform, apply_gauge, build_bundle, l2_inner, pullback_bundle, pullback_section, cycle_rotation_iso
 from fracbundle.errors import DataBoundaryError, OperatorError
 from fracbundle.manifold import Region, build_manifold
 from fracbundle.operator import assemble, kernel_projector
-from fracbundle.propagators import TimeGrid, TimeSection, duhamel_solve, fractional_apply, heat_kernel_matrix, wave_kernel_matrix
+from fracbundle.propagators import TimeGrid, TimeSection, duhamel_solve, duhamel_states, fractional_apply, heat_kernel_matrix, wave_kernel_matrix
 from fracbundle.reconstruction import build_source_family
 from fracbundle.s2s import (
     FracMapData,
     WaveMapData,
+    _jh_quadratic_coeffs,
     blago_bilinear,
     blago_inner,
     frac_map_assemble,
@@ -22,7 +24,12 @@ from fracbundle.s2s import (
     wave_map_assemble,
 )
 from fracbundle.serialize import dumps, loads
-from fracbundle.timequad import time_average_linear, time_average_nodes
+from fracbundle.timequad import (
+    pl_times_sampled_array,
+    quadratic_times_sampled_array,
+    time_average_linear,
+    time_average_nodes,
+)
 
 
 def bump(times, center, width):
@@ -195,6 +202,31 @@ def probe_scene():
     return wmap, fam, dense
 
 
+def sampled_pairing(wmap, F, H):
+    """<F, QJ R_H> - <R_F, e_H> summed over full response series.
+
+    The pairing of dense sources (m, N+1, D) as the identity states it: the
+    F sources against the time average of the H responses, minus the F
+    responses against the exact piecewise-quadratic J h test arrays.  It is
+    the reference for both forms of blago_bilinear.
+    """
+    dt, n_half, n1 = wmap.grid.dt, wmap.half_index, len(wmap.grid)
+    mu = wmap.local.weights_flat()
+    responses_f, responses_h = wmap.respond(F), wmap.respond(H)
+    E1 = np.array([pl_times_sampled_array(time_average_nodes(r, dt), n_half, dt)
+                   for r in responses_h])
+    E2 = np.array([quadratic_times_sampled_array(*_jh_quadratic_coeffs(h, dt, n_half), n1, dt)
+                   for h in H])
+    T1 = np.einsum("fjx,x,hjx->fh", np.conj(F), mu, E1)
+    T2 = np.einsum("fjx,x,hjx->fh", np.conj(responses_f), mu, E2)
+    return T1 - T2
+
+
+def assert_pairs_like(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_delta_source_paths_match_dense(probe_scene):
     wmap, fam, dense = probe_scene
     comps = fam.components()
@@ -206,19 +238,47 @@ def test_delta_source_paths_match_dense(probe_scene):
     G_delta = blago_bilinear(wmap, fam.profiles, fam.profiles, components=(comps, comps))
     G_dense = blago_bilinear(wmap, dense, dense)
     assert np.max(np.abs(G_delta - G_dense)) <= 1e-12 * np.max(np.abs(G_dense))
+    assert_pairs_like(G_delta, sampled_pairing(wmap, dense, dense))
+
+
+def test_blago_bilinear_has_one_path(probe_scene, monkeypatch):
+    # both forms pair lag tables of delta columns and build no response
+    # series; a profile need not vanish at t = 0
+    wmap, fam, dense = probe_scene
+    comps = fam.components()[:6]
+    profiles = fam.profiles[:6].copy()
+    profiles[2, 0] = 0.5
+    sources = dense[:6].copy()
+    sources[2, 0, comps[2]] = 0.5
+    want = sampled_pairing(wmap, sources, sources)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pairing must not build response series")
+
+    monkeypatch.setattr(WaveMapData, "respond", forbidden)
+    monkeypatch.setattr(propagators, "mode_convolve", forbidden)
+    monkeypatch.setattr(s2s, "mode_convolve", forbidden)
+    assert_pairs_like(blago_bilinear(wmap, profiles, profiles, components=(comps, comps)), want)
+    assert_pairs_like(blago_bilinear(wmap, sources, sources), want)
 
 
 def delta_family(rng, wmap, count, n_profiles, complex_amplitudes):
-    """count delta probes over n_profiles bumps in (0, T) at random components.
+    """count delta probes over n_profiles bumps at random components.
 
-    Members repeat profiles (and sometimes components); with complex
-    amplitudes each profile carries a random complex factor.
+    The first profile is a bump cut off by t = 0, so it starts nonzero; the
+    others lie in (0, T).  Members repeat profiles (and sometimes
+    components); with complex amplitudes each profile carries a random
+    complex factor.
     """
     times, T = wmap.grid.times, wmap.horizon
     profiles = []
-    for _ in range(n_profiles):
+    for k in range(n_profiles):
         width = rng.uniform(0.3, 0.6 * T)
-        prof = bump(times, rng.uniform(width / 2 + 1e-3, T - width / 2), width)
+        if k == 0:
+            center = rng.uniform(0.1, 0.4) * width
+        else:
+            center = rng.uniform(width / 2 + 1e-3, T - width / 2)
+        prof = bump(times, center, width)
         if complex_amplitudes:
             prof = prof * (rng.standard_normal() + 1j * rng.standard_normal())
         profiles.append(prof)
@@ -230,12 +290,33 @@ def delta_family(rng, wmap, count, n_profiles, complex_amplitudes):
     return sources, comps, dense
 
 
+def dense_sources(rng, wmap, complex_amplitudes):
+    """Four dense sources: three bumps at random columns, a bump times a
+    section over every column, noise over every sample (nonzero at t = 0),
+    and zero."""
+    times, T, d = wmap.grid.times, wmap.horizon, wmap.local.dim
+    shape = (len(times), d)
+
+    def amplitude(*size):
+        a = rng.standard_normal(size)
+        return a + 1j * rng.standard_normal(size) if complex_amplitudes else a
+
+    out = np.zeros((4,) + shape, dtype=complex if complex_amplitudes else float)
+    for _ in range(3):
+        width = rng.uniform(0.3, 0.6 * T)
+        out[0, :, rng.integers(0, d)] += amplitude() * bump(
+            times, rng.uniform(width / 2, T - width / 2), width)
+    out[1] = np.outer(bump(times, 0.5 * T, 0.5 * T), amplitude(d))
+    out[2] = amplitude(*shape)
+    return out
+
+
 @settings(max_examples=25, deadline=None)
 @given(torus=st.booleans(), rank=st.integers(1, 2), complex_f=st.booleans(),
        complex_h=st.booleans(), seed=st.integers(0, 2**31 - 1))
 def test_lag_pairing_matches_dense_sources(torus, rank, complex_f, complex_h, seed):
-    # the components= pairing runs on lag tables of the distinct profiles;
-    # the dense path pairs full response series of the same sources
+    # both forms of blago_bilinear against the pairing summed over full
+    # response series of the same sources
     rng = np.random.default_rng(seed)
     if torus:
         m = build_manifold({"kind": "torus_grid", "counts": [4, 3], "lengths": [2.0, 1.5]})
@@ -247,25 +328,18 @@ def test_lag_pairing_matches_dense_sources(torus, rank, complex_f, complex_h, se
         U = arc_region(m, int(rng.integers(0, n)), int(rng.integers(2, n + 1)))
     b = build_bundle(m, rank, connection="random", potential="random_positive", seed=seed)
     wmap = wave_map_assemble(assemble(b), U, TimeGrid(4.0, 128))
-    F, cf, dense_f = delta_family(rng, wmap, int(rng.integers(1, 9)), int(rng.integers(1, 4)),
+    F, cf, delta_f = delta_family(rng, wmap, int(rng.integers(1, 9)), int(rng.integers(1, 4)),
                                   complex_f)
-    H, ch, dense_h = delta_family(rng, wmap, int(rng.integers(1, 9)), int(rng.integers(1, 4)),
+    H, ch, delta_h = delta_family(rng, wmap, int(rng.integers(1, 9)), int(rng.integers(1, 4)),
                                   complex_h)
-    G_lag = blago_bilinear(wmap, F, H, components=(cf, ch))
-    G_dense = blago_bilinear(wmap, dense_f, dense_h)
-    assert G_lag.shape == (len(F), len(H))
-    assert np.max(np.abs(G_lag - G_dense)) <= 1e-12 * np.max(np.abs(G_dense))
-
-
-def test_lag_pairing_rejects_profiles_nonzero_at_start(probe_scene):
-    # the lag form drops the B_up[j] f[0] term, so a profile must vanish at t = 0
-    wmap, fam, dense = probe_scene
-    comps = fam.components()
-    for side in (0, 1):
-        profiles = [fam.profiles[:4].copy(), fam.profiles[:4].copy()]
-        profiles[side][2, 0] = 0.5
-        with pytest.raises(OperatorError, match="vanish at t = 0"):
-            blago_bilinear(wmap, *profiles, components=(comps[:4], comps[:4]))
+    assert_pairs_like(blago_bilinear(wmap, F, H, components=(cf, ch)),
+                      sampled_pairing(wmap, delta_f, delta_h))
+    dense_f = np.concatenate([delta_f, dense_sources(rng, wmap, complex_f)])
+    dense_h = np.concatenate([dense_sources(rng, wmap, complex_h), delta_h])
+    G = blago_bilinear(wmap, dense_f, dense_h)
+    assert_pairs_like(G, sampled_pairing(wmap, dense_f, dense_h))
+    # the zero source is the last F source and the fourth H source
+    assert np.all(G[-1] == 0) and np.all(G[:, 3] == 0)
 
 
 def test_respond_rows_match_full_series(probe_scene):
@@ -341,11 +415,7 @@ def test_time_average_vanishes_at_horizon():
 # -- the inner-product identity ----------------------------------------------
 
 def direct_pairings(op, grid, sources):
-    n_half = grid.n_steps // 2
-    states = []
-    for f in sources:
-        w = duhamel_solve(op, f)
-        states.append(w.values[n_half])
+    states = [w[0] for w in duhamel_states(op, sources, [grid.n_steps // 2])]
     G = np.empty((len(states), len(states)), dtype=complex)
     for i, si in enumerate(states):
         for j, sj in enumerate(states):
@@ -366,9 +436,15 @@ def test_blago_matches_direct(wave_scene):
             amp = rng.standard_normal() + 1j * rng.standard_normal()
             vals[:, v, 0] += amp * bump(grid.times, c, w)
         sources.append(TimeSection(grid, vals))
+    # a section over every region vertex times one bump
+    vals = np.zeros((len(grid), m.num_vertices, 1), dtype=complex)
+    vals[:, list(U.vertices), 0] = np.outer(bump(grid.times, 1.0, 0.8),
+                                            rng.standard_normal(len(U)) + 1j * rng.standard_normal(len(U)))
+    sources.append(TimeSection(grid, vals))
     G_direct = direct_pairings(op, grid, sources)
     G_engine = gram_matrix(wmap, sources)
     scale = np.max(np.abs(G_direct))
+    # within the default verify_blago tolerance
     assert np.max(np.abs(G_engine - G_direct)) < 1e-6 * scale
 
 
