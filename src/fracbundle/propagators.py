@@ -72,14 +72,15 @@ def heat_apply(op: SpectralOperator, t, u):
     return apply_function(op, lambda lam: np.exp(-t * lam), u)
 
 
-def heat_kernel_matrix(op: SpectralOperator, t):
-    """Spectral heat kernel matrix: sum_k e^{-t lam_k} V_k V_k^*.
+def heat_kernel_matrix(op: SpectralOperator, t, idx):
+    """Block K(t)[idx, idx] of the spectral heat kernel sum_k e^{-t lam_k} V_k V_k^*.
 
-    Acts on sections through the volume weights: (e^{-tP} u)(x) =
-    sum_y mu_y K(t; x, y) u(y).
+    idx are flat (vertex * rank + fiber) indices; np.arange(op.dim) gives
+    the whole matrix.  Acts on sections through the volume weights:
+    (e^{-tP} u)(x) = sum_y mu_y K(t; x, y) u(y).
     """
     w = np.exp(-t * op.eigenvalues)
-    V = op.eigensections
+    V = op.eigensections[np.asarray(idx, dtype=np.int64)]
     return (V * w[None, :]) @ V.conj().T
 
 

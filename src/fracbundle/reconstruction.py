@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import ReconstructionError
 from .s2s import WaveMapData, blago_bilinear
@@ -142,16 +143,22 @@ def prefix_residuals(gram, span_idx, target_idx, reg):
     span_idx[:k] is the sum of |Y|^2 over the first k rows.  The bordered
     matrix is a Gram plus reg I, hence positive definite even when targets
     repeat span members.
+
+    The bordered matrix is gathered with one flat-index take and factored
+    in place by LAPACK potrf on its transpose, the Fortran-ordered view of
+    the same memory.  For a Hermitian matrix that view is its conjugate,
+    whose factor is conj(L), so |Y|^2 is unchanged.
     """
     s = np.asarray(span_idx, dtype=np.int64)
     t = np.asarray(target_idx, dtype=np.int64)
     idx = np.concatenate([s, t])
-    M = gram[np.ix_(idx, idx)]
+    M = np.take(gram, idx[:, None] * gram.shape[1] + idx)
     M[np.diag_indices(len(idx))] += reg
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise ReconstructionError(f"containment Gram is not positive definite ({exc})") from exc
+    potrf = lapack.zpotrf if np.iscomplexobj(M) else lapack.dpotrf
+    L, info = potrf(M.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise ReconstructionError(
+            f"containment Gram is not positive definite (potrf info {info})")
     ns = len(s)
     proj = np.zeros((ns + 1, len(t)))
     np.cumsum(np.abs(L[ns:, :ns].T) ** 2, axis=0, out=proj[1:])
@@ -163,7 +170,6 @@ class ProbeEngine:
     """Master probe family plus its Gram for containment sweeps."""
 
     def __init__(self, wmap: WaveMapData, cfg: ProbeConfig):
-        self.wmap = wmap
         self.cfg = cfg
         max_lead = wmap.horizon - 8 * wmap.grid.dt
         n_leads = int(np.floor((max_lead - cfg.width) / cfg.lead_step)) + 1
@@ -181,6 +187,13 @@ class ProbeEngine:
         # sweeps share prefix factors across spans, so the ridge cannot
         # depend on the span: one value for the whole family
         self.reg = RIDGE_FACTOR * np.trace(self.gram).real / len(self.family)
+        # per region vertex, its delta ball's probes in lead order and their
+        # leads: every box around that vertex is a leading slice
+        self.balls = []
+        for c in range(wmap.local.size):
+            idx = self.family.select(wmap.local.local_ball(c, cfg.delta), leads[-1])
+            idx.setflags(write=False)
+            self.balls.append((idx, self.family.lead[idx]))
 
     # probe selection ------------------------------------------------------
     def box_indices(self, center_local, radius_limit):
@@ -189,10 +202,12 @@ class ProbeEngine:
 
         The indices come in lead order: the family is lead-major over
         ascending leads and select returns ascending indices, so a smaller
-        box is a leading block of a larger one.
+        box is a leading block of a larger one.  A box is a read-only slice
+        of the center's ball table, cut where select's lead <= budget + 1e-12
+        would cut it.
         """
-        verts = self.wmap.local.local_ball(center_local, self.cfg.delta)
-        return self.family.select(vertices=verts, max_lead=radius_limit - self.cfg.delta)
+        idx, leads = self.balls[center_local]
+        return idx[:np.searchsorted(leads, radius_limit - self.cfg.delta + 1e-12, "right")]
 
     def box_sizes(self, ordered_idx, radius_limits):
         """How many of the lead-ordered probes the box at each radius limit keeps.
@@ -370,7 +385,9 @@ def _exterior_curve(eng, x_span, t_idx, z, r_grid):
     the largest one.
     """
     z_box = eng.box_indices(z, r_grid[-1])
-    z_new = z_box[~np.isin(z_box, x_span)]
+    in_x = np.zeros(len(eng.family), dtype=bool)
+    in_x[x_span] = True
+    z_new = z_box[~in_x[z_box]]
     res = prefix_residuals(eng.gram, np.concatenate([x_span, z_new]), t_idx, eng.reg)
     return np.max(res[len(x_span) + eng.box_sizes(z_new, r_grid)], axis=1)
 

@@ -123,11 +123,13 @@ def test_heat_positivity_surrogate():
 def test_heat_kernel_monotone_decay_on_cycle():
     op = cycle_op(16, 16.0)
     t = 0.25
-    K = heat_kernel_matrix(op, t)
+    K = heat_kernel_matrix(op, t, np.arange(op.dim))
     row = np.abs(K[0, :])
     # distance on the cycle increases 0,1,...,8 then decreases; kernel follows
     assert np.all(np.diff(row[:9]) < 0)
     assert np.allclose(row[1:], row[:0:-1], rtol=1e-10)  # symmetry around the seed
+    idx = np.array([5, 0, 11, 3])  # a block in any order is that block of the full matrix
+    assert np.max(np.abs(heat_kernel_matrix(op, t, idx) - K[np.ix_(idx, idx)])) <= 1e-15
 
 
 # -- wave kernel and Duhamel ------------------------------------------------

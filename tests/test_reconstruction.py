@@ -178,23 +178,37 @@ def _direct_residual(gram, target_idx, span_idx, reg):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_prefix_residuals_match_per_prefix_solves(data):
+    # real and complex Grams; the factor works in place on a gathered copy,
+    # so the Gram itself must come back untouched
     m = data.draw(st.integers(2, 9), label="family size")
     k = data.draw(st.integers(1, m + 2), label="Gram rank bound")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    A = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+    A = rng.standard_normal((k, m))
+    if data.draw(st.booleans(), label="complex"):
+        A = A + 1j * rng.standard_normal((k, m))
     G = A.conj().T @ A
+    G_in = G.copy()
     reg = data.draw(st.floats(1e-3, 1e-1), label="reg factor") * np.trace(G).real / m
     order = data.draw(st.permutations(range(m)), label="span order")
     span = np.asarray(order[:data.draw(st.integers(0, m), label="span size")], dtype=np.int64)
     targets = np.asarray(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m,
                                             unique=True), label="targets"), dtype=np.int64)
     res = prefix_residuals(G, span, targets, reg)
+    assert np.array_equal(G, G_in)
     assert res.shape == (len(span) + 1, len(targets))
     direct = np.array([_direct_residual(G, targets, span[:j], reg)
                        for j in range(len(span) + 1)])
     assert np.max(np.abs(res - direct)) <= 1e-10
     assert np.all((res >= 0.0) & (res <= 1.0))
     assert np.all(np.diff(res, axis=0) <= 0.0)  # a longer prefix never projects less
+    # shifted down by more than reg plus the trace (which bounds every
+    # eigenvalue), every bordered matrix is negative definite
+    shift = reg + data.draw(st.floats(1.01, 4.0), label="shift factor") * np.trace(G).real
+    G_ind = G - shift * np.eye(m)
+    G_ind_in = G_ind.copy()
+    with pytest.raises(ReconstructionError, match="not positive definite"):
+        prefix_residuals(G_ind, span, targets, reg)
+    assert np.array_equal(G_ind, G_ind_in)
 
 
 def sweep_curves(eng, wmap, cfg, h, s):
@@ -209,18 +223,36 @@ def sweep_curves(eng, wmap, cfg, h, s):
     return exterior, _cut_time_curve(eng, x, y, s, cut_grid, eps)
 
 
-def test_probe_boxes_come_in_lead_order(cycle32_scene):
-    # the sweeps read a smaller box as a leading block of a larger one, with
-    # no sort: the family is lead-major and select returns ascending indices
+@pytest.fixture(scope="module")
+def gauged_cycle32(cycle32_scene):
+    """The cycle32 map data under a random gauge: complex map data and Gram."""
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    eng = probe_engine(wmap, cfg)
-    assert np.all(np.diff(eng.family.lead) >= 0)
-    for x in range(wmap.local.size):
-        for radius in (cfg.delta + cfg.width, cfg.delta + eng.leads[len(eng.leads) // 2],
-                       cfg.delta + eng.leads[-1]):
-            idx = eng.box_indices(x, radius)
-            assert len(idx) > 0 and np.all(np.diff(idx) > 0)
-            assert np.all(np.diff(eng.family.lead[idx]) >= 0)
+    gauge = GaugeTransform.random(np.random.default_rng(17), m.num_vertices, 1)
+    return wave_map_assemble(assemble(apply_gauge(b, gauge)), U, wmap.grid)
+
+
+def test_probe_boxes_come_in_lead_order(cycle32_scene, gauged_cycle32):
+    # the sweeps read a smaller box as a leading block of a larger one, with
+    # no sort: the family is lead-major and select returns ascending indices.
+    # A box is a slice of its center's ball table, cut exactly where select
+    # cuts, also at radii on a lead and within 1e-13 of it
+    m, b, op, U, wmap, cfg, h = cycle32_scene
+    for data in (wmap, gauged_cycle32):
+        eng = probe_engine(data, cfg)
+        fam = eng.family
+        assert np.all(np.diff(fam.lead) >= 0)
+        for x in range(data.local.size):
+            ball = data.local.local_ball(x, cfg.delta)
+            for radius in (cfg.delta + cfg.width, cfg.delta + eng.leads[len(eng.leads) // 2],
+                           cfg.delta + eng.leads[-1]):
+                idx = eng.box_indices(x, radius)
+                assert len(idx) > 0 and np.all(np.diff(idx) > 0)
+                assert np.all(np.diff(fam.lead[idx]) >= 0)
+            for lead in eng.leads:
+                for radius in (cfg.delta + lead - 1e-13, cfg.delta + lead, cfg.delta + lead + 1e-13):
+                    assert np.array_equal(eng.box_indices(x, radius),
+                                          fam.select(ball, radius - cfg.delta))
+    assert probe_engine(gauged_cycle32, cfg).gram.dtype == np.complex128
 
 
 def test_probe_engine_builds_no_probe_responses(cycle32_scene, monkeypatch):
@@ -236,15 +268,14 @@ def test_probe_engine_builds_no_probe_responses(cycle32_scene, monkeypatch):
     assert eng.gram.shape == (len(eng.family), len(eng.family))
 
 
-def test_probe_engine_gram_real_exactly_when_data_real(cycle32_scene):
+def test_probe_engine_gram_real_exactly_when_data_real(cycle32_scene, gauged_cycle32):
     # the trivial bundle gives exactly real map data and a float64 Gram; a
     # random gauge makes the data complex, and the complex engine must give
     # the same sweeps (the gauge is a diagonal unitary congruence of the Gram)
     m, b, op, U, wmap, cfg, h = cycle32_scene
     eng = probe_engine(wmap, cfg)
     assert eng.gram.dtype == np.float64
-    gauge = GaugeTransform.random(np.random.default_rng(17), m.num_vertices, 1)
-    wmap_g = wave_map_assemble(assemble(apply_gauge(b, gauge)), U, wmap.grid)
+    wmap_g = gauged_cycle32
     eng_g = probe_engine(wmap_g, cfg)
     assert eng_g.gram.dtype == np.complex128 and np.any(eng_g.gram.imag)
     s = first_arrival_distance(wmap, 4, 5, cfg.eta)
@@ -254,26 +285,40 @@ def test_probe_engine_gram_real_exactly_when_data_real(cycle32_scene):
     assert np.min(real) < 0.05 < np.max(real)  # the cut-time sweep crosses the verdict scale
 
 
-def test_sweep_curves_match_sorted_union_spans(cycle32_scene):
+def test_sweep_curves_match_sorted_union_spans(cycle32_scene, monkeypatch):
     # the prefix curves of both sweeps against one factorization per radius
     # over the sorted-union spans, at the engine ridge.  These span Grams
     # have condition ~3e9, so two orderings of the same factorization differ
     # by up to ~1e-9 in double precision; a prefix-count error moves the
     # curve by 1e-6 or more.
+    import fracbundle.reconstruction as recon
+
     m, b, op, U, wmap, cfg, h = cycle32_scene
     eng = probe_engine(wmap, cfg)
     eps = _shell_width(wmap)
-    x, y, z = 4, 5, 0
+    x, y = 4, 5
     s = first_arrival_distance(wmap, x, y, cfg.eta)
     r_prime = 8 * h
     r_grid = np.arange(cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
     t_idx = eng.box_indices(y, r_prime - s + eps)
     x_span = eng.box_indices(x, r_prime)
-    curve = _exterior_curve(eng, x_span, t_idx, z, r_grid)
-    direct = [np.max(_direct_residual(
-        eng.gram, t_idx, sorted(set(x_span) | set(eng.box_indices(z, r))), eng.reg))
-        for r in r_grid]
-    assert np.max(np.abs(curve - direct)) <= 1e-8
+    spans = []
+
+    def recorded(gram, span_idx, target_idx, reg):
+        spans.append(np.asarray(span_idx))
+        return prefix_residuals(gram, span_idx, target_idx, reg)
+
+    monkeypatch.setattr(recon, "prefix_residuals", recorded)
+    for z in (0, 5):  # the z ball misses, then overlaps, the x ball
+        curve = _exterior_curve(eng, x_span, t_idx, z, r_grid)
+        # the span is the x box, then the z box members not already in it:
+        # a repeated member would only shift the curve at the ridge's scale
+        assert np.array_equal(spans[-1][:len(x_span)], x_span)
+        assert len(np.unique(spans[-1])) == len(spans[-1]) > len(x_span)
+        direct = [np.max(_direct_residual(
+            eng.gram, t_idx, sorted(set(x_span) | set(eng.box_indices(z, r))), eng.reg))
+            for r in r_grid]
+        assert np.max(np.abs(curve - direct)) <= 1e-8
 
     cut_grid = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
     curve = _cut_time_curve(eng, x, y, s, cut_grid, eps)
@@ -364,6 +409,39 @@ def test_distance_family_small_scene(cycle32_scene):
     for prof in fam.profiles:
         dev = np.abs(prof[:, None] - prof[None, :]) - wmap.local.distances
         assert np.max(dev) <= 0.35 * np.max(wmap.local.distances) + 0.35 * h + 1e-9
+
+
+def test_distance_family_factors_once_per_sweep(cycle32_scene, monkeypatch):
+    # every cut-time and exterior sweep is one in-place LAPACK factorization,
+    # and the sweeps never go through numpy.linalg.cholesky
+    from scipy.linalg import lapack
+
+    import fracbundle.reconstruction as recon
+
+    m, b, op, U, wmap, cfg, h = cycle32_scene
+    probe_engine(wmap, cfg)  # the engine build is not a sweep
+    calls = {"potrf": 0, "exterior_distance": 0, "cut_time_estimate": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sweeps must not call numpy.linalg.cholesky")
+
+    for name in ("dpotrf", "zpotrf"):
+        monkeypatch.setattr(lapack, name, counted("potrf", getattr(lapack, name)))
+    for name in ("exterior_distance", "cut_time_estimate"):
+        monkeypatch.setattr(recon, name, counted(name, getattr(recon, name)))
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    rays = [RayPlan(x=4, y=5, r_values=tuple(np.arange(2 * h, 10.5 * h, h)))]
+    fam = distance_family(wmap, rays, cfg)
+    assert len(fam) > wmap.local.size  # the ray produced exterior profiles
+    sweeps = calls["exterior_distance"] + calls["cut_time_estimate"]
+    assert calls["cut_time_estimate"] == 1 and calls["exterior_distance"] > 0
+    assert calls["potrf"] == sweeps
 
 
 def test_distance_family_whole_manifold_region():
