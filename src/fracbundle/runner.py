@@ -592,10 +592,10 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
                 tolerances=_to_native(checks),
                 tables=tables,
             ))
-        except (FracBundleError, np.linalg.LinAlgError) as exc:
+        except (FracBundleError, np.linalg.LinAlgError, MemoryError) as exc:
             results.append(TaskResult(
                 name=name, status="error", elapsed_s=time.perf_counter() - t0,
-                message=str(exc)))
+                message=str(exc) or type(exc).__name__))
     if limiter is not None:
         limiter.unregister()
     echo = {

@@ -9,9 +9,9 @@ off-region bundle.
 The wave data stores raw kernel samples K(t; x, y) together with the
 closed-form convolution weights that reproduce the Duhamel solve exactly
 for piecewise-linear-in-time sources, so applying the map to source data
-is not a quadrature.  The remaining time integrals in the inner-product
-identity (the time averaging and the outer pairing) run through the
-high-order sampled-series rules in timequad.
+is not a quadrature.  The time averaging in the inner-product identity is
+exact too (J h and its adjoint J* f are known piecewise quadratics); only
+the outer pairing against sampled responses runs through timequad's rule.
 """
 
 from __future__ import annotations
@@ -374,19 +374,30 @@ def wave_map_assemble(op: SpectralOperator, region: Region, grid: TimeGrid) -> W
 # ---------------------------------------------------------------------------
 # the inner-product engine
 
-def _jh_quadratic_coeffs(h, dt, n_half):
-    """Exact local quadratic data of J h for piecewise-linear nodal h.
+def _prefix_quadratics(p, dt):
+    """Half the trapezoid prefix P of piecewise-linear nodal p (time on axis 0)
+    on each of the N intervals, read forwards, P(t_i + u dt) / 2, and
+    backwards, P(t_{N-i} - u dt) / 2, as c0 + (c1 u + c2 u^2) dt: dt stays
+    off c1 and c2 so that a difference of the two rounds once."""
+    pre = np.zeros_like(p)
+    np.cumsum(0.5 * dt * (p[1:] + p[:-1]), axis=0, out=pre[1:])
+    half, value, slope = 0.5 * pre, 0.5 * p, 0.25 * (p[1:] - p[:-1])
+    return (half[:-1], value[:-1], slope), (half[:0:-1], -value[:0:-1], slope[::-1])
 
-    Returns (c0, c1, c2) on the first n_half intervals with
-    (J h)(t_i + u dt) = c0[i] + c1[i] u + c2[i] u^2.
-    """
-    jh = timequad.time_average_linear(h, dt)
-    vj = jh[:n_half]
-    dj = -0.5 * (h[:n_half] + h[::-1][:n_half])
-    slopes = h[1:] - h[:-1]
-    mirrored = slopes[::-1][:n_half]
-    cj = -0.5 * (slopes[:n_half] - mirrored)
-    return vj, dj * dt, 0.5 * cj * dt
+
+def _jh_quadratic_coeffs(h, dt, n_half):
+    """(c0, c1, c2) with (J h)(t_i + u dt) = c0[i] + c1[i] u + c2[i] u^2 on the
+    first n_half intervals: (J h)(t) = (P(2T - t) - P(t)) / 2."""
+    fwd, bwd = _prefix_quadratics(h, dt)
+    return tuple(s * (b[:n_half] - a[:n_half]) for s, a, b in zip((1, dt, dt), fwd, bwd))
+
+
+def _jstar_quadratic_coeffs(f, dt, n_half):
+    """(c0, c1, c2) of (J* f)(s) = F(min(s, 2T - s)) / 2 on all N intervals,
+    the adjoint of the time average: int_0^T <f, J R> = int_0^2T <J* f, R>."""
+    fwd, bwd = _prefix_quadratics(f, dt)
+    return tuple(s * np.concatenate([a[:n_half], b[n_half:]])
+                 for s, a, b in zip((1, dt, dt), fwd, bwd))
 
 
 def blago_bilinear(wmap: WaveMapData, F, H, components=None):
@@ -397,8 +408,8 @@ def blago_bilinear(wmap: WaveMapData, F, H, components=None):
     profiles of delta sources at the flat components cf and ch.  Uses the
     identity
         <w^f(T), w^h(T)> = int_0^T [ <f, J L h> - <L f, J h> ] dt
-    with the map responses exact for piecewise-linear sources and the
-    remaining time integrals by the high-order sampled rules.  A dense
+    with the map responses and the time averages exact for piecewise-linear
+    sources and the outer time integral by the high-order sampled rule.  A dense
     source is the sum of its nonzero columns: each column pairs as a delta
     source and the pairings add up per source.
     """
@@ -437,22 +448,6 @@ def _lag_tables(rows, profiles, n1):
         yield inv(fwd(a, n=n) * spectra, n=n)[:, :n1]
 
 
-def _time_average_test_matrix(n1, n_half, dt):
-    """QJ as an (n1, n1) matrix: time_average_nodes followed by
-    pl_times_sampled_array, applied to 64 unit columns at a time.
-
-    Both rules act on each column alone, so the blocks give the same matrix
-    as one pass over the identity, without its n1 x n1 temporaries.
-    """
-    block = 64
-    qj = np.empty((n1, n1))
-    for start in range(0, n1, block):
-        unit = np.eye(n1, min(block, n1 - start), -start)
-        qj[:, start:start + unit.shape[1]] = timequad.pl_times_sampled_array(
-            timequad.time_average_nodes(unit, dt), n_half, dt)
-    return qj
-
-
 def _rows_by_profile(which, comps, d):
     """Per distinct profile, the sorted components where it sits; and per
     source, its position in the concatenation of those lists."""
@@ -467,9 +462,8 @@ def _lag_pairing(wmap: WaveMapData, F, H, cf, ch):
     mu_c (K[:, :, c] * p - B_up p[0]) with K = folded_kernel(conv_a, conv_b,
     N+1) and B_up[j] = conv_b[j + 1] (B_up[N] = 0).  Both terms of the
     identity are linear in time, so they move onto the profiles: with
-    w_l = (QJ)^T conj(f_l) (QJ the time average followed by the
-    pl_times_sampled_array rule) and e_l the J h test array of h_l, the lag
-    tables
+    w_l = conj(the J* f test array of f_l) and e_l the J h test array of
+    h_l, both by the quadratic_times_sampled_array rule, the lag tables
         X[l, l', m] = sum_j w_l[j] h_l'[j - m]
         Y[l, l', m] = sum_j e_l[j] conj(f_l'[j - m])
     give T1 = X @ K - h_l'[0] (w_l @ B_up) and
@@ -486,7 +480,8 @@ def _lag_pairing(wmap: WaveMapData, F, H, cf, ch):
     pf, ph = F[kept_f], H[kept_h]
     rows_f, rf = _rows_by_profile(lf, cf, d)
     rows_h, rh = _rows_by_profile(lh, ch, d)
-    w = np.conj(pf) @ _time_average_test_matrix(n1, n_half, dt)
+    w = np.conj(timequad.quadratic_times_sampled_array(
+        *_jstar_quadratic_coeffs(pf.T, dt, n_half), n1, dt).T)
     e = timequad.quadratic_times_sampled_array(*_jh_quadratic_coeffs(ph.T, dt, n_half),
                                                n1, dt).T
     kernel = np.ascontiguousarray(folded_kernel(wmap.conv_a, wmap.conv_b, n1),

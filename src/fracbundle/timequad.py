@@ -6,7 +6,10 @@ series are integrated to O(dt^6) and composite operations built from these
 rules stay high order.  Products with exactly known piecewise-linear or
 piecewise-quadratic factors integrate the known factor exactly against the
 interpolant, which keeps the accuracy when the known factor has kinks at
-the nodes.
+the nodes.  The package pairs only through quadratic_times_sampled_array;
+interval_integrals, prefix_integrals, time_average_nodes, time_average_linear
+and pl_times_sampled_array stay as the tests' references for the sampled time
+average, and perfbench/spans.py wraps them by name.
 """
 
 from __future__ import annotations

@@ -3,14 +3,17 @@
 import csv
 import json
 import os
+import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fracbundle
 from fracbundle.cli import main
 from fracbundle.config import parse_config
 from fracbundle.errors import ConfigError
@@ -258,6 +261,36 @@ def test_linalg_error_is_recorded_per_task(monkeypatch):
     rep = run_experiment(parse_config(BASE_CONFIG))
     assert [t.status for t in rep.tasks] == ["error", "pass"]
     assert "positive definite" in rep.tasks[0].message
+
+
+def test_cli_out_of_memory_is_a_task_error(tmp_path):
+    # a 1e-9 lead step asks the probe engine for a lead ladder of about 30 GiB.
+    # The run goes in a child whose address space is capped at 3 GB, so the
+    # allocation fails there: the probe task is an error with the allocation
+    # message, and the task that passed before it is still in the report
+    if not sys.platform.startswith("linux"):
+        pytest.skip("RLIMIT_AS caps the address space only on Linux")
+    import resource
+    cap = 3 << 30
+
+    def cap_address_space():  # runs in the child only, before exec
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    cfg_path = write_config(tmp_path, tasks=["verify_spectral", "reconstruct_distances"],
+                            options={"probe_lead_step": 1e-9})
+    src = str(Path(fracbundle.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracbundle.cli", "run", cfg_path, "--out", str(tmp_path / "out")],
+        env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    status = {t["name"]: (t["status"], t["message"]) for t in payload["tasks"]}
+    assert status["verify_spectral"][0] == "pass"
+    assert status["reconstruct_distances"][0] == "error"
+    assert "allocate" in status["reconstruct_distances"][1]
+    assert "reconstruct_distances: error" in proc.stdout
 
 
 def test_cli_env_var_output_dir(tmp_path, monkeypatch):

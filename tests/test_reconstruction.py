@@ -1,11 +1,15 @@
 """Inverse pipeline: containments, distances, frames, operator recovery."""
 
+import ast
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracbundle import propagators, s2s
+from fracbundle import propagators, reconstruction, s2s
 from fracbundle.bundle import GaugeTransform, apply_gauge, build_bundle
 from fracbundle.errors import ReconstructionError
 from fracbundle.manifold import Region, build_manifold, shortest_distances
@@ -23,6 +27,7 @@ from fracbundle.reconstruction import (
     cut_time_estimate,
     distance_family,
     exterior_distance,
+    family_gram,
     first_arrival_distance,
     first_arrival_matrix,
     gauge_invariant_compare,
@@ -86,6 +91,35 @@ def engine_residuals(wmap, targets, spans):
     reg = RIDGE_FACTOR * np.trace(G).real / len(G)
     nt = len(targets)
     return prefix_residuals(G, np.arange(nt, len(G)), np.arange(nt), reg), G, reg
+
+
+def package_imports(path):
+    """Modules of the fracbundle package that a source file imports, at any
+    depth and in any import form."""
+    names = []
+    for node in ast.walk(ast.parse(Path(path).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "fracbundle" if node.level else ""
+            base = ".".join(filter(None, (base, node.module)))
+            names += [f"{base}.{a.name}" for a in node.names]
+    parts = [name.split(".") for name in names]
+    return {p[1] if len(p) > 1 else p[0] for p in parts if p[0] == "fracbundle"}
+
+
+def test_reconstruction_reads_only_map_data_modules(tmp_path):
+    # the data boundary: the inverse pipeline sees the map data (s2s), the
+    # errors and the time rules, never the operator, bundle or solvers
+    allowed = {"s2s", "errors", "timequad"}
+    assert package_imports(reconstruction.__file__) <= allowed
+    leaky = tmp_path / "leaky.py"
+    for line, name in (("from .operator import assemble", "operator"),
+                       ("from . import propagators", "propagators"),
+                       ("def f():\n    from fracbundle.bundle import build_bundle", "bundle"),
+                       ("import fracbundle.manifold as mf", "manifold")):
+        leaky.write_text(line + "\n", encoding="utf-8")
+        assert package_imports(leaky) == {name}
 
 
 def test_projection_residual_self_and_empty(cycle32_scene):
@@ -266,6 +300,23 @@ def test_probe_engine_builds_no_probe_responses(cycle32_scene, monkeypatch):
     monkeypatch.setattr(s2s, "mode_convolve", forbidden)
     eng = ProbeEngine(wmap, cfg)  # a fresh engine, not the one cached on wmap
     assert eng.gram.shape == (len(eng.family), len(eng.family))
+
+
+def test_family_gram_builds_no_square_time_array():
+    # the pairing's working set is O(L N): no (N+1) x (N+1) time array, which
+    # at N = 1000 is 8.0 MB
+    m = build_manifold({"kind": "cycle", "count": 3, "length": 3.0})
+    grid = TimeGrid(4.0, 1000)
+    wmap = wave_map_assemble(assemble(build_bundle(m, 1)), Region(m, (0, 1, 2)), grid)
+    fam = build_source_family(wmap, range(3), [1.0, 1.5, 2.0], 1.0)
+    tracemalloc.start()
+    try:
+        G = family_gram(wmap, fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.shape == (9, 9)
+    assert peak < len(grid) ** 2 * 8
 
 
 def test_probe_engine_gram_real_exactly_when_data_real(cycle32_scene, gauged_cycle32):

@@ -16,6 +16,7 @@ from fracbundle.s2s import (
     FracMapData,
     WaveMapData,
     _jh_quadratic_coeffs,
+    _jstar_quadratic_coeffs,
     blago_bilinear,
     blago_inner,
     frac_map_assemble,
@@ -202,24 +203,39 @@ def probe_scene():
     return wmap, fam, dense
 
 
-def sampled_pairing(wmap, F, H):
-    """<F, QJ R_H> - <R_F, e_H> summed over full response series.
+def jstar_side(wmap, F, responses_h):
+    """int_0^T <f, J R_h> dt as the engine forms it: the H responses against
+    the exact piecewise-quadratic J* f test arrays of the F sources."""
+    dt, n_half, n1 = wmap.grid.dt, wmap.half_index, len(wmap.grid)
+    E = np.array([quadratic_times_sampled_array(*_jstar_quadratic_coeffs(f, dt, n_half), n1, dt)
+                  for f in F])
+    return np.einsum("fjx,x,hjx->fh", np.conj(E), wmap.local.weights_flat(), responses_h)
+
+
+def qj_side(wmap, F, responses_h):
+    """int_0^T <f, J R_h> dt by the sampled time-average rule: the sampled
+    time average of the H responses (time_average_nodes) against the
+    piecewise-linear F sources (pl_times_sampled_array)."""
+    dt, n_half = wmap.grid.dt, wmap.half_index
+    E = np.array([pl_times_sampled_array(time_average_nodes(r, dt), n_half, dt)
+                  for r in responses_h])
+    return np.einsum("fjx,x,hjx->fh", np.conj(F), wmap.local.weights_flat(), E)
+
+
+def sampled_pairing(wmap, F, H, f_side=jstar_side):
+    """f_side - <R_F, e_H> summed over full response series.
 
     The pairing of dense sources (m, N+1, D) as the identity states it: the
-    F sources against the time average of the H responses, minus the F
-    responses against the exact piecewise-quadratic J h test arrays.  It is
-    the reference for both forms of blago_bilinear.
+    F side (by default the engine's J* f rule), minus the F responses
+    against the exact piecewise-quadratic J h test arrays of the H sources.
+    It is the reference for both forms of blago_bilinear.
     """
     dt, n_half, n1 = wmap.grid.dt, wmap.half_index, len(wmap.grid)
-    mu = wmap.local.weights_flat()
     responses_f, responses_h = wmap.respond(F), wmap.respond(H)
-    E1 = np.array([pl_times_sampled_array(time_average_nodes(r, dt), n_half, dt)
-                   for r in responses_h])
     E2 = np.array([quadratic_times_sampled_array(*_jh_quadratic_coeffs(h, dt, n_half), n1, dt)
                    for h in H])
-    T1 = np.einsum("fjx,x,hjx->fh", np.conj(F), mu, E1)
-    T2 = np.einsum("fjx,x,hjx->fh", np.conj(responses_f), mu, E2)
-    return T1 - T2
+    T2 = np.einsum("fjx,x,hjx->fh", np.conj(responses_f), wmap.local.weights_flat(), E2)
+    return f_side(wmap, F, responses_h) - T2
 
 
 def assert_pairs_like(got, want):
@@ -412,6 +428,42 @@ def test_time_average_vanishes_at_horizon():
     assert out[60] == 0.0
 
 
+def adjoint_average_linear(samples, dt):
+    """(J* f)(s) = F(min(s, 2T - s)) / 2 at the nodes for an exactly
+    piecewise-linear f, F its trapezoid prefix."""
+    pre = np.zeros_like(samples)
+    np.cumsum(0.5 * dt * (samples[1:] + samples[:-1]), out=pre[1:])
+    nodes = np.arange(len(samples))
+    return 0.5 * pre[np.minimum(nodes, nodes[::-1])]
+
+
+@pytest.mark.parametrize("coeffs, reference, whole_span", [
+    (_jstar_quadratic_coeffs, adjoint_average_linear, True),
+    (_jh_quadratic_coeffs, time_average_linear, False),
+])
+@pytest.mark.parametrize("complex_f", [False, True])
+def test_prefix_quadratics_are_exact(coeffs, reference, whole_span, complex_f):
+    # the local quadratics of J* f (all N intervals) and J h (the first N/2)
+    # against the nodal reference on the grid refined at the midpoints, where
+    # f is still piecewise linear and the trapezoid prefix still exact
+    rng = np.random.default_rng(7 + complex_f)
+    for n, t_max in ((8, 1.0), (64, 4.0), (250, 6.5)):
+        dt = t_max / n
+        f = rng.standard_normal(n + 1)
+        if complex_f:
+            f = f + 1j * rng.standard_normal(n + 1)
+        fine = np.empty(2 * n + 1, dtype=f.dtype)
+        fine[::2], fine[1::2] = f, 0.5 * (f[1:] + f[:-1])
+        want = reference(fine, dt / 2)
+        c0, c1, c2 = coeffs(f, dt, n // 2)
+        count = n if whole_span else n // 2
+        assert c0.shape == (count,)
+        # u = 0, 1/2 and 1 on interval i sit at fine nodes 2i, 2i + 1 and 2i + 2
+        got = np.stack([c0, c0 + c1 / 2 + c2 / 4, c0 + c1 + c2], axis=1)
+        want = np.stack([want[0:2 * count:2], want[1:2 * count:2], want[2:2 * count + 1:2]], axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # -- the inner-product identity ----------------------------------------------
 
 def direct_pairings(op, grid, sources):
@@ -421,6 +473,40 @@ def direct_pairings(op, grid, sources):
         for j, sj in enumerate(states):
             G[i, j] = l2_inner(op.bundle, si, sj)
     return G
+
+
+def test_adjoint_rule_against_duhamel_states():
+    # the engine (J* f rule) and the sampled time-average rule against whole
+    # manifold Duhamel states, on seeded rank 1-2 cycle scenes: every scene
+    # within verify_blago's default gate, and the engine's largest error over
+    # the scenes at most 1.1 times the other rule's.  One scene alone may go
+    # either way: both errors are quadrature errors of about 1e-8 to 1e-9.
+    new_errs, old_errs = [], []
+    grid, T = TimeGrid(4.0, 128), 2.0
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        n, rank = int(rng.integers(5, 11)), int(rng.integers(1, 3))
+        m, b, op = cycle_scene(n, 0.5 * n, rank=rank, connection="random",
+                               potential="random_positive", seed=seed)
+        U = arc_region(m, int(rng.integers(0, n)), int(rng.integers(2, n + 1)))
+        wmap = wave_map_assemble(op, U, grid)
+        sources = []
+        for _ in range(4):
+            vals = np.zeros((len(grid), n, rank), dtype=complex)
+            for _ in range(3):
+                width = rng.uniform(0.3, 0.6 * T)
+                vals[:, U.vertices[rng.integers(0, len(U))], rng.integers(0, rank)] += (
+                    (rng.standard_normal() + 1j * rng.standard_normal())
+                    * bump(grid.times, rng.uniform(width / 2, T - width / 2), width))
+            sources.append(TimeSection(grid, vals))
+        batch = np.stack([wmap.source_array(src) for src in sources])
+        G_direct = direct_pairings(op, grid, sources)
+        scale = np.max(np.abs(G_direct))
+        new_errs.append(np.max(np.abs(blago_bilinear(wmap, batch, batch) - G_direct)) / scale)
+        old_errs.append(np.max(np.abs(sampled_pairing(wmap, batch, batch, qj_side) - G_direct))
+                        / scale)
+    assert max(new_errs) < 1e-6
+    assert max(new_errs) <= 1.1 * max(old_errs)
 
 
 def test_blago_matches_direct(wave_scene):
