@@ -17,21 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import cho_solve, lapack, solve_triangular
 
 from .errors import ReconstructionError
 from .s2s import WaveMapData, blago_bilinear
 
 # residual below which a plain containment verdict accepts
 CONTAINMENT_TOL = 0.05
-# ridge reg = RIDGE_FACTOR * tr(G) / m over an m-probe Gram G, and the
-# relative eigenvalue cutoff of the fiber-frame pseudo-inverse
+# the ridge of every probe-Gram solve: reg = RIDGE_FACTOR * tr(G) / m over
+# an m-probe Gram G
 RIDGE_FACTOR = 1e-8
 # exterior sweeps stay below this fraction of the ray's cut time
 CUT_MARGIN = 0.85
-# fiber-frame synthesis: largest accepted residual and probe Gram condition
+# fiber-frame synthesis: largest accepted residual
 SYNTHESIS_TOL = 0.2
-MAX_GRAM_CONDITION = 1e14
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +130,23 @@ class ProbeConfig:
     eta: float = 0.1  # first-arrival threshold
 
 
+def _ridge_factor(M, reg):
+    """Cholesky factor of the Hermitian M + reg I, computed in place in M.
+
+    LAPACK potrf factors M.T, the Fortran-ordered view of M's memory, so
+    nothing is copied.  For a Hermitian matrix that view is its conjugate:
+    the returned lower factor L, which shares M's memory, satisfies
+    conj(M + reg I) = L L^H; its strict upper triangle is never read.  A
+    matrix that is not positive definite is a ReconstructionError.
+    """
+    M[np.diag_indices(len(M))] += reg
+    potrf = lapack.zpotrf if np.iscomplexobj(M) else lapack.dpotrf
+    L, info = potrf(M.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise ReconstructionError(f"probe Gram is not positive definite (potrf info {info})")
+    return L
+
+
 def prefix_residuals(gram, span_idx, target_idx, reg):
     """Relative residuals of target states against every leading block of a span.
 
@@ -145,20 +161,13 @@ def prefix_residuals(gram, span_idx, target_idx, reg):
     repeat span members.
 
     The bordered matrix is gathered with one flat-index take and factored
-    in place by LAPACK potrf on its transpose, the Fortran-ordered view of
-    the same memory.  For a Hermitian matrix that view is its conjugate,
-    whose factor is conj(L), so |Y|^2 is unchanged.
+    in place by _ridge_factor, whose factor is conj(L), so |Y|^2 is
+    unchanged.
     """
     s = np.asarray(span_idx, dtype=np.int64)
     t = np.asarray(target_idx, dtype=np.int64)
     idx = np.concatenate([s, t])
-    M = np.take(gram, idx[:, None] * gram.shape[1] + idx)
-    M[np.diag_indices(len(idx))] += reg
-    potrf = lapack.zpotrf if np.iscomplexobj(M) else lapack.dpotrf
-    L, info = potrf(M.T, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
-        raise ReconstructionError(
-            f"containment Gram is not positive definite (potrf info {info})")
+    L = _ridge_factor(np.take(gram, idx[:, None] * gram.shape[1] + idx), reg)
     ns = len(s)
     proj = np.zeros((ns + 1, len(t)))
     np.cumsum(np.abs(L[ns:, :ns].T) ** 2, axis=0, out=proj[1:])
@@ -565,21 +574,6 @@ class FiberProbe:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _truncated_pinv(G, cutoff_factor):
-    """Spectrally truncated pseudo-inverse of a Hermitian Gram.
-
-    Eigenvalues at or below cutoff_factor times the mean eigenvalue are
-    dropped.  Returns (evals, evecs, inv) with inv = 1 / evals on the kept
-    modes and 0 elsewhere, so G^+ = evecs diag(inv) evecs^*.
-    """
-    evals, evecs = np.linalg.eigh(G)
-    cut = cutoff_factor * max(np.trace(G).real / max(len(G), 1), 0.0)
-    keep = evals > cut
-    inv = np.zeros_like(evals)
-    inv[keep] = 1.0 / evals[keep]
-    return evals, evecs, inv
-
-
 def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile=None):
     """Frame of fiber states concentrated at a vertex, from map data only.
 
@@ -589,6 +583,10 @@ def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile
     the probe states reaching y while orthogonal to every state that
     cannot reach it (the smallest generalized eigenvectors); its spatial
     resolution is the dispersive front width, a few mesh lengths.
+
+    Every Gram system is solved through one ridge Cholesky factor
+    (_ridge_factor), which returns L with conj(A) = L L^H; the solves are
+    written for that conjugate factor.
     """
     eng = probe_engine(wmap, cfg)
     fam = eng.family
@@ -602,31 +600,22 @@ def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile
         if np.max(fam.lead) < cfg.width:
             raise ReconstructionError("probe family cannot reach the target")
         at_T = wmap.respond(fam.profiles, components=fam.components(), rows=[n_half])[:, 0, :]
-        coeffs = []
-        resid = []
-        evals, evecs, inv = _truncated_pinv(G, RIDGE_FACTOR)
-        kept = evals[inv > 0]
-        gram_condition = float(evals[-1] / max(kept.min(), 1e-300)) if len(kept) else np.inf
-        if gram_condition > MAX_GRAM_CONDITION:
-            raise ReconstructionError(
-                f"probe Gram condition {gram_condition:.2e} exceeds {MAX_GRAM_CONDITION:.0e}; "
-                "the probe family cannot support the synthesis"
-            )
-        for j in range(r):
-            comp = y * r + j
-            q = mu[comp] * np.conj(at_T[:, comp])
-            c = evecs @ (inv * (evecs.conj().T @ q))
-            coeffs.append(c)
-            target_norm = mu[comp]  # squared norm of the unit delta section
-            proj = float(np.real(np.vdot(q, c)))
-            resid.append(np.sqrt(max(0.0, (target_norm - proj) / target_norm)))
-        coeffs = np.asarray(coeffs)
+        comps = y * r + np.arange(r)
+        # synthesize the unit delta sections at y: C = (G + reg I)^{-1} Q
+        # with Q = mu conj(at_T) at the engine's ridge.  The conjugate factor
+        # solves for conj(C), whose right-hand sides are conj(Q) = mu at_T;
+        # the engine's Gram is factored in a copy
+        rhs = mu[comps] * at_T[:, comps]
+        L = _ridge_factor(G.astype(np.result_type(G, rhs)), eng.reg)
+        coeffs = cho_solve((L, True), rhs).conj().T  # row j is C[:, j]
+        # |target|^2 = mu and its projection onto the probe span is Q^H C
+        proj = np.real(np.sum(rhs * coeffs.T, axis=0))
+        resid = [float(v) for v in np.sqrt(np.maximum(0.0, 1.0 - proj / mu[comps]))]
         if max(resid) > SYNTHESIS_TOL:
             raise ReconstructionError(
                 f"synthesis residual {max(resid):.3f} exceeds {SYNTHESIS_TOL}; "
                 "the target is not reachable at this horizon"
             )
-        raw_gram = coeffs.conj() @ G @ coeffs.T
     else:
         # An exterior point is identified by its distance profile over the
         # region.  Frame states are the probe combinations reachable from
@@ -652,48 +641,33 @@ def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile
         if len(a_idx) < r or len(b_idx) == 0:
             raise ReconstructionError("probe family too small around the target")
         Gaa = G[np.ix_(a_idx, a_idx)]
-        Gab = G[np.ix_(a_idx, b_idx)]
+        L = _ridge_factor(Gaa, RIDGE_FACTOR * np.trace(Gaa).real / len(Gaa))
+        # a spectral filter, not a solve: keep only the strongly excited
+        # span of the non-reaching families so their dispersive tails do
+        # not count.  M = W W^H is the anchor Gram projected onto that span
         Gbb = G[np.ix_(b_idx, b_idx)]
-        # aggressive spectral cutoff: keep only the strongly excited span of
-        # the non-reaching families so their dispersive tails do not count
-        _, evecs, inv = _truncated_pinv(Gbb, 0.01)
-        proj_b = (evecs * inv[None, :]) @ evecs.conj().T
-        M = Gab @ proj_b @ Gab.conj().T
-        M = 0.5 * (M + M.conj().T)
-        evals, evecs = _generalized_smallest(M, Gaa, r)
+        lam, V = np.linalg.eigh(Gbb)
+        keep = lam > 0.01 * max(np.trace(Gbb).real / len(Gbb), 0.0)
+        W = G[np.ix_(a_idx, b_idx)] @ (V[:, keep] / np.sqrt(lam[keep]))
+        # smallest eigenpairs of M c = lam (Gaa + reg I) c.  Whitened by the
+        # conjugate factor, conj(M) becomes Z Z^H with Z = L^{-1} conj(W),
+        # and c = conj(L^{-H} z)
+        Z = solve_triangular(L, W.conj(), lower=True)
+        evals, Y = np.linalg.eigh(Z @ Z.conj().T)
         coeffs = np.zeros((r, len(fam)), dtype=np.complex128)
-        for j in range(r):
-            coeffs[j, a_idx] = evecs[:, j]
-        raw_gram = coeffs.conj() @ G @ coeffs.T
-        resid = [float(v) for v in evals]
-    # orthonormalize the recovered states (Loewdin via the raw Gram); with
-    # row coefficient vectors the whitening acts as conj(R^{-1/2})
-    ev, evec = np.linalg.eigh(0.5 * (raw_gram + raw_gram.conj().T))
-    ev = np.clip(ev, 1e-300, None)
-    half_inv = evec @ np.diag(ev ** -0.5) @ evec.conj().T
-    coeffs = half_inv.conj() @ coeffs
-    gram = coeffs.conj() @ G @ coeffs.T
-    diagnostics = {"synthesis_residuals": resid, "raw_gram": raw_gram}
-    if exterior_profile is None:
-        diagnostics["gram_condition"] = gram_condition
+        coeffs[:, a_idx] = solve_triangular(L, Y[:, :r], lower=True, trans="C").conj().T
+        resid = [float(v) for v in evals[:r]]
+    raw_gram = coeffs.conj() @ G @ coeffs.T
+    # orthonormalize the recovered states: with row coefficient vectors and
+    # conj(raw_gram) = L L^H, the rows of L^{-1} coeffs have Gram I
+    coeffs = solve_triangular(_ridge_factor(raw_gram.copy(), 0.0), coeffs, lower=True)
     return FiberProbe(
         target=y if exterior_profile is None else ("profile", tuple(np.round(prof, 12))),
         coefficients=coeffs,
         family=fam,
-        gram=gram,
-        diagnostics=diagnostics,
+        gram=coeffs.conj() @ G @ coeffs.T,
+        diagnostics={"synthesis_residuals": resid, "raw_gram": raw_gram},
     )
-
-
-def _generalized_smallest(M, G, count):
-    """Smallest eigenpairs of M c = lam G c for Hermitian M >= 0, G > 0."""
-    reg = RIDGE_FACTOR * np.trace(G).real / len(G)
-    L = np.linalg.cholesky(G + reg * np.eye(len(G)))
-    Linv = np.linalg.inv(L)
-    A = Linv @ M @ Linv.conj().T
-    evals, evecs = np.linalg.eigh(0.5 * (A + A.conj().T))
-    vecs = Linv.conj().T @ evecs[:, :count]
-    return evals[:count], vecs
 
 
 # ---------------------------------------------------------------------------
@@ -750,11 +724,7 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
     for v in chart:
         if not 0 <= v < local.size:
             raise ReconstructionError(f"chart vertex {v} is outside the observation region")
-    # neighbor map from the local edge list
-    nbrs = {v: [] for v in range(local.size)}
-    for (a, b) in local.edges:
-        nbrs[int(a)].append(int(b))
-        nbrs[int(b)].append(int(a))
+    nbrs = {v: local.neighbors(v) for v in chart}
     grid = wmap.grid
     dt = grid.dt
     n_half = wmap.half_index
@@ -800,7 +770,6 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
         Zr = sol.reshape(len(cols), r, r)
         blocks[v] = {c: Zr[i].T for i, c in enumerate(cols)}
     for v in chart:
-        cols = [v] + nbrs[v]
         X = blocks[v]
         # diagonal block: degree term + potential
         deg = 0.0

@@ -136,7 +136,7 @@ class _Scene:
             delta=float(opts.get("probe_delta", 1.2 * h)),
             lead_step=float(opts.get("probe_lead_step", h)),
             width=float(opts.get("probe_width", 1.5 * h)),
-            eta=float(opts.get("eta", 0.1)),
+            **({"eta": float(opts["eta"])} if "eta" in opts else {}),
         )
 
     def random_sections(self, count, rng):
@@ -389,12 +389,8 @@ def _auto_rays(scene, cfg, pcfg):
     cap = cfg.horizon - pcfg.delta - 2 * h
     r_values = tuple(np.arange(2 * h, cap, h))
     rays = []
-    nbr_lut = {}
-    for a, b in wmap.local.edges:
-        nbr_lut.setdefault(int(a), []).append(int(b))
-        nbr_lut.setdefault(int(b), []).append(int(a))
     for x in picks:
-        for y in sorted(nbr_lut.get(x, [])):
+        for y in sorted(wmap.local.neighbors(x)):
             if ball_sizes[y] == full:
                 rays.append(RayPlan(x=x, y=y, r_values=r_values))
     return rays
@@ -423,10 +419,7 @@ def _task_reconstruct_distances(scene, cfg):
     # cut time along an interior ray
     interior = _interior_vertices(scene)
     x = interior[len(interior) // 2] if interior else 0
-    nbrs = [int(u) for u in
-            (wmap.local.edges[wmap.local.edges[:, 0] == x][:, 1].tolist()
-             + wmap.local.edges[wmap.local.edges[:, 1] == x][:, 0].tolist())]
-    y = sorted(nbrs)[0]
+    y = min(wmap.local.neighbors(x))
     s = first_arrival_distance(wmap, x, y, pcfg.eta)
     sweep = np.arange(s + pcfg.delta + h / 2, cfg.horizon - pcfg.delta, h / 2)
     tstar = cut_time_estimate(wmap, x, y, s, sweep, pcfg)

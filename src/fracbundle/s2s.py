@@ -69,6 +69,11 @@ class LocalStructure:
     def weights_flat(self):
         return np.repeat(self.volumes, self.rank)
 
+    def neighbors(self, v):
+        """Region neighbors of local vertex v, in edge-list order."""
+        a, b = self.edges[:, 0], self.edges[:, 1]
+        return [int(u) for u in np.where(a == v, b, a)[(a == v) | (b == v)]]
+
     def local_ball(self, center_local, radius):
         """Open ball inside the region w.r.t. the induced local metric."""
         row = self.distances[center_local]

@@ -17,6 +17,7 @@ import fracbundle
 from fracbundle.cli import main
 from fracbundle.config import parse_config
 from fracbundle.errors import ConfigError
+from fracbundle.reconstruction import ProbeConfig
 from fracbundle import runner
 from fracbundle.runner import emit_report, run_experiment
 
@@ -118,6 +119,14 @@ def test_reconstruct_operator_reports_ls_condition():
     cond = rep1.tasks[0].measures["ls_condition"]
     assert 1.0 <= cond < 1e6
     assert rep1.tasks[0].measures == rep2.tasks[0].measures  # bit-identical reruns
+
+
+def test_probe_config_sets_eta_only_from_options():
+    # an unset eta falls back to ProbeConfig's own default
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    assert runner._Scene(parse_config(raw)).probe_config().eta == ProbeConfig.eta
+    raw["options"]["eta"] = 0.25
+    assert runner._Scene(parse_config(raw)).probe_config().eta == 0.25
 
 
 def test_config_echo_reruns_exactly(tmp_path):

@@ -632,6 +632,26 @@ def test_fiber_frame_unreachable_raises(rank2_scene):
         recover_fiber_frame(wmap, None, cfg, exterior_profile=far)
 
 
+def test_fiber_frame_breakdown_is_a_reconstruction_error(rank2_scene, monkeypatch):
+    # every Gram solve factors a copy, so the engine's Gram never changes;
+    # a Gram that is not positive definite is a ReconstructionError on
+    # both paths, never a numpy LinAlgError
+    m, b, op, U, wmap, cfg = rank2_scene
+    eng = probe_engine(wmap, cfg)
+    prof = shortest_distances(m)[14, list(U.vertices)]
+    frames = (lambda: recover_fiber_frame(wmap, 4, cfg),
+              lambda: recover_fiber_frame(wmap, None, cfg, exterior_profile=prof))
+    G_in = eng.gram.copy()
+    for frame in frames:
+        frame()
+        assert np.array_equal(probe_engine(wmap, cfg).gram, G_in)
+    monkeypatch.setattr(eng, "gram", -G_in)
+    for frame in frames:
+        with pytest.raises(ReconstructionError, match="not positive definite"):
+            frame()
+        assert np.array_equal(probe_engine(wmap, cfg).gram, -G_in)
+
+
 # -- operator recovery -------------------------------------------------------------
 
 def test_recover_operator_trivial_bundle(cycle32_scene):

@@ -73,6 +73,18 @@ def test_local_structure_restriction():
     assert np.allclose(loc.volumes, h)
 
 
+def test_local_structure_neighbors_in_edge_list_order():
+    # one entry per incident edge, in edge-list order: the lstsq column
+    # order of recover_local_operator depends on it
+    m = build_manifold({"kind": "torus_grid", "counts": [5, 5], "lengths": [5.0, 5.0]})
+    loc = local_structure(Region(m, tuple(range(12))), 1)
+    want = {v: [] for v in range(loc.size)}
+    for a, b in loc.edges:
+        want[int(a)].append(int(b))
+        want[int(b)].append(int(a))
+    assert [loc.neighbors(v) for v in range(loc.size)] == [want[v] for v in range(loc.size)]
+
+
 # -- fractional map data ------------------------------------------------------
 
 def test_frac_map_full_region_matches_spectral_matrix():

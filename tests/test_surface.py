@@ -37,3 +37,18 @@ def test_readme_quick_start_runs_and_certifies():
     exec(compile(code, "README.md quick start", "exec"), {"print": printed.append})
     assert len(printed) == 1
     assert printed[0]["passed"] is True
+
+
+def test_readme_constants_match_the_library():
+    # every `[module.]NAME = value` in the numerical conventions names a
+    # library constant of that value; the module defaults to reconstruction
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Numerical conventions", 1)[1].split("\n## ", 1)[0]
+    stated = re.findall(r"`(?:(\w+)\.)?([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+) = ([^`\n]+)`", section)
+    assert len(stated) >= 8
+    wrong = []
+    for module, name, value in stated:
+        owner = importlib.import_module(f"fracbundle.{module or 'reconstruction'}")
+        if getattr(owner, name, None) != eval(value, {"__builtins__": {}}):
+            wrong.append(f"{module or 'reconstruction'}.{name} = {value}")
+    assert not wrong
