@@ -49,6 +49,10 @@ NUMERIC_OPTIONS = {
     "round_trip_sections": int,
 }
 
+# largest working set a config may ask for, in bytes; parse_config rejects a
+# config whose working-set estimate exceeds it (see _check_working_set)
+WORKING_SET_BUDGET = 4 << 30
+
 # GammaQuadrature fields, each read as the type of its default; every value
 # must be positive and finite, and t_cut_override may also be null
 GAMMA_FIELDS = {f.name: float if f.default is None else type(f.default)
@@ -153,6 +157,7 @@ def parse_config(raw) -> ExperimentConfig:
         _require(len(set(chart)) == len(chart), "options.chart", "vertices must not repeat")
     with _section("seed"):
         seed = int(raw.get("seed", 0))
+    _check_working_set(man, raw["region"], rank, horizon, steps, tasks, options)
     return ExperimentConfig(
         manifold=dict(man),
         bundle=dict(bun),
@@ -174,6 +179,78 @@ def _positive(fieldname, kind, value):
         value = kind(value)
     _require(0 < value < math.inf, fieldname, "must be positive and finite")
     return value
+
+
+def probe_settings(options, h):
+    """(delta, lead_step, width) of the probe family: the options' values,
+    or by default 1.2, 1 and 1.5 mesh lengths h."""
+    return (float(options.get("probe_delta", 1.2 * h)),
+            float(options.get("probe_lead_step", h)),
+            float(options.get("probe_width", 1.5 * h)))
+
+
+def _check_working_set(man, region, rank, horizon, steps, tasks, options):
+    """Reject a config whose largest arrays would exceed WORKING_SET_BUDGET.
+
+    The estimate is arithmetic on the config alone, in bytes: the dense eigh,
+    K^2 complex numbers over the K = V r components of the manifold; the
+    Duhamel weights, 2 (N+1) K reals; the wave map, 3 (N+1) D^2 complex
+    numbers over the D = |U| r components of the region; and, when
+    reconstruct_distances runs, the probe Gram, m^2 complex numbers over
+    m = D n_leads probes.  A ConfigError names the field behind the largest
+    term.  Malformed manifold or region fields are left to build_scene,
+    which names them.
+    """
+    try:
+        if man["kind"] == "cycle":
+            counts, lengths = [_size(man["count"])], [float(man["length"])]
+        else:
+            counts = [_size(c) for c in man["counts"]]
+            lengths = [float(x) for x in man["lengths"]]
+        kind = region.get("type", "vertices")
+        if kind == "vertices":
+            n_region = _size(len(region["ids"]))
+        elif kind == "arc":
+            n_region = _size(region["count"])
+        else:
+            n_region = _size(region["rows"]) * _size(region["cols"])
+    except (KeyError, OverflowError, TypeError, ValueError):
+        return
+    if (not counts or len(counts) != len(lengths) or min(counts) < 1 or n_region < 1
+            or not all(0 < x < math.inf for x in lengths)):
+        return
+    K = math.prod(counts) * _size(rank)
+    D = n_region * _size(rank)
+    rows = _size(steps) + 1
+    terms = [
+        (16 * K * K, "manifold", f"dense eigh over {K:.3g} components"),
+        (8 * 2 * rows * K, "time.steps", f"Duhamel weights over {rows:.3g} time rows"),
+        (16 * 3 * rows * D * D, "time.steps", f"wave map over {rows:.3g} time rows"),
+    ]
+    # an infinite manifold is past the budget already and has no mesh length
+    if "reconstruct_distances" in tasks and K < math.inf:
+        h = min(x / c for x, c in zip(lengths, counts))
+        _, lead_step, width = probe_settings(options, h)
+        # the lead ladder runs from width to T - 8 dt, with dt = 2T / N
+        n_leads = max((horizon - 16 * horizon / (rows - 1) - width) / lead_step, 0.0) + 1
+        m = D * n_leads
+        terms.append((16 * m * m, "options.probe_lead_step", f"probe Gram of {m:.3g} probes"))
+    total = sum(t[0] for t in terms)
+    if total > WORKING_SET_BUDGET:
+        _, fieldname, what = max(terms, key=lambda t: t[0])
+        raise ConfigError(fieldname, f"estimated working set of {total / 2**30:.3g} GiB exceeds "
+                          f"the {WORKING_SET_BUDGET / 2**30:g} GiB budget; the largest term is "
+                          f"the {what}")
+
+
+def _size(value):
+    """An integer config size as a float, read as int() reads it; a size past
+    the float range is infinite."""
+    value = int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _gamma_quadrature(raw):

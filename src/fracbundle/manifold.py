@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import GeometryError
 
@@ -68,19 +66,18 @@ class DiscreteManifold:
             raise GeometryError("self loops are not allowed")
         if self.dimension < 1:
             raise GeometryError("dimension tag must be >= 1")
-        n_comp, _ = connected_components(self._adjacency_csr(), directed=False)
-        if n_comp != 1:
+        # breadth-first search from vertex 0, one frontier per pass over the edges
+        seen = np.zeros(self.num_vertices, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            reached = np.zeros_like(seen)
+            reached[edges[frontier[edges[:, 0]], 1]] = True
+            reached[edges[frontier[edges[:, 1]], 0]] = True
+            frontier = reached & ~seen
+            seen |= frontier
+        if not seen.all():
             raise GeometryError("graph must be connected")
-
-    def _adjacency_csr(self, data=None):
-        e = self.edges
-        vals = np.ones(len(e)) if data is None else data
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        return csr_matrix(
-            (np.concatenate([vals, vals]), (rows, cols)),
-            shape=(self.num_vertices, self.num_vertices),
-        )
 
     def neighbors(self, v):
         """Sorted neighbor list of vertex v."""
@@ -183,7 +180,16 @@ def build_manifold(spec):
 
 def shortest_distances(m: DiscreteManifold) -> np.ndarray:
     """All-pairs shortest-path distance matrix over edge lengths."""
-    graph = m._adjacency_csr(data=m.lengths)
+    # scipy loads here, not at import: only the distance task needs it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    e = m.edges
+    graph = csr_matrix(
+        (np.concatenate([m.lengths, m.lengths]),
+         (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]))),
+        shape=(m.num_vertices, m.num_vertices),
+    )
     dist = dijkstra(graph, directed=False)
     if not np.all(np.isfinite(dist)):
         raise GeometryError("graph must be connected")

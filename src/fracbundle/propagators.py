@@ -9,13 +9,13 @@ the piecewise-linear reading of the source samples.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from . import modefun
 from .bundle import l2_norm
@@ -137,6 +137,31 @@ def folded_kernel(A, B, rows):
     folded = A[:rows].astype(np.result_type(A, B))
     folded[:B.shape[0] - 1] += B[1:rows + 1]
     return folded
+
+
+@functools.cache
+def _smooth_lengths(limit):
+    """Every 11-smooth integer up to limit, ascending."""
+    lengths = [1]
+    for p in (2, 3, 5, 7, 11):
+        multiples = []
+        for q in lengths:
+            while q <= limit:
+                multiples.append(q)
+                q *= p
+        lengths = multiples
+    return tuple(sorted(lengths))
+
+
+def next_fast_len(n):
+    """Smallest 11-smooth integer >= n (factors 2, 3, 5, 7, 11), for n >= 1:
+    the FFT length scipy.fft.next_fast_len(n) picks for complex input.  Both
+    torus workloads convolve at 2401 = 7^4, which a 5-smooth rule would
+    round up to 2430.
+    """
+    # the power of two >= n is 11-smooth, so the table up to it holds the answer
+    lengths = _smooth_lengths(1 << (n - 1).bit_length())
+    return lengths[bisect.bisect_left(lengths, n)]
 
 
 def pl_spectra(A, B):

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack, solve_triangular
 
 from .errors import ReconstructionError
 from .s2s import WaveMapData, blago_bilinear
@@ -139,6 +138,10 @@ def _ridge_factor(M, reg):
     conj(M + reg I) = L L^H; its strict upper triangle is never read.  A
     matrix that is not positive definite is a ReconstructionError.
     """
+    # scipy.linalg loads at the first factor, not at import: runs without a
+    # sweep or a fiber frame never pay for it
+    from scipy.linalg import lapack
+
     M[np.diag_indices(len(M))] += reg
     potrf = lapack.zpotrf if np.iscomplexobj(M) else lapack.dpotrf
     L, info = potrf(M.T, lower=1, clean=0, overwrite_a=1)
@@ -466,12 +469,30 @@ def distance_family(wmap, rays, cfg: ProbeConfig):
     profiles within 0.75 mesh lengths of an earlier one are merged.  The set
     counts the rays skipped at edge-of-region bases and the profiles each
     filter removed.
+
+    A ray profile is swept over the region vertices in order and dropped at
+    the first vertex whose sweep is non-finite (counted nowhere) or breaks
+    the Lipschitz bound against the vertices before it (lipschitz_dropped);
+    the sweeps after that vertex are never run.
     """
     n = wmap.local.size
     h = float(np.min(wmap.local.edge_lengths))
     r_step = h / 2
-    profiles = list(first_arrival_matrix(wmap, cfg.eta))
-    prov = [{"kind": "region", "vertex": i} for i in range(n)]
+    slack = 0.35
+    bound = wmap.local.distances * (1 + slack) + slack * h + 1e-9
+
+    def lipschitz_at(prof, z):
+        """Whether prof[z] keeps the bound against prof[:z + 1], both ways."""
+        gap = np.abs(prof[z] - prof[:z + 1])
+        return bool(np.all(gap <= bound[z, :z + 1]) and np.all(gap <= bound[:z + 1, z]))
+
+    # 1-Lipschitz validity filter against the local metric
+    profiles, prov = [], []
+    for i, prof in enumerate(first_arrival_matrix(wmap, cfg.eta)):
+        if all(lipschitz_at(prof, z) for z in range(n)):
+            profiles.append(prof)
+            prov.append({"kind": "region", "vertex": i})
+    lipschitz_dropped = n - len(profiles)
     diam_cap = wmap.horizon - cfg.delta
     rg = np.arange(r_step + cfg.delta, diam_cap, r_step)
     ball_sizes = [len(wmap.local.local_ball(v, cfg.delta)) for v in range(n)]
@@ -490,27 +511,19 @@ def distance_family(wmap, rays, cfg: ProbeConfig):
             if r_prime >= min(CUT_MARGIN * tstar, diam_cap):
                 continue
             prof = np.empty(n)
-            ok = True
             for z in range(n):
-                d = exterior_distance(wmap, ray.x, ray.y, s, r_prime, z, rg, cfg)
-                if not np.isfinite(d):
-                    ok = False
+                prof[z] = exterior_distance(wmap, ray.x, ray.y, s, r_prime, z, rg, cfg)
+                if not np.isfinite(prof[z]):
                     break
-                prof[z] = d
-            if ok:
+                if not lipschitz_at(prof, z):
+                    lipschitz_dropped += 1
+                    break
+            else:
                 profiles.append(prof)
                 prov.append({"kind": "ray", "x": int(ray.x), "y": int(ray.y), "r": float(r_prime)})
-    # 1-Lipschitz validity filter against the local metric
-    keep_p, keep_v = [], []
-    slack = 0.35
-    bound = wmap.local.distances * (1 + slack) + slack * h + 1e-9
-    for prof, pv in zip(profiles, prov):
-        if np.all(np.abs(prof[:, None] - prof[None, :]) <= bound):
-            keep_p.append(prof)
-            keep_v.append(pv)
     # merge near-duplicates
     merged, merged_prov = [], []
-    for prof, pv in zip(keep_p, keep_v):
+    for prof, pv in zip(profiles, prov):
         if not any(np.max(np.abs(q - prof)) < 0.75 * h for q in merged):
             merged.append(prof)
             merged_prov.append(pv)
@@ -519,8 +532,8 @@ def distance_family(wmap, rays, cfg: ProbeConfig):
         profiles=np.asarray(merged).reshape(len(merged), n),
         provenance=merged_prov,
         rays_skipped=rays_skipped,
-        lipschitz_dropped=len(profiles) - len(keep_p),
-        duplicates_merged=len(keep_p) - len(merged),
+        lipschitz_dropped=lipschitz_dropped,
+        duplicates_merged=len(profiles) - len(merged),
     )
 
 
@@ -588,6 +601,8 @@ def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile
     (_ridge_factor), which returns L with conj(A) = L L^H; the solves are
     written for that conjugate factor.
     """
+    from scipy.linalg import cho_solve, solve_triangular
+
     eng = probe_engine(wmap, cfg)
     fam = eng.family
     G = eng.gram

@@ -21,7 +21,7 @@ from .bundle import (
     pullback_bundle,
     torus_shift_iso,
 )
-from .config import ExperimentConfig, build_region, build_scene, parse_config
+from .config import ExperimentConfig, build_region, build_scene, parse_config, probe_settings
 from .errors import ConfigError, FracBundleError
 from .manifold import shortest_distances
 from .operator import assemble, kernel_projector
@@ -130,14 +130,9 @@ class _Scene:
         return float(np.min(self.manifold.lengths))
 
     def probe_config(self):
-        h = self.mesh()
         opts = self.cfg.options
-        return ProbeConfig(
-            delta=float(opts.get("probe_delta", 1.2 * h)),
-            lead_step=float(opts.get("probe_lead_step", h)),
-            width=float(opts.get("probe_width", 1.5 * h)),
-            **({"eta": float(opts["eta"])} if "eta" in opts else {}),
-        )
+        return ProbeConfig(*probe_settings(opts, self.mesh()),
+                           **({"eta": float(opts["eta"])} if "eta" in opts else {}))
 
     def random_sections(self, count, rng):
         V, r = self.manifold.num_vertices, self.bundle.rank

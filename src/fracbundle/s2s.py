@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from . import timequad
 from .errors import DataBoundaryError, OperatorError
@@ -32,6 +31,7 @@ from .propagators import (
     folded_kernel,
     mode_convolve,
     mode_convolve_rows,
+    next_fast_len,
     pl_spectra,
 )
 from .serialize import complex_from_list, complex_to_list, real_to_list

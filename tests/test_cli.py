@@ -69,6 +69,23 @@ def test_config_rejects_odd_steps_and_empty_tasks():
         parse_config(raw)
 
 
+@pytest.mark.parametrize("section, key, value, field", [
+    ("options", "probe_lead_step", 1e-4, "options.probe_lead_step"),
+    ("time", "steps", 10**8, "time.steps"),
+    ("manifold", "count", 20000, "manifold"),
+    ("manifold", "count", 10**400, "manifold"),  # past the float range
+])
+def test_config_rejects_working_set_past_budget(section, key, value, field):
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw[section][key] = value
+    if field == "options.probe_lead_step":
+        parse_config(raw)  # no task builds the probe lead ladder
+    raw["tasks"] = ["verify_spectral"] if field == "manifold" else ["reconstruct_distances"]
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.field == field and "budget" in str(err.value)
+
+
 def test_config_rejects_unknown_task_and_order():
     raw = json.loads(json.dumps(BASE_CONFIG))
     raw["tasks"] = ["explode"]
@@ -272,34 +289,52 @@ def test_linalg_error_is_recorded_per_task(monkeypatch):
     assert "positive definite" in rep.tasks[0].message
 
 
-def test_cli_out_of_memory_is_a_task_error(tmp_path):
-    # a 1e-9 lead step asks the probe engine for a lead ladder of about 30 GiB.
-    # The run goes in a child whose address space is capped at 3 GB, so the
-    # allocation fails there: the probe task is an error with the allocation
-    # message, and the task that passed before it is still in the report
+def run_with_capped_address_space(cfg_path, out_dir):
+    """`fracbundle run` in a child whose address space is capped at 1 GiB."""
     if not sys.platform.startswith("linux"):
         pytest.skip("RLIMIT_AS caps the address space only on Linux")
     import resource
-    cap = 3 << 30
+    cap = 1 << 30
 
     def cap_address_space():  # runs in the child only, before exec
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    cfg_path = write_config(tmp_path, tasks=["verify_spectral", "reconstruct_distances"],
-                            options={"probe_lead_step": 1e-9})
     src = str(Path(fracbundle.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fracbundle.cli", "run", cfg_path, "--out", str(tmp_path / "out")],
+    return subprocess.run(
+        [sys.executable, "-m", "fracbundle.cli", "run", cfg_path, "--out", str(out_dir)],
         env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=300)
+
+
+def test_cli_out_of_memory_is_a_task_error(tmp_path):
+    # 100000 steps over the whole 16-cycle estimate a 1.2 GiB working set,
+    # inside the budget, so the config parses; the wave map's 0.38 GiB
+    # arrays then fail to allocate under the 1 GiB cap.  The blago
+    # task is an error with the allocation message, and the task that
+    # passed before it is still in the report
+    cfg_path = write_config(tmp_path, region={"type": "arc", "start": 0, "count": 16},
+                            time={"horizon": 4.5, "steps": 100000})
+    proc = run_with_capped_address_space(cfg_path, tmp_path / "out")
     assert proc.returncode == 1, proc.stderr
     payload = json.loads((tmp_path / "out" / "report.json").read_text())
     status = {t["name"]: (t["status"], t["message"]) for t in payload["tasks"]}
     assert status["verify_spectral"][0] == "pass"
-    assert status["reconstruct_distances"][0] == "error"
-    assert "allocate" in status["reconstruct_distances"][1]
-    assert "reconstruct_distances: error" in proc.stdout
+    assert status["verify_blago"][0] == "error"
+    assert "allocate" in status["verify_blago"][1]
+    assert "verify_blago: error" in proc.stdout
+
+
+def test_cli_lead_step_past_the_budget_exits_2(tmp_path):
+    # a 1e-9 lead step asks for 2.3e10 probes, a probe Gram of about
+    # 7.6e12 GiB: the config is rejected, naming the lead step, before
+    # anything is allocated
+    cfg_path = write_config(tmp_path, tasks=["verify_spectral", "reconstruct_distances"],
+                            options={"probe_lead_step": 1e-9})
+    proc = run_with_capped_address_space(cfg_path, tmp_path / "out")
+    assert proc.returncode == 2, proc.stderr
+    assert "options.probe_lead_step" in proc.stderr and "budget" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_env_var_output_dir(tmp_path, monkeypatch):

@@ -111,6 +111,54 @@ def test_manifold_invariants_checked():
         )
 
 
+def graph(num_vertices, edges):
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    ones = np.ones(len(edges))
+    return DiscreteManifold(num_vertices=num_vertices, edges=edges, lengths=ones,
+                            weights=ones, volumes=np.ones(num_vertices), dimension=1)
+
+
+@pytest.mark.parametrize("num_vertices, edges, connected", [
+    (6, [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]], False),  # two disjoint cycles
+    (3, [], False),                                                 # isolated vertices
+    (4, [[1, 2]], False),                                           # isolated vertex 0
+    (1, [], True),                                                  # one vertex, no edges
+    (3, [[0, 1], [1, 0], [0, 1], [1, 2], [2, 1]], True),            # repeated edges
+    (4, [[0, 1], [0, 1], [2, 3], [3, 2]], False),
+])
+def test_connectivity_cases(num_vertices, edges, connected):
+    if connected:
+        m = graph(num_vertices, edges)
+        assert np.all(np.isfinite(shortest_distances(m)))
+    else:
+        with pytest.raises(GeometryError, match="graph must be connected"):
+            graph(num_vertices, edges)
+
+
+def test_connectivity_matches_connected_components():
+    # the frontier search agrees with scipy's component count on random graphs
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(3)
+    outcomes = set()
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        e = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+        e = e[e[:, 0] != e[:, 1]]
+        adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+        expected = connected_components(adj, directed=False)[0] == 1
+        try:
+            graph(n, e)
+            connected = True
+        except GeometryError as exc:
+            assert str(exc) == "graph must be connected"
+            connected = False
+        assert connected == expected
+        outcomes.add(connected)
+    assert outcomes == {True, False}
+
+
 # -- distances --------------------------------------------------------------
 
 def test_cycle_distances_closed_form():

@@ -487,3 +487,15 @@ def test_time_grid_uniform_and_index():
     assert ts[0] == 0.0 and ts[-1] == 2.0
     assert np.max(np.abs(np.diff(ts) - grid.dt)) < 1e-14
     assert len(grid) == 101 and ts[50] == 1.0
+
+
+def test_next_fast_len_matches_scipy():
+    # scipy's default (complex) rule is 11-smooth: 2401 = 7^4 stays 2401,
+    # where a 5-smooth rule would give 2430
+    from scipy.fft import next_fast_len
+
+    ns = range(1, 10**5 + 1)
+    assert [propagators.next_fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
+    assert propagators.next_fast_len(2 * 1201 - 1) == 2401
+    for n in (2**31 + 1, 2**32 - 1, 2**40 + 1):
+        assert propagators.next_fast_len(n) == next_fast_len(n)

@@ -495,6 +495,98 @@ def test_distance_family_factors_once_per_sweep(cycle32_scene, monkeypatch):
     assert calls["potrf"] == sweeps
 
 
+def distance_family_without_early_exit(wmap, rays, cfg):
+    """distance_family's profiles, provenance and counters from ray profiles
+    swept at every region vertex and filtered afterwards, as the early exit
+    classifies them: a profile falls at its first vertex z whose sweep is
+    non-finite (counted nowhere) or breaks the 1-Lipschitz bound against
+    the vertices up to z (lipschitz_dropped).  Also counts the profiles that
+    fell at a non-finite sweep and those that broke the bound before one."""
+    n = wmap.local.size
+    h = float(np.min(wmap.local.edge_lengths))
+    bound = wmap.local.distances * 1.35 + 0.35 * h + 1e-9
+
+    def first_failure(prof):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            bad = ~(np.abs(prof[:, None] - prof[None, :]) <= bound)
+        bad = np.tril(bad | bad.T)
+        fails = np.flatnonzero(~np.isfinite(prof) | np.any(bad, axis=1))
+        return int(fails[0]) if len(fails) else None
+
+    candidates = [(prof, {"kind": "region", "vertex": i})
+                  for i, prof in enumerate(first_arrival_matrix(wmap, cfg.eta))]
+    rg = np.arange(h / 2 + cfg.delta, wmap.horizon - cfg.delta, h / 2)
+    ball_sizes = [len(wmap.local.local_ball(v, cfg.delta)) for v in range(n)]
+    rays_skipped = 0
+    for ray in rays:
+        if min(ball_sizes[ray.x], ball_sizes[ray.y]) < max(ball_sizes):
+            rays_skipped += 1
+            continue
+        s = first_arrival_distance(wmap, ray.x, ray.y, cfg.eta)
+        cut_grid = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
+        tstar = reconstruction.cut_time_estimate(wmap, ray.x, ray.y, s, cut_grid, cfg)
+        for r_prime in ray.r_values:
+            if r_prime >= min(reconstruction.CUT_MARGIN * tstar, wmap.horizon - cfg.delta):
+                continue
+            prof = np.array([reconstruction.exterior_distance(wmap, ray.x, ray.y, s, r_prime,
+                                                              z, rg, cfg) for z in range(n)])
+            candidates.append((prof, {"kind": "ray", "x": ray.x, "y": ray.y, "r": float(r_prime)}))
+    kept, provenance, lipschitz_dropped = [], [], 0
+    fallen = {"nonfinite": 0, "lipschitz_then_nonfinite": 0}
+    for prof, pv in candidates:
+        z = first_failure(prof)
+        if z is None:
+            kept.append(prof)
+            provenance.append(pv)
+        elif np.isfinite(prof[z]):
+            lipschitz_dropped += 1
+            fallen["lipschitz_then_nonfinite"] += not np.all(np.isfinite(prof))
+        else:
+            fallen["nonfinite"] += 1
+    merged, merged_prov = [], []
+    for prof, pv in zip(kept, provenance):
+        if not any(np.max(np.abs(q - prof)) < 0.75 * h for q in merged):
+            merged.append(prof)
+            merged_prov.append(pv)
+    counters = (rays_skipped, lipschitz_dropped, len(kept) - len(merged))
+    return np.asarray(merged), merged_prov, counters, fallen
+
+
+@pytest.mark.parametrize("nonfinite_sweeps", [False, True])
+def test_distance_family_early_exit_matches_full_sweeps(cycle32_scene, monkeypatch,
+                                                        nonfinite_sweeps):
+    # stopping a ray profile at its first failing vertex changes nothing but
+    # the number of sweeps.  The second scene reads the sweep at vertex
+    # 2k - 4 as infinite for the ray parameter k h, so ten profiles meet a
+    # non-finite sweep; one of them breaks the Lipschitz bound before it
+    m, b, op, U, wmap, cfg, h = cycle32_scene
+    sweep = reconstruction.exterior_distance
+    calls = [0]
+
+    def counted(wmap, x, y, s, r_prime, z, r_grid, cfg):
+        calls[0] += 1
+        if nonfinite_sweeps and z == 2 * round(r_prime / h) - 4:
+            return np.inf
+        return sweep(wmap, x, y, s, r_prime, z, r_grid, cfg)
+
+    monkeypatch.setattr(reconstruction, "exterior_distance", counted)
+    rays = [RayPlan(x=4, y=5, r_values=tuple(np.arange(2 * h, 10.5 * h, h))),
+            RayPlan(x=5, y=4, r_values=tuple(np.arange(2 * h, 10.5 * h, h))),
+            RayPlan(x=0, y=1, r_values=(2 * h,))]
+    fam = distance_family(wmap, rays, cfg)
+    early = calls[0]
+    calls[0] = 0
+    profiles, provenance, counters, fallen = distance_family_without_early_exit(
+        wmap, rays, cfg)
+    assert np.array_equal(fam.profiles, profiles)
+    assert fam.provenance == provenance
+    assert (fam.rays_skipped, fam.lipschitz_dropped, fam.duplicates_merged) == counters
+    assert fam.rays_skipped == 1 and fam.lipschitz_dropped > 0
+    assert fallen == ({"nonfinite": 9, "lipschitz_then_nonfinite": 1} if nonfinite_sweeps
+                      else {"nonfinite": 0, "lipschitz_then_nonfinite": 0})
+    assert early < calls[0]
+
+
 def test_distance_family_whole_manifold_region():
     # with everything observed the family is exactly the first-arrival rows
     n, L = 16, 2 * np.pi

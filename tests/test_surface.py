@@ -1,12 +1,17 @@
 """The public surface that the README and the benchmark tooling reach.
 
 Deleting or renaming a library name breaks these readers without breaking
-any library test, so both are checked here.
+any library test, so both are checked here.  So is the import cost that
+every `fracbundle run` pays before it reads its config.
 """
 
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,3 +57,50 @@ def test_readme_constants_match_the_library():
         if getattr(owner, name, None) != eval(value, {"__builtins__": {}}):
             wrong.append(f"{module or 'reconstruction'}.{name} = {value}")
     assert not wrong
+
+
+IMPORT_GUARD = """
+import json, sys
+import fracbundle, fracbundle.runner, fracbundle.cli
+from fracbundle.config import parse_config
+from fracbundle.runner import run_experiment
+
+def scipy_submodules():
+    return sorted(m for m in sys.modules if m.split(".")[:2] in
+                  (["scipy", "fft"], ["scipy", "sparse"], ["scipy", "linalg"]))
+
+readme_cfg, torus_cfg = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+parse_config(readme_cfg)
+loaded = {"parse": scipy_submodules()}
+report = run_experiment(parse_config(torus_cfg))
+loaded["run"] = scipy_submodules()
+loaded["status"] = [t.status for t in report.tasks]
+print(json.dumps(loaded))
+"""
+
+
+def test_import_and_parse_load_no_scipy_submodule():
+    # scipy.fft, scipy.sparse and scipy.linalg cost about 0.4 s to import;
+    # only the sweeps, the fiber frames and shortest_distances load them.
+    # A fresh interpreter imports the package and parses the README config,
+    # then runs the blago check and operator recovery on a small torus
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("Example config:", 1)[1]
+    readme_cfg = re.search(r"```json\n(.*?)```", example, flags=re.S).group(1)
+    torus_cfg = {
+        "manifold": {"kind": "torus_grid", "counts": [6, 6], "lengths": [6.0, 6.0]},
+        "bundle": {"rank": 1, "connection": "random", "potential": "random_positive",
+                   "seed": 3},
+        "region": {"type": "block", "rows": 4, "cols": 4},
+        "time": {"horizon": 4.0, "steps": 400},
+        "tasks": ["verify_blago", "reconstruct_operator"],
+        "options": {"probe_width": 1.0},
+    }
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, readme_cfg, json.dumps(torus_cfg)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded == {"parse": [], "run": [], "status": ["pass", "pass"]}
