@@ -28,7 +28,9 @@ from .errors import GeometryError
 class DiscreteManifold:
     """Connected weighted graph standing in for a closed Riemannian manifold.
 
-    edges: (E, 2) int array of undirected vertex pairs, each listed once.
+    edges: (E, 2) int array of undirected vertex pairs.  A pair listed more
+        than once is a parallel edge: assemble adds the conductances, and
+        shortest_distances uses the shorter length.
     lengths: (E,) edge lengths (length units).
     weights: (E,) edge conductances (1/length^2 units for canonical builders).
     volumes: (V,) vertex volumes (length^dim units).
@@ -179,14 +181,18 @@ def build_manifold(spec):
 
 
 def shortest_distances(m: DiscreteManifold) -> np.ndarray:
-    """All-pairs shortest-path distance matrix over edge lengths."""
+    """All-pairs shortest-path distances over edge lengths; parallel edges count
+    at their shortest."""
     # scipy loads here, not at import: only the distance task needs it
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    e = m.edges
+    # the sparse matrix would sum the lengths of a repeated pair
+    e, inverse = np.unique(np.sort(m.edges, axis=1), axis=0, return_inverse=True)
+    lengths = np.full(len(e), np.inf)
+    np.minimum.at(lengths, inverse, m.lengths)
     graph = csr_matrix(
-        (np.concatenate([m.lengths, m.lengths]),
+        (np.concatenate([lengths, lengths]),
          (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]))),
         shape=(m.num_vertices, m.num_vertices),
     )

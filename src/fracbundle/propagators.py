@@ -72,23 +72,31 @@ def heat_apply(op: SpectralOperator, t, u):
     return apply_function(op, lambda lam: np.exp(-t * lam), u)
 
 
-def heat_kernel_matrix(op: SpectralOperator, t, idx):
-    """Block K(t)[idx, idx] of the spectral heat kernel sum_k e^{-t lam_k} V_k V_k^*.
+def spectral_block(op: SpectralOperator, values, idx):
+    """Block [idx, idx] of sum_k values[..., k] V_k V_k^* over the eigensections V_k.
 
-    idx are flat (vertex * rank + fiber) indices; np.arange(op.dim) gives
-    the whole matrix.  Acts on sections through the volume weights:
-    (e^{-tP} u)(x) = sum_y mu_y K(t; x, y) u(y).
+    values of shape (K,) give one (D, D) block and values of shape (T, K) a
+    (T, D, D) stack, for the D = len(idx) flat (vertex * rank + fiber)
+    indices idx; np.arange(op.dim) gives the whole matrix.  Every kernel of
+    the package is such a block: the heat and wave kernels, the Duhamel
+    weights, P^{-s} and the kernel projector.  Blocks carry no volume
+    weights: (phi(P) u)(x) = sum_y mu_y K(x, y) u(y).
     """
-    w = np.exp(-t * op.eigenvalues)
     V = op.eigensections[np.asarray(idx, dtype=np.int64)]
-    return (V * w[None, :]) @ V.conj().T
+    return np.einsum("xk,...k,yk->...xy", V, values, V.conj(), optimize=True)
 
 
-def wave_kernel_matrix(op: SpectralOperator, t):
-    """Spectral wave kernel matrix at time t (same weighting as the heat one)."""
-    w = modefun.wave_g(t, op.eigenvalues)
-    V = op.eigensections
-    return (V * w[None, :]) @ V.conj().T
+def heat_kernel_matrix(op: SpectralOperator, t, idx):
+    """Block K(t)[idx, idx] of the spectral heat kernel sum_k e^{-t lam_k} V_k V_k^*."""
+    return spectral_block(op, np.exp(-t * op.eigenvalues), idx)
+
+
+def wave_kernel_matrix(op: SpectralOperator, t, idx):
+    """Block [idx, idx] of the spectral wave kernel sum_k G(t, lam_k) V_k V_k^*.
+
+    t is one time, or times of shape (T, 1) for a (T, D, D) stack.
+    """
+    return spectral_block(op, modefun.wave_g(t, op.eigenvalues), idx)
 
 
 def wave_energy(op: SpectralOperator, u0, v0, t):
@@ -317,15 +325,19 @@ def wave_pde_residual(op: SpectralOperator, f: TimeSection, w: TimeSection):
 # ---------------------------------------------------------------------------
 # fractional powers
 
+def fractional_symbol(op: SpectralOperator, p):
+    """|lam_k|^p per mode and 0 on the kernel modes: the symbol of P^p on the
+    kernel complement (p = -s for P^{-s}).  The operator must be nonnegative."""
+    op.require_nonnegative()
+    with np.errstate(all="ignore"):
+        return np.where(op.kernel_mask(), 0.0, np.abs(op.eigenvalues) ** p)
+
+
 def fractional_apply(op: SpectralOperator, s, u):
     """P^s u for 0 < s < 1 (kernel modes contribute zero)."""
     if not 0 < s < 1:
         raise OperatorError("fractional order must be in (0, 1)")
-    op.require_nonnegative()
-    lam = op.eigenvalues
-    mask = op.kernel_mask()
-    vals = np.where(mask, 0.0, np.abs(lam) ** s)
-    return op.synthesize(vals * op.coefficients(u))
+    return op.synthesize(fractional_symbol(op, s) * op.coefficients(u))
 
 
 def _require_no_kernel_component(op, u):
@@ -343,12 +355,8 @@ def fractional_inverse_spectral(op: SpectralOperator, s, u):
     """P^{-s} u on the kernel complement, via the eigenvalue symbol."""
     if not 0 < s < 1:
         raise OperatorError("fractional order must be in (0, 1)")
-    op.require_nonnegative()
+    vals = fractional_symbol(op, -s)
     _require_no_kernel_component(op, u)
-    lam = op.eigenvalues
-    mask = op.kernel_mask()
-    with np.errstate(all="ignore"):
-        vals = np.where(mask, 0.0, np.abs(lam) ** (-s))
     return op.synthesize(vals * op.coefficients(u))
 
 

@@ -38,6 +38,7 @@ from .propagators import (
     transmutation_gaussian_check,
     transmutation_printed_residual,
     wave_energy,
+    wave_kernel_matrix,
 )
 from .reconstruction import (
     ProbeConfig,
@@ -52,7 +53,7 @@ from .reconstruction import (
     recover_local_operator,
 )
 from .reference import chart_operator_from_bundle
-from .s2s import blago_bilinear, frac_map_assemble, wave_map_assemble
+from .s2s import blago_bilinear, frac_map_assemble, region_slices, wave_map_assemble
 
 REPORT_SCHEMA = "fracbundle_report@1"
 
@@ -256,14 +257,16 @@ def _task_verify_blago(scene, cfg):
     grid = scene.grid
     batch = region_sources.reshape(n_sources, len(grid), wmap.local.dim)
     G_engine = blago_bilinear(wmap, batch, batch)
-    # the reference solves the same sources on the whole manifold by the
-    # direct interval sum, not the FFT convolution the engine uses
+    # the reference solves the same sources on the whole manifold over [0, T]
+    # (same dt) by the direct interval sum, not the engine's FFT convolution
+    half = wmap.half_index
+    ref_grid = TimeGrid(cfg.horizon, half)
     sources = []
     for vals in region_sources:
-        full = np.zeros((len(grid), scene.manifold.num_vertices, scene.bundle.rank), dtype=complex)
-        full[:, list(scene.region.vertices)] = vals
-        sources.append(TimeSection(grid, full))
-    states = [w[0] for w in duhamel_states(scene.op, sources, [wmap.half_index])]
+        full = np.zeros((half + 1, scene.manifold.num_vertices, scene.bundle.rank), dtype=complex)
+        full[:, list(scene.region.vertices)] = vals[:half + 1]
+        sources.append(TimeSection(ref_grid, full))
+    states = [w[0] for w in duhamel_states(scene.op, sources, [half])]
     G_direct = np.empty_like(G_engine)
     for i, si in enumerate(states):
         for j, sj in enumerate(states):
@@ -317,8 +320,7 @@ def _task_verify_gauge_equivariance(scene, cfg):
     S = np.zeros((len(U1) * r, len(U1) * r), dtype=complex)
     for i, v2 in enumerate(U2.vertices):
         S[i * r:(i + 1) * r, i * r:(i + 1) * r] = iso.fiber[v2]
-    idx1 = np.array([v * r + j for v in U1.vertices for j in range(r)])
-    idx2 = np.array([v * r + j for v in U2.vertices for j in range(r)])
+    idx1, idx2 = region_slices(U1, r), region_slices(U2, r)
     measures, rows = {}, []
     frac_dev = 0.0
     for s in cfg.orders:
@@ -329,20 +331,17 @@ def _task_verify_gauge_equivariance(scene, cfg):
         frac_dev = max(frac_dev, dev)
     measures["gauge_frac_blocks"] = frac_dev
     grid = scene.grid
-    w1 = scene.wmap
-    w2 = wave_map_assemble(op2, U2, grid)
-    stride = max(1, len(grid) // 16)
-    wave_dev = 0.0
-    for t_idx in range(0, len(grid), stride):
-        dev = float(np.max(np.abs(S.conj().T @ w1.kernel[t_idx] @ S - w2.kernel[t_idx])))
-        wave_dev = max(wave_dev, dev)
+
+    def kernel_dev(kernel_matrix, t):
+        K1, K2 = kernel_matrix(op1, t, idx1), kernel_matrix(op2, t, idx2)
+        return float(np.max(np.abs(S.conj().T @ K1 @ S - K2)))
+
+    wave_dev = max(kernel_dev(wave_kernel_matrix, t)
+                   for t in grid.times[::max(1, len(grid) // 16)])
     rows.append(["wave_kernel", -1.0, wave_dev])
     measures["gauge_wave_blocks"] = wave_dev
-    heat_dev = 0.0
-    for t in np.linspace(grid.dt, 2 * cfg.horizon, 8):
-        H1 = heat_kernel_matrix(op1, t, idx1)
-        H2 = heat_kernel_matrix(op2, t, idx2)
-        heat_dev = max(heat_dev, float(np.max(np.abs(S.conj().T @ H1 @ S - H2))))
+    heat_dev = max(kernel_dev(heat_kernel_matrix, t)
+                   for t in np.linspace(grid.dt, 2 * cfg.horizon, 8))
     rows.append(["heat_kernel", -1.0, heat_dev])
     measures["gauge_heat_kernel"] = heat_dev
     tables = {"gauge_deviations": (["block", "order", "deviation"], rows)}

@@ -29,10 +29,13 @@ from .propagators import (
     TimeSection,
     duhamel_weights,
     folded_kernel,
+    fractional_symbol,
     mode_convolve,
     mode_convolve_rows,
     next_fast_len,
     pl_spectra,
+    spectral_block,
+    wave_kernel_matrix,
 )
 from .serialize import complex_from_list, complex_to_list, real_to_list
 
@@ -136,11 +139,9 @@ def local_structure(region: Region, rank) -> LocalStructure:
     )
 
 
-def _region_slices(region: Region, rank):
-    idx = []
-    for v in region.vertices:
-        idx.extend(range(v * rank, (v + 1) * rank))
-    return np.asarray(idx, dtype=np.int64)
+def region_slices(region: Region, rank):
+    """Flat (vertex * rank + fiber) indices of a region, in region vertex order."""
+    return (np.asarray(region.vertices, dtype=np.int64)[:, None] * rank + np.arange(rank)).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -201,19 +202,12 @@ def frac_map_assemble(op: SpectralOperator, region: Region, s) -> FracMapData:
     """Freeze the local fractional source-to-solution data for order s."""
     if not 0 < s < 1:
         raise OperatorError("fractional order must be in (0, 1)")
-    op.require_nonnegative()
-    idx = _region_slices(region, op.bundle.rank)
-    VU = op.eigensections[idx, :]
-    mask = op.kernel_mask()
-    with np.errstate(all="ignore"):
-        vals = np.where(mask, 0.0, np.abs(op.eigenvalues) ** (-s))
-    block = (VU * vals[None, :]) @ VU.conj().T
-    kernel_block = (VU * mask[None, :].astype(float)) @ VU.conj().T
+    idx = region_slices(region, op.bundle.rank)
     return FracMapData(
         order=float(s),
         local=local_structure(region, op.bundle.rank),
-        block=block,
-        kernel_block=kernel_block,
+        block=spectral_block(op, fractional_symbol(op, -s), idx),
+        kernel_block=spectral_block(op, op.kernel_mask().astype(float), idx),
     )
 
 
@@ -354,25 +348,16 @@ def wave_map_assemble(op: SpectralOperator, region: Region, grid: TimeGrid) -> W
     """Freeze the wave source-to-solution data over a [0, 2T] grid."""
     if grid.n_steps % 2 != 0:
         raise OperatorError("use an even number of steps so T sits on the grid")
-    idx = _region_slices(region, op.bundle.rank)
-    VU = np.ascontiguousarray(op.eigensections[idx, :])
-    lam = op.eigenvalues
-    ts = grid.times
-    from . import modefun
-
-    gvals = modefun.wave_g(ts[:, None], lam[None, :])
-    A, B = duhamel_weights(lam, grid.dt, grid.n_steps)
-    cV = VU.conj()
-    kernel = np.einsum("xk,tk,yk->txy", VU, gvals, cV, optimize=True)
-    conv_a = np.einsum("xk,tk,yk->txy", VU, A, cV, optimize=True)
-    conv_b = np.einsum("xk,tk,yk->txy", VU, B, cV, optimize=True)
+    idx = region_slices(region, op.bundle.rank)
+    kernel = wave_kernel_matrix(op, grid.times[:, None], idx)
+    A, B = duhamel_weights(op.eigenvalues, grid.dt, grid.n_steps)
     return WaveMapData(
         grid=grid,
         horizon=grid.t_max / 2.0,
         local=local_structure(region, op.bundle.rank),
         kernel=kernel,
-        conv_a=conv_a,
-        conv_b=conv_b,
+        conv_a=spectral_block(op, A, idx),
+        conv_b=spectral_block(op, B, idx),
     )
 
 

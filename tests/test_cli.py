@@ -1,11 +1,14 @@
 """Config validation, task orchestration, report emission, CLI exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,7 @@ from fracbundle.cli import main
 from fracbundle.config import parse_config
 from fracbundle.errors import ConfigError
 from fracbundle.reconstruction import ProbeConfig
-from fracbundle import runner
+from fracbundle import runner, s2s
 from fracbundle.runner import emit_report, run_experiment
 
 BASE_CONFIG = {
@@ -335,6 +338,64 @@ def test_cli_lead_step_past_the_budget_exits_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "options.probe_lead_step" in proc.stderr and "budget" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@st.composite
+def oversized_configs(draw):
+    """(raw, field): BASE_CONFIG with one scale field far past the working-set
+    budget, and the field the config error must name."""
+    raw = json.loads(BASE_BYTES)
+    field = draw(st.sampled_from(["manifold", "time.steps", "options.probe_lead_step"]))
+    if field == "manifold":
+        raw["manifold"]["count"] = draw(st.integers(2**15, 2**40))
+    elif field == "time.steps":
+        raw["time"]["steps"] = 2 * draw(st.integers(2**31, 2**49))
+    else:
+        # the horizon spans several probe widths (1.5 mesh lengths, 0.59),
+        # so the lead ladder is not empty
+        raw["tasks"] = ["verify_spectral", "reconstruct_distances"]
+        raw["time"]["horizon"] = draw(st.floats(3.0, 12.0))
+        raw["options"] = {"probe_lead_step": draw(st.floats(1e-12, 1e-9))}
+    return raw, field
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=oversized_configs())
+def test_cli_scale_field_past_the_budget_exits_2_before_allocating(case):
+    raw, field = case
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "config.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stderr(err):
+                code = main(["run", path, "--out", os.path.join(work, "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not os.path.exists(os.path.join(work, "out"))
+    assert code == 2
+    assert "config error" in err.getvalue() and field in err.getvalue()
+    # the smallest of these configs asks for a 16 GiB eigh
+    assert peak < 1 << 20
+
+
+def test_gauge_task_assembles_no_wave_map(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return s2s.wave_map_assemble(*args)
+
+    monkeypatch.setattr(runner, "wave_map_assemble", counted)
+    cfg = parse_config(dict(BASE_CONFIG, tasks=["verify_gauge_equivariance"],
+                            bundle={"rank": 2, "connection": "random",
+                                    "potential": "random_positive", "seed": 4}))
+    ok, measures, checks, _ = runner._task_verify_gauge_equivariance(runner._Scene(cfg), cfg)
+    assert calls == []
+    assert ok and measures["gauge_wave_blocks"] < checks["gauge_wave_blocks"]
 
 
 def test_cli_env_var_output_dir(tmp_path, monkeypatch):

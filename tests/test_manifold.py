@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fracbundle.bundle import build_bundle
 from fracbundle.errors import GeometryError
 from fracbundle.manifold import (
     DiscreteManifold,
@@ -10,6 +11,7 @@ from fracbundle.manifold import (
     build_manifold,
     shortest_distances,
 )
+from fracbundle.operator import assemble
 from fracbundle.s2s import local_structure
 
 
@@ -193,6 +195,18 @@ def test_torus_distance_bfs_oracle():
     v_b = 2 * 4 + 2
     assert oracle[v_a, v_b] == pytest.approx(4.0)  # frozen from the BFS oracle
     assert d[v_a, v_b] == pytest.approx(4.0)
+
+
+def test_repeated_edge_is_a_parallel_edge():
+    # the distance takes the shorter of two parallel edges, in either listing
+    # order, and assemble adds their conductances
+    for edges in ([[0, 1], [0, 1], [1, 2], [2, 0]], [[1, 0], [0, 1], [1, 2], [2, 0]]):
+        m = DiscreteManifold(num_vertices=3, edges=edges, lengths=[1.0, 3.0, 1.0, 1.0],
+                             weights=[1.0, 2.0, 1.0, 1.0], volumes=np.ones(3), dimension=1)
+        d = shortest_distances(m)
+        assert d[0, 1] == 1.0 and d[1, 0] == 1.0
+        assert d[0, 2] == 1.0 and d[1, 2] == 1.0
+        assert assemble(build_bundle(m, 1)).matrix[0, 1] == -3.0
 
 
 # -- open balls ---------------------------------------------------------------

@@ -23,6 +23,7 @@ from fracbundle.propagators import (
     mode_convolve,
     mode_convolve_rows,
     pl_spectra,
+    spectral_block,
     transmutation_gaussian_check,
     transmutation_printed_residual,
     wave_energy,
@@ -132,7 +133,38 @@ def test_heat_kernel_monotone_decay_on_cycle():
     assert np.max(np.abs(heat_kernel_matrix(op, t, idx) - K[np.ix_(idx, idx)])) <= 1e-15
 
 
+def test_spectral_block_matches_explicit_synthesis():
+    rng = np.random.default_rng(23)
+    op = torus_op()
+    idx = np.array([7, 0, 12, 3, 30])
+    V = op.eigensections[idx]
+    values = rng.standard_normal((4, op.dim))
+    want = np.stack([(V * w) @ V.conj().T for w in values])
+    scale = np.max(np.abs(want))
+    stack = spectral_block(op, values, idx)
+    assert stack.shape == (4, len(idx), len(idx))
+    assert np.max(np.abs(stack - want)) <= 1e-14 * scale
+    for w, block in zip(values, want):
+        got = spectral_block(op, w, idx)
+        assert got.shape == (len(idx), len(idx))
+        assert np.max(np.abs(got - block)) <= 1e-14 * scale
+
+
 # -- wave kernel and Duhamel ------------------------------------------------
+
+def test_wave_kernel_block_is_that_block_of_the_full_matrix():
+    op = torus_op()
+    idx = np.array([5, 0, 11, 3])
+    for t in (0.0, 0.7, 2.3):
+        K = wave_kernel_matrix(op, t, np.arange(op.dim))
+        assert np.max(np.abs(wave_kernel_matrix(op, t, idx) - K[np.ix_(idx, idx)])) <= 1e-15
+    # times (T, 1) give the stack of blocks
+    times = np.array([0.2, 1.1])
+    stack = wave_kernel_matrix(op, times[:, None], idx)
+    for t, block in zip(times, stack):
+        assert np.max(np.abs(block - wave_kernel_matrix(op, t, idx))) <= 1e-15
+
+
 
 def test_wave_kernel_basic_properties():
     rng = np.random.default_rng(3)
@@ -141,7 +173,7 @@ def test_wave_kernel_basic_properties():
     mu = np.repeat(op.bundle.manifold.volumes, op.bundle.rank)
 
     def wave(t):  # G(t, P) u through the kernel matrix and the volume weights
-        return op.to_section(wave_kernel_matrix(op, t) @ (mu * op.to_flat(u)))
+        return op.to_section(wave_kernel_matrix(op, t, np.arange(op.dim)) @ (mu * op.to_flat(u)))
 
     assert np.max(np.abs(wave(0.0))) == 0.0
     # odd in t
@@ -292,6 +324,20 @@ def test_duhamel_states_match_solve_rows(monkeypatch):
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
     assert np.array_equal(duhamel_states(op, sources[1], rows), states[1])
     assert duhamel_states(op, [], rows) == []
+
+
+def test_duhamel_states_on_the_half_grid_match_the_full_grid():
+    # the state at row N/2 reads source rows 0..N/2 only, so the sources cut
+    # to [0, T] on a grid of the same dt give the same states bit for bit
+    rng = np.random.default_rng(29)
+    op = torus_op()
+    full, half = TimeGrid(2 * 0.7, 70), TimeGrid(0.7, 35)
+    assert half.dt == full.dt
+    sources = _random_sections(rng, full, op, 2)
+    want = duhamel_states(op, sources, [35])
+    got = duhamel_states(op, [TimeSection(half, f.values[:36]) for f in sources], [35])
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("bad", ["grid", "bundle"])

@@ -10,7 +10,16 @@ from fracbundle.bundle import GaugeTransform, apply_gauge, build_bundle, l2_inne
 from fracbundle.errors import DataBoundaryError, OperatorError
 from fracbundle.manifold import Region, build_manifold
 from fracbundle.operator import assemble, kernel_projector
-from fracbundle.propagators import TimeGrid, TimeSection, duhamel_solve, duhamel_states, fractional_apply, heat_kernel_matrix, wave_kernel_matrix
+from fracbundle.propagators import (
+    TimeGrid,
+    TimeSection,
+    duhamel_solve,
+    duhamel_states,
+    fractional_apply,
+    fractional_inverse_spectral,
+    heat_kernel_matrix,
+    wave_kernel_matrix,
+)
 from fracbundle.reconstruction import build_source_family
 from fracbundle.s2s import (
     FracMapData,
@@ -22,6 +31,7 @@ from fracbundle.s2s import (
     frac_map_assemble,
     gram_matrix,
     local_structure,
+    region_slices,
     wave_map_assemble,
 )
 from fracbundle.serialize import dumps, loads
@@ -86,6 +96,17 @@ def test_local_structure_neighbors_in_edge_list_order():
 
 
 # -- fractional map data ------------------------------------------------------
+
+@pytest.mark.parametrize("s", [0.0, -0.5, 1.0, 1.5])
+def test_fractional_routes_reject_orders_outside_the_unit_interval(s):
+    m, b, op = cycle_scene(8, 8.0)
+    u = b.random_section(np.random.default_rng(0))
+    for call in (lambda: fractional_apply(op, s, u),
+                 lambda: fractional_inverse_spectral(op, s, u),
+                 lambda: frac_map_assemble(op, arc_region(m, 0, 3), s)):
+        with pytest.raises(OperatorError, match="fractional order"):
+            call()
+
 
 def test_frac_map_full_region_matches_spectral_matrix():
     m, b, op = cycle_scene(8, 8.0)
@@ -186,6 +207,20 @@ def test_wave_kernel_small_time_growth(wave_scene):
     k2 = wmap.kernel[2][x, x].real
     assert k1 == pytest.approx(grid.dt / mu, rel=5e-3)
     assert k2 == pytest.approx(2 * grid.dt / mu, rel=1e-2)
+
+
+def test_wave_map_kernel_is_the_wave_kernel_block():
+    m, b, op = cycle_scene(12, 12.0, rank=2, connection="random", potential="random_positive",
+                           seed=5)
+    U = arc_region(m, 9, 5)
+    grid = TimeGrid(3.0, 96)
+    wmap = wave_map_assemble(op, U, grid)
+    idx = region_slices(U, 2)
+    assert list(idx[:4]) == [18, 19, 20, 21]
+    scale = np.max(np.abs(wmap.kernel))
+    for t_idx in (0, 5, 40, 96):
+        block = wave_kernel_matrix(op, grid.times[t_idx], idx)
+        assert np.max(np.abs(block - wmap.kernel[t_idx])) <= 1e-15 * scale
 
 
 def test_wave_map_consistency_with_duhamel(wave_scene):
@@ -736,8 +771,8 @@ def test_map_data_gauge_equivariance():
     # and a pulled-back section maps the same way through the wave kernel
     u1 = b1.random_section(rng)
     u2 = pullback_section(iso, u1)
-    K1 = wave_kernel_matrix(op1, 0.7)
-    K2 = wave_kernel_matrix(op2, 0.7)
+    K1 = wave_kernel_matrix(op1, 0.7, np.arange(op1.dim))
+    K2 = wave_kernel_matrix(op2, 0.7, np.arange(op2.dim))
     mu = np.repeat(m.volumes, r)
     y1 = (K1 @ (mu * op1.to_flat(u1)))
     y2 = (K2 @ (mu * op2.to_flat(u2)))
