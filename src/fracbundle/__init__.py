@@ -44,7 +44,6 @@ from .reconstruction import (
     SourceFamily,
     DistanceProfileSet,
     RayPlan,
-    FiberProbe,
     ChartOperator,
     build_source_family,
     probe_engine,
@@ -54,7 +53,6 @@ from .reconstruction import (
     exterior_distance,
     distance_family,
     match_profiles,
-    recover_fiber_frame,
     recover_local_operator,
     gauge_invariant_compare,
 )

@@ -8,8 +8,11 @@ level.
 The workhorse is a family of space-time box probes (delta in space, smooth
 bump in time, parameterized by emission lead) whose pairwise wave-state
 inner products come from the time-averaged identity engine.  Ball
-containment, cut times, exterior distances, fiber frames, and local
-operator blocks are all read off sub-Grams of one master probe family.
+containment, cut times and exterior distances are read off sub-Grams of
+one master probe family, every one through the same ridge Cholesky
+factor; no eigendecomposition touches the probe Gram.  Local operator
+blocks (transports and potential) come from a least-squares fit to the
+responses of a second probe family near the horizon.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ CONTAINMENT_TOL = 0.05
 RIDGE_FACTOR = 1e-8
 # exterior sweeps stay below this fraction of the ray's cut time
 CUT_MARGIN = 0.85
-# fiber-frame synthesis: largest accepted residual
-SYNTHESIS_TOL = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +140,7 @@ def _ridge_factor(M, reg):
     matrix that is not positive definite is a ReconstructionError.
     """
     # scipy.linalg loads at the first factor, not at import: runs without a
-    # sweep or a fiber frame never pay for it
+    # containment sweep never pay for it
     from scipy.linalg import lapack
 
     M[np.diag_indices(len(M))] += reg
@@ -282,6 +283,8 @@ def first_arrival_distance(wmap: WaveMapData, x, y, eta):
     col = wmap.kernel[:, sy, sx]
     amp = np.max(np.abs(col).reshape(len(col), -1), axis=1)
     peak = float(np.max(amp))
+    if not np.isfinite(peak):
+        raise ReconstructionError("kernel column is not finite")
     if peak <= 0:
         raise ReconstructionError("kernel column vanishes identically")
     hits = np.nonzero(amp > eta * peak)[0]
@@ -569,123 +572,6 @@ def match_profiles(recovered: DistanceProfileSet, oracle_profiles, rel_tol=0.15)
 
 
 # ---------------------------------------------------------------------------
-# fiber frames
-
-@dataclass
-class FiberProbe:
-    """Recovered fiber frame at a target vertex.
-
-    coefficients[i] synthesize the i-th frame state from the probe family;
-    gram is the (post-orthonormalization) frame Gram; diagnostics carry the
-    synthesis residual / separation data that certify the recovery.
-    """
-
-    target: object
-    coefficients: np.ndarray
-    family: SourceFamily
-    gram: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
-
-
-def recover_fiber_frame(wmap: WaveMapData, y, cfg: ProbeConfig, exterior_profile=None):
-    """Frame of fiber states concentrated at a vertex, from map data only.
-
-    For y inside the region the frame is synthesized against the delta
-    targets readable from the kernel data.  For an exterior point,
-    identified by its distance profile over the region, the frame spans
-    the probe states reaching y while orthogonal to every state that
-    cannot reach it (the smallest generalized eigenvectors); its spatial
-    resolution is the dispersive front width, a few mesh lengths.
-
-    Every Gram system is solved through one ridge Cholesky factor
-    (_ridge_factor), which returns L with conj(A) = L L^H; the solves are
-    written for that conjugate factor.
-    """
-    from scipy.linalg import cho_solve, solve_triangular
-
-    eng = probe_engine(wmap, cfg)
-    fam = eng.family
-    G = eng.gram
-    r = wmap.local.rank
-    n_half = wmap.half_index
-    mu = wmap.local.weights_flat()
-    if exterior_profile is None:
-        y = int(y)
-        # reachability: some probe must cover the point
-        if np.max(fam.lead) < cfg.width:
-            raise ReconstructionError("probe family cannot reach the target")
-        at_T = wmap.respond(fam.profiles, components=fam.components(), rows=[n_half])[:, 0, :]
-        comps = y * r + np.arange(r)
-        # synthesize the unit delta sections at y: C = (G + reg I)^{-1} Q
-        # with Q = mu conj(at_T) at the engine's ridge.  The conjugate factor
-        # solves for conj(C), whose right-hand sides are conj(Q) = mu at_T;
-        # the engine's Gram is factored in a copy
-        rhs = mu[comps] * at_T[:, comps]
-        L = _ridge_factor(G.astype(np.result_type(G, rhs)), eng.reg)
-        coeffs = cho_solve((L, True), rhs).conj().T  # row j is C[:, j]
-        # |target|^2 = mu and its projection onto the probe span is Q^H C
-        proj = np.real(np.sum(rhs * coeffs.T, axis=0))
-        resid = [float(v) for v in np.sqrt(np.maximum(0.0, 1.0 - proj / mu[comps]))]
-        if max(resid) > SYNTHESIS_TOL:
-            raise ReconstructionError(
-                f"synthesis residual {max(resid):.3f} exceeds {SYNTHESIS_TOL}; "
-                "the target is not reachable at this horizon"
-            )
-    else:
-        # An exterior point is identified by its distance profile over the
-        # region.  Frame states are the probe combinations reachable from
-        # the nearest profile anchors but outside the effective span of
-        # every family that cannot reach the point: the discrete stand-in
-        # for weak limits of sections pinched between reach constraints.
-        # Resolution is set by the dispersive front width (a few mesh
-        # lengths), reported in the diagnostics.
-        prof = np.asarray(exterior_profile, dtype=np.float64)
-        d_min = float(np.min(prof))
-        if d_min + cfg.width >= wmap.horizon:
-            raise ReconstructionError("target unreachable within the horizon")
-        h_min = float(np.min(wmap.local.edge_lengths))
-        guard = 2.0 * h_min
-        slack = 2.0 * h_min
-        order = np.argsort(prof)
-        anchors = [int(order[0]), int(order[1])]
-        a_idx = fam.select(vertices=anchors, max_lead=d_min + slack)
-        b_idx = []
-        for u in range(wmap.local.size):
-            b_idx.extend(fam.select(vertices=[u], max_lead=prof[u] - guard))
-        b_idx = np.asarray(sorted(set(b_idx)), dtype=np.int64)
-        if len(a_idx) < r or len(b_idx) == 0:
-            raise ReconstructionError("probe family too small around the target")
-        Gaa = G[np.ix_(a_idx, a_idx)]
-        L = _ridge_factor(Gaa, RIDGE_FACTOR * np.trace(Gaa).real / len(Gaa))
-        # a spectral filter, not a solve: keep only the strongly excited
-        # span of the non-reaching families so their dispersive tails do
-        # not count.  M = W W^H is the anchor Gram projected onto that span
-        Gbb = G[np.ix_(b_idx, b_idx)]
-        lam, V = np.linalg.eigh(Gbb)
-        keep = lam > 0.01 * max(np.trace(Gbb).real / len(Gbb), 0.0)
-        W = G[np.ix_(a_idx, b_idx)] @ (V[:, keep] / np.sqrt(lam[keep]))
-        # smallest eigenpairs of M c = lam (Gaa + reg I) c.  Whitened by the
-        # conjugate factor, conj(M) becomes Z Z^H with Z = L^{-1} conj(W),
-        # and c = conj(L^{-H} z)
-        Z = solve_triangular(L, W.conj(), lower=True)
-        evals, Y = np.linalg.eigh(Z @ Z.conj().T)
-        coeffs = np.zeros((r, len(fam)), dtype=np.complex128)
-        coeffs[:, a_idx] = solve_triangular(L, Y[:, :r], lower=True, trans="C").conj().T
-        resid = [float(v) for v in evals[:r]]
-    raw_gram = coeffs.conj() @ G @ coeffs.T
-    # orthonormalize the recovered states: with row coefficient vectors and
-    # conj(raw_gram) = L L^H, the rows of L^{-1} coeffs have Gram I
-    coeffs = solve_triangular(_ridge_factor(raw_gram.copy(), 0.0), coeffs, lower=True)
-    return FiberProbe(
-        target=y if exterior_profile is None else ("profile", tuple(np.round(prof, 12))),
-        coefficients=coeffs,
-        family=fam,
-        gram=coeffs.conj() @ G @ coeffs.T,
-        diagnostics={"synthesis_residuals": resid, "raw_gram": raw_gram},
-    )
-
-
-# ---------------------------------------------------------------------------
 # local operator recovery
 
 @dataclass
@@ -765,7 +651,7 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
     rec_transports = []
     rec_potentials = []
     conds = []
-    unitary_dev, herm_dev = 0.0, 0.0
+    unitary_devs, herm_devs = [], []
     mu = local.volumes
     blocks = {}
     for v in chart:
@@ -793,7 +679,7 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
             w = local.edge_weights[i]
             deg += w * np.sqrt(mu[u] / mu[v])
         Avv = X[v] - deg * np.eye(r)
-        herm_dev = max(herm_dev, float(np.max(np.abs(Avv - Avv.conj().T))))
+        herm_devs.append(np.max(np.abs(Avv - Avv.conj().T)))
         rec_potentials.append(0.5 * (Avv + Avv.conj().T))
         for u in nbrs[v]:
             if (v, u) in recorded:
@@ -803,7 +689,7 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
             c_vu = w * np.sqrt(mu[u] / mu[v])
             raw = -X[u] / c_vu
             U = _polar_unitary(raw)
-            unitary_dev = max(unitary_dev, float(np.max(np.abs(raw - U))))
+            unitary_devs.append(np.max(np.abs(raw - U)))
             rec_edges.append((v, u))
             recorded.update({(v, u), (u, v)})
             rec_transports.append(U)
@@ -819,10 +705,11 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
         edges=edges_local,
         transports=np.asarray(transports).reshape(len(transports), r, r),
         potentials=np.asarray(rec_potentials).reshape(len(chart), r, r),
+        # np.max, unlike Python's max, lets a NaN win
         diagnostics={
-            "unitary_deviation": unitary_dev,
-            "hermitian_deviation": herm_dev,
-            "ls_condition": max(conds),
+            "unitary_deviation": float(np.max(unitary_devs, initial=0.0)),
+            "hermitian_deviation": float(np.max(herm_devs, initial=0.0)),
+            "ls_condition": float(np.max(conds)),
         },
     )
 
@@ -837,19 +724,16 @@ def gauge_invariant_compare(recovered: ChartOperator, reference: ChartOperator, 
     """
     if len(recovered.vertices) != len(reference.vertices):
         raise ReconstructionError("chart sizes differ")
-    hol_dev = 0.0
-    for loop in loops:
-        h1 = recovered.holonomy(loop)
-        h2 = reference.holonomy(loop)
-        hol_dev = max(hol_dev, abs(h1 - h2))
-    pot_dev = 0.0
-    for i in range(len(recovered.vertices)):
-        e1 = np.sort(np.linalg.eigvalsh(recovered.potentials[i]))
-        e2 = np.sort(np.linalg.eigvalsh(reference.potentials[i]))
-        pot_dev = max(pot_dev, float(np.max(np.abs(e1 - e2))) if len(e1) else 0.0)
+    # np.max, unlike Python's max, lets a NaN win, so a NaN never passes
+    hol_dev = float(np.max([abs(recovered.holonomy(loop) - reference.holonomy(loop))
+                            for loop in loops], initial=0.0))
+    pot_dev = float(np.max([
+        np.max(np.abs(np.sort(np.linalg.eigvalsh(p1)) - np.sort(np.linalg.eigvalsh(p2))),
+               initial=0.0)
+        for p1, p2 in zip(recovered.potentials, reference.potentials)], initial=0.0))
     return {
-        "holonomy_deviation": float(hol_dev),
-        "potential_spectrum_deviation": float(pot_dev),
+        "holonomy_deviation": hol_dev,
+        "potential_spectrum_deviation": pot_dev,
         "passed": bool(hol_dev <= tol_cert and pot_dev <= tol_cert),
         "tolerance": tol_cert,
     }

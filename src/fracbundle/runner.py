@@ -153,13 +153,16 @@ def _task_verify_spectral(scene, cfg):
     measures["max_eigenvalue"] = op.max_eigenvalue
     measures["kernel_dimension"] = kernel_projector(op).kernel_dimension
     # Hermiticity and eigensection quality
-    herm = 0.0
+    herm = []
     for _ in range(5):
         u, v = scene.random_sections(2, rng)
         pu = op.to_section(op.matrix @ op.to_flat(u))
         pv = op.to_section(op.matrix @ op.to_flat(v))
         lhs, rhs = l2_inner(b, pu, v), l2_inner(b, u, pv)
-        herm = max(herm, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        herm.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
+    # every gated maximum is np.max, which a NaN wins; Python's max drops a
+    # NaN that does not come first
+    herm = float(np.max(herm))
     measures["hermiticity_residual"] = herm
     mu = np.repeat(scene.manifold.volumes, b.rank)
     gram_dev = float(np.max(np.abs(
@@ -167,7 +170,7 @@ def _task_verify_spectral(scene, cfg):
     measures["eigensection_orthonormality"] = gram_dev
     # fractional round trip and the Gamma route
     proj = kernel_projector(op)
-    rt_worst, gamma_worst = 0.0, 0.0
+    rt_devs, gamma_devs = [], []
     n_sections = int(cfg.options.get("round_trip_sections", 20))
     quad_cfg = GammaQuadrature(**cfg.options.get("gamma_quadrature", {}))
     for s in cfg.orders:
@@ -175,19 +178,18 @@ def _task_verify_spectral(scene, cfg):
             f = proj.project_complement(u)
             inv = fractional_inverse_spectral(op, s, f)
             back = fractional_apply(op, s, inv)
-            rt_worst = max(rt_worst, l2_norm(b, back - f) / l2_norm(b, f))
+            rt_devs.append(l2_norm(b, back - f) / l2_norm(b, f))
         f = proj.project_complement(scene.random_sections(1, rng)[0])
         qv = fractional_inverse_quadrature(op, s, f, quad_cfg)
         sv = fractional_inverse_spectral(op, s, f)
-        gamma_worst = max(gamma_worst, l2_norm(b, qv - sv) / l2_norm(b, sv))
-    measures["fractional_round_trip"] = rt_worst
-    measures["gamma_route"] = gamma_worst
+        gamma_devs.append(l2_norm(b, qv - sv) / l2_norm(b, sv))
+    measures["fractional_round_trip"] = float(np.max(rt_devs))
+    measures["gamma_route"] = float(np.max(gamma_devs))
     # wave energy and the heat semigroup law
     u0, v0 = scene.random_sections(2, rng)
     e0 = wave_energy(op, u0, v0, 0.0)
-    drift = max(abs(wave_energy(op, u0, v0, t) - e0) / e0
-                for t in np.linspace(0, 2 * cfg.horizon, 9))
-    measures["energy_drift"] = drift
+    measures["energy_drift"] = float(np.max(
+        [abs(wave_energy(op, u0, v0, t) - e0) / e0 for t in np.linspace(0, 2 * cfg.horizon, 9)]))
     w = scene.random_sections(1, rng)[0]
     semi = l2_norm(b, heat_apply(op, 0.8, w) - heat_apply(op, 0.5, heat_apply(op, 0.3, w)))
     measures["semigroup"] = semi / l2_norm(b, heat_apply(op, 0.8, w))
@@ -214,12 +216,13 @@ def _task_verify_transmutation(scene, cfg):
     measures, tables = {}, {}
     times = cfg.options.get("transmutation_times", [0.1, 1.0])
     rows = []
-    worst = 0.0
+    errs = []
     for t in times:
         Q, E, err = transmutation_gaussian_check(op, float(t))
-        worst = max(worst, float(np.max(err)))
+        errs.append(np.max(err))
         for k in range(len(E)):
             rows.append([float(t), k, float(Q[k]), float(E[k]), float(err[k])])
+    worst = float(np.max(errs, initial=0.0))
     measures["transmutation_gaussian"] = worst
     u = scene.random_sections(1, rng)[0]
     printed_res, quad_err = transmutation_printed_residual(op, 0.5, u)
@@ -274,16 +277,17 @@ def _task_verify_blago(scene, cfg):
     scale = float(np.max(np.abs(G_direct)))
     err = np.abs(G_engine - G_direct) / scale
     pair_count = 0
-    worst = 0.0
+    pair_errs = []
     rows = []
     for i in range(n_sources):
         for j in range(i, n_sources):
             if pair_count >= n_pairs:
                 break
-            worst = max(worst, float(err[i, j]))
+            pair_errs.append(err[i, j])
             rows.append([i, j, float(G_direct[i, j].real), float(G_direct[i, j].imag),
                          float(G_engine[i, j].real), float(G_engine[i, j].imag), float(err[i, j])])
             pair_count += 1
+    worst = float(np.max(pair_errs, initial=0.0))
     measures = {"blago": worst, "pairs": pair_count}
     ev = np.linalg.eigvalsh(0.5 * (G_engine + G_engine.conj().T))
     measures["gram_min_eigenvalue_over_trace"] = float(ev.min() / np.trace(G_engine).real)
@@ -322,13 +326,14 @@ def _task_verify_gauge_equivariance(scene, cfg):
         S[i * r:(i + 1) * r, i * r:(i + 1) * r] = iso.fiber[v2]
     idx1, idx2 = region_slices(U1, r), region_slices(U2, r)
     measures, rows = {}, []
-    frac_dev = 0.0
+    frac_devs = []
     for s in cfg.orders:
         f1 = frac_map_assemble(op1, U1, s)
         f2 = frac_map_assemble(op2, U2, s)
         dev = float(np.max(np.abs(S.conj().T @ f1.block @ S - f2.block)))
         rows.append(["frac", float(s), dev])
-        frac_dev = max(frac_dev, dev)
+        frac_devs.append(dev)
+    frac_dev = float(np.max(frac_devs, initial=0.0))
     measures["gauge_frac_blocks"] = frac_dev
     grid = scene.grid
 
@@ -336,12 +341,12 @@ def _task_verify_gauge_equivariance(scene, cfg):
         K1, K2 = kernel_matrix(op1, t, idx1), kernel_matrix(op2, t, idx2)
         return float(np.max(np.abs(S.conj().T @ K1 @ S - K2)))
 
-    wave_dev = max(kernel_dev(wave_kernel_matrix, t)
-                   for t in grid.times[::max(1, len(grid) // 16)])
+    wave_dev = float(np.max([kernel_dev(wave_kernel_matrix, t)
+                             for t in grid.times[::max(1, len(grid) // 16)]]))
     rows.append(["wave_kernel", -1.0, wave_dev])
     measures["gauge_wave_blocks"] = wave_dev
-    heat_dev = max(kernel_dev(heat_kernel_matrix, t)
-                   for t in np.linspace(grid.dt, 2 * cfg.horizon, 8))
+    heat_dev = float(np.max([kernel_dev(heat_kernel_matrix, t)
+                             for t in np.linspace(grid.dt, 2 * cfg.horizon, 8)]))
     rows.append(["heat_kernel", -1.0, heat_dev])
     measures["gauge_heat_kernel"] = heat_dev
     tables = {"gauge_deviations": (["block", "order", "deviation"], rows)}
@@ -400,14 +405,15 @@ def _task_reconstruct_distances(scene, cfg):
     measures, tables = {}, {}
     # first arrivals against the shortest-path oracle
     arr = first_arrival_matrix(wmap, pcfg.eta)
-    worst_rel = 0.0
+    rels = []
     rows = []
     for i in range(len(region)):
         for j in range(len(region)):
             d_true = dist[region.vertices[i], region.vertices[j]]
             rows.append([i, j, float(arr[i, j]), float(d_true)])
             if d_true >= 3 * h - 1e-9:
-                worst_rel = max(worst_rel, abs(arr[i, j] - d_true) / d_true)
+                rels.append(abs(arr[i, j] - d_true) / d_true)
+    worst_rel = float(np.max(rels, initial=0.0))
     measures["first_arrival_rel"] = worst_rel
     tables["first_arrival"] = (["i", "j", "estimate", "oracle"], rows)
     # cut time along an interior ray
@@ -523,7 +529,8 @@ def _task_reconstruct_operator(scene, cfg):
     measures["gauged_holonomy_deviation"] = rep2["holonomy_deviation"]
     measures["gauged_potential_deviation"] = rep2["potential_spectrum_deviation"]
     # worst per-vertex least-squares condition number over both runs
-    measures["ls_condition"] = max(rec.diagnostics["ls_condition"], rec2.diagnostics["ls_condition"])
+    measures["ls_condition"] = float(np.max([rec.diagnostics["ls_condition"],
+                                             rec2.diagnostics["ls_condition"]]))
     rows = [["holonomy", rep["holonomy_deviation"]],
             ["potential_spectrum", rep["potential_spectrum_deviation"]],
             ["gauged_holonomy", rep2["holonomy_deviation"]],
@@ -549,6 +556,10 @@ _TASKS = {
 
 def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
     """Run all configured tasks sequentially; failures are recorded, not fatal.
+
+    A task that raises any Exception ends with status "error" and the
+    exception's message (prefixed by its type name, except for library,
+    LinAlgError and MemoryError failures); the next task still runs.
 
     workers caps the linear-algebra thread pools for the whole run when
     threadpoolctl is available; otherwise a notice goes to stderr.  A cap
@@ -579,10 +590,14 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
                 tolerances=_to_native(checks),
                 tables=tables,
             ))
-        except (FracBundleError, np.linalg.LinAlgError, MemoryError) as exc:
+        except Exception as exc:  # recorded as data; KeyboardInterrupt passes through
+            if isinstance(exc, (FracBundleError, np.linalg.LinAlgError, MemoryError)):
+                message = str(exc) or type(exc).__name__
+            else:
+                message = f"{type(exc).__name__}: {exc}"
             results.append(TaskResult(
                 name=name, status="error", elapsed_s=time.perf_counter() - t0,
-                message=str(exc) or type(exc).__name__))
+                message=message))
     if limiter is not None:
         limiter.unregister()
     echo = {

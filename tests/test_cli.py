@@ -292,6 +292,85 @@ def test_linalg_error_is_recorded_per_task(monkeypatch):
     assert "positive definite" in rep.tasks[0].message
 
 
+def test_any_exception_is_recorded_per_task(monkeypatch):
+    def breaks(scene, cfg):
+        raise ValueError("operands could not be broadcast")
+
+    monkeypatch.setitem(runner._TASKS, "verify_spectral", breaks)
+    rep = run_experiment(parse_config(BASE_CONFIG))
+    assert [t.status for t in rep.tasks] == ["error", "pass"]
+    assert rep.tasks[0].message == "ValueError: operands could not be broadcast"
+
+
+def strict_report(out_dir):
+    """report.json parsed as strict JSON: NaN and Infinity are refused."""
+    def refuse(name):
+        raise ValueError(f"non-finite constant {name} in report.json")
+
+    text = (Path(out_dir) / "report.json").read_text(encoding="utf-8")
+    return json.loads(text, parse_constant=refuse)
+
+
+def nan_at_calls(*calls):
+    """Poison that makes the output of the given 1-based calls all-NaN."""
+    return lambda out, call: out * np.nan if call in calls else out
+
+
+def nan_third_potential(rec, call):
+    """Poison that makes the potential at the third chart vertex NaN."""
+    rec.potentials[2] = np.nan
+    return rec
+
+
+# one stage output goes NaN at a position that is not first
+NAN_FAULTS = {
+    # the heat times' blocks come in (op1, op2) pairs: calls 5 and 6 are the
+    # third time's
+    "gauge_heat_block": ("verify_gauge_equivariance", "heat_kernel_matrix", nan_at_calls(5, 6)),
+    # the reference pairing fills G_direct row by row over 6 sources: call 9
+    # is entry (1, 2).  A NaN in the engine's pairing is not used here:
+    # eigvalsh of the Gram then raises, and the task errors either way
+    "blago_pairing_entry": ("verify_blago", "l2_inner", nan_at_calls(9)),
+    "operator_potential": ("reconstruct_operator", "recover_local_operator", nan_third_potential),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(NAN_FAULTS))
+def test_nan_stage_output_never_passes(tmp_path, monkeypatch, fault):
+    task, target, poison = NAN_FAULTS[fault]
+    cfg_path = write_config(tmp_path, tasks=[task, "verify_spectral"])
+    _, code = runner.run_from_file(cfg_path, out_dir=str(tmp_path / "clean"))
+    assert code == 0  # the fault, not the scene, fails the task below
+    stage = getattr(runner, target)
+    calls = []
+
+    def faulty(*args, **kwargs):
+        calls.append(None)
+        return poison(stage(*args, **kwargs), len(calls))
+
+    monkeypatch.setattr(runner, target, faulty)
+    report, code = runner.run_from_file(cfg_path, out_dir=str(tmp_path / "out"))
+    assert [t.status for t in report.tasks][1:] == ["pass"]
+    assert report.tasks[0].status in ("fail", "error")
+    assert code == 1
+    assert strict_report(tmp_path / "out")["passed"] is False
+
+
+def test_nan_kernel_column_is_a_task_error_and_later_tasks_run(tmp_path, monkeypatch):
+    def poisoned_map(*args):
+        wmap = s2s.wave_map_assemble(*args)
+        wmap.kernel[:, :, 3] = np.nan
+        return wmap
+
+    monkeypatch.setattr(runner, "wave_map_assemble", poisoned_map)
+    cfg_path = write_config(tmp_path, tasks=["reconstruct_distances", "verify_spectral"])
+    report, code = runner.run_from_file(cfg_path, out_dir=str(tmp_path / "out"))
+    assert [t.status for t in report.tasks] == ["error", "pass"]
+    assert report.tasks[0].message == "kernel column is not finite"
+    assert code == 1
+    assert [t["status"] for t in strict_report(tmp_path / "out")["tasks"]] == ["error", "pass"]
+
+
 def run_with_capped_address_space(cfg_path, out_dir):
     """`fracbundle run` in a child whose address space is capped at 1 GiB."""
     if not sys.platform.startswith("linux"):

@@ -1,4 +1,4 @@
-"""Inverse pipeline: containments, distances, frames, operator recovery."""
+"""Inverse pipeline: containments, distances, operator recovery."""
 
 import ast
 import tracemalloc
@@ -34,7 +34,6 @@ from fracbundle.reconstruction import (
     match_profiles,
     prefix_residuals,
     probe_engine,
-    recover_fiber_frame,
     recover_local_operator,
 )
 from fracbundle.reference import chart_operator_from_bundle
@@ -644,106 +643,6 @@ def test_containment_verdicts_match_ground_truth():
     assert agree / total >= 0.95, f"verdict agreement {agree}/{total}"
 
 
-# -- fiber frames ----------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def rank2_scene():
-    m = build_manifold({"kind": "cycle", "count": 24, "length": 12.0})
-    b0 = build_bundle(m, 2, connection="random", potential="random_hermitian", seed=5)
-    shift = max(0.0, -assemble(b0).min_eigenvalue) + 0.3
-    b = build_bundle(m, 2, connection="random", seed=5, potential="explicit",
-                     explicit_potential=b0.potential + shift * np.eye(2)[None])
-    op = assemble(b)
-    U = Region(m, tuple(range(10)))
-    wmap = wave_map_assemble(op, U, TimeGrid(16.0, 1600))
-    cfg = ProbeConfig(delta=0.6, lead_step=0.25, width=0.5)
-    return m, b, op, U, wmap, cfg
-
-
-def synthesized_states(op, wmap, probe):
-    fam = probe.family
-    V = op.bundle.manifold.num_vertices
-    r = op.bundle.rank
-    states = []
-    for j in range(probe.coefficients.shape[0]):
-        vals = np.zeros((len(wmap.grid), V, r), dtype=complex)
-        for a in range(len(fam)):
-            c = probe.coefficients[j, a]
-            if abs(c) > 0:
-                vals[:, wmap.local.vertices[fam.vertex[a]], fam.fiber[a]] += c * fam.profiles[a]
-        w = duhamel_solve(op, TimeSection(wmap.grid, vals))
-        states.append(w.values[wmap.half_index])
-    return np.array(states)
-
-
-def test_fiber_frame_in_region_rank1(cycle32_scene):
-    m, b, op, U, wmap, cfg, h = cycle32_scene
-    probe = recover_fiber_frame(wmap, 5, cfg)
-    assert abs(probe.gram[0, 0] - 1.0) < 1e-6
-    states = synthesized_states(op, wmap, probe)
-    mu = m.volumes
-    target = np.zeros((m.num_vertices, 1), dtype=complex)
-    target[U.vertices[5], 0] = 1.0 / np.sqrt(mu[U.vertices[5]])
-    overlap = abs(np.einsum("vr,vr,v->", np.conj(states[0]), target, mu))
-    assert abs(overlap - 1.0) < 1e-6  # matches the unit fiber up to phase
-
-
-def test_fiber_frame_in_region_rank2(rank2_scene):
-    m, b, op, U, wmap, cfg = rank2_scene
-    probe = recover_fiber_frame(wmap, 4, cfg)
-    assert np.max(np.abs(probe.gram - np.eye(2))) < 1e-3
-    states = synthesized_states(op, wmap, probe)
-    y_glob = U.vertices[4]
-    mass_at_y = np.sum(np.abs(states[:, y_glob, :]) ** 2, axis=1) * m.volumes[y_glob]
-    total = np.einsum("jvr,v->j", np.abs(states) ** 2, m.volumes)
-    assert np.all(mass_at_y / total > 0.99)
-    # the recovered vectors are orthonormal in the true fiber metric
-    fib = states[:, y_glob, :] * np.sqrt(m.volumes[y_glob])
-    assert np.max(np.abs(fib @ fib.conj().T - np.eye(2))) < 1e-6
-
-
-def test_fiber_frame_exterior_resolution_limited(rank2_scene):
-    m, b, op, U, wmap, cfg = rank2_scene
-    dist = shortest_distances(m)
-    y_glob = 14
-    prof = dist[y_glob, list(U.vertices)]
-    probe = recover_fiber_frame(wmap, None, cfg, exterior_profile=prof)
-    assert np.max(np.abs(probe.gram - np.eye(2))) < 1e-5  # orthonormalized
-    states = synthesized_states(op, wmap, probe)
-    h = 0.5
-    near = [v for v in range(m.num_vertices) if dist[y_glob, v] <= 2 * h + 1e-9]
-    total = np.einsum("jvr,v->j", np.abs(states) ** 2, m.volumes)
-    mass_near = np.einsum("jvr,v->j", np.abs(states[:, near, :]) ** 2, m.volumes[near])
-    assert np.all(mass_near / total > 0.85)  # concentrated at the front-width scale
-
-
-def test_fiber_frame_unreachable_raises(rank2_scene):
-    m, b, op, U, wmap, cfg = rank2_scene
-    far = np.full(wmap.local.size, wmap.horizon + 1.0)
-    with pytest.raises(ReconstructionError):
-        recover_fiber_frame(wmap, None, cfg, exterior_profile=far)
-
-
-def test_fiber_frame_breakdown_is_a_reconstruction_error(rank2_scene, monkeypatch):
-    # every Gram solve factors a copy, so the engine's Gram never changes;
-    # a Gram that is not positive definite is a ReconstructionError on
-    # both paths, never a numpy LinAlgError
-    m, b, op, U, wmap, cfg = rank2_scene
-    eng = probe_engine(wmap, cfg)
-    prof = shortest_distances(m)[14, list(U.vertices)]
-    frames = (lambda: recover_fiber_frame(wmap, 4, cfg),
-              lambda: recover_fiber_frame(wmap, None, cfg, exterior_profile=prof))
-    G_in = eng.gram.copy()
-    for frame in frames:
-        frame()
-        assert np.array_equal(probe_engine(wmap, cfg).gram, G_in)
-    monkeypatch.setattr(eng, "gram", -G_in)
-    for frame in frames:
-        with pytest.raises(ReconstructionError, match="not positive definite"):
-            frame()
-        assert np.array_equal(probe_engine(wmap, cfg).gram, -G_in)
-
-
 # -- operator recovery -------------------------------------------------------------
 
 def test_recover_operator_trivial_bundle(cycle32_scene):
@@ -756,7 +655,7 @@ def test_recover_operator_trivial_bundle(cycle32_scene):
 
 def test_recovery_evaluates_only_rows_near_horizon(cycle32_scene, monkeypatch):
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    shapes = []  # the probe Gram reads no responses: only the recoveries call respond
+    shapes = []  # the probe Gram reads no responses: only the recovery calls respond
     respond = WaveMapData.respond
 
     def recording_respond(self, *args, **kwargs):
@@ -765,9 +664,8 @@ def test_recovery_evaluates_only_rows_near_horizon(cycle32_scene, monkeypatch):
         return out
 
     monkeypatch.setattr(WaveMapData, "respond", recording_respond)
-    recover_fiber_frame(wmap, 5, cfg)
     recover_local_operator(wmap, [3, 4, 5, 6], cfg)
-    assert [s[1] for s in shapes] == [1, 5]
+    assert [s[1] for s in shapes] == [5]
     assert not any(isinstance(k, tuple) and k[0] == "responses" for k in wmap.meta)
 
 

@@ -81,7 +81,7 @@ print(json.dumps(loaded))
 
 def test_import_and_parse_load_no_scipy_submodule():
     # scipy.fft, scipy.sparse and scipy.linalg cost about 0.4 s to import;
-    # only the sweeps, the fiber frames and shortest_distances load them.
+    # only the containment sweeps and shortest_distances load them.
     # A fresh interpreter imports the package and parses the README config,
     # then runs the blago check and operator recovery on a small torus
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
