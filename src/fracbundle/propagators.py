@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +81,22 @@ def spectral_block(op: SpectralOperator, values, idx):
     the package is such a block: the heat and wave kernels, the Duhamel
     weights, P^{-s} and the kernel projector.  Blocks carry no volume
     weights: (phi(P) u)(x) = sum_y mu_y K(x, y) u(y).
+
+    The values are real (every symbol above is); complex values raise
+    OperatorError.  A stack is one real product of the values against the
+    (K, D, D) table of the V_k V_k^*, returned in C order, (T, D, D).
     """
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise OperatorError("spectral block values must be real")
     V = op.eigensections[np.asarray(idx, dtype=np.int64)]
-    return np.einsum("xk,...k,yk->...xy", V, values, V.conj(), optimize=True)
+    if values.ndim == 1:
+        return (V * values) @ V.conj().T
+    D, K = V.shape
+    table = np.empty((K, D, D), dtype=np.complex128)
+    np.multiply(V.T[:, :, None], V.T.conj()[:, None, :], out=table)
+    stack = values.reshape(-1, K) @ table.view(np.float64).reshape(K, 2 * D * D)
+    return stack.view(np.complex128).reshape(values.shape[:-1] + (D, D))
 
 
 def heat_kernel_matrix(op: SpectralOperator, t, idx):
@@ -232,17 +245,12 @@ def mode_convolve_rows(A, B, src, rows, subscripts):
     return out
 
 
-def _check_batch(op: SpectralOperator, f):
-    """(sources, single) of a TimeSection or a sequence of them on one grid."""
-    single = isinstance(f, TimeSection)
-    sources = [f] if single else list(f)
-    V, r = op.bundle.manifold.num_vertices, op.bundle.rank
-    for src in sources:
-        if src.grid != sources[0].grid:
-            raise OperatorError("batch sources must share one time grid")
-        if src.values.shape[1:] != (V, r):
-            raise OperatorError("source does not live on the operator's bundle")
-    return sources, single
+def _check_source(op: SpectralOperator, src: TimeSection, grid: TimeGrid):
+    """Raise OperatorError unless src lies on grid and on the operator's bundle."""
+    if src.grid != grid:
+        raise OperatorError("batch sources must share one time grid")
+    if src.values.shape[1:] != (op.bundle.manifold.num_vertices, op.bundle.rank):
+        raise OperatorError("source does not live on the operator's bundle")
 
 
 def duhamel_solve(op: SpectralOperator, f: TimeSection | Sequence[TimeSection]):
@@ -254,10 +262,13 @@ def duhamel_solve(op: SpectralOperator, f: TimeSection | Sequence[TimeSection]):
     spectrum are then built once, every source is checked before the first
     transform, and the solutions come back as a list in the same order.
     """
-    sources, single = _check_batch(op, f)
+    single = isinstance(f, TimeSection)
+    sources = [f] if single else list(f)
     if not sources:
         return []
     grid = sources[0].grid
+    for src in sources:
+        _check_source(op, src, grid)
     n1 = len(grid)
     V, r = op.bundle.manifold.num_vertices, op.bundle.rank
     wflat = np.repeat(op.bundle.manifold.volumes, r)
@@ -273,26 +284,31 @@ def duhamel_solve(op: SpectralOperator, f: TimeSection | Sequence[TimeSection]):
     return out[0] if single else out
 
 
-def duhamel_states(op: SpectralOperator, f: TimeSection | Sequence[TimeSection], rows):
+def duhamel_states(op: SpectralOperator, f: TimeSection | Iterable[TimeSection], rows):
     """duhamel_solve(op, f).values[rows], without solving on the rest of the grid.
 
     Each state is the direct interval sum mode_convolve_rows over source
     rows 0..max(rows): the mode analysis reads only the source's nonzero
     columns, and only the requested rows are synthesized.  No FFT is
     involved, so this is an independent route to the same solution.
+    f is one TimeSection or any iterable of them, drawn one at a time: each
+    source is checked as it is drawn (the first one's grid, the operator's
+    bundle), and only the first one's grid is kept, so a generator streams
+    full-manifold sources.
     Returns an array (len(rows), V, r) per source, batched like duhamel_solve.
     """
-    sources, single = _check_batch(op, f)
-    if not sources:
-        return []
+    single = isinstance(f, TimeSection)
     rows = np.asarray(rows, dtype=np.int64)
     top = int(rows.max())
-    grid = sources[0].grid
     V, r = op.bundle.manifold.num_vertices, op.bundle.rank
     wflat = np.repeat(op.bundle.manifold.volumes, r)
-    A, B = duhamel_weights(op.eigenvalues, grid.dt, top)  # rows 0..top of the full weights
+    grid = None
     out = []
-    for src in sources:
+    for src in [f] if single else f:
+        if grid is None:
+            grid = src.grid
+            A, B = duhamel_weights(op.eigenvalues, grid.dt, top)  # rows 0..top of the full weights
+        _check_source(op, src, grid)
         vals = src.values[:top + 1].reshape(top + 1, op.dim)
         cols = np.nonzero(np.any(vals != 0, axis=0))[0]
         coeffs = (vals[:, cols] * wflat[cols]) @ op.eigensections[cols].conj()

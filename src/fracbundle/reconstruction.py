@@ -194,6 +194,10 @@ class ProbeEngine:
             wmap, range(wmap.local.size), leads, cfg.width
         )
         gram = family_gram(wmap, self.family)
+        # LAPACK potrf factors a NaN without complaint (info = 0), and every
+        # sweep would then read NaN residuals as "not contained"
+        if not np.all(np.isfinite(gram)):
+            raise ReconstructionError("probe Gram is not finite")
         # the map data of a real operator pair to an exactly real Gram; kept
         # real, every sweep factors and gathers in real arithmetic
         self.gram = gram if np.any(gram.imag) else np.ascontiguousarray(gram.real)

@@ -474,6 +474,8 @@ def _lag_pairing(wmap: WaveMapData, F, H, cf, ch):
         *_jstar_quadratic_coeffs(pf.T, dt, n_half), n1, dt).T)
     e = timequad.quadratic_times_sampled_array(*_jh_quadratic_coeffs(ph.T, dt, n_half),
                                                n1, dt).T
+    # on C-order map stacks (spectral_block builds them so) the folded kernel
+    # is the one (N+1, D, D) copy, and neither ascontiguousarray copies
     kernel = np.ascontiguousarray(folded_kernel(wmap.conv_a, wmap.conv_b, n1),
                                   dtype=np.complex128)
     b_up = np.ascontiguousarray(wmap.conv_b[1:])

@@ -142,5 +142,6 @@ def quadratic_times_sampled_array(c0, c1, c2, n_nodes, dt):
                 + _TABLES[1, shift, k] * c1[rows]
                 + _TABLES[2, shift, k] * c2[rows]
             )
-            np.add.at(out, st + k, contrib)
+            # st + k is strictly increasing within a shift group: no index repeats
+            out[st + k] += contrib
     return dt * out

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from fracbundle.cli import main
 from fracbundle.config import parse_config
 from fracbundle.errors import ConfigError
 from fracbundle.reconstruction import ProbeConfig
-from fracbundle import runner, s2s
+from fracbundle import reconstruction, runner, s2s
 from fracbundle.runner import emit_report, run_experiment
 
 BASE_CONFIG = {
@@ -322,15 +323,25 @@ def nan_third_potential(rec, call):
     return rec
 
 
+def nan_at_entry(i, j):
+    """Poison that makes entry (i, j) of every call's output NaN."""
+    def poison(out, call):
+        out[i, j] = np.nan
+        return out
+    return poison
+
+
 # one stage output goes NaN at a position that is not first
 NAN_FAULTS = {
     # the heat times' blocks come in (op1, op2) pairs: calls 5 and 6 are the
     # third time's
     "gauge_heat_block": ("verify_gauge_equivariance", "heat_kernel_matrix", nan_at_calls(5, 6)),
     # the reference pairing fills G_direct row by row over 6 sources: call 9
-    # is entry (1, 2).  A NaN in the engine's pairing is not used here:
-    # eigvalsh of the Gram then raises, and the task errors either way
+    # is entry (1, 2)
     "blago_pairing_entry": ("verify_blago", "l2_inner", nan_at_calls(9)),
+    # the same entry on the engine side: the ungated eigenvalue diagnostic
+    # skips a non-finite Gram, so the blago gate itself fails the task
+    "blago_engine_entry": ("verify_blago", "blago_bilinear", nan_at_entry(1, 2)),
     "operator_potential": ("reconstruct_operator", "recover_local_operator", nan_third_potential),
 }
 
@@ -352,6 +363,8 @@ def test_nan_stage_output_never_passes(tmp_path, monkeypatch, fault):
     report, code = runner.run_from_file(cfg_path, out_dir=str(tmp_path / "out"))
     assert [t.status for t in report.tasks][1:] == ["pass"]
     assert report.tasks[0].status in ("fail", "error")
+    if fault == "blago_engine_entry":
+        assert report.tasks[0].status == "fail"
     assert code == 1
     assert strict_report(tmp_path / "out")["passed"] is False
 
@@ -369,6 +382,44 @@ def test_nan_kernel_column_is_a_task_error_and_later_tasks_run(tmp_path, monkeyp
     assert report.tasks[0].message == "kernel column is not finite"
     assert code == 1
     assert [t["status"] for t in strict_report(tmp_path / "out")["tasks"]] == ["error", "pass"]
+
+
+def test_nan_probe_gram_is_a_task_error_and_later_tasks_run(tmp_path, monkeypatch):
+    gram = reconstruction.family_gram
+
+    def poisoned_gram(*args):
+        G = gram(*args)
+        G[5, 6] = G[6, 5] = np.nan
+        return G
+
+    monkeypatch.setattr(reconstruction, "family_gram", poisoned_gram)
+    cfg_path = write_config(tmp_path, tasks=["reconstruct_distances", "verify_spectral"])
+    report, code = runner.run_from_file(cfg_path, out_dir=str(tmp_path / "out"))
+    assert [t.status for t in report.tasks] == ["error", "pass"]
+    assert report.tasks[0].message == "probe Gram is not finite"
+    assert code == 1
+    assert [t["status"] for t in strict_report(tmp_path / "out")["tasks"]] == ["error", "pass"]
+
+
+def test_blago_reference_holds_at_most_two_full_sources(monkeypatch):
+    # each full-manifold reference source is built as duhamel_states draws
+    # it; at every build, count the earlier sources still alive
+    section = runner.TimeSection
+    built, alive = [], []
+
+    def tracked(grid, values):
+        src = section(grid, values)
+        alive.append(1 + sum(ref() is not None for ref in built))
+        built.append(weakref.ref(src.values))
+        return src
+
+    monkeypatch.setattr(runner, "TimeSection", tracked)
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["tasks"] = ["verify_blago"]
+    report = run_experiment(parse_config(raw))
+    assert report.tasks[0].status == "pass"
+    assert len(built) == 6
+    assert max(alive) <= 2
 
 
 def run_with_capped_address_space(cfg_path, out_dir):

@@ -143,11 +143,14 @@ def test_spectral_block_matches_explicit_synthesis():
     scale = np.max(np.abs(want))
     stack = spectral_block(op, values, idx)
     assert stack.shape == (4, len(idx), len(idx))
+    assert stack.flags["C_CONTIGUOUS"]
     assert np.max(np.abs(stack - want)) <= 1e-14 * scale
     for w, block in zip(values, want):
         got = spectral_block(op, w, idx)
         assert got.shape == (len(idx), len(idx))
         assert np.max(np.abs(got - block)) <= 1e-14 * scale
+    with pytest.raises(OperatorError):
+        spectral_block(op, values.astype(complex), idx)
 
 
 # -- wave kernel and Duhamel ------------------------------------------------
@@ -338,6 +341,38 @@ def test_duhamel_states_on_the_half_grid_match_the_full_grid():
     got = duhamel_states(op, [TimeSection(half, f.values[:36]) for f in sources], [35])
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def test_duhamel_states_stream_a_generator():
+    rng = np.random.default_rng(31)
+    op = torus_op()
+    grid = TimeGrid(2.0, 64)
+    sources = _random_sections(rng, grid, op, 3)
+    want = duhamel_states(op, sources, [17, 64])
+    got = duhamel_states(op, (f for f in sources), [17, 64])
+    assert len(got) == 3
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_duhamel_states_check_each_source_as_it_is_drawn(monkeypatch):
+    # a streamed batch holds no list to check up front: the first two
+    # sources are solved before the third, off the first one's grid, is refused
+    rng = np.random.default_rng(32)
+    op = torus_op()
+    sources = _random_sections(rng, TimeGrid(2.0, 64), op, 2)
+    sources += _random_sections(rng, TimeGrid(2.0, 32), op, 1)
+    solved = []
+    convolve = propagators.mode_convolve_rows
+
+    def counted(*args):
+        solved.append(None)
+        return convolve(*args)
+
+    monkeypatch.setattr(propagators, "mode_convolve_rows", counted)
+    with pytest.raises(OperatorError):
+        duhamel_states(op, (f for f in sources), [17])
+    assert len(solved) == 2
 
 
 @pytest.mark.parametrize("bad", ["grid", "bundle"])
