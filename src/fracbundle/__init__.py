@@ -25,7 +25,6 @@ from .propagators import (
     fractional_apply,
     fractional_inverse_spectral,
     fractional_inverse_quadrature,
-    GammaQuadrature,
     transmutation_gaussian_check,
     transmutation_printed_residual,
 )

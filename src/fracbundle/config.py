@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .bundle import build_bundle
 from .errors import ConfigError, FracBundleError
 from .manifold import Region, build_manifold
-from .propagators import GammaQuadrature
 
 KNOWN_TASKS = (
     "verify_spectral",
@@ -44,7 +43,6 @@ NUMERIC_OPTIONS = {
     "probe_lead_step": float,
     "probe_width": float,
     "eta": float,
-    "ray_bases": int,
     "blago_pairs": int,
     "round_trip_sections": int,
 }
@@ -52,12 +50,6 @@ NUMERIC_OPTIONS = {
 # largest working set a config may ask for, in bytes; parse_config rejects a
 # config whose working-set estimate exceeds it (see _check_working_set)
 WORKING_SET_BUDGET = 4 << 30
-
-# GammaQuadrature fields, each read as the type of its default; every value
-# must be positive and finite, and t_cut_override may also be null
-GAMMA_FIELDS = {f.name: float if f.default is None else type(f.default)
-                for f in fields(GammaQuadrature)}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -138,23 +130,18 @@ def parse_config(raw) -> ExperimentConfig:
                  "must be in (0, 1]")
     with _section("options"):
         options = dict(raw.get("options", {}))
+    for key in options:
+        _require(key in NUMERIC_OPTIONS or key == "transmutation_times", f"options.{key}",
+                 "unknown option")
     for key, kind in NUMERIC_OPTIONS.items():
         if key in options:
             options[key] = _positive(f"options.{key}", kind, options[key])
-    if "gamma_quadrature" in options:
-        options["gamma_quadrature"] = _gamma_quadrature(options["gamma_quadrature"])
     if "transmutation_times" in options:
         times = options["transmutation_times"]
         _require(isinstance(times, list) and times, "options.transmutation_times",
                  "must be a nonempty list")
         options["transmutation_times"] = [
             _positive("options.transmutation_times", float, t) for t in times]
-    if "chart" in options:
-        chart = options["chart"]
-        _require(isinstance(chart, list) and all(type(v) is int and v >= 0 for v in chart),
-                 "options.chart", "must be a list of nonnegative integers")
-        _require(len(chart) > 0, "options.chart", "must not be empty")
-        _require(len(set(chart)) == len(chart), "options.chart", "vertices must not repeat")
     with _section("seed"):
         seed = int(raw.get("seed", 0))
     _check_working_set(man, raw["region"], rank, horizon, steps, tasks, options)
@@ -251,20 +238,6 @@ def _size(value):
         return float(value)
     except OverflowError:
         return math.inf
-
-
-def _gamma_quadrature(raw):
-    """Validated GammaQuadrature keyword arguments."""
-    name = "options.gamma_quadrature"
-    _require(isinstance(raw, dict), name, "must be an object")
-    out = {}
-    for key, value in raw.items():
-        _require(key in GAMMA_FIELDS, name, f"unknown field {key!r}")
-        if value is None and key == "t_cut_override":
-            out[key] = None
-        else:
-            out[key] = _positive(f"{name}.{key}", GAMMA_FIELDS[key], value)
-    return out
 
 
 def build_scene(cfg: ExperimentConfig):

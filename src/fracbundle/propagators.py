@@ -376,82 +376,63 @@ def fractional_inverse_spectral(op: SpectralOperator, s, u):
     return op.synthesize(vals * op.coefficients(u))
 
 
-@dataclass(frozen=True)
-class GammaQuadrature:
-    """Node budget for the Gamma-integral route to P^{-s}.
+# node budget of the Gamma-integral route to P^{-s}: composite Gauss-Legendre
+# panels and nodes on the head (0, 1], nodes per tail panel, and the tolerance
+# of the node-doubling error estimate
+GAMMA_HEAD_PANELS = 4
+GAMMA_HEAD_NODES = 48
+GAMMA_TAIL_NODES = 32
+GAMMA_TOL = 1e-9
 
-    The integral over (0, 1] is mapped by t = u^{p/s} (p = substitution
-    power), flattening the t^{s-1} singularity, and integrated by composite
-    Gauss-Legendre; the tail [1, t_cut] uses geometrically growing panels so
-    every mode is resolved or negligible.
+
+def _gamma_mode_values(s, lam, refine):
+    """Quadrature of lam^{-s} = (1/Gamma(s)) int t^{s-1} e^{-t lam} dt per mode.
+
+    The head (0, 1] is mapped by t = u^{2/s}, flattening the t^{s-1}
+    singularity, and integrated by composite Gauss-Legendre; the tail
+    [1, t_cut] uses doubling panels, so every mode is resolved or negligible.
+    refine = 2 doubles the head panels and the tail nodes.
     """
-
-    head_panels: int = 4
-    head_nodes: int = 48
-    tail_nodes: int = 32
-    substitution_power: int = 2
-    tol: float = 1e-9
-    t_cut_override: float = None
-
-    def nodes(self, s, lam_min_pos):
-        p = self.substitution_power
-        glx, glw = np.polynomial.legendre.leggauss(self.head_nodes)
-        ts, ws = [], []
-        edges = np.linspace(0.0, 1.0, self.head_panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            u = 0.5 * (b - a) * glx + 0.5 * (a + b)
-            wu = 0.5 * (b - a) * glw
-            ts.append(u ** (p / s))
-            ws.append(wu * (p / s) * u ** (p - 1))
-        t_cut = self.t_cut_override
-        if t_cut is None:
-            t_cut = max(2.0, -math.log(1e-16) / max(lam_min_pos, 1e-12))
-        glx2, glw2 = np.polynomial.legendre.leggauss(self.tail_nodes)
-        a = 1.0
-        while a < t_cut:
-            b = min(2.0 * a, t_cut)
-            t = 0.5 * (b - a) * glx2 + 0.5 * (a + b)
-            wt = 0.5 * (b - a) * glw2
-            ts.append(t)
-            ws.append(wt * t ** (s - 1.0))
-            a = b
-        return np.concatenate(ts), np.concatenate(ws)
+    glx, glw = np.polynomial.legendre.leggauss(GAMMA_HEAD_NODES)
+    ts, ws = [], []
+    edges = np.linspace(0.0, 1.0, GAMMA_HEAD_PANELS * refine + 1)
+    for a, b in zip(edges[:-1], edges[1:]):
+        u = 0.5 * (b - a) * glx + 0.5 * (a + b)
+        wu = 0.5 * (b - a) * glw
+        ts.append(u ** (2 / s))
+        ws.append(wu * (2 / s) * u)
+    t_cut = max(2.0, -math.log(1e-16) / max(float(np.min(lam)), 1e-12))
+    glx2, glw2 = np.polynomial.legendre.leggauss(GAMMA_TAIL_NODES * refine)
+    a = 1.0
+    while a < t_cut:
+        b = min(2.0 * a, t_cut)
+        t = 0.5 * (b - a) * glx2 + 0.5 * (a + b)
+        wt = 0.5 * (b - a) * glw2
+        ts.append(t)
+        ws.append(wt * t ** (s - 1.0))
+        a = b
+    t, w = np.concatenate(ts), np.concatenate(ws)
+    return np.exp(-np.outer(lam, t)) @ w / math.gamma(s)
 
 
-def _gamma_mode_values(s, lam, cfg):
-    """Quadrature of lam^{-s} = (1/Gamma(s)) int t^{s-1} e^{-t lam} dt per mode."""
-    t, w = cfg.nodes(s, float(np.min(lam)))
-    vals = np.exp(-np.outer(lam, t)) @ w / math.gamma(s)
-    return vals
-
-
-def fractional_inverse_quadrature(op: SpectralOperator, s, u, cfg=None):
+def fractional_inverse_quadrature(op: SpectralOperator, s, u):
     """P^{-s} u through the Gamma-function integral of the heat semigroup.
 
     Cross-route check against fractional_inverse_spectral; raises
-    QuadratureError when the internal node-doubling estimate misses cfg.tol.
+    QuadratureError when the node-doubling error estimate misses GAMMA_TOL.
     """
     if not 0 < s < 1:
         raise OperatorError("fractional order must be in (0, 1)")
     op.require_nonnegative()
-    cfg = cfg or GammaQuadrature()
     _require_no_kernel_component(op, u)
     mask = op.kernel_mask()
     lam = op.eigenvalues[~mask]
-    vals = _gamma_mode_values(s, lam, cfg)
-    fine = GammaQuadrature(
-        head_panels=cfg.head_panels * 2,
-        head_nodes=cfg.head_nodes,
-        tail_nodes=cfg.tail_nodes * 2,
-        substitution_power=cfg.substitution_power,
-        tol=cfg.tol,
-        t_cut_override=cfg.t_cut_override,
-    )
-    vals_fine = _gamma_mode_values(s, lam, fine)
+    vals = _gamma_mode_values(s, lam, 1)
+    vals_fine = _gamma_mode_values(s, lam, 2)
     err = float(np.max(np.abs(vals - vals_fine) / np.abs(vals_fine)))
-    if err > cfg.tol:
+    if err > GAMMA_TOL:
         raise QuadratureError(
-            f"Gamma quadrature did not converge: estimated error {err:.3e} > {cfg.tol:.0e}",
+            f"Gamma quadrature did not converge: estimated error {err:.3e} > {GAMMA_TOL:.0e}",
             achieved=err,
         )
     full = np.zeros(op.dim)

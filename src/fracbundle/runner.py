@@ -26,7 +26,6 @@ from .errors import ConfigError, FracBundleError
 from .manifold import shortest_distances
 from .operator import assemble, kernel_projector
 from .propagators import (
-    GammaQuadrature,
     TimeGrid,
     TimeSection,
     duhamel_states,
@@ -136,9 +135,7 @@ class _Scene:
                            **({"eta": float(opts["eta"])} if "eta" in opts else {}))
 
     def random_sections(self, count, rng):
-        V, r = self.manifold.num_vertices, self.bundle.rank
-        return [rng.standard_normal((V, r)) + 1j * rng.standard_normal((V, r))
-                for _ in range(count)]
+        return [self.bundle.random_section(rng) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +169,6 @@ def _task_verify_spectral(scene, cfg):
     proj = kernel_projector(op)
     rt_devs, gamma_devs = [], []
     n_sections = int(cfg.options.get("round_trip_sections", 20))
-    quad_cfg = GammaQuadrature(**cfg.options.get("gamma_quadrature", {}))
     for s in cfg.orders:
         for u in scene.random_sections(max(1, n_sections // len(cfg.orders)), rng):
             f = proj.project_complement(u)
@@ -180,7 +176,7 @@ def _task_verify_spectral(scene, cfg):
             back = fractional_apply(op, s, inv)
             rt_devs.append(l2_norm(b, back - f) / l2_norm(b, f))
         f = proj.project_complement(scene.random_sections(1, rng)[0])
-        qv = fractional_inverse_quadrature(op, s, f, quad_cfg)
+        qv = fractional_inverse_quadrature(op, s, f)
         sv = fractional_inverse_spectral(op, s, f)
         gamma_devs.append(l2_norm(b, qv - sv) / l2_norm(b, sv))
     measures["fractional_round_trip"] = float(np.max(rt_devs))
@@ -382,6 +378,10 @@ def _interior_vertices(scene):
     return out
 
 
+# ray base points reconstruct_distances spreads over the full-ball vertices
+RAY_BASES = 4
+
+
 def _auto_rays(scene, cfg, pcfg):
     wmap = scene.wmap
     h = scene.mesh()
@@ -391,9 +391,8 @@ def _auto_rays(scene, cfg, pcfg):
     good = [v for v in range(n_loc) if ball_sizes[v] == full]
     if not good:
         good = list(range(n_loc))
-    base_count = int(scene.cfg.options.get("ray_bases", 4))
-    picks = sorted(set(good[int(k * (len(good) - 1) / max(base_count - 1, 1))]
-                       for k in range(base_count)))
+    picks = sorted(set(good[int(k * (len(good) - 1) / (RAY_BASES - 1))]
+                       for k in range(RAY_BASES)))
     cap = cfg.horizon - pcfg.delta - 2 * h
     r_values = tuple(np.arange(2 * h, cap, h))
     rays = []
@@ -511,9 +510,7 @@ def _fundamental_loops(n_vertices, edges):
 def _task_reconstruct_operator(scene, cfg):
     pcfg = scene.probe_config()
     wmap = scene.wmap
-    chart = cfg.options.get("chart")
-    if chart is None:
-        chart = _interior_vertices(scene)
+    chart = _interior_vertices(scene)
     if not chart:
         raise FracBundleError("region has no interior vertices for a chart")
     rec = recover_local_operator(wmap, chart, pcfg)

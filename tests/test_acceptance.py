@@ -23,7 +23,6 @@ from fracbundle.bundle import (
 from fracbundle.manifold import Region, build_manifold, shortest_distances
 from fracbundle.operator import assemble, kernel_projector
 from fracbundle.propagators import (
-    GammaQuadrature,
     TimeGrid,
     TimeSection,
     duhamel_solve,
@@ -106,7 +105,7 @@ def test_acceptance_2_gamma_route(torus_scene):
     worst = 0.0
     for s in np.round(np.arange(0.1, 0.95, 0.1), 2):
         f = proj.project_complement(b.random_section(rng))
-        qv = fractional_inverse_quadrature(op, s, f, GammaQuadrature())
+        qv = fractional_inverse_quadrature(op, s, f)
         sv = fractional_inverse_spectral(op, s, f)
         worst = max(worst, l2_norm(b, qv - sv) / l2_norm(b, sv))
     elapsed = time.time() - t0

@@ -204,12 +204,14 @@ FIELD_ERRORS = {
     "match_fraction_above_one": ("tolerances", "profile_match_fraction", 1.5),
     "option": ("options", "probe_delta", "big"),
     "negative_count_option": ("options", "blago_pairs", -5),
-    "infinite_count_option": ("options", "ray_bases", float("inf")),
+    "infinite_count_option": ("options", "round_trip_sections", float("inf")),
+    "transmutation_time_type": ("options", "transmutation_times", ["x"]),
+    "transmutation_times_not_list": ("options", "transmutation_times", 0.5),
+    # retired options: gamma_quadrature and chart are unknown keys whatever
+    # their value
     "gamma_unknown_field": ("options", "gamma_quadrature", {"bogus": 1}),
     "gamma_field_type": ("options", "gamma_quadrature", {"head_nodes": "x"}),
     "gamma_not_object": ("options", "gamma_quadrature", 3),
-    "transmutation_time_type": ("options", "transmutation_times", ["x"]),
-    "transmutation_times_not_list": ("options", "transmutation_times", 0.5),
     "chart_index_type": ("options", "chart", ["x"]),
     "chart_not_list": ("options", "chart", 3),
     "chart_empty": ("options", "chart", []),
@@ -249,13 +251,20 @@ def test_cli_config_error_exit_code(tmp_path, capsys, content, args, where):
     assert "config error" in err and where in err
 
 
-def test_cli_chart_outside_region_is_a_task_error(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, tasks=["reconstruct_operator"],
-                            options={"chart": [2, 999]})
+@pytest.mark.parametrize("key, value", [
+    ("probe_delat", 0.3),  # a misspelled probe_delta
+    # retired options, each with a value the parser once accepted
+    ("gamma_quadrature", {"head_nodes": 48}),
+    ("ray_bases", 4),
+    ("chart", [2, 3]),
+], ids=["misspelled", "gamma_quadrature", "ray_bases", "chart"])
+def test_cli_unknown_option_exits_2(tmp_path, capsys, key, value):
+    cfg_path = write_config(tmp_path, options={"blago_pairs": 12, key: value})
     code = main(["run", cfg_path, "--out", str(tmp_path / "out")])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "reconstruct_operator: error" in out and "chart vertex 999" in out
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"options.{key}: unknown option" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_file_exit_code(tmp_path, capsys):
@@ -323,47 +332,82 @@ def nan_third_potential(rec, call):
     return rec
 
 
-def nan_at_entry(i, j):
-    """Poison that makes entry (i, j) of every call's output NaN."""
+def nan_at_entry(i, j, *calls):
+    """Poison that makes entry (i, j) NaN in the output of the given 1-based
+    calls, or of every call when none is given."""
     def poison(out, call):
-        out[i, j] = np.nan
+        if not calls or call in calls:
+            out[i, j] = np.nan
         return out
     return poison
 
 
-# one stage output goes NaN at a position that is not first
+def nan_fourth_mode_at_second_time(out, call):
+    """Poison that makes the fourth mode's quadrature and error NaN at the
+    second transmutation time."""
+    Q, E, err = out
+    if call == 2:
+        Q[3] = err[3] = np.nan
+    return Q, E, err
+
+
+def nan_in_second_solution(out, call):
+    """Poison that makes entry (0, 0) of the second lstsq solution NaN."""
+    if call == 2:
+        out[0][0, 0] = np.nan
+    return out
+
+
+# one stage output goes NaN at a position that is not first:
+# fault -> (task, follower task, owner of the stage, stage name, poison)
 NAN_FAULTS = {
     # the heat times' blocks come in (op1, op2) pairs: calls 5 and 6 are the
     # third time's
-    "gauge_heat_block": ("verify_gauge_equivariance", "heat_kernel_matrix", nan_at_calls(5, 6)),
+    "gauge_heat_block": ("verify_gauge_equivariance", "verify_spectral", runner,
+                         "heat_kernel_matrix", nan_at_calls(5, 6)),
     # the reference pairing fills G_direct row by row over 6 sources: call 9
     # is entry (1, 2)
-    "blago_pairing_entry": ("verify_blago", "l2_inner", nan_at_calls(9)),
+    "blago_pairing_entry": ("verify_blago", "verify_spectral", runner, "l2_inner",
+                            nan_at_calls(9)),
     # the same entry on the engine side: the ungated eigenvalue diagnostic
     # skips a non-finite Gram, so the blago gate itself fails the task
-    "blago_engine_entry": ("verify_blago", "blago_bilinear", nan_at_entry(1, 2)),
-    "operator_potential": ("reconstruct_operator", "recover_local_operator", nan_third_potential),
+    "blago_engine_entry": ("verify_blago", "verify_spectral", runner, "blago_bilinear",
+                           nan_at_entry(1, 2)),
+    "operator_potential": ("reconstruct_operator", "verify_spectral", runner,
+                           "recover_local_operator", nan_third_potential),
+    # the third round-trip section; verify_spectral itself cannot follow
+    "spectral_fractional_apply": ("verify_spectral", "verify_transmutation", runner,
+                                  "fractional_apply", nan_at_entry(0, 0, 3)),
+    "transmutation_quadrature": ("verify_transmutation", "verify_spectral", runner,
+                                 "transmutation_gaussian_check", nan_fourth_mode_at_second_time),
+    # the per-vertex fit of the second chart vertex
+    "operator_lstsq": ("reconstruct_operator", "verify_spectral", np.linalg, "lstsq",
+                       nan_in_second_solution),
 }
+
+# faults whose task must end fail, not error
+NAN_FAILS = {"blago_engine_entry", "spectral_fractional_apply", "transmutation_quadrature",
+             "operator_lstsq"}
 
 
 @pytest.mark.parametrize("fault", sorted(NAN_FAULTS))
 def test_nan_stage_output_never_passes(tmp_path, monkeypatch, fault):
-    task, target, poison = NAN_FAULTS[fault]
-    cfg_path = write_config(tmp_path, tasks=[task, "verify_spectral"])
+    task, follower, owner, target, poison = NAN_FAULTS[fault]
+    cfg_path = write_config(tmp_path, tasks=[task, follower])
     _, code = runner.run_from_file(cfg_path, out_dir=str(tmp_path / "clean"))
     assert code == 0  # the fault, not the scene, fails the task below
-    stage = getattr(runner, target)
+    stage = getattr(owner, target)
     calls = []
 
     def faulty(*args, **kwargs):
         calls.append(None)
         return poison(stage(*args, **kwargs), len(calls))
 
-    monkeypatch.setattr(runner, target, faulty)
+    monkeypatch.setattr(owner, target, faulty)
     report, code = runner.run_from_file(cfg_path, out_dir=str(tmp_path / "out"))
     assert [t.status for t in report.tasks][1:] == ["pass"]
     assert report.tasks[0].status in ("fail", "error")
-    if fault == "blago_engine_entry":
+    if fault in NAN_FAILS:
         assert report.tasks[0].status == "fail"
     assert code == 1
     assert strict_report(tmp_path / "out")["passed"] is False

@@ -9,7 +9,6 @@ from fracbundle.errors import OperatorError
 from fracbundle.manifold import build_manifold
 from fracbundle.operator import apply_function, assemble, kernel_projector
 from fracbundle.propagators import (
-    GammaQuadrature,
     TimeGrid,
     TimeSection,
     duhamel_solve,
@@ -478,9 +477,9 @@ def test_fractional_rejects_kernel_component():
 
 def test_gamma_quadrature_single_modes():
     # scalar mode values first: lam = 1 gives exactly 1, lam = 4 gives 0.5
-    from fracbundle.propagators import GammaQuadrature, _gamma_mode_values
+    from fracbundle.propagators import _gamma_mode_values
 
-    vals = _gamma_mode_values(0.5, np.array([1.0, 4.0]), GammaQuadrature())
+    vals = _gamma_mode_values(0.5, np.array([1.0, 4.0]), 1)
     assert vals[0] == pytest.approx(1.0, rel=1e-6)
     assert vals[1] == pytest.approx(0.5, rel=1e-6)
     # and through the operator route on an actual eigensection at lam = 4
@@ -507,11 +506,12 @@ def test_gamma_route_matches_spectral_all_orders():
 
 
 def test_gamma_quadrature_deterministic():
-    op = cycle_op(8)
-    cfg = GammaQuadrature()
-    t1, w1 = cfg.nodes(0.37, 0.5)
-    t2, w2 = cfg.nodes(0.37, 0.5)
-    assert np.array_equal(t1, t2) and np.array_equal(w1, w2)
+    from fracbundle.propagators import _gamma_mode_values
+
+    lam = cycle_op(8).eigenvalues[1:]
+    for refine in (1, 2):
+        assert np.array_equal(_gamma_mode_values(0.37, lam, refine),
+                              _gamma_mode_values(0.37, lam, refine))
 
 
 # -- transmutation ----------------------------------------------------------

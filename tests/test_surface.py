@@ -59,6 +59,20 @@ def test_readme_constants_match_the_library():
     assert not wrong
 
 
+def test_readme_options_match_config():
+    # the option keys the command-line section lists are the keys
+    # parse_config accepts, and every `options.<key>` it names is one of them
+    from fracbundle.config import NUMERIC_OPTIONS
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = re.search(r"The `options` object takes these keys only: (.*?);", section,
+                       flags=re.S).group(1)
+    accepted = set(NUMERIC_OPTIONS) | {"transmutation_times"}
+    assert set(re.findall(r"`(\w+)`", listed)) == accepted
+    assert set(re.findall(r"`options\.(\w+)`", section)) <= accepted
+
+
 IMPORT_GUARD = """
 import json, sys
 import fracbundle, fracbundle.runner, fracbundle.cli
