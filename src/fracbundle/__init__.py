@@ -2,7 +2,7 @@
 Laplacians: forward propagators, source-to-solution map data, and the
 inverse reconstruction pipeline that certifies recovery up to gauge."""
 
-from .manifold import DiscreteManifold, Region, build_manifold, shortest_distances
+from .manifold import DiscreteManifold, Region, build_manifold, lattice, shortest_distances
 from .bundle import (
     HermitianBundle,
     GaugeTransform,
@@ -13,8 +13,7 @@ from .bundle import (
     apply_gauge,
     pullback_bundle,
     pullback_section,
-    cycle_rotation_iso,
-    torus_shift_iso,
+    translation_iso,
 )
 from .operator import SpectralOperator, assemble, apply_function, kernel_projector
 from .propagators import (

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BundleError, GeometryError
-from .manifold import DiscreteManifold
+from .manifold import DiscreteManifold, lattice
 
 UNITARITY_TOL = 1e-12
 
@@ -165,15 +165,15 @@ class StructureIso:
 
 
 def build_bundle(m: DiscreteManifold, rank, connection="trivial", potential="zero",
-                 seed=None, potential_scale=1.0, potential_shift=0.0,
-                 explicit_transport=None, explicit_potential=None):
+                 seed=None, potential_scale=1.0, potential_shift=0.0):
     """Construct a bundle on m.
 
-    connection: "trivial" | "random" | "explicit";
-    potential: "zero" | "random_hermitian" | "random_positive" | "explicit".
+    connection: "trivial" | "random";
+    potential: "zero" | "random_hermitian" | "random_positive".
     random_positive draws G G^*/r scaled plus a shift, so the assembled
     operator stays nonnegative with a strictly positive potential.
-    Random draws are deterministic in seed.
+    Random draws are deterministic in seed.  A bundle from given arrays is
+    HermitianBundle(m, rank, transport, potential).
     """
     if rank < 1:
         raise BundleError("rank must be >= 1")
@@ -184,10 +184,6 @@ def build_bundle(m: DiscreteManifold, rank, connection="trivial", potential="zer
         tr = np.broadcast_to(np.eye(rank, dtype=np.complex128), (E, rank, rank)).copy()
     elif connection == "random":
         tr = np.array([random_unitary(rng, rank) for _ in range(E)])
-    elif connection == "explicit":
-        if explicit_transport is None:
-            raise BundleError("explicit connection needs explicit_transport")
-        tr = np.asarray(explicit_transport, dtype=np.complex128)
     else:
         raise BundleError(f"unknown connection spec: {connection!r}")
     if potential == "zero":
@@ -199,10 +195,6 @@ def build_bundle(m: DiscreteManifold, rank, connection="trivial", potential="zer
         for v in range(V):
             g = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
             pot[v] = potential_scale * (g @ g.conj().T) / rank + potential_shift * np.eye(rank)
-    elif potential == "explicit":
-        if explicit_potential is None:
-            raise BundleError("explicit potential needs explicit_potential")
-        pot = np.asarray(explicit_potential, dtype=np.complex128)
     else:
         raise BundleError(f"unknown potential spec: {potential!r}")
     return HermitianBundle(manifold=m, rank=rank, transport=tr, potential=pot)
@@ -226,33 +218,24 @@ def apply_gauge(b: HermitianBundle, g: GaugeTransform) -> HermitianBundle:
     if g.rank != b.rank or g.matrices.shape[0] != b.manifold.num_vertices:
         raise BundleError("gauge shape does not match bundle")
     S = g.matrices
+    S_adj = np.conj(np.swapaxes(S, 1, 2))
     e = b.manifold.edges
-    Sx = S[e[:, 0]]
-    Sy = S[e[:, 1]]
-    tr = np.einsum("eij,ejk,ekl->eil", np.conj(np.swapaxes(Sx, 1, 2)), b.transport, Sy)
-    pot = np.einsum("vij,vjk,vkl->vil", np.conj(np.swapaxes(S, 1, 2)), b.potential, S)
+    tr = S_adj[e[:, 0]] @ b.transport @ S[e[:, 1]]
+    pot = np.einsum("vij,vjk,vkl->vil", S_adj, b.potential, S)
     pot = 0.5 * (pot + np.conj(np.swapaxes(pot, 1, 2)))  # kill roundoff skew
     return HermitianBundle(manifold=b.manifold, rank=b.rank, transport=tr, potential=pot)
 
 
 def pullback_bundle(iso: StructureIso) -> HermitianBundle:
-    """Pull the domain bundle back along the isomorphism onto the codomain manifold."""
+    """Pull the domain bundle back along the isomorphism onto the codomain
+    manifold: relabel the base through iso.base, then gauge by iso.fiber."""
     b1 = iso.domain
     m2 = iso.codomain_manifold
     lut = b1.transport_lookup()
-    r = b1.rank
-    tr = np.empty((len(m2.edges), r, r), dtype=np.complex128)
-    for i, (x, y) in enumerate(m2.edges):
-        u1 = lut[(int(iso.base[x]), int(iso.base[y]))]
-        tr[i] = iso.fiber[x].conj().T @ u1 @ iso.fiber[y]
-    pot = np.einsum(
-        "vij,vjk,vkl->vil",
-        np.conj(np.swapaxes(iso.fiber, 1, 2)),
-        b1.potential[iso.base],
-        iso.fiber,
-    )
-    pot = 0.5 * (pot + np.conj(np.swapaxes(pot, 1, 2)))
-    return HermitianBundle(manifold=m2, rank=r, transport=tr, potential=pot)
+    tr = np.array([lut[(int(iso.base[x]), int(iso.base[y]))] for x, y in m2.edges])
+    relabelled = HermitianBundle(m2, b1.rank, tr.reshape(-1, b1.rank, b1.rank),
+                                 b1.potential[iso.base])
+    return apply_gauge(relabelled, GaugeTransform(iso.fiber))
 
 
 def pullback_section(iso: StructureIso, u):
@@ -264,33 +247,21 @@ def pullback_section(iso: StructureIso, u):
     return np.einsum("vji,vj->vi", np.conj(iso.fiber), gathered)
 
 
-def cycle_rotation_iso(bundle: HermitianBundle, shift, gauge=None):
-    """StructureIso on a cycle builder: rotation plus gauge."""
+def translation_iso(bundle: HermitianBundle, shifts, gauge: GaugeTransform):
+    """StructureIso on a canonical cycle or torus: the translation that takes
+    codomain lattice coordinates c to domain coordinates c + shifts (one
+    shift per axis, wrapping), then the gauge."""
     m = bundle.manifold
-    if m.meta.get("kind") != "cycle":
-        raise GeometryError("cycle_rotation_iso needs a cycle manifold")
-    n = m.num_vertices
-    base = (np.arange(n) + shift) % n
-    fiber = (gauge.matrices if gauge is not None
-             else GaugeTransform.identity(n, bundle.rank).matrices)
-    return StructureIso(domain=bundle, codomain_manifold=m, base=base, fiber=fiber)
-
-
-def torus_shift_iso(bundle: HermitianBundle, shifts, gauge=None):
-    """StructureIso on a torus builder: coordinate translation plus gauge."""
-    m = bundle.manifold
-    if m.meta.get("kind") != "torus_grid":
-        raise GeometryError("torus_shift_iso needs a torus manifold")
-    counts = m.meta["counts"]
-    dim = len(counts)
-    strides = [1] * dim
-    for a in range(dim - 2, -1, -1):
-        strides[a] = strides[a + 1] * counts[a + 1]
-    base = np.empty(m.num_vertices, dtype=np.int64)
-    for v in range(m.num_vertices):
-        coords = [(v // strides[a]) % counts[a] for a in range(dim)]
-        shifted = [(coords[a] + int(shifts[a])) % counts[a] for a in range(dim)]
-        base[v] = sum(shifted[a] * strides[a] for a in range(dim))
-    fiber = (gauge.matrices if gauge is not None
-             else GaugeTransform.identity(m.num_vertices, bundle.rank).matrices)
-    return StructureIso(domain=bundle, codomain_manifold=m, base=base, fiber=fiber)
+    if m.meta.get("kind") == "cycle":
+        counts = [m.meta["count"]]
+    elif m.meta.get("kind") == "torus_grid":
+        counts = m.meta["counts"]
+    else:
+        raise GeometryError("translation_iso needs a canonical cycle or torus manifold")
+    shifts = [int(s) for s in shifts]
+    if len(shifts) != len(counts):
+        raise GeometryError(f"translation_iso needs one shift per axis ({len(counts)}), "
+                            f"got {len(shifts)}")
+    axes = tuple(range(len(counts)))
+    base = np.roll(lattice(counts), [-s for s in shifts], axes).ravel()
+    return StructureIso(domain=bundle, codomain_manifold=m, base=base, fiber=gauge.matrices)

@@ -6,9 +6,11 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bundle import build_bundle
 from .errors import ConfigError, FracBundleError
-from .manifold import Region, build_manifold
+from .manifold import Region, build_manifold, lattice
 
 KNOWN_TASKS = (
     "verify_spectral",
@@ -248,8 +250,6 @@ def build_scene(cfg: ExperimentConfig):
     with _section("manifold"):
         m = build_manifold(cfg.manifold)
     bun = cfg.bundle
-    if bun.get("connection", "trivial") == "explicit" or bun.get("potential") == "explicit":
-        raise ConfigError("bundle", "explicit structures are not expressible in config files")
     with _section("bundle"):
         b = build_bundle(
             m,
@@ -286,9 +286,7 @@ def build_region(m, spec) -> Region:
         cols = int(spec["cols"])
         r0 = int(spec.get("row_start", 0))
         c0 = int(spec.get("col_start", 0))
-        ids = []
-        for i in range(rows):
-            for j in range(cols):
-                ids.append(((r0 + i) % counts[0]) * counts[1] + ((c0 + j) % counts[1]))
-        return Region(m, tuple(ids))
+        ids = lattice(counts)[np.ix_((r0 + np.arange(rows)) % counts[0],
+                                     (c0 + np.arange(cols)) % counts[1])]
+        return Region(m, tuple(ids.ravel().tolist()))
     raise ConfigError("region.type", f"unknown region type {kind!r}")

@@ -17,6 +17,7 @@ wave speed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,33 +117,30 @@ class Region:
         return int(v) in set(self.vertices)
 
 
+def lattice(counts):
+    """Vertex ids of the canonical lattice with these axis counts, as an array
+    of shape counts: row-major, so the last axis varies fastest."""
+    return np.arange(math.prod(counts)).reshape(counts)
+
+
 def build_manifold(spec):
     """Build a canonical discrete closed manifold from a descriptor.
 
     spec for a circle: {"kind": "cycle", "count": N, "length": L}
     spec for a flat torus: {"kind": "torus_grid", "counts": [n1, n2, ...],
-    "lengths": [L1, L2, ...]}  (row-major vertex indexing).
+    "lengths": [L1, L2, ...]}  (vertex ids from lattice(counts)).
+
+    A cycle is the one-axis torus.  Vertex v has one edge per axis, to its
+    successor along that axis; edges are listed vertex-major, axis-minor.
     """
     kind = spec.get("kind")
     if kind == "cycle":
-        n = int(spec["count"])
-        total = float(spec["length"])
-        if n < 3:
+        counts, totals = [int(spec["count"])], [float(spec["length"])]
+        if counts[0] < 3:
             raise GeometryError("cycle needs at least 3 vertices")
-        if total <= 0:
+        if totals[0] <= 0:
             raise GeometryError("cycle length must be positive")
-        h = total / n
-        edges = np.array([[i, (i + 1) % n] for i in range(n)])
-        return DiscreteManifold(
-            num_vertices=n,
-            edges=edges,
-            lengths=np.full(n, h),
-            weights=np.full(n, 1.0 / h**2),
-            volumes=np.full(n, h),
-            dimension=1,
-            meta={"kind": "cycle", "count": n, "length": total, "h": h},
-        )
-    if kind == "torus_grid":
+    elif kind == "torus_grid":
         counts = [int(c) for c in spec["counts"]]
         totals = [float(L) for L in spec["lengths"]]
         if len(counts) != len(totals) or len(counts) < 1:
@@ -151,33 +149,25 @@ def build_manifold(spec):
             raise GeometryError("each torus axis needs at least 3 vertices")
         if any(L <= 0 for L in totals):
             raise GeometryError("axis lengths must be positive")
-        hs = [L / c for L, c in zip(totals, counts)]
-        dim = len(counts)
-        nv = int(np.prod(counts))
-        strides = np.ones(dim, dtype=np.int64)
-        for a in range(dim - 2, -1, -1):
-            strides[a] = strides[a + 1] * counts[a + 1]
-        edges, lens, wts = [], [], []
-        for v in range(nv):
-            coords = [(v // strides[a]) % counts[a] for a in range(dim)]
-            for a in range(dim):
-                nxt = list(coords)
-                nxt[a] = (coords[a] + 1) % counts[a]
-                u = int(sum(nxt[b] * strides[b] for b in range(dim)))
-                edges.append([v, u])
-                lens.append(hs[a])
-                wts.append(1.0 / hs[a] ** 2)
-        vol = float(np.prod(hs))
-        return DiscreteManifold(
-            num_vertices=nv,
-            edges=np.array(edges),
-            lengths=np.array(lens),
-            weights=np.array(wts),
-            volumes=np.full(nv, vol),
-            dimension=dim,
-            meta={"kind": "torus_grid", "counts": counts, "lengths": totals, "h": hs},
-        )
-    raise GeometryError(f"unknown manifold kind: {kind!r}")
+    else:
+        raise GeometryError(f"unknown manifold kind: {kind!r}")
+    hs = [L / c for L, c in zip(totals, counts)]
+    dim = len(counts)
+    ids = lattice(counts)
+    successors = np.stack([np.roll(ids, -1, axis=a).ravel() for a in range(dim)], axis=1)
+    if kind == "cycle":
+        meta = {"kind": "cycle", "count": counts[0], "length": totals[0], "h": hs[0]}
+    else:
+        meta = {"kind": "torus_grid", "counts": counts, "lengths": totals, "h": hs}
+    return DiscreteManifold(
+        num_vertices=ids.size,
+        edges=np.stack([np.repeat(ids.ravel(), dim), successors.ravel()], axis=1),
+        lengths=np.tile(hs, ids.size),
+        weights=np.tile([1.0 / h**2 for h in hs], ids.size),
+        volumes=np.full(ids.size, math.prod(hs)),
+        dimension=dim,
+        meta=meta,
+    )
 
 
 def shortest_distances(m: DiscreteManifold) -> np.ndarray:

@@ -15,11 +15,10 @@ from . import __version__
 from .bundle import (
     GaugeTransform,
     apply_gauge,
-    cycle_rotation_iso,
     l2_inner,
     l2_norm,
     pullback_bundle,
-    torus_shift_iso,
+    translation_iso,
 )
 from .config import ExperimentConfig, build_region, build_scene, parse_config, probe_settings
 from .errors import ConfigError, FracBundleError
@@ -305,13 +304,12 @@ def _seeded_iso(scene, cfg, rng):
     m = scene.manifold
     gauge = GaugeTransform.random(rng, m.num_vertices, scene.bundle.rank)
     if m.meta.get("kind") == "cycle":
-        shift = int(rng.integers(1, m.num_vertices))
-        return cycle_rotation_iso(scene.bundle, shift, gauge=gauge)
-    counts = m.meta["counts"]
-    shifts = [int(rng.integers(0, c)) for c in counts]
-    if all(s == 0 for s in shifts):
-        shifts[0] = 1
-    return torus_shift_iso(scene.bundle, shifts, gauge=gauge)
+        shifts = [int(rng.integers(1, m.num_vertices))]
+    else:
+        shifts = [int(rng.integers(0, c)) for c in m.meta["counts"]]
+        if all(s == 0 for s in shifts):
+            shifts[0] = 1
+    return translation_iso(scene.bundle, shifts, gauge)
 
 
 def _task_verify_gauge_equivariance(scene, cfg):
@@ -389,8 +387,6 @@ def _auto_rays(scene, cfg, pcfg):
     ball_sizes = [len(wmap.local.local_ball(v, pcfg.delta)) for v in range(n_loc)]
     full = max(ball_sizes)
     good = [v for v in range(n_loc) if ball_sizes[v] == full]
-    if not good:
-        good = list(range(n_loc))
     picks = sorted(set(good[int(k * (len(good) - 1) / (RAY_BASES - 1))]
                        for k in range(RAY_BASES)))
     cap = cfg.horizon - pcfg.delta - 2 * h

@@ -14,11 +14,12 @@ import pytest
 from fracbundle.bundle import (
     GaugeTransform,
     apply_gauge,
+    HermitianBundle,
     build_bundle,
     l2_inner,
     l2_norm,
     pullback_bundle,
-    torus_shift_iso,
+    translation_iso,
 )
 from fracbundle.manifold import Region, build_manifold, shortest_distances
 from fracbundle.operator import assemble, kernel_projector
@@ -169,7 +170,7 @@ def test_acceptance_5_gauge_equivariance():
     op1 = assemble(b1)
     rng = np.random.default_rng(5)
     gauge = GaugeTransform.random(rng, m.num_vertices, 2)
-    iso = torus_shift_iso(b1, (2, 3), gauge=gauge)
+    iso = translation_iso(b1, (2, 3), gauge)
     b2 = pullback_bundle(iso)
     op2 = assemble(b2)
     r = 2
@@ -247,8 +248,7 @@ def test_acceptance_7_operator_recovery():
     E = len(m.edges)
     tr = np.exp(1j * rng.uniform(-np.pi, np.pi, E)).reshape(E, 1, 1)
     pot = (0.3 + 0.4 * rng.random(m.num_vertices)).reshape(-1, 1, 1).astype(complex)
-    b = build_bundle(m, 1, connection="explicit", explicit_transport=tr,
-                     potential="explicit", explicit_potential=pot)
+    b = HermitianBundle(m, 1, tr, pot)
     op = assemble(b)
     U = Region(m, tuple(i * 8 + j for i in range(4) for j in range(4)))
     grid = TimeGrid(12.0, 1200)

@@ -5,16 +5,16 @@ import pytest
 
 from fracbundle.bundle import (
     GaugeTransform,
+    HermitianBundle,
     apply_gauge,
     build_bundle,
-    cycle_rotation_iso,
     l2_inner,
     pullback_bundle,
     pullback_section,
-    torus_shift_iso,
+    translation_iso,
 )
-from fracbundle.errors import BundleError, ReconstructionError
-from fracbundle.manifold import Region, build_manifold
+from fracbundle.errors import BundleError, GeometryError, ReconstructionError
+from fracbundle.manifold import DiscreteManifold, Region, build_manifold
 from fracbundle.reference import chart_operator_from_bundle
 
 
@@ -43,11 +43,12 @@ def test_explicit_phase_bundle_accepts_unit_modulus():
     m = cycle(4, 4.0)
     thetas = np.array([0.3, -1.2, 2.0, 0.7])
     tr = np.exp(1j * thetas).reshape(-1, 1, 1)
-    b = build_bundle(m, 1, connection="explicit", explicit_transport=tr)
+    pot = np.zeros((4, 1, 1))
+    b = HermitianBundle(m, 1, tr, pot)
     assert b.rank == 1
     bad = 1.1 * tr
     with pytest.raises(BundleError):
-        build_bundle(m, 1, connection="explicit", explicit_transport=bad)
+        HermitianBundle(m, 1, bad, pot)
 
 
 def test_non_hermitian_potential_rejected():
@@ -55,7 +56,7 @@ def test_non_hermitian_potential_rejected():
     pot = np.zeros((4, 2, 2), dtype=complex)
     pot[0] = [[0.0, 1.0], [0.0, 0.0]]
     with pytest.raises(BundleError):
-        build_bundle(m, 2, potential="explicit", explicit_potential=pot)
+        HermitianBundle(m, 2, build_bundle(m, 2).transport, pot)
 
 
 def test_random_bundle_deterministic_in_seed():
@@ -143,7 +144,7 @@ def test_gauge_rank_mismatch():
 def test_identity_iso_pullback_is_noop():
     rng = np.random.default_rng(2)
     b = build_bundle(cycle(), 2, connection="random", seed=9)
-    iso = cycle_rotation_iso(b, shift=0)
+    iso = translation_iso(b, [0], GaugeTransform.identity(8, 2))
     u = b.random_section(rng)
     assert np.allclose(pullback_section(iso, u), u)
 
@@ -151,7 +152,7 @@ def test_identity_iso_pullback_is_noop():
 def test_pure_relabeling_permutes_sections():
     rng = np.random.default_rng(3)
     b = build_bundle(cycle(8), 1)
-    iso = cycle_rotation_iso(b, shift=3)
+    iso = translation_iso(b, [3], GaugeTransform.identity(8, 1))
     u = b.random_section(rng)
     pu = pullback_section(iso, u)
     assert np.allclose(pu, u[(np.arange(8) + 3) % 8])
@@ -161,7 +162,7 @@ def test_pullback_preserves_inner_products():
     rng = np.random.default_rng(4)
     b = build_bundle(torus(), 2, connection="random", potential="random_hermitian", seed=10)
     gauge = GaugeTransform.random(rng, b.manifold.num_vertices, 2)
-    iso = torus_shift_iso(b, (1, 2), gauge=gauge)
+    iso = translation_iso(b, (1, 2), gauge)
     b2 = pullback_bundle(iso)
     for _ in range(5):
         u = b.random_section(rng)
@@ -169,6 +170,45 @@ def test_pullback_preserves_inner_products():
         lhs = l2_inner(b2, pullback_section(iso, u), pullback_section(iso, v))
         rhs = l2_inner(b, u, v)
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
+
+
+def test_translation_base_maps_match_coordinate_formulas():
+    b = build_bundle(cycle(64), 1)
+    identity = GaugeTransform.identity(64, 1)
+    for s in (0, 1, 17, 63, 69, -3):
+        assert np.array_equal(translation_iso(b, [s], identity).base, (np.arange(64) + s) % 64)
+    m = build_manifold({"kind": "torus_grid", "counts": [5, 7, 3], "lengths": [5.0, 7.0, 3.0]})
+    b = build_bundle(m, 1)
+    iso = translation_iso(b, (2, -3, 4), GaugeTransform.identity(m.num_vertices, 1))
+    i, j, k = np.meshgrid(np.arange(5), np.arange(7), np.arange(3), indexing="ij")
+    want = ((i + 2) % 5) * 21 + ((j - 3) % 7) * 3 + (k + 4) % 3
+    assert np.array_equal(iso.base, want.ravel())
+
+
+def test_translation_iso_needs_one_shift_per_axis_and_a_lattice():
+    # np.roll would broadcast a short shift list over every axis, and roll a
+    # cycle's one axis once per extra shift
+    b = build_bundle(torus(), 1)
+    g = GaugeTransform.identity(16, 1)
+    for shifts in ([1], (1, 2, 3), []):
+        with pytest.raises(GeometryError, match="one shift per axis"):
+            translation_iso(b, shifts, g)
+    bc = build_bundle(cycle(8), 1)
+    with pytest.raises(GeometryError, match="one shift per axis"):
+        translation_iso(bc, (1, 2), GaugeTransform.identity(8, 1))
+    plain = DiscreteManifold(3, [[0, 1], [1, 2], [2, 0]], np.ones(3), np.ones(3), np.ones(3), 1)
+    with pytest.raises(GeometryError, match="canonical"):
+        translation_iso(build_bundle(plain, 1), [1], GaugeTransform.identity(3, 1))
+
+
+def test_pullback_along_zero_translation_is_the_gauge_action():
+    rng = np.random.default_rng(31)
+    b = build_bundle(torus(5, 3), 2, connection="random", potential="random_hermitian", seed=15)
+    g = GaugeTransform.random(rng, b.manifold.num_vertices, 2)
+    pulled = pullback_bundle(translation_iso(b, (0, 0), g))
+    gauged = apply_gauge(b, g)
+    assert np.array_equal(pulled.transport, gauged.transport)
+    assert np.array_equal(pulled.potential, gauged.potential)
 
 
 # -- holonomy ---------------------------------------------------------------
@@ -184,7 +224,7 @@ def test_holonomy_rank1_phase_sum():
     thetas = np.array([0.2, 0.4, -0.1, 0.9, 0.3])
     # edge i connects (i, i+1); transport carries data from i+1 to i
     tr = np.exp(1j * thetas).reshape(-1, 1, 1)
-    b = build_bundle(m, 1, connection="explicit", explicit_transport=tr)
+    b = HermitianBundle(m, 1, tr, np.zeros((5, 1, 1)))
     # traversing 0 -> 1 -> ... -> 0 uses the reverse transports U_{i,i+1}^* ... wait,
     # lut[(0,1)] = U_e0 so walking 0->1->2...->0 multiplies U_e0 U_e1 ... = e^{i sum}
     got = holonomy(b, [0, 1, 2, 3, 4])
@@ -213,7 +253,7 @@ def test_structure_iso_invariants():
     rng = np.random.default_rng(30)
     b = build_bundle(torus(), 2, connection="random", potential="random_hermitian", seed=14)
     gauge = GaugeTransform.random(rng, b.manifold.num_vertices, 2)
-    iso = torus_shift_iso(b, (2, 1), gauge=gauge)
+    iso = translation_iso(b, (2, 1), gauge)
     b2 = pullback_bundle(iso)
     # potential spectra match through the base map
     for x in range(b.manifold.num_vertices):

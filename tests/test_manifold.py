@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from fracbundle.bundle import build_bundle
+from fracbundle.config import build_region
 from fracbundle.errors import GeometryError
 from fracbundle.manifold import (
     DiscreteManifold,
     Region,
     build_manifold,
+    lattice,
     shortest_distances,
 )
 from fracbundle.operator import assemble
@@ -79,6 +81,37 @@ def test_cycle_64_mesh_scaling():
     assert np.allclose(m.lengths, h)
     assert np.allclose(m.weights, 1.0 / h**2)
     assert np.allclose(m.volumes, h)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "cycle", "count": 64, "length": 6.4},
+    {"kind": "torus_grid", "counts": [5, 7, 3], "lengths": [5.0, 7.0, 3.0]},
+])
+def test_edges_match_the_stride_formula(spec):
+    # vertex v = sum_a c_a * stride_a has one edge per axis a, to the vertex
+    # whose coordinate c_a is one further, wrapping; listed vertex-major
+    counts = spec.get("counts", [spec.get("count")])
+    strides = [int(np.prod(counts[a + 1:])) for a in range(len(counts))]
+    want = []
+    for v in range(int(np.prod(counts))):
+        coords = [(v // strides[a]) % counts[a] for a in range(len(counts))]
+        for a in range(len(counts)):
+            nxt = list(coords)
+            nxt[a] = (nxt[a] + 1) % counts[a]
+            want.append([v, sum(c * st for c, st in zip(nxt, strides))])
+    m = build_manifold(spec)
+    assert np.array_equal(m.edges, np.array(want))
+    assert np.array_equal(lattice(counts).ravel(), np.arange(m.num_vertices))
+    assert lattice(counts)[tuple(c - 1 for c in counts)] == m.num_vertices - 1
+
+
+@pytest.mark.parametrize("rows, cols, r0, c0", [(4, 4, 0, 0), (3, 5, 4, 5), (2, 3, -1, -7)])
+def test_block_region_ids_match_the_row_major_formula(rows, cols, r0, c0):
+    # rows outer, cols inner, each wrapping around its axis
+    m = torus(6, 7)
+    spec = {"type": "block", "rows": rows, "cols": cols, "row_start": r0, "col_start": c0}
+    want = tuple(((r0 + i) % 6) * 7 + (c0 + j) % 7 for i in range(rows) for j in range(cols))
+    assert build_region(m, spec).vertices == want
 
 
 def test_builder_rejects_degenerate():

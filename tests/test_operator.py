@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from fracbundle.bundle import GaugeTransform, apply_gauge, build_bundle, l2_inner, pullback_bundle, torus_shift_iso
+from fracbundle.bundle import (
+    GaugeTransform,
+    HermitianBundle,
+    apply_gauge,
+    build_bundle,
+    l2_inner,
+    pullback_bundle,
+    translation_iso,
+)
 from fracbundle.errors import OperatorError
 from fracbundle.manifold import build_manifold
 from fracbundle.operator import apply_function, assemble, kernel_projector
@@ -98,7 +106,7 @@ def test_identity_potential_shifts_spectrum():
     b0 = build_bundle(m, 2, connection="random", seed=6)
     c = 0.7
     pot = np.broadcast_to(c * np.eye(2, dtype=complex), (m.num_vertices, 2, 2)).copy()
-    b1 = build_bundle(m, 2, connection="random", seed=6, potential="explicit", explicit_potential=pot)
+    b1 = HermitianBundle(m, 2, build_bundle(m, 2, connection="random", seed=6).transport, pot)
     op0, op1 = assemble(b0), assemble(b1)
     assert np.allclose(op1.eigenvalues, op0.eigenvalues + c, atol=1e-10)
     assert kernel_projector(op1).kernel_dimension == 0
@@ -132,7 +140,7 @@ def test_spectrum_invariant_under_structure_iso():
     rng = np.random.default_rng(9)
     b = build_bundle(torus(), 2, connection="random", potential="random_hermitian", seed=10)
     gauge = GaugeTransform.random(rng, b.manifold.num_vertices, 2)
-    iso = torus_shift_iso(b, (1, 3), gauge=gauge)
+    iso = translation_iso(b, (1, 3), gauge)
     b2 = pullback_bundle(iso)
     lam1 = assemble(b).eigenvalues
     lam2 = assemble(b2).eigenvalues
@@ -166,7 +174,7 @@ def test_singular_symbol_rejected():
 def test_negative_spectrum_reported_not_shifted():
     m = torus()
     pot = np.broadcast_to(-3.0 * np.eye(1, dtype=complex), (m.num_vertices, 1, 1)).copy()
-    b = build_bundle(m, 1, potential="explicit", explicit_potential=pot)
+    b = HermitianBundle(m, 1, build_bundle(m, 1).transport, pot)
     op = assemble(b)
     assert op.min_eigenvalue == pytest.approx(-3.0, abs=1e-9)
     assert not op.is_nonnegative()

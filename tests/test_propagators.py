@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracbundle import modefun, propagators
-from fracbundle.bundle import build_bundle, l2_inner, l2_norm
+from fracbundle.bundle import HermitianBundle, build_bundle, l2_inner, l2_norm
 from fracbundle.errors import OperatorError
 from fracbundle.manifold import build_manifold
 from fracbundle.operator import apply_function, assemble, kernel_projector
@@ -43,7 +43,7 @@ def torus_op(n=4, rank=2, seed=3):
     op0 = assemble(b)
     shift = max(0.0, -op0.min_eigenvalue) + 0.25
     pot = b.potential + shift * np.eye(rank)[None, :, :]
-    b2 = build_bundle(m, rank, connection="random", seed=seed, potential="explicit", explicit_potential=pot)
+    b2 = HermitianBundle(m, rank, build_bundle(m, rank, connection="random", seed=seed).transport, pot)
     return assemble(b2)
 
 

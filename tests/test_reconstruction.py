@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracbundle import propagators, reconstruction, s2s
-from fracbundle.bundle import GaugeTransform, apply_gauge, build_bundle
+from fracbundle.bundle import GaugeTransform, HermitianBundle, apply_gauge, build_bundle
 from fracbundle.errors import ReconstructionError
 from fracbundle.manifold import Region, build_manifold, shortest_distances
 from fracbundle.operator import assemble
@@ -71,8 +71,7 @@ def torus_scene():
     E = len(m.edges)
     tr = np.exp(1j * rng.uniform(-np.pi, np.pi, E)).reshape(E, 1, 1)
     pot = (0.3 + 0.4 * rng.random(m.num_vertices)).reshape(-1, 1, 1).astype(complex)
-    b = build_bundle(m, 1, connection="explicit", explicit_transport=tr,
-                     potential="explicit", explicit_potential=pot)
+    b = HermitianBundle(m, 1, tr, pot)
     op = assemble(b)
     U = Region(m, tuple(i * 8 + j for i in range(4) for j in range(4)))
     grid = TimeGrid(12.0, 1200)
@@ -691,7 +690,7 @@ def test_recover_operator_diagonal_potential_rank2():
     pot = np.zeros((20, 2, 2), dtype=complex)
     for v in range(20):
         pot[v] = np.diag([0.4 + 0.01 * v, 0.9 - 0.01 * v])
-    b = build_bundle(m, 2, potential="explicit", explicit_potential=pot)
+    b = HermitianBundle(m, 2, build_bundle(m, 2).transport, pot)
     op = assemble(b)
     U = Region(m, tuple(range(8)))
     wmap = wave_map_assemble(op, U, TimeGrid(16.0, 1600))

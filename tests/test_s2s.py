@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracbundle import propagators, s2s
-from fracbundle.bundle import GaugeTransform, apply_gauge, build_bundle, l2_inner, pullback_bundle, pullback_section, cycle_rotation_iso
+from fracbundle.bundle import (
+    GaugeTransform,
+    HermitianBundle,
+    apply_gauge,
+    build_bundle,
+    l2_inner,
+    pullback_bundle,
+    pullback_section,
+    translation_iso,
+)
 from fracbundle.errors import DataBoundaryError, OperatorError
 from fracbundle.manifold import Region, build_manifold
 from fracbundle.operator import assemble, kernel_projector
@@ -736,10 +745,10 @@ def test_map_data_gauge_equivariance():
     # make the operator nonnegative: shift potential by a constant
     shift = max(0.0, -op1.min_eigenvalue) + 0.2
     pot = b1.potential + shift * np.eye(2)[None]
-    b1 = build_bundle(m, 2, connection="random", seed=11, potential="explicit", explicit_potential=pot)
+    b1 = HermitianBundle(m, 2, build_bundle(m, 2, connection="random", seed=11).transport, pot)
     op1 = assemble(b1)
     gauge = GaugeTransform.random(rng, m.num_vertices, 2)
-    iso = cycle_rotation_iso(b1, shift=5, gauge=gauge)
+    iso = translation_iso(b1, [5], gauge)
     b2 = pullback_bundle(iso)
     op2 = assemble(b2)
     U1 = arc_region(m, 3, 5)

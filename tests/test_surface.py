@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -71,6 +73,33 @@ def test_readme_options_match_config():
     accepted = set(NUMERIC_OPTIONS) | {"transmutation_times"}
     assert set(re.findall(r"`(\w+)`", listed)) == accepted
     assert set(re.findall(r"`options\.(\w+)`", section)) <= accepted
+
+
+def test_readme_bundle_specs_match_build_bundle():
+    # every `connection` and `potential` value the command-line section
+    # lists builds; "explicit" (given arrays go to HermitianBundle) and an
+    # unknown value are refused
+    from fracbundle.bundle import build_bundle
+    from fracbundle.errors import BundleError
+    from fracbundle.manifold import build_manifold
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    connections = re.findall(r"`(\w+)`", re.search(r"`connection` is\s(.*?);", section,
+                                                   flags=re.S).group(1))
+    potentials = re.findall(r"`(\w+)`", re.search(r"`potential` is\s(.*?)\(", section,
+                                                  flags=re.S).group(1))
+    assert len(connections) >= 2 and len(potentials) >= 3
+    m = build_manifold({"kind": "cycle", "count": 5, "length": 5.0})
+    for value in connections:
+        build_bundle(m, 2, connection=value, seed=1)
+    for value in potentials:
+        build_bundle(m, 2, potential=value, seed=1)
+    for value in ("explicit", "bogus"):
+        with pytest.raises(BundleError):
+            build_bundle(m, 2, connection=value)
+        with pytest.raises(BundleError):
+            build_bundle(m, 2, potential=value)
 
 
 IMPORT_GUARD = """
