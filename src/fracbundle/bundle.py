@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BundleError, GeometryError
-from .manifold import DiscreteManifold, lattice
+from .manifold import DiscreteManifold, edge_index, lattice
 
 UNITARITY_TOL = 1e-12
 
@@ -67,17 +67,21 @@ class HermitianBundle:
         for i in range(E):
             if not _is_unitary(tr[i]):
                 raise BundleError(f"transport on edge {i} is not unitary to {UNITARITY_TOL}")
-        dev = np.max(np.abs(pot - np.conj(np.swapaxes(pot, 1, 2))))
-        if dev > UNITARITY_TOL:
-            raise BundleError(f"potential is not Hermitian (max deviation {dev:.3e})")
+        # a NaN or infinite entry makes dev NaN or inf, which the test refuses
+        with np.errstate(invalid="ignore"):
+            dev = np.max(np.abs(pot - np.conj(np.swapaxes(pot, 1, 2))))
+        if not dev <= UNITARITY_TOL:
+            raise BundleError(f"potential is not finite and Hermitian (max deviation {dev:.3e})")
 
-    def transport_lookup(self):
-        """Dict (x, y) -> unitary carrying data from y to x, both orientations."""
-        out = {}
-        for i, (a, b) in enumerate(self.manifold.edges):
-            out[(int(a), int(b))] = self.transport[i]
-            out[(int(b), int(a))] = self.transport[i].conj().T
-        return out
+    def edge_transports(self, pairs):
+        """(n, r, r) unitaries carrying fiber data from pairs[k][1] to
+        pairs[k][0]; each pair is an edge, in either orientation
+        (manifold.edge_index), and a reversed edge gives the adjoint."""
+        m = self.manifold
+        ids, rev = edge_index(m.edges, m.num_vertices, pairs)
+        tr = self.transport[ids]
+        tr[rev] = np.conj(np.swapaxes(tr[rev], 1, 2))
+        return tr
 
     def random_section(self, rng):
         shape = (self.manifold.num_vertices, self.rank)
@@ -150,15 +154,10 @@ class StructureIso:
                 raise BundleError(f"fiber map at vertex {i} is not unitary")
         if abs(m1.volumes[base] - m2.volumes).max() > 1e-12 * max(1.0, m1.volumes.max()):
             raise GeometryError("base map must preserve vertex volumes")
-        lut1 = {}
-        for i, (a, b) in enumerate(m1.edges):
-            lut1[frozenset((int(a), int(b)))] = (m1.lengths[i], m1.weights[i])
-        for i, (a, b) in enumerate(m2.edges):
-            key = frozenset((int(base[a]), int(base[b])))
-            if key not in lut1:
-                raise GeometryError("base map must preserve edges")
-            l1, w1 = lut1[key]
-            if abs(l1 - m2.lengths[i]) > 1e-12 * max(1.0, l1) or abs(w1 - m2.weights[i]) > 1e-12 * max(1.0, w1):
+        # every codomain edge must map onto a domain edge (edge_index raises)
+        ids, _ = edge_index(m1.edges, V, base[m2.edges])
+        for a1, a2 in ((m1.lengths[ids], m2.lengths), (m1.weights[ids], m2.weights)):
+            if np.any(np.abs(a1 - a2) > 1e-12 * np.maximum(1.0, a1)):
                 raise GeometryError("base map must preserve edge lengths and weights")
         if len(m1.edges) != len(m2.edges):
             raise GeometryError("edge counts differ")
@@ -231,9 +230,7 @@ def pullback_bundle(iso: StructureIso) -> HermitianBundle:
     manifold: relabel the base through iso.base, then gauge by iso.fiber."""
     b1 = iso.domain
     m2 = iso.codomain_manifold
-    lut = b1.transport_lookup()
-    tr = np.array([lut[(int(iso.base[x]), int(iso.base[y]))] for x, y in m2.edges])
-    relabelled = HermitianBundle(m2, b1.rank, tr.reshape(-1, b1.rank, b1.rank),
+    relabelled = HermitianBundle(m2, b1.rank, b1.edge_transports(iso.base[m2.edges]),
                                  b1.potential[iso.base])
     return apply_gauge(relabelled, GaugeTransform(iso.fiber))
 

@@ -120,6 +120,7 @@ def parse_config(raw) -> ExperimentConfig:
     _require(len(set(tasks)) == len(tasks), "tasks", "tasks must be unique")
     with _section("orders"):
         orders = tuple(float(s) for s in raw.get("orders", [0.5]))
+    _require(len(orders) > 0, "orders", "order list must be nonempty")
     for s in orders:
         _require(0 < s < 1, "orders", "fractional orders must lie in (0, 1)")
     with _section("tolerances"):
@@ -146,6 +147,7 @@ def parse_config(raw) -> ExperimentConfig:
             _positive("options.transmutation_times", float, t) for t in times]
     with _section("seed"):
         seed = int(raw.get("seed", 0))
+    _require(seed >= 0, "seed", "must be a non-negative integer")
     _check_working_set(man, raw["region"], rank, horizon, steps, tasks, options)
     return ExperimentConfig(
         manifold=dict(man),

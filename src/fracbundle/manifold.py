@@ -29,9 +29,9 @@ from .errors import GeometryError
 class DiscreteManifold:
     """Connected weighted graph standing in for a closed Riemannian manifold.
 
-    edges: (E, 2) int array of undirected vertex pairs.  A pair listed more
-        than once is a parallel edge: assemble adds the conductances, and
-        shortest_distances uses the shorter length.
+    edges: (E, 2) int array of undirected vertex pairs.  A vertex pair is at
+        most one edge: a pair listed twice, in either orientation, is refused,
+        and edge_index maps each pair to its one edge.
     lengths: (E,) edge lengths (length units).
     weights: (E,) edge conductances (1/length^2 units for canonical builders).
     volumes: (V,) vertex volumes (length^dim units).
@@ -69,6 +69,12 @@ class DiscreteManifold:
             raise GeometryError("self loops are not allowed")
         if self.dimension < 1:
             raise GeometryError("dimension tag must be >= 1")
+        keys = np.sort(_pair_keys(edges, self.num_vertices))
+        repeated = keys[1:][keys[1:] == keys[:-1]]
+        if repeated.size:
+            a, b = divmod(int(repeated[0]), self.num_vertices)
+            raise GeometryError(f"vertex pair ({a}, {b}) is listed more than once; "
+                                "a pair is at most one edge")
         # breadth-first search from vertex 0, one frontier per pass over the edges
         seen = np.zeros(self.num_vertices, dtype=bool)
         seen[0] = True
@@ -81,16 +87,6 @@ class DiscreteManifold:
             seen |= frontier
         if not seen.all():
             raise GeometryError("graph must be connected")
-
-    def neighbors(self, v):
-        """Sorted neighbor list of vertex v."""
-        nbrs = set()
-        for a, b in self.edges:
-            if a == v:
-                nbrs.add(int(b))
-            elif b == v:
-                nbrs.add(int(a))
-        return sorted(nbrs)
 
 
 @dataclass(frozen=True)
@@ -115,6 +111,44 @@ class Region:
 
     def __contains__(self, v):
         return int(v) in set(self.vertices)
+
+    def inner_edges(self):
+        """The manifold edges with both ends in the region: a mask over
+        manifold.edges, and those edges as pairs of region positions."""
+        pos = np.full(self.manifold.num_vertices, -1)
+        pos[list(self.vertices)] = np.arange(len(self.vertices))
+        ends = pos[self.manifold.edges]
+        inside = np.all(ends >= 0, axis=1)
+        return inside, ends[inside]
+
+
+def _pair_keys(pairs, num_vertices):
+    """One key per undirected vertex pair: min * num_vertices + max."""
+    return pairs.min(axis=1) * num_vertices + pairs.max(axis=1)
+
+
+def edge_index(edges, num_vertices, pairs):
+    """The edge that joins each vertex pair: the one pair-to-edge rule.
+
+    edges: (E, 2) int edge array of a graph on num_vertices vertices, no pair
+    listed twice (DiscreteManifold refuses one); pairs: (n, 2) vertex pairs.
+    Returns (ids, reversed): edges[ids[k]] joins pairs[k], and reversed[k] is
+    True where pairs[k] lists that edge as (edges[ids[k]][1], edges[ids[k]][0]).
+    A pair that is not an edge raises GeometryError.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    keys = _pair_keys(edges, num_vertices)
+    order = np.argsort(keys)
+    # a sentinel past the last key keeps every searchsorted position in range
+    sorted_keys = np.append(keys[order], -1)
+    wanted = _pair_keys(pairs, num_vertices)
+    pos = np.searchsorted(sorted_keys[:-1], wanted)
+    found = (sorted_keys[pos] == wanted) & np.all((pairs >= 0) & (pairs < num_vertices), axis=1)
+    if not found.all():
+        a, b = pairs[np.argmin(found)]
+        raise GeometryError(f"vertex pair ({a}, {b}) is not an edge")
+    ids = order[pos]
+    return ids, pairs[:, 0] != edges[ids, 0]
 
 
 def lattice(counts):
@@ -171,21 +205,14 @@ def build_manifold(spec):
 
 
 def shortest_distances(m: DiscreteManifold) -> np.ndarray:
-    """All-pairs shortest-path distances over edge lengths; parallel edges count
-    at their shortest."""
+    """All-pairs shortest-path distances over edge lengths."""
     # scipy loads here, not at import: only the distance task needs it
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    # the sparse matrix would sum the lengths of a repeated pair
-    e, inverse = np.unique(np.sort(m.edges, axis=1), axis=0, return_inverse=True)
-    lengths = np.full(len(e), np.inf)
-    np.minimum.at(lengths, inverse, m.lengths)
-    graph = csr_matrix(
-        (np.concatenate([lengths, lengths]),
-         (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]))),
-        shape=(m.num_vertices, m.num_vertices),
-    )
+    # one entry per edge: the undirected search reads it both ways
+    graph = csr_matrix((m.lengths, (m.edges[:, 0], m.edges[:, 1])),
+                       shape=(m.num_vertices, m.num_vertices))
     dist = dijkstra(graph, directed=False)
     if not np.all(np.isfinite(dist)):
         raise GeometryError("graph must be connected")

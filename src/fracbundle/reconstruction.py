@@ -646,12 +646,8 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
     at_T = near_T[:, 2, :]
     stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dt**2)
     d2 = np.tensordot(stencil, near_T, axes=(0, 1))
-    edge_lut = {}
-    for i, (a, b) in enumerate(local.edges):
-        edge_lut[(int(a), int(b))] = i
-        edge_lut[(int(b), int(a))] = i
     rec_edges = []
-    recorded = set()  # rec_edges in both orientations
+    recorded = set()  # local edge ids of rec_edges
     rec_transports = []
     rec_potentials = []
     conds = []
@@ -676,26 +672,21 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
         blocks[v] = {c: Zr[i].T for i, c in enumerate(cols)}
     for v in chart:
         X = blocks[v]
+        ids = local.edge_index([(v, u) for u in nbrs[v]])[0].tolist()
+        # c_vu per neighbour: the edge conductance, volume-symmetrised
+        c = [local.edge_weights[i] * np.sqrt(mu[u] / mu[v]) for i, u in zip(ids, nbrs[v])]
         # diagonal block: degree term + potential
-        deg = 0.0
-        for u in nbrs[v]:
-            i = edge_lut[(v, u)]
-            w = local.edge_weights[i]
-            deg += w * np.sqrt(mu[u] / mu[v])
-        Avv = X[v] - deg * np.eye(r)
+        Avv = X[v] - sum(c) * np.eye(r)
         herm_devs.append(np.max(np.abs(Avv - Avv.conj().T)))
         rec_potentials.append(0.5 * (Avv + Avv.conj().T))
-        for u in nbrs[v]:
-            if (v, u) in recorded:
+        for i, u, c_vu in zip(ids, nbrs[v], c):
+            if i in recorded:
                 continue
-            i = edge_lut[(v, u)]
-            w = local.edge_weights[i]
-            c_vu = w * np.sqrt(mu[u] / mu[v])
             raw = -X[u] / c_vu
             U = _polar_unitary(raw)
             unitary_devs.append(np.max(np.abs(raw - U)))
             rec_edges.append((v, u))
-            recorded.update({(v, u), (u, v)})
+            recorded.add(i)
             rec_transports.append(U)
     chart_index = {v: i for i, v in enumerate(chart)}
     edges_local = []

@@ -21,23 +21,15 @@ def chart_operator_from_bundle(b: HermitianBundle, region: Region, chart_local) 
     edge[1] to edge[0]).
     """
     chart = [int(v) for v in chart_local]
-    glob = [region.vertices[v] for v in chart]
-    lut = b.transport_lookup()
-    pos = {g: i for i, g in enumerate(glob)}
-    edges, transports = [], []
-    for i, gv in enumerate(glob):
-        for j, gu in enumerate(glob):
-            if j <= i:
-                continue
-            if (gv, gu) in lut:
-                edges.append((i, j))
-                transports.append(lut[(gv, gu)])
-    pots = np.asarray([b.potential[g] for g in glob])
-    r = b.rank
+    glob = np.asarray([region.vertices[v] for v in chart], dtype=np.int64)
+    # the edges inside the chart as chart-index pairs (i, j), i < j, in
+    # lexicographic order
+    pairs = np.sort(Region(b.manifold, glob).inner_edges()[1], axis=1)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     return ChartOperator(
         vertices=tuple(chart),
-        edges=edges,
-        transports=np.asarray(transports).reshape(len(transports), r, r),
-        potentials=pots.reshape(len(glob), r, r),
+        edges=[tuple(p) for p in pairs.tolist()],
+        transports=b.edge_transports(glob[pairs]),
+        potentials=b.potential[glob],
         diagnostics={"source": "reference"},
     )

@@ -365,15 +365,11 @@ def _task_verify_gauge_equivariance(scene, cfg):
 
 
 def _interior_vertices(scene):
-    """Region-local indices whose every manifold neighbor lies in the region."""
-    m = scene.manifold
-    region = scene.region
-    inside = set(region.vertices)
-    out = []
-    for i, v in enumerate(region.vertices):
-        if all(u in inside for u in m.neighbors(v)):
-            out.append(i)
-    return out
+    """Region-local indices whose every manifold neighbor lies in the region:
+    no edge that leaves the region ends there."""
+    inside, _ = scene.region.inner_edges()
+    leaving = set(scene.manifold.edges[~inside].ravel().tolist())
+    return [i for i, v in enumerate(scene.region.vertices) if v not in leaving]
 
 
 # ray base points reconstruct_distances spreads over the full-ball vertices
@@ -433,13 +429,9 @@ def _task_reconstruct_distances(scene, cfg):
         oracle_cut = m.meta["length"] / 2
     else:
         # the ray follows one torus axis: its cut sits at half that axis length
-        ell = None
-        for k, (a, bb) in enumerate(wmap.local.edges):
-            if {int(a), int(bb)} == {x, y}:
-                ell = wmap.local.edge_lengths[k]
-                break
-        hs = m.meta["h"]
-        axis = int(np.argmin([abs(ell - ha) for ha in hs])) if ell is not None else 0
+        ids, _ = wmap.local.edge_index([(x, y)])
+        ell = wmap.local.edge_lengths[ids[0]]
+        axis = int(np.argmin([abs(ell - ha) for ha in m.meta["h"]]))
         oracle_cut = m.meta["lengths"][axis] / 2
     measures["cut_time_oracle"] = float(oracle_cut)
     cut_rel = abs(tstar - oracle_cut) / oracle_cut

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import timequad
 from .errors import DataBoundaryError, OperatorError
-from .manifold import Region
+from .manifold import Region, edge_index
 from .operator import KERNEL_FRACTION_TOL, SpectralOperator
 from .propagators import (
     TimeGrid,
@@ -77,6 +77,11 @@ class LocalStructure:
         a, b = self.edges[:, 0], self.edges[:, 1]
         return [int(u) for u in np.where(a == v, b, a)[(a == v) | (b == v)]]
 
+    def edge_index(self, pairs):
+        """(ids, reversed) of local vertex pairs: manifold.edge_index on the
+        region's edges."""
+        return edge_index(self.edges, self.size, pairs)
+
     def local_ball(self, center_local, radius):
         """Open ball inside the region w.r.t. the induced local metric."""
         row = self.distances[center_local]
@@ -112,29 +117,21 @@ def local_structure(region: Region, rank) -> LocalStructure:
     """Restrict the ambient structures to a region (metric side only)."""
     m = region.manifold
     verts = region.vertices
-    pos = {v: i for i, v in enumerate(verts)}
-    edges, lens, wts = [], [], []
-    for i, (a, b) in enumerate(m.edges):
-        a, b = int(a), int(b)
-        if a in pos and b in pos:
-            edges.append([pos[a], pos[b]])
-            lens.append(m.lengths[i])
-            wts.append(m.weights[i])
+    inside, edges = region.inner_edges()
+    lens = m.lengths[inside]
     n = len(verts)
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    for (a, b), ell in zip(edges, lens):
-        dist[a, b] = min(dist[a, b], ell)
-        dist[b, a] = dist[a, b]
+    dist[edges[:, 0], edges[:, 1]] = dist[edges[:, 1], edges[:, 0]] = lens
     for k in range(n):  # small regions: Floyd--Warshall on local edges only
         dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
     return LocalStructure(
         vertices=verts,
-        volumes=m.volumes[list(verts)].copy(),
+        volumes=m.volumes[list(verts)],
         rank=rank,
-        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-        edge_lengths=np.asarray(lens, dtype=np.float64),
-        edge_weights=np.asarray(wts, dtype=np.float64),
+        edges=edges,
+        edge_lengths=lens,
+        edge_weights=m.weights[inside],
         distances=dist,
     )
 

@@ -6,6 +6,7 @@ import pytest
 from fracbundle.bundle import (
     GaugeTransform,
     HermitianBundle,
+    StructureIso,
     apply_gauge,
     build_bundle,
     l2_inner,
@@ -16,6 +17,7 @@ from fracbundle.bundle import (
 from fracbundle.errors import BundleError, GeometryError, ReconstructionError
 from fracbundle.manifold import DiscreteManifold, Region, build_manifold
 from fracbundle.reference import chart_operator_from_bundle
+from fracbundle.s2s import local_structure
 
 
 def cycle(n=8, length=None):
@@ -57,6 +59,25 @@ def test_non_hermitian_potential_rejected():
     pot[0] = [[0.0, 1.0], [0.0, 0.0]]
     with pytest.raises(BundleError):
         HermitianBundle(m, 2, build_bundle(m, 2).transport, pot)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_potential_rejected(bad):
+    # a NaN deviation fails "dev > tol" as well as "dev <= tol"
+    m = cycle(4, 4.0)
+    for entry in ((0, 0, 0), (2, 0, 1)):
+        pot = np.zeros((4, 2, 2), dtype=complex)
+        pot[entry] = bad
+        with pytest.raises(BundleError, match="finite and Hermitian"):
+            HermitianBundle(m, 2, build_bundle(m, 2).transport, pot)
+
+
+def test_parallel_transports_are_refused_at_construction():
+    # two transports on one vertex pair (phases 0.3 and 1.7) once left a
+    # pullback to keep only the last; the manifold now refuses the pair
+    with pytest.raises(GeometryError, match=r"vertex pair \(0, 1\) is listed more than once"):
+        DiscreteManifold(3, [[0, 1], [0, 1], [1, 2], [2, 0]], np.ones(4), np.ones(4),
+                         np.ones(3), 1)
 
 
 def test_random_bundle_deterministic_in_seed():
@@ -209,6 +230,51 @@ def test_pullback_along_zero_translation_is_the_gauge_action():
     gauged = apply_gauge(b, g)
     assert np.array_equal(pulled.transport, gauged.transport)
     assert np.array_equal(pulled.potential, gauged.potential)
+
+
+def test_pullback_transports_match_a_pair_lookup():
+    # each codomain edge (x, y) carries the domain transport on the pair
+    # (base[x], base[y]), or its adjoint when that pair is listed reversed
+    rng = np.random.default_rng(32)
+    b = build_bundle(torus(5, 4), 2, connection="random", potential="random_hermitian", seed=16)
+    iso = translation_iso(b, (3, 1), GaugeTransform.random(rng, b.manifold.num_vertices, 2))
+    lookup = {}
+    for U, (a, c) in zip(b.transport, b.manifold.edges.tolist()):
+        lookup[(a, c)], lookup[(c, a)] = U, U.conj().T
+    relabelled = HermitianBundle(b.manifold, 2,
+                                 np.array([lookup[tuple(p)] for p in iso.base[b.manifold.edges].tolist()]),
+                                 b.potential[iso.base])
+    want = apply_gauge(relabelled, GaugeTransform(iso.fiber))
+    assert np.array_equal(pullback_bundle(iso).transport, want.transport)
+
+
+def test_region_restrictions_match_pair_loops():
+    # the vectorised restrictions equal a loop over every vertex pair
+    rng = np.random.default_rng(33)
+    b = build_bundle(torus(6, 5), 2, connection="random", potential="random_hermitian", seed=17)
+    m = b.manifold
+    lookup = {}
+    for k, (a, c) in enumerate(m.edges.tolist()):
+        lookup[(a, c)], lookup[(c, a)] = (k, b.transport[k]), (k, b.transport[k].conj().T)
+    verts = tuple(rng.permutation(m.num_vertices)[:14].tolist())
+    pairs = [(i, j) for i in range(14) for j in range(i + 1, 14) if (verts[i], verts[j]) in lookup]
+    chart = chart_operator_from_bundle(b, Region(m, verts), range(14))
+    assert chart.edges == pairs
+    assert np.array_equal(chart.transports,
+                          np.array([lookup[(verts[i], verts[j])][1] for i, j in pairs]))
+    loc = local_structure(Region(m, verts), 2)
+    inside = [k for k, (a, c) in enumerate(m.edges.tolist()) if a in verts and c in verts]
+    assert np.array_equal(loc.edges, [[verts.index(a), verts.index(c)] for a, c in m.edges[inside]])
+    assert np.array_equal(loc.edge_lengths, m.lengths[inside])
+    assert np.array_equal(loc.edge_weights, m.weights[inside])
+
+
+def test_structure_iso_refuses_a_base_map_off_the_edges():
+    b = build_bundle(torus(), 1)
+    base = np.arange(16)
+    base[[1, 5]] = base[[5, 1]]  # swaps two vertices: edge (0, 1) goes to (0, 5)
+    with pytest.raises(GeometryError, match="is not an edge"):
+        StructureIso(b, b.manifold, base, np.ones((16, 1, 1)))
 
 
 # -- holonomy ---------------------------------------------------------------

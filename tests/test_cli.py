@@ -233,6 +233,11 @@ def field_error_case(case_id, section, key, value):
 BASE_BYTES = json.dumps(BASE_CONFIG).encode()
 
 
+def top_level_case(case_id, where, **replace):
+    """BASE_CONFIG with top-level fields replaced, as a field-error case."""
+    return pytest.param(json.dumps({**BASE_CONFIG, **replace}).encode(), [], where, id=case_id)
+
+
 @pytest.mark.parametrize("content, args, where", [
     field_error_case(case_id, *edit) for case_id, edit in FIELD_ERRORS.items()
 ] + [
@@ -241,6 +246,14 @@ BASE_BYTES = json.dumps(BASE_CONFIG).encode()
     pytest.param(json.dumps(BASE_CONFIG).encode("utf-16"), [], "config", id="not_utf8"),
     pytest.param(BASE_BYTES, ["--workers", "0"], "workers", id="zero_workers"),
     pytest.param(BASE_BYTES, ["--workers", "-2"], "workers", id="negative_workers"),
+    # an empty order list would leave the fractional checks nothing to compare
+    top_level_case("empty_orders", "orders", orders=[]),
+    # bundle.seed is set, so only the task seeds would read the negative seed
+    top_level_case("negative_seed", "seed", seed=-3),
+    pytest.param(BASE_BYTES, ["--seed-override", "-3"], "seed", id="negative_seed_override"),
+    # json reads NaN; the shifted potential is then refused by the bundle
+    top_level_case("nan_potential_shift", "bundle", bundle={
+        **BASE_CONFIG["bundle"], "potential": "random_positive", "potential_shift": float("nan")}),
 ])
 def test_cli_config_error_exit_code(tmp_path, capsys, content, args, where):
     path = tmp_path / "bad.json"

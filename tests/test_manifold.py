@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from fracbundle.bundle import build_bundle
 from fracbundle.config import build_region
 from fracbundle.errors import GeometryError
 from fracbundle.manifold import (
     DiscreteManifold,
     Region,
     build_manifold,
+    edge_index,
     lattice,
     shortest_distances,
 )
-from fracbundle.operator import assemble
 from fracbundle.s2s import local_structure
 
 
@@ -158,11 +157,15 @@ def graph(num_vertices, edges):
     (3, [], False),                                                 # isolated vertices
     (4, [[1, 2]], False),                                           # isolated vertex 0
     (1, [], True),                                                  # one vertex, no edges
-    (3, [[0, 1], [1, 0], [0, 1], [1, 2], [2, 1]], True),            # repeated edges
-    (4, [[0, 1], [0, 1], [2, 3], [3, 2]], False),
+    (3, [[0, 1], [1, 0], [0, 1], [1, 2], [2, 1]], True),            # repeated pairs
+    (4, [[0, 1], [0, 1], [2, 3], [3, 2]], False),                   # repeated pairs
 ])
 def test_connectivity_cases(num_vertices, edges, connected):
-    if connected:
+    # a repeated pair is refused before connectivity is judged
+    if len({frozenset(p) for p in edges}) < len(edges):
+        with pytest.raises(GeometryError, match=r"vertex pair \(0, 1\) is listed more than once"):
+            graph(num_vertices, edges)
+    elif connected:
         m = graph(num_vertices, edges)
         assert np.all(np.isfinite(shortest_distances(m)))
     else:
@@ -171,7 +174,8 @@ def test_connectivity_cases(num_vertices, edges, connected):
 
 
 def test_connectivity_matches_connected_components():
-    # the frontier search agrees with scipy's component count on random graphs
+    # the frontier search agrees with scipy's component count on random graphs;
+    # a graph that lists a pair twice is refused instead
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
@@ -183,15 +187,18 @@ def test_connectivity_matches_connected_components():
         e = e[e[:, 0] != e[:, 1]]
         adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
         expected = connected_components(adj, directed=False)[0] == 1
+        repeats = len({frozenset(p) for p in e.tolist()}) < len(e)
         try:
             graph(n, e)
-            connected = True
+            outcome = "connected"
         except GeometryError as exc:
-            assert str(exc) == "graph must be connected"
-            connected = False
-        assert connected == expected
-        outcomes.add(connected)
-    assert outcomes == {True, False}
+            outcome = "repeated" if "listed more than once" in str(exc) else str(exc)
+        if repeats:
+            assert outcome == "repeated"
+        else:
+            assert outcome == ("connected" if expected else "graph must be connected")
+        outcomes.add(outcome)
+    assert outcomes == {"connected", "graph must be connected", "repeated"}
 
 
 # -- distances --------------------------------------------------------------
@@ -230,16 +237,28 @@ def test_torus_distance_bfs_oracle():
     assert d[v_a, v_b] == pytest.approx(4.0)
 
 
-def test_repeated_edge_is_a_parallel_edge():
-    # the distance takes the shorter of two parallel edges, in either listing
-    # order, and assemble adds their conductances
+def test_repeated_pair_is_refused():
+    # a vertex pair is at most one edge, in either listing order
     for edges in ([[0, 1], [0, 1], [1, 2], [2, 0]], [[1, 0], [0, 1], [1, 2], [2, 0]]):
-        m = DiscreteManifold(num_vertices=3, edges=edges, lengths=[1.0, 3.0, 1.0, 1.0],
+        with pytest.raises(GeometryError, match=r"vertex pair \(0, 1\) is listed more than once"):
+            DiscreteManifold(num_vertices=3, edges=edges, lengths=[1.0, 3.0, 1.0, 1.0],
                              weights=[1.0, 2.0, 1.0, 1.0], volumes=np.ones(3), dimension=1)
-        d = shortest_distances(m)
-        assert d[0, 1] == 1.0 and d[1, 0] == 1.0
-        assert d[0, 2] == 1.0 and d[1, 2] == 1.0
-        assert assemble(build_bundle(m, 1)).matrix[0, 1] == -3.0
+
+
+def test_edge_index_maps_every_pair_to_its_one_edge():
+    for m in (cycle(64), torus(8, 8), torus(16, 16),
+              build_manifold({"kind": "torus_grid", "counts": [5, 7, 3],
+                              "lengths": [5.0, 7.0, 3.0]})):
+        E = len(m.edges)
+        ids, rev = edge_index(m.edges, m.num_vertices, m.edges)
+        assert np.array_equal(ids, np.arange(E)) and not rev.any()
+        ids, rev = edge_index(m.edges, m.num_vertices, m.edges[:, ::-1])
+        assert np.array_equal(ids, np.arange(E)) and rev.all()
+    m = torus(4, 4)
+    # a diagonal, a loop, and two out-of-range pairs whose keys are edge keys
+    for pair in ([0, 5], [3, 3], [0, 18], [-1, 17]):
+        with pytest.raises(GeometryError, match="is not an edge"):
+            edge_index(m.edges, m.num_vertices, [pair])
 
 
 # -- open balls ---------------------------------------------------------------
