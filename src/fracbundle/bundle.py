@@ -249,12 +249,9 @@ def translation_iso(bundle: HermitianBundle, shifts, gauge: GaugeTransform):
     codomain lattice coordinates c to domain coordinates c + shifts (one
     shift per axis, wrapping), then the gauge."""
     m = bundle.manifold
-    if m.meta.get("kind") == "cycle":
-        counts = [m.meta["count"]]
-    elif m.meta.get("kind") == "torus_grid":
-        counts = m.meta["counts"]
-    else:
+    if m.meta.get("kind") not in ("cycle", "torus_grid"):
         raise GeometryError("translation_iso needs a canonical cycle or torus manifold")
+    counts = m.meta["counts"]
     shifts = [int(s) for s in shifts]
     if len(shifts) != len(counts):
         raise GeometryError(f"translation_iso needs one shift per axis ({len(counts)}), "

@@ -166,33 +166,30 @@ def build_manifold(spec):
 
     A cycle is the one-axis torus.  Vertex v has one edge per axis, to its
     successor along that axis; edges are listed vertex-major, axis-minor.
+    meta holds the kind and the lattice's axis counts, lengths and mesh
+    lengths h; a cycle's also holds its count and length, and h is a number.
     """
     kind = spec.get("kind")
     if kind == "cycle":
         counts, totals = [int(spec["count"])], [float(spec["length"])]
-        if counts[0] < 3:
-            raise GeometryError("cycle needs at least 3 vertices")
-        if totals[0] <= 0:
-            raise GeometryError("cycle length must be positive")
     elif kind == "torus_grid":
         counts = [int(c) for c in spec["counts"]]
         totals = [float(L) for L in spec["lengths"]]
-        if len(counts) != len(totals) or len(counts) < 1:
-            raise GeometryError("counts and lengths must align")
-        if any(c < 3 for c in counts):
-            raise GeometryError("each torus axis needs at least 3 vertices")
-        if any(L <= 0 for L in totals):
-            raise GeometryError("axis lengths must be positive")
     else:
         raise GeometryError(f"unknown manifold kind: {kind!r}")
+    if len(counts) != len(totals) or len(counts) < 1:
+        raise GeometryError("counts and lengths must align")
+    if any(c < 3 for c in counts):
+        raise GeometryError("each axis needs at least 3 vertices")
+    if any(L <= 0 for L in totals):
+        raise GeometryError("axis lengths must be positive")
     hs = [L / c for L, c in zip(totals, counts)]
     dim = len(counts)
     ids = lattice(counts)
     successors = np.stack([np.roll(ids, -1, axis=a).ravel() for a in range(dim)], axis=1)
+    meta = {"kind": kind, "counts": counts, "lengths": totals, "h": hs}
     if kind == "cycle":
-        meta = {"kind": "cycle", "count": counts[0], "length": totals[0], "h": hs[0]}
-    else:
-        meta = {"kind": "torus_grid", "counts": counts, "lengths": totals, "h": hs}
+        meta.update(count=counts[0], length=totals[0], h=hs[0])
     return DiscreteManifold(
         num_vertices=ids.size,
         edges=np.stack([np.repeat(ids.ravel(), dim), successors.ravel()], axis=1),

@@ -20,9 +20,9 @@ from .bundle import (
     pullback_bundle,
     translation_iso,
 )
-from .config import ExperimentConfig, build_region, build_scene, parse_config, probe_settings
+from .config import ExperimentConfig, build_scene, parse_config
 from .errors import ConfigError, FracBundleError
-from .manifold import shortest_distances
+from .manifold import Region, shortest_distances
 from .operator import assemble, kernel_projector
 from .propagators import (
     TimeGrid,
@@ -130,8 +130,8 @@ class _Scene:
 
     def probe_config(self):
         opts = self.cfg.options
-        return ProbeConfig(*probe_settings(opts, self.mesh()),
-                           **({"eta": float(opts["eta"])} if "eta" in opts else {}))
+        return ProbeConfig(opts["probe_delta"], opts["probe_lead_step"], opts["probe_width"],
+                           opts["eta"])
 
     def random_sections(self, count, rng):
         return [self.bundle.random_section(rng) for _ in range(count)]
@@ -167,9 +167,9 @@ def _task_verify_spectral(scene, cfg):
     # fractional round trip and the Gamma route
     proj = kernel_projector(op)
     rt_devs, gamma_devs = [], []
-    n_sections = int(cfg.options.get("round_trip_sections", 20))
+    per_order = max(1, cfg.options["round_trip_sections"] // len(cfg.orders))
     for s in cfg.orders:
-        for u in scene.random_sections(max(1, n_sections // len(cfg.orders)), rng):
+        for u in scene.random_sections(per_order, rng):
             f = proj.project_complement(u)
             inv = fractional_inverse_spectral(op, s, f)
             back = fractional_apply(op, s, inv)
@@ -193,10 +193,10 @@ def _task_verify_spectral(scene, cfg):
         [[k, float(lam)] for k, lam in enumerate(op.eigenvalues)],
     )
     checks = {
-        "fractional_round_trip": cfg.tolerance("fractional_round_trip"),
-        "gamma_route": cfg.tolerance("gamma_route"),
-        "energy_drift": cfg.tolerance("energy_drift"),
-        "semigroup": cfg.tolerance("semigroup"),
+        "fractional_round_trip": cfg.tolerances["fractional_round_trip"],
+        "gamma_route": cfg.tolerances["gamma_route"],
+        "energy_drift": cfg.tolerances["energy_drift"],
+        "semigroup": cfg.tolerances["semigroup"],
     }
     ok = (all(measures[k] < tol for k, tol in checks.items())
           and op.is_nonnegative() and herm < 1e-10 and gram_dev < 1e-10)
@@ -209,14 +209,13 @@ def _task_verify_transmutation(scene, cfg):
     op = scene.op
     rng = np.random.default_rng(cfg.seed + 1)
     measures, tables = {}, {}
-    times = cfg.options.get("transmutation_times", [0.1, 1.0])
     rows = []
     errs = []
-    for t in times:
-        Q, E, err = transmutation_gaussian_check(op, float(t))
+    for t in cfg.options["transmutation_times"]:
+        Q, E, err = transmutation_gaussian_check(op, t)
         errs.append(np.max(err))
         for k in range(len(E)):
-            rows.append([float(t), k, float(Q[k]), float(E[k]), float(err[k])])
+            rows.append([t, k, float(Q[k]), float(E[k]), float(err[k])])
     worst = float(np.max(errs, initial=0.0))
     measures["transmutation_gaussian"] = worst
     u = scene.random_sections(1, rng)[0]
@@ -224,7 +223,7 @@ def _task_verify_transmutation(scene, cfg):
     measures["printed_form_residual"] = printed_res  # logged, not gated
     measures["printed_form_quadrature_error"] = quad_err
     tables["transmutation"] = (["t", "mode", "quadrature", "exact", "mixed_error"], rows)
-    checks = {"transmutation_gaussian": cfg.tolerance("transmutation_gaussian")}
+    checks = {"transmutation_gaussian": cfg.tolerances["transmutation_gaussian"]}
     ok = worst < checks["transmutation_gaussian"] and quad_err < 1e-8
     return ok, measures, checks, tables
 
@@ -248,7 +247,7 @@ def _seeded_pair_sources(scene, cfg, count, rng):
 
 def _task_verify_blago(scene, cfg):
     rng = np.random.default_rng(cfg.seed + 2)
-    n_pairs = int(cfg.options.get("blago_pairs", 100))
+    n_pairs = cfg.options["blago_pairs"]
     n_sources = max(2, int(np.ceil((1 + np.sqrt(1 + 8 * n_pairs)) / 2)))
     region_sources = _seeded_pair_sources(scene, cfg, n_sources, rng)
     wmap = scene.wmap
@@ -296,7 +295,7 @@ def _task_verify_blago(scene, cfg):
         ratio = ev.min() / np.trace(G_engine).real
     measures["gram_min_eigenvalue_over_trace"] = float(ratio)
     tables = {"blago_pairs": (["i", "j", "direct_re", "direct_im", "engine_re", "engine_im", "rel_err"], rows)}
-    checks = {"blago": cfg.tolerance("blago")}
+    checks = {"blago": cfg.tolerances["blago"]}
     return worst < checks["blago"], measures, checks, tables
 
 
@@ -323,7 +322,7 @@ def _task_verify_gauge_equivariance(scene, cfg):
     U1 = scene.region
     inv_base = np.empty(m.num_vertices, dtype=np.int64)
     inv_base[iso.base] = np.arange(m.num_vertices)
-    U2 = build_region(m, {"type": "vertices", "ids": [int(inv_base[v]) for v in U1.vertices]})
+    U2 = Region(m, tuple(inv_base[list(U1.vertices)]))
     S = np.zeros((len(U1) * r, len(U1) * r), dtype=complex)
     for i, v2 in enumerate(U2.vertices):
         S[i * r:(i + 1) * r, i * r:(i + 1) * r] = iso.fiber[v2]
@@ -354,9 +353,9 @@ def _task_verify_gauge_equivariance(scene, cfg):
     measures["gauge_heat_kernel"] = heat_dev
     tables = {"gauge_deviations": (["block", "order", "deviation"], rows)}
     checks = {
-        "gauge_frac_blocks": cfg.tolerance("gauge_blocks"),
-        "gauge_wave_blocks": cfg.tolerance("gauge_blocks"),
-        "gauge_heat_kernel": cfg.tolerance("gauge_heat_kernel"),
+        "gauge_frac_blocks": cfg.tolerances["gauge_blocks"],
+        "gauge_wave_blocks": cfg.tolerances["gauge_blocks"],
+        "gauge_heat_kernel": cfg.tolerances["gauge_heat_kernel"],
     }
     ok = (frac_dev < checks["gauge_frac_blocks"]
           and wave_dev < checks["gauge_wave_blocks"]
@@ -424,15 +423,12 @@ def _task_reconstruct_distances(scene, cfg):
     sweep = np.arange(s + pcfg.delta + h / 2, cfg.horizon - pcfg.delta, h / 2)
     tstar = cut_time_estimate(wmap, x, y, s, sweep, pcfg)
     measures["cut_time"] = float(tstar)
-    kind = m.meta.get("kind")
-    if kind == "cycle":
-        oracle_cut = m.meta["length"] / 2
-    else:
-        # the ray follows one torus axis: its cut sits at half that axis length
-        ids, _ = wmap.local.edge_index([(x, y)])
-        ell = wmap.local.edge_lengths[ids[0]]
-        axis = int(np.argmin([abs(ell - ha) for ha in m.meta["h"]]))
-        oracle_cut = m.meta["lengths"][axis] / 2
+    # the ray follows one lattice axis: its cut sits at half that axis length
+    ids, _ = wmap.local.edge_index([(x, y)])
+    ell = wmap.local.edge_lengths[ids[0]]
+    lengths = m.meta["lengths"]
+    axis = int(np.argmin([abs(ell - L / c) for L, c in zip(lengths, m.meta["counts"])]))
+    oracle_cut = lengths[axis] / 2
     measures["cut_time_oracle"] = float(oracle_cut)
     cut_rel = abs(tstar - oracle_cut) / oracle_cut
     measures["cut_time_rel"] = float(cut_rel)
@@ -442,7 +438,7 @@ def _task_reconstruct_distances(scene, cfg):
     rays = _auto_rays(scene, cfg, pcfg)
     fam = distance_family(wmap, rays, pcfg)
     oracle_profiles = dist[:, list(region.vertices)]
-    rep = match_profiles(fam, oracle_profiles, rel_tol=cfg.tolerance("profile_match_rel"))
+    rep = match_profiles(fam, oracle_profiles, rel_tol=cfg.tolerances["profile_match_rel"])
     measures["profile_match_fraction"] = rep["fraction"]
     measures["profiles_recovered"] = len(fam)
     measures["rays_skipped_edge"] = fam.rays_skipped
@@ -452,9 +448,9 @@ def _task_reconstruct_distances(scene, cfg):
     tables["distance_profiles"] = (
         ["point"] + [f"z{j}" for j in range(len(region))], prof_rows)
     checks = {
-        "first_arrival_rel": cfg.tolerance("first_arrival_rel"),
-        "cut_time_rel": cfg.tolerance("cut_time_rel"),
-        "profile_match_fraction": cfg.tolerance("profile_match_fraction"),
+        "first_arrival_rel": cfg.tolerances["first_arrival_rel"],
+        "cut_time_rel": cfg.tolerances["cut_time_rel"],
+        "profile_match_fraction": cfg.tolerances["profile_match_fraction"],
     }
     ok = (worst_rel < checks["first_arrival_rel"]
           and cut_rel < checks["cut_time_rel"]
@@ -504,7 +500,7 @@ def _task_reconstruct_operator(scene, cfg):
     rec = recover_local_operator(wmap, chart, pcfg)
     truth = chart_operator_from_bundle(scene.bundle, scene.region, chart)
     loops = _fundamental_loops(len(rec.vertices), rec.edges)
-    rep = gauge_invariant_compare(rec, truth, loops, tol_cert=cfg.tolerance("operator_cert"))
+    rep = gauge_invariant_compare(rec, truth, loops, tol_cert=cfg.tolerances["operator_cert"])
     measures = {
         "holonomy_deviation": rep["holonomy_deviation"],
         "potential_spectrum_deviation": rep["potential_spectrum_deviation"],
@@ -519,7 +515,7 @@ def _task_reconstruct_operator(scene, cfg):
     wmap2 = wave_map_assemble(assemble(b2), scene.region, scene.grid)
     rec2 = recover_local_operator(wmap2, chart, pcfg)
     rep2 = gauge_invariant_compare(
-        rec, rec2, loops, tol_cert=cfg.tolerance("gauge_pipeline_invariance"))
+        rec, rec2, loops, tol_cert=cfg.tolerances["gauge_pipeline_invariance"])
     measures["gauged_holonomy_deviation"] = rep2["holonomy_deviation"]
     measures["gauged_potential_deviation"] = rep2["potential_spectrum_deviation"]
     # worst per-vertex least-squares condition number over both runs
@@ -531,8 +527,8 @@ def _task_reconstruct_operator(scene, cfg):
             ["gauged_potential", rep2["potential_spectrum_deviation"]]]
     tables = {"operator_recovery": (["invariant", "deviation"], rows)}
     checks = {
-        "operator_cert": cfg.tolerance("operator_cert"),
-        "gauge_pipeline_invariance": cfg.tolerance("gauge_pipeline_invariance"),
+        "operator_cert": cfg.tolerances["operator_cert"],
+        "gauge_pipeline_invariance": cfg.tolerances["gauge_pipeline_invariance"],
     }
     ok = bool(rep["passed"] and rep2["passed"])
     return ok, measures, checks, tables
@@ -594,19 +590,7 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
                 message=message))
     if limiter is not None:
         limiter.unregister()
-    echo = {
-        "manifold": cfg.manifold,
-        "bundle": cfg.bundle,
-        "region": cfg.region,
-        "orders": list(cfg.orders),
-        "time": {"horizon": cfg.horizon, "steps": cfg.steps},
-        "tasks": list(cfg.tasks),
-        "seed": cfg.seed,
-        "tolerances": cfg.tolerances,
-        "output_dir": cfg.output_dir,
-        "options": cfg.options,
-    }
-    return Report(config_echo=echo, seed=cfg.seed, tasks=results)
+    return Report(config_echo=cfg.echo(), seed=cfg.seed, tasks=results)
 
 
 def _to_native(d):

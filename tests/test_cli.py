@@ -188,7 +188,9 @@ def test_cli_pass_exit_code(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
-# (section, key, value): BASE_CONFIG with one field replaced; None deletes it
+# (section, key, value): BASE_CONFIG with one field replaced; None deletes it.
+# The error names <section>.<key>, or only the section for the SCENE_ERRORS,
+# values that parse and are refused when the scene is built
 FIELD_ERRORS = {
     "horizon": ("time", "horizon", 0.0),
     "infinite_horizon": ("time", "horizon", float("inf")),
@@ -216,7 +218,19 @@ FIELD_ERRORS = {
     "chart_not_list": ("options", "chart", 3),
     "chart_empty": ("options", "chart", []),
     "chart_repeated_index": ("options", "chart", [5, 6, 6, 9]),
+    # numbers are finite ints or floats, never bools or strings, and an
+    # integer field takes integral values only
+    "fractional_steps": ("time", "steps", 512.5),
+    "string_steps": ("time", "steps", "512"),
+    "bool_rank": ("bundle", "rank", True),
+    "bool_tolerance": ("tolerances", "blago", True),
+    "fractional_region_start": ("region", "start", 1.5),
+    "fractional_count_option": ("options", "blago_pairs", 3.7),
+    # the zero potential does not read the shift; the echo would hold NaN
+    "nan_unread_potential_shift": ("bundle", "potential_shift", float("nan")),
+    "misspelled_bundle_key": ("bundle", "potential_shfit", 0.2),
 }
+SCENE_ERRORS = {"cycle_count", "connection"}
 
 
 def field_error_case(case_id, section, key, value):
@@ -226,7 +240,7 @@ def field_error_case(case_id, section, key, value):
         del raw[section][key]
     else:
         raw.setdefault(section, {})[key] = value
-    where = f"{section}.{key}" if section in ("options", "tolerances") else section
+    where = section if case_id in SCENE_ERRORS else f"{section}.{key}"
     return pytest.param(json.dumps(raw).encode(), [], where, id=case_id)
 
 
@@ -252,8 +266,12 @@ def top_level_case(case_id, where, **replace):
     top_level_case("negative_seed", "seed", seed=-3),
     pytest.param(BASE_BYTES, ["--seed-override", "-3"], "seed", id="negative_seed_override"),
     # json reads NaN; the shifted potential is then refused by the bundle
-    top_level_case("nan_potential_shift", "bundle", bundle={
+    top_level_case("nan_potential_shift", "bundle.potential_shift", bundle={
         **BASE_CONFIG["bundle"], "potential": "random_positive", "potential_shift": float("nan")}),
+    top_level_case("bool_seed", "seed", seed=True),
+    top_level_case("fractional_seed", "seed", seed=1.9),
+    top_level_case("misspelled_top_level_key", "tolerance: unknown key",
+                   tolerance={"blago": 1e-3}),
 ])
 def test_cli_config_error_exit_code(tmp_path, capsys, content, args, where):
     path = tmp_path / "bad.json"
@@ -715,7 +733,60 @@ def test_cli_random_valid_config_exits_0_or_1_and_reruns_exactly(raw):
         for run in ("a", "b"):
             out = os.path.join(work, run)
             assert main(["run", path, "--out", out]) in (0, 1)
-            with open(os.path.join(out, "report.json")) as fh:
-                tasks = json.load(fh)["tasks"]
+            tasks = strict_report(out)["tasks"]
             measures.append(json.dumps([t["measures"] for t in tasks], sort_keys=True))
     assert measures[0] == measures[1]
+
+
+# numeric fields of valid_configs' configs: (section, key, integer field);
+# section None is the top level
+NUMBER_FIELDS = [
+    ("manifold", "count", True), ("manifold", "length", False), ("bundle", "rank", True),
+    ("bundle", "seed", True), ("bundle", "potential_scale", False),
+    ("region", "start", True), ("region", "count", True), ("time", "horizon", False),
+    ("time", "steps", True), (None, "seed", True), ("tolerances", "blago", False),
+    ("options", "blago_pairs", True), ("options", "eta", False),
+]
+SECTIONS = [None, "manifold", "bundle", "region", "time", "tolerances", "options"]
+
+
+@st.composite
+def refused_configs(draw):
+    """(raw, field): a valid config with one field made bad (a non-finite
+    number, a bool, a non-integral size, or an unknown key in a random
+    section), and the field the config error must name."""
+    raw = draw(valid_configs())
+    bad = draw(st.sampled_from(["non_finite", "bool", "non_integral", "unknown_key"]))
+    if bad == "unknown_key":
+        # no config key starts with x_
+        section = draw(st.sampled_from(SECTIONS))
+        key = "x_" + draw(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12))
+        value = draw(st.one_of(st.integers(), st.floats(-1e3, 1e3), st.text(max_size=4)))
+    else:
+        section, key, _ = draw(st.sampled_from(
+            [f for f in NUMBER_FIELDS if f[2] or bad != "non_integral"]))
+        if bad == "non_finite":
+            value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        elif bad == "bool":
+            value = draw(st.booleans())
+        else:
+            value = draw(st.integers(-4, 40)) + draw(st.sampled_from([0.5, 0.25, 1e-6]))
+    target = raw if section is None else raw.setdefault(section, {})
+    target[key] = value
+    return raw, key if section is None else f"{section}.{key}"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=refused_configs())
+def test_cli_bad_number_or_unknown_key_exits_2_naming_the_field(case):
+    raw, field = case
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "config.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", path, "--out", os.path.join(work, "out")])
+        assert not os.path.exists(os.path.join(work, "out"))
+    assert code == 2
+    assert f"config error: {field}: " in err.getvalue()

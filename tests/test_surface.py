@@ -63,14 +63,16 @@ def test_readme_constants_match_the_library():
 
 def test_readme_options_match_config():
     # the option keys the command-line section lists are the keys
-    # parse_config accepts, and every `options.<key>` it names is one of them
-    from fracbundle.config import NUMERIC_OPTIONS
+    # parse_config accepts (it fills in every one), and every
+    # `options.<key>` it names is one of them
+    from fracbundle.config import parse_config
 
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
     listed = re.search(r"The `options` object takes these keys only: (.*?);", section,
                        flags=re.S).group(1)
-    accepted = set(NUMERIC_OPTIONS) | {"transmutation_times"}
+    accepted = set(parse_config(readme_example_config()).options)
+    assert len(accepted) == 7
     assert set(re.findall(r"`(\w+)`", listed)) == accepted
     assert set(re.findall(r"`options\.(\w+)`", section)) <= accepted
 
@@ -147,3 +149,29 @@ def test_import_and_parse_load_no_scipy_submodule():
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert loaded == {"parse": [], "run": [], "status": ["pass", "pass"]}
+
+
+def readme_example_config():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("Example config:", 1)[1]
+    return json.loads(re.search(r"```json\n(.*?)```", example, flags=re.S).group(1))
+
+
+def benchmark_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["readme", *benchmark_workloads()])
+def test_config_echo_is_strict_json_and_parses_to_the_same_config(name):
+    # report.json echoes the parsed config so that a run can be repeated
+    from fracbundle.config import parse_config
+
+    raw = readme_example_config() if name == "readme" else benchmark_workloads()[name]
+    echo = parse_config(raw).echo()
+    text = json.dumps(echo, allow_nan=False)
+    assert parse_config(echo) == parse_config(raw)
+    assert parse_config(json.loads(text)) == parse_config(raw)
