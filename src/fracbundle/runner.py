@@ -101,19 +101,34 @@ class Report:
 
 
 class _Scene:
-    """Lazily built shared objects for the tasks."""
+    """Lazily built shared objects for the tasks.
+
+    The cached objects, op and wmap, live from their first reader to their
+    last: _TASKS declares what each task reads, and a reader of wmap reads op
+    too, since the map is built from it.  run_experiment calls end_task after
+    each task, which drops what no later task reads.
+    """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.manifold, self.bundle, self.region = build_scene(cfg)
-        self._op = None
-        self._wmap = None
+        # the position in cfg.tasks of each cached object's last reader
+        self._last = {}
+        for k, name in enumerate(cfg.tasks):
+            reads = _TASKS[name][1]
+            for obj in reads + (("op",) if "wmap" in reads else ()):
+                self._last[obj] = k
+        self._task = 0
+        self._cache = {}
+
+    def _cached(self, name, build):
+        if name not in self._cache:
+            self._cache[name] = build()
+        return self._cache[name]
 
     @property
     def op(self):
-        if self._op is None:
-            self._op = assemble(self.bundle)
-        return self._op
+        return self._cached("op", lambda: assemble(self.bundle))
 
     @property
     def grid(self):
@@ -121,9 +136,18 @@ class _Scene:
 
     @property
     def wmap(self):
-        if self._wmap is None:
-            self._wmap = wave_map_assemble(self.op, self.region, self.grid)
-        return self._wmap
+        return self._cached("wmap", lambda: wave_map_assemble(self.op, self.region, self.grid))
+
+    def release(self, *names):
+        """Drop the named cached objects unless a later task reads them."""
+        for name in names:
+            if self._last.get(name, self._task) <= self._task:
+                self._cache.pop(name, None)
+
+    def end_task(self):
+        """Drop what the running task read last; the next task runs."""
+        self.release(*list(self._cache))
+        self._task += 1
 
     def mesh(self):
         return float(np.min(self.manifold.lengths))
@@ -498,6 +522,10 @@ def _task_reconstruct_operator(scene, cfg):
     if not chart:
         raise FracBundleError("region has no interior vertices for a chart")
     rec = recover_local_operator(wmap, chart, pcfg)
+    # the gauged rerun assembles a second map: the first goes now, unless a
+    # later task reads it
+    del wmap
+    scene.release("wmap")
     truth = chart_operator_from_bundle(scene.bundle, scene.region, chart)
     loops = _fundamental_loops(len(rec.vertices), rec.edges)
     rep = gauge_invariant_compare(rec, truth, loops, tol_cert=cfg.tolerances["operator_cert"])
@@ -534,13 +562,15 @@ def _task_reconstruct_operator(scene, cfg):
     return ok, measures, checks, tables
 
 
+# each task and the cached scene objects it reads; a reader of wmap reads op
+# too (see _Scene)
 _TASKS = {
-    "verify_spectral": _task_verify_spectral,
-    "verify_transmutation": _task_verify_transmutation,
-    "verify_blago": _task_verify_blago,
-    "verify_gauge_equivariance": _task_verify_gauge_equivariance,
-    "reconstruct_distances": _task_reconstruct_distances,
-    "reconstruct_operator": _task_reconstruct_operator,
+    "verify_spectral": (_task_verify_spectral, ("op",)),
+    "verify_transmutation": (_task_verify_transmutation, ("op",)),
+    "verify_blago": (_task_verify_blago, ("wmap",)),
+    "verify_gauge_equivariance": (_task_verify_gauge_equivariance, ("op",)),
+    "reconstruct_distances": (_task_reconstruct_distances, ("wmap",)),
+    "reconstruct_operator": (_task_reconstruct_operator, ("wmap",)),
 }
 
 
@@ -549,7 +579,9 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
 
     A task that raises any Exception ends with status "error" and the
     exception's message (prefixed by its type name, except for library,
-    LinAlgError and MemoryError failures); the next task still runs.
+    LinAlgError and MemoryError failures); the next task still runs.  Each
+    cached scene object is dropped after its last reader, whatever that
+    task's status.
 
     workers caps the linear-algebra thread pools for the whole run when
     threadpoolctl is available; otherwise a notice goes to stderr.  A cap
@@ -571,7 +603,7 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
     for name in cfg.tasks:
         t0 = time.perf_counter()
         try:
-            ok, measures, checks, tables = _TASKS[name](scene, cfg)
+            ok, measures, checks, tables = _TASKS[name][0](scene, cfg)
             results.append(TaskResult(
                 name=name,
                 status="pass" if ok else "fail",
@@ -588,6 +620,7 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
             results.append(TaskResult(
                 name=name, status="error", elapsed_s=time.perf_counter() - t0,
                 message=message))
+        scene.end_task()
     if limiter is not None:
         limiter.unregister()
     return Report(config_echo=cfg.echo(), seed=cfg.seed, tasks=results)

@@ -457,7 +457,7 @@ def _lag_pairing(wmap: WaveMapData, F, H, cf, ch):
     T2 = Y @ conj(K) - conj(f_l'[0]) (e_l @ conj(B_up)), and the pairing
     of f_l at c with h_l' at c' is mu_c mu_c' (T1[l, l', c, c'] -
     T2[l', l, c', c]).  Each table meets only the kernel rows of the
-    components where its profile sits.
+    components where its profile sits, and only those rows are folded.
     """
     grid = wmap.grid
     dt = grid.dt
@@ -471,30 +471,36 @@ def _lag_pairing(wmap: WaveMapData, F, H, cf, ch):
         *_jstar_quadratic_coeffs(pf.T, dt, n_half), n1, dt).T)
     e = timequad.quadratic_times_sampled_array(*_jh_quadratic_coeffs(ph.T, dt, n_half),
                                                n1, dt).T
-    # on C-order map stacks (spectral_block builds them so) the folded kernel
-    # is the one (N+1, D, D) copy, and neither ascontiguousarray copies
-    kernel = np.ascontiguousarray(folded_kernel(wmap.conv_a, wmap.conv_b, n1),
-                                  dtype=np.complex128)
-    b_up = np.ascontiguousarray(wmap.conv_b[1:])
+    full = None
 
-    def on_rows(blocks, rows):
-        # (len(blocks), len(rows) d): a view, not a copy, when rows are all d rows
-        if len(rows) == d:
-            return blocks.reshape(len(blocks), d * d)
-        return blocks[:, rows, :].reshape(len(blocks), -1)
+    def folded_rows(at):
+        # (K, B_up) on the kernel rows at, as (N+1, len(at) d) and (N, len(at) d).
+        # A profile at a few components folds only their rows; the full fold
+        # is built once, for the first profile that sits at every component
+        # (every probe family's profiles do).  On C-order map stacks
+        # (spectral_block builds them so) the reshapes copy nothing; np.take
+        # gathers in C order, where a fancy index on axis 1 would not.
+        nonlocal full
+        if len(at) == d:
+            if full is None:
+                full = folded_kernel(wmap.conv_a, wmap.conv_b, n1).reshape(n1, d * d)
+            return full, wmap.conv_b[1:].reshape(n1 - 1, d * d)
+        b = np.take(wmap.conv_b, at, axis=1)
+        k = folded_kernel(np.take(wmap.conv_a, at, axis=1), b, n1)
+        return k.reshape(n1, -1), b[1:].reshape(n1 - 1, -1)
 
     def paired(tables, tests, rows, starts):
         # sum_m table[:, m] K[m] - starts (test[:N] @ B_up) per test row, on
         # its kernel rows, concatenated along axis 1: (len(starts), sum |rows|, d)
         out = []
         for table, test, at in zip(tables, tests, rows):
-            k = on_rows(kernel, at)
+            k, b_up = folded_rows(at)
             # a real lag table meets the real and imaginary parts in one real product
             if np.isrealobj(table):
                 prod = (table @ k.view(np.float64)).view(np.complex128)
             else:
                 prod = table @ k
-            prod -= np.multiply.outer(starts, test[:-1] @ on_rows(b_up, at))
+            prod -= np.multiply.outer(starts, test[:-1] @ b_up)
             out.append(prod.reshape(len(starts), len(at), d))
         return np.concatenate(out, axis=1)
 

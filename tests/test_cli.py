@@ -150,6 +150,83 @@ def test_probe_config_sets_eta_only_from_options():
     assert runner._Scene(parse_config(raw)).probe_config().eta == 0.25
 
 
+# -- scene lifetime ---------------------------------------------------------------
+
+SMALL_TORUS = {
+    "manifold": {"kind": "torus_grid", "counts": [6, 6], "lengths": [6.0, 6.0]},
+    "bundle": {"rank": 2, "connection": "random", "potential": "random_positive",
+               "potential_scale": 0.3, "potential_shift": 0.2, "seed": 3},
+    "region": {"type": "block", "rows": 3, "cols": 3},
+    "time": {"horizon": 4.0, "steps": 400},
+    "seed": 4,
+    "options": {"probe_delta": 1.2, "probe_lead_step": 0.5, "probe_width": 1.0},
+}
+
+
+@pytest.fixture
+def traced_maps(monkeypatch):
+    """Count runner's assemble and wave_map_assemble calls and keep a weakref
+    to each map; per map call, which earlier maps were still alive."""
+    trace = {"assemble": 0, "maps": [], "alive": []}
+    assemble, wave_map_assemble = runner.assemble, runner.wave_map_assemble
+
+    def counted(bundle):
+        trace["assemble"] += 1
+        return assemble(bundle)
+
+    def traced(*args):
+        trace["alive"].append([ref() is not None for ref in trace["maps"]])
+        wmap = wave_map_assemble(*args)
+        trace["maps"].append(weakref.ref(wmap))
+        return wmap
+
+    monkeypatch.setattr(runner, "assemble", counted)
+    monkeypatch.setattr(runner, "wave_map_assemble", traced)
+    return trace
+
+
+def test_last_reader_releases_the_map_before_the_gauged_one(traced_maps):
+    rep = run_experiment(parse_config(dict(SMALL_TORUS,
+                                           tasks=["verify_blago", "reconstruct_operator"])))
+    assert rep.passed
+    # the scene's map and the gauged rerun's, each on its own operator
+    assert traced_maps["assemble"] == 2 and len(traced_maps["maps"]) == 2
+    assert traced_maps["alive"] == [[], [False]]
+
+
+def test_a_later_reader_keeps_the_map(traced_maps):
+    rep = run_experiment(parse_config(dict(SMALL_TORUS,
+                                           tasks=["reconstruct_operator", "verify_blago"])))
+    assert rep.passed
+    # the release in reconstruct_operator leaves the map to verify_blago,
+    # which reads it without a third assembly
+    assert traced_maps["assemble"] == 2 and len(traced_maps["maps"]) == 2
+    assert traced_maps["alive"] == [[], [True]]
+
+
+def test_a_task_that_raises_still_releases_its_objects(traced_maps, monkeypatch):
+    def breaks(scene, cfg):
+        scene.wmap
+        raise ValueError("after reading the map")
+
+    spectral, _ = runner._TASKS["verify_spectral"]
+    alive = []
+
+    def follows(scene, cfg):
+        alive.append(traced_maps["maps"][0]() is not None)
+        return spectral(scene, cfg)
+
+    monkeypatch.setitem(runner._TASKS, "verify_blago", (breaks, ("wmap",)))
+    monkeypatch.setitem(runner._TASKS, "verify_spectral", (follows, ("op",)))
+    rep = run_experiment(parse_config(dict(BASE_CONFIG,
+                                           tasks=["verify_blago", "verify_spectral"])))
+    assert [t.status for t in rep.tasks] == ["error", "pass"]
+    # the map went with its erroring last reader; the operator stayed for
+    # verify_spectral and was not rebuilt
+    assert alive == [False]
+    assert traced_maps["assemble"] == 1 and len(traced_maps["maps"]) == 1
+
+
 def test_config_echo_reruns_exactly(tmp_path):
     cfg = parse_config(BASE_CONFIG)
     rep = run_experiment(cfg)
@@ -327,7 +404,7 @@ def test_linalg_error_is_recorded_per_task(monkeypatch):
     def breaks(scene, cfg):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    monkeypatch.setitem(runner._TASKS, "verify_spectral", breaks)
+    monkeypatch.setitem(runner._TASKS, "verify_spectral", (breaks, ("op",)))
     rep = run_experiment(parse_config(BASE_CONFIG))
     assert [t.status for t in rep.tasks] == ["error", "pass"]
     assert "positive definite" in rep.tasks[0].message
@@ -337,7 +414,7 @@ def test_any_exception_is_recorded_per_task(monkeypatch):
     def breaks(scene, cfg):
         raise ValueError("operands could not be broadcast")
 
-    monkeypatch.setitem(runner._TASKS, "verify_spectral", breaks)
+    monkeypatch.setitem(runner._TASKS, "verify_spectral", (breaks, ("op",)))
     rep = run_experiment(parse_config(BASE_CONFIG))
     assert [t.status for t in rep.tasks] == ["error", "pass"]
     assert rep.tasks[0].message == "ValueError: operands could not be broadcast"

@@ -1,5 +1,7 @@
 """Map data objects, time averaging, and the inner-product engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -412,6 +414,26 @@ def test_lag_pairing_matches_dense_sources(torus, rank, complex_f, complex_h, se
     assert_pairs_like(G, sampled_pairing(wmap, dense_f, dense_h))
     # the zero source is the last F source and the fourth H source
     assert np.all(G[-1] == 0) and np.all(G[:, 3] == 0)
+
+
+def test_pairing_at_a_few_components_folds_only_their_rows(probe_scene):
+    # delta sources at a few components read a few kernel rows: the pairing
+    # folds only those and never holds a whole (N+1, D, D) stack
+    wmap, fam, dense = probe_scene
+    pick = [0, 20, 40]
+    profiles, comps = fam.profiles[pick], fam.components()[pick]
+    assert len(set(comps.tolist())) == 3 < wmap.local.dim
+    want = sampled_pairing(wmap, dense[pick], dense[pick])
+    for args in ((profiles, profiles, (comps, comps)), (dense[pick], dense[pick], None)):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            G = blago_bilinear(wmap, *args)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < wmap.conv_a.nbytes
+        assert_pairs_like(G, want)
 
 
 def test_respond_rows_match_full_series(probe_scene):
