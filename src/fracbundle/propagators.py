@@ -349,6 +349,14 @@ def fractional_symbol(op: SpectralOperator, p):
         return np.where(op.kernel_mask(), 0.0, np.abs(op.eigenvalues) ** p)
 
 
+def fractional_kernel_matrix(op: SpectralOperator, s, idx):
+    """Block [idx, idx] of the kernel of P^{-s}, sum_k |lam_k|^{-s} V_k V_k^* over
+    the modes off the kernel, for 0 < s < 1."""
+    if not 0 < s < 1:
+        raise OperatorError("fractional order must be in (0, 1)")
+    return spectral_block(op, fractional_symbol(op, -s), idx)
+
+
 def fractional_apply(op: SpectralOperator, s, u):
     """P^s u for 0 < s < 1 (kernel modes contribute zero)."""
     if not 0 < s < 1:

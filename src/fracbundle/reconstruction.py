@@ -75,33 +75,30 @@ class SourceFamily:
 
 
 def build_source_family(wmap: WaveMapData, vertices, leads, width):
-    """Probe family over given local vertices and emission leads (every fiber)."""
+    """Probe family over given local vertices and emission leads (every fiber),
+    lead-major, then vertex, then fiber: ProbeEngine's boxes rely on that order."""
     r = wmap.local.rank
-    times = wmap.grid.times
     T = wmap.horizon
-    vs, fs, ls, profs = [], [], [], []
     for lead in leads:
         if lead < width - 1e-12:
             raise ReconstructionError("lead must cover the bump width")
         if lead > T + 1e-12:
             raise ReconstructionError("lead exceeds the horizon")
-        prof = bump_profile(times, T - lead, width)
-        for v in vertices:
-            if not 0 <= int(v) < wmap.local.size:
-                raise ReconstructionError(f"vertex {v} is outside the observation region")
-            for f in range(r):
-                vs.append(int(v))
-                fs.append(f)
-                ls.append(float(lead))
-                profs.append(prof)
-    if not vs:
+    outside = [v for v in vertices if not 0 <= int(v) < wmap.local.size]
+    if outside:
+        raise ReconstructionError(f"vertex {outside[0]} is outside the observation region")
+    leads = np.asarray(leads, dtype=np.float64)
+    verts = np.array([int(v) for v in vertices], dtype=np.int64)
+    if len(leads) == 0 or len(verts) == 0:
         raise ReconstructionError("empty probe family")
+    per_lead = len(verts) * r
+    profiles = [bump_profile(wmap.grid.times, T - lead, width) for lead in leads]
     return SourceFamily(
         rank=r,
-        vertex=np.asarray(vs, dtype=np.int64),
-        fiber=np.asarray(fs, dtype=np.int64),
-        lead=np.asarray(ls, dtype=np.float64),
-        profiles=np.asarray(profs, dtype=np.float64),
+        vertex=np.tile(np.repeat(verts, r), len(leads)),
+        fiber=np.tile(np.arange(r, dtype=np.int64), len(leads) * len(verts)),
+        lead=np.repeat(leads, per_lead),
+        profiles=np.repeat(profiles, per_lead, axis=0),
     )
 
 
@@ -204,13 +201,13 @@ class ProbeEngine:
         # sweeps share prefix factors across spans, so the ridge cannot
         # depend on the span: one value for the whole family
         self.reg = RIDGE_FACTOR * np.trace(self.gram).real / len(self.family)
-        # per region vertex, its delta ball's probes in lead order and their
-        # leads: every box around that vertex is a leading slice
+        # per region vertex, its delta ball's probes in lead order: every box
+        # around that vertex is a leading slice
         self.balls = []
         for c in range(wmap.local.size):
             idx = self.family.select(wmap.local.local_ball(c, cfg.delta), leads[-1])
             idx.setflags(write=False)
-            self.balls.append((idx, self.family.lead[idx]))
+            self.balls.append(idx)
 
     # probe selection ------------------------------------------------------
     def box_indices(self, center_local, radius_limit):
@@ -220,16 +217,14 @@ class ProbeEngine:
         The indices come in lead order: the family is lead-major over
         ascending leads and select returns ascending indices, so a smaller
         box is a leading block of a larger one.  A box is a read-only slice
-        of the center's ball table, cut where select's lead <= budget + 1e-12
-        would cut it.
+        of the center's ball table, cut by box_sizes.
         """
-        idx, leads = self.balls[center_local]
-        return idx[:np.searchsorted(leads, radius_limit - self.cfg.delta + 1e-12, "right")]
+        idx = self.balls[center_local]
+        return idx[:self.box_sizes(idx, radius_limit)]
 
     def box_sizes(self, ordered_idx, radius_limits):
-        """How many of the lead-ordered probes the box at each radius limit keeps.
-
-        Same budget as box_indices, radius_limit - delta up to 1e-12.
+        """How many of the lead-ordered probes the box at each radius limit keeps:
+        those with lead <= radius_limit - delta + 1e-12, as select cuts.
         """
         budgets = np.asarray(radius_limits) - self.cfg.delta + 1e-12
         return np.searchsorted(self.family.lead[ordered_idx], budgets, side="right")
@@ -315,39 +310,41 @@ def _shell_width(wmap):
     return 2.0 * float(np.min(wmap.local.edge_lengths))
 
 
-def _auto_threshold(res_lo, res_hi):
-    """Verdict threshold between the violation plateau and acceptance floor."""
-    if res_lo < 2.0 * res_hi:
-        return None  # no contrast along the sweep
-    return float(np.exp(0.5 * np.log(max(res_lo, 1e-12)) + 0.5 * np.log(max(res_hi, 1e-12))))
-
-
 def _first_accept(curve):
-    """Binary search of a sweep's residual curve for the first radius that
-    clears the automatic threshold.
+    """(hit, res_lo, res_hi): the first radius of a sweep's residual curve that
+    clears the automatic threshold, None when none does.
 
-    Containment verdicts are monotone along the sweep (enlarging the union
-    can only help), so the acceptance set is an up-set of the grid.  The
-    violation level is taken as the largest residual over the first three
-    radii (the very first value can sit in a degenerate tiny-box regime).
+    The violation level res_lo is the largest residual over the first three
+    radii (the very first value can sit in a degenerate tiny-box regime), the
+    acceptance floor res_hi the last one; the threshold is their log-midpoint,
+    and a sweep with less than a factor 2 between them has no contrast.
     """
     res_lo = float(np.max(curve[:min(3, len(curve) - 1)]))
     res_hi = float(curve[-1])
     if res_lo < CONTAINMENT_TOL and res_hi < CONTAINMENT_TOL:
         return 0, res_lo, res_hi  # accepted everywhere
-    thr = _auto_threshold(res_lo, res_hi)
-    if thr is None or res_hi >= thr:
+    thr = np.exp(0.5 * np.log(max(res_lo, 1e-12)) + 0.5 * np.log(max(res_hi, 1e-12)))
+    # the last radius clears every threshold with contrast, unless it is NaN
+    if res_lo < 2.0 * res_hi or not res_hi < thr:
         return None, res_lo, res_hi
-    lo, hi = 0, len(curve) - 1
-    if curve[0] < thr:
-        return 0, res_lo, res_hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if curve[mid] < thr:
-            hi = mid
-        else:
-            lo = mid
-    return hi, res_lo, res_hi
+    return int(np.argmax(curve < thr)), res_lo, res_hi
+
+
+def _sweep_radii(r_grid):
+    """A sweep's radii in ascending order; a sweep needs two."""
+    r_grid = np.sort(np.asarray(r_grid, dtype=np.float64))
+    if len(r_grid) < 2:
+        raise ReconstructionError("radius sweep needs at least two values")
+    return r_grid
+
+
+def _sweep_radius(r_grid, curve):
+    """The midpoint convention of a sweep: first accepted radius minus half a
+    step, or +inf when no radius is accepted."""
+    hit, _, _ = _first_accept(curve)
+    if hit is None:
+        return np.inf
+    return float(r_grid[hit] - 0.5 * (r_grid[1] - r_grid[0]))
 
 
 def _cut_time_curve(eng, x, y, s, r_grid, eps):
@@ -380,20 +377,13 @@ def cut_time_estimate(wmap, x, y, s, r_grid, cfg: ProbeConfig):
     """Smallest radius at which ball(y, r - s + eps) fits inside ball(x, r).
 
     Sweeps the given radii with a mesh-scale shell witness; the verdict
-    threshold defaults to the log-midpoint between the sweep's violation
-    plateau and its acceptance floor.  Returns the midpoint convention
-    (first accepted minus half a step), or +inf when nothing is accepted.
+    threshold is the log-midpoint between the sweep's violation plateau and
+    its acceptance floor.  Returns the midpoint convention (first accepted
+    minus half a step), or +inf when nothing is accepted.
     """
     eng = probe_engine(wmap, cfg)
-    r_grid = np.sort(np.asarray(r_grid, dtype=np.float64))
-    if len(r_grid) < 2:
-        raise ReconstructionError("radius sweep needs at least two values")
-    step = r_grid[1] - r_grid[0]
-    curve = _cut_time_curve(eng, x, y, s, r_grid, _shell_width(wmap))
-    hit, _, _ = _first_accept(curve)
-    if hit is None:
-        return np.inf
-    return float(r_grid[hit] - 0.5 * step)
+    r_grid = _sweep_radii(r_grid)
+    return _sweep_radius(r_grid, _cut_time_curve(eng, x, y, s, r_grid, _shell_width(wmap)))
 
 
 def _exterior_curve(eng, x_span, t_idx, z, r_grid):
@@ -421,10 +411,7 @@ def exterior_distance(wmap, x, y, s, r_prime, z, r_grid, cfg: ProbeConfig):
     systematic overshoot).
     """
     eng = probe_engine(wmap, cfg)
-    r_grid = np.sort(np.asarray(r_grid, dtype=np.float64))
-    if len(r_grid) < 2:
-        raise ReconstructionError("radius sweep needs at least two values")
-    step = r_grid[1] - r_grid[0]
+    r_grid = _sweep_radii(r_grid)
     eps = _shell_width(wmap)
     tau_target = r_prime - s + eps
     if tau_target <= cfg.delta:
@@ -433,11 +420,8 @@ def exterior_distance(wmap, x, y, s, r_prime, z, r_grid, cfg: ProbeConfig):
     if len(t_idx) == 0:
         raise ReconstructionError("target box has no probes")
     curve = _exterior_curve(eng, eng.box_indices(x, r_prime), t_idx, z, r_grid)
-    hit, _, _ = _first_accept(curve)
-    if hit is None:
-        return np.inf
-    raw = float(r_grid[hit]) - 0.5 * step
-    return max(raw - 0.5 * eps, 0.0)
+    # an unaccepted sweep stays +inf
+    return max(_sweep_radius(r_grid, curve) - 0.5 * eps, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +486,12 @@ def distance_family(wmap, rays, cfg: ProbeConfig):
     lipschitz_dropped = n - len(profiles)
     diam_cap = wmap.horizon - cfg.delta
     rg = np.arange(r_step + cfg.delta, diam_cap, r_step)
-    ball_sizes = [len(wmap.local.local_ball(v, cfg.delta)) for v in range(n)]
-    full_size = max(ball_sizes)
+    full = wmap.local.full_balls(cfg.delta)
     rays_skipped = 0
     for ray in rays:
         # edge-of-region bases have undersized probe boxes and produce mushy
         # cut profiles; skip them (callers pick interior bases for coverage)
-        if ball_sizes[ray.x] < full_size or ball_sizes[ray.y] < full_size:
+        if not (full[ray.x] and full[ray.y]):
             rays_skipped += 1
             continue
         s = first_arrival_distance(wmap, ray.x, ray.y, cfg.eta)
@@ -629,33 +612,27 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
     for v in chart:
         if not 0 <= v < local.size:
             raise ReconstructionError(f"chart vertex {v} is outside the observation region")
-    nbrs = {v: local.neighbors(v) for v in chart}
-    grid = wmap.grid
-    dt = grid.dt
+    dt = wmap.grid.dt
     n_half = wmap.half_index
     # probe family: 24 leads of bumps ending well before T so the source
     # term vanishes on the difference stencil
-    width = cfg.width
-    min_lead = width + 6 * dt
-    max_lead = wmap.horizon - 4 * dt
-    leads = np.linspace(min_lead, max_lead, 24)
-    fam = build_source_family(wmap, range(local.size), leads, width)
+    leads = np.linspace(cfg.width + 6 * dt, wmap.horizon - 4 * dt, 24)
+    fam = build_source_family(wmap, range(local.size), leads, cfg.width)
     # responses at the five stencil rows around T
     near_T = wmap.respond(fam.profiles, components=fam.components(),
                           rows=range(n_half - 2, n_half + 3))
     at_T = near_T[:, 2, :]
     stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dt**2)
     d2 = np.tensordot(stencil, near_T, axes=(0, 1))
-    rec_edges = []
-    recorded = set()  # local edge ids of rec_edges
-    rec_transports = []
-    rec_potentials = []
+    chart_index = {v: i for i, v in enumerate(chart)}
+    recorded = set()  # local edge ids already fitted
+    edges, transports, potentials = [], [], []
     conds = []
     unitary_devs, herm_devs = [], []
     mu = local.volumes
-    blocks = {}
     for v in chart:
-        cols = [v] + nbrs[v]
+        nbrs = local.neighbors(v)
+        cols = [v] + nbrs
         colslices = np.concatenate([np.arange(c * r, (c + 1) * r) for c in cols])
         M = at_T[:, colslices]
         Y = -d2[:, v * r:(v + 1) * r]
@@ -669,37 +646,30 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
                 f"({rank} < {M.shape[1]})"
             )
         Zr = sol.reshape(len(cols), r, r)
-        blocks[v] = {c: Zr[i].T for i, c in enumerate(cols)}
-    for v in chart:
-        X = blocks[v]
-        ids = local.edge_index([(v, u) for u in nbrs[v]])[0].tolist()
+        ids = local.edge_index([(v, u) for u in nbrs])[0].tolist()
         # c_vu per neighbour: the edge conductance, volume-symmetrised
-        c = [local.edge_weights[i] * np.sqrt(mu[u] / mu[v]) for i, u in zip(ids, nbrs[v])]
+        c = [local.edge_weights[i] * np.sqrt(mu[u] / mu[v]) for i, u in zip(ids, nbrs)]
         # diagonal block: degree term + potential
-        Avv = X[v] - sum(c) * np.eye(r)
+        Avv = Zr[0].T - sum(c) * np.eye(r)
         herm_devs.append(np.max(np.abs(Avv - Avv.conj().T)))
-        rec_potentials.append(0.5 * (Avv + Avv.conj().T))
-        for i, u, c_vu in zip(ids, nbrs[v], c):
+        potentials.append(0.5 * (Avv + Avv.conj().T))
+        # every region edge is fitted once, also one that leaves the chart
+        # (its polar correction counts); chart edges are kept
+        for i, u, c_vu, Z in zip(ids, nbrs, c, Zr[1:]):
             if i in recorded:
                 continue
-            raw = -X[u] / c_vu
+            recorded.add(i)
+            raw = -Z.T / c_vu
             U = _polar_unitary(raw)
             unitary_devs.append(np.max(np.abs(raw - U)))
-            rec_edges.append((v, u))
-            recorded.add(i)
-            rec_transports.append(U)
-    chart_index = {v: i for i, v in enumerate(chart)}
-    edges_local = []
-    transports = []
-    for (a, b), U in zip(rec_edges, rec_transports):
-        if a in chart_index and b in chart_index:
-            edges_local.append((chart_index[a], chart_index[b]))
-            transports.append(U)
+            if u in chart_index:
+                edges.append((chart_index[v], chart_index[u]))
+                transports.append(U)
     return ChartOperator(
         vertices=tuple(chart),
-        edges=edges_local,
+        edges=edges,
         transports=np.asarray(transports).reshape(len(transports), r, r),
-        potentials=np.asarray(rec_potentials).reshape(len(chart), r, r),
+        potentials=np.asarray(potentials).reshape(len(chart), r, r),
         # np.max, unlike Python's max, lets a NaN win
         diagnostics={
             "unitary_deviation": float(np.max(unitary_devs, initial=0.0)),

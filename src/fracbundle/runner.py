@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import sys
@@ -31,6 +32,7 @@ from .propagators import (
     fractional_apply,
     fractional_inverse_quadrature,
     fractional_inverse_spectral,
+    fractional_kernel_matrix,
     heat_apply,
     heat_kernel_matrix,
     transmutation_gaussian_check,
@@ -51,7 +53,7 @@ from .reconstruction import (
     recover_local_operator,
 )
 from .reference import chart_operator_from_bundle
-from .s2s import blago_bilinear, frac_map_assemble, region_slices, wave_map_assemble
+from .s2s import blago_bilinear, region_slices, wave_map_assemble
 
 REPORT_SCHEMA = "fracbundle_report@1"
 
@@ -298,19 +300,14 @@ def _task_verify_blago(scene, cfg):
             G_direct[i, j] = l2_inner(scene.bundle, si, sj)
     scale = float(np.max(np.abs(G_direct)))
     err = np.abs(G_engine - G_direct) / scale
-    pair_count = 0
-    pair_errs = []
-    rows = []
-    for i in range(n_sources):
-        for j in range(i, n_sources):
-            if pair_count >= n_pairs:
-                break
-            pair_errs.append(err[i, j])
-            rows.append([i, j, float(G_direct[i, j].real), float(G_direct[i, j].imag),
-                         float(G_engine[i, j].real), float(G_engine[i, j].imag), float(err[i, j])])
-            pair_count += 1
-    worst = float(np.max(pair_errs, initial=0.0))
-    measures = {"blago": worst, "pairs": pair_count}
+    # the first n_pairs pairs i <= j in row order
+    pairs = list(itertools.islice(itertools.combinations_with_replacement(range(n_sources), 2),
+                                  n_pairs))
+    rows = [[i, j, float(G_direct[i, j].real), float(G_direct[i, j].imag),
+             float(G_engine[i, j].real), float(G_engine[i, j].imag), float(err[i, j])]
+            for i, j in pairs]
+    worst = float(np.max([err[i, j] for i, j in pairs], initial=0.0))
+    measures = {"blago": worst, "pairs": len(pairs)}
     # ungated diagnostic: a non-finite Gram records NaN (null in the report),
     # so the blago gate, not eigvalsh, decides the status
     ratio = np.nan
@@ -351,21 +348,16 @@ def _task_verify_gauge_equivariance(scene, cfg):
     for i, v2 in enumerate(U2.vertices):
         S[i * r:(i + 1) * r, i * r:(i + 1) * r] = iso.fiber[v2]
     idx1, idx2 = region_slices(U1, r), region_slices(U2, r)
-    measures, rows = {}, []
-    frac_devs = []
-    for s in cfg.orders:
-        f1 = frac_map_assemble(op1, U1, s)
-        f2 = frac_map_assemble(op2, U2, s)
-        dev = float(np.max(np.abs(S.conj().T @ f1.block @ S - f2.block)))
-        rows.append(["frac", float(s), dev])
-        frac_devs.append(dev)
-    frac_dev = float(np.max(frac_devs, initial=0.0))
-    measures["gauge_frac_blocks"] = frac_dev
-    grid = scene.grid
 
     def kernel_dev(kernel_matrix, t):
         K1, K2 = kernel_matrix(op1, t, idx1), kernel_matrix(op2, t, idx2)
         return float(np.max(np.abs(S.conj().T @ K1 @ S - K2)))
+
+    frac_devs = [kernel_dev(fractional_kernel_matrix, s) for s in cfg.orders]
+    rows = [["frac", float(s), dev] for s, dev in zip(cfg.orders, frac_devs)]
+    frac_dev = float(np.max(frac_devs, initial=0.0))
+    measures = {"gauge_frac_blocks": frac_dev}
+    grid = scene.grid
 
     wave_dev = float(np.max([kernel_dev(wave_kernel_matrix, t)
                              for t in grid.times[::max(1, len(grid) // 16)]]))
@@ -400,22 +392,16 @@ RAY_BASES = 4
 
 
 def _auto_rays(scene, cfg, pcfg):
-    wmap = scene.wmap
-    h = scene.mesh()
-    n_loc = wmap.local.size
-    ball_sizes = [len(wmap.local.local_ball(v, pcfg.delta)) for v in range(n_loc)]
-    full = max(ball_sizes)
-    good = [v for v in range(n_loc) if ball_sizes[v] == full]
+    local = scene.wmap.local
+    h = float(np.min(local.edge_lengths))
+    full = local.full_balls(pcfg.delta)
+    good = np.flatnonzero(full).tolist()
     picks = sorted(set(good[int(k * (len(good) - 1) / (RAY_BASES - 1))]
                        for k in range(RAY_BASES)))
     cap = cfg.horizon - pcfg.delta - 2 * h
     r_values = tuple(np.arange(2 * h, cap, h))
-    rays = []
-    for x in picks:
-        for y in sorted(wmap.local.neighbors(x)):
-            if ball_sizes[y] == full:
-                rays.append(RayPlan(x=x, y=y, r_values=r_values))
-    return rays
+    return [RayPlan(x=x, y=y, r_values=r_values)
+            for x in picks for y in sorted(local.neighbors(x)) if full[y]]
 
 
 def _task_reconstruct_distances(scene, cfg):
@@ -444,7 +430,8 @@ def _task_reconstruct_distances(scene, cfg):
     x = interior[len(interior) // 2] if interior else 0
     y = min(wmap.local.neighbors(x))
     s = first_arrival_distance(wmap, x, y, pcfg.eta)
-    sweep = np.arange(s + pcfg.delta + h / 2, cfg.horizon - pcfg.delta, h / 2)
+    step = float(np.min(wmap.local.edge_lengths)) / 2
+    sweep = np.arange(s + pcfg.delta + step, cfg.horizon - pcfg.delta, step)
     tstar = cut_time_estimate(wmap, x, y, s, sweep, pcfg)
     measures["cut_time"] = float(tstar)
     # the ray follows one lattice axis: its cut sits at half that axis length
@@ -598,31 +585,33 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
         except ImportError:
             print(f"workers={workers} ignored: threadpoolctl is not installed",
                   file=sys.stderr)
-    scene = _Scene(cfg)
-    results = []
-    for name in cfg.tasks:
-        t0 = time.perf_counter()
-        try:
-            ok, measures, checks, tables = _TASKS[name][0](scene, cfg)
-            results.append(TaskResult(
-                name=name,
-                status="pass" if ok else "fail",
-                elapsed_s=time.perf_counter() - t0,
-                measures=_to_native(measures),
-                tolerances=_to_native(checks),
-                tables=tables,
-            ))
-        except Exception as exc:  # recorded as data; KeyboardInterrupt passes through
-            if isinstance(exc, (FracBundleError, np.linalg.LinAlgError, MemoryError)):
-                message = str(exc) or type(exc).__name__
-            else:
-                message = f"{type(exc).__name__}: {exc}"
-            results.append(TaskResult(
-                name=name, status="error", elapsed_s=time.perf_counter() - t0,
-                message=message))
-        scene.end_task()
-    if limiter is not None:
-        limiter.unregister()
+    try:
+        scene = _Scene(cfg)
+        results = []
+        for name in cfg.tasks:
+            t0 = time.perf_counter()
+            try:
+                ok, measures, checks, tables = _TASKS[name][0](scene, cfg)
+                results.append(TaskResult(
+                    name=name,
+                    status="pass" if ok else "fail",
+                    elapsed_s=time.perf_counter() - t0,
+                    measures=_to_native(measures),
+                    tolerances=_to_native(checks),
+                    tables=tables,
+                ))
+            except Exception as exc:  # recorded as data; KeyboardInterrupt passes through
+                if isinstance(exc, (FracBundleError, np.linalg.LinAlgError, MemoryError)):
+                    message = str(exc) or type(exc).__name__
+                else:
+                    message = f"{type(exc).__name__}: {exc}"
+                results.append(TaskResult(
+                    name=name, status="error", elapsed_s=time.perf_counter() - t0,
+                    message=message))
+            scene.end_task()
+    finally:  # the cap ends with the run, also one that the scene build or an interrupt ends
+        if limiter is not None:
+            limiter.unregister()
     return Report(config_echo=cfg.echo(), seed=cfg.seed, tasks=results)
 
 

@@ -29,7 +29,7 @@ from .propagators import (
     TimeSection,
     duhamel_weights,
     folded_kernel,
-    fractional_symbol,
+    fractional_kernel_matrix,
     mode_convolve,
     mode_convolve_rows,
     next_fast_len,
@@ -86,6 +86,11 @@ class LocalStructure:
         """Open ball inside the region w.r.t. the induced local metric."""
         row = self.distances[center_local]
         return [int(j) for j in np.nonzero(row < radius)[0]]
+
+    def full_balls(self, radius):
+        """Mask of the vertices whose local ball of the radius is a largest one."""
+        sizes = np.count_nonzero(self.distances < radius, axis=1)
+        return sizes == np.max(sizes)
 
     def to_payload(self):
         return {
@@ -197,13 +202,11 @@ class FracMapData:
 
 def frac_map_assemble(op: SpectralOperator, region: Region, s) -> FracMapData:
     """Freeze the local fractional source-to-solution data for order s."""
-    if not 0 < s < 1:
-        raise OperatorError("fractional order must be in (0, 1)")
     idx = region_slices(region, op.bundle.rank)
     return FracMapData(
         order=float(s),
         local=local_structure(region, op.bundle.rank),
-        block=spectral_block(op, fractional_symbol(op, -s), idx),
+        block=fractional_kernel_matrix(op, s, idx),
         kernel_block=spectral_block(op, op.kernel_mask().astype(float), idx),
     )
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
@@ -398,6 +399,31 @@ def test_cli_workers_without_threadpoolctl_says_so(tmp_path, capsys, monkeypatch
     assert code == 0
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "threadpoolctl" in err[0]
+
+
+def test_workers_cap_ends_with_the_run_also_when_the_scene_build_fails(monkeypatch):
+    # an arc region on a torus parses, and then the scene build refuses it:
+    # the cap a library caller asked for must not outlive that run
+    calls = []
+
+    class Limits:
+        def __init__(self, limits):
+            calls.append(("limit", limits))
+
+        def unregister(self):
+            calls.append(("unregister",))
+
+    fake = types.ModuleType("threadpoolctl")
+    fake.threadpool_limits = Limits
+    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+    run_experiment(parse_config(dict(BASE_CONFIG, tasks=["verify_spectral"])), workers=2)
+    assert calls == [("limit", 2), ("unregister",)]
+    calls.clear()
+    raw = dict(BASE_CONFIG, manifold={"kind": "torus_grid", "counts": [4, 4],
+                                      "lengths": [4.0, 4.0]})
+    with pytest.raises(ConfigError, match="arc regions need a cycle manifold"):
+        run_experiment(parse_config(raw), workers=1)
+    assert calls == [("limit", 1), ("unregister",)]
 
 
 def test_linalg_error_is_recorded_per_task(monkeypatch):

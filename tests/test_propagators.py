@@ -17,6 +17,8 @@ from fracbundle.propagators import (
     fractional_apply,
     fractional_inverse_quadrature,
     fractional_inverse_spectral,
+    fractional_kernel_matrix,
+    fractional_symbol,
     heat_apply,
     heat_kernel_matrix,
     mode_convolve,
@@ -150,6 +152,20 @@ def test_spectral_block_matches_explicit_synthesis():
         assert np.max(np.abs(got - block)) <= 1e-14 * scale
     with pytest.raises(OperatorError):
         spectral_block(op, values.astype(complex), idx)
+
+
+def test_fractional_kernel_block_is_that_block_of_the_full_matrix():
+    # the kernel of P^{-s}: a block in any order is that block of the full
+    # symbol synthesis, and only orders in (0, 1) are kernels of the map
+    op = torus_op()
+    idx = np.array([5, 0, 11, 3])
+    for s in (0.3, 0.7):
+        K = spectral_block(op, fractional_symbol(op, -s), np.arange(op.dim))
+        got = fractional_kernel_matrix(op, s, idx)
+        assert np.max(np.abs(got - K[np.ix_(idx, idx)])) <= 1e-14 * np.max(np.abs(K))
+    for s in (0.0, 1.0, -0.5):
+        with pytest.raises(OperatorError, match="fractional order"):
+            fractional_kernel_matrix(op, s, idx)
 
 
 # -- wave kernel and Duhamel ------------------------------------------------

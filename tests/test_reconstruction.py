@@ -1,6 +1,7 @@
 """Inverse pipeline: containments, distances, operator recovery."""
 
 import ast
+import itertools
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from fracbundle.propagators import TimeGrid, TimeSection, duhamel_solve
 from fracbundle.reconstruction import (
     _cut_time_curve,
     _exterior_curve,
+    _first_accept,
     _shell_width,
     RIDGE_FACTOR,
     ProbeConfig,
@@ -802,9 +804,40 @@ def test_match_profiles_reports_ambiguity():
 
 def test_source_family_validation(cycle32_scene):
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    with pytest.raises(ReconstructionError):
-        build_source_family(wmap, [0], [0.1], width=0.5)  # lead below width
+    refusals = [
+        (([0], [0.1], 0.5), "lead must cover the bump width"),
+        (([0], [wmap.horizon + 0.1], 0.5), "lead exceeds the horizon"),
+        (([0, 1, 10, 11], [1.0], 0.5), "vertex 10 is outside the observation region"),
+        (([], [1.0], 0.5), "empty probe family"),
+    ]
+    for args, message in refusals:
+        with pytest.raises(ReconstructionError, match=f"^{message}$"):
+            build_source_family(wmap, *args)
     fam = build_source_family(wmap, [0, 1], [0.5, 1.0], width=0.4)
     assert len(fam) == 4
     sel = fam.select(vertices=[0], max_lead=0.6)
     assert len(sel) == 1
+
+
+def test_first_accept_reads_the_first_radius_that_clears_the_threshold():
+    # the threshold is the log-midpoint 1e-2 of the violation level 1 and
+    # the floor 1e-4; radius 3 clears it first, though radii 4-8 do not
+    curve = np.array([1, 1, 1, 1e-3, 1, 1, 1, 1, 1, 1e-4])
+    assert _first_accept(curve) == (3, 1.0, 1e-4)
+    assert _first_accept(np.array([0.9, 0.8, 0.7, 0.6]))[0] is None  # no contrast
+    assert _first_accept(np.array([0.01, 0.02, 0.01]))[0] == 0  # accepted everywhere
+
+
+def test_source_family_is_lead_major():
+    # members run lead-major, then vertex, then fiber, and share their
+    # lead's bump: the engine reads a smaller box as a leading block
+    m = build_manifold({"kind": "cycle", "count": 8, "length": 8.0})
+    op = assemble(build_bundle(m, 2, connection="random", seed=1))
+    wmap = wave_map_assemble(op, Region(m, (0, 1, 2, 3)), TimeGrid(6.0, 120))
+    leads, verts = [1.0, 1.5, 2.5], [3, 0, 2]
+    fam = build_source_family(wmap, verts, leads, 1.0)
+    assert list(zip(fam.lead, fam.vertex, fam.fiber)) == list(
+        itertools.product(leads, verts, range(2)))
+    for lead, prof in zip(fam.lead, fam.profiles):
+        want = reconstruction.bump_profile(wmap.grid.times, wmap.horizon - lead, 1.0)
+        assert np.array_equal(prof, want)

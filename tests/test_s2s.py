@@ -106,6 +106,15 @@ def test_local_structure_neighbors_in_edge_list_order():
     assert [loc.neighbors(v) for v in range(loc.size)] == [want[v] for v in range(loc.size)]
 
 
+def test_full_balls_are_the_largest_local_balls():
+    m = build_manifold({"kind": "torus_grid", "counts": [5, 5], "lengths": [5.0, 5.0]})
+    loc = local_structure(Region(m, tuple(range(12))), 1)
+    for radius in (0.5, 1.5, 2.5, 100.0):
+        sizes = [len(loc.local_ball(v, radius)) for v in range(loc.size)]
+        assert loc.full_balls(radius).tolist() == [n == max(sizes) for n in sizes]
+    assert not np.all(loc.full_balls(1.5))
+
+
 # -- fractional map data ------------------------------------------------------
 
 @pytest.mark.parametrize("s", [0.0, -0.5, 1.0, 1.5])

@@ -5,6 +5,7 @@ any library test, so both are checked here.  So is the import cost that
 every `fracbundle run` pays before it reads its config.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -34,6 +35,27 @@ def test_perfbench_spans_wrap_existing_names():
             missing.append(f"{module}.{cls}.{attr}")
     assert len(spans.FUNCTIONS) > 0 and len(spans.METHODS) > 0
     assert not missing
+
+
+def test_knob_census_stays_within_its_bound():
+    # every defaulted parameter is a knob a caller can turn without a
+    # config: function defaults, positional and keyword-only, plus the
+    # fields with a value of a class decorated with dataclass.  A change
+    # that adds one raises this bound and says why
+    functions = fields = 0
+    for path in sorted((ROOT / "src" / "fracbundle").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                functions += len(node.args.defaults)
+                functions += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef):
+                decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+                if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                       for d in decorators):
+                    fields += sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                                  for stmt in node.body)
+    assert functions > 0 and fields > 0
+    assert functions + fields <= 32
 
 
 def test_readme_quick_start_runs_and_certifies():
