@@ -111,7 +111,9 @@ def family_gram(wmap: WaveMapData, fam: SourceFamily):
     """Hermitian Gram of the family's wave states at time T, from map data."""
     comps = fam.components()
     G = blago_bilinear(wmap, fam.profiles, fam.profiles, components=(comps, comps))
-    return 0.5 * (G + G.conj().T)
+    G += G.conj().T
+    G *= 0.5
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +542,8 @@ def match_profiles(recovered: DistanceProfileSet, oracle_profiles, rel_tol=0.15)
     assignments = []
     claims = {}
     for i, row in enumerate(oracle):
+        if not len(got):
+            break  # nothing recovered matches no oracle profile
         devs = np.max(np.abs(got - row[None, :]), axis=1)
         j = int(np.argmin(devs))
         tol = rel_tol * max(np.max(np.abs(row)), 1e-12)

@@ -219,7 +219,8 @@ def _distinct_rows(profiles):
     row the position of its profile in profiles[kept]."""
     first = {}
     firsts = [first.setdefault(p.tobytes(), i) for i, p in enumerate(profiles)]
-    return np.unique(firsts, return_inverse=True)
+    # an empty list would give float indices
+    return np.unique(np.asarray(firsts, dtype=np.int64), return_inverse=True)
 
 
 @dataclass(frozen=True)
@@ -408,8 +409,7 @@ def blago_bilinear(wmap: WaveMapData, F, H, components=None):
     pf, cf, of = _delta_columns(F)
     ph, ch, oh = _delta_columns(H)
     out = np.zeros((len(F), len(H)), dtype=np.complex128)
-    if len(pf) and len(ph):
-        np.add.at(out, (of[:, None], oh[None, :]), _lag_pairing(wmap, pf, ph, cf, ch))
+    np.add.at(out, (of[:, None], oh[None, :]), _lag_pairing(wmap, pf, ph, cf, ch))
     return out
 
 
@@ -440,9 +440,10 @@ def _lag_tables(rows, profiles, n1):
 
 def _rows_by_profile(which, comps, d):
     """Per distinct profile, the sorted components where it sits; and per
-    source, its position in the concatenation of those lists."""
-    keys, pos = np.unique(which * d + np.asarray(comps), return_inverse=True)
-    return np.split(keys % d, np.flatnonzero(np.diff(keys // d)) + 1), pos
+    source, the position of its component in its profile's list."""
+    keys, pos = np.unique(which * d + comps, return_inverse=True)
+    rows = np.split(keys % d, np.flatnonzero(np.diff(keys // d)) + 1)
+    return rows, pos - np.searchsorted(keys, which * d)
 
 
 def _lag_pairing(wmap: WaveMapData, F, H, cf, ch):
@@ -461,10 +462,16 @@ def _lag_pairing(wmap: WaveMapData, F, H, cf, ch):
     of f_l at c with h_l' at c' is mu_c mu_c' (T1[l, l', c, c'] -
     T2[l', l, c', c]).  Each table meets only the kernel rows of the
     components where its profile sits, and only those rows are folded.
+    Each row l of T1 and T2 goes straight into the (mf, mh) output, so the
+    pairing holds the output, at most one full fold and one table row.
     """
+    out = np.zeros((len(F), len(H)), dtype=np.complex128)
+    if not (len(F) and len(H)):
+        return out
     grid = wmap.grid
     dt = grid.dt
     n1, n_half, d = len(grid), wmap.half_index, wmap.local.dim
+    cf, ch = np.asarray(cf), np.asarray(ch)
     kept_f, lf = _distinct_rows(F)
     kept_h, lh = _distinct_rows(H)
     pf, ph = F[kept_f], H[kept_h]
@@ -494,8 +501,7 @@ def _lag_pairing(wmap: WaveMapData, F, H, cf, ch):
 
     def paired(tables, tests, rows, starts):
         # sum_m table[:, m] K[m] - starts (test[:N] @ B_up) per test row, on
-        # its kernel rows, concatenated along axis 1: (len(starts), sum |rows|, d)
-        out = []
+        # its kernel rows: one (len(starts), |rows|, d) block per test row
         for table, test, at in zip(tables, tests, rows):
             k, b_up = folded_rows(at)
             # a real lag table meets the real and imaginary parts in one real product
@@ -504,17 +510,22 @@ def _lag_pairing(wmap: WaveMapData, F, H, cf, ch):
             else:
                 prod = table @ k
             prod -= np.multiply.outer(starts, test[:-1] @ b_up)
-            out.append(prod.reshape(len(starts), len(at), d))
-        return np.concatenate(out, axis=1)
+            yield prod.reshape(len(starts), len(at), d)
 
-    T1 = paired(_lag_tables(w, ph, n1), w, rows_f, ph[:, 0])
+    # each block goes straight into the output: a T1 block fills the rows of
+    # the F sources with its profile, a T2 block is subtracted from the
+    # columns of the H sources with its profile
+    for l, block in enumerate(paired(_lag_tables(w, ph, n1), w, rows_f, ph[:, 0])):
+        i = np.flatnonzero(lf == l)
+        out[i] = block[lh[None, :], rf[i, None], ch[None, :]]
     # Y @ conj(K) = conj(conj(Y) @ K)
-    T2 = paired((np.conj(y) for y in _lag_tables(e, np.conj(pf), n1)), np.conj(e),
-                rows_h, pf[:, 0]).conj()
+    for l, block in enumerate(paired((np.conj(y) for y in _lag_tables(e, np.conj(pf), n1)),
+                                     np.conj(e), rows_h, pf[:, 0])):
+        j = np.flatnonzero(lh == l)
+        out[:, j] -= block[lf[:, None], rh[None, j], cf[:, None]].conj()
     mu = wmap.local.weights_flat()
-    lf, rf, cf = lf[:, None], rf[:, None], np.asarray(cf)[:, None]
-    lh, rh, ch = lh[None, :], rh[None, :], np.asarray(ch)[None, :]
-    return mu[cf] * mu[ch] * (T1[lh, rf, ch] - T2[lf, rh, cf])
+    out *= mu[cf][:, None] * mu[ch][None, :]
+    return out
 
 
 def blago_inner(wmap: WaveMapData, f, h):

@@ -579,6 +579,22 @@ def test_nan_probe_gram_is_a_task_error_and_later_tasks_run(tmp_path, monkeypatc
     assert [t["status"] for t in strict_report(tmp_path / "out")["tasks"]] == ["error", "pass"]
 
 
+def test_no_recovered_profile_is_a_task_failure_with_its_measures(tmp_path, monkeypatch):
+    def nothing_recovered(wmap, rays, cfg):
+        return reconstruction.DistanceProfileSet(
+            region_vertices=wmap.local.vertices,
+            profiles=np.zeros((0, len(wmap.local.vertices))), provenance=[])
+
+    monkeypatch.setattr(runner, "distance_family", nothing_recovered)
+    cfg_path = write_config(tmp_path, tasks=["reconstruct_distances", "verify_spectral"])
+    report, code = runner.run_from_file(cfg_path, out_dir=str(tmp_path / "out"))
+    assert [t.status for t in report.tasks] == ["fail", "pass"]
+    measures = report.tasks[0].measures
+    assert measures["profiles_recovered"] == 0
+    assert measures["profile_match_fraction"] == 0.0
+    assert code == 1
+
+
 def test_blago_reference_holds_at_most_two_full_sources(monkeypatch):
     # each full-manifold reference source is built as duhamel_states draws
     # it; at every build, count the earlier sources still alive

@@ -39,7 +39,7 @@ from fracbundle.reconstruction import (
     recover_local_operator,
 )
 from fracbundle.reference import chart_operator_from_bundle
-from fracbundle.s2s import WaveMapData, gram_matrix, wave_map_assemble
+from fracbundle.s2s import WaveMapData, blago_bilinear, gram_matrix, wave_map_assemble
 
 
 def bump(times, center, width):
@@ -303,8 +303,8 @@ def test_probe_engine_builds_no_probe_responses(cycle32_scene, monkeypatch):
 
 
 def test_family_gram_builds_no_square_time_array():
-    # the pairing's working set is O(L N): no (N+1) x (N+1) time array, which
-    # at N = 1000 is 8.0 MB
+    # the pairing builds no (N+1) x (N+1) time array, which at N = 1000 is
+    # 8.0 MB
     m = build_manifold({"kind": "cycle", "count": 3, "length": 3.0})
     grid = TimeGrid(4.0, 1000)
     wmap = wave_map_assemble(assemble(build_bundle(m, 1)), Region(m, (0, 1, 2)), grid)
@@ -317,6 +317,41 @@ def test_family_gram_builds_no_square_time_array():
         tracemalloc.stop()
     assert G.shape == (9, 9)
     assert peak < len(grid) ** 2 * 8
+
+
+@pytest.fixture(scope="module")
+def cycle64_family():
+    """560 probes: 35 leads over a 16-vertex arc of a trivial 64-cycle."""
+    m = build_manifold({"kind": "cycle", "count": 64, "length": 32.0})
+    grid = TimeGrid(9.0, 320)
+    wmap = wave_map_assemble(assemble(build_bundle(m, 1)), Region(m, tuple(range(16))), grid)
+    fam = build_source_family(wmap, range(16), 1.0 + 0.1 * np.arange(35), 1.0)
+    assert len(fam) == 560
+    return wmap, fam
+
+
+def test_family_gram_works_inside_its_output(cycle64_family):
+    # the pairing writes each lag-table block into the (m, m) output, which
+    # family_gram hermitizes in place: above its inputs it holds the output,
+    # one full fold and one block at a time
+    wmap, fam = cycle64_family
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        G = family_gram(wmap, fam)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (G.nbytes + wmap.conv_a.nbytes)
+
+
+def test_family_gram_is_the_hermitized_pairing_bit_for_bit(cycle64_family):
+    wmap, fam = cycle64_family
+    comps = fam.components()
+    G = blago_bilinear(wmap, fam.profiles, fam.profiles, components=(comps, comps))
+    gram = family_gram(wmap, fam)
+    assert np.array_equal(gram, 0.5 * (G + G.conj().T))
+    assert np.array_equal(gram, gram.conj().T)
 
 
 def test_probe_engine_gram_real_exactly_when_data_real(cycle32_scene, gauged_cycle32):
@@ -800,6 +835,17 @@ def test_match_profiles_reports_ambiguity():
     rep = match_profiles(got, oracle, rel_tol=0.15)
     assert rep["fraction"] == 1.0
     assert rep["ambiguous"] == [0]  # two oracle rows claim the first profile
+
+
+def test_match_profiles_with_nothing_recovered_matches_nothing():
+    from fracbundle.reconstruction import DistanceProfileSet
+
+    got = DistanceProfileSet(region_vertices=(0, 1, 2), profiles=np.zeros((0, 3)),
+                             provenance=[])
+    rep = match_profiles(got, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]]), rel_tol=0.15)
+    assert rep["fraction"] == 0.0
+    assert not rep["matched"].any() and len(rep["matched"]) == 2
+    assert rep["assignments"] == [] and rep["ambiguous"] == []
 
 
 def test_source_family_validation(cycle32_scene):

@@ -425,6 +425,20 @@ def test_lag_pairing_matches_dense_sources(torus, rank, complex_f, complex_h, se
     assert np.all(G[-1] == 0) and np.all(G[:, 3] == 0)
 
 
+def test_pairing_with_an_empty_side_is_an_empty_matrix(probe_scene):
+    wmap, fam, dense = probe_scene
+    profiles, comps = fam.profiles, fam.components()
+    for mf, mh in ((0, 3), (3, 0), (0, 0)):
+        delta = blago_bilinear(wmap, profiles[:mf], profiles[:mh],
+                               components=(comps[:mf], comps[:mh]))
+        full = blago_bilinear(wmap, dense[:mf], dense[:mh])
+        for G in (delta, full):
+            assert G.shape == (mf, mh) and G.dtype == np.complex128
+    # the rows-only responses of no delta source
+    none = wmap.respond(profiles[:0], components=comps[:0], rows=[3, 5])
+    assert none.shape == (0, 2, wmap.local.dim)
+
+
 def test_pairing_at_a_few_components_folds_only_their_rows(probe_scene):
     # delta sources at a few components read a few kernel rows: the pairing
     # folds only those and never holds a whole (N+1, D, D) stack
