@@ -239,8 +239,9 @@ def _check_working_set(counts, n_region, rank, horizon, steps, tasks, options):
 
     The estimate is arithmetic on the parsed config alone, in bytes: the
     dense eigh, K^2 complex numbers over the K = V r components of the
-    manifold; the Duhamel weights, 2 (N+1) K reals; the wave map,
-    3 (N+1) D^2 complex numbers over the D = |U| r components of the region;
+    manifold; the Duhamel weights, 2 (N+1) K reals; the wave map, 3 (N+1) D^2
+    reals (its Hermitian blocks packed) over the D = |U| r components of the
+    region;
     and, when reconstruct_distances runs, the probe Gram, m^2 complex
     numbers over m = D n_leads probes.  A ConfigError names the field behind
     the largest term.
@@ -251,7 +252,7 @@ def _check_working_set(counts, n_region, rank, horizon, steps, tasks, options):
     terms = [
         (16 * K * K, "manifold", f"dense eigh over {K:.3g} components"),
         (8 * 2 * rows * K, "time.steps", f"Duhamel weights over {rows:.3g} time rows"),
-        (16 * 3 * rows * D * D, "time.steps", f"wave map over {rows:.3g} time rows"),
+        (8 * 3 * rows * D * D, "time.steps", f"wave map over {rows:.3g} time rows"),
     ]
     # an infinite manifold is past the budget already and has no mesh length
     if "reconstruct_distances" in tasks and K < math.inf:

@@ -75,16 +75,20 @@ def heat_apply(op: SpectralOperator, t, u):
 def spectral_block(op: SpectralOperator, values, idx):
     """Block [idx, idx] of sum_k values[..., k] V_k V_k^* over the eigensections V_k.
 
-    values of shape (K,) give one (D, D) block and values of shape (T, K) a
-    (T, D, D) stack, for the D = len(idx) flat (vertex * rank + fiber)
-    indices idx; np.arange(op.dim) gives the whole matrix.  Every kernel of
-    the package is such a block: the heat and wave kernels, the Duhamel
-    weights, P^{-s} and the kernel projector.  Blocks carry no volume
-    weights: (phi(P) u)(x) = sum_y mu_y K(x, y) u(y).
+    values of shape (K,) give one complex (D, D) block and values of shape
+    (T, K) a packed (T, D, D) stack (see pack_hermitian), for the
+    D = len(idx) flat (vertex * rank + fiber) indices idx; np.arange(op.dim)
+    gives the whole matrix.  Every kernel of the package is such a block:
+    the heat and wave kernels, the Duhamel weights, P^{-s} and the kernel
+    projector.  Blocks carry no volume weights:
+    (phi(P) u)(x) = sum_y mu_y K(x, y) u(y).
 
     The values are real (every symbol above is); complex values raise
-    OperatorError.  A stack is one real product of the values against the
-    (K, D, D) table of the V_k V_k^*, returned in C order, (T, D, D).
+    OperatorError.  Real values make every block Hermitian and packing is
+    real-linear, so a stack is one real product of the values against the
+    packed (D, D, K) table of the V_k V_k^*.  It is stored time-innermost,
+    the (T, D, D) view of a C-order (D, D, T) array: a row or column of
+    every block reads as D contiguous runs of T.
     """
     values = np.asarray(values)
     if np.iscomplexobj(values):
@@ -93,10 +97,42 @@ def spectral_block(op: SpectralOperator, values, idx):
     if values.ndim == 1:
         return (V * values) @ V.conj().T
     D, K = V.shape
-    table = np.empty((K, D, D), dtype=np.complex128)
-    np.multiply(V.T[:, :, None], V.T.conj()[:, None, :], out=table)
-    stack = values.reshape(-1, K) @ table.view(np.float64).reshape(K, 2 * D * D)
-    return stack.view(np.complex128).reshape(values.shape[:-1] + (D, D))
+    table = np.empty((D, D, K))
+    for i in range(D):
+        row = V[i] * V.conj()  # (V_k V_k^*)[i, j] for every j and k
+        table[i, i:] = row.real[i:]
+        table[i, :i] = row.imag[:i]
+    stack = table.reshape(D * D, K) @ values.reshape(-1, K).T
+    return np.moveaxis(stack.reshape(D, D, -1), -1, 0)
+
+
+def pack_hermitian(blocks):
+    """Real packed form of Hermitian blocks (..., D, D): Re on and above the
+    diagonal, Im below it.  Packing drops the anti-Hermitian part."""
+    blocks = np.asarray(blocks)
+    d = blocks.shape[-1]
+    return np.where(np.triu(np.ones((d, d), dtype=bool)), blocks.real, blocks.imag)
+
+
+def hermitian_rows(packed, rows):
+    """Rows `rows` of the Hermitian blocks packed along the last two axes, as
+    complex (..., len(rows), D) in C order; rows range(D) unpack the blocks
+    whole.
+
+    Row a of a block H reads row a and column a of its packed form P:
+    H[a, j] = P[a, j] - i P[j, a] for j > a, P[a, a] for j = a and
+    P[j, a] + i P[a, j] for j < a.  Complex input is a complex combination
+    of packed blocks, read as its packed real part plus i times its packed
+    imaginary part (only real combinations of packed blocks are packed).
+    """
+    if np.iscomplexobj(packed):
+        return hermitian_rows(packed.real, rows) + 1j * hermitian_rows(packed.imag, rows)
+    out = np.empty(packed.shape[:-2] + (len(rows), packed.shape[-1]), dtype=np.complex128)
+    for n, a in enumerate(rows):
+        re, im = out[..., n, :].real, out[..., n, :].imag
+        re[..., a:], re[..., :a] = packed[..., a, a:], packed[..., :a, a]
+        im[..., :a], im[..., a], im[..., a + 1:] = packed[..., a, :a], 0.0, -packed[..., a + 1:, a]
+    return out
 
 
 def heat_kernel_matrix(op: SpectralOperator, t, idx):
@@ -107,7 +143,7 @@ def heat_kernel_matrix(op: SpectralOperator, t, idx):
 def wave_kernel_matrix(op: SpectralOperator, t, idx):
     """Block [idx, idx] of the spectral wave kernel sum_k G(t, lam_k) V_k V_k^*.
 
-    t is one time, or times of shape (T, 1) for a (T, D, D) stack.
+    t is one time, or times of shape (T, 1) for a packed (T, D, D) stack.
     """
     return spectral_block(op, modefun.wave_g(t, op.eigenvalues), idx)
 
@@ -205,8 +241,7 @@ def mode_convolve(spectra, src, subscripts):
     Returns the N+1 response samples
         out[j] = sum_m A[m] src[j - m] + B[m] src[j - m + 1],  out[0] = 0,
     where each product is the einsum `subscripts` of a kernel and a source
-    sample: "tk,tk->tk" per mode, "tij,tj->ti" for a dense region source,
-    "ti,t->ti" for one source column.
+    sample: "tk,tk->tk" per mode, "ti,t->ti" for one source column.
     """
     folded, b_up = spectra
     n = folded.shape[0]

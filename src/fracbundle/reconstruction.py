@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ReconstructionError
-from .s2s import WaveMapData, blago_bilinear
+from .s2s import WaveMapData, blago_bilinear, hermitian_rows
 
 # residual below which a plain containment verdict accepts
 CONTAINMENT_TOL = 0.05
@@ -279,9 +279,8 @@ def first_arrival_distance(wmap: WaveMapData, x, y, eta):
     if not 0 < eta < 1:
         raise ReconstructionError("eta must be in (0, 1)")
     r = wmap.local.rank
-    sx = slice(x * r, (x + 1) * r)
-    sy = slice(y * r, (y + 1) * r)
-    col = wmap.kernel[:, sy, sx]
+    # the r x r block K[:, y, x], read from the packed kernel rows of y
+    col = hermitian_rows(wmap.kernel, range(y * r, (y + 1) * r))[:, :, x * r:(x + 1) * r]
     amp = np.max(np.abs(col).reshape(len(col), -1), axis=1)
     peak = float(np.max(amp))
     if not np.isfinite(peak):

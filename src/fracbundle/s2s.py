@@ -12,6 +12,12 @@ for piecewise-linear-in-time sources, so applying the map to source data
 is not a quadrature.  The time averaging in the inner-product identity is
 exact too (J h and its adjoint J* f are known piecewise quadratics); only
 the outer pairing against sampled responses runs through timequad's rule.
+
+P is self-adjoint, so every block of the three wave stacks is Hermitian,
+K(t; x, y)^* = K(t; y, x), and is stored once, packed real
+(propagators.pack_hermitian).  No reader unpacks a whole stack: the rows a
+reader needs come out through hermitian_rows, and a combination of
+blocks is formed packed, by one real product, and unpacked afterwards.
 """
 
 from __future__ import annotations
@@ -30,9 +36,11 @@ from .propagators import (
     duhamel_weights,
     folded_kernel,
     fractional_kernel_matrix,
+    hermitian_rows,
     mode_convolve,
     mode_convolve_rows,
     next_fast_len,
+    pack_hermitian,
     pl_spectra,
     spectral_block,
     wave_kernel_matrix,
@@ -214,6 +222,21 @@ def frac_map_assemble(op: SpectralOperator, region: Region, s) -> FracMapData:
 # ---------------------------------------------------------------------------
 # wave map data
 
+# largest anti-Hermitian part of a serialized wave-map block, relative to
+# the block's largest entry, that from_payload lets packing drop
+HERMITIAN_TOL = 1e-12
+
+
+def _real_linear(f, x, axis):
+    """f(x) for a real-linear f of real arrays.  Complex x goes through one
+    call on its real and imaginary parts, stacked along axis 0 of x; axis
+    is the axis of f's result that carries them."""
+    if np.isrealobj(x):
+        return f(x)
+    re, im = np.split(f(np.concatenate([x.real, x.imag])), 2, axis=axis)
+    return re + 1j * im
+
+
 def _distinct_rows(profiles):
     """(kept, which): the first row with each distinct profile, and for every
     row the position of its profile in profiles[kept]."""
@@ -232,6 +255,12 @@ class WaveMapData:
     solve for piecewise-linear sources: the response at t_j to nodal
     source data F is sum_m conv_a[m] (mu F)[j-m] + conv_b[m] (mu F)[j-m+1].
     The grid covers [0, 2 T] for the experiment horizon T.
+
+    Every block is Hermitian and each stack is real float64 (N+1, D, D),
+    D = local.dim, in the packed form of pack_hermitian: Re on and above
+    the diagonal, Im below it.  hermitian_rows(stack, rows) reads rows
+    of the complex blocks; wave_map_assemble stores the stacks
+    time-innermost, so such a read is D contiguous runs per row.
     """
 
     grid: TimeGrid
@@ -248,6 +277,14 @@ class WaveMapData:
             raise OperatorError("wave map grid needs an even step count")
         if abs(self.grid.t_max - 2.0 * self.horizon) > 1e-12 * max(1.0, self.horizon):
             raise OperatorError("wave map grid must cover [0, 2T]")
+        shape = (len(self.grid), self.local.dim, self.local.dim)
+        for name in ("kernel", "conv_a", "conv_b"):
+            stack = getattr(self, name)
+            if not (isinstance(stack, np.ndarray) and stack.dtype == np.float64
+                    and stack.shape == shape):
+                raise OperatorError(f"wave map {name} must be a packed float64 stack of shape "
+                                    f"{shape}, not {getattr(stack, 'dtype', type(stack))} "
+                                    f"{np.shape(stack)}")
 
     @property
     def half_index(self):
@@ -288,44 +325,53 @@ class WaveMapData:
         piecewise-linear sources.  With rows given, only those response
         samples are evaluated, by the direct interval sum, and the result is
         (m, len(rows), D); a time profile shared by several delta sources is
-        then evaluated once, against every kernel column.
+        then evaluated once, against every kernel column.  A dense source is
+        the sum of its nonzero columns, each responding as a delta source.
         """
+        d = self.local.dim
+        if components is None:
+            out = np.zeros((len(sources), len(self.grid) if rows is None else len(rows), d),
+                           dtype=np.complex128)
+            profiles, components, owners = _delta_columns(sources)
+            np.add.at(out, owners, self.respond(profiles, components, rows))
+            return out
+        sources = np.asarray(sources)
         mu = self.local.weights_flat()
         if rows is not None:
-            if components is None:
-                batch = np.moveaxis(np.asarray(sources) * mu, 0, 1)
-                out = mode_convolve_rows(self.conv_a, self.conv_b, batch, rows, "tij,tsj->tsi")
-                return np.moveaxis(out, 1, 0)
-            sources = np.asarray(sources)
             # the first source with each distinct profile stands for all of them
             kept, which = _distinct_rows(sources)
-            out = mode_convolve_rows(self.conv_a, self.conv_b, sources[kept].T, rows,
-                                     "tij,tp->tpij")
+            combos = _real_linear(lambda p: mode_convolve_rows(self.conv_a, self.conv_b, p.T,
+                                                               rows, "tij,tp->tpij"),
+                                  sources[kept], axis=1)
             # (m, len(rows), D): column c of the response to the profile of source i
+            out = hermitian_rows(combos, range(d))
             return out[:, which, :, components] * mu[components, None, None]
-        out = np.empty((len(sources), len(self.grid), self.local.dim), dtype=np.complex128)
-        if components is None:
-            spectra = pl_spectra(self.conv_a, self.conv_b)
-            for i, src in enumerate(sources):
-                out[i] = mode_convolve(spectra, src * mu, "tij,tj->ti")
-            return out
-        # a delta source meets one kernel column: transforming only the
-        # columns in use, each once, keeps the working set one (L, D) block
+        # a delta source meets one kernel column, the conjugate of a kernel
+        # row: transforming only the columns in use, each once, keeps the
+        # working set one (N+1, D) block
+        out = np.empty((len(sources), len(self.grid), d), dtype=np.complex128)
         for c in np.unique(components):
-            spectra = pl_spectra(self.conv_a[:, :, c], self.conv_b[:, :, c])
+            spectra = pl_spectra(*(np.conj(hermitian_rows(s, [c])[:, 0])
+                                   for s in (self.conv_a, self.conv_b)))
             for i in np.nonzero(components == c)[0]:
                 out[i] = mode_convolve(spectra, sources[i] * mu[c], "ti,t->ti")
         return out
 
     def to_payload(self):
+        every = range(self.local.dim)
+
+        def blocks(stack):
+            # the complex blocks, unpacked one at a time
+            return [complex_to_list(hermitian_rows(block, every)) for block in stack]
+
         return {
             "schema": "wave_map@1",
             "horizon": self.horizon,
             "grid": {"t_max": self.grid.t_max, "n_steps": self.grid.n_steps},
             "local": self.local.to_payload(),
-            "kernel": [complex_to_list(self.kernel[m]) for m in range(len(self.grid))],
-            "conv_a": [complex_to_list(self.conv_a[m]) for m in range(len(self.grid))],
-            "conv_b": [complex_to_list(self.conv_b[m]) for m in range(len(self.grid))],
+            "kernel": blocks(self.kernel),
+            "conv_a": blocks(self.conv_a),
+            "conv_b": blocks(self.conv_b),
         }
 
     @staticmethod
@@ -333,15 +379,28 @@ class WaveMapData:
         local = LocalStructure.from_payload(p["local"])
         grid = TimeGrid(float(p["grid"]["t_max"]), int(p["grid"]["n_steps"]))
         d = local.dim
-        def blocks(rows):
-            return np.array([complex_from_list(row, (d, d)) for row in rows])
+
+        def packed(name):
+            # packed one block at a time into a time-innermost stack; packing
+            # would drop an anti-Hermitian part, so one past rounding is refused
+            rows = p[name]
+            stack = np.empty((d, d, len(rows)))
+            for m, row in enumerate(rows):
+                block = complex_from_list(row, (d, d))
+                skew = np.max(np.abs(block - block.conj().T), initial=0.0) / 2
+                if skew > HERMITIAN_TOL * np.max(np.abs(block), initial=0.0):
+                    raise DataBoundaryError(f"wave map {name} block at time row {m} is not "
+                                            f"Hermitian: anti-Hermitian part {skew:.3e}")
+                stack[..., m] = pack_hermitian(block)
+            return np.moveaxis(stack, -1, 0)
+
         return WaveMapData(
             grid=grid,
             horizon=float(p["horizon"]),
             local=local,
-            kernel=blocks(p["kernel"]),
-            conv_a=blocks(p["conv_a"]),
-            conv_b=blocks(p["conv_b"]),
+            kernel=packed("kernel"),
+            conv_a=packed("conv_a"),
+            conv_b=packed("conv_b"),
         )
 
 
@@ -461,9 +520,10 @@ def _lag_pairing(wmap: WaveMapData, F, H, cf, ch):
     T2 = Y @ conj(K) - conj(f_l'[0]) (e_l @ conj(B_up)), and the pairing
     of f_l at c with h_l' at c' is mu_c mu_c' (T1[l, l', c, c'] -
     T2[l', l, c', c]).  Each table meets only the kernel rows of the
-    components where its profile sits, and only those rows are folded.
-    Each row l of T1 and T2 goes straight into the (mf, mh) output, so the
-    pairing holds the output, at most one full fold and one table row.
+    components where its profile sits, and only those rows are unpacked and
+    folded; a table that meets every row multiplies the packed fold.  Each
+    row l of T1 and T2 goes straight into the (mf, mh) output, so the
+    pairing holds the output, at most one packed full fold and one table row.
     """
     out = np.zeros((len(F), len(H)), dtype=np.complex128)
     if not (len(F) and len(H)):
@@ -481,46 +541,50 @@ def _lag_pairing(wmap: WaveMapData, F, H, cf, ch):
         *_jstar_quadratic_coeffs(pf.T, dt, n_half), n1, dt).T)
     e = timequad.quadratic_times_sampled_array(*_jh_quadratic_coeffs(ph.T, dt, n_half),
                                                n1, dt).T
-    full = None
+    fold = None
 
-    def folded_rows(at):
-        # (K, B_up) on the kernel rows at, as (N+1, len(at) d) and (N, len(at) d).
-        # A profile at a few components folds only their rows; the full fold
-        # is built once, for the first profile that sits at every component
-        # (every probe family's profiles do).  On C-order map stacks
-        # (spectral_block builds them so) the reshapes copy nothing; np.take
-        # gathers in C order, where a fancy index on axis 1 would not.
-        nonlocal full
-        if len(at) == d:
-            if full is None:
-                full = folded_kernel(wmap.conv_a, wmap.conv_b, n1).reshape(n1, d * d)
-            return full, wmap.conv_b[1:].reshape(n1 - 1, d * d)
-        b = np.take(wmap.conv_b, at, axis=1)
-        k = folded_kernel(np.take(wmap.conv_a, at, axis=1), b, n1)
-        return k.reshape(n1, -1), b[1:].reshape(n1 - 1, -1)
-
-    def paired(tables, tests, rows, starts):
-        # sum_m table[:, m] K[m] - starts (test[:N] @ B_up) per test row, on
-        # its kernel rows: one (len(starts), |rows|, d) block per test row
-        for table, test, at in zip(tables, tests, rows):
-            k, b_up = folded_rows(at)
-            # a real lag table meets the real and imaginary parts in one real product
-            if np.isrealobj(table):
-                prod = (table @ k.view(np.float64)).view(np.complex128)
+    def paired(tests, lag_tables, rows, starts):
+        # (l, block) per test row l: sum_m table[:, m] K[m] - starts (test[:N]
+        # @ B_up) on its kernel rows, one (len(starts), |rows|, d) block.  The
+        # test rows go in the order of their kernel rows, so the test rows at
+        # the same components share one unpacked, folded gather of them
+        nonlocal fold
+        order = sorted(range(len(rows)), key=lambda l: rows[l].tolist())
+        gathered = None
+        for l, table in zip(order, lag_tables(tests[order])):
+            at, test = rows[l], tests[l]
+            if len(at) == d:
+                # a profile at every component (every probe family's are):
+                # the packed fold, built once, meets the table in one real
+                # product, and only the (L', D, D) product is unpacked
+                if fold is None:
+                    fold = folded_kernel(wmap.conv_a, wmap.conv_b, n1).reshape(n1, d * d)
+                b_up = wmap.conv_b[1:].reshape(n1 - 1, d * d)
+                prod = hermitian_rows(_real_linear(lambda c: c @ fold, table, 0)
+                                      .reshape(-1, d, d), at)
+                corr = _real_linear(lambda c: c @ b_up, test[None, :-1], 0).reshape(d, d)
+                prod -= np.multiply.outer(starts, hermitian_rows(corr, at))
             else:
+                # a profile at a few components folds only their kernel rows
+                if gathered is None or not np.array_equal(gathered[0], at):
+                    b = hermitian_rows(wmap.conv_b, at)
+                    k = folded_kernel(hermitian_rows(wmap.conv_a, at), b, n1)
+                    gathered = at, k.reshape(n1, -1), b[1:].reshape(n1 - 1, -1)
+                _, k, b_up = gathered
                 prod = table @ k
-            prod -= np.multiply.outer(starts, test[:-1] @ b_up)
-            yield prod.reshape(len(starts), len(at), d)
+                prod -= np.multiply.outer(starts, test[:-1] @ b_up)
+            yield l, prod.reshape(len(starts), len(at), d)
 
     # each block goes straight into the output: a T1 block fills the rows of
     # the F sources with its profile, a T2 block is subtracted from the
     # columns of the H sources with its profile
-    for l, block in enumerate(paired(_lag_tables(w, ph, n1), w, rows_f, ph[:, 0])):
+    for l, block in paired(w, lambda t: _lag_tables(t, ph, n1), rows_f, ph[:, 0]):
         i = np.flatnonzero(lf == l)
         out[i] = block[lh[None, :], rf[i, None], ch[None, :]]
     # Y @ conj(K) = conj(conj(Y) @ K)
-    for l, block in enumerate(paired((np.conj(y) for y in _lag_tables(e, np.conj(pf), n1)),
-                                     np.conj(e), rows_h, pf[:, 0])):
+    for l, block in paired(np.conj(e),
+                           lambda t: (np.conj(y) for y in _lag_tables(np.conj(t), np.conj(pf), n1)),
+                           rows_h, pf[:, 0]):
         j = np.flatnonzero(lh == l)
         out[:, j] -= block[lf[:, None], rh[None, j], cf[:, None]].conj()
     mu = wmap.local.weights_flat()

@@ -635,13 +635,13 @@ def run_with_capped_address_space(cfg_path, out_dir):
 
 
 def test_cli_out_of_memory_is_a_task_error(tmp_path):
-    # 100000 steps over the whole 16-cycle estimate a 1.2 GiB working set,
+    # 200000 steps over the whole 16-cycle estimate a 1.2 GiB working set,
     # inside the budget, so the config parses; the wave map's 0.38 GiB
-    # arrays then fail to allocate under the 1 GiB cap.  The blago
+    # packed stacks then fail to allocate under the 1 GiB cap.  The blago
     # task is an error with the allocation message, and the task that
     # passed before it is still in the report
     cfg_path = write_config(tmp_path, region={"type": "arc", "start": 0, "count": 16},
-                            time={"horizon": 4.5, "steps": 100000})
+                            time={"horizon": 4.5, "steps": 200000})
     proc = run_with_capped_address_space(cfg_path, tmp_path / "out")
     assert proc.returncode == 1, proc.stderr
     payload = json.loads((tmp_path / "out" / "report.json").read_text())

@@ -21,6 +21,7 @@ from fracbundle.propagators import (
     fractional_symbol,
     heat_apply,
     heat_kernel_matrix,
+    hermitian_rows,
     mode_convolve,
     mode_convolve_rows,
     pl_spectra,
@@ -143,9 +144,10 @@ def test_spectral_block_matches_explicit_synthesis():
     want = np.stack([(V * w) @ V.conj().T for w in values])
     scale = np.max(np.abs(want))
     stack = spectral_block(op, values, idx)
-    assert stack.shape == (4, len(idx), len(idx))
-    assert stack.flags["C_CONTIGUOUS"]
-    assert np.max(np.abs(stack - want)) <= 1e-14 * scale
+    # a stack is packed real and stored time-innermost
+    assert stack.shape == (4, len(idx), len(idx)) and stack.dtype == np.float64
+    assert np.moveaxis(stack, 0, -1).flags["C_CONTIGUOUS"]
+    assert np.max(np.abs(hermitian_rows(stack, range(len(idx))) - want)) <= 1e-14 * scale
     for w, block in zip(values, want):
         got = spectral_block(op, w, idx)
         assert got.shape == (len(idx), len(idx))
@@ -178,7 +180,7 @@ def test_wave_kernel_block_is_that_block_of_the_full_matrix():
         assert np.max(np.abs(wave_kernel_matrix(op, t, idx) - K[np.ix_(idx, idx)])) <= 1e-15
     # times (T, 1) give the stack of blocks
     times = np.array([0.2, 1.1])
-    stack = wave_kernel_matrix(op, times[:, None], idx)
+    stack = hermitian_rows(wave_kernel_matrix(op, times[:, None], idx), range(len(idx)))
     for t, block in zip(times, stack):
         assert np.max(np.abs(block - wave_kernel_matrix(op, t, idx))) <= 1e-15
 

@@ -1,11 +1,13 @@
 """Map data objects, time averaging, and the inner-product engine."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fracbundle import propagators, s2s
 from fracbundle.bundle import (
@@ -29,9 +31,10 @@ from fracbundle.propagators import (
     fractional_apply,
     fractional_inverse_spectral,
     heat_kernel_matrix,
+    pack_hermitian,
     wave_kernel_matrix,
 )
-from fracbundle.reconstruction import build_source_family
+from fracbundle.reconstruction import build_source_family, first_arrival_distance
 from fracbundle.s2s import (
     FracMapData,
     WaveMapData,
@@ -41,11 +44,12 @@ from fracbundle.s2s import (
     blago_inner,
     frac_map_assemble,
     gram_matrix,
+    hermitian_rows,
     local_structure,
     region_slices,
     wave_map_assemble,
 )
-from fracbundle.serialize import dumps, loads
+from fracbundle.serialize import complex_from_list, complex_to_list, dumps, loads
 from fracbundle.timequad import (
     pl_times_sampled_array,
     quadratic_times_sampled_array,
@@ -215,8 +219,56 @@ def test_wave_map_invariants(wave_scene):
     assert np.max(np.abs(wmap.kernel[0])) == 0.0
     # reciprocity of the spectral kernel blocks
     for t_idx in (3, 50, 200):
-        K = wmap.kernel[t_idx]
+        K = hermitian_rows(wmap.kernel[t_idx], range(wmap.local.dim))
         assert np.max(np.abs(K - K.conj().T)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hermitian_packing_round_trips_exactly(data):
+    d = data.draw(st.integers(1, 6))
+    shape = data.draw(st.sampled_from([(), (3,), (2, 2)])) + (d, d)
+    floats = st.floats(-1e150, 1e150, allow_nan=False)
+    # any real array is the packed form of the blocks it unpacks to
+    P = data.draw(hnp.arrays(np.float64, shape, elements=floats))
+    every = range(d)
+    assert np.array_equal(pack_hermitian(hermitian_rows(P, every)), P)
+    # and an exactly Hermitian block unpacks from its packed form exactly
+    re, im = (data.draw(hnp.arrays(np.float64, shape, elements=floats)) for _ in range(2))
+    A = re + 1j * im
+    H = A + np.conj(np.swapaxes(A, -1, -2))
+    assert np.array_equal(hermitian_rows(pack_hermitian(H), every), H)
+    # any rows, in any order, are those rows of the whole blocks, also read
+    # from the block-axes-first layout of a time-innermost stack
+    rows = data.draw(st.lists(st.integers(0, d - 1), max_size=2 * d))
+    assert np.array_equal(hermitian_rows(P, rows), hermitian_rows(P, every)[..., rows, :])
+    stored = np.moveaxis(np.ascontiguousarray(np.moveaxis(P, (-2, -1), (0, 1))), (0, 1), (-2, -1))
+    assert np.array_equal(hermitian_rows(stored, rows), hermitian_rows(P, rows))
+
+
+def test_wave_map_stacks_are_packed_real_with_a_small_build_peak(probe_scene):
+    # the three stacks hold 3 (N+1) D^2 reals, and the build holds little
+    # beyond them: no complex (K, D, D) table and no complex stack
+    wmap = probe_scene[0]
+    op = assemble(build_bundle(build_manifold({"kind": "torus_grid", "counts": [6, 6],
+                                               "lengths": [6.0, 6.0]}),
+                               2, connection="random", potential="random_hermitian", seed=4))
+    n1, d = len(wmap.grid), wmap.local.dim
+    packed = 3 * n1 * d * d * 8
+    block = Region(op.bundle.manifold, wmap.local.vertices)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        built = wave_map_assemble(op, block, wmap.grid)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    stacks = (built.kernel, built.conv_a, built.conv_b)
+    assert all(s.dtype == np.float64 and s.shape == (n1, d, d) for s in stacks)
+    assert sum(s.nbytes for s in stacks) == packed
+    assert peak < 1.5 * packed
+    assert all(np.array_equal(a, b) for a, b in zip(stacks, (wmap.kernel, wmap.conv_a,
+                                                            wmap.conv_b)))
 
 
 def test_wave_kernel_small_time_growth(wave_scene):
@@ -237,10 +289,11 @@ def test_wave_map_kernel_is_the_wave_kernel_block():
     wmap = wave_map_assemble(op, U, grid)
     idx = region_slices(U, 2)
     assert list(idx[:4]) == [18, 19, 20, 21]
-    scale = np.max(np.abs(wmap.kernel))
+    kernel = hermitian_rows(wmap.kernel, range(len(idx)))
+    scale = np.max(np.abs(kernel))
     for t_idx in (0, 5, 40, 96):
         block = wave_kernel_matrix(op, grid.times[t_idx], idx)
-        assert np.max(np.abs(block - wmap.kernel[t_idx])) <= 1e-15 * scale
+        assert np.max(np.abs(block - kernel[t_idx])) <= 1e-15 * scale
 
 
 def test_wave_map_consistency_with_duhamel(wave_scene):
@@ -473,6 +526,34 @@ def test_respond_rows_match_full_series(probe_scene):
         assert at_rows.shape == (len(sources), len(rows), wmap.local.dim)
         assert np.all(at_rows[:, 0] == 0.0)
         assert np.max(np.abs(at_rows - full[:, rows])) <= 1e-13 * np.max(np.abs(full))
+
+
+def test_complex_profiles_respond_at_rows_as_in_the_full_series(probe_scene):
+    # complex profiles combine the packed blocks with complex coefficients:
+    # their real and imaginary parts are unpacked apart
+    wmap, fam, dense = probe_scene
+    comps = fam.components()
+    rng = np.random.default_rng(12)
+    profiles = fam.profiles.astype(complex)
+    profiles[::3] *= 0.6 - 0.8j
+    # a shared complex ramp that is nonzero at t = 0
+    profiles[1::3] += (0.2 - 0.5j) * rng.standard_normal(profiles.shape[1])
+    n = wmap.grid.n_steps
+    rows = [0, 1, n // 2 - 2, n // 2, n]
+    full = wmap.respond(profiles, components=comps)
+    at_rows = wmap.respond(profiles, components=comps, rows=rows)
+    assert np.max(np.abs(at_rows - full[:, rows])) <= 1e-13 * np.max(np.abs(full))
+
+
+def test_first_arrival_reads_the_unpacked_kernel_block(probe_scene):
+    wmap = probe_scene[0]
+    r, eta = wmap.local.rank, 0.1
+    kernel = hermitian_rows(wmap.kernel, range(wmap.local.dim))
+    for x, y in ((0, 4), (4, 0), (2, 7), (5, 5)):
+        block = kernel[:, y * r:(y + 1) * r, x * r:(x + 1) * r]
+        amp = np.max(np.abs(block).reshape(len(block), -1), axis=1)
+        hit = np.nonzero(amp > eta * np.max(amp))[0][0]
+        assert first_arrival_distance(wmap, x, y, eta) == wmap.grid.times[hit]
 
 
 def test_source_support_validated(wave_scene):
@@ -764,6 +845,32 @@ def test_wave_map_round_trip(wave_scene):
     assert first_arrival_distance(back, 0, 5, 0.1) == first_arrival_distance(wmap, 0, 5, 0.1)
 
 
+def test_wave_map_refuses_stacks_that_are_not_packed(wave_scene):
+    wmap = wave_scene[-1]
+    d = wmap.local.dim
+    for name, bad in (("kernel", hermitian_rows(wmap.kernel, range(d))),
+                      ("conv_a", wmap.conv_a[:, :-1, :-1]),
+                      ("conv_b", wmap.conv_b.astype(np.float32))):
+        with pytest.raises(OperatorError, match=name):
+            dataclasses.replace(wmap, **{name: bad})
+
+
+def test_wave_map_payload_refuses_a_block_that_is_not_hermitian(wave_scene):
+    # packing would drop the anti-Hermitian part silently
+    wmap = wave_scene[-1]
+    d = wmap.local.dim
+    payload = loads(dumps(wmap.to_payload()))
+    block = complex_from_list(payload["conv_b"][7], (d, d))
+    block[1, 3] += 1e-9 * np.max(np.abs(block))
+    payload["conv_b"][7] = complex_to_list(block)
+    with pytest.raises(DataBoundaryError, match="conv_b block at time row 7"):
+        WaveMapData.from_payload(payload)
+    # an anti-Hermitian part at rounding level is dropped
+    block[1, 3] -= 1e-9 * np.max(np.abs(block)) * (1 - 1e-5)
+    payload["conv_b"][7] = complex_to_list(block)
+    WaveMapData.from_payload(payload)
+
+
 def test_frac_map_round_trip():
     m, b, op = cycle_scene(10, 10.0, rank=2, connection="random", seed=9)
     U = arc_region(m, 2, 4)
@@ -812,9 +919,10 @@ def test_map_data_gauge_equivariance():
     grid = TimeGrid(3.0, 96)
     w1 = wave_map_assemble(op1, U1, grid)
     w2 = wave_map_assemble(op2, U2, grid)
+    every = range(w1.local.dim)
     for t_idx in (5, 40, 96):
-        expected_k = S.conj().T @ w1.kernel[t_idx] @ S
-        assert np.max(np.abs(expected_k - w2.kernel[t_idx])) < 1e-11
+        expected_k = S.conj().T @ hermitian_rows(w1.kernel[t_idx], every) @ S
+        assert np.max(np.abs(expected_k - hermitian_rows(w2.kernel[t_idx], every))) < 1e-11
     # heat kernels on U x U agree across the grid after pullback
     for t in (0.15, 0.8):
         idx1 = np.array([v * r + j for v in U1.vertices for j in range(r)])
