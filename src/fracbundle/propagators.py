@@ -263,9 +263,15 @@ def mode_convolve_rows(A, B, src, rows, subscripts):
     0..max(rows) and source rows 0..max(rows) are read: one product of the
     shifted source rows against the folded kernel, with the einsum
     `subscripts` of mode_convolve (which must not use the letter r).
-    Returns the len(rows) response samples along axis 0.
+    Returns the len(rows) response samples along axis 0.  The rows must be
+    given and lie in 0..N for the N + 1 rows of src (others raise
+    OperatorError), and A and B must hold rows 0..max(rows) at least.
     """
     rows = np.asarray(rows, dtype=np.int64)
+    n = src.shape[0] - 1
+    if rows.ndim != 1 or not rows.size or rows.min() < 0 or rows.max() > n:
+        raise OperatorError(f"response rows must be a nonempty list of grid rows in 0..{n}, "
+                            f"not {np.array2string(rows, threshold=8)}")
     top = int(rows.max())
     folded = folded_kernel(A, B, top)
     shifted = np.zeros((len(rows), top) + src.shape[1:], dtype=src.dtype)
@@ -323,32 +329,36 @@ def duhamel_states(op: SpectralOperator, f: TimeSection | Iterable[TimeSection],
     """duhamel_solve(op, f).values[rows], without solving on the rest of the grid.
 
     Each state is the direct interval sum mode_convolve_rows over source
-    rows 0..max(rows): the mode analysis reads only the source's nonzero
-    columns, and only the requested rows are synthesized.  No FFT is
-    involved, so this is an independent route to the same solution.
+    rows 0..max(rows), run on the source's nonzero columns: each column is
+    convolved with every mode's folded kernel, and the mode analysis then
+    sums the columns, so neither a mode-coefficient series nor a shifted
+    copy of one is formed.  Only the requested rows are synthesized.  No
+    FFT is involved, so this is an independent route to the same solution.
     f is one TimeSection or any iterable of them, drawn one at a time: each
     source is checked as it is drawn (the first one's grid, the operator's
     bundle), and only the first one's grid is kept, so a generator streams
-    full-manifold sources.
+    full-manifold sources.  Rows outside 0..N raise OperatorError.
     Returns an array (len(rows), V, r) per source, batched like duhamel_solve.
     """
     single = isinstance(f, TimeSection)
     rows = np.asarray(rows, dtype=np.int64)
-    top = int(rows.max())
     V, r = op.bundle.manifold.num_vertices, op.bundle.rank
     wflat = np.repeat(op.bundle.manifold.volumes, r)
+    E = op.eigensections
     grid = None
     out = []
     for src in [f] if single else f:
         if grid is None:
             grid = src.grid
-            A, B = duhamel_weights(op.eigenvalues, grid.dt, top)  # rows 0..top of the full weights
+            # rows 0..top of the full weights; mode_convolve_rows refuses rows off the grid
+            top = min(int(rows.max(initial=0)), grid.n_steps)
+            A, B = duhamel_weights(op.eigenvalues, grid.dt, top)
         _check_source(op, src, grid)
-        vals = src.values[:top + 1].reshape(top + 1, op.dim)
+        vals = src.values.reshape(len(grid), op.dim)
         cols = np.nonzero(np.any(vals != 0, axis=0))[0]
-        coeffs = (vals[:, cols] * wflat[cols]) @ op.eigensections[cols].conj()
-        wmodes = mode_convolve_rows(A, B, coeffs, rows, "tk,tk->tk")
-        out.append((wmodes @ op.eigensections.T).reshape(len(rows), V, r))
+        wcols = mode_convolve_rows(A, B, vals[:, cols] * wflat[cols], rows, "tk,tc->tck")
+        wmodes = np.einsum("rck,ck->rk", wcols, E[cols].conj())
+        out.append((wmodes @ E.T).reshape(len(rows), V, r))
     return out[0] if single else out
 
 

@@ -53,7 +53,7 @@ from .reconstruction import (
     recover_local_operator,
 )
 from .reference import chart_operator_from_bundle
-from .s2s import blago_bilinear, region_slices, wave_map_assemble
+from .s2s import blago_bilinear, owner_sums, region_slices, wave_map_assemble
 
 REPORT_SCHEMA = "fracbundle_report@1"
 
@@ -255,11 +255,14 @@ def _task_verify_transmutation(scene, cfg):
 
 
 def _seeded_pair_sources(scene, cfg, count, rng):
-    """Region data (count, N+1, |U|, r) of seeded sources: three random bumps each."""
+    """Seeded sources of three random bumps each, as the (profiles, components,
+    owners) delta columns s2s.blago_bilinear reads for dense sources: the bumps
+    on one flat region component of one source sum into one (N+1,) profile,
+    in owner then component order."""
     grid = scene.grid
     n, r = len(scene.region), scene.bundle.rank
     T = cfg.horizon
-    vals = np.zeros((count, len(grid), n, r), dtype=complex)
+    columns = {}
     for k in range(count):
         for _ in range(3):
             i = rng.integers(0, n)
@@ -267,30 +270,35 @@ def _seeded_pair_sources(scene, cfg, count, rng):
             width = rng.uniform(0.1 * T, 0.3 * T)
             start = rng.uniform(0.0, T - width)
             amp = rng.standard_normal() + 1j * rng.standard_normal()
-            vals[k, :, i, j] += amp * bump_profile(grid.times, start, width)
-    return vals
+            column = columns.setdefault((k, int(i * r + j)), np.zeros(len(grid), dtype=complex))
+            column += amp * bump_profile(grid.times, start, width)
+    keys = sorted(key for key, column in columns.items() if np.any(column != 0))
+    owners, components = (np.array(a, dtype=np.int64) for a in zip(*keys))
+    return np.stack([columns[key] for key in keys]), components, owners
 
 
 def _task_verify_blago(scene, cfg):
     rng = np.random.default_rng(cfg.seed + 2)
     n_pairs = cfg.options["blago_pairs"]
     n_sources = max(2, int(np.ceil((1 + np.sqrt(1 + 8 * n_pairs)) / 2)))
-    region_sources = _seeded_pair_sources(scene, cfg, n_sources, rng)
+    profiles, components, owners = _seeded_pair_sources(scene, cfg, n_sources, rng)
     wmap = scene.wmap
-    grid = scene.grid
-    batch = region_sources.reshape(n_sources, len(grid), wmap.local.dim)
-    G_engine = blago_bilinear(wmap, batch, batch)
+    G_engine = owner_sums(blago_bilinear(wmap, profiles, profiles, (components, components)),
+                          owners, owners, (n_sources, n_sources))
     # the reference solves the same sources on the whole manifold over [0, T]
     # (same dt) by the direct interval sum, not the engine's FFT convolution;
-    # the full-manifold sources are built as duhamel_states draws them
+    # each full-manifold source is built from its columns as duhamel_states
+    # draws it
     half = wmap.half_index
     ref_grid = TimeGrid(cfg.horizon, half)
+    at = region_slices(scene.region, scene.bundle.rank)[components]
+    shape = (half + 1, scene.manifold.num_vertices, scene.bundle.rank)
 
     def sources():
-        for vals in region_sources:
-            full = np.zeros((half + 1, scene.manifold.num_vertices, scene.bundle.rank),
-                            dtype=complex)
-            full[:, list(scene.region.vertices)] = vals[:half + 1]
+        for k in range(n_sources):
+            full = np.zeros(shape, dtype=complex)
+            mine = owners == k
+            full.reshape(half + 1, -1)[:, at[mine]] = profiles[mine, :half + 1].T
             yield TimeSection(ref_grid, full)
 
     states = [w[0] for w in duhamel_states(scene.op, sources(), [half])]

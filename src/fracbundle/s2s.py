@@ -467,15 +467,21 @@ def blago_bilinear(wmap: WaveMapData, F, H, components=None):
         return _lag_pairing(wmap, np.asarray(F), np.asarray(H), *components)
     pf, cf, of = _delta_columns(F)
     ph, ch, oh = _delta_columns(H)
-    out = np.zeros((len(F), len(H)), dtype=np.complex128)
-    np.add.at(out, (of[:, None], oh[None, :]), _lag_pairing(wmap, pf, ph, cf, ch))
+    return owner_sums(_lag_pairing(wmap, pf, ph, cf, ch), of, oh, (len(F), len(H)))
+
+
+def owner_sums(pairings, owners_f, owners_h, shape):
+    """The (mf, mh) pairing matrix of dense sources from the pairings of their
+    delta columns: entry (i, j) sums the column pairings with owners (i, j)."""
+    out = np.zeros(shape, dtype=np.complex128)
+    np.add.at(out, (owners_f[:, None], owners_h[None, :]), pairings)
     return out
 
 
 def _delta_columns(sources):
     """(profiles, components, owners) of the nonzero columns of dense sources
     (m, N+1, D): column k is the time profile of sources[owners[k]] at
-    components[k]."""
+    components[k], in owner then component order."""
     sources = np.asarray(sources)
     owners, comps = np.nonzero(np.any(sources != 0, axis=1))
     return sources[owners, :, comps], comps, owners

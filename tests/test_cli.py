@@ -616,6 +616,62 @@ def test_blago_reference_holds_at_most_two_full_sources(monkeypatch):
     assert max(alive) <= 2
 
 
+def seeded_dense_sources(scene, cfg, count):
+    """verify_blago's seeded sources as a dense (count, N+1, |U| r) array: three
+    bumps each, drawn as the task draws them and added into zeros."""
+    rng = np.random.default_rng(cfg.seed + 2)
+    grid, n, r, T = scene.grid, len(scene.region), scene.bundle.rank, cfg.horizon
+    dense = np.zeros((count, len(grid), n, r), dtype=complex)
+    for k in range(count):
+        for _ in range(3):
+            i, j = rng.integers(0, n), rng.integers(0, r)
+            width = rng.uniform(0.1 * T, 0.3 * T)
+            start = rng.uniform(0.0, T - width)
+            amp = rng.standard_normal() + 1j * rng.standard_normal()
+            dense[k, :, i, j] += amp * reconstruction.bump_profile(grid.times, start, width)
+    return dense.reshape(count, len(grid), n * r)
+
+
+def test_blago_engine_gram_is_the_dense_pairing_bit_for_bit():
+    # verify_blago pairs its seeded sources as delta columns; the same sources
+    # made dense pair to the same Gram, entry for entry, and so to the same
+    # gram_min_eigenvalue_over_trace
+    cfg = parse_config(dict(SMALL_TORUS, tasks=["verify_blago"]))
+    scene = runner._Scene(cfg)
+    ok, measures, _, tables = runner._task_verify_blago(scene, cfg)
+    assert ok
+    dense = seeded_dense_sources(scene, cfg, 15)
+    columns = runner._seeded_pair_sources(scene, cfg, 15, np.random.default_rng(cfg.seed + 2))
+    for got, want in zip(columns, s2s._delta_columns(dense)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    G = s2s.blago_bilinear(scene.wmap, dense, dense)
+    header, rows = tables["blago_pairs"]
+    assert len(rows) == 100
+    for i, j, _, _, engine_re, engine_im, _ in rows:
+        assert (engine_re, engine_im) == (float(G[i, j].real), float(G[i, j].imag))
+    ev = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
+    assert measures["gram_min_eigenvalue_over_trace"] == float(ev.min() / np.trace(G).real)
+
+
+def test_blago_sources_stage_holds_no_dense_source_array():
+    # 15 sources of three bumps on an 18-component region are at most 45
+    # profiles, well under the dense (15, N+1, 18) complex array
+    cfg = parse_config(dict(SMALL_TORUS, tasks=["verify_blago"]))
+    scene = runner._Scene(cfg)
+    dense_bytes = 15 * len(scene.grid) * 18 * 16
+    rng = np.random.default_rng(cfg.seed + 2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        columns = runner._seeded_pair_sources(scene, cfg, 15, rng)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
+    profiles, components, owners = columns
+    assert profiles.shape == (len(components), len(scene.grid)) and len(owners) <= 45
+
+
 def run_with_capped_address_space(cfg_path, out_dir):
     """`fracbundle run` in a child whose address space is capped at 1 GiB."""
     if not sys.platform.startswith("linux"):

@@ -1,5 +1,7 @@
 """Heat/wave propagators, Duhamel solves, fractional routes, transmutation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -390,6 +392,43 @@ def test_duhamel_states_check_each_source_as_it_is_drawn(monkeypatch):
     with pytest.raises(OperatorError):
         duhamel_states(op, (f for f in sources), [17])
     assert len(solved) == 2
+
+
+@pytest.mark.parametrize("rows", [[], [17], [-1]], ids=["none", "past_the_end", "negative"])
+def test_duhamel_states_refuse_rows_off_the_grid(rows):
+    # the 16-step grid has rows 0..16, and the error names that range
+    op = cycle_op(8)
+    grid = TimeGrid(2.0, 16)
+    src = TimeSection(grid, np.ones((len(grid), 8, 1)))
+    with pytest.raises(OperatorError, match=r"0\.\.16"):
+        duhamel_states(op, src, rows)
+
+
+def test_duhamel_states_hold_no_mode_series():
+    # the interval sum runs over the source's three nonzero columns: beyond
+    # the weights' own build, the reference holds about one (top+1, K) real
+    # array, and no (top+1, K) complex coefficient series or shifted copy
+    m = build_manifold({"kind": "torus_grid", "counts": [8, 8], "lengths": [8.0, 8.0]})
+    op = assemble(build_bundle(m, 2, connection="random", potential="random_positive", seed=4))
+    grid = TimeGrid(4.0, 400)
+    vals = np.zeros((len(grid), m.num_vertices, 2), dtype=complex)
+    for v, c, start in ((0, 0, 0.5), (3, 1, 1.0), (5, 0, 1.5)):
+        vals[:, v, c] = np.exp(-((grid.times - start) / 0.3) ** 2) * (grid.times > 0)
+    src = TimeSection(grid, vals)
+    top = grid.n_steps
+
+    def traced_peak(f):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            f()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    weights = traced_peak(lambda: duhamel_weights(op.eigenvalues, grid.dt, top))
+    states = traced_peak(lambda: duhamel_states(op, src, [top]))
+    assert states < weights + (top + 1) * op.dim * 8
 
 
 @pytest.mark.parametrize("bad", ["grid", "bundle"])

@@ -50,19 +50,36 @@ def bump(times, center, width):
     return prof
 
 
-@pytest.fixture(scope="module")
-def cycle32_scene():
-    """Trivial line bundle on a 32-cycle of circumference 2 pi."""
-    n, L = 32, 2 * np.pi
-    m = build_manifold({"kind": "cycle", "count": n, "length": L})
-    b = build_bundle(m, 1)
+def cycle32(b):
+    """(m, b, op, U, wmap, cfg, h) of a line bundle b on cycle32_manifold: the
+    region is the first 10 vertices and the map grid has 768 steps to t = 9."""
+    m = b.manifold
     op = assemble(b)
     U = Region(m, tuple(range(10)))
     grid = TimeGrid(9.0, 768)
     wmap = wave_map_assemble(op, U, grid)
-    h = L / n
+    h = 2 * np.pi / m.num_vertices
     cfg = ProbeConfig(delta=1.2 * h, lead_step=h, width=1.5 * h)
     return m, b, op, U, wmap, cfg, h
+
+
+def cycle32_manifold():
+    """The 32-cycle of circumference 2 pi."""
+    return build_manifold({"kind": "cycle", "count": 32, "length": 2 * np.pi})
+
+
+@pytest.fixture(scope="module")
+def cycle32_scene():
+    """Trivial line bundle on a 32-cycle of circumference 2 pi."""
+    return cycle32(build_bundle(cycle32_manifold(), 1))
+
+
+@pytest.fixture(scope="module")
+def complex_cycle32_scene():
+    """The cycle32_scene geometry with a random connection and a random
+    positive potential: a complex line bundle, so the probe Gram is complex."""
+    return cycle32(build_bundle(cycle32_manifold(), 1, connection="random",
+                                potential="random_positive", seed=7))
 
 
 @pytest.fixture(scope="module")
@@ -528,6 +545,46 @@ def test_distance_family_factors_once_per_sweep(cycle32_scene, monkeypatch):
     sweeps = calls["exterior_distance"] + calls["cut_time_estimate"]
     assert calls["cut_time_estimate"] == 1 and calls["exterior_distance"] > 0
     assert calls["potrf"] == sweeps
+
+
+def test_distance_family_on_a_complex_line_bundle(complex_cycle32_scene, monkeypatch):
+    # the metric is recovered whatever the connection and potential: on a
+    # complex line bundle every sweep factors in complex arithmetic (zpotrf)
+    # and the profiles still match the region's distances
+    from scipy.linalg import lapack
+
+    m, b, op, U, wmap, cfg, h = complex_cycle32_scene
+    assert np.iscomplexobj(probe_engine(wmap, cfg).gram)
+    calls = {"dpotrf": 0, "zpotrf": 0, "exterior_distance": 0, "cut_time_estimate": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("dpotrf", "zpotrf"):
+        monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
+    for name in ("exterior_distance", "cut_time_estimate"):
+        monkeypatch.setattr(reconstruction, name, counted(name, getattr(reconstruction, name)))
+    rays = [RayPlan(x=4, y=5, r_values=tuple(np.arange(2 * h, 10.5 * h, h)))]
+    fam = distance_family(wmap, rays, cfg)
+    assert calls["dpotrf"] == 0
+    assert calls["zpotrf"] == calls["exterior_distance"] + calls["cut_time_estimate"] > 0
+    assert len(fam) == 15
+    oracle = shortest_distances(m)[:, list(U.vertices)]
+    assert match_profiles(fam, oracle[list(U.vertices)], rel_tol=0.15)["fraction"] == 1.0
+
+
+def test_distance_profiles_are_gauge_invariant_on_a_complex_line_bundle(complex_cycle32_scene):
+    # the sweeps read only Gram residuals, which a gauge leaves unchanged
+    m, b, op, U, wmap, cfg, h = complex_cycle32_scene
+    gauge = GaugeTransform.random(np.random.default_rng(3), m.num_vertices, 1)
+    gauged = cycle32(apply_gauge(b, gauge))[4]
+    rays = [RayPlan(x=4, y=5, r_values=tuple(np.arange(2 * h, 10.5 * h, h)))]
+    want = distance_family(wmap, rays, cfg).profiles
+    got = distance_family(gauged, rays, cfg).profiles
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def distance_family_without_early_exit(wmap, rays, cfg):

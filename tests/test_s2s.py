@@ -528,6 +528,15 @@ def test_respond_rows_match_full_series(probe_scene):
         assert np.max(np.abs(at_rows - full[:, rows])) <= 1e-13 * np.max(np.abs(full))
 
 
+@pytest.mark.parametrize("rows", [[], [17], [-1]], ids=["none", "past_the_end", "negative"])
+def test_respond_refuses_rows_off_the_grid(rows):
+    # the 16-step map grid has rows 0..16, and the error names that range
+    m, b, op = cycle_scene(8, 8.0)
+    wmap = wave_map_assemble(op, arc_region(m, 0, 3), TimeGrid(2.0, 16))
+    with pytest.raises(OperatorError, match=r"0\.\.16"):
+        wmap.respond(np.ones((1, 17)), components=np.array([1]), rows=rows)
+
+
 def test_complex_profiles_respond_at_rows_as_in_the_full_series(probe_scene):
     # complex profiles combine the packed blocks with complex coefficients:
     # their real and imaginary parts are unpacked apart
