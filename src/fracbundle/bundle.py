@@ -33,7 +33,7 @@ def random_unitary(rng, r):
     return q * ph.conj()
 
 
-def random_hermitian(rng, r, scale=1.0):
+def random_hermitian(rng, r, scale):
     g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     return scale * 0.5 * (g + g.conj().T)
 

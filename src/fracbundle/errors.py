@@ -20,7 +20,7 @@ class OperatorError(FracBundleError):
 class QuadratureError(FracBundleError):
     """Numerical quadrature failed to reach the configured tolerance."""
 
-    def __init__(self, message, achieved=None):
+    def __init__(self, message, achieved):
         super().__init__(message)
         self.achieved = achieved
 

@@ -109,9 +109,6 @@ class Region:
     def __len__(self):
         return len(self.vertices)
 
-    def __contains__(self, v):
-        return int(v) in set(self.vertices)
-
     def inner_edges(self):
         """The manifold edges with both ends in the region: a mask over
         manifold.edges, and those edges as pairs of region positions."""

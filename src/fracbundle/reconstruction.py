@@ -17,12 +17,12 @@ responses of a second probe family near the horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ReconstructionError
-from .s2s import WaveMapData, blago_bilinear, hermitian_rows
+from .s2s import DeltaSources, WaveMapData, blago_bilinear, hermitian_rows
 
 # residual below which a plain containment verdict accepts
 CONTAINMENT_TOL = 0.05
@@ -55,17 +55,12 @@ class SourceFamily:
     dispersive tails of the discrete cone).
     """
 
-    rank: int
     vertex: np.ndarray    # (m,) local vertex index
-    fiber: np.ndarray     # (m,)
     lead: np.ndarray      # (m,) emission lead before T
-    profiles: np.ndarray  # (m, N+1) nodal time profiles
+    sources: DeltaSources  # the members, on one bump profile per lead
 
     def __len__(self):
         return len(self.vertex)
-
-    def components(self):
-        return self.vertex * self.rank + self.fiber
 
     def select(self, vertices, max_lead):
         """Indices of members inside a spatial set with lead below a budget."""
@@ -92,25 +87,23 @@ def build_source_family(wmap: WaveMapData, vertices, leads, width):
     if len(leads) == 0 or len(verts) == 0:
         raise ReconstructionError("empty probe family")
     per_lead = len(verts) * r
-    profiles = [bump_profile(wmap.grid.times, T - lead, width) for lead in leads]
+    comps = np.tile((r * verts[:, None] + np.arange(r)).ravel(), len(leads))
+    profiles = np.array([bump_profile(wmap.grid.times, T - lead, width) for lead in leads])
     return SourceFamily(
-        rank=r,
-        vertex=np.tile(np.repeat(verts, r), len(leads)),
-        fiber=np.tile(np.arange(r, dtype=np.int64), len(leads) * len(verts)),
+        vertex=comps // r,
         lead=np.repeat(leads, per_lead),
-        profiles=np.repeat(profiles, per_lead, axis=0),
+        sources=DeltaSources(profiles, np.repeat(np.arange(len(leads)), per_lead), comps),
     )
 
 
 def family_responses(wmap: WaveMapData, fam: SourceFamily):
     """Map responses of every family member: (m, N+1, D)."""
-    return wmap.respond(fam.profiles, components=fam.components())
+    return wmap.respond(fam.sources)
 
 
 def family_gram(wmap: WaveMapData, fam: SourceFamily):
     """Hermitian Gram of the family's wave states at time T, from map data."""
-    comps = fam.components()
-    G = blago_bilinear(wmap, fam.profiles, fam.profiles, components=(comps, comps))
+    G = blago_bilinear(wmap, fam.sources, fam.sources)
     G += G.conj().T
     G *= 0.5
     return G
@@ -300,6 +293,11 @@ def first_arrival_matrix(wmap: WaveMapData, eta):
     return out
 
 
+def mesh_length(wmap):
+    """The region's mesh length: its shortest internal edge."""
+    return float(np.min(wmap.local.edge_lengths))
+
+
 def _shell_width(wmap):
     """Containment shell eps: two mesh steps.
 
@@ -308,7 +306,7 @@ def _shell_width(wmap):
     dispersive wavefront covers it, so the witness must be mesh-scale
     (the measured verdicts with a finer shell are uninformative).
     """
-    return 2.0 * float(np.min(wmap.local.edge_lengths))
+    return 2.0 * mesh_length(wmap)
 
 
 def _first_accept(curve):
@@ -387,6 +385,15 @@ def cut_time_estimate(wmap, x, y, s, r_grid, cfg: ProbeConfig):
     return _sweep_radius(r_grid, _cut_time_curve(eng, x, y, s, r_grid, _shell_width(wmap)))
 
 
+def ray_cut_time(wmap, x, y, cfg: ProbeConfig):
+    """(s, cut time) of the ray from x through y: s is the first arrival at y;
+    the sweep steps h/2 from s + delta + h/2 below T - delta, h mesh_length."""
+    s = first_arrival_distance(wmap, x, y, cfg.eta)
+    step = mesh_length(wmap) / 2
+    sweep = np.arange(s + cfg.delta + step, wmap.horizon - cfg.delta, step)
+    return s, cut_time_estimate(wmap, x, y, s, sweep, cfg)
+
+
 def _exterior_curve(eng, x_span, t_idx, z, r_grid):
     """Residual of the target box against x_span u box(z, r) at every sweep radius.
 
@@ -435,9 +442,9 @@ class DistanceProfileSet:
     region_vertices: tuple
     profiles: np.ndarray  # (n_points, |U|)
     provenance: list
-    rays_skipped: int = 0       # rays from edge-of-region bases, not swept
-    lipschitz_dropped: int = 0  # profiles failing the 1-Lipschitz filter
-    duplicates_merged: int = 0  # near-duplicate profiles merged into an earlier one
+    rays_skipped: int       # rays from edge-of-region bases, not swept
+    lipschitz_dropped: int  # profiles failing the 1-Lipschitz filter
+    duplicates_merged: int  # near-duplicate profiles merged into an earlier one
 
     def __len__(self):
         return len(self.profiles)
@@ -468,8 +475,7 @@ def distance_family(wmap, rays, cfg: ProbeConfig):
     the sweeps after that vertex are never run.
     """
     n = wmap.local.size
-    h = float(np.min(wmap.local.edge_lengths))
-    r_step = h / 2
+    h = mesh_length(wmap)
     slack = 0.35
     bound = wmap.local.distances * (1 + slack) + slack * h + 1e-9
 
@@ -486,7 +492,7 @@ def distance_family(wmap, rays, cfg: ProbeConfig):
             prov.append({"kind": "region", "vertex": i})
     lipschitz_dropped = n - len(profiles)
     diam_cap = wmap.horizon - cfg.delta
-    rg = np.arange(r_step + cfg.delta, diam_cap, r_step)
+    rg = np.arange(h / 2 + cfg.delta, diam_cap, h / 2)
     full = wmap.local.full_balls(cfg.delta)
     rays_skipped = 0
     for ray in rays:
@@ -495,9 +501,7 @@ def distance_family(wmap, rays, cfg: ProbeConfig):
         if not (full[ray.x] and full[ray.y]):
             rays_skipped += 1
             continue
-        s = first_arrival_distance(wmap, ray.x, ray.y, cfg.eta)
-        cut_grid = np.arange(s + cfg.delta + r_step, diam_cap, r_step)
-        tstar = cut_time_estimate(wmap, ray.x, ray.y, s, cut_grid, cfg)
+        s, tstar = ray_cut_time(wmap, ray.x, ray.y, cfg)
         for r_prime in ray.r_values:
             if r_prime >= min(CUT_MARGIN * tstar, diam_cap):
                 continue
@@ -528,7 +532,7 @@ def distance_family(wmap, rays, cfg: ProbeConfig):
     )
 
 
-def match_profiles(recovered: DistanceProfileSet, oracle_profiles, rel_tol=0.15):
+def match_profiles(recovered: DistanceProfileSet, oracle_profiles, rel_tol):
     """Fraction of oracle profiles matched by recovered ones in sup norm.
 
     A match requires sup-norm deviation within rel_tol of the oracle
@@ -576,7 +580,7 @@ class ChartOperator:
     edges: list
     transports: np.ndarray
     potentials: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     def holonomy(self, loop):
         lut = {}
@@ -622,8 +626,7 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
     leads = np.linspace(cfg.width + 6 * dt, wmap.horizon - 4 * dt, 24)
     fam = build_source_family(wmap, range(local.size), leads, cfg.width)
     # responses at the five stencil rows around T
-    near_T = wmap.respond(fam.profiles, components=fam.components(),
-                          rows=range(n_half - 2, n_half + 3))
+    near_T = wmap.respond(fam.sources, rows=range(n_half - 2, n_half + 3))
     at_T = near_T[:, 2, :]
     stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dt**2)
     d2 = np.tensordot(stencil, near_T, axes=(0, 1))

@@ -44,16 +44,16 @@ from .reconstruction import (
     ProbeConfig,
     RayPlan,
     bump_profile,
-    cut_time_estimate,
     distance_family,
-    first_arrival_distance,
     first_arrival_matrix,
     gauge_invariant_compare,
     match_profiles,
+    mesh_length,
+    ray_cut_time,
     recover_local_operator,
 )
 from .reference import chart_operator_from_bundle
-from .s2s import blago_bilinear, owner_sums, region_slices, wave_map_assemble
+from .s2s import DeltaSources, blago_bilinear, owner_sums, region_slices, wave_map_assemble
 
 REPORT_SCHEMA = "fracbundle_report@1"
 
@@ -150,9 +150,6 @@ class _Scene:
         """Drop what the running task read last; the next task runs."""
         self.release(*list(self._cache))
         self._task += 1
-
-    def mesh(self):
-        return float(np.min(self.manifold.lengths))
 
     def probe_config(self):
         opts = self.cfg.options
@@ -255,10 +252,10 @@ def _task_verify_transmutation(scene, cfg):
 
 
 def _seeded_pair_sources(scene, cfg, count, rng):
-    """Seeded sources of three random bumps each, as the (profiles, components,
-    owners) delta columns s2s.blago_bilinear reads for dense sources: the bumps
-    on one flat region component of one source sum into one (N+1,) profile,
-    in owner then component order."""
+    """Seeded sources of three random bumps each, as the (DeltaSources, owners)
+    delta columns s2s.blago_bilinear reads for dense sources: the bumps on one
+    flat region component of one source sum into one (N+1,) profile, in owner
+    then component order."""
     grid = scene.grid
     n, r = len(scene.region), scene.bundle.rank
     T = cfg.horizon
@@ -274,31 +271,32 @@ def _seeded_pair_sources(scene, cfg, count, rng):
             column += amp * bump_profile(grid.times, start, width)
     keys = sorted(key for key, column in columns.items() if np.any(column != 0))
     owners, components = (np.array(a, dtype=np.int64) for a in zip(*keys))
-    return np.stack([columns[key] for key in keys]), components, owners
+    return DeltaSources(np.stack([columns[key] for key in keys]), np.arange(len(keys)),
+                        components), owners
 
 
 def _task_verify_blago(scene, cfg):
     rng = np.random.default_rng(cfg.seed + 2)
     n_pairs = cfg.options["blago_pairs"]
     n_sources = max(2, int(np.ceil((1 + np.sqrt(1 + 8 * n_pairs)) / 2)))
-    profiles, components, owners = _seeded_pair_sources(scene, cfg, n_sources, rng)
+    columns, owners = _seeded_pair_sources(scene, cfg, n_sources, rng)
     wmap = scene.wmap
-    G_engine = owner_sums(blago_bilinear(wmap, profiles, profiles, (components, components)),
-                          owners, owners, (n_sources, n_sources))
+    G_engine = owner_sums(blago_bilinear(wmap, columns, columns), owners, owners,
+                          (n_sources, n_sources))
     # the reference solves the same sources on the whole manifold over [0, T]
     # (same dt) by the direct interval sum, not the engine's FFT convolution;
     # each full-manifold source is built from its columns as duhamel_states
     # draws it
     half = wmap.half_index
     ref_grid = TimeGrid(cfg.horizon, half)
-    at = region_slices(scene.region, scene.bundle.rank)[components]
+    at = region_slices(scene.region, scene.bundle.rank)[columns.component]
     shape = (half + 1, scene.manifold.num_vertices, scene.bundle.rank)
 
     def sources():
         for k in range(n_sources):
             full = np.zeros(shape, dtype=complex)
             mine = owners == k
-            full.reshape(half + 1, -1)[:, at[mine]] = profiles[mine, :half + 1].T
+            full.reshape(half + 1, -1)[:, at[mine]] = columns.profiles[mine, :half + 1].T
             yield TimeSection(ref_grid, full)
 
     states = [w[0] for w in duhamel_states(scene.op, sources(), [half])]
@@ -401,7 +399,7 @@ RAY_BASES = 4
 
 def _auto_rays(scene, cfg, pcfg):
     local = scene.wmap.local
-    h = float(np.min(local.edge_lengths))
+    h = mesh_length(scene.wmap)
     full = local.full_balls(pcfg.delta)
     good = np.flatnonzero(full).tolist()
     picks = sorted(set(good[int(k * (len(good) - 1) / (RAY_BASES - 1))]
@@ -416,7 +414,7 @@ def _task_reconstruct_distances(scene, cfg):
     pcfg = scene.probe_config()
     wmap = scene.wmap
     m = scene.manifold
-    h = scene.mesh()
+    h = float(np.min(m.lengths))
     dist = shortest_distances(m)
     region = scene.region
     measures, tables = {}, {}
@@ -437,10 +435,7 @@ def _task_reconstruct_distances(scene, cfg):
     interior = _interior_vertices(scene)
     x = interior[len(interior) // 2] if interior else 0
     y = min(wmap.local.neighbors(x))
-    s = first_arrival_distance(wmap, x, y, pcfg.eta)
-    step = float(np.min(wmap.local.edge_lengths)) / 2
-    sweep = np.arange(s + pcfg.delta + step, cfg.horizon - pcfg.delta, step)
-    tstar = cut_time_estimate(wmap, x, y, s, sweep, pcfg)
+    _, tstar = ray_cut_time(wmap, x, y, pcfg)
     measures["cut_time"] = float(tstar)
     # the ray follows one lattice axis: its cut sits at half that axis length
     ids, _ = wmap.local.edge_index([(x, y)])

@@ -237,13 +237,41 @@ def _real_linear(f, x, axis):
     return re + 1j * im
 
 
-def _distinct_rows(profiles):
-    """(kept, which): the first row with each distinct profile, and for every
-    row the position of its profile in profiles[kept]."""
-    first = {}
-    firsts = [first.setdefault(p.tobytes(), i) for i, p in enumerate(profiles)]
-    # an empty list would give float indices
-    return np.unique(np.asarray(firsts, dtype=np.int64), return_inverse=True)
+@dataclass(frozen=True)
+class DeltaSources:
+    """m delta sources on the region: source i is the nodal time profile
+    profiles[profile[i]] at the flat region component component[i]."""
+
+    profiles: np.ndarray   # (L, N+1) time profiles
+    profile: np.ndarray    # (m,) integer
+    component: np.ndarray  # (m,) integer
+
+    def __len__(self):
+        return len(self.profile)
+
+
+def _delta_columns(wmap, sources):
+    """(delta, owners): a batch of sources for the map as DeltaSources.  A
+    DeltaSources is itself, source k its own owner.  Dense (m, N+1, D) sources
+    are their nonzero columns, each on a profile of its own, in owner then
+    component order: column k is the time profile of sources[owners[k]] at its
+    component.  Profiles that are not N+1 samples long and indices off their
+    range are an OperatorError."""
+    if isinstance(sources, DeltaSources):
+        delta, owners = sources, np.arange(len(sources))
+    else:
+        sources = np.asarray(sources)
+        owners, comps = np.nonzero(np.any(sources != 0, axis=1))
+        delta = DeltaSources(sources[owners, :, comps], np.arange(len(owners)), comps)
+    if np.shape(delta.profiles)[1:] != (len(wmap.grid),):
+        raise OperatorError(f"source time profiles must have the map's {len(wmap.grid)} "
+                            f"samples, not shape {np.shape(delta.profiles)}")
+    for name, idx, n in (("profile", delta.profile, len(delta.profiles)),
+                         ("component", delta.component, wmap.local.dim)):
+        bad = idx[(idx < 0) | (idx >= n)]
+        if len(bad):
+            raise OperatorError(f"delta source {name} index {bad[0]} is outside 0..{n - 1}")
+    return delta, owners
 
 
 @dataclass(frozen=True)
@@ -316,45 +344,43 @@ class WaveMapData:
             return arr.reshape(n1, self.local.dim)
         raise OperatorError("unrecognized source shape")
 
-    def respond(self, sources, components=None, rows=None):
+    def respond(self, sources, rows=None):
         """Apply the map to a batch of nodal sources.
 
-        sources: (m, N+1, D) with D = |U| r; or, with an integer array
-        components (m,) given, (m, N+1) time profiles of delta sources at
-        those flat components.  Returns (m, N+1, D) responses, exact for
+        sources: dense (m, N+1, D) with D = |U| r, or a DeltaSources of m
+        delta sources.  Returns (m, N+1, D) responses, exact for
         piecewise-linear sources.  With rows given, only those response
         samples are evaluated, by the direct interval sum, and the result is
-        (m, len(rows), D); a time profile shared by several delta sources is
-        then evaluated once, against every kernel column.  A dense source is
-        the sum of its nonzero columns, each responding as a delta source.
+        (m, len(rows), D); each time profile of a DeltaSources is then
+        evaluated once, against every kernel column.  A dense source is the
+        sum of its nonzero columns, each responding as a delta source.
         """
         d = self.local.dim
-        if components is None:
+        delta, owners = _delta_columns(self, sources)
+        if delta is not sources:
             out = np.zeros((len(sources), len(self.grid) if rows is None else len(rows), d),
                            dtype=np.complex128)
-            profiles, components, owners = _delta_columns(sources)
-            np.add.at(out, owners, self.respond(profiles, components, rows))
+            np.add.at(out, owners, self.respond(delta, rows))
             return out
-        sources = np.asarray(sources)
         mu = self.local.weights_flat()
+        comps = delta.component
         if rows is not None:
-            # the first source with each distinct profile stands for all of them
-            kept, which = _distinct_rows(sources)
             combos = _real_linear(lambda p: mode_convolve_rows(self.conv_a, self.conv_b, p.T,
                                                                rows, "tij,tp->tpij"),
-                                  sources[kept], axis=1)
+                                  delta.profiles, axis=1)
             # (m, len(rows), D): column c of the response to the profile of source i
             out = hermitian_rows(combos, range(d))
-            return out[:, which, :, components] * mu[components, None, None]
+            return out[:, delta.profile, :, comps] * mu[comps, None, None]
         # a delta source meets one kernel column, the conjugate of a kernel
         # row: transforming only the columns in use, each once, keeps the
         # working set one (N+1, D) block
-        out = np.empty((len(sources), len(self.grid), d), dtype=np.complex128)
-        for c in np.unique(components):
+        out = np.empty((len(delta), len(self.grid), d), dtype=np.complex128)
+        for c in np.unique(comps):
             spectra = pl_spectra(*(np.conj(hermitian_rows(s, [c])[:, 0])
                                    for s in (self.conv_a, self.conv_b)))
-            for i in np.nonzero(components == c)[0]:
-                out[i] = mode_convolve(spectra, sources[i] * mu[c], "ti,t->ti")
+            for i in np.nonzero(comps == c)[0]:
+                profile = delta.profiles[delta.profile[i]]
+                out[i] = mode_convolve(spectra, profile * mu[c], "ti,t->ti")
         return out
 
     def to_payload(self):
@@ -450,24 +476,22 @@ def _jstar_quadratic_coeffs(f, dt, n_half):
                  for s, a, b in zip((1, dt, dt), fwd, bwd))
 
 
-def blago_bilinear(wmap: WaveMapData, F, H, components=None):
+def blago_bilinear(wmap: WaveMapData, F, H):
     """Matrix of wave-state pairings <w^f(T), w^h(T)> from map data alone.
 
-    F: (mf, N+1, D) and H: (mh, N+1, D) nodal sources supported in the
-    region; or, with components = (cf, ch), (mf, N+1) and (mh, N+1) time
-    profiles of delta sources at the flat components cf and ch.  Uses the
-    identity
+    F and H are each a dense (m, N+1, D) batch of nodal sources supported in
+    the region or a DeltaSources.  Uses the identity
         <w^f(T), w^h(T)> = int_0^T [ <f, J L h> - <L f, J h> ] dt
     with the map responses and the time averages exact for piecewise-linear
     sources and the outer time integral by the high-order sampled rule.  A dense
     source is the sum of its nonzero columns: each column pairs as a delta
     source and the pairings add up per source.
     """
-    if components is not None:
-        return _lag_pairing(wmap, np.asarray(F), np.asarray(H), *components)
-    pf, cf, of = _delta_columns(F)
-    ph, ch, oh = _delta_columns(H)
-    return owner_sums(_lag_pairing(wmap, pf, ph, cf, ch), of, oh, (len(F), len(H)))
+    (f, of), (h, oh) = _delta_columns(wmap, F), _delta_columns(wmap, H)
+    out = _lag_pairing(wmap, f, h)
+    if f is F and h is H:
+        return out
+    return owner_sums(out, of, oh, (len(F), len(H)))
 
 
 def owner_sums(pairings, owners_f, owners_h, shape):
@@ -476,15 +500,6 @@ def owner_sums(pairings, owners_f, owners_h, shape):
     out = np.zeros(shape, dtype=np.complex128)
     np.add.at(out, (owners_f[:, None], owners_h[None, :]), pairings)
     return out
-
-
-def _delta_columns(sources):
-    """(profiles, components, owners) of the nonzero columns of dense sources
-    (m, N+1, D): column k is the time profile of sources[owners[k]] at
-    components[k], in owner then component order."""
-    sources = np.asarray(sources)
-    owners, comps = np.nonzero(np.any(sources != 0, axis=1))
-    return sources[owners, :, comps], comps, owners
 
 
 def _lag_tables(rows, profiles, n1):
@@ -503,16 +518,16 @@ def _lag_tables(rows, profiles, n1):
         yield inv(fwd(a, n=n) * spectra, n=n)[:, :n1]
 
 
-def _rows_by_profile(which, comps, d):
-    """Per distinct profile, the sorted components where it sits; and per
-    source, the position of its component in its profile's list."""
-    keys, pos = np.unique(which * d + comps, return_inverse=True)
-    rows = np.split(keys % d, np.flatnonzero(np.diff(keys // d)) + 1)
-    return rows, pos - np.searchsorted(keys, which * d)
+def _rows_by_profile(sources: DeltaSources, d):
+    """Per profile, the sorted components where it sits; and per source, the
+    position of its component in its profile's list."""
+    keys, pos = np.unique(sources.profile * d + sources.component, return_inverse=True)
+    rows = np.split(keys % d, np.searchsorted(keys, d * np.arange(1, len(sources.profiles))))
+    return rows, pos - np.searchsorted(keys, sources.profile * d)
 
 
-def _lag_pairing(wmap: WaveMapData, F, H, cf, ch):
-    """blago_bilinear for delta sources, from the L distinct time profiles.
+def _lag_pairing(wmap: WaveMapData, F: DeltaSources, H: DeltaSources):
+    """blago_bilinear for delta sources, from their time profiles.
 
     The response of a delta source p at component c is column-wise
     mu_c (K[:, :, c] * p - B_up p[0]) with K = folded_kernel(conv_a, conv_b,
@@ -537,12 +552,10 @@ def _lag_pairing(wmap: WaveMapData, F, H, cf, ch):
     grid = wmap.grid
     dt = grid.dt
     n1, n_half, d = len(grid), wmap.half_index, wmap.local.dim
-    cf, ch = np.asarray(cf), np.asarray(ch)
-    kept_f, lf = _distinct_rows(F)
-    kept_h, lh = _distinct_rows(H)
-    pf, ph = F[kept_f], H[kept_h]
-    rows_f, rf = _rows_by_profile(lf, cf, d)
-    rows_h, rh = _rows_by_profile(lh, ch, d)
+    pf, lf, cf = F.profiles, F.profile, F.component
+    ph, lh, ch = H.profiles, H.profile, H.component
+    rows_f, rf = _rows_by_profile(F, d)
+    rows_h, rh = _rows_by_profile(H, d)
     w = np.conj(timequad.quadratic_times_sampled_array(
         *_jstar_quadratic_coeffs(pf.T, dt, n_half), n1, dt).T)
     e = timequad.quadratic_times_sampled_array(*_jh_quadratic_coeffs(ph.T, dt, n_half),

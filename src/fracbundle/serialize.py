@@ -1,23 +1,13 @@
-"""JSON serialization with exact double round-trips.
+"""Array-to-list conversions for JSON payloads with exact double round-trips.
 
-Floats are written with Python's shortest round-trip repr, so dumping and
-re-loading reproduces every double bit-exactly.  Complex matrices are
-stored as row-major interleaved [re, im, re, im, ...] lists.
+json writes floats with Python's shortest round-trip repr, so dumping and
+re-loading a payload reproduces every double bit-exactly.  Complex matrices
+are stored as row-major interleaved [re, im, re, im, ...] lists.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
-
-
-def dumps(payload):
-    return json.dumps(payload, indent=1, sort_keys=True)
-
-
-def loads(text):
-    return json.loads(text)
 
 
 def complex_to_list(arr):

@@ -583,7 +583,8 @@ def test_no_recovered_profile_is_a_task_failure_with_its_measures(tmp_path, monk
     def nothing_recovered(wmap, rays, cfg):
         return reconstruction.DistanceProfileSet(
             region_vertices=wmap.local.vertices,
-            profiles=np.zeros((0, len(wmap.local.vertices))), provenance=[])
+            profiles=np.zeros((0, len(wmap.local.vertices))), provenance=[],
+            rays_skipped=0, lipschitz_dropped=0, duplicates_merged=0)
 
     monkeypatch.setattr(runner, "distance_family", nothing_recovered)
     cfg_path = write_config(tmp_path, tasks=["reconstruct_distances", "verify_spectral"])
@@ -641,9 +642,12 @@ def test_blago_engine_gram_is_the_dense_pairing_bit_for_bit():
     ok, measures, _, tables = runner._task_verify_blago(scene, cfg)
     assert ok
     dense = seeded_dense_sources(scene, cfg, 15)
-    columns = runner._seeded_pair_sources(scene, cfg, 15, np.random.default_rng(cfg.seed + 2))
-    for got, want in zip(columns, s2s._delta_columns(dense)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    got, got_owners = runner._seeded_pair_sources(scene, cfg, 15,
+                                                  np.random.default_rng(cfg.seed + 2))
+    want, want_owners = s2s._delta_columns(scene.wmap, dense)
+    for a, b in ((got.profiles, want.profiles), (got.profile, want.profile),
+                 (got.component, want.component), (got_owners, want_owners)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
     G = s2s.blago_bilinear(scene.wmap, dense, dense)
     header, rows = tables["blago_pairs"]
     assert len(rows) == 100
@@ -668,8 +672,8 @@ def test_blago_sources_stage_holds_no_dense_source_array():
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes
-    profiles, components, owners = columns
-    assert profiles.shape == (len(components), len(scene.grid)) and len(owners) <= 45
+    sources, owners = columns
+    assert sources.profiles.shape == (len(sources), len(scene.grid)) and len(owners) <= 45
 
 
 def run_with_capped_address_space(cfg_path, out_dir):

@@ -347,6 +347,15 @@ def cycle64_family():
     return wmap, fam
 
 
+def test_source_family_holds_one_profile_row_per_lead(cycle64_family):
+    # 560 probes share 35 bumps: the family holds those, not one row a probe
+    wmap, fam = cycle64_family
+    src = fam.sources
+    assert src.profiles.shape == (35, len(wmap.grid))
+    assert len(src) == len(fam) == 560
+    assert np.array_equal(src.profile, np.repeat(np.arange(35), 16))
+
+
 def test_family_gram_works_inside_its_output(cycle64_family):
     # the pairing writes each lag-table block into the (m, m) output, which
     # family_gram hermitizes in place: above its inputs it holds the output,
@@ -364,8 +373,7 @@ def test_family_gram_works_inside_its_output(cycle64_family):
 
 def test_family_gram_is_the_hermitized_pairing_bit_for_bit(cycle64_family):
     wmap, fam = cycle64_family
-    comps = fam.components()
-    G = blago_bilinear(wmap, fam.profiles, fam.profiles, components=(comps, comps))
+    G = blago_bilinear(wmap, fam.sources, fam.sources)
     gram = family_gram(wmap, fam)
     assert np.array_equal(gram, 0.5 * (G + G.conj().T))
     assert np.array_equal(gram, gram.conj().T)
@@ -887,7 +895,7 @@ def test_match_profiles_reports_ambiguity():
     got = DistanceProfileSet(
         region_vertices=(0, 1, 2),
         profiles=np.array([[0.02, 1.02, 2.02], [3.0, 2.0, 1.0]]),
-        provenance=[{}, {}],
+        provenance=[{}, {}], rays_skipped=0, lipschitz_dropped=0, duplicates_merged=0,
     )
     rep = match_profiles(got, oracle, rel_tol=0.15)
     assert rep["fraction"] == 1.0
@@ -898,7 +906,8 @@ def test_match_profiles_with_nothing_recovered_matches_nothing():
     from fracbundle.reconstruction import DistanceProfileSet
 
     got = DistanceProfileSet(region_vertices=(0, 1, 2), profiles=np.zeros((0, 3)),
-                             provenance=[])
+                             provenance=[], rays_skipped=0, lipschitz_dropped=0,
+                             duplicates_merged=0)
     rep = match_profiles(got, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]]), rel_tol=0.15)
     assert rep["fraction"] == 0.0
     assert not rep["matched"].any() and len(rep["matched"]) == 2
@@ -939,8 +948,10 @@ def test_source_family_is_lead_major():
     wmap = wave_map_assemble(op, Region(m, (0, 1, 2, 3)), TimeGrid(6.0, 120))
     leads, verts = [1.0, 1.5, 2.5], [3, 0, 2]
     fam = build_source_family(wmap, verts, leads, 1.0)
-    assert list(zip(fam.lead, fam.vertex, fam.fiber)) == list(
+    src = fam.sources
+    assert list(zip(fam.lead, fam.vertex, src.component % 2)) == list(
         itertools.product(leads, verts, range(2)))
-    for lead, prof in zip(fam.lead, fam.profiles):
+    assert np.array_equal(src.component // 2, fam.vertex)
+    for lead, prof in zip(fam.lead, src.profiles[src.profile]):
         want = reconstruction.bump_profile(wmap.grid.times, wmap.horizon - lead, 1.0)
         assert np.array_equal(prof, want)

@@ -1,6 +1,7 @@
 """Map data objects, time averaging, and the inner-product engine."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,7 @@ from fracbundle.propagators import (
 )
 from fracbundle.reconstruction import build_source_family, first_arrival_distance
 from fracbundle.s2s import (
+    DeltaSources,
     FracMapData,
     WaveMapData,
     _jh_quadratic_coeffs,
@@ -49,7 +51,7 @@ from fracbundle.s2s import (
     region_slices,
     wave_map_assemble,
 )
-from fracbundle.serialize import complex_from_list, complex_to_list, dumps, loads
+from fracbundle.serialize import complex_from_list, complex_to_list
 from fracbundle.timequad import (
     pl_times_sampled_array,
     quadratic_times_sampled_array,
@@ -317,9 +319,9 @@ def probe_scene():
     grid = TimeGrid(6.0, 240)
     wmap = wave_map_assemble(assemble(b), block, grid)
     fam = build_source_family(wmap, range(len(block)), [1.0, 1.5, 2.0], 1.0)
-    comps = fam.components()
+    src = fam.sources
     dense = np.zeros((len(fam), len(grid), wmap.local.dim))
-    dense[np.arange(len(fam)), :, comps] = fam.profiles
+    dense[np.arange(len(fam)), :, src.component] = src.profiles[src.profile]
     return wmap, fam, dense
 
 
@@ -365,25 +367,81 @@ def assert_pairs_like(got, want):
 
 def test_delta_source_paths_match_dense(probe_scene):
     wmap, fam, dense = probe_scene
-    comps = fam.components()
     assert len(fam) == 54
 
-    resp_delta = wmap.respond(fam.profiles, components=comps)
+    resp_delta = wmap.respond(fam.sources)
     resp_dense = wmap.respond(dense)
     assert np.max(np.abs(resp_delta - resp_dense)) <= 1e-12 * np.max(np.abs(resp_dense))
-    G_delta = blago_bilinear(wmap, fam.profiles, fam.profiles, components=(comps, comps))
+    G_delta = blago_bilinear(wmap, fam.sources, fam.sources)
     G_dense = blago_bilinear(wmap, dense, dense)
     assert np.max(np.abs(G_delta - G_dense)) <= 1e-12 * np.max(np.abs(G_dense))
     assert_pairs_like(G_delta, sampled_pairing(wmap, dense, dense))
+
+
+def test_dense_sources_pair_as_the_delta_sources_of_their_columns_bit_for_bit(probe_scene):
+    # the dense form is one rule on top of the delta form: its nonzero columns,
+    # each on a profile of its own, paired and summed per owning source
+    wmap = probe_scene[0]
+    dense = dense_sources(np.random.default_rng(3), wmap, True)
+    columns, owners = s2s._delta_columns(wmap, dense)
+    assert len(columns.profiles) == len(columns) == len(owners)
+    G = s2s.owner_sums(blago_bilinear(wmap, columns, columns), owners, owners, (4, 4))
+    assert np.array_equal(G, blago_bilinear(wmap, dense, dense))
+
+
+def test_a_dense_side_pairs_with_a_delta_side_as_both_dense(probe_scene):
+    # each side of the pairing takes either form on its own
+    wmap, fam, dense = probe_scene
+    want = blago_bilinear(wmap, dense, dense)
+    assert_pairs_like(blago_bilinear(wmap, dense, fam.sources), want)
+    assert_pairs_like(blago_bilinear(wmap, fam.sources, dense), want)
+
+
+@pytest.mark.parametrize("field, bad", [("component", -1), ("component", 18),
+                                        ("profile", -1), ("profile", 3)])
+def test_delta_source_indices_off_their_range_are_refused(probe_scene, field, bad):
+    # a component of -1 would read component D - 1 and a profile of -1 the
+    # last profile; the error names the bad value
+    wmap, fam = probe_scene[:2]
+    src = fam.sources
+    index = getattr(src, field).copy()
+    index[5] = bad
+    bent = dataclasses.replace(src, **{field: index})
+    for call in (lambda: wmap.respond(bent), lambda: wmap.respond(bent, rows=[3, 5]),
+                 lambda: blago_bilinear(wmap, bent, src), lambda: blago_bilinear(wmap, src, bent)):
+        with pytest.raises(OperatorError, match=f"{field} index {bad} is outside"):
+            call()
+
+
+@pytest.mark.parametrize("samples", [237, 245], ids=["short", "long"])
+def test_delta_source_profiles_of_another_length_are_refused(probe_scene, samples):
+    # the map has 241 time rows; a shorter profile paired as if zero-padded
+    # and respond(rows=) read either one, both silently
+    wmap, fam, dense = probe_scene
+    src = fam.sources
+    profiles = np.zeros((len(src.profiles), samples))
+    n = min(samples, len(wmap.grid))
+    profiles[:, :n] = src.profiles[:, :n]
+    bent = dataclasses.replace(src, profiles=profiles)
+    bent_dense = np.zeros((len(fam), samples, wmap.local.dim))
+    bent_dense[:, :n] = dense[:, :n]
+    for call in (lambda: wmap.respond(bent), lambda: wmap.respond(bent, rows=[3, 5]),
+                 lambda: blago_bilinear(wmap, bent, src), lambda: blago_bilinear(wmap, src, bent),
+                 lambda: blago_bilinear(wmap, bent_dense, dense),
+                 lambda: wmap.respond(bent_dense, rows=[3, 5])):
+        with pytest.raises(OperatorError, match=f"241 samples, not shape .*{samples}"):
+            call()
 
 
 def test_blago_bilinear_has_one_path(probe_scene, monkeypatch):
     # both forms pair lag tables of delta columns and build no response
     # series; a profile need not vanish at t = 0
     wmap, fam, dense = probe_scene
-    comps = fam.components()[:6]
-    profiles = fam.profiles[:6].copy()
+    comps = fam.sources.component[:6]
+    # each of the six sources on a profile of its own, one starting at 0.5
+    profiles = fam.sources.profiles[fam.sources.profile[:6]]
     profiles[2, 0] = 0.5
+    delta = DeltaSources(profiles, np.arange(6), comps)
     sources = dense[:6].copy()
     sources[2, 0, comps[2]] = 0.5
     want = sampled_pairing(wmap, sources, sources)
@@ -394,7 +452,7 @@ def test_blago_bilinear_has_one_path(probe_scene, monkeypatch):
     monkeypatch.setattr(WaveMapData, "respond", forbidden)
     monkeypatch.setattr(propagators, "mode_convolve", forbidden)
     monkeypatch.setattr(s2s, "mode_convolve", forbidden)
-    assert_pairs_like(blago_bilinear(wmap, profiles, profiles, components=(comps, comps)), want)
+    assert_pairs_like(blago_bilinear(wmap, delta, delta), want)
     assert_pairs_like(blago_bilinear(wmap, sources, sources), want)
 
 
@@ -418,12 +476,12 @@ def delta_family(rng, wmap, count, n_profiles, complex_amplitudes):
         if complex_amplitudes:
             prof = prof * (rng.standard_normal() + 1j * rng.standard_normal())
         profiles.append(prof)
+    profiles = np.asarray(profiles)
     which = rng.integers(0, n_profiles, count)
     comps = rng.integers(0, wmap.local.dim, count)
-    sources = np.asarray(profiles)[which]
-    dense = np.zeros((count, len(times), wmap.local.dim), dtype=sources.dtype)
-    dense[np.arange(count), :, comps] = sources
-    return sources, comps, dense
+    dense = np.zeros((count, len(times), wmap.local.dim), dtype=profiles.dtype)
+    dense[np.arange(count), :, comps] = profiles[which]
+    return DeltaSources(profiles, which, comps), dense
 
 
 def dense_sources(rng, wmap, complex_amplitudes):
@@ -464,12 +522,11 @@ def test_lag_pairing_matches_dense_sources(torus, rank, complex_f, complex_h, se
         U = arc_region(m, int(rng.integers(0, n)), int(rng.integers(2, n + 1)))
     b = build_bundle(m, rank, connection="random", potential="random_positive", seed=seed)
     wmap = wave_map_assemble(assemble(b), U, TimeGrid(4.0, 128))
-    F, cf, delta_f = delta_family(rng, wmap, int(rng.integers(1, 9)), int(rng.integers(1, 4)),
-                                  complex_f)
-    H, ch, delta_h = delta_family(rng, wmap, int(rng.integers(1, 9)), int(rng.integers(1, 4)),
-                                  complex_h)
-    assert_pairs_like(blago_bilinear(wmap, F, H, components=(cf, ch)),
-                      sampled_pairing(wmap, delta_f, delta_h))
+    F, delta_f = delta_family(rng, wmap, int(rng.integers(1, 9)), int(rng.integers(1, 4)),
+                              complex_f)
+    H, delta_h = delta_family(rng, wmap, int(rng.integers(1, 9)), int(rng.integers(1, 4)),
+                              complex_h)
+    assert_pairs_like(blago_bilinear(wmap, F, H), sampled_pairing(wmap, delta_f, delta_h))
     dense_f = np.concatenate([delta_f, dense_sources(rng, wmap, complex_f)])
     dense_h = np.concatenate([dense_sources(rng, wmap, complex_h), delta_h])
     G = blago_bilinear(wmap, dense_f, dense_h)
@@ -480,15 +537,18 @@ def test_lag_pairing_matches_dense_sources(torus, rank, complex_f, complex_h, se
 
 def test_pairing_with_an_empty_side_is_an_empty_matrix(probe_scene):
     wmap, fam, dense = probe_scene
-    profiles, comps = fam.profiles, fam.components()
+    src = fam.sources
+
+    def first(m):
+        return DeltaSources(src.profiles, src.profile[:m], src.component[:m])
+
     for mf, mh in ((0, 3), (3, 0), (0, 0)):
-        delta = blago_bilinear(wmap, profiles[:mf], profiles[:mh],
-                               components=(comps[:mf], comps[:mh]))
+        delta = blago_bilinear(wmap, first(mf), first(mh))
         full = blago_bilinear(wmap, dense[:mf], dense[:mh])
         for G in (delta, full):
             assert G.shape == (mf, mh) and G.dtype == np.complex128
     # the rows-only responses of no delta source
-    none = wmap.respond(profiles[:0], components=comps[:0], rows=[3, 5])
+    none = wmap.respond(first(0), rows=[3, 5])
     assert none.shape == (0, 2, wmap.local.dim)
 
 
@@ -497,14 +557,15 @@ def test_pairing_at_a_few_components_folds_only_their_rows(probe_scene):
     # folds only those and never holds a whole (N+1, D, D) stack
     wmap, fam, dense = probe_scene
     pick = [0, 20, 40]
-    profiles, comps = fam.profiles[pick], fam.components()[pick]
-    assert len(set(comps.tolist())) == 3 < wmap.local.dim
+    src = fam.sources
+    delta = DeltaSources(src.profiles, src.profile[pick], src.component[pick])
+    assert len(set(delta.component.tolist())) == 3 < wmap.local.dim
     want = sampled_pairing(wmap, dense[pick], dense[pick])
-    for args in ((profiles, profiles, (comps, comps)), (dense[pick], dense[pick], None)):
+    for side in (delta, dense[pick]):
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            G = blago_bilinear(wmap, *args)
+            G = blago_bilinear(wmap, side, side)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -514,15 +575,14 @@ def test_pairing_at_a_few_components_folds_only_their_rows(probe_scene):
 
 def test_respond_rows_match_full_series(probe_scene):
     wmap, fam, dense = probe_scene
-    comps = fam.components()
     n = wmap.grid.n_steps
     rows = [0, 1, n // 2 - 2, n // 2, n // 2 + 2, n]
     rng = np.random.default_rng(8)
     # a dense source that is nonzero at t = 0 exercises the A[j] src[0] term
     noise = rng.standard_normal(dense[:3].shape) + 1j * rng.standard_normal(dense[:3].shape)
-    for sources, kw in ((fam.profiles, {"components": comps}), (dense, {}), (noise, {})):
-        full = wmap.respond(sources, **kw)
-        at_rows = wmap.respond(sources, rows=rows, **kw)
+    for sources in (fam.sources, dense, noise):
+        full = wmap.respond(sources)
+        at_rows = wmap.respond(sources, rows=rows)
         assert at_rows.shape == (len(sources), len(rows), wmap.local.dim)
         assert np.all(at_rows[:, 0] == 0.0)
         assert np.max(np.abs(at_rows - full[:, rows])) <= 1e-13 * np.max(np.abs(full))
@@ -534,23 +594,24 @@ def test_respond_refuses_rows_off_the_grid(rows):
     m, b, op = cycle_scene(8, 8.0)
     wmap = wave_map_assemble(op, arc_region(m, 0, 3), TimeGrid(2.0, 16))
     with pytest.raises(OperatorError, match=r"0\.\.16"):
-        wmap.respond(np.ones((1, 17)), components=np.array([1]), rows=rows)
+        wmap.respond(DeltaSources(np.ones((1, 17)), np.array([0]), np.array([1])), rows=rows)
 
 
 def test_complex_profiles_respond_at_rows_as_in_the_full_series(probe_scene):
     # complex profiles combine the packed blocks with complex coefficients:
     # their real and imaginary parts are unpacked apart
     wmap, fam, dense = probe_scene
-    comps = fam.components()
+    src = fam.sources
     rng = np.random.default_rng(12)
-    profiles = fam.profiles.astype(complex)
+    profiles = src.profiles[src.profile].astype(complex)
     profiles[::3] *= 0.6 - 0.8j
     # a shared complex ramp that is nonzero at t = 0
     profiles[1::3] += (0.2 - 0.5j) * rng.standard_normal(profiles.shape[1])
+    sources = DeltaSources(profiles, np.arange(len(profiles)), src.component)
     n = wmap.grid.n_steps
     rows = [0, 1, n // 2 - 2, n // 2, n]
-    full = wmap.respond(profiles, components=comps)
-    at_rows = wmap.respond(profiles, components=comps, rows=rows)
+    full = wmap.respond(sources)
+    at_rows = wmap.respond(sources, rows=rows)
     assert np.max(np.abs(at_rows - full[:, rows])) <= 1e-13 * np.max(np.abs(full))
 
 
@@ -841,7 +902,7 @@ def test_wave_map_round_trip(wave_scene):
     # survive a dump/load cycle bit-exactly, and reconstruction operations
     # must run identically from the deserialized object
     m, b, op, U, grid, wmap = wave_scene
-    payload = loads(dumps(wmap.to_payload()))
+    payload = json.loads(json.dumps(wmap.to_payload(), indent=1, sort_keys=True))
     back = WaveMapData.from_payload(payload)
     assert np.array_equal(back.kernel, wmap.kernel)
     assert np.array_equal(back.conv_a, wmap.conv_a)
@@ -868,7 +929,7 @@ def test_wave_map_payload_refuses_a_block_that_is_not_hermitian(wave_scene):
     # packing would drop the anti-Hermitian part silently
     wmap = wave_scene[-1]
     d = wmap.local.dim
-    payload = loads(dumps(wmap.to_payload()))
+    payload = json.loads(json.dumps(wmap.to_payload(), indent=1, sort_keys=True))
     block = complex_from_list(payload["conv_b"][7], (d, d))
     block[1, 3] += 1e-9 * np.max(np.abs(block))
     payload["conv_b"][7] = complex_to_list(block)
@@ -884,7 +945,8 @@ def test_frac_map_round_trip():
     m, b, op = cycle_scene(10, 10.0, rank=2, connection="random", seed=9)
     U = arc_region(m, 2, 4)
     fmap = frac_map_assemble(op, U, 0.6)
-    back = FracMapData.from_payload(loads(dumps(fmap.to_payload())))
+    back = FracMapData.from_payload(json.loads(json.dumps(fmap.to_payload(), indent=1,
+                                                          sort_keys=True)))
     assert np.array_equal(back.block, fmap.block)
     assert back.local.rank == 2
 
