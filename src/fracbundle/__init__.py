@@ -39,12 +39,12 @@ from .s2s import (
 )
 from .reconstruction import (
     ProbeConfig,
+    ProbeEngine,
     SourceFamily,
     DistanceProfileSet,
     RayPlan,
     ChartOperator,
     build_source_family,
-    probe_engine,
     first_arrival_distance,
     first_arrival_matrix,
     cut_time_estimate,

@@ -20,10 +20,6 @@ class OperatorError(FracBundleError):
 class QuadratureError(FracBundleError):
     """Numerical quadrature failed to reach the configured tolerance."""
 
-    def __init__(self, message, achieved):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class DataBoundaryError(FracBundleError):
     """A reconstruction input would leak non-local operator information."""

@@ -485,9 +485,7 @@ def fractional_inverse_quadrature(op: SpectralOperator, s, u):
     err = float(np.max(np.abs(vals - vals_fine) / np.abs(vals_fine)))
     if err > GAMMA_TOL:
         raise QuadratureError(
-            f"Gamma quadrature did not converge: estimated error {err:.3e} > {GAMMA_TOL:.0e}",
-            achieved=err,
-        )
+            f"Gamma quadrature did not converge: estimated error {err:.3e} > {GAMMA_TOL:.0e}")
     full = np.zeros(op.dim)
     full[~mask] = vals
     return op.synthesize(full * op.coefficients(u))

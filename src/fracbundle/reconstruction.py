@@ -172,9 +172,12 @@ def prefix_residuals(gram, span_idx, target_idx, reg):
 
 
 class ProbeEngine:
-    """Master probe family plus its Gram for containment sweeps."""
+    """Master probe family plus its Gram for containment sweeps, on the map
+    data it was built from.  Every sweep of a distance recovery reads one
+    engine, which its caller builds once and passes on."""
 
     def __init__(self, wmap: WaveMapData, cfg: ProbeConfig):
+        self.wmap = wmap
         self.cfg = cfg
         max_lead = wmap.horizon - 8 * wmap.grid.dt
         n_leads = int(np.floor((max_lead - cfg.width) / cfg.lead_step)) + 1
@@ -248,16 +251,6 @@ class ProbeEngine:
         if len(t_idx) == 0:
             raise ReconstructionError("target box has no probes; enlarge tau_x")
         return self.max_residual(t_idx, s_idx) < CONTAINMENT_TOL
-
-
-def probe_engine(wmap: WaveMapData, cfg: ProbeConfig) -> ProbeEngine:
-    """Engine factory with caching on the map object."""
-    key = ("probe_engine", cfg)
-    eng = wmap.meta.get(key)
-    if eng is None:
-        eng = ProbeEngine(wmap, cfg)
-        wmap.meta[key] = eng
-    return eng
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +365,7 @@ def _cut_time_curve(eng, x, y, s, r_grid, eps):
     return curve
 
 
-def cut_time_estimate(wmap, x, y, s, r_grid, cfg: ProbeConfig):
+def cut_time_estimate(eng: ProbeEngine, x, y, s, r_grid):
     """Smallest radius at which ball(y, r - s + eps) fits inside ball(x, r).
 
     Sweeps the given radii with a mesh-scale shell witness; the verdict
@@ -380,18 +373,18 @@ def cut_time_estimate(wmap, x, y, s, r_grid, cfg: ProbeConfig):
     its acceptance floor.  Returns the midpoint convention (first accepted
     minus half a step), or +inf when nothing is accepted.
     """
-    eng = probe_engine(wmap, cfg)
     r_grid = _sweep_radii(r_grid)
-    return _sweep_radius(r_grid, _cut_time_curve(eng, x, y, s, r_grid, _shell_width(wmap)))
+    return _sweep_radius(r_grid, _cut_time_curve(eng, x, y, s, r_grid, _shell_width(eng.wmap)))
 
 
-def ray_cut_time(wmap, x, y, cfg: ProbeConfig):
+def ray_cut_time(eng: ProbeEngine, x, y):
     """(s, cut time) of the ray from x through y: s is the first arrival at y;
     the sweep steps h/2 from s + delta + h/2 below T - delta, h mesh_length."""
+    wmap, cfg = eng.wmap, eng.cfg
     s = first_arrival_distance(wmap, x, y, cfg.eta)
     step = mesh_length(wmap) / 2
     sweep = np.arange(s + cfg.delta + step, wmap.horizon - cfg.delta, step)
-    return s, cut_time_estimate(wmap, x, y, s, sweep, cfg)
+    return s, cut_time_estimate(eng, x, y, s, sweep)
 
 
 def _exterior_curve(eng, x_span, t_idx, z, r_grid):
@@ -409,7 +402,7 @@ def _exterior_curve(eng, x_span, t_idx, z, r_grid):
     return np.max(res[len(x_span) + eng.box_sizes(z_new, r_grid)], axis=1)
 
 
-def exterior_distance(wmap, x, y, s, r_prime, z, r_grid, cfg: ProbeConfig):
+def exterior_distance(eng: ProbeEngine, x, y, s, r_prime, z, r_grid):
     """Distance from the ray point at parameter r_prime (through x toward y)
     to the region vertex z, via the two-ball containment sweep.
 
@@ -418,11 +411,10 @@ def exterior_distance(wmap, x, y, s, r_prime, z, r_grid, cfg: ProbeConfig):
     the mesh-scale shell witness (half a shell plus half a sweep step of
     systematic overshoot).
     """
-    eng = probe_engine(wmap, cfg)
     r_grid = _sweep_radii(r_grid)
-    eps = _shell_width(wmap)
+    eps = _shell_width(eng.wmap)
     tau_target = r_prime - s + eps
-    if tau_target <= cfg.delta:
+    if tau_target <= eng.cfg.delta:
         raise ReconstructionError("target ball too small for the probe delta")
     t_idx = eng.box_indices(y, tau_target)
     if len(t_idx) == 0:
@@ -459,8 +451,8 @@ class RayPlan:
     r_values: tuple
 
 
-def distance_family(wmap, rays, cfg: ProbeConfig):
-    """Recover the family of distance profiles d(p, .)|_U from map data.
+def distance_family(eng: ProbeEngine, rays):
+    """Recover the family of distance profiles d(p, .)|_U from the engine's map data.
 
     Region points contribute their first-arrival rows; exterior points come
     from the ray sweeps, in steps of half a mesh length.  Profiles violating
@@ -474,6 +466,7 @@ def distance_family(wmap, rays, cfg: ProbeConfig):
     the Lipschitz bound against the vertices before it (lipschitz_dropped);
     the sweeps after that vertex are never run.
     """
+    wmap, cfg = eng.wmap, eng.cfg
     n = wmap.local.size
     h = mesh_length(wmap)
     slack = 0.35
@@ -501,13 +494,13 @@ def distance_family(wmap, rays, cfg: ProbeConfig):
         if not (full[ray.x] and full[ray.y]):
             rays_skipped += 1
             continue
-        s, tstar = ray_cut_time(wmap, ray.x, ray.y, cfg)
+        s, tstar = ray_cut_time(eng, ray.x, ray.y)
         for r_prime in ray.r_values:
             if r_prime >= min(CUT_MARGIN * tstar, diam_cap):
                 continue
             prof = np.empty(n)
             for z in range(n):
-                prof[z] = exterior_distance(wmap, ray.x, ray.y, s, r_prime, z, rg, cfg)
+                prof[z] = exterior_distance(eng, ray.x, ray.y, s, r_prime, z, rg)
                 if not np.isfinite(prof[z]):
                     break
                 if not lipschitz_at(prof, z):

@@ -42,6 +42,7 @@ from .propagators import (
 )
 from .reconstruction import (
     ProbeConfig,
+    ProbeEngine,
     RayPlan,
     bump_profile,
     distance_family,
@@ -163,6 +164,13 @@ class _Scene:
 # ---------------------------------------------------------------------------
 # tasks
 
+# gates of the library's own arithmetic, not config tolerances; a task lists
+# them in its report tolerances beside the configured ones
+HERMITICITY_TOL = 1e-10
+ORTHONORMALITY_TOL = 1e-10
+PRINTED_QUADRATURE_TOL = 1e-8
+
+
 def _task_verify_spectral(scene, cfg):
     rng = np.random.default_rng(cfg.seed)
     op = scene.op
@@ -181,12 +189,10 @@ def _task_verify_spectral(scene, cfg):
         herm.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
     # every gated maximum is np.max, which a NaN wins; Python's max drops a
     # NaN that does not come first
-    herm = float(np.max(herm))
-    measures["hermiticity_residual"] = herm
+    measures["hermiticity_residual"] = float(np.max(herm))
     mu = np.repeat(scene.manifold.volumes, b.rank)
-    gram_dev = float(np.max(np.abs(
+    measures["eigensection_orthonormality"] = float(np.max(np.abs(
         op.eigensections.conj().T @ (mu[:, None] * op.eigensections) - np.eye(op.dim))))
-    measures["eigensection_orthonormality"] = gram_dev
     # fractional round trip and the Gamma route
     proj = kernel_projector(op)
     rt_devs, gamma_devs = [], []
@@ -220,12 +226,10 @@ def _task_verify_spectral(scene, cfg):
         "gamma_route": cfg.tolerances["gamma_route"],
         "energy_drift": cfg.tolerances["energy_drift"],
         "semigroup": cfg.tolerances["semigroup"],
+        "hermiticity_residual": HERMITICITY_TOL,
+        "eigensection_orthonormality": ORTHONORMALITY_TOL,
     }
-    ok = (all(measures[k] < tol for k, tol in checks.items())
-          and op.is_nonnegative() and herm < 1e-10 and gram_dev < 1e-10)
-    if not op.is_nonnegative():
-        measures["nonnegative"] = False
-    return ok, measures, checks, tables
+    return all(measures[k] < tol for k, tol in checks.items()), measures, checks, tables
 
 
 def _task_verify_transmutation(scene, cfg):
@@ -239,16 +243,15 @@ def _task_verify_transmutation(scene, cfg):
         errs.append(np.max(err))
         for k in range(len(E)):
             rows.append([t, k, float(Q[k]), float(E[k]), float(err[k])])
-    worst = float(np.max(errs, initial=0.0))
-    measures["transmutation_gaussian"] = worst
+    measures["transmutation_gaussian"] = float(np.max(errs, initial=0.0))
     u = scene.random_sections(1, rng)[0]
     printed_res, quad_err = transmutation_printed_residual(op, 0.5, u)
     measures["printed_form_residual"] = printed_res  # logged, not gated
     measures["printed_form_quadrature_error"] = quad_err
     tables["transmutation"] = (["t", "mode", "quadrature", "exact", "mixed_error"], rows)
-    checks = {"transmutation_gaussian": cfg.tolerances["transmutation_gaussian"]}
-    ok = worst < checks["transmutation_gaussian"] and quad_err < 1e-8
-    return ok, measures, checks, tables
+    checks = {"transmutation_gaussian": cfg.tolerances["transmutation_gaussian"],
+              "printed_form_quadrature_error": PRINTED_QUADRATURE_TOL}
+    return all(measures[k] < tol for k, tol in checks.items()), measures, checks, tables
 
 
 def _seeded_pair_sources(scene, cfg, count, rng):
@@ -435,7 +438,9 @@ def _task_reconstruct_distances(scene, cfg):
     interior = _interior_vertices(scene)
     x = interior[len(interior) // 2] if interior else 0
     y = min(wmap.local.neighbors(x))
-    _, tstar = ray_cut_time(wmap, x, y, pcfg)
+    # every sweep of the task reads this one engine
+    eng = ProbeEngine(wmap, pcfg)
+    _, tstar = ray_cut_time(eng, x, y)
     measures["cut_time"] = float(tstar)
     # the ray follows one lattice axis: its cut sits at half that axis length
     ids, _ = wmap.local.edge_index([(x, y)])
@@ -450,7 +455,7 @@ def _task_reconstruct_distances(scene, cfg):
                            [[x, y, float(tstar), float(oracle_cut)]])
     # the profile family
     rays = _auto_rays(scene, cfg, pcfg)
-    fam = distance_family(wmap, rays, pcfg)
+    fam = distance_family(eng, rays)
     oracle_profiles = dist[:, list(region.vertices)]
     rep = match_profiles(fam, oracle_profiles, rel_tol=cfg.tolerances["profile_match_rel"])
     measures["profile_match_fraction"] = rep["fraction"]

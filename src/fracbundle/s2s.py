@@ -22,7 +22,7 @@ blocks is formed packed, by one real product, and unpacked afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -255,12 +255,17 @@ def _delta_columns(wmap, sources):
     DeltaSources is itself, source k its own owner.  Dense (m, N+1, D) sources
     are their nonzero columns, each on a profile of its own, in owner then
     component order: column k is the time profile of sources[owners[k]] at its
-    component.  Profiles that are not N+1 samples long and indices off their
-    range are an OperatorError."""
+    component.  A dense batch of another shape, profiles that are not N+1
+    samples long and indices off their range are an OperatorError."""
     if isinstance(sources, DeltaSources):
         delta, owners = sources, np.arange(len(sources))
     else:
         sources = np.asarray(sources)
+        n1, d = len(wmap.grid), wmap.local.dim
+        if sources.ndim != 3 or sources.shape[1:] != (n1, d):
+            raise OperatorError(f"dense sources must have shape (m, {n1}, {d}), the region's "
+                                f"{d} components at the map's {n1} samples, not shape "
+                                f"{sources.shape}")
         owners, comps = np.nonzero(np.any(sources != 0, axis=1))
         delta = DeltaSources(sources[owners, :, comps], np.arange(len(owners)), comps)
     if np.shape(delta.profiles)[1:] != (len(wmap.grid),):
@@ -297,7 +302,6 @@ class WaveMapData:
     kernel: np.ndarray
     conv_a: np.ndarray
     conv_b: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         n = self.grid.n_steps

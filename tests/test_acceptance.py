@@ -38,6 +38,7 @@ from fracbundle.propagators import (
 )
 from fracbundle.reconstruction import (
     ProbeConfig,
+    ProbeEngine,
     RayPlan,
     bump_profile,
     cut_time_estimate,
@@ -226,13 +227,14 @@ def test_acceptance_6_distance_reconstruction(cycle64_wave):
     # cut time
     s = first_arrival_distance(wmap, 8, 9, cfg.eta)
     sweep = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
-    tstar = cut_time_estimate(wmap, 8, 9, s, sweep, cfg)
+    eng = ProbeEngine(wmap, cfg)
+    tstar = cut_time_estimate(eng, 8, 9, s, sweep)
     cut_rel = abs(tstar - np.pi) / np.pi
     # exterior profiles
     rays = []
     for x, d in ((3, 1), (3, -1), (8, 1), (8, -1), (12, 1), (12, -1), (13, 1), (2, -1)):
         rays.append(RayPlan(x=x, y=x + d, r_values=tuple(np.arange(2 * h, 29.8 * h, h))))
-    fam = distance_family(wmap, rays, cfg)
+    fam = distance_family(eng, rays)
     oracle = dist[:, list(U.vertices)]
     rep = match_profiles(fam, oracle, rel_tol=0.15)
     elapsed = time.time() - t0

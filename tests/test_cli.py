@@ -124,6 +124,66 @@ def test_run_experiment_tolerance_failure_is_data():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("task, constant, gate", [
+    ("verify_spectral", "HERMITICITY_TOL", "hermiticity_residual"),
+    ("verify_spectral", "ORTHONORMALITY_TOL", "eigensection_orthonormality"),
+    ("verify_transmutation", "PRINTED_QUADRATURE_TOL", "printed_form_quadrature_error"),
+])
+def test_every_gate_of_a_task_is_in_its_report_tolerances(tmp_path, monkeypatch, task,
+                                                         constant, gate):
+    # a gate that is not a config tolerance still decides the status, so a
+    # fail names it: at tolerance 0 it is the one tolerance the task misses
+    monkeypatch.setattr(runner, constant, 0.0)
+    cfg_path = write_config(tmp_path, tasks=[task])
+    report, code = runner.run_from_file(cfg_path, out_dir=str(tmp_path / "out"))
+    result = report.tasks[0]
+    assert result.status == "fail" and code == 1
+    assert result.tolerances[gate] == 0.0
+    assert [k for k, tol in result.tolerances.items() if not result.measures[k] < tol] == [gate]
+    written = strict_report(tmp_path / "out")["tasks"][0]["tolerances"]
+    assert written[gate] == 0.0
+
+
+def test_a_negative_operator_is_a_spectral_task_error():
+    # fractional calculus refuses the operator before any gate is read
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["bundle"].update(potential="random_hermitian", potential_scale=50.0, seed=3)
+    raw["tasks"] = ["verify_spectral"]
+    task = run_experiment(parse_config(raw)).tasks[0]
+    assert task.status == "error"
+    assert task.message == ("fractional calculus requires a nonnegative operator; "
+                            "min eigenvalue -8.927803e+01")
+    assert task.measures == {}
+
+
+def test_distances_task_builds_one_probe_engine(monkeypatch):
+    # every sweep of the task reads the engine the runner built
+    built, swept = [], []
+    init = reconstruction.ProbeEngine.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def recorded(name):
+        fn = getattr(runner, name)
+
+        def wrapper(eng, *args):
+            swept.append(eng)
+            return fn(eng, *args)
+        return wrapper
+
+    monkeypatch.setattr(reconstruction.ProbeEngine, "__init__", counted)
+    for name in ("ray_cut_time", "distance_family"):
+        monkeypatch.setattr(runner, name, recorded(name))
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["tasks"] = ["reconstruct_distances"]
+    task = run_experiment(parse_config(raw)).tasks[0]
+    assert task.status != "error" and task.measures["profiles_recovered"] > 0
+    assert len(built) == 1
+    assert len(swept) == 2 and all(eng is built[0] for eng in swept)
+
+
 def test_reconstruct_operator_reports_ls_condition():
     raw = {
         "manifold": {"kind": "cycle", "count": 20, "length": 20.0},
@@ -580,7 +640,8 @@ def test_nan_probe_gram_is_a_task_error_and_later_tasks_run(tmp_path, monkeypatc
 
 
 def test_no_recovered_profile_is_a_task_failure_with_its_measures(tmp_path, monkeypatch):
-    def nothing_recovered(wmap, rays, cfg):
+    def nothing_recovered(eng, rays):
+        wmap = eng.wmap
         return reconstruction.DistanceProfileSet(
             region_vertices=wmap.local.vertices,
             profiles=np.zeros((0, len(wmap.local.vertices))), provenance=[],

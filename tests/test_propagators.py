@@ -7,7 +7,7 @@ import pytest
 
 from fracbundle import modefun, propagators
 from fracbundle.bundle import HermitianBundle, build_bundle, l2_inner, l2_norm
-from fracbundle.errors import OperatorError
+from fracbundle.errors import OperatorError, QuadratureError
 from fracbundle.manifold import build_manifold
 from fracbundle.operator import apply_function, assemble, kernel_projector
 from fracbundle.propagators import (
@@ -547,6 +547,16 @@ def test_gamma_quadrature_single_modes():
     got = fractional_inverse_quadrature(op, 0.5, sec)
     scale = complex(l2_inner(op.bundle, sec, got) / l2_inner(op.bundle, sec, sec))
     assert scale == pytest.approx(0.5, rel=1e-6)
+
+
+def test_gamma_quadrature_past_its_tolerance_is_a_quadrature_error(monkeypatch):
+    # the node-doubling estimate of a converged route still misses a tolerance
+    # of 1e-300; the message carries the estimate
+    monkeypatch.setattr(propagators, "GAMMA_TOL", 1e-300)
+    op = cycle_op(8)
+    sec = op.to_section(op.eigensections[:, 1])
+    with pytest.raises(QuadratureError, match=r"did not converge: estimated error \d\.\d{3}e[-+]\d+ > 1e-300"):
+        fractional_inverse_quadrature(op, 0.5, sec)
 
 
 def test_gamma_route_matches_spectral_all_orders():

@@ -1,6 +1,7 @@
 """Inverse pipeline: containments, distances, operator recovery."""
 
 import ast
+import dataclasses
 import itertools
 import tracemalloc
 from pathlib import Path
@@ -35,7 +36,6 @@ from fracbundle.reconstruction import (
     gauge_invariant_compare,
     match_profiles,
     prefix_residuals,
-    probe_engine,
     recover_local_operator,
 )
 from fracbundle.reference import chart_operator_from_bundle
@@ -75,11 +75,24 @@ def cycle32_scene():
 
 
 @pytest.fixture(scope="module")
+def cycle32_engine(cycle32_scene):
+    """The probe engine of cycle32_scene's map, shared as the map is."""
+    m, b, op, U, wmap, cfg, h = cycle32_scene
+    return ProbeEngine(wmap, cfg)
+
+
+@pytest.fixture(scope="module")
 def complex_cycle32_scene():
     """The cycle32_scene geometry with a random connection and a random
     positive potential: a complex line bundle, so the probe Gram is complex."""
     return cycle32(build_bundle(cycle32_manifold(), 1, connection="random",
                                 potential="random_positive", seed=7))
+
+
+@pytest.fixture(scope="module")
+def complex_cycle32_engine(complex_cycle32_scene):
+    m, b, op, U, wmap, cfg, h = complex_cycle32_scene
+    return ProbeEngine(wmap, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -182,22 +195,22 @@ def test_projection_residual_far_target(cycle32_scene):
 
 # -- containment ---------------------------------------------------------------
 
-def test_containment_nested_balls_true(cycle32_scene):
-    m, b, op, U, wmap, cfg, h = cycle32_scene
-    assert probe_engine(wmap, cfg).containment(5, 4 * h, 5, 5 * h)
+def test_containment_nested_balls_true(cycle32_scene, cycle32_engine):
+    h = cycle32_scene[-1]
+    assert cycle32_engine.containment(5, 4 * h, 5, 5 * h)
 
 
-def test_containment_tiny_union_false(cycle32_scene):
-    m, b, op, U, wmap, cfg, h = cycle32_scene
+def test_containment_tiny_union_false(cycle32_scene, cycle32_engine):
+    h = cycle32_scene[-1]
     # B(5, 8h) reaches beyond the union of two barely-positive balls
-    assert not probe_engine(wmap, cfg).containment(5, 8 * h, 5, 2 * h, 3, 2 * h)
+    assert not cycle32_engine.containment(5, 8 * h, 5, 2 * h, 3, 2 * h)
 
 
-def test_containment_monotone_in_union_radius(cycle32_scene):
+def test_containment_monotone_in_union_radius(cycle32_scene, cycle32_engine):
     # no true -> false flip when the union ball is enlarged (verdict level;
     # raw residuals share a quadrature floor where tiny wiggles are legal)
-    m, b, op, U, wmap, cfg, h = cycle32_scene
-    eng = probe_engine(wmap, cfg)
+    h = cycle32_scene[-1]
+    eng = cycle32_engine
     tau_x = 6 * h
     seen_true = False
     prev_res = None
@@ -262,8 +275,9 @@ def test_prefix_residuals_match_per_prefix_solves(data):
     assert np.array_equal(G_ind, G_ind_in)
 
 
-def sweep_curves(eng, wmap, cfg, h, s):
+def sweep_curves(eng, h, s):
     """Exterior and cut-time curves at x, y, z = 4, 5, 0, the sweeps checked below."""
+    wmap, cfg = eng.wmap, eng.cfg
     eps = _shell_width(wmap)
     x, y, z = 4, 5, 0
     r_prime = 8 * h
@@ -282,14 +296,19 @@ def gauged_cycle32(cycle32_scene):
     return wave_map_assemble(assemble(apply_gauge(b, gauge)), U, wmap.grid)
 
 
-def test_probe_boxes_come_in_lead_order(cycle32_scene, gauged_cycle32):
+@pytest.fixture(scope="module")
+def gauged_cycle32_engine(cycle32_scene, gauged_cycle32):
+    return ProbeEngine(gauged_cycle32, cycle32_scene[5])
+
+
+def test_probe_boxes_come_in_lead_order(cycle32_scene, cycle32_engine, gauged_cycle32_engine):
     # the sweeps read a smaller box as a leading block of a larger one, with
     # no sort: the family is lead-major and select returns ascending indices.
     # A box is a slice of its center's ball table, cut exactly where select
     # cuts, also at radii on a lead and within 1e-13 of it
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    for data in (wmap, gauged_cycle32):
-        eng = probe_engine(data, cfg)
+    for eng in (cycle32_engine, gauged_cycle32_engine):
+        data = eng.wmap
         fam = eng.family
         assert np.all(np.diff(fam.lead) >= 0)
         for x in range(data.local.size):
@@ -303,7 +322,7 @@ def test_probe_boxes_come_in_lead_order(cycle32_scene, gauged_cycle32):
                 for radius in (cfg.delta + lead - 1e-13, cfg.delta + lead, cfg.delta + lead + 1e-13):
                     assert np.array_equal(eng.box_indices(x, radius),
                                           fam.select(ball, radius - cfg.delta))
-    assert probe_engine(gauged_cycle32, cfg).gram.dtype == np.complex128
+    assert gauged_cycle32_engine.gram.dtype == np.complex128
 
 
 def test_probe_engine_builds_no_probe_responses(cycle32_scene, monkeypatch):
@@ -315,7 +334,7 @@ def test_probe_engine_builds_no_probe_responses(cycle32_scene, monkeypatch):
     monkeypatch.setattr(WaveMapData, "respond", forbidden)
     monkeypatch.setattr(propagators, "mode_convolve", forbidden)
     monkeypatch.setattr(s2s, "mode_convolve", forbidden)
-    eng = ProbeEngine(wmap, cfg)  # a fresh engine, not the one cached on wmap
+    eng = ProbeEngine(wmap, cfg)  # a fresh engine, built under the patches
     assert eng.gram.shape == (len(eng.family), len(eng.family))
 
 
@@ -379,24 +398,23 @@ def test_family_gram_is_the_hermitized_pairing_bit_for_bit(cycle64_family):
     assert np.array_equal(gram, gram.conj().T)
 
 
-def test_probe_engine_gram_real_exactly_when_data_real(cycle32_scene, gauged_cycle32):
+def test_probe_engine_gram_real_exactly_when_data_real(cycle32_scene, cycle32_engine,
+                                                       gauged_cycle32_engine):
     # the trivial bundle gives exactly real map data and a float64 Gram; a
     # random gauge makes the data complex, and the complex engine must give
     # the same sweeps (the gauge is a diagonal unitary congruence of the Gram)
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    eng = probe_engine(wmap, cfg)
+    eng = cycle32_engine
     assert eng.gram.dtype == np.float64
-    wmap_g = gauged_cycle32
-    eng_g = probe_engine(wmap_g, cfg)
+    eng_g = gauged_cycle32_engine
     assert eng_g.gram.dtype == np.complex128 and np.any(eng_g.gram.imag)
     s = first_arrival_distance(wmap, 4, 5, cfg.eta)
-    for real, gauged in zip(sweep_curves(eng, wmap, cfg, h, s),
-                            sweep_curves(eng_g, wmap_g, cfg, h, s)):
+    for real, gauged in zip(sweep_curves(eng, h, s), sweep_curves(eng_g, h, s)):
         assert np.max(np.abs(real - gauged)) <= 1e-8
     assert np.min(real) < 0.05 < np.max(real)  # the cut-time sweep crosses the verdict scale
 
 
-def test_sweep_curves_match_sorted_union_spans(cycle32_scene, monkeypatch):
+def test_sweep_curves_match_sorted_union_spans(cycle32_scene, cycle32_engine, monkeypatch):
     # the prefix curves of both sweeps against one factorization per radius
     # over the sorted-union spans, at the engine ridge.  These span Grams
     # have condition ~3e9, so two orderings of the same factorization differ
@@ -405,7 +423,7 @@ def test_sweep_curves_match_sorted_union_spans(cycle32_scene, monkeypatch):
     import fracbundle.reconstruction as recon
 
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    eng = probe_engine(wmap, cfg)
+    eng = cycle32_engine
     eps = _shell_width(wmap)
     x, y = 4, 5
     s = first_arrival_distance(wmap, x, y, cfg.eta)
@@ -470,25 +488,25 @@ def test_first_arrival_semimetric(cycle32_scene):
     assert worst < 3 * h  # triangle inequality up to the dispersion tolerance
 
 
-def test_cut_time_on_cycle(cycle32_scene):
+def test_cut_time_on_cycle(cycle32_scene, cycle32_engine):
     # the dispersive front is ~ (t h^2)^(1/3) wide; at this mesh that means
     # a positive bias of a couple of steps, so the gate here is 20% (the
     # finer acceptance scene holds 15%)
     m, b, op, U, wmap, cfg, h = cycle32_scene
     s = first_arrival_distance(wmap, 4, 5, cfg.eta)
     r_grid = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
-    tstar = cut_time_estimate(wmap, 4, 5, s, r_grid, cfg)
+    tstar = cut_time_estimate(cycle32_engine, 4, 5, s, r_grid)
     assert abs(tstar - np.pi) <= 0.20 * np.pi
 
 
-def test_cut_time_sentinel_when_sweep_below_distance(cycle32_scene):
+def test_cut_time_sentinel_when_sweep_below_distance(cycle32_scene, cycle32_engine):
     m, b, op, U, wmap, cfg, h = cycle32_scene
     s = first_arrival_distance(wmap, 4, 5, cfg.eta)
     r_grid = np.array([0.25 * s, 0.5 * s, 0.75 * s])  # entirely below the distance
-    assert cut_time_estimate(wmap, 4, 5, s, r_grid, cfg) == np.inf
+    assert cut_time_estimate(cycle32_engine, 4, 5, s, r_grid) == np.inf
 
 
-def test_exterior_distance_recovers_profile(cycle32_scene):
+def test_exterior_distance_recovers_profile(cycle32_scene, cycle32_engine):
     m, b, op, U, wmap, cfg, h = cycle32_scene
     dist = shortest_distances(m)
     x, y = 4, 5
@@ -497,19 +515,19 @@ def test_exterior_distance_recovers_profile(cycle32_scene):
     p = U.vertices[x] + 8  # along the +1 ray
     r_grid = np.arange(cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
     for z in (0, 4, 9):
-        d_est = exterior_distance(wmap, x, y, s, r_prime, z, r_grid, cfg)
+        d_est = exterior_distance(cycle32_engine, x, y, s, r_prime, z, r_grid)
         d_true = dist[p, U.vertices[z]]
         assert abs(d_est - d_true) <= 0.15 * np.pi  # sup-norm scale tolerance
     # z = x returns approximately r_prime itself
-    d_xx = exterior_distance(wmap, x, y, s, r_prime, x, r_grid, cfg)
+    d_xx = exterior_distance(cycle32_engine, x, y, s, r_prime, x, r_grid)
     assert abs(d_xx - r_prime) <= 3 * h
 
 
-def test_distance_family_small_scene(cycle32_scene):
+def test_distance_family_small_scene(cycle32_scene, cycle32_engine):
     m, b, op, U, wmap, cfg, h = cycle32_scene
     rays = [RayPlan(x=4, y=5, r_values=tuple(np.arange(2 * h, 10.5 * h, h))),
             RayPlan(x=5, y=4, r_values=tuple(np.arange(2 * h, 10.5 * h, h)))]
-    fam = distance_family(wmap, rays, cfg)
+    fam = distance_family(cycle32_engine, rays)
     assert len(fam) >= 12
     # region rows reproduce the restricted distance matrix within tolerance
     dist = shortest_distances(m)
@@ -522,15 +540,15 @@ def test_distance_family_small_scene(cycle32_scene):
         assert np.max(dev) <= 0.35 * np.max(wmap.local.distances) + 0.35 * h + 1e-9
 
 
-def test_distance_family_factors_once_per_sweep(cycle32_scene, monkeypatch):
+def test_distance_family_factors_once_per_sweep(cycle32_scene, cycle32_engine, monkeypatch):
     # every cut-time and exterior sweep is one in-place LAPACK factorization,
-    # and the sweeps never go through numpy.linalg.cholesky
+    # and the sweeps never go through numpy.linalg.cholesky; the engine build,
+    # done by the fixture, is not a sweep
     from scipy.linalg import lapack
 
     import fracbundle.reconstruction as recon
 
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    probe_engine(wmap, cfg)  # the engine build is not a sweep
     calls = {"potrf": 0, "exterior_distance": 0, "cut_time_estimate": 0}
 
     def counted(key, fn):
@@ -548,21 +566,22 @@ def test_distance_family_factors_once_per_sweep(cycle32_scene, monkeypatch):
         monkeypatch.setattr(recon, name, counted(name, getattr(recon, name)))
     monkeypatch.setattr(np.linalg, "cholesky", forbidden)
     rays = [RayPlan(x=4, y=5, r_values=tuple(np.arange(2 * h, 10.5 * h, h)))]
-    fam = distance_family(wmap, rays, cfg)
+    fam = distance_family(cycle32_engine, rays)
     assert len(fam) > wmap.local.size  # the ray produced exterior profiles
     sweeps = calls["exterior_distance"] + calls["cut_time_estimate"]
     assert calls["cut_time_estimate"] == 1 and calls["exterior_distance"] > 0
     assert calls["potrf"] == sweeps
 
 
-def test_distance_family_on_a_complex_line_bundle(complex_cycle32_scene, monkeypatch):
+def test_distance_family_on_a_complex_line_bundle(complex_cycle32_scene, complex_cycle32_engine,
+                                                   monkeypatch):
     # the metric is recovered whatever the connection and potential: on a
     # complex line bundle every sweep factors in complex arithmetic (zpotrf)
     # and the profiles still match the region's distances
     from scipy.linalg import lapack
 
     m, b, op, U, wmap, cfg, h = complex_cycle32_scene
-    assert np.iscomplexobj(probe_engine(wmap, cfg).gram)
+    assert np.iscomplexobj(complex_cycle32_engine.gram)
     calls = {"dpotrf": 0, "zpotrf": 0, "exterior_distance": 0, "cut_time_estimate": 0}
 
     def counted(key, fn):
@@ -576,7 +595,7 @@ def test_distance_family_on_a_complex_line_bundle(complex_cycle32_scene, monkeyp
     for name in ("exterior_distance", "cut_time_estimate"):
         monkeypatch.setattr(reconstruction, name, counted(name, getattr(reconstruction, name)))
     rays = [RayPlan(x=4, y=5, r_values=tuple(np.arange(2 * h, 10.5 * h, h)))]
-    fam = distance_family(wmap, rays, cfg)
+    fam = distance_family(complex_cycle32_engine, rays)
     assert calls["dpotrf"] == 0
     assert calls["zpotrf"] == calls["exterior_distance"] + calls["cut_time_estimate"] > 0
     assert len(fam) == 15
@@ -584,24 +603,26 @@ def test_distance_family_on_a_complex_line_bundle(complex_cycle32_scene, monkeyp
     assert match_profiles(fam, oracle[list(U.vertices)], rel_tol=0.15)["fraction"] == 1.0
 
 
-def test_distance_profiles_are_gauge_invariant_on_a_complex_line_bundle(complex_cycle32_scene):
+def test_distance_profiles_are_gauge_invariant_on_a_complex_line_bundle(complex_cycle32_scene,
+                                                                         complex_cycle32_engine):
     # the sweeps read only Gram residuals, which a gauge leaves unchanged
     m, b, op, U, wmap, cfg, h = complex_cycle32_scene
     gauge = GaugeTransform.random(np.random.default_rng(3), m.num_vertices, 1)
     gauged = cycle32(apply_gauge(b, gauge))[4]
     rays = [RayPlan(x=4, y=5, r_values=tuple(np.arange(2 * h, 10.5 * h, h)))]
-    want = distance_family(wmap, rays, cfg).profiles
-    got = distance_family(gauged, rays, cfg).profiles
+    want = distance_family(complex_cycle32_engine, rays).profiles
+    got = distance_family(ProbeEngine(gauged, cfg), rays).profiles
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
-def distance_family_without_early_exit(wmap, rays, cfg):
+def distance_family_without_early_exit(eng, rays):
     """distance_family's profiles, provenance and counters from ray profiles
     swept at every region vertex and filtered afterwards, as the early exit
     classifies them: a profile falls at its first vertex z whose sweep is
     non-finite (counted nowhere) or breaks the 1-Lipschitz bound against
     the vertices up to z (lipschitz_dropped).  Also counts the profiles that
     fell at a non-finite sweep and those that broke the bound before one."""
+    wmap, cfg = eng.wmap, eng.cfg
     n = wmap.local.size
     h = float(np.min(wmap.local.edge_lengths))
     bound = wmap.local.distances * 1.35 + 0.35 * h + 1e-9
@@ -624,12 +645,12 @@ def distance_family_without_early_exit(wmap, rays, cfg):
             continue
         s = first_arrival_distance(wmap, ray.x, ray.y, cfg.eta)
         cut_grid = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
-        tstar = reconstruction.cut_time_estimate(wmap, ray.x, ray.y, s, cut_grid, cfg)
+        tstar = reconstruction.cut_time_estimate(eng, ray.x, ray.y, s, cut_grid)
         for r_prime in ray.r_values:
             if r_prime >= min(reconstruction.CUT_MARGIN * tstar, wmap.horizon - cfg.delta):
                 continue
-            prof = np.array([reconstruction.exterior_distance(wmap, ray.x, ray.y, s, r_prime,
-                                                              z, rg, cfg) for z in range(n)])
+            prof = np.array([reconstruction.exterior_distance(eng, ray.x, ray.y, s, r_prime,
+                                                              z, rg) for z in range(n)])
             candidates.append((prof, {"kind": "ray", "x": ray.x, "y": ray.y, "r": float(r_prime)}))
     kept, provenance, lipschitz_dropped = [], [], 0
     fallen = {"nonfinite": 0, "lipschitz_then_nonfinite": 0}
@@ -653,8 +674,8 @@ def distance_family_without_early_exit(wmap, rays, cfg):
 
 
 @pytest.mark.parametrize("nonfinite_sweeps", [False, True])
-def test_distance_family_early_exit_matches_full_sweeps(cycle32_scene, monkeypatch,
-                                                        nonfinite_sweeps):
+def test_distance_family_early_exit_matches_full_sweeps(cycle32_scene, cycle32_engine,
+                                                        monkeypatch, nonfinite_sweeps):
     # stopping a ray profile at its first failing vertex changes nothing but
     # the number of sweeps.  The second scene reads the sweep at vertex
     # 2k - 4 as infinite for the ray parameter k h, so ten profiles meet a
@@ -663,21 +684,21 @@ def test_distance_family_early_exit_matches_full_sweeps(cycle32_scene, monkeypat
     sweep = reconstruction.exterior_distance
     calls = [0]
 
-    def counted(wmap, x, y, s, r_prime, z, r_grid, cfg):
+    def counted(eng, x, y, s, r_prime, z, r_grid):
         calls[0] += 1
         if nonfinite_sweeps and z == 2 * round(r_prime / h) - 4:
             return np.inf
-        return sweep(wmap, x, y, s, r_prime, z, r_grid, cfg)
+        return sweep(eng, x, y, s, r_prime, z, r_grid)
 
     monkeypatch.setattr(reconstruction, "exterior_distance", counted)
     rays = [RayPlan(x=4, y=5, r_values=tuple(np.arange(2 * h, 10.5 * h, h))),
             RayPlan(x=5, y=4, r_values=tuple(np.arange(2 * h, 10.5 * h, h))),
             RayPlan(x=0, y=1, r_values=(2 * h,))]
-    fam = distance_family(wmap, rays, cfg)
+    fam = distance_family(cycle32_engine, rays)
     early = calls[0]
     calls[0] = 0
     profiles, provenance, counters, fallen = distance_family_without_early_exit(
-        wmap, rays, cfg)
+        cycle32_engine, rays)
     assert np.array_equal(fam.profiles, profiles)
     assert fam.provenance == provenance
     assert (fam.rays_skipped, fam.lipschitz_dropped, fam.duplicates_merged) == counters
@@ -696,7 +717,7 @@ def test_distance_family_whole_manifold_region():
     wmap = wave_map_assemble(op, U, TimeGrid(8.0, 512))
     h = L / n
     cfg = ProbeConfig(delta=1.2 * h, lead_step=h, width=1.5 * h)
-    fam = distance_family(wmap, [], cfg)
+    fam = distance_family(ProbeEngine(wmap, cfg), [])
     arr = first_arrival_matrix(wmap, cfg.eta)
     assert len(fam) <= n  # duplicates merged
     for prof in fam.profiles:
@@ -714,7 +735,7 @@ def test_containment_verdicts_match_ground_truth():
     U = Region(m, tuple(range(16)))
     wmap = wave_map_assemble(op, U, TimeGrid(9.0, 1280))
     cfg = ProbeConfig(delta=1.2 * h, lead_step=h, width=1.5 * h)
-    eng = probe_engine(wmap, cfg)
+    eng = ProbeEngine(wmap, cfg)
     dist = shortest_distances(m)
 
     def true_containment(x, tx, y, ty, z, tz):
@@ -767,7 +788,10 @@ def test_recovery_evaluates_only_rows_near_horizon(cycle32_scene, monkeypatch):
     monkeypatch.setattr(WaveMapData, "respond", recording_respond)
     recover_local_operator(wmap, [3, 4, 5, 6], cfg)
     assert [s[1] for s in shapes] == [5]
-    assert not any(isinstance(k, tuple) and k[0] == "responses" for k in wmap.meta)
+    # nothing is cached on the map: it holds its six fields and no more
+    fields = [f.name for f in dataclasses.fields(wmap)]
+    assert fields == ["grid", "horizon", "local", "kernel", "conv_a", "conv_b"]
+    assert set(vars(wmap)) == set(fields)
 
 
 @pytest.mark.parametrize("vertex", [999, -1])

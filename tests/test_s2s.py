@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -430,6 +431,20 @@ def test_delta_source_profiles_of_another_length_are_refused(probe_scene, sample
                  lambda: blago_bilinear(wmap, bent_dense, dense),
                  lambda: wmap.respond(bent_dense, rows=[3, 5])):
         with pytest.raises(OperatorError, match=f"241 samples, not shape .*{samples}"):
+            call()
+
+
+@pytest.mark.parametrize("shape", [(1, 241), (1, 241, 9, 2), (1, 241, 17)],
+                         ids=["2d", "4d", "short_components"])
+def test_dense_sources_of_another_shape_are_refused(probe_scene, shape):
+    # a dense batch is (m, N+1, D): a 2-D or a 4-D (m, N+1, |U|, r) batch
+    # raised a bare numpy ValueError, and one with fewer components than D
+    # paired silently; the error names the shape
+    wmap, fam, dense = probe_scene
+    bent = np.ones(shape)
+    for call in (lambda: wmap.respond(bent), lambda: wmap.respond(bent, rows=[3, 5]),
+                 lambda: blago_bilinear(wmap, bent, dense), lambda: blago_bilinear(wmap, dense, bent)):
+        with pytest.raises(OperatorError, match=r"\(m, 241, 18\).*not shape " + re.escape(str(shape))):
             call()
 
 
