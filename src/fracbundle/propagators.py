@@ -163,6 +163,11 @@ def wave_energy(op: SpectralOperator, u0, v0, t):
 # ---------------------------------------------------------------------------
 # Duhamel solve with exact per-interval integration of PL sources
 
+# largest (rows x modes) block of mode-function values duhamel_weights
+# evaluates at once
+WEIGHT_BLOCK = 1 << 14
+
+
 def duhamel_weights(eigenvalues, dt, n_steps):
     """Closed-form convolution weights for piecewise-linear sources.
 
@@ -170,16 +175,25 @@ def duhamel_weights(eigenvalues, dt, n_steps):
     source interval [t_i, t_{i+1}] with nodal coefficients (f_i, f_{i+1})
     to the mode solution at t_j (m = j - i >= 1) is f_i A[m] + f_{i+1} B[m].
     Row 0 is zero padding.
+
+    With K1 = G1 and dK2 the difference quotient of K2 = G2 at the grid
+    times, A[m] = K1[m] - dK2[m] and B[m] = dK2[m] - K1[m - 1].  Every step
+    is elementwise, so the rows go in blocks of at most WEIGHT_BLOCK values
+    (one row of overlap for the differences), each formed in place: besides
+    A and B only one block's K1, dK2 and mode-function temporaries are held.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     ts = dt * np.arange(n_steps + 1)
-    K1 = modefun.wave_g1(ts[:, None], lam[None, :])
-    K2 = modefun.wave_g2(ts[:, None], lam[None, :])
-    A = np.zeros_like(K1)
-    B = np.zeros_like(K1)
-    dK2 = (K2[1:] - K2[:-1]) / dt
-    A[1:] = K1[1:] - dK2
-    B[1:] = dK2 - K1[:-1]
+    A = np.zeros((n_steps + 1, lam.size))
+    B = np.zeros_like(A)
+    step = max(1, WEIGHT_BLOCK // max(lam.size, 1))
+    for s in range(0, n_steps, step):
+        t = ts[s:s + step + 1, None]
+        K1 = modefun.wave_g1(t, lam[None, :])
+        dK2 = np.diff(modefun.wave_g2(t, lam[None, :]), axis=0)
+        dK2 /= dt
+        np.subtract(K1[1:], dK2, out=A[s + 1:s + step + 1])
+        np.subtract(dK2, K1[:-1], out=B[s + 1:s + step + 1])
     return A, B
 
 

@@ -31,6 +31,8 @@ CONTAINMENT_TOL = 0.05
 RIDGE_FACTOR = 1e-8
 # exterior sweeps stay below this fraction of the ray's cut time
 CUT_MARGIN = 0.85
+# rows of the panels family_gram hermitizes its Gram in, one at a time
+GRAM_PANEL = 64
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +104,20 @@ def family_responses(wmap: WaveMapData, fam: SourceFamily):
 
 
 def family_gram(wmap: WaveMapData, fam: SourceFamily):
-    """Hermitian Gram of the family's wave states at time T, from map data."""
+    """Hermitian Gram of the family's wave states at time T, from map data.
+
+    The pairing is hermitized in place, (G + G^H) / 2, one panel of
+    GRAM_PANEL rows at a time: the panel G[a:b, a:] becomes (P + conj Q^T)
+    / 2 with Q = G[a:, a:b], and Q the exact conjugate transpose of that, so
+    no second Gram is formed.
+    """
     G = blago_bilinear(wmap, fam.sources, fam.sources)
-    G += G.conj().T
-    G *= 0.5
+    for a in range(0, len(G), GRAM_PANEL):
+        upper, lower = G[a:a + GRAM_PANEL, a:], G[a:, a:a + GRAM_PANEL]
+        panel = upper + lower.T.conj()
+        panel *= 0.5
+        upper[...] = panel
+        lower[...] = panel.T.conj()
     return G
 
 

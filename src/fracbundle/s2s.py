@@ -492,7 +492,7 @@ def blago_bilinear(wmap: WaveMapData, F, H):
     source and the pairings add up per source.
     """
     (f, of), (h, oh) = _delta_columns(wmap, F), _delta_columns(wmap, H)
-    out = _lag_pairing(wmap, f, h)
+    out = _spectral_pairing(wmap, f, h)
     if f is F and h is H:
         return out
     return owner_sums(out, of, oh, (len(F), len(H)))
@@ -506,49 +506,49 @@ def owner_sums(pairings, owners_f, owners_h, shape):
     return out
 
 
-def _lag_tables(rows, profiles, n1):
-    """Per row a, the table C[k, m] = sum_j a[j] profiles[k, j - m], m = 0..n1-1.
-
-    Cross-correlations by FFT at a length that holds every lag without
-    wrapping; real data stays real.
-    """
-    n = next_fast_len(2 * n1 - 1)
-    if np.isrealobj(rows) and np.isrealobj(profiles):
-        fwd, inv = np.fft.rfft, np.fft.irfft
-    else:
-        fwd, inv = np.fft.fft, np.fft.ifft
-    spectra = np.conj(fwd(np.conj(profiles), n=n))
-    for a in rows:
-        yield inv(fwd(a, n=n) * spectra, n=n)[:, :n1]
+def _b_up_sums(wmap: WaveMapData, tests):
+    """sum_{m<N} tests[:, m] B_up[m] with B_up[m] = conv_b[m + 1], packed
+    (L, D, D): one real product of the tests against the packed stack, whose
+    time-innermost layout makes its (D D, N+1) form a view."""
+    d = wmap.local.dim
+    stack = np.moveaxis(wmap.conv_b, 0, -1).reshape(d * d, -1)
+    return _real_linear(lambda t: t[:, :-1] @ stack[:, 1:].T, tests, 0).reshape(-1, d, d)
 
 
-def _rows_by_profile(sources: DeltaSources, d):
-    """Per profile, the sorted components where it sits; and per source, the
-    position of its component in its profile's list."""
-    keys, pos = np.unique(sources.profile * d + sources.component, return_inverse=True)
-    rows = np.split(keys % d, np.searchsorted(keys, d * np.arange(1, len(sources.profiles))))
-    return rows, pos - np.searchsorted(keys, sources.profile * d)
+def _runs(keys):
+    """(values, slices): each run of equal values in sorted keys and where it lies."""
+    values, starts = np.unique(keys, return_index=True)
+    return values, [slice(a, b) for a, b in zip(starts, np.append(starts[1:], len(keys)))]
 
 
-def _lag_pairing(wmap: WaveMapData, F: DeltaSources, H: DeltaSources):
-    """blago_bilinear for delta sources, from their time profiles.
+def _spectral_pairing(wmap: WaveMapData, F: DeltaSources, H: DeltaSources):
+    """blago_bilinear for delta sources, in one pass over the F profiles.
 
     The response of a delta source p at component c is column-wise
     mu_c (K[:, :, c] * p - B_up p[0]) with K = folded_kernel(conv_a, conv_b,
     N+1) and B_up[j] = conv_b[j + 1] (B_up[N] = 0).  Both terms of the
     identity are linear in time, so they move onto the profiles: with
     w_l = conj(the J* f test array of f_l) and e_l the J h test array of
-    h_l, both by the quadratic_times_sampled_array rule, the lag tables
-        X[l, l', m] = sum_j w_l[j] h_l'[j - m]
-        Y[l, l', m] = sum_j e_l[j] conj(f_l'[j - m])
-    give T1 = X @ K - h_l'[0] (w_l @ B_up) and
-    T2 = Y @ conj(K) - conj(f_l'[0]) (e_l @ conj(B_up)), and the pairing
-    of f_l at c with h_l' at c' is mu_c mu_c' (T1[l, l', c, c'] -
-    T2[l', l, c', c]).  Each table meets only the kernel rows of the
-    components where its profile sits, and only those rows are unpacked and
-    folded; a table that meets every row multiplies the packed fold.  Each
-    row l of T1 and T2 goes straight into the (mf, mh) output, so the
-    pairing holds the output, at most one packed full fold and one table row.
+    h_l, both by the quadratic_times_sampled_array rule, and with
+    conj(K[m, c', c]) = K[m, c, c'], the pairing of f_l at c with h_l' at c'
+    is mu_c mu_c' times
+        sum_m Z_l[l', m] K[m, c, c']
+          - sum_{m<N} (h_l'[0] w_l[m] - conj(f_l[0]) e_l'[m]) B_up[m, c, c'],
+        Z_l[l', m] = sum_j w_l[j] h_l'[j - m] - e_l'[j] conj(f_l[j - m]).
+    At a length n that holds every lag without wrapping, Z_l has the one
+    spectrum
+        Zhat_l = FFT(w_l) conj(FFT(conj h_l')) - conj(FFT(f_l)) FFT(e_l').
+    A profile at every component (every probe family's is) takes one
+    inverse FFT of Zhat_l against every H profile and one real product with
+    the packed fold, and only that (L', D, D) product is unpacked; the H
+    spectra are held.  A profile at a few components is contracted in
+    frequency, (1/n) sum_w Zhat_l(w) Ktilde_cc'(w) with
+    Ktilde = conj(FFT(conj K)), so no inverse FFT runs.  There the spectra
+    of the F (profile, component) keys are held, and one H component c' at
+    a time the spectra of its H keys and of the kernel entries (C_F, c'),
+    one contiguous spectrum per F component, are formed: each entry pairs
+    only the keys at its own row and column.  The B_up terms, for profiles
+    that start nonzero, are one product per side.
     """
     out = np.zeros((len(F), len(H)), dtype=np.complex128)
     if not (len(F) and len(H)):
@@ -556,62 +556,77 @@ def _lag_pairing(wmap: WaveMapData, F: DeltaSources, H: DeltaSources):
     grid = wmap.grid
     dt = grid.dt
     n1, n_half, d = len(grid), wmap.half_index, wmap.local.dim
+    n = next_fast_len(2 * n1 - 1)
     pf, lf, cf = F.profiles, F.profile, F.component
     ph, lh, ch = H.profiles, H.profile, H.component
-    rows_f, rf = _rows_by_profile(F, d)
-    rows_h, rh = _rows_by_profile(H, d)
     w = np.conj(timequad.quadratic_times_sampled_array(
         *_jstar_quadratic_coeffs(pf.T, dt, n_half), n1, dt).T)
     e = timequad.quadratic_times_sampled_array(*_jh_quadratic_coeffs(ph.T, dt, n_half),
                                                n1, dt).T
-    fold = None
-
-    def paired(tests, lag_tables, rows, starts):
-        # (l, block) per test row l: sum_m table[:, m] K[m] - starts (test[:N]
-        # @ B_up) on its kernel rows, one (len(starts), |rows|, d) block.  The
-        # test rows go in the order of their kernel rows, so the test rows at
-        # the same components share one unpacked, folded gather of them
-        nonlocal fold
-        order = sorted(range(len(rows)), key=lambda l: rows[l].tolist())
-        gathered = None
-        for l, table in zip(order, lag_tables(tests[order])):
-            at, test = rows[l], tests[l]
-            if len(at) == d:
-                # a profile at every component (every probe family's are):
-                # the packed fold, built once, meets the table in one real
-                # product, and only the (L', D, D) product is unpacked
-                if fold is None:
-                    fold = folded_kernel(wmap.conv_a, wmap.conv_b, n1).reshape(n1, d * d)
-                b_up = wmap.conv_b[1:].reshape(n1 - 1, d * d)
-                prod = hermitian_rows(_real_linear(lambda c: c @ fold, table, 0)
-                                      .reshape(-1, d, d), at)
-                corr = _real_linear(lambda c: c @ b_up, test[None, :-1], 0).reshape(d, d)
-                prod -= np.multiply.outer(starts, hermitian_rows(corr, at))
-            else:
-                # a profile at a few components folds only their kernel rows
-                if gathered is None or not np.array_equal(gathered[0], at):
-                    b = hermitian_rows(wmap.conv_b, at)
-                    k = folded_kernel(hermitian_rows(wmap.conv_a, at), b, n1)
-                    gathered = at, k.reshape(n1, -1), b[1:].reshape(n1 - 1, -1)
-                _, k, b_up = gathered
-                prod = table @ k
-                prod -= np.multiply.outer(starts, test[:-1] @ b_up)
-            yield l, prod.reshape(len(starts), len(at), d)
-
-    # each block goes straight into the output: a T1 block fills the rows of
-    # the F sources with its profile, a T2 block is subtracted from the
-    # columns of the H sources with its profile
-    for l, block in paired(w, lambda t: _lag_tables(t, ph, n1), rows_f, ph[:, 0]):
-        i = np.flatnonzero(lf == l)
-        out[i] = block[lh[None, :], rf[i, None], ch[None, :]]
-    # Y @ conj(K) = conj(conj(Y) @ K)
-    for l, block in paired(np.conj(e),
-                           lambda t: (np.conj(y) for y in _lag_tables(np.conj(t), np.conj(pf), n1)),
-                           rows_h, pf[:, 0]):
-        j = np.flatnonzero(lh == l)
-        out[:, j] -= block[lf[:, None], rh[None, j], cf[:, None]].conj()
+    wb = _b_up_sums(wmap, w) if np.any(ph[:, 0]) else None
+    eb = _b_up_sums(wmap, e) if np.any(pf[:, 0]) else None
     mu = wmap.local.weights_flat()
-    out *= mu[cf][:, None] * mu[ch][None, :]
+    at_every = np.bincount(np.unique(lf * d + cf) // d, minlength=len(pf)) == d
+
+    every = np.flatnonzero(at_every)
+    if len(every):
+        # real profiles give real lags: half spectra
+        if np.isrealobj(pf) and np.isrealobj(ph):
+            fwd, inv = np.fft.rfft, np.fft.irfft
+        else:
+            fwd, inv = np.fft.fft, np.fft.ifft
+        spec_h = np.conj(fwd(np.conj(ph), n=n)), fwd(e, n=n)
+        fold = folded_kernel(wmap.conv_a, wmap.conv_b, n1).reshape(n1, d * d)
+        scale = np.multiply.outer(mu, mu)
+        for l in every:
+            z = spec_h[0] * fwd(w[l], n=n)
+            z -= spec_h[1] * np.conj(fwd(pf[l], n=n))
+            prod = _real_linear(lambda c: c @ fold, inv(z, n=n)[:, :n1], 0)
+            if wb is not None:
+                prod = prod - np.multiply.outer(ph[:, 0], wb[l].ravel())
+            if eb is not None:
+                prod = prod + np.conj(pf[l, 0]) * eb.reshape(len(ph), -1)
+            block = hermitian_rows(prod.reshape(-1, d, d), range(d))
+            block *= scale
+            i = np.flatnonzero(lf == l)
+            out[i] = block[lh[None, :], cf[i, None], ch[None, :]]
+        del spec_h, fold
+
+    few = np.flatnonzero(~at_every[lf])
+    if len(few):
+        # the (profile, component) keys of each side, in component order
+        keys_f, key_f = np.unique(cf[few] * len(pf) + lf[few], return_inverse=True)
+        kc_f, kl_f = np.divmod(keys_f, len(pf))
+        keys_h, key_h = np.unique(ch * len(ph) + lh, return_inverse=True)
+        kc_h, kl_h = np.divmod(keys_h, len(ph))
+        comps_f, runs_f = _runs(kc_f)
+        spec_f = np.empty((len(keys_f), 2, n), dtype=np.complex128)
+        np.fft.fft(w[kl_f], n=n, out=spec_f[:, 0])
+        np.fft.fft(pf[kl_f], n=n, out=spec_f[:, 1])
+        np.negative(np.conj(spec_f[:, 1]), out=spec_f[:, 1])
+        vals = np.empty((len(keys_f), len(keys_h)), dtype=np.complex128)
+        for c, at in zip(*_runs(kc_h)):
+            # Ktilde[c', c] = conj(FFT(conj K[:, c', c])) = conj(FFT(K[:, c, c'])):
+            # kernel row c at the F components, one contiguous spectrum each
+            k = folded_kernel(hermitian_rows(wmap.conv_a, [c]), hermitian_rows(wmap.conv_b, [c]),
+                              n1)[:, 0, comps_f]
+            ktilde = np.fft.fft(k.T, n=n)
+            np.conj(ktilde, out=ktilde)
+            ktilde /= n
+            spec_h = np.empty((at.stop - at.start, 2, n), dtype=np.complex128)
+            np.fft.fft(np.conj(ph[kl_h[at]]), n=n, out=spec_h[:, 0])
+            np.conj(spec_h[:, 0], out=spec_h[:, 0])
+            np.fft.fft(e[kl_h[at]], n=n, out=spec_h[:, 1])
+            spec_h = spec_h.reshape(len(spec_h), -1).T
+            for kt, rows in zip(ktilde, runs_f):
+                vals[rows, at] = (spec_f[rows] * kt).reshape(rows.stop - rows.start, -1) @ spec_h
+        if wb is not None:
+            vals -= hermitian_rows(wb, range(d))[kl_f[:, None], kc_f[:, None], kc_h] * ph[kl_h, 0]
+        if eb is not None:
+            vals += (np.conj(pf[kl_f, 0])[:, None]
+                     * hermitian_rows(eb, range(d))[kl_h, kc_f[:, None], kc_h])
+        vals *= np.multiply.outer(mu[kc_f], mu[kc_h])
+        out[few] = vals[key_f[:, None], key_h[None, :]]
     return out
 
 

@@ -431,6 +431,30 @@ def test_duhamel_states_hold_no_mode_series():
     assert states < weights + (top + 1) * op.dim * 8
 
 
+def test_duhamel_weights_hold_at_most_four_weight_arrays():
+    # A and B are formed in place, a block of rows at a time: beyond the two
+    # weights returned, less than two more (T, K) float arrays are held (the
+    # mode functions' temporaries over every row made it about seven)
+    m = build_manifold({"kind": "torus_grid", "counts": [8, 8], "lengths": [8.0, 8.0]})
+    op = assemble(build_bundle(m, 2, connection="random", potential="random_positive", seed=4))
+    grid = TimeGrid(8.0, 1600)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        A, B = duhamel_weights(op.eigenvalues, grid.dt, grid.n_steps)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert A.shape == B.shape == (len(grid), op.dim)
+    assert peak < 4 * A.nbytes
+    # the blocks join without a seam: every row as the whole-grid formulas give it
+    ts = grid.times[:, None]
+    K1 = modefun.wave_g1(ts, op.eigenvalues[None, :])
+    dK2 = np.diff(modefun.wave_g2(ts, op.eigenvalues[None, :]), axis=0) / grid.dt
+    assert np.array_equal(A[1:], K1[1:] - dK2) and np.array_equal(B[1:], dK2 - K1[:-1])
+    assert not np.any(A[0]) and not np.any(B[0])
+
+
 @pytest.mark.parametrize("bad", ["grid", "bundle"])
 def test_duhamel_batch_rejects_bad_source_before_any_transform(bad, monkeypatch):
     rng = np.random.default_rng(18)

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -395,6 +396,30 @@ def test_family_gram_is_the_hermitized_pairing_bit_for_bit(cycle64_family):
     G = blago_bilinear(wmap, fam.sources, fam.sources)
     gram = family_gram(wmap, fam)
     assert np.array_equal(gram, 0.5 * (G + G.conj().T))
+    assert np.array_equal(gram, gram.conj().T)
+
+
+def test_family_gram_hermitizes_within_less_than_one_gram(monkeypatch):
+    # the pairing's output is hermitized in place, a panel of rows at a
+    # time: the extra memory stays under one full Gram, and every entry is
+    # (a + conj b) / 2 as G += G^H, G *= 0.5 gives it
+    rng = np.random.default_rng(6)
+    raw = rng.standard_normal((500, 500)) + 1j * rng.standard_normal((500, 500))
+    G = raw.copy()
+    monkeypatch.setattr(reconstruction, "blago_bilinear", lambda wmap, F, H: G)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        gram = family_gram(None, SimpleNamespace(sources=None))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert gram is G
+    assert peak < G.nbytes
+    want = raw.copy()
+    want += want.conj().T
+    want *= 0.5
+    assert np.array_equal(gram, want)
     assert np.array_equal(gram, gram.conj().T)
 
 

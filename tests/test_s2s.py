@@ -471,6 +471,47 @@ def test_blago_bilinear_has_one_path(probe_scene, monkeypatch):
     assert_pairs_like(blago_bilinear(wmap, sources, sources), want)
 
 
+def test_complex_families_pair_at_every_component(probe_scene):
+    # every profile of a probe family sits at every component, the path with
+    # one inverse transform per F profile; the sides carry different complex
+    # amplitudes, and one profile of each side starts nonzero, so both
+    # B_up p[0] terms enter
+    wmap, fam, dense = probe_scene
+    src = fam.sources
+    rng = np.random.default_rng(12)
+    sides = []
+    for start in (0.5 - 0.25j, -0.75j):
+        profiles = src.profiles * (rng.standard_normal(3) + 1j * rng.standard_normal(3))[:, None]
+        profiles[1, 0] = start
+        batch = np.zeros(dense.shape, dtype=complex)
+        batch[np.arange(len(src)), :, src.component] = profiles[src.profile]
+        sides.append((DeltaSources(profiles, src.profile, src.component), batch))
+    (F, dense_f), (H, dense_h) = sides
+    assert_pairs_like(blago_bilinear(wmap, F, H), sampled_pairing(wmap, dense_f, dense_h))
+
+
+def test_only_profiles_at_every_component_run_an_inverse_transform(probe_scene, monkeypatch):
+    # profiles at a few components are contracted in frequency and run no
+    # inverse FFT; a probe family's profiles sit at every component and run
+    # one each, over every H profile at once
+    wmap, fam, dense = probe_scene
+    calls = []
+    for name in ("ifft", "irfft"):
+        def counted(*args, inverse=getattr(np.fft, name), **kwargs):
+            calls.append(inverse)
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    src = fam.sources
+    pick = [0, 20, 40]
+    few = DeltaSources(src.profiles, src.profile[pick], src.component[pick])
+    for side in (few, dense[:6]):
+        blago_bilinear(wmap, side, side)
+        assert calls == []
+    blago_bilinear(wmap, src, src)
+    assert len(calls) == len(src.profiles) == 3
+
+
 def delta_family(rng, wmap, count, n_profiles, complex_amplitudes):
     """count delta probes over n_profiles bumps at random components.
 
