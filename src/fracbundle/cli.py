@@ -1,7 +1,10 @@
 """Command line entry point.
 
-Usage: fracbundle run CONFIG [--out DIR] [--workers N] [--seed-override K]
-Exit codes: 0 all tasks passed, 1 a task missed its tolerance, 2 bad config.
+Usage: fracbundle run CONFIG [--out DIR] [--seed-override K]
+Exit codes: 0 all tasks passed, 1 a task missed its tolerance, 2 bad config
+or an unknown flag.  The BLAS thread count, which the last digits of
+`measures` depend on, is set only by the environment (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS, MKL_NUM_THREADS) before the process starts.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ def build_parser():
     run = sub.add_parser("run", help="run the experiment described by a JSON config")
     run.add_argument("config", help="path to the experiment config file")
     run.add_argument("--out", default=None, help="output directory (default: FRACBUNDLE_OUT or config)")
-    run.add_argument("--workers", type=int, default=None, help="cap on worker threads")
     run.add_argument("--seed-override", type=int, default=None, help="replace the config seed")
     return parser
 
@@ -30,11 +32,7 @@ def main(argv=None):
     if args.command == "run":
         try:
             report, code = run_from_file(
-                args.config,
-                out_dir=args.out,
-                seed_override=args.seed_override,
-                workers=args.workers,
-            )
+                args.config, out_dir=args.out, seed_override=args.seed_override)
         except (ConfigError, json.JSONDecodeError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

@@ -252,7 +252,11 @@ class ProbeEngine:
 
         True when every wave state excited inside the x box is reproduced by
         the y (and z) boxes within the residual threshold CONTAINMENT_TOL.
+        z and tau_z come together: either one alone is a ReconstructionError.
         """
+        if (z is None) != (tau_z is None):
+            missing = "tau_z" if tau_z is None else "z"
+            raise ReconstructionError(f"the union ball needs both z and tau_z; {missing} is missing")
         delta = self.cfg.delta
         if min(tau_x, tau_y) <= delta or (z is not None and tau_z <= delta):
             raise ReconstructionError("ball radii must exceed the probe delta")

@@ -6,7 +6,6 @@ import csv
 import itertools
 import json
 import os
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -75,7 +74,6 @@ class Report:
     config_echo: dict
     seed: int
     tasks: list
-    version: str = __version__
 
     @property
     def passed(self):
@@ -84,7 +82,7 @@ class Report:
     def to_payload(self):
         return {
             "schema": REPORT_SCHEMA,
-            "version": self.version,
+            "version": __version__,
             "seed": self.seed,
             "passed": self.passed,
             "config": self.config_echo,
@@ -478,29 +476,38 @@ def _task_reconstruct_distances(scene, cfg):
 
 
 def _fundamental_loops(n_vertices, edges):
-    """Cycle basis of a small chart graph (tree + fundamental cycles)."""
+    """Cycle basis of a small chart graph (spanning forest + fundamental cycles).
+
+    Each vertex that no earlier BFS reached roots a tree of its own, so a
+    disconnected chart gets one tree per component."""
     adj = {}
     for k, (a, b) in enumerate(edges):
         adj.setdefault(a, []).append((b, k))
         adj.setdefault(b, []).append((a, k))
-    parent = {0: (None, None)}
-    order = [0]
-    for v in order:
-        for u, k in adj.get(v, []):
-            if u not in parent:
-                parent[u] = (v, k)
-                order.append(u)
+    parent = {}
+    for root in range(n_vertices):
+        if root in parent:
+            continue
+        parent[root] = (None, None)
+        order = [root]
+        for v in order:
+            for u, k in adj.get(v, []):
+                if u not in parent:
+                    parent[u] = (v, k)
+                    order.append(u)
     tree_edges = {parent[v][1] for v in parent if parent[v][1] is not None}
+
+    def path_to_root(v):
+        out = [v]
+        while parent[v][0] is not None:
+            v = parent[v][0]
+            out.append(v)
+        return out
+
     loops = []
     for k, (a, b) in enumerate(edges):
         if k in tree_edges:
             continue
-        def path_to_root(v):
-            out = [v]
-            while parent[v][0] is not None:
-                v = parent[v][0]
-                out.append(v)
-            return out
         pa, pb = path_to_root(a), path_to_root(b)
         seen = set(pa)
         junction = next(v for v in pb if v in seen)
@@ -569,7 +576,7 @@ _TASKS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
+def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run all configured tasks sequentially; failures are recorded, not fatal.
 
     A task that raises any Exception ends with status "error" and the
@@ -577,49 +584,30 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> Report:
     LinAlgError and MemoryError failures); the next task still runs.  Each
     cached scene object is dropped after its last reader, whatever that
     task's status.
-
-    workers caps the linear-algebra thread pools for the whole run when
-    threadpoolctl is available; otherwise a notice goes to stderr.  A cap
-    below 1 is a ConfigError.
     """
-    limiter = None
-    if workers is not None:
-        if workers < 1:
-            raise ConfigError("workers", f"must be a positive integer, got {workers}")
+    scene = _Scene(cfg)
+    results = []
+    for name in cfg.tasks:
+        t0 = time.perf_counter()
         try:
-            from threadpoolctl import threadpool_limits
-
-            limiter = threadpool_limits(limits=int(workers))
-        except ImportError:
-            print(f"workers={workers} ignored: threadpoolctl is not installed",
-                  file=sys.stderr)
-    try:
-        scene = _Scene(cfg)
-        results = []
-        for name in cfg.tasks:
-            t0 = time.perf_counter()
-            try:
-                ok, measures, checks, tables = _TASKS[name][0](scene, cfg)
-                results.append(TaskResult(
-                    name=name,
-                    status="pass" if ok else "fail",
-                    elapsed_s=time.perf_counter() - t0,
-                    measures=_to_native(measures),
-                    tolerances=_to_native(checks),
-                    tables=tables,
-                ))
-            except Exception as exc:  # recorded as data; KeyboardInterrupt passes through
-                if isinstance(exc, (FracBundleError, np.linalg.LinAlgError, MemoryError)):
-                    message = str(exc) or type(exc).__name__
-                else:
-                    message = f"{type(exc).__name__}: {exc}"
-                results.append(TaskResult(
-                    name=name, status="error", elapsed_s=time.perf_counter() - t0,
-                    message=message))
-            scene.end_task()
-    finally:  # the cap ends with the run, also one that the scene build or an interrupt ends
-        if limiter is not None:
-            limiter.unregister()
+            ok, measures, checks, tables = _TASKS[name][0](scene, cfg)
+            results.append(TaskResult(
+                name=name,
+                status="pass" if ok else "fail",
+                elapsed_s=time.perf_counter() - t0,
+                measures=_to_native(measures),
+                tolerances=_to_native(checks),
+                tables=tables,
+            ))
+        except Exception as exc:  # recorded as data; KeyboardInterrupt passes through
+            if isinstance(exc, (FracBundleError, np.linalg.LinAlgError, MemoryError)):
+                message = str(exc) or type(exc).__name__
+            else:
+                message = f"{type(exc).__name__}: {exc}"
+            results.append(TaskResult(
+                name=name, status="error", elapsed_s=time.perf_counter() - t0,
+                message=message))
+        scene.end_task()
     return Report(config_echo=cfg.echo(), seed=cfg.seed, tasks=results)
 
 
@@ -655,7 +643,7 @@ def emit_report(report: Report, out_dir):
     return paths
 
 
-def run_from_file(config_path, out_dir=None, seed_override=None, workers=None):
+def run_from_file(config_path, out_dir=None, seed_override=None):
     """Load a config file, run, emit artifacts; returns (report, exit_code)."""
     try:
         with open(config_path, encoding="utf-8") as fh:
@@ -666,6 +654,6 @@ def run_from_file(config_path, out_dir=None, seed_override=None, workers=None):
         raw["seed"] = int(seed_override)
     cfg = parse_config(raw)
     target = out_dir or os.environ.get("FRACBUNDLE_OUT") or cfg.output_dir
-    report = run_experiment(cfg, workers=workers)
+    report = run_experiment(cfg)
     emit_report(report, target)
     return report, (0 if report.passed else 1)

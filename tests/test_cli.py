@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-import types
 import weakref
 from pathlib import Path
 
@@ -201,6 +200,30 @@ def test_reconstruct_operator_reports_ls_condition():
     cond = rep1.tasks[0].measures["ls_condition"]
     assert 1.0 <= cond < 1e6
     assert rep1.tasks[0].measures == rep2.tasks[0].measures  # bit-identical reruns
+
+
+def test_reconstruct_operator_on_a_disconnected_chart():
+    # two arcs of the README cycle: the interior chart has two components
+    raw = {
+        "manifold": {"kind": "cycle", "count": 64, "length": float(2 * np.pi)},
+        "bundle": {"rank": 1, "connection": "random", "potential": "random_positive",
+                   "seed": 7},
+        "region": {"type": "vertices", "ids": list(range(8)) + list(range(30, 38))},
+        "time": {"horizon": 4.5, "steps": 1280},
+        "tasks": ["reconstruct_operator"],
+        "seed": 7,
+    }
+    task = run_experiment(parse_config(raw)).tasks[0]
+    assert task.status == "pass", task.message
+    assert task.measures["loop_count"] == 0
+
+
+def test_fundamental_loops_spans_every_component():
+    # a triangle (0, 1, 2) and a path (3, 4, 5): one loop, from the triangle
+    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]
+    loops = runner._fundamental_loops(6, edges)
+    assert len(loops) == 1
+    assert sorted(loops[0]) == [0, 1, 2]
 
 
 def test_probe_config_sets_eta_only_from_options():
@@ -396,8 +419,6 @@ def top_level_case(case_id, where, **replace):
     pytest.param(b"[]", ["--seed-override", "3"], "config", id="list_top_level_seed_override"),
     pytest.param(b'"x"', ["--seed-override", "3"], "config", id="string_top_level_seed_override"),
     pytest.param(json.dumps(BASE_CONFIG).encode("utf-16"), [], "config", id="not_utf8"),
-    pytest.param(BASE_BYTES, ["--workers", "0"], "workers", id="zero_workers"),
-    pytest.param(BASE_BYTES, ["--workers", "-2"], "workers", id="negative_workers"),
     # an empty order list would leave the fractional checks nothing to compare
     top_level_case("empty_orders", "orders", orders=[]),
     # bundle.seed is set, so only the task seeds would read the negative seed
@@ -410,6 +431,9 @@ def top_level_case(case_id, where, **replace):
     top_level_case("fractional_seed", "seed", seed=1.9),
     top_level_case("misspelled_top_level_key", "tolerance: unknown key",
                    tolerance={"blago": 1e-3}),
+    # parses, and then the scene build refuses it
+    top_level_case("arc_region_on_torus", "region: arc regions need a cycle manifold",
+                   manifold={"kind": "torus_grid", "counts": [4, 4], "lengths": [4.0, 4.0]}),
 ])
 def test_cli_config_error_exit_code(tmp_path, capsys, content, args, where):
     path = tmp_path / "bad.json"
@@ -452,38 +476,15 @@ def test_cli_tolerance_failure_exit_code(tmp_path, capsys):
     assert "overall: fail" in capsys.readouterr().out
 
 
-def test_cli_workers_without_threadpoolctl_says_so(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+def test_cli_unknown_flag_exits_2(tmp_path, capsys):
+    # the BLAS thread count comes from the environment, not from a flag
     cfg_path = write_config(tmp_path, tasks=["verify_spectral"])
-    code = main(["run", cfg_path, "--out", str(tmp_path / "out"), "--workers", "1"])
-    assert code == 0
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "threadpoolctl" in err[0]
-
-
-def test_workers_cap_ends_with_the_run_also_when_the_scene_build_fails(monkeypatch):
-    # an arc region on a torus parses, and then the scene build refuses it:
-    # the cap a library caller asked for must not outlive that run
-    calls = []
-
-    class Limits:
-        def __init__(self, limits):
-            calls.append(("limit", limits))
-
-        def unregister(self):
-            calls.append(("unregister",))
-
-    fake = types.ModuleType("threadpoolctl")
-    fake.threadpool_limits = Limits
-    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-    run_experiment(parse_config(dict(BASE_CONFIG, tasks=["verify_spectral"])), workers=2)
-    assert calls == [("limit", 2), ("unregister",)]
-    calls.clear()
-    raw = dict(BASE_CONFIG, manifold={"kind": "torus_grid", "counts": [4, 4],
-                                      "lengths": [4.0, 4.0]})
-    with pytest.raises(ConfigError, match="arc regions need a cycle manifold"):
-        run_experiment(parse_config(raw), workers=1)
-    assert calls == [("limit", 1), ("unregister",)]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", cfg_path, "--out", str(out), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_linalg_error_is_recorded_per_task(monkeypatch):

@@ -207,6 +207,18 @@ def test_containment_tiny_union_false(cycle32_scene, cycle32_engine):
     assert not cycle32_engine.containment(5, 8 * h, 5, 2 * h, 3, 2 * h)
 
 
+@pytest.mark.parametrize("half, missing", [
+    ({"z": 3}, "tau_z"),
+    # a radius alone must not be dropped: the verdict would ignore the union ball
+    ({"tau_z": 2.0}, "z"),
+], ids=["z_alone", "tau_z_alone"])
+def test_containment_half_given_union_ball_is_refused(cycle32_scene, cycle32_engine,
+                                                       half, missing):
+    h = cycle32_scene[-1]
+    with pytest.raises(ReconstructionError, match=f"; {missing} is missing"):
+        cycle32_engine.containment(5, 4 * h, 5, 5 * h, **half)
+
+
 def test_containment_monotone_in_union_radius(cycle32_scene, cycle32_engine):
     # no true -> false flip when the union ball is enlarged (verdict level;
     # raw residuals share a quadrature floor where tiny wiggles are legal)

@@ -449,8 +449,8 @@ def test_dense_sources_of_another_shape_are_refused(probe_scene, shape):
 
 
 def test_blago_bilinear_has_one_path(probe_scene, monkeypatch):
-    # both forms pair lag tables of delta columns and build no response
-    # series; a profile need not vanish at t = 0
+    # both forms pair delta columns in one spectral pass over the F profiles
+    # and build no response series; a profile need not vanish at t = 0
     wmap, fam, dense = probe_scene
     comps = fam.sources.component[:6]
     # each of the six sources on a profile of its own, one starting at 0.5
@@ -564,7 +564,7 @@ def dense_sources(rng, wmap, complex_amplitudes):
 @settings(max_examples=25, deadline=None)
 @given(torus=st.booleans(), rank=st.integers(1, 2), complex_f=st.booleans(),
        complex_h=st.booleans(), seed=st.integers(0, 2**31 - 1))
-def test_lag_pairing_matches_dense_sources(torus, rank, complex_f, complex_h, seed):
+def test_spectral_pairing_matches_dense_sources(torus, rank, complex_f, complex_h, seed):
     # both forms of blago_bilinear against the pairing summed over full
     # response series of the same sources
     rng = np.random.default_rng(seed)
