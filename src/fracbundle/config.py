@@ -12,7 +12,7 @@ import numpy as np
 from .bundle import build_bundle
 from .errors import ConfigError, FracBundleError
 from .manifold import Region, build_manifold, lattice
-from .reconstruction import ProbeConfig
+from .reconstruction import ProbeConfig, lead_count
 
 KNOWN_TASKS = (
     "verify_spectral",
@@ -256,10 +256,9 @@ def _check_working_set(counts, n_region, rank, horizon, steps, tasks, options):
     ]
     # an infinite manifold is past the budget already and has no mesh length
     if "reconstruct_distances" in tasks and K < math.inf:
-        # the lead ladder runs from width to T - 8 dt, with dt = 2T / N
-        n_leads = max((horizon - 16 * horizon / (rows - 1) - options["probe_width"])
-                      / options["probe_lead_step"], 0.0) + 1
-        m = D * n_leads
+        # the engine's lead ladder over the wave map's dt = 2T / N
+        m = D * lead_count(horizon, 2 * horizon / (rows - 1), options["probe_width"],
+                           options["probe_lead_step"])
         terms.append((16 * m * m, "options.probe_lead_step", f"probe Gram of {m:.3g} probes"))
     total = sum(t[0] for t in terms)
     if total > WORKING_SET_BUDGET:

@@ -17,6 +17,7 @@ responses of a second probe family near the horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +184,16 @@ def prefix_residuals(gram, span_idx, target_idx, reg):
     return np.sqrt(np.clip((norms - proj) / norms, 0.0, 1.0))
 
 
+def lead_count(horizon, dt, width, lead_step):
+    """How many emission leads the ladder width, width + lead_step, ... holds
+    up to horizon - 8 dt; 0 when none fits.  Arithmetic on scalars alone, so
+    a config check reads it at any size (infinite past the float range)."""
+    ladder = (horizon - 8 * dt - width) / lead_step
+    if not ladder >= 0:
+        return 0
+    return math.floor(ladder) + 1 if ladder < math.inf else math.inf
+
+
 class ProbeEngine:
     """Master probe family plus its Gram for containment sweeps, on the map
     data it was built from.  Every sweep of a distance recovery reads one
@@ -191,8 +202,7 @@ class ProbeEngine:
     def __init__(self, wmap: WaveMapData, cfg: ProbeConfig):
         self.wmap = wmap
         self.cfg = cfg
-        max_lead = wmap.horizon - 8 * wmap.grid.dt
-        n_leads = int(np.floor((max_lead - cfg.width) / cfg.lead_step)) + 1
+        n_leads = lead_count(wmap.horizon, wmap.grid.dt, cfg.width, cfg.lead_step)
         if n_leads < 2:
             raise ReconstructionError("lead ladder is empty; enlarge the horizon")
         leads = cfg.width + cfg.lead_step * np.arange(n_leads)
@@ -304,6 +314,8 @@ def first_arrival_matrix(wmap: WaveMapData, eta):
 
 def mesh_length(wmap):
     """The region's mesh length: its shortest internal edge."""
+    if len(wmap.local.edge_lengths) == 0:
+        raise ReconstructionError("region has no internal edge for a mesh length")
     return float(np.min(wmap.local.edge_lengths))
 
 
@@ -694,26 +706,21 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
     )
 
 
-def gauge_invariant_compare(recovered: ChartOperator, reference: ChartOperator, loops,
-                            tol_cert=1e-3):
-    """Certify equality up to gauge: holonomy traces over a loop basis and
-    per-vertex potential spectra.
+def gauge_invariant_compare(recovered: ChartOperator, reference: ChartOperator, loops):
+    """(holonomy deviation, potential spectrum deviation): how far two charts
+    are from equal up to gauge, over the holonomy traces of a loop basis and
+    the per-vertex potential spectra.  The caller gates them.
 
     Both charts must be indexed compatibly (the base matching); loops are
     vertex index sequences valid in both.
     """
     if len(recovered.vertices) != len(reference.vertices):
         raise ReconstructionError("chart sizes differ")
-    # np.max, unlike Python's max, lets a NaN win, so a NaN never passes
+    # np.max, unlike Python's max, lets a NaN win, so a NaN never passes a gate
     hol_dev = float(np.max([abs(recovered.holonomy(loop) - reference.holonomy(loop))
                             for loop in loops], initial=0.0))
     pot_dev = float(np.max([
         np.max(np.abs(np.sort(np.linalg.eigvalsh(p1)) - np.sort(np.linalg.eigvalsh(p2))),
                initial=0.0)
         for p1, p2 in zip(recovered.potentials, reference.potentials)], initial=0.0))
-    return {
-        "holonomy_deviation": hol_dev,
-        "potential_spectrum_deviation": pot_dev,
-        "passed": bool(hol_dev <= tol_cert and pot_dev <= tol_cert),
-        "tolerance": tol_cert,
-    }
+    return hol_dev, pot_dev

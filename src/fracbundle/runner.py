@@ -7,7 +7,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,10 +63,10 @@ class TaskResult:
     name: str
     status: str  # pass | fail | error
     elapsed_s: float
-    measures: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)  # name -> (header, rows)
-    message: str = ""
+    measures: dict
+    tolerances: dict  # gated measure name -> bound
+    tables: dict  # name -> (header, rows)
+    message: str
 
 
 @dataclass
@@ -163,10 +163,12 @@ class _Scene:
 # tasks
 
 # gates of the library's own arithmetic, not config tolerances; a task lists
-# them in its report tolerances beside the configured ones
+# them in its gates beside the configured ones
 HERMITICITY_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
 PRINTED_QUADRATURE_TOL = 1e-8
+# the one gated measure that must reach its bound; every other stays below
+FLOOR_GATE = "profile_match_fraction"
 
 
 def _task_verify_spectral(scene, cfg):
@@ -219,7 +221,7 @@ def _task_verify_spectral(scene, cfg):
         ["index", "eigenvalue"],
         [[k, float(lam)] for k, lam in enumerate(op.eigenvalues)],
     )
-    checks = {
+    gates = {
         "fractional_round_trip": cfg.tolerances["fractional_round_trip"],
         "gamma_route": cfg.tolerances["gamma_route"],
         "energy_drift": cfg.tolerances["energy_drift"],
@@ -227,7 +229,7 @@ def _task_verify_spectral(scene, cfg):
         "hermiticity_residual": HERMITICITY_TOL,
         "eigensection_orthonormality": ORTHONORMALITY_TOL,
     }
-    return all(measures[k] < tol for k, tol in checks.items()), measures, checks, tables
+    return measures, gates, tables
 
 
 def _task_verify_transmutation(scene, cfg):
@@ -247,9 +249,9 @@ def _task_verify_transmutation(scene, cfg):
     measures["printed_form_residual"] = printed_res  # logged, not gated
     measures["printed_form_quadrature_error"] = quad_err
     tables["transmutation"] = (["t", "mode", "quadrature", "exact", "mixed_error"], rows)
-    checks = {"transmutation_gaussian": cfg.tolerances["transmutation_gaussian"],
-              "printed_form_quadrature_error": PRINTED_QUADRATURE_TOL}
-    return all(measures[k] < tol for k, tol in checks.items()), measures, checks, tables
+    gates = {"transmutation_gaussian": cfg.tolerances["transmutation_gaussian"],
+             "printed_form_quadrature_error": PRINTED_QUADRATURE_TOL}
+    return measures, gates, tables
 
 
 def _seeded_pair_sources(scene, cfg, count, rng):
@@ -323,8 +325,7 @@ def _task_verify_blago(scene, cfg):
         ratio = ev.min() / np.trace(G_engine).real
     measures["gram_min_eigenvalue_over_trace"] = float(ratio)
     tables = {"blago_pairs": (["i", "j", "direct_re", "direct_im", "engine_re", "engine_im", "rel_err"], rows)}
-    checks = {"blago": cfg.tolerances["blago"]}
-    return worst < checks["blago"], measures, checks, tables
+    return measures, {"blago": cfg.tolerances["blago"]}, tables
 
 
 def _seeded_iso(scene, cfg, rng):
@@ -375,15 +376,12 @@ def _task_verify_gauge_equivariance(scene, cfg):
     rows.append(["heat_kernel", -1.0, heat_dev])
     measures["gauge_heat_kernel"] = heat_dev
     tables = {"gauge_deviations": (["block", "order", "deviation"], rows)}
-    checks = {
+    gates = {
         "gauge_frac_blocks": cfg.tolerances["gauge_blocks"],
         "gauge_wave_blocks": cfg.tolerances["gauge_blocks"],
         "gauge_heat_kernel": cfg.tolerances["gauge_heat_kernel"],
     }
-    ok = (frac_dev < checks["gauge_frac_blocks"]
-          and wave_dev < checks["gauge_wave_blocks"]
-          and heat_dev < checks["gauge_heat_kernel"])
-    return ok, measures, checks, tables
+    return measures, gates, tables
 
 
 def _interior_vertices(scene):
@@ -429,13 +427,15 @@ def _task_reconstruct_distances(scene, cfg):
             rows.append([i, j, float(arr[i, j]), float(d_true)])
             if d_true >= 3 * h - 1e-9:
                 rels.append(abs(arr[i, j] - d_true) / d_true)
-    worst_rel = float(np.max(rels, initial=0.0))
-    measures["first_arrival_rel"] = worst_rel
+    measures["first_arrival_rel"] = float(np.max(rels, initial=0.0))
     tables["first_arrival"] = (["i", "j", "estimate", "oracle"], rows)
-    # cut time along an interior ray
+    # cut time along an interior ray, from the first region vertex when no
+    # vertex is interior
     interior = _interior_vertices(scene)
     x = interior[len(interior) // 2] if interior else 0
-    y = min(wmap.local.neighbors(x))
+    y = min(wmap.local.neighbors(x), default=None)
+    if y is None:
+        raise FracBundleError(f"cut-time ray base {x} has no neighbor in the region")
     # every sweep of the task reads this one engine
     eng = ProbeEngine(wmap, pcfg)
     _, tstar = ray_cut_time(eng, x, y)
@@ -447,8 +447,7 @@ def _task_reconstruct_distances(scene, cfg):
     axis = int(np.argmin([abs(ell - L / c) for L, c in zip(lengths, m.meta["counts"])]))
     oracle_cut = lengths[axis] / 2
     measures["cut_time_oracle"] = float(oracle_cut)
-    cut_rel = abs(tstar - oracle_cut) / oracle_cut
-    measures["cut_time_rel"] = float(cut_rel)
+    measures["cut_time_rel"] = float(abs(tstar - oracle_cut) / oracle_cut)
     tables["cut_times"] = ((["x", "y", "estimate", "oracle"]),
                            [[x, y, float(tstar), float(oracle_cut)]])
     # the profile family
@@ -464,15 +463,12 @@ def _task_reconstruct_distances(scene, cfg):
     prof_rows = [[k] + [float(v) for v in fam.profiles[k]] for k in range(len(fam))]
     tables["distance_profiles"] = (
         ["point"] + [f"z{j}" for j in range(len(region))], prof_rows)
-    checks = {
+    gates = {
         "first_arrival_rel": cfg.tolerances["first_arrival_rel"],
         "cut_time_rel": cfg.tolerances["cut_time_rel"],
         "profile_match_fraction": cfg.tolerances["profile_match_fraction"],
     }
-    ok = (worst_rel < checks["first_arrival_rel"]
-          and cut_rel < checks["cut_time_rel"]
-          and rep["fraction"] >= checks["profile_match_fraction"])
-    return ok, measures, checks, tables
+    return measures, gates, tables
 
 
 def _fundamental_loops(n_vertices, edges):
@@ -530,10 +526,10 @@ def _task_reconstruct_operator(scene, cfg):
     scene.release("wmap")
     truth = chart_operator_from_bundle(scene.bundle, scene.region, chart)
     loops = _fundamental_loops(len(rec.vertices), rec.edges)
-    rep = gauge_invariant_compare(rec, truth, loops, tol_cert=cfg.tolerances["operator_cert"])
+    hol_dev, pot_dev = gauge_invariant_compare(rec, truth, loops)
     measures = {
-        "holonomy_deviation": rep["holonomy_deviation"],
-        "potential_spectrum_deviation": rep["potential_spectrum_deviation"],
+        "holonomy_deviation": hol_dev,
+        "potential_spectrum_deviation": pot_dev,
         "loop_count": len(loops),
         "unitary_correction": rec.diagnostics["unitary_deviation"],
         "hermitian_correction": rec.diagnostics["hermitian_deviation"],
@@ -544,24 +540,19 @@ def _task_reconstruct_operator(scene, cfg):
     b2 = apply_gauge(scene.bundle, g)
     wmap2 = wave_map_assemble(assemble(b2), scene.region, scene.grid)
     rec2 = recover_local_operator(wmap2, chart, pcfg)
-    rep2 = gauge_invariant_compare(
-        rec, rec2, loops, tol_cert=cfg.tolerances["gauge_pipeline_invariance"])
-    measures["gauged_holonomy_deviation"] = rep2["holonomy_deviation"]
-    measures["gauged_potential_deviation"] = rep2["potential_spectrum_deviation"]
+    gauged_hol, gauged_pot = gauge_invariant_compare(rec, rec2, loops)
+    measures["gauged_holonomy_deviation"] = gauged_hol
+    measures["gauged_potential_deviation"] = gauged_pot
     # worst per-vertex least-squares condition number over both runs
     measures["ls_condition"] = float(np.max([rec.diagnostics["ls_condition"],
                                              rec2.diagnostics["ls_condition"]]))
-    rows = [["holonomy", rep["holonomy_deviation"]],
-            ["potential_spectrum", rep["potential_spectrum_deviation"]],
-            ["gauged_holonomy", rep2["holonomy_deviation"]],
-            ["gauged_potential", rep2["potential_spectrum_deviation"]]]
+    rows = [["holonomy", hol_dev], ["potential_spectrum", pot_dev],
+            ["gauged_holonomy", gauged_hol], ["gauged_potential", gauged_pot]]
     tables = {"operator_recovery": (["invariant", "deviation"], rows)}
-    checks = {
-        "operator_cert": cfg.tolerances["operator_cert"],
-        "gauge_pipeline_invariance": cfg.tolerances["gauge_pipeline_invariance"],
-    }
-    ok = bool(rep["passed"] and rep2["passed"])
-    return ok, measures, checks, tables
+    cert, invariance = cfg.tolerances["operator_cert"], cfg.tolerances["gauge_pipeline_invariance"]
+    gates = {"holonomy_deviation": cert, "potential_spectrum_deviation": cert,
+             "gauged_holonomy_deviation": invariance, "gauged_potential_deviation": invariance}
+    return measures, gates, tables
 
 
 # each task and the cached scene objects it reads; a reader of wmap reads op
@@ -579,6 +570,10 @@ _TASKS = {
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run all configured tasks sequentially; failures are recorded, not fatal.
 
+    Each task returns (measures, gates, tables), gates mapping a measure
+    to its bound, and one rule gives its status: it passes when every gated
+    measure is below its bound, FLOOR_GATE at or above it; a NaN passes no
+    gate (the rule reads the measures before a NaN is written as null).
     A task that raises any Exception ends with status "error" and the
     exception's message (prefixed by its type name, except for library,
     LinAlgError and MemoryError failures); the next task still runs.  Each
@@ -590,15 +585,13 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     for name in cfg.tasks:
         t0 = time.perf_counter()
         try:
-            ok, measures, checks, tables = _TASKS[name][0](scene, cfg)
+            measures, gates, tables = _TASKS[name][0](scene, cfg)
+            ok = all(measures[k] >= bound if k == FLOOR_GATE else measures[k] < bound
+                     for k, bound in gates.items())
             results.append(TaskResult(
-                name=name,
-                status="pass" if ok else "fail",
-                elapsed_s=time.perf_counter() - t0,
-                measures=_to_native(measures),
-                tolerances=_to_native(checks),
-                tables=tables,
-            ))
+                name=name, status="pass" if ok else "fail", elapsed_s=time.perf_counter() - t0,
+                measures=_to_native(measures), tolerances=_to_native(gates), tables=tables,
+                message=""))
         except Exception as exc:  # recorded as data; KeyboardInterrupt passes through
             if isinstance(exc, (FracBundleError, np.linalg.LinAlgError, MemoryError)):
                 message = str(exc) or type(exc).__name__
@@ -606,7 +599,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                 message = f"{type(exc).__name__}: {exc}"
             results.append(TaskResult(
                 name=name, status="error", elapsed_s=time.perf_counter() - t0,
-                message=message))
+                measures={}, tolerances={}, tables={}, message=message))
         scene.end_task()
     return Report(config_echo=cfg.echo(), seed=cfg.seed, tasks=results)
 

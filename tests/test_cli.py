@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import fracbundle
 from fracbundle.cli import main
-from fracbundle.config import parse_config
+from fracbundle.config import KNOWN_TASKS, parse_config
 from fracbundle.errors import ConfigError
 from fracbundle.reconstruction import ProbeConfig
 from fracbundle import reconstruction, runner, s2s
@@ -127,20 +127,45 @@ def test_run_experiment_tolerance_failure_is_data():
     ("verify_spectral", "HERMITICITY_TOL", "hermiticity_residual"),
     ("verify_spectral", "ORTHONORMALITY_TOL", "eigensection_orthonormality"),
     ("verify_transmutation", "PRINTED_QUADRATURE_TOL", "printed_form_quadrature_error"),
+    ("reconstruct_distances", None, "profile_match_fraction"),
 ])
 def test_every_gate_of_a_task_is_in_its_report_tolerances(tmp_path, monkeypatch, task,
                                                          constant, gate):
-    # a gate that is not a config tolerance still decides the status, so a
-    # fail names it: at tolerance 0 it is the one tolerance the task misses
-    monkeypatch.setattr(runner, constant, 0.0)
-    cfg_path = write_config(tmp_path, tasks=[task])
+    # on a run of all six tasks, every tolerance is the measure it gates and
+    # each status is the one rule: measure < tolerance, except
+    # profile_match_fraction >= tolerance.  A fixed gate at 0, which is not a
+    # config tolerance, and a profile_match_fraction floor of 1, above the
+    # measured fraction, each fail their task naming that gate alone; every
+    # other task passes, reconstruct_distances at a floor of 0.1 too
+    if constant:
+        monkeypatch.setattr(runner, constant, 0.0)
+    cfg_path = write_config(tmp_path, tasks=list(KNOWN_TASKS),
+                            tolerances={"profile_match_fraction": 0.1 if constant else 1.0})
     report, code = runner.run_from_file(cfg_path, out_dir=str(tmp_path / "out"))
-    result = report.tasks[0]
-    assert result.status == "fail" and code == 1
-    assert result.tolerances[gate] == 0.0
-    assert [k for k, tol in result.tolerances.items() if not result.measures[k] < tol] == [gate]
-    written = strict_report(tmp_path / "out")["tasks"][0]["tolerances"]
-    assert written[gate] == 0.0
+    assert code == 1
+    written = strict_report(tmp_path / "out")["tasks"]
+    for result, entry in zip(report.tasks, written, strict=True):
+        assert result.status != "error", result.message
+        assert set(result.tolerances) <= set(result.measures)
+        missed = [k for k, tol in result.tolerances.items()
+                  if not (result.measures[k] >= tol if k == "profile_match_fraction"
+                          else result.measures[k] < tol)]
+        assert result.status == ("fail" if missed else "pass")
+        assert missed == ([gate] if result.name == task else [])
+        assert entry["tolerances"] == result.tolerances
+
+
+def test_a_measure_at_its_bound_fails_and_a_fraction_at_its_floor_passes():
+    # the bound is strict for every gate but profile_match_fraction, which
+    # passes at its bound; a rerun reproduces each measure bit for bit
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["tasks"] = ["verify_blago", "reconstruct_distances"]
+    first = run_experiment(parse_config(raw)).tasks
+    raw["tolerances"] = {"blago": first[0].measures["blago"],
+                         "profile_match_fraction": first[1].measures["profile_match_fraction"]}
+    blago, distances = run_experiment(parse_config(raw)).tasks
+    assert blago.status == "fail" and blago.measures == first[0].measures
+    assert distances.status == "pass" and distances.measures == first[1].measures
 
 
 def test_a_negative_operator_is_a_spectral_task_error():
@@ -200,6 +225,22 @@ def test_reconstruct_operator_reports_ls_condition():
     cond = rep1.tasks[0].measures["ls_condition"]
     assert 1.0 <= cond < 1e6
     assert rep1.tasks[0].measures == rep2.tasks[0].measures  # bit-identical reruns
+
+
+@pytest.mark.parametrize("ids", [[0, 8, 16, 24], [0, 10, 11]])
+def test_a_ray_base_without_a_region_neighbor_is_a_distance_task_error(ids):
+    # no internal edge, or no interior vertex and a first vertex alone: the
+    # cut-time ray from the first region vertex has nowhere to go
+    raw = {
+        "manifold": {"kind": "cycle", "count": 32, "length": float(2 * np.pi)},
+        "bundle": {"rank": 1},
+        "region": {"type": "vertices", "ids": ids},
+        "time": {"horizon": 3.0, "steps": 256},
+        "tasks": ["reconstruct_distances"],
+    }
+    task = run_experiment(parse_config(raw)).tasks[0]
+    assert task.status == "error"
+    assert task.message == "cut-time ray base 0 has no neighbor in the region"
 
 
 def test_reconstruct_operator_on_a_disconnected_chart():
@@ -701,8 +742,8 @@ def test_blago_engine_gram_is_the_dense_pairing_bit_for_bit():
     # gram_min_eigenvalue_over_trace
     cfg = parse_config(dict(SMALL_TORUS, tasks=["verify_blago"]))
     scene = runner._Scene(cfg)
-    ok, measures, _, tables = runner._task_verify_blago(scene, cfg)
-    assert ok
+    measures, gates, tables = runner._task_verify_blago(scene, cfg)
+    assert measures["blago"] < gates["blago"]
     dense = seeded_dense_sources(scene, cfg, 15)
     got, got_owners = runner._seeded_pair_sources(scene, cfg, 15,
                                                   np.random.default_rng(cfg.seed + 2))
@@ -839,9 +880,9 @@ def test_gauge_task_assembles_no_wave_map(monkeypatch):
     cfg = parse_config(dict(BASE_CONFIG, tasks=["verify_gauge_equivariance"],
                             bundle={"rank": 2, "connection": "random",
                                     "potential": "random_positive", "seed": 4}))
-    ok, measures, checks, _ = runner._task_verify_gauge_equivariance(runner._Scene(cfg), cfg)
+    measures, gates, _ = runner._task_verify_gauge_equivariance(runner._Scene(cfg), cfg)
     assert calls == []
-    assert ok and measures["gauge_wave_blocks"] < checks["gauge_wave_blocks"]
+    assert all(measures[k] < bound for k, bound in gates.items())
 
 
 def test_cli_env_var_output_dir(tmp_path, monkeypatch):

@@ -831,6 +831,14 @@ def test_recovery_evaluates_only_rows_near_horizon(cycle32_scene, monkeypatch):
     assert set(vars(wmap)) == set(fields)
 
 
+def test_mesh_length_needs_an_internal_edge():
+    m = cycle32_manifold()
+    wmap = wave_map_assemble(assemble(build_bundle(m, 1)), Region(m, (0, 8, 16, 24)),
+                             TimeGrid(3.0, 256))
+    with pytest.raises(ReconstructionError, match="region has no internal edge"):
+        reconstruction.mesh_length(wmap)
+
+
 @pytest.mark.parametrize("vertex", [999, -1])
 def test_recover_operator_rejects_chart_outside_region(cycle32_scene, vertex):
     m, b, op, U, wmap, cfg, h = cycle32_scene
@@ -843,8 +851,8 @@ def test_recover_operator_random_phases(torus_scene):
     chart = [5, 6, 9, 10]
     rec = recover_local_operator(wmap, chart, cfg)
     truth = chart_operator_from_bundle(b, U, chart)
-    rep = gauge_invariant_compare(rec, truth, [[0, 1, 3, 2]], tol_cert=1e-3)
-    assert rep["passed"], rep
+    deviations = gauge_invariant_compare(rec, truth, [[0, 1, 3, 2]])
+    assert max(deviations) < 1e-3, deviations
     assert rec.diagnostics["unitary_deviation"] < 1e-3
 
 
@@ -878,8 +886,8 @@ def test_recover_operator_rank2_random_connection():
     chart = [1 * 4 + 1, 1 * 4 + 2, 2 * 4 + 1, 2 * 4 + 2]
     rec = recover_local_operator(wmap, chart, cfg)
     truth = chart_operator_from_bundle(b, U, chart)
-    rep = gauge_invariant_compare(rec, truth, [[0, 1, 3, 2]], tol_cert=1e-3)
-    assert rep["passed"], rep
+    deviations = gauge_invariant_compare(rec, truth, [[0, 1, 3, 2]])
+    assert max(deviations) < 1e-3, deviations
 
 
 def test_wave_map_rejects_odd_step_grid():
@@ -899,8 +907,8 @@ def test_recover_operator_gauge_covariant(torus_scene):
     b2 = apply_gauge(b, g)
     wmap2 = wave_map_assemble(assemble(b2), U, wmap.grid)
     rec2 = recover_local_operator(wmap2, chart, cfg)
-    rep = gauge_invariant_compare(rec1, rec2, [[0, 1, 3, 2]], tol_cert=1e-10)
-    assert rep["passed"], rep
+    deviations = gauge_invariant_compare(rec1, rec2, [[0, 1, 3, 2]])
+    assert max(deviations) < 1e-10, deviations
     # the raw recovered structures genuinely differ (only invariants agree)
     assert np.max(np.abs(rec1.transports - rec2.transports)) > 1e-3
 
@@ -942,11 +950,11 @@ def test_gauge_compare_detects_perturbation(torus_scene):
     truth = chart_operator_from_bundle(b, U, chart)
     perturbed = chart_operator_from_bundle(b, U, chart)
     perturbed.potentials[0] = perturbed.potentials[0] + 0.1
-    rep = gauge_invariant_compare(perturbed, truth, [[0, 1, 3, 2]], tol_cert=1e-3)
-    assert not rep["passed"]
-    assert abs(rep["potential_spectrum_deviation"] - 0.1) < 1e-9
-    same = gauge_invariant_compare(truth, truth, [[0, 1, 3, 2]], tol_cert=1e-12)
-    assert same["passed"] and same["holonomy_deviation"] == 0.0
+    hol_dev, pot_dev = gauge_invariant_compare(perturbed, truth, [[0, 1, 3, 2]])
+    assert not max(hol_dev, pot_dev) < 1e-3
+    assert abs(pot_dev - 0.1) < 1e-9
+    same_hol, same_pot = gauge_invariant_compare(truth, truth, [[0, 1, 3, 2]])
+    assert max(same_hol, same_pot) < 1e-12 and same_hol == 0.0
 
 
 def test_match_profiles_reports_ambiguity():

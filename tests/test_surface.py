@@ -55,7 +55,7 @@ def test_knob_census_stays_within_its_bound():
                     fields += sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
                                   for stmt in node.body)
     assert functions > 0 and fields > 0
-    assert functions + fields <= 19
+    assert functions + fields <= 14
 
 
 def test_readme_quick_start_runs_and_certifies():
@@ -63,9 +63,11 @@ def test_readme_quick_start_runs_and_certifies():
     section = readme.split("## Library quick start", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
     printed = []
-    exec(compile(code, "README.md quick start", "exec"), {"print": printed.append})
+    exec(compile(code, "README.md quick start", "exec"),
+         {"print": lambda *args: printed.append(args)})
     assert len(printed) == 1
-    assert printed[0]["passed"] is True
+    deviations, certified = printed[0]
+    assert certified is True and max(deviations) < 1e-3
 
 
 def test_readme_constants_match_the_library():
