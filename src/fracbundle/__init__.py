@@ -12,7 +12,6 @@ from .bundle import (
     l2_norm,
     apply_gauge,
     pullback_bundle,
-    pullback_section,
     translation_iso,
 )
 from .operator import SpectralOperator, assemble, apply_function, kernel_projector

@@ -235,15 +235,6 @@ def pullback_bundle(iso: StructureIso) -> HermitianBundle:
     return apply_gauge(relabelled, GaugeTransform(iso.fiber))
 
 
-def pullback_section(iso: StructureIso, u):
-    """(pullback u)(x) = fiber(x)^* u(base(x)); unitary for the L2 pairings."""
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (iso.domain.manifold.num_vertices, iso.domain.rank):
-        raise BundleError("section does not live on the iso domain bundle")
-    gathered = u[iso.base]
-    return np.einsum("vji,vj->vi", np.conj(iso.fiber), gathered)
-
-
 def translation_iso(bundle: HermitianBundle, shifts, gauge: GaugeTransform):
     """StructureIso on a canonical cycle or torus: the translation that takes
     codomain lattice coordinates c to domain coordinates c + shifts (one

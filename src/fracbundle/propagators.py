@@ -376,27 +376,6 @@ def duhamel_states(op: SpectralOperator, f: TimeSection | Iterable[TimeSection],
     return out[0] if single else out
 
 
-def wave_pde_residual(op: SpectralOperator, f: TimeSection, w: TimeSection):
-    """Relative residual of (D_t^2 + P) w - f with central second differences.
-
-    Second-order in dt by construction; used as a convergence diagnostic.
-    """
-    grid = f.grid
-    dt = grid.dt
-    vals = w.values
-    dtt = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / dt**2
-    res = 0.0
-    scale = 0.0
-    for j in range(1, len(grid) - 1):
-        pw = op.to_section(op.matrix @ op.to_flat(vals[j]))
-        rj = dtt[j - 1] + pw - f.values[j]
-        res += l2_norm(op.bundle, rj) ** 2
-        scale += l2_norm(op.bundle, f.values[j]) ** 2
-    if scale == 0.0:
-        return 0.0
-    return float(np.sqrt(res / scale))
-
-
 # ---------------------------------------------------------------------------
 # fractional powers
 

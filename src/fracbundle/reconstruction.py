@@ -184,6 +184,18 @@ def prefix_residuals(gram, span_idx, target_idx, reg):
     return np.sqrt(np.clip((norms - proj) / norms, 0.0, 1.0))
 
 
+def _box_curve(eng, span, targets, n_span, n_tgt):
+    """Per radius k, the largest residual of targets[:n_tgt[k]] against
+    span[:n_span[k]], 1 where the box holds no target: both lists come in
+    lead order, so every radius reads one prefix_residuals table."""
+    n_tgt = np.asarray(n_tgt)
+    if len(targets) == 0:
+        return np.ones(len(n_tgt))
+    res = prefix_residuals(eng.gram, span, targets, eng.reg)
+    worst = np.maximum.accumulate(res[n_span], axis=1)[np.arange(len(n_tgt)), n_tgt - 1]
+    return np.where(n_tgt > 0, worst, 1.0)
+
+
 def lead_count(horizon, dt, width, lead_step):
     """How many emission leads the ladder width, width + lead_step, ... holds
     up to horizon - 8 dt; 0 when none fits.  Arithmetic on scalars alone, so
@@ -249,66 +261,72 @@ class ProbeEngine:
         budgets = np.asarray(radius_limits) - self.cfg.delta + 1e-12
         return np.searchsorted(self.family.lead[ordered_idx], budgets, side="right")
 
+    def union(self, boxes):
+        """Lead-ordered union of probe boxes: the first box, then each later
+        box's members not already in, in lead order."""
+        seen = np.zeros(len(self.family), dtype=bool)
+        parts = []
+        for box in boxes:
+            parts.append(box[~seen[box]])
+            seen[box] = True
+        return np.concatenate(parts)
+
     # residual machinery -----------------------------------------------------
     def max_residual(self, target_idx, span_idx):
-        """Largest projection residual of target states onto the span states
-        (the full-span row of prefix_residuals; 1 for an empty span)."""
+        """Largest projection residual of target states onto the span states:
+        the one-radius _box_curve (1 for an empty span)."""
         if len(target_idx) == 0:
             raise ReconstructionError("no target probes in the box")
-        return float(np.max(prefix_residuals(self.gram, span_idx, target_idx, self.reg)[-1]))
+        return float(_box_curve(self, span_idx, target_idx, [len(span_idx)], [len(target_idx)])[0])
 
-    def containment(self, x, tau_x, y, tau_y, z=None, tau_z=None):
-        """Verdict for ball(x, tau_x) strictly inside ball(y, tau_y) [u ball(z, tau_z)].
-
-        True when every wave state excited inside the x box is reproduced by
-        the y (and z) boxes within the residual threshold CONTAINMENT_TOL.
-        z and tau_z come together: either one alone is a ReconstructionError.
-        """
-        if (z is None) != (tau_z is None):
-            missing = "tau_z" if tau_z is None else "z"
-            raise ReconstructionError(f"the union ball needs both z and tau_z; {missing} is missing")
-        delta = self.cfg.delta
-        if min(tau_x, tau_y) <= delta or (z is not None and tau_z <= delta):
+    def containment(self, x, tau_x, balls):
+        """Verdict for ball(x, tau_x) strictly inside the union of balls, given
+        as (center, radius) pairs: True when the union of their boxes
+        reproduces every wave state of the x box within CONTAINMENT_TOL.  An
+        empty union never contains."""
+        if min([tau_x] + [tau for _, tau in balls]) <= self.cfg.delta:
             raise ReconstructionError("ball radii must exceed the probe delta")
         t_idx = self.box_indices(x, tau_x)
-        s_idx = self.box_indices(y, tau_y)
-        if z is not None:
-            s_idx = np.union1d(s_idx, self.box_indices(z, tau_z))
         if len(t_idx) == 0:
             raise ReconstructionError("target box has no probes; enlarge tau_x")
-        return self.max_residual(t_idx, s_idx) < CONTAINMENT_TOL
+        if not balls:
+            return False
+        span = self.union([self.box_indices(c, tau) for c, tau in balls])
+        return self.max_residual(t_idx, span) < CONTAINMENT_TOL
 
 
 # ---------------------------------------------------------------------------
 # distances
 
-def first_arrival_distance(wmap: WaveMapData, x, y, eta):
-    """Earliest grid time at which the raw kernel column from x is visible at y.
-
-    Threshold eta is relative to the column's own peak over the grid.
-    Symmetric in (x, y) by kernel reciprocity.
-    """
+def _arrival_row(wmap: WaveMapData, y, eta):
+    """Per region vertex x, the earliest grid time at which the raw kernel
+    column from x is visible at y, from one read of the r kernel rows of y:
+    the amplitude of the block K[:, y, x] is its largest entry modulus, and
+    the threshold eta times its own peak over the grid."""
     if not 0 < eta < 1:
         raise ReconstructionError("eta must be in (0, 1)")
     r = wmap.local.rank
-    # the r x r block K[:, y, x], read from the packed kernel rows of y
-    col = hermitian_rows(wmap.kernel, range(y * r, (y + 1) * r))[:, :, x * r:(x + 1) * r]
-    amp = np.max(np.abs(col).reshape(len(col), -1), axis=1)
-    peak = float(np.max(amp))
-    if not np.isfinite(peak):
+    rows = hermitian_rows(wmap.kernel, range(y * r, (y + 1) * r))
+    amp = np.max(np.abs(rows).reshape(len(rows), r, -1, r), axis=(1, 3))
+    peak = np.max(amp, axis=0)
+    if not np.all(np.isfinite(peak)):
         raise ReconstructionError("kernel column is not finite")
-    if peak <= 0:
+    if not np.all(peak > 0):
         raise ReconstructionError("kernel column vanishes identically")
-    hits = np.nonzero(amp > eta * peak)[0]
-    return float(wmap.grid.times[hits[0]])
+    return wmap.grid.times[np.argmax(amp > eta * peak, axis=0)]
+
+
+def first_arrival_distance(wmap: WaveMapData, x, y, eta):
+    """Earliest grid time at which the raw kernel column from x is visible at
+    y: one entry of _arrival_row.  Symmetric in (x, y) by kernel reciprocity."""
+    return float(_arrival_row(wmap, y, eta)[x])
 
 
 def first_arrival_matrix(wmap: WaveMapData, eta):
-    n = wmap.local.size
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = first_arrival_distance(wmap, i, j, eta)
+    """First arrivals between every pair of region vertices, entry [y, x] from
+    _arrival_row(y), one kernel read per vertex; the diagonal is 0."""
+    out = np.array([_arrival_row(wmap, y, eta) for y in range(wmap.local.size)])
+    np.fill_diagonal(out, 0.0)
     return out
 
 
@@ -370,26 +388,18 @@ def _sweep_radius(r_grid, curve):
 def _cut_time_curve(eng, x, y, s, r_grid, eps):
     """Residual of box(y, r - s + eps) against box(x, r) at every sweep radius.
 
-    Both boxes are taken in lead order at the largest radius, so each
-    radius reads a leading block of one prefix_residuals table.  Radii
-    with no admissible target ball read 1.
+    Both boxes are taken in lead order at the largest radius; radii with no
+    admissible target ball read 1.
     """
-    delta = eng.cfg.delta
     tau_t = r_grid - s + eps
-    valid = (tau_t > delta + 1e-12) & (r_grid > s)
+    valid = (tau_t > eng.cfg.delta + 1e-12) & (r_grid > s)
     curve = np.ones(len(r_grid))
     if not np.any(valid):
         return curve
     span = eng.box_indices(x, r_grid[-1])
     targets = eng.box_indices(y, tau_t[-1])
-    if len(targets) == 0:
-        return curve
-    res = prefix_residuals(eng.gram, span, targets, eng.reg)
-    n_span = eng.box_sizes(span, r_grid[valid])
-    n_tgt = eng.box_sizes(targets, tau_t[valid])
-    in_box = np.arange(len(targets))[None, :] < n_tgt[:, None]
-    worst = np.max(np.where(in_box, res[n_span], 0.0), axis=1)
-    curve[valid] = np.where(n_tgt > 0, worst, 1.0)
+    curve[valid] = _box_curve(eng, span, targets, eng.box_sizes(span, r_grid[valid]),
+                              eng.box_sizes(targets, tau_t[valid]))
     return curve
 
 
@@ -418,16 +428,12 @@ def ray_cut_time(eng: ProbeEngine, x, y):
 def _exterior_curve(eng, x_span, t_idx, z, r_grid):
     """Residual of the target box against x_span u box(z, r) at every sweep radius.
 
-    The span is ordered [x_span, then the z-box members outside it by
-    lead], so the span at each radius is a leading block of the span at
-    the largest one.
+    The span is the lead-ordered union [x_span, box(z, r_max)], so the span
+    at each radius is a leading block of the span at the largest one.
     """
-    z_box = eng.box_indices(z, r_grid[-1])
-    in_x = np.zeros(len(eng.family), dtype=bool)
-    in_x[x_span] = True
-    z_new = z_box[~in_x[z_box]]
-    res = prefix_residuals(eng.gram, np.concatenate([x_span, z_new]), t_idx, eng.reg)
-    return np.max(res[len(x_span) + eng.box_sizes(z_new, r_grid)], axis=1)
+    span = eng.union([x_span, eng.box_indices(z, r_grid[-1])])
+    n_span = len(x_span) + eng.box_sizes(span[len(x_span):], r_grid)
+    return _box_curve(eng, span, t_idx, n_span, np.full(len(r_grid), len(t_idx)))
 
 
 def exterior_distance(eng: ProbeEngine, x, y, s, r_prime, z, r_grid):

@@ -429,10 +429,11 @@ def _task_reconstruct_distances(scene, cfg):
                 rels.append(abs(arr[i, j] - d_true) / d_true)
     measures["first_arrival_rel"] = float(np.max(rels, initial=0.0))
     tables["first_arrival"] = (["i", "j", "estimate", "oracle"], rows)
-    # cut time along an interior ray, from the first region vertex when no
-    # vertex is interior
+    # cut time along an interior ray; when no vertex is interior, from the
+    # first region vertex with a region neighbor (vertex 0 when none has one)
     interior = _interior_vertices(scene)
-    x = interior[len(interior) // 2] if interior else 0
+    x = interior[len(interior) // 2] if interior else next(
+        (v for v in range(len(region)) if wmap.local.neighbors(v)), 0)
     y = min(wmap.local.neighbors(x), default=None)
     if y is None:
         raise FracBundleError(f"cut-time ray base {x} has no neighbor in the region")

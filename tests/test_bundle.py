@@ -11,13 +11,18 @@ from fracbundle.bundle import (
     build_bundle,
     l2_inner,
     pullback_bundle,
-    pullback_section,
     translation_iso,
 )
 from fracbundle.errors import BundleError, GeometryError, ReconstructionError
 from fracbundle.manifold import DiscreteManifold, Region, build_manifold
 from fracbundle.reference import chart_operator_from_bundle
 from fracbundle.s2s import local_structure
+
+
+def pullback_section(iso, u):
+    """(pullback u)(x) = fiber(x)^* u(base(x)): the reference pullback of a
+    section along a structure isomorphism."""
+    return np.einsum("vji,vj->vi", np.conj(iso.fiber), np.asarray(u, dtype=np.complex128)[iso.base])
 
 
 def cycle(n=8, length=None):

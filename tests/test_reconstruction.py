@@ -198,25 +198,45 @@ def test_projection_residual_far_target(cycle32_scene):
 
 def test_containment_nested_balls_true(cycle32_scene, cycle32_engine):
     h = cycle32_scene[-1]
-    assert cycle32_engine.containment(5, 4 * h, 5, 5 * h)
+    assert cycle32_engine.containment(5, 4 * h, [(5, 5 * h)])
 
 
 def test_containment_tiny_union_false(cycle32_scene, cycle32_engine):
     h = cycle32_scene[-1]
     # B(5, 8h) reaches beyond the union of two barely-positive balls
-    assert not cycle32_engine.containment(5, 8 * h, 5, 2 * h, 3, 2 * h)
+    assert not cycle32_engine.containment(5, 8 * h, [(5, 2 * h), (3, 2 * h)])
 
 
-@pytest.mark.parametrize("half, missing", [
-    ({"z": 3}, "tau_z"),
-    # a radius alone must not be dropped: the verdict would ignore the union ball
-    ({"tau_z": 2.0}, "z"),
-], ids=["z_alone", "tau_z_alone"])
-def test_containment_half_given_union_ball_is_refused(cycle32_scene, cycle32_engine,
-                                                       half, missing):
+def test_containment_reads_a_union_of_three_balls(cycle32_scene, cycle32_engine, monkeypatch):
+    # B(5, 6h) reaches past each of three balls alone but not past their
+    # union; the span is the first box, then the later boxes' new members
+    # in lead order
     h = cycle32_scene[-1]
-    with pytest.raises(ReconstructionError, match=f"; {missing} is missing"):
-        cycle32_engine.containment(5, 4 * h, 5, 5 * h, **half)
+    eng = cycle32_engine
+    balls = [(5, 3 * h), (2, 4 * h), (8, 4 * h)]
+    for ball in balls:
+        assert not eng.containment(5, 6 * h, [ball])
+    boxes = [eng.box_indices(c, tau) for c, tau in balls]
+    spans = []
+
+    def recorded(target_idx, span_idx):
+        spans.append(span_idx)
+        return max_residual(target_idx, span_idx)
+
+    max_residual = eng.max_residual
+    monkeypatch.setattr(eng, "max_residual", recorded)
+    assert eng.containment(5, 6 * h, balls)
+    seen = list(boxes[0])
+    for box in boxes[1:]:
+        seen += [i for i in box if i not in seen]
+    assert np.array_equal(spans[0], seen) and len(seen) > len(boxes[0])
+
+
+def test_an_empty_union_never_contains(cycle32_scene, cycle32_engine):
+    h = cycle32_scene[-1]
+    assert cycle32_engine.containment(5, 4 * h, []) is False
+    with pytest.raises(ReconstructionError, match="must exceed the probe delta"):
+        cycle32_engine.containment(5, 4 * h, [(5, 0.5 * h)])
 
 
 def test_containment_monotone_in_union_radius(cycle32_scene, cycle32_engine):
@@ -228,7 +248,7 @@ def test_containment_monotone_in_union_radius(cycle32_scene, cycle32_engine):
     seen_true = False
     prev_res = None
     for tau_y in (3 * h, 5 * h, 7 * h, 9 * h, 12 * h):
-        verdict = eng.containment(4, tau_x, 4, tau_y)
+        verdict = eng.containment(4, tau_x, [(4, tau_y)])
         if seen_true:
             assert verdict
         seen_true = seen_true or verdict
@@ -510,6 +530,25 @@ def test_first_arrival_properties(cycle32_scene):
         d_true = dist[U.vertices[i], U.vertices[j]]
         d_est = first_arrival_distance(wmap, i, j, cfg.eta)
         assert abs(d_est - d_true) <= 0.15 * d_true
+
+
+@pytest.fixture(scope="module")
+def rank2_cycle32():
+    """The cycle32 geometry under a random rank-2 connection: its map data."""
+    return cycle32(build_bundle(cycle32_manifold(), 2, connection="random", seed=5))[4]
+
+
+@pytest.mark.parametrize("scene", ["gauged_cycle32", "rank2_cycle32"])
+def test_first_arrival_matrix_stacks_the_pairwise_arrivals(scene, cycle32_scene, request):
+    # the matrix reads one kernel row block per vertex; every off-diagonal
+    # entry is the pairwise arrival bit for bit, and reciprocity makes the
+    # matrix exactly symmetric, also complex and at rank 2
+    wmap, eta = request.getfixturevalue(scene), cycle32_scene[5].eta
+    arr = first_arrival_matrix(wmap, eta)
+    n = wmap.local.size
+    assert np.array_equal(arr, arr.T) and np.all(np.diag(arr) == 0.0)
+    for x, y in itertools.permutations(range(n), 2):
+        assert arr[y, x] == first_arrival_distance(wmap, x, y, eta)
 
 
 def test_first_arrival_semimetric(cycle32_scene):
@@ -796,7 +835,7 @@ def test_containment_verdicts_match_ground_truth():
         if len(truths) > 1:
             continue
         want = truths.pop()
-        got = eng.containment(x, tx, y, ty, z, tz)
+        got = eng.containment(x, tx, [(y, ty), (z, tz)])
         agree += int(got == want)
         total += 1
     assert agree / total >= 0.95, f"verdict agreement {agree}/{total}"

@@ -19,7 +19,6 @@ from fracbundle.bundle import (
     build_bundle,
     l2_inner,
     pullback_bundle,
-    pullback_section,
     translation_iso,
 )
 from fracbundle.errors import DataBoundaryError, OperatorError
@@ -59,6 +58,12 @@ from fracbundle.timequad import (
     time_average_linear,
     time_average_nodes,
 )
+
+
+def pullback_section(iso, u):
+    """(pullback u)(x) = fiber(x)^* u(base(x)): the reference pullback of a
+    section along a structure isomorphism."""
+    return np.einsum("vji,vj->vi", np.conj(iso.fiber), np.asarray(u, dtype=np.complex128)[iso.base])
 
 
 def bump(times, center, width):
