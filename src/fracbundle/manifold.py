@@ -2,8 +2,10 @@
 all-pairs shortest-path distances.
 
 The distances are the ground-truth metric that experiments score recovered
-distances against.  The reconstruction layer never imports this module: it
-reads only the local metric data frozen into the map objects of s2s.
+distances against; a region's induced metric (s2s.local_structure) comes
+from the same rule, shortest_paths.  The reconstruction layer never imports
+this module: it reads only the local metric data frozen into the map
+objects of s2s.
 
 Conventions
 -----------
@@ -198,21 +200,51 @@ def build_manifold(spec):
     )
 
 
+def shortest_paths(num_vertices, edges, lengths):
+    """All-pairs shortest-path lengths of an undirected graph: the one
+    shortest-path rule.
+
+    edges: (E, 2) vertex pairs, read both ways; lengths: (E,) positive edge
+    lengths.  Relaxes d[s, v] = min(d[s, v], d[s, u] + w_uv) for every source
+    at once; each round follows only the out-edges of the (source, vertex)
+    pairs that improved in the round before.  A path is summed from its
+    source outward, as Dijkstra sums it, so d[s, v] is the least such sum
+    over all paths, bit for bit.  The two directions of a pair can differ in
+    the last bit; the result takes the smaller, so it is exactly symmetric.
+    Unreachable pairs are inf.
+    """
+    V = num_vertices
+    arcs = np.concatenate([edges, edges[:, ::-1]])
+    # stable: each row keeps edge-list order, so the keys a round relaxes
+    # stay close together in memory
+    order = np.argsort(arcs[:, 0], kind="stable")
+    tails, heads = arcs[order].T
+    deg = np.bincount(tails, minlength=V)
+    # out-edges of each vertex in one row, padded with inf-length self loops
+    slot = np.arange(len(tails)) - np.repeat(np.cumsum(deg) - deg, deg)
+    nbr = np.repeat(np.arange(V)[:, None], deg.max(initial=0), axis=1)
+    wts = np.full(nbr.shape, np.inf)
+    nbr[tails, slot] = heads
+    wts[tails, slot] = np.tile(lengths, 2)[order]
+    d = np.full(V * V, np.inf)
+    frontier = np.arange(V) * (V + 1)  # the (s, s) pairs
+    d[frontier] = 0.0
+    improved = np.zeros(V * V, dtype=bool)
+    while frontier.size:
+        s, u = np.divmod(frontier, V)
+        cand = (d[frontier][:, None] + wts[u]).ravel()
+        key = (s[:, None] * V + nbr[u]).ravel()
+        better = cand < d[key]
+        key = key[better]
+        np.minimum.at(d, key, cand[better])
+        improved[key] = True
+        frontier = np.flatnonzero(improved)
+        improved[frontier] = False
+    d = d.reshape(V, V)
+    return np.minimum(d, d.T)
+
+
 def shortest_distances(m: DiscreteManifold) -> np.ndarray:
-    """All-pairs shortest-path distances over edge lengths."""
-    # scipy loads here, not at import: only the distance task needs it
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    # one entry per edge: the undirected search reads it both ways
-    graph = csr_matrix((m.lengths, (m.edges[:, 0], m.edges[:, 1])),
-                       shape=(m.num_vertices, m.num_vertices))
-    dist = dijkstra(graph, directed=False)
-    if not np.all(np.isfinite(dist)):
-        raise GeometryError("graph must be connected")
-    # exact zero diagonal and exact symmetry (dijkstra already gives both,
-    # the symmetrization guards against accumulation-order noise)
-    dist = np.minimum(dist, dist.T)
-    np.fill_diagonal(dist, 0.0)
-    return dist
-
+    """All-pairs shortest-path distances over edge lengths: shortest_paths on
+    the manifold's edges.  Finite, since a manifold is connected."""
+    return shortest_paths(m.num_vertices, m.edges, m.lengths)

@@ -415,14 +415,14 @@ def cut_time_estimate(eng: ProbeEngine, x, y, s, r_grid):
     return _sweep_radius(r_grid, _cut_time_curve(eng, x, y, s, r_grid, _shell_width(eng.wmap)))
 
 
-def ray_cut_time(eng: ProbeEngine, x, y):
-    """(s, cut time) of the ray from x through y: s is the first arrival at y;
-    the sweep steps h/2 from s + delta + h/2 below T - delta, h mesh_length."""
+def ray_cut_time(eng: ProbeEngine, x, y, s):
+    """Cut time of the ray from x through y, s the first arrival at y (entry
+    [y, x] of first_arrival_matrix); the sweep steps h/2 from s + delta + h/2
+    below T - delta, h mesh_length."""
     wmap, cfg = eng.wmap, eng.cfg
-    s = first_arrival_distance(wmap, x, y, cfg.eta)
     step = mesh_length(wmap) / 2
     sweep = np.arange(s + cfg.delta + step, wmap.horizon - cfg.delta, step)
-    return s, cut_time_estimate(eng, x, y, s, sweep)
+    return cut_time_estimate(eng, x, y, s, sweep)
 
 
 def _exterior_curve(eng, x_span, t_idx, z, r_grid):
@@ -485,10 +485,11 @@ class RayPlan:
     r_values: tuple
 
 
-def distance_family(eng: ProbeEngine, rays):
+def distance_family(eng: ProbeEngine, rays, arrivals):
     """Recover the family of distance profiles d(p, .)|_U from the engine's map data.
 
-    Region points contribute their first-arrival rows; exterior points come
+    arrivals is first_arrival_matrix of the engine's map and eta.  Region
+    points contribute its rows; exterior points come
     from the ray sweeps, in steps of half a mesh length.  Profiles violating
     the 1-Lipschitz bound (with a dispersion slack of 0.35) are dropped;
     profiles within 0.75 mesh lengths of an earlier one are merged.  The set
@@ -513,7 +514,7 @@ def distance_family(eng: ProbeEngine, rays):
 
     # 1-Lipschitz validity filter against the local metric
     profiles, prov = [], []
-    for i, prof in enumerate(first_arrival_matrix(wmap, cfg.eta)):
+    for i, prof in enumerate(arrivals):
         if all(lipschitz_at(prof, z) for z in range(n)):
             profiles.append(prof)
             prov.append({"kind": "region", "vertex": i})
@@ -528,7 +529,8 @@ def distance_family(eng: ProbeEngine, rays):
         if not (full[ray.x] and full[ray.y]):
             rays_skipped += 1
             continue
-        s, tstar = ray_cut_time(eng, ray.x, ray.y)
+        s = arrivals[ray.y, ray.x]
+        tstar = ray_cut_time(eng, ray.x, ray.y, s)
         for r_prime in ray.r_values:
             if r_prime >= min(CUT_MARGIN * tstar, diam_cap):
                 continue

@@ -439,7 +439,7 @@ def _task_reconstruct_distances(scene, cfg):
         raise FracBundleError(f"cut-time ray base {x} has no neighbor in the region")
     # every sweep of the task reads this one engine
     eng = ProbeEngine(wmap, pcfg)
-    _, tstar = ray_cut_time(eng, x, y)
+    tstar = ray_cut_time(eng, x, y, arr[y, x])
     measures["cut_time"] = float(tstar)
     # the ray follows one lattice axis: its cut sits at half that axis length
     ids, _ = wmap.local.edge_index([(x, y)])
@@ -453,7 +453,7 @@ def _task_reconstruct_distances(scene, cfg):
                            [[x, y, float(tstar), float(oracle_cut)]])
     # the profile family
     rays = _auto_rays(scene, cfg, pcfg)
-    fam = distance_family(eng, rays)
+    fam = distance_family(eng, rays, arr)
     oracle_profiles = dist[:, list(region.vertices)]
     rep = match_profiles(fam, oracle_profiles, rel_tol=cfg.tolerances["profile_match_rel"])
     measures["profile_match_fraction"] = rep["fraction"]

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import timequad
 from .errors import DataBoundaryError, OperatorError
-from .manifold import Region, edge_index
+from .manifold import Region, edge_index, shortest_paths
 from .operator import KERNEL_FRACTION_TOL, SpectralOperator
 from .propagators import (
     TimeGrid,
@@ -132,12 +132,6 @@ def local_structure(region: Region, rank) -> LocalStructure:
     verts = region.vertices
     inside, edges = region.inner_edges()
     lens = m.lengths[inside]
-    n = len(verts)
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    dist[edges[:, 0], edges[:, 1]] = dist[edges[:, 1], edges[:, 0]] = lens
-    for k in range(n):  # small regions: Floyd--Warshall on local edges only
-        dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
     return LocalStructure(
         vertices=verts,
         volumes=m.volumes[list(verts)],
@@ -145,7 +139,7 @@ def local_structure(region: Region, rank) -> LocalStructure:
         edges=edges,
         edge_lengths=lens,
         edge_weights=m.weights[inside],
-        distances=dist,
+        distances=shortest_paths(len(verts), edges, lens),
     )
 
 

@@ -44,6 +44,7 @@ from fracbundle.reconstruction import (
     cut_time_estimate,
     distance_family,
     first_arrival_distance,
+    first_arrival_matrix,
     gauge_invariant_compare,
     match_profiles,
     recover_local_operator,
@@ -234,7 +235,7 @@ def test_acceptance_6_distance_reconstruction(cycle64_wave):
     rays = []
     for x, d in ((3, 1), (3, -1), (8, 1), (8, -1), (12, 1), (12, -1), (13, 1), (2, -1)):
         rays.append(RayPlan(x=x, y=x + d, r_values=tuple(np.arange(2 * h, 29.8 * h, h))))
-    fam = distance_family(eng, rays)
+    fam = distance_family(eng, rays, first_arrival_matrix(wmap, cfg.eta))
     oracle = dist[:, list(U.vertices)]
     rep = match_profiles(fam, oracle, rel_tol=0.15)
     elapsed = time.time() - t0

@@ -208,6 +208,27 @@ def test_distances_task_builds_one_probe_engine(monkeypatch):
     assert len(swept) == 2 and all(eng is built[0] for eng in swept)
 
 
+def test_distances_task_reads_each_kernel_row_once(monkeypatch):
+    # the README scene's 16 region vertices: the task reads one first-arrival
+    # matrix, one _arrival_row per vertex, and hands its entries to the
+    # cut-time ray and the profile family
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("Example config:", 1)[1].split("```json\n", 1)[1]
+    raw = json.loads(example.split("```", 1)[0])
+    raw["tasks"] = ["reconstruct_distances"]
+    reads = []
+    arrival_row = reconstruction._arrival_row
+
+    def counted(wmap, y, eta):
+        reads.append(y)
+        return arrival_row(wmap, y, eta)
+
+    monkeypatch.setattr(reconstruction, "_arrival_row", counted)
+    task = run_experiment(parse_config(raw)).tasks[0]
+    assert task.status == "pass" and raw["region"]["count"] == 16
+    assert reads == list(range(16))
+
+
 def test_reconstruct_operator_reports_ls_condition():
     raw = {
         "manifold": {"kind": "cycle", "count": 20, "length": 20.0},
@@ -690,7 +711,7 @@ def test_nan_probe_gram_is_a_task_error_and_later_tasks_run(tmp_path, monkeypatc
 
 
 def test_no_recovered_profile_is_a_task_failure_with_its_measures(tmp_path, monkeypatch):
-    def nothing_recovered(eng, rays):
+    def nothing_recovered(eng, rays, arrivals):
         wmap = eng.wmap
         return reconstruction.DistanceProfileSet(
             region_vertices=wmap.local.vertices,

@@ -12,6 +12,7 @@ from fracbundle.manifold import (
     edge_index,
     lattice,
     shortest_distances,
+    shortest_paths,
 )
 from fracbundle.s2s import local_structure
 
@@ -235,6 +236,94 @@ def test_torus_distance_bfs_oracle():
     v_b = 2 * 4 + 2
     assert oracle[v_a, v_b] == pytest.approx(4.0)  # frozen from the BFS oracle
     assert d[v_a, v_b] == pytest.approx(4.0)
+
+
+def dijkstra_distances(num_vertices, edges, lengths):
+    """scipy's Dijkstra on the undirected graph: the independent reference."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    graph = csr_matrix((lengths, (edges[:, 0], edges[:, 1])), shape=(num_vertices, num_vertices))
+    return dijkstra(graph, directed=False)
+
+
+LATTICES = {
+    "cycle64": {"kind": "cycle", "count": 64, "length": 2 * np.pi},
+    "cycle97": {"kind": "cycle", "count": 97, "length": 3.7},
+    "torus16x16": {"kind": "torus_grid", "counts": [16, 16], "lengths": [5.3, 2.9]},
+    "torus12x9": {"kind": "torus_grid", "counts": [12, 9], "lengths": [5.3, 2.9]},
+    "torus7x5": {"kind": "torus_grid", "counts": [7, 5], "lengths": [1.7, 4.1]},
+}
+
+
+@pytest.mark.parametrize("name", LATTICES)
+def test_shortest_distances_match_dijkstra_on_lattices(name):
+    # on a lattice every ordering of a path's steps is a path too, so
+    # Dijkstra's sums are symmetric and the relaxation meets them bit for bit
+    m = build_manifold(LATTICES[name])
+    want = dijkstra_distances(m.num_vertices, m.edges, m.lengths)
+    assert np.array_equal(want, want.T)
+    assert np.array_equal(shortest_distances(m), want)
+
+
+def test_shortest_paths_match_dijkstra_on_random_graphs():
+    # random connected graphs with random lengths: a path's sum depends on
+    # its direction in the last bit, and both routes take the smaller
+    rng = np.random.default_rng(11)
+    asymmetric = 0
+    for _ in range(120):
+        n = int(rng.integers(2, 40))
+        tree = [(int(rng.integers(0, k)), k) for k in range(1, n)]
+        pairs = {frozenset(p) for p in tree}
+        extra = [(int(a), int(b)) for a, b in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+                 if a != b and not (frozenset((a, b)) in pairs or pairs.add(frozenset((a, b))))]
+        edges = np.array(tree + extra).reshape(-1, 2)
+        lengths = rng.uniform(0.05, 3.0, len(edges))
+        want = dijkstra_distances(n, edges, lengths)
+        asymmetric += not np.array_equal(want, want.T)
+        got = shortest_paths(n, edges, lengths)
+        assert np.array_equal(got, np.minimum(want, want.T))
+        m = DiscreteManifold(num_vertices=n, edges=edges, lengths=lengths, weights=np.ones(len(edges)),
+                             volumes=np.ones(n), dimension=1)
+        assert np.array_equal(shortest_distances(m), got)
+    assert asymmetric > 0
+
+
+def test_shortest_paths_leave_unreachable_pairs_infinite():
+    # a region's inner edges need not connect it
+    d = shortest_paths(5, np.array([[0, 1], [3, 4]]), np.array([0.5, 2.0]))
+    assert np.array_equal(d, [[0, 0.5, np.inf, np.inf, np.inf], [0.5, 0, np.inf, np.inf, np.inf],
+                              [np.inf, np.inf, 0, np.inf, np.inf], [np.inf, np.inf, np.inf, 0, 2],
+                              [np.inf, np.inf, np.inf, 2, 0]])
+    assert np.array_equal(shortest_paths(1, np.zeros((0, 2), dtype=np.int64), np.zeros(0)), [[0.0]])
+
+
+def test_shortest_distances_hold_two_float_matrices():
+    # at V = 1024 the relaxation's working set is the distance matrix, its
+    # symmetrized copy, a V x V boolean frontier mask and the frontier's
+    # edge arrays: under 2.5 float V x V matrices at its peak
+    import tracemalloc
+
+    m = build_manifold({"kind": "torus_grid", "counts": [32, 32], "lengths": [5.3, 2.9]})
+    tracemalloc.start()
+    try:
+        shortest_distances(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * m.num_vertices ** 2
+
+
+@pytest.mark.parametrize("order", ["natural", "shuffled"])
+def test_region_metric_of_the_whole_torus_is_the_oracle(order):
+    # one shortest-path rule: the induced metric of a region covering the
+    # manifold is the oracle exactly, in any vertex order
+    m = build_manifold(LATTICES["torus12x9"])
+    verts = np.arange(m.num_vertices)
+    if order == "shuffled":
+        verts = np.random.default_rng(2).permutation(verts)
+    local = local_structure(Region(m, tuple(verts)), 1)
+    assert np.array_equal(local.distances, shortest_distances(m)[np.ix_(verts, verts)])
 
 
 def test_repeated_pair_is_refused():

@@ -603,7 +603,7 @@ def test_distance_family_small_scene(cycle32_scene, cycle32_engine):
     m, b, op, U, wmap, cfg, h = cycle32_scene
     rays = [RayPlan(x=4, y=5, r_values=tuple(np.arange(2 * h, 10.5 * h, h))),
             RayPlan(x=5, y=4, r_values=tuple(np.arange(2 * h, 10.5 * h, h)))]
-    fam = distance_family(cycle32_engine, rays)
+    fam = distance_family(cycle32_engine, rays, first_arrival_matrix(wmap, cfg.eta))
     assert len(fam) >= 12
     # region rows reproduce the restricted distance matrix within tolerance
     dist = shortest_distances(m)
@@ -642,7 +642,7 @@ def test_distance_family_factors_once_per_sweep(cycle32_scene, cycle32_engine, m
         monkeypatch.setattr(recon, name, counted(name, getattr(recon, name)))
     monkeypatch.setattr(np.linalg, "cholesky", forbidden)
     rays = [RayPlan(x=4, y=5, r_values=tuple(np.arange(2 * h, 10.5 * h, h)))]
-    fam = distance_family(cycle32_engine, rays)
+    fam = distance_family(cycle32_engine, rays, first_arrival_matrix(wmap, cfg.eta))
     assert len(fam) > wmap.local.size  # the ray produced exterior profiles
     sweeps = calls["exterior_distance"] + calls["cut_time_estimate"]
     assert calls["cut_time_estimate"] == 1 and calls["exterior_distance"] > 0
@@ -671,7 +671,7 @@ def test_distance_family_on_a_complex_line_bundle(complex_cycle32_scene, complex
     for name in ("exterior_distance", "cut_time_estimate"):
         monkeypatch.setattr(reconstruction, name, counted(name, getattr(reconstruction, name)))
     rays = [RayPlan(x=4, y=5, r_values=tuple(np.arange(2 * h, 10.5 * h, h)))]
-    fam = distance_family(complex_cycle32_engine, rays)
+    fam = distance_family(complex_cycle32_engine, rays, first_arrival_matrix(wmap, cfg.eta))
     assert calls["dpotrf"] == 0
     assert calls["zpotrf"] == calls["exterior_distance"] + calls["cut_time_estimate"] > 0
     assert len(fam) == 15
@@ -686,8 +686,10 @@ def test_distance_profiles_are_gauge_invariant_on_a_complex_line_bundle(complex_
     gauge = GaugeTransform.random(np.random.default_rng(3), m.num_vertices, 1)
     gauged = cycle32(apply_gauge(b, gauge))[4]
     rays = [RayPlan(x=4, y=5, r_values=tuple(np.arange(2 * h, 10.5 * h, h)))]
-    want = distance_family(complex_cycle32_engine, rays).profiles
-    got = distance_family(ProbeEngine(gauged, cfg), rays).profiles
+    want = distance_family(complex_cycle32_engine, rays,
+                           first_arrival_matrix(wmap, cfg.eta)).profiles
+    got = distance_family(ProbeEngine(gauged, cfg), rays,
+                          first_arrival_matrix(gauged, cfg.eta)).profiles
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -770,7 +772,7 @@ def test_distance_family_early_exit_matches_full_sweeps(cycle32_scene, cycle32_e
     rays = [RayPlan(x=4, y=5, r_values=tuple(np.arange(2 * h, 10.5 * h, h))),
             RayPlan(x=5, y=4, r_values=tuple(np.arange(2 * h, 10.5 * h, h))),
             RayPlan(x=0, y=1, r_values=(2 * h,))]
-    fam = distance_family(cycle32_engine, rays)
+    fam = distance_family(cycle32_engine, rays, first_arrival_matrix(wmap, cfg.eta))
     early = calls[0]
     calls[0] = 0
     profiles, provenance, counters, fallen = distance_family_without_early_exit(
@@ -793,8 +795,8 @@ def test_distance_family_whole_manifold_region():
     wmap = wave_map_assemble(op, U, TimeGrid(8.0, 512))
     h = L / n
     cfg = ProbeConfig(delta=1.2 * h, lead_step=h, width=1.5 * h)
-    fam = distance_family(ProbeEngine(wmap, cfg), [])
     arr = first_arrival_matrix(wmap, cfg.eta)
+    fam = distance_family(ProbeEngine(wmap, cfg), [], arr)
     assert len(fam) <= n  # duplicates merged
     for prof in fam.profiles:
         devs = np.max(np.abs(arr - prof[None, :]), axis=1)

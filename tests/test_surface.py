@@ -131,28 +131,46 @@ def test_readme_bundle_specs_match_build_bundle():
 IMPORT_GUARD = """
 import json, sys
 import fracbundle, fracbundle.runner, fracbundle.cli
+from fracbundle import reconstruction
 from fracbundle.config import parse_config
+from fracbundle.manifold import build_manifold, shortest_distances
 from fracbundle.runner import run_experiment
 
 def scipy_submodules():
     return sorted(m for m in sys.modules if m.split(".")[:2] in
                   (["scipy", "fft"], ["scipy", "sparse"], ["scipy", "linalg"]))
 
-readme_cfg, torus_cfg = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+readme_cfg, torus_cfg, cycle_cfg = (json.loads(arg) for arg in sys.argv[1:4])
 parse_config(readme_cfg)
 loaded = {"parse": scipy_submodules()}
 report = run_experiment(parse_config(torus_cfg))
 loaded["run"] = scipy_submodules()
 loaded["status"] = [t.status for t in report.tasks]
+shortest_distances(build_manifold(readme_cfg["manifold"]))
+loaded["oracle"] = scipy_submodules()
+gram, loaded["linalg_after_gram"] = reconstruction.family_gram, []
+
+def recorded(*args):
+    out = gram(*args)
+    loaded["linalg_after_gram"].append("scipy.linalg" in sys.modules)
+    return out
+
+reconstruction.family_gram = recorded
+report = run_experiment(parse_config(cycle_cfg))
+loaded["distances"] = sorted({m.split(".")[1] for m in scipy_submodules()})
+loaded["distance_status"] = [t.status for t in report.tasks]
 print(json.dumps(loaded))
 """
 
 
 def test_import_and_parse_load_no_scipy_submodule():
     # scipy.fft, scipy.sparse and scipy.linalg cost about 0.4 s to import;
-    # only the containment sweeps and shortest_distances load them.
-    # A fresh interpreter imports the package and parses the README config,
-    # then runs the blago check and operator recovery on a small torus
+    # only the containment sweeps load one, scipy.linalg, at their first
+    # factor.  A fresh interpreter imports the package and parses the README
+    # config, runs the blago check and operator recovery on a small torus,
+    # then the shortest-path oracle on the README cycle: none loads scipy.
+    # A distance task on a smaller README-like cycle then loads scipy.linalg
+    # only after the probe Gram, the run's memory peak, is built
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     example = readme.split("Example config:", 1)[1]
     readme_cfg = re.search(r"```json\n(.*?)```", example, flags=re.S).group(1)
@@ -165,14 +183,21 @@ def test_import_and_parse_load_no_scipy_submodule():
         "tasks": ["verify_blago", "reconstruct_operator"],
         "options": {"probe_width": 1.0},
     }
+    cycle_cfg = dict(json.loads(readme_cfg), tasks=["reconstruct_distances"], time={
+        "horizon": 4.5, "steps": 384})
+    cycle_cfg["manifold"] = dict(cycle_cfg["manifold"], count=24)
+    cycle_cfg["region"] = dict(cycle_cfg["region"], count=8)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, readme_cfg, json.dumps(torus_cfg)],
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, readme_cfg, json.dumps(torus_cfg),
+                           json.dumps(cycle_cfg)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert loaded == {"parse": [], "run": [], "status": ["pass", "pass"]}
+    assert loaded == {"parse": [], "run": [], "status": ["pass", "pass"], "oracle": [],
+                      "linalg_after_gram": [False], "distances": ["linalg"],
+                      "distance_status": ["pass"]}
 
 
 def readme_example_config():
