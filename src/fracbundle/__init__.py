@@ -44,7 +44,6 @@ from .reconstruction import (
     RayPlan,
     ChartOperator,
     build_source_family,
-    first_arrival_distance,
     first_arrival_matrix,
     cut_time_estimate,
     exterior_distance,

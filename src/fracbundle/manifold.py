@@ -1,11 +1,11 @@
 """Discrete closed manifolds as weighted graphs, observation regions, and
-all-pairs shortest-path distances.
+shortest-path distances from given sources.
 
 The distances are the ground-truth metric that experiments score recovered
-distances against; a region's induced metric (s2s.local_structure) comes
-from the same rule, shortest_paths.  The reconstruction layer never imports
-this module: it reads only the local metric data frozen into the map
-objects of s2s.
+distances against.  A region's induced metric (s2s.local_structure) and the
+connectivity check of DiscreteManifold come from the same rule,
+shortest_paths.  The reconstruction layer never imports this module: it
+reads only the local metric data frozen into the map objects of s2s.
 
 Conventions
 -----------
@@ -77,17 +77,7 @@ class DiscreteManifold:
             a, b = divmod(int(repeated[0]), self.num_vertices)
             raise GeometryError(f"vertex pair ({a}, {b}) is listed more than once; "
                                 "a pair is at most one edge")
-        # breadth-first search from vertex 0, one frontier per pass over the edges
-        seen = np.zeros(self.num_vertices, dtype=bool)
-        seen[0] = True
-        frontier = seen.copy()
-        while frontier.any():
-            reached = np.zeros_like(seen)
-            reached[edges[frontier[edges[:, 0]], 1]] = True
-            reached[edges[frontier[edges[:, 1]], 0]] = True
-            frontier = reached & ~seen
-            seen |= frontier
-        if not seen.all():
+        if not np.all(np.isfinite(shortest_paths(self.num_vertices, edges, lengths, [0]))):
             raise GeometryError("graph must be connected")
 
 
@@ -200,20 +190,25 @@ def build_manifold(spec):
     )
 
 
-def shortest_paths(num_vertices, edges, lengths):
-    """All-pairs shortest-path lengths of an undirected graph: the one
-    shortest-path rule.
+def shortest_paths(num_vertices, edges, lengths, sources):
+    """Shortest-path lengths of an undirected graph from the given sources:
+    the one shortest-path rule.
 
     edges: (E, 2) vertex pairs, read both ways; lengths: (E,) positive edge
-    lengths.  Relaxes d[s, v] = min(d[s, v], d[s, u] + w_uv) for every source
-    at once; each round follows only the out-edges of the (source, vertex)
-    pairs that improved in the round before.  A path is summed from its
-    source outward, as Dijkstra sums it, so d[s, v] is the least such sum
-    over all paths, bit for bit.  The two directions of a pair can differ in
-    the last bit; the result takes the smaller, so it is exactly symmetric.
-    Unreachable pairs are inf.
+    lengths; sources: vertex ids.  Returns (len(sources), V): row k holds the
+    lengths from sources[k].  Relaxes d[k, v] = min(d[k, v], d[k, u] + w_uv)
+    for every source at once; each round follows only the out-edges of the
+    (source, vertex) pairs that improved in the round before.  A path is
+    summed from its source outward, as Dijkstra sums it, so row k is
+    Dijkstra from sources[k], bit for bit.  The length from a to b and the
+    length from b to a can differ in the last bit.  Unreachable vertices are
+    inf.  A source outside 0..V-1 raises GeometryError.
     """
     V = num_vertices
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    off = (sources < 0) | (sources >= V)
+    if off.any():
+        raise GeometryError(f"source {sources[np.argmax(off)]} is not a vertex of 0..{V - 1}")
     arcs = np.concatenate([edges, edges[:, ::-1]])
     # stable: each row keeps edge-list order, so the keys a round relaxes
     # stay close together in memory
@@ -226,25 +221,25 @@ def shortest_paths(num_vertices, edges, lengths):
     wts = np.full(nbr.shape, np.inf)
     nbr[tails, slot] = heads
     wts[tails, slot] = np.tile(lengths, 2)[order]
-    d = np.full(V * V, np.inf)
-    frontier = np.arange(V) * (V + 1)  # the (s, s) pairs
+    d = np.full(len(sources) * V, np.inf)
+    frontier = np.arange(len(sources)) * V + sources  # the (k, sources[k]) pairs
     d[frontier] = 0.0
-    improved = np.zeros(V * V, dtype=bool)
+    improved = np.zeros(d.size, dtype=bool)
     while frontier.size:
-        s, u = np.divmod(frontier, V)
+        k, u = np.divmod(frontier, V)
         cand = (d[frontier][:, None] + wts[u]).ravel()
-        key = (s[:, None] * V + nbr[u]).ravel()
+        key = (k[:, None] * V + nbr[u]).ravel()
         better = cand < d[key]
         key = key[better]
         np.minimum.at(d, key, cand[better])
         improved[key] = True
         frontier = np.flatnonzero(improved)
         improved[frontier] = False
-    d = d.reshape(V, V)
-    return np.minimum(d, d.T)
+    return d.reshape(len(sources), V)
 
 
-def shortest_distances(m: DiscreteManifold) -> np.ndarray:
-    """All-pairs shortest-path distances over edge lengths: shortest_paths on
-    the manifold's edges.  Finite, since a manifold is connected."""
-    return shortest_paths(m.num_vertices, m.edges, m.lengths)
+def shortest_distances(m: DiscreteManifold, sources) -> np.ndarray:
+    """Shortest-path distances over edge lengths from the given vertices:
+    shortest_paths on the manifold's edges, one row per source.  Finite,
+    since a manifold is connected."""
+    return shortest_paths(m.num_vertices, m.edges, m.lengths, sources)

@@ -316,12 +316,6 @@ def _arrival_row(wmap: WaveMapData, y, eta):
     return wmap.grid.times[np.argmax(amp > eta * peak, axis=0)]
 
 
-def first_arrival_distance(wmap: WaveMapData, x, y, eta):
-    """Earliest grid time at which the raw kernel column from x is visible at
-    y: one entry of _arrival_row.  Symmetric in (x, y) by kernel reciprocity."""
-    return float(_arrival_row(wmap, y, eta)[x])
-
-
 def first_arrival_matrix(wmap: WaveMapData, eta):
     """First arrivals between every pair of region vertices, entry [y, x] from
     _arrival_row(y), one kernel read per vertex; the diagonal is 0."""

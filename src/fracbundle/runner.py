@@ -414,8 +414,9 @@ def _task_reconstruct_distances(scene, cfg):
     wmap = scene.wmap
     m = scene.manifold
     h = float(np.min(m.lengths))
-    dist = shortest_distances(m)
     region = scene.region
+    # oracle rows from the region's vertices: dist[i, v] for region position i
+    dist = shortest_distances(m, region.vertices)
     measures, tables = {}, {}
     # first arrivals against the shortest-path oracle
     arr = first_arrival_matrix(wmap, pcfg.eta)
@@ -423,7 +424,7 @@ def _task_reconstruct_distances(scene, cfg):
     rows = []
     for i in range(len(region)):
         for j in range(len(region)):
-            d_true = dist[region.vertices[i], region.vertices[j]]
+            d_true = dist[i, region.vertices[j]]
             rows.append([i, j, float(arr[i, j]), float(d_true)])
             if d_true >= 3 * h - 1e-9:
                 rels.append(abs(arr[i, j] - d_true) / d_true)
@@ -454,7 +455,7 @@ def _task_reconstruct_distances(scene, cfg):
     # the profile family
     rays = _auto_rays(scene, cfg, pcfg)
     fam = distance_family(eng, rays, arr)
-    oracle_profiles = dist[:, list(region.vertices)]
+    oracle_profiles = dist.T
     rep = match_profiles(fam, oracle_profiles, rel_tol=cfg.tolerances["profile_match_rel"])
     measures["profile_match_fraction"] = rep["fraction"]
     measures["profiles_recovered"] = len(fam)

@@ -132,6 +132,9 @@ def local_structure(region: Region, rank) -> LocalStructure:
     verts = region.vertices
     inside, edges = region.inner_edges()
     lens = m.lengths[inside]
+    # rows from every region vertex; the smaller of the two directions of a
+    # pair makes the metric exactly symmetric
+    d = shortest_paths(len(verts), edges, lens, range(len(verts)))
     return LocalStructure(
         vertices=verts,
         volumes=m.volumes[list(verts)],
@@ -139,7 +142,7 @@ def local_structure(region: Region, rank) -> LocalStructure:
         edges=edges,
         edge_lengths=lens,
         edge_weights=m.weights[inside],
-        distances=shortest_paths(len(verts), edges, lens),
+        distances=np.minimum(d, d.T),
     )
 
 

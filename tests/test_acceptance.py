@@ -43,7 +43,6 @@ from fracbundle.reconstruction import (
     bump_profile,
     cut_time_estimate,
     distance_family,
-    first_arrival_distance,
     first_arrival_matrix,
     gauge_invariant_compare,
     match_profiles,
@@ -214,19 +213,19 @@ def test_acceptance_6_distance_reconstruction(cycle64_wave):
     m, b, op, U, grid, wmap = cycle64_wave
     h = 2 * np.pi / 64
     cfg = ProbeConfig(delta=1.2 * h, lead_step=h, width=1.5 * h)
-    dist = shortest_distances(m)
+    dist = shortest_distances(m, U.vertices)
     t0 = time.time()
-    # first arrivals on U x U for separated pairs
+    # first arrivals on U x U for separated pairs, one kernel row read per vertex
+    arr = first_arrival_matrix(wmap, cfg.eta)
     worst_rel = 0.0
     for i in range(len(U)):
         for j in range(len(U)):
-            d_true = dist[U.vertices[i], U.vertices[j]]
+            d_true = dist[i, U.vertices[j]]
             if d_true < 3 * h - 1e-9:
                 continue
-            est = first_arrival_distance(wmap, i, j, cfg.eta)
-            worst_rel = max(worst_rel, abs(est - d_true) / d_true)
+            worst_rel = max(worst_rel, abs(arr[j, i] - d_true) / d_true)
     # cut time
-    s = first_arrival_distance(wmap, 8, 9, cfg.eta)
+    s = arr[9, 8]
     sweep = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
     eng = ProbeEngine(wmap, cfg)
     tstar = cut_time_estimate(eng, 8, 9, s, sweep)
@@ -235,9 +234,8 @@ def test_acceptance_6_distance_reconstruction(cycle64_wave):
     rays = []
     for x, d in ((3, 1), (3, -1), (8, 1), (8, -1), (12, 1), (12, -1), (13, 1), (2, -1)):
         rays.append(RayPlan(x=x, y=x + d, r_values=tuple(np.arange(2 * h, 29.8 * h, h))))
-    fam = distance_family(eng, rays, first_arrival_matrix(wmap, cfg.eta))
-    oracle = dist[:, list(U.vertices)]
-    rep = match_profiles(fam, oracle, rel_tol=0.15)
+    fam = distance_family(eng, rays, arr)
+    rep = match_profiles(fam, dist.T, rel_tol=0.15)
     elapsed = time.time() - t0
     ok = (worst_rel < 0.15 and cut_rel < 0.15 and rep["fraction"] >= 0.90
           and elapsed < 300.0)

@@ -211,7 +211,8 @@ def test_distances_task_builds_one_probe_engine(monkeypatch):
 def test_distances_task_reads_each_kernel_row_once(monkeypatch):
     # the README scene's 16 region vertices: the task reads one first-arrival
     # matrix, one _arrival_row per vertex, and hands its entries to the
-    # cut-time ray and the profile family
+    # cut-time ray and the profile family; its oracle relaxes once, from
+    # exactly those 16 vertices
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("Example config:", 1)[1].split("```json\n", 1)[1]
     raw = json.loads(example.split("```", 1)[0])
@@ -224,9 +225,18 @@ def test_distances_task_reads_each_kernel_row_once(monkeypatch):
         return arrival_row(wmap, y, eta)
 
     monkeypatch.setattr(reconstruction, "_arrival_row", counted)
+    oracle_sources = []
+    oracle = runner.shortest_distances
+
+    def relaxed(m, sources):
+        oracle_sources.append(tuple(sources))
+        return oracle(m, sources)
+
+    monkeypatch.setattr(runner, "shortest_distances", relaxed)
     task = run_experiment(parse_config(raw)).tasks[0]
-    assert task.status == "pass" and raw["region"]["count"] == 16
+    assert task.status == "pass" and raw["region"] == {"type": "arc", "start": 0, "count": 16}
     assert reads == list(range(16))
+    assert oracle_sources == [tuple(range(16))]
 
 
 def test_reconstruct_operator_reports_ls_condition():

@@ -168,7 +168,7 @@ def test_connectivity_cases(num_vertices, edges, connected):
             graph(num_vertices, edges)
     elif connected:
         m = graph(num_vertices, edges)
-        assert np.all(np.isfinite(shortest_distances(m)))
+        assert np.all(np.isfinite(shortest_distances(m, range(num_vertices))))
     else:
         with pytest.raises(GeometryError, match="graph must be connected"):
             graph(num_vertices, edges)
@@ -206,7 +206,7 @@ def test_connectivity_matches_connected_components():
 
 def test_cycle_distances_closed_form():
     m = cycle(8)
-    d = shortest_distances(m)
+    d = shortest_distances(m, range(8))
     assert d[0, 3] == pytest.approx(3.0)
     assert d[0, 5] == pytest.approx(3.0)
     n = 8
@@ -218,7 +218,7 @@ def test_cycle_distances_closed_form():
 
 def test_distance_is_metric():
     m = torus(4, 5, 4.0, 5.0)
-    d = shortest_distances(m)
+    d = shortest_distances(m, range(m.num_vertices))
     assert np.allclose(d, d.T)
     assert np.allclose(np.diag(d), 0.0)
     V = m.num_vertices
@@ -229,7 +229,7 @@ def test_distance_is_metric():
 
 def test_torus_distance_bfs_oracle():
     m = torus(4, 4)
-    d = shortest_distances(m)
+    d = shortest_distances(m, range(m.num_vertices))
     oracle = bfs_distances(m)
     assert np.allclose(d, oracle)
     v_a = 0 * 4 + 0
@@ -238,13 +238,14 @@ def test_torus_distance_bfs_oracle():
     assert d[v_a, v_b] == pytest.approx(4.0)
 
 
-def dijkstra_distances(num_vertices, edges, lengths):
-    """scipy's Dijkstra on the undirected graph: the independent reference."""
+def dijkstra_distances(num_vertices, edges, lengths, sources):
+    """scipy's Dijkstra on the undirected graph from the given sources: the
+    independent reference."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
     graph = csr_matrix((lengths, (edges[:, 0], edges[:, 1])), shape=(num_vertices, num_vertices))
-    return dijkstra(graph, directed=False)
+    return dijkstra(graph, directed=False, indices=sources)
 
 
 LATTICES = {
@@ -259,59 +260,97 @@ LATTICES = {
 @pytest.mark.parametrize("name", LATTICES)
 def test_shortest_distances_match_dijkstra_on_lattices(name):
     # on a lattice every ordering of a path's steps is a path too, so
-    # Dijkstra's sums are symmetric and the relaxation meets them bit for bit
+    # Dijkstra's sums are symmetric and the relaxation meets them bit for bit,
+    # from every vertex and from any subset of them
     m = build_manifold(LATTICES[name])
-    want = dijkstra_distances(m.num_vertices, m.edges, m.lengths)
+    V = m.num_vertices
+    want = dijkstra_distances(V, m.edges, m.lengths, np.arange(V))
     assert np.array_equal(want, want.T)
-    assert np.array_equal(shortest_distances(m), want)
+    assert np.array_equal(shortest_distances(m, range(V)), want)
+    some = np.random.default_rng(V).choice(V, size=5, replace=False)
+    assert np.array_equal(shortest_distances(m, some), dijkstra_distances(V, m.edges, m.lengths, some))
+
+
+def random_connected_graph(rng):
+    """A random spanning tree plus random extra edges, no pair twice, with
+    random lengths: (num_vertices, edges, lengths)."""
+    n = int(rng.integers(2, 40))
+    tree = [(int(rng.integers(0, k)), k) for k in range(1, n)]
+    pairs = {frozenset(p) for p in tree}
+    extra = [(int(a), int(b)) for a, b in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+             if a != b and not (frozenset((a, b)) in pairs or pairs.add(frozenset((a, b))))]
+    edges = np.array(tree + extra).reshape(-1, 2)
+    return n, edges, rng.uniform(0.05, 3.0, len(edges))
 
 
 def test_shortest_paths_match_dijkstra_on_random_graphs():
-    # random connected graphs with random lengths: a path's sum depends on
-    # its direction in the last bit, and both routes take the smaller
+    # random connected graphs with random lengths: row k is Dijkstra from
+    # sources[k] bit for bit, though a path's sum can depend on its direction
+    # in the last bit, so the rows need not be symmetric
     rng = np.random.default_rng(11)
     asymmetric = 0
     for _ in range(120):
-        n = int(rng.integers(2, 40))
-        tree = [(int(rng.integers(0, k)), k) for k in range(1, n)]
-        pairs = {frozenset(p) for p in tree}
-        extra = [(int(a), int(b)) for a, b in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
-                 if a != b and not (frozenset((a, b)) in pairs or pairs.add(frozenset((a, b))))]
-        edges = np.array(tree + extra).reshape(-1, 2)
-        lengths = rng.uniform(0.05, 3.0, len(edges))
-        want = dijkstra_distances(n, edges, lengths)
+        n, edges, lengths = random_connected_graph(rng)
+        want = dijkstra_distances(n, edges, lengths, np.arange(n))
         asymmetric += not np.array_equal(want, want.T)
-        got = shortest_paths(n, edges, lengths)
-        assert np.array_equal(got, np.minimum(want, want.T))
+        assert np.array_equal(shortest_paths(n, edges, lengths, range(n)), want)
+        some = rng.integers(0, n, size=5)
         m = DiscreteManifold(num_vertices=n, edges=edges, lengths=lengths, weights=np.ones(len(edges)),
                              volumes=np.ones(n), dimension=1)
-        assert np.array_equal(shortest_distances(m), got)
+        assert np.array_equal(shortest_distances(m, some), dijkstra_distances(n, edges, lengths, some))
     assert asymmetric > 0
 
 
 def test_shortest_paths_leave_unreachable_pairs_infinite():
     # a region's inner edges need not connect it
-    d = shortest_paths(5, np.array([[0, 1], [3, 4]]), np.array([0.5, 2.0]))
+    d = shortest_paths(5, np.array([[0, 1], [3, 4]]), np.array([0.5, 2.0]), range(5))
     assert np.array_equal(d, [[0, 0.5, np.inf, np.inf, np.inf], [0.5, 0, np.inf, np.inf, np.inf],
                               [np.inf, np.inf, 0, np.inf, np.inf], [np.inf, np.inf, np.inf, 0, 2],
                               [np.inf, np.inf, np.inf, 2, 0]])
-    assert np.array_equal(shortest_paths(1, np.zeros((0, 2), dtype=np.int64), np.zeros(0)), [[0.0]])
+    assert np.array_equal(shortest_paths(5, np.array([[0, 1], [3, 4]]), np.array([0.5, 2.0]), [4, 0]),
+                          d[[4, 0]])
+    assert np.array_equal(shortest_paths(1, np.zeros((0, 2), dtype=np.int64), np.zeros(0), [0]), [[0.0]])
 
 
-def test_shortest_distances_hold_two_float_matrices():
-    # at V = 1024 the relaxation's working set is the distance matrix, its
-    # symmetrized copy, a V x V boolean frontier mask and the frontier's
-    # edge arrays: under 2.5 float V x V matrices at its peak
+@pytest.mark.parametrize("sources, named", [([-1], -1), ([4], 4), ([0, 2, 7, -1], 7)],
+                         ids=["minus_one", "V", "mixed"])
+def test_shortest_paths_refuse_sources_off_the_vertices(sources, named):
+    # a source outside 0..V-1 would wrap to another row's keys or fall off the
+    # end; it is refused by name instead
+    edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
+    with pytest.raises(GeometryError, match=rf"source {named} is not a vertex"):
+        shortest_paths(4, edges, np.ones(4), sources)
+
+
+def test_shortest_distances_from_sixteen_sources_hold_under_two_mib():
+    # the oracle rows of a 16-vertex region on a 45 x 45 torus: the working
+    # set is the 16 x V rows, their frontier mask and the frontier's edge
+    # arrays, where all pairs would hold V x V floats (31 MiB)
     import tracemalloc
 
-    m = build_manifold({"kind": "torus_grid", "counts": [32, 32], "lengths": [5.3, 2.9]})
+    m = build_manifold({"kind": "torus_grid", "counts": [45, 45], "lengths": [5.3, 2.9]})
+    sources = lattice([45, 45])[:4, :4].ravel()
     tracemalloc.start()
     try:
-        shortest_distances(m)
+        shortest_distances(m, sources)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 8 * m.num_vertices ** 2
+    assert peak < 2 * 2**20
+
+
+def test_region_metric_is_exactly_symmetric_on_random_graphs():
+    # Dijkstra's rows can differ from their transpose in the last bit;
+    # local_structure keeps the smaller direction of each pair
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        n, edges, lengths = random_connected_graph(rng)
+        m = DiscreteManifold(num_vertices=n, edges=edges, lengths=lengths, weights=np.ones(len(edges)),
+                             volumes=np.ones(n), dimension=1)
+        verts = rng.permutation(n)
+        want = dijkstra_distances(n, edges, lengths, verts)[:, verts]
+        assert np.array_equal(local_structure(Region(m, tuple(verts)), 1).distances,
+                              np.minimum(want, want.T))
 
 
 @pytest.mark.parametrize("order", ["natural", "shuffled"])
@@ -323,7 +362,7 @@ def test_region_metric_of_the_whole_torus_is_the_oracle(order):
     if order == "shuffled":
         verts = np.random.default_rng(2).permutation(verts)
     local = local_structure(Region(m, tuple(verts)), 1)
-    assert np.array_equal(local.distances, shortest_distances(m)[np.ix_(verts, verts)])
+    assert np.array_equal(local.distances, shortest_distances(m, verts)[:, verts])
 
 
 def test_repeated_pair_is_refused():

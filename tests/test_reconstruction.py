@@ -32,7 +32,6 @@ from fracbundle.reconstruction import (
     distance_family,
     exterior_distance,
     family_gram,
-    first_arrival_distance,
     first_arrival_matrix,
     gauge_invariant_compare,
     match_profiles,
@@ -465,7 +464,7 @@ def test_probe_engine_gram_real_exactly_when_data_real(cycle32_scene, cycle32_en
     assert eng.gram.dtype == np.float64
     eng_g = gauged_cycle32_engine
     assert eng_g.gram.dtype == np.complex128 and np.any(eng_g.gram.imag)
-    s = first_arrival_distance(wmap, 4, 5, cfg.eta)
+    s = first_arrival_matrix(wmap, cfg.eta)[5, 4]
     for real, gauged in zip(sweep_curves(eng, h, s), sweep_curves(eng_g, h, s)):
         assert np.max(np.abs(real - gauged)) <= 1e-8
     assert np.min(real) < 0.05 < np.max(real)  # the cut-time sweep crosses the verdict scale
@@ -483,7 +482,7 @@ def test_sweep_curves_match_sorted_union_spans(cycle32_scene, cycle32_engine, mo
     eng = cycle32_engine
     eps = _shell_width(wmap)
     x, y = 4, 5
-    s = first_arrival_distance(wmap, x, y, cfg.eta)
+    s = first_arrival_matrix(wmap, cfg.eta)[y, x]
     r_prime = 8 * h
     r_grid = np.arange(cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
     t_idx = eng.box_indices(y, r_prime - s + eps)
@@ -520,16 +519,17 @@ def test_sweep_curves_match_sorted_union_spans(cycle32_scene, cycle32_engine, mo
 
 def test_first_arrival_properties(cycle32_scene):
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    dist = shortest_distances(m)
-    # self arrival is within a couple of grid steps of zero
-    assert first_arrival_distance(wmap, 3, 3, cfg.eta) < 5 * wmap.grid.dt
+    dist = shortest_distances(m, U.vertices)
+    arr = first_arrival_matrix(wmap, cfg.eta)
+    # the raw self arrival, which the matrix sets to 0, is within a couple of
+    # grid steps of zero
+    assert reconstruction._arrival_row(wmap, 3, cfg.eta)[3] < 5 * wmap.grid.dt
     # symmetry is exact by kernel reciprocity
-    assert first_arrival_distance(wmap, 2, 8, cfg.eta) == first_arrival_distance(wmap, 8, 2, cfg.eta)
+    assert arr[8, 2] == arr[2, 8]
     # accuracy for separated pairs
     for i, j in ((0, 5), (2, 9), (1, 7)):
-        d_true = dist[U.vertices[i], U.vertices[j]]
-        d_est = first_arrival_distance(wmap, i, j, cfg.eta)
-        assert abs(d_est - d_true) <= 0.15 * d_true
+        d_true = dist[i, U.vertices[j]]
+        assert abs(arr[j, i] - d_true) <= 0.15 * d_true
 
 
 @pytest.fixture(scope="module")
@@ -540,15 +540,19 @@ def rank2_cycle32():
 
 @pytest.mark.parametrize("scene", ["gauged_cycle32", "rank2_cycle32"])
 def test_first_arrival_matrix_stacks_the_pairwise_arrivals(scene, cycle32_scene, request):
-    # the matrix reads one kernel row block per vertex; every off-diagonal
-    # entry is the pairwise arrival bit for bit, and reciprocity makes the
-    # matrix exactly symmetric, also complex and at rank 2
+    # every off-diagonal entry [y, x] is, bit for bit, the first grid time at
+    # which the largest entry modulus of the unpacked block K[:, y, x] passes
+    # eta times its peak; reciprocity makes the matrix exactly symmetric,
+    # also complex and at rank 2
     wmap, eta = request.getfixturevalue(scene), cycle32_scene[5].eta
     arr = first_arrival_matrix(wmap, eta)
-    n = wmap.local.size
+    r, n = wmap.local.rank, wmap.local.size
+    kernel = s2s.hermitian_rows(wmap.kernel, range(wmap.local.dim))
     assert np.array_equal(arr, arr.T) and np.all(np.diag(arr) == 0.0)
     for x, y in itertools.permutations(range(n), 2):
-        assert arr[y, x] == first_arrival_distance(wmap, x, y, eta)
+        block = kernel[:, y * r:(y + 1) * r, x * r:(x + 1) * r]
+        amp = np.max(np.abs(block).reshape(len(block), -1), axis=1)
+        assert arr[y, x] == wmap.grid.times[np.flatnonzero(amp > eta * np.max(amp))[0]]
 
 
 def test_first_arrival_semimetric(cycle32_scene):
@@ -569,7 +573,7 @@ def test_cut_time_on_cycle(cycle32_scene, cycle32_engine):
     # a positive bias of a couple of steps, so the gate here is 20% (the
     # finer acceptance scene holds 15%)
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    s = first_arrival_distance(wmap, 4, 5, cfg.eta)
+    s = first_arrival_matrix(wmap, cfg.eta)[5, 4]
     r_grid = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
     tstar = cut_time_estimate(cycle32_engine, 4, 5, s, r_grid)
     assert abs(tstar - np.pi) <= 0.20 * np.pi
@@ -577,22 +581,22 @@ def test_cut_time_on_cycle(cycle32_scene, cycle32_engine):
 
 def test_cut_time_sentinel_when_sweep_below_distance(cycle32_scene, cycle32_engine):
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    s = first_arrival_distance(wmap, 4, 5, cfg.eta)
+    s = first_arrival_matrix(wmap, cfg.eta)[5, 4]
     r_grid = np.array([0.25 * s, 0.5 * s, 0.75 * s])  # entirely below the distance
     assert cut_time_estimate(cycle32_engine, 4, 5, s, r_grid) == np.inf
 
 
 def test_exterior_distance_recovers_profile(cycle32_scene, cycle32_engine):
     m, b, op, U, wmap, cfg, h = cycle32_scene
-    dist = shortest_distances(m)
     x, y = 4, 5
-    s = first_arrival_distance(wmap, x, y, cfg.eta)
+    s = first_arrival_matrix(wmap, cfg.eta)[y, x]
     r_prime = 8 * h
     p = U.vertices[x] + 8  # along the +1 ray
+    dist = shortest_distances(m, [p])
     r_grid = np.arange(cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
     for z in (0, 4, 9):
         d_est = exterior_distance(cycle32_engine, x, y, s, r_prime, z, r_grid)
-        d_true = dist[p, U.vertices[z]]
+        d_true = dist[0, U.vertices[z]]
         assert abs(d_est - d_true) <= 0.15 * np.pi  # sup-norm scale tolerance
     # z = x returns approximately r_prime itself
     d_xx = exterior_distance(cycle32_engine, x, y, s, r_prime, x, r_grid)
@@ -606,9 +610,8 @@ def test_distance_family_small_scene(cycle32_scene, cycle32_engine):
     fam = distance_family(cycle32_engine, rays, first_arrival_matrix(wmap, cfg.eta))
     assert len(fam) >= 12
     # region rows reproduce the restricted distance matrix within tolerance
-    dist = shortest_distances(m)
-    oracle = dist[:, list(U.vertices)]
-    rep = match_profiles(fam, oracle[list(U.vertices)], rel_tol=0.15)
+    oracle = shortest_distances(m, U.vertices)[:, list(U.vertices)]
+    rep = match_profiles(fam, oracle, rel_tol=0.15)
     assert rep["fraction"] == 1.0
     # profiles are 1-Lipschitz against the local metric (validity filter ran)
     for prof in fam.profiles:
@@ -675,8 +678,8 @@ def test_distance_family_on_a_complex_line_bundle(complex_cycle32_scene, complex
     assert calls["dpotrf"] == 0
     assert calls["zpotrf"] == calls["exterior_distance"] + calls["cut_time_estimate"] > 0
     assert len(fam) == 15
-    oracle = shortest_distances(m)[:, list(U.vertices)]
-    assert match_profiles(fam, oracle[list(U.vertices)], rel_tol=0.15)["fraction"] == 1.0
+    oracle = shortest_distances(m, U.vertices)[:, list(U.vertices)]
+    assert match_profiles(fam, oracle, rel_tol=0.15)["fraction"] == 1.0
 
 
 def test_distance_profiles_are_gauge_invariant_on_a_complex_line_bundle(complex_cycle32_scene,
@@ -712,8 +715,8 @@ def distance_family_without_early_exit(eng, rays):
         fails = np.flatnonzero(~np.isfinite(prof) | np.any(bad, axis=1))
         return int(fails[0]) if len(fails) else None
 
-    candidates = [(prof, {"kind": "region", "vertex": i})
-                  for i, prof in enumerate(first_arrival_matrix(wmap, cfg.eta))]
+    arr = first_arrival_matrix(wmap, cfg.eta)
+    candidates = [(prof, {"kind": "region", "vertex": i}) for i, prof in enumerate(arr)]
     rg = np.arange(h / 2 + cfg.delta, wmap.horizon - cfg.delta, h / 2)
     ball_sizes = [len(wmap.local.local_ball(v, cfg.delta)) for v in range(n)]
     rays_skipped = 0
@@ -721,7 +724,7 @@ def distance_family_without_early_exit(eng, rays):
         if min(ball_sizes[ray.x], ball_sizes[ray.y]) < max(ball_sizes):
             rays_skipped += 1
             continue
-        s = first_arrival_distance(wmap, ray.x, ray.y, cfg.eta)
+        s = arr[ray.y, ray.x]
         cut_grid = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
         tstar = reconstruction.cut_time_estimate(eng, ray.x, ray.y, s, cut_grid)
         for r_prime in ray.r_values:
@@ -814,12 +817,12 @@ def test_containment_verdicts_match_ground_truth():
     wmap = wave_map_assemble(op, U, TimeGrid(9.0, 1280))
     cfg = ProbeConfig(delta=1.2 * h, lead_step=h, width=1.5 * h)
     eng = ProbeEngine(wmap, cfg)
-    dist = shortest_distances(m)
+    dist = shortest_distances(m, U.vertices)
 
     def true_containment(x, tx, y, ty, z, tz):
-        bx = set(np.nonzero(dist[U.vertices[x]] < tx)[0])
-        by = set(np.nonzero(dist[U.vertices[y]] < ty)[0])
-        bz = set(np.nonzero(dist[U.vertices[z]] < tz)[0])
+        bx = set(np.nonzero(dist[x] < tx)[0])
+        by = set(np.nonzero(dist[y] < ty)[0])
+        bz = set(np.nonzero(dist[z] < tz)[0])
         return bx <= (by | bz)
 
     rng = np.random.default_rng(6)

@@ -35,7 +35,7 @@ from fracbundle.propagators import (
     pack_hermitian,
     wave_kernel_matrix,
 )
-from fracbundle.reconstruction import build_source_family, first_arrival_distance
+from fracbundle.reconstruction import build_source_family, first_arrival_matrix
 from fracbundle.s2s import (
     DeltaSources,
     FracMapData,
@@ -677,14 +677,19 @@ def test_complex_profiles_respond_at_rows_as_in_the_full_series(probe_scene):
 
 
 def test_first_arrival_reads_the_unpacked_kernel_block(probe_scene):
+    # entry [y, x] is the first grid time at which the largest entry modulus
+    # of the unpacked block K[:, y, x] passes eta times its peak; the
+    # diagonal is 0
     wmap = probe_scene[0]
     r, eta = wmap.local.rank, 0.1
     kernel = hermitian_rows(wmap.kernel, range(wmap.local.dim))
-    for x, y in ((0, 4), (4, 0), (2, 7), (5, 5)):
+    arr = first_arrival_matrix(wmap, eta)
+    for x, y in ((0, 4), (4, 0), (2, 7)):
         block = kernel[:, y * r:(y + 1) * r, x * r:(x + 1) * r]
         amp = np.max(np.abs(block).reshape(len(block), -1), axis=1)
         hit = np.nonzero(amp > eta * np.max(amp))[0][0]
-        assert first_arrival_distance(wmap, x, y, eta) == wmap.grid.times[hit]
+        assert arr[y, x] == wmap.grid.times[hit]
+    assert arr[5, 5] == 0.0
 
 
 def test_source_support_validated(wave_scene):
@@ -971,9 +976,7 @@ def test_wave_map_round_trip(wave_scene):
     f = make_source(grid, U, 1, 2, 0, 1.0, 0.5, m.num_vertices)
     h = make_source(grid, U, 1, 4, 0, 1.2, 0.5, m.num_vertices)
     assert blago_inner(back, f, h) == blago_inner(wmap, f, h)
-    from fracbundle.reconstruction import first_arrival_distance
-
-    assert first_arrival_distance(back, 0, 5, 0.1) == first_arrival_distance(wmap, 0, 5, 0.1)
+    assert np.array_equal(first_arrival_matrix(back, 0.1), first_arrival_matrix(wmap, 0.1))
 
 
 def test_wave_map_refuses_stacks_that_are_not_packed(wave_scene):

@@ -146,7 +146,7 @@ loaded = {"parse": scipy_submodules()}
 report = run_experiment(parse_config(torus_cfg))
 loaded["run"] = scipy_submodules()
 loaded["status"] = [t.status for t in report.tasks]
-shortest_distances(build_manifold(readme_cfg["manifold"]))
+shortest_distances(build_manifold(readme_cfg["manifold"]), range(16))
 loaded["oracle"] = scipy_submodules()
 gram, loaded["linalg_after_gram"] = reconstruction.family_gram, []
 
