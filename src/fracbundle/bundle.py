@@ -19,18 +19,23 @@ from .manifold import DiscreteManifold, edge_index, lattice
 UNITARITY_TOL = 1e-12
 
 
-def _is_unitary(mat):
-    r = mat.shape[0]
-    return np.linalg.norm(mat @ mat.conj().T - np.eye(r)) <= UNITARITY_TOL * max(1.0, r)
+def _non_unitary(mats):
+    """Positions in an (n, r, r) stack of the matrices that are not unitary
+    to UNITARITY_TOL; a NaN or infinite entry fails."""
+    r = mats.shape[-1]
+    dev = np.linalg.norm(mats @ np.conj(np.swapaxes(mats, 1, 2)) - np.eye(r), axis=(1, 2))
+    return np.flatnonzero(~(dev <= UNITARITY_TOL * max(1.0, r)))
 
 
-def random_unitary(rng, r):
-    """Haar-ish unitary from QR of a complex Gaussian, phase-fixed."""
-    g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-    q, rm = np.linalg.qr(g)
-    ph = np.diag(rm).copy()
+def random_unitaries(rng, count, r):
+    """count Haar-ish unitaries from QR of complex Gaussians, phase-fixed.
+    The draw is that of count single draws in turn, each a real then an
+    imaginary (r, r) normal block."""
+    g = rng.standard_normal((count, 2, r, r))
+    q, rm = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    ph = np.diagonal(rm, axis1=1, axis2=2)
     ph = ph / np.abs(ph)
-    return q * ph.conj()
+    return q * ph.conj()[:, None, :]
 
 
 def random_hermitian(rng, r, scale):
@@ -64,9 +69,9 @@ class HermitianBundle:
             raise BundleError("one transport matrix per edge required")
         if pot.shape != (V, self.rank, self.rank):
             raise BundleError("one potential matrix per vertex required")
-        for i in range(E):
-            if not _is_unitary(tr[i]):
-                raise BundleError(f"transport on edge {i} is not unitary to {UNITARITY_TOL}")
+        bad = _non_unitary(tr)
+        if bad.size:
+            raise BundleError(f"transport on edge {bad[0]} is not unitary to {UNITARITY_TOL}")
         # a NaN or infinite entry makes dev NaN or inf, which the test refuses
         with np.errstate(invalid="ignore"):
             dev = np.max(np.abs(pot - np.conj(np.swapaxes(pot, 1, 2))))
@@ -99,9 +104,9 @@ class GaugeTransform:
         object.__setattr__(self, "matrices", mats)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise BundleError("gauge needs square matrices per vertex")
-        for i in range(mats.shape[0]):
-            if not _is_unitary(mats[i]):
-                raise BundleError(f"gauge matrix at vertex {i} is not unitary")
+        bad = _non_unitary(mats)
+        if bad.size:
+            raise BundleError(f"gauge matrix at vertex {bad[0]} is not unitary")
 
     @property
     def rank(self):
@@ -117,7 +122,7 @@ class GaugeTransform:
 
     @staticmethod
     def random(rng, num_vertices, rank):
-        return GaugeTransform(np.array([random_unitary(rng, rank) for _ in range(num_vertices)]))
+        return GaugeTransform(random_unitaries(rng, num_vertices, rank))
 
 
 @dataclass(frozen=True)
@@ -149,9 +154,9 @@ class StructureIso:
             raise GeometryError("base map must be a bijection")
         if fiber.shape != (V, self.domain.rank, self.domain.rank):
             raise BundleError("fiber map shape mismatch")
-        for i in range(V):
-            if not _is_unitary(fiber[i]):
-                raise BundleError(f"fiber map at vertex {i} is not unitary")
+        bad = _non_unitary(fiber)
+        if bad.size:
+            raise BundleError(f"fiber map at vertex {bad[0]} is not unitary")
         if abs(m1.volumes[base] - m2.volumes).max() > 1e-12 * max(1.0, m1.volumes.max()):
             raise GeometryError("base map must preserve vertex volumes")
         # every codomain edge must map onto a domain edge (edge_index raises)
@@ -182,7 +187,7 @@ def build_bundle(m: DiscreteManifold, rank, connection="trivial", potential="zer
     if connection == "trivial":
         tr = np.broadcast_to(np.eye(rank, dtype=np.complex128), (E, rank, rank)).copy()
     elif connection == "random":
-        tr = np.array([random_unitary(rng, rank) for _ in range(E)])
+        tr = random_unitaries(rng, E, rank)
     else:
         raise BundleError(f"unknown connection spec: {connection!r}")
     if potential == "zero":

@@ -91,7 +91,9 @@ class SpectralOperator:
     def coefficients(self, section):
         """Eigenbasis coefficients of a section (mu-weighted projections)."""
         f = self.to_flat(section)
-        return self.eigensections.conj().T @ (self._weights_flat() * f)
+        # conj(conj(mu f) @ E) is E^* (mu f) bit for bit, without a conjugated
+        # copy of the eigenbasis
+        return np.conj(np.conj(self._weights_flat() * f) @ self.eigensections)
 
     def synthesize(self, coeffs):
         return self.to_section(self.eigensections @ np.asarray(coeffs, dtype=np.complex128))
@@ -109,20 +111,19 @@ def assemble(b: HermitianBundle) -> SpectralOperator:
     n = V * r
     mu = m.volumes
     mat = np.zeros((n, n), dtype=np.complex128)
-    eye = np.eye(r)
-    for i, (x, y) in enumerate(m.edges):
-        x, y = int(x), int(y)
-        w = m.weights[i]
-        cxy = w * np.sqrt(mu[y] / mu[x])
-        cyx = w * np.sqrt(mu[x] / mu[y])
-        sx, sy = slice(x * r, (x + 1) * r), slice(y * r, (y + 1) * r)
-        mat[sx, sx] += cxy * eye
-        mat[sy, sy] += cyx * eye
-        mat[sx, sy] -= cxy * b.transport[i]
-        mat[sy, sx] -= cyx * b.transport[i].conj().T
-    for v in range(V):
-        sv = slice(v * r, (v + 1) * r)
-        mat[sv, sv] += b.potential[v]
+    x, y = m.edges[:, 0], m.edges[:, 1]
+    cxy = m.weights * np.sqrt(mu[y] / mu[x])
+    cyx = m.weights * np.sqrt(mu[x] / mu[y])
+    # the diagonal weights add up in edge order, each edge at x then at y
+    diag = np.zeros(V)
+    np.add.at(diag, np.stack([x, y], axis=1).ravel(), np.stack([cxy, cyx], axis=1).ravel())
+    np.fill_diagonal(mat, np.repeat(diag, r))
+    # vertex blocks [v, :, w, :]; a vertex pair is at most one edge, so each
+    # off-diagonal block is written once
+    blocks = mat.reshape(V, r, V, r)
+    blocks[np.arange(V), :, np.arange(V), :] += b.potential
+    blocks[x, :, y, :] -= cxy[:, None, None] * b.transport
+    blocks[y, :, x, :] -= cyx[:, None, None] * np.conj(np.swapaxes(b.transport, 1, 2))
 
     # similarity by diag(sqrt(mu)) makes the matrix Hermitian in the plain
     # inner product; eigensections are mapped back to mu-orthonormal ones

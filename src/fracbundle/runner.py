@@ -283,14 +283,12 @@ def _task_verify_blago(scene, cfg):
     n_pairs = cfg.options["blago_pairs"]
     n_sources = max(2, int(np.ceil((1 + np.sqrt(1 + 8 * n_pairs)) / 2)))
     columns, owners = _seeded_pair_sources(scene, cfg, n_sources, rng)
-    wmap = scene.wmap
-    G_engine = owner_sums(blago_bilinear(wmap, columns, columns), owners, owners,
-                          (n_sources, n_sources))
     # the reference solves the same sources on the whole manifold over [0, T]
     # (same dt) by the direct interval sum, not the engine's FFT convolution;
     # each full-manifold source is built from its columns as duhamel_states
-    # draws it
-    half = wmap.half_index
+    # draws it.  It runs before the wave map is built, so its working set and
+    # the map's never coexist
+    half = scene.grid.n_steps // 2
     ref_grid = TimeGrid(cfg.horizon, half)
     at = region_slices(scene.region, scene.bundle.rank)[columns.component]
     shape = (half + 1, scene.manifold.num_vertices, scene.bundle.rank)
@@ -303,10 +301,12 @@ def _task_verify_blago(scene, cfg):
             yield TimeSection(ref_grid, full)
 
     states = [w[0] for w in duhamel_states(scene.op, sources(), [half])]
-    G_direct = np.empty_like(G_engine)
+    G_direct = np.empty((n_sources, n_sources), dtype=np.complex128)
     for i, si in enumerate(states):
         for j, sj in enumerate(states):
             G_direct[i, j] = l2_inner(scene.bundle, si, sj)
+    G_engine = owner_sums(blago_bilinear(scene.wmap, columns, columns), owners, owners,
+                          (n_sources, n_sources))
     scale = float(np.max(np.abs(G_direct)))
     err = np.abs(G_engine - G_direct) / scale
     # the first n_pairs pairs i <= j in row order

@@ -437,14 +437,19 @@ def wave_map_assemble(op: SpectralOperator, region: Region, grid: TimeGrid) -> W
         raise OperatorError("use an even number of steps so T sits on the grid")
     idx = region_slices(region, op.bundle.rank)
     kernel = wave_kernel_matrix(op, grid.times[:, None], idx)
+    # each weight table goes as soon as its stack is built
     A, B = duhamel_weights(op.eigenvalues, grid.dt, grid.n_steps)
+    conv_a = spectral_block(op, A, idx)
+    del A
+    conv_b = spectral_block(op, B, idx)
+    del B
     return WaveMapData(
         grid=grid,
         horizon=grid.t_max / 2.0,
         local=local_structure(region, op.bundle.rank),
         kernel=kernel,
-        conv_a=spectral_block(op, A, idx),
-        conv_b=spectral_block(op, B, idx),
+        conv_a=conv_a,
+        conv_b=conv_b,
     )
 
 

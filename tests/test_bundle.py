@@ -336,3 +336,44 @@ def test_structure_iso_invariants():
     loop1 = [int(iso.base[v]) for v in loop2]
     assert holonomy(b2, loop2) == pytest.approx(holonomy(b, loop1), abs=1e-10)
 
+
+
+def one_unitary(rng, r):
+    """One phase-fixed QR unitary, drawn as a real then an imaginary block."""
+    g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    q, rm = np.linalg.qr(g)
+    ph = np.diag(rm).copy()
+    ph = ph / np.abs(ph)
+    return q * ph.conj()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_batched_unitary_draws_are_the_per_item_draws(rank):
+    m = torus(5, 4)
+    rng = np.random.default_rng(17)
+    want = np.array([one_unitary(rng, rank) for _ in range(len(m.edges))])
+    # the potential draws follow the transports on the same stream
+    want_pot = build_bundle(m, rank, potential="random_hermitian", seed=rng).potential
+    b = build_bundle(m, rank, connection="random", potential="random_hermitian", seed=17)
+    assert b.transport.tobytes() == want.tobytes()
+    assert b.potential.tobytes() == want_pot.tobytes()
+    rng = np.random.default_rng(18)
+    want = np.array([one_unitary(rng, rank) for _ in range(m.num_vertices)])
+    got = GaugeTransform.random(np.random.default_rng(18), m.num_vertices, rank).matrices
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [1.1, np.nan])
+def test_unitarity_checks_name_the_first_failing_item(bad):
+    m = torus()
+    b = build_bundle(m, 2, connection="random", seed=19)
+    tr = b.transport.copy()
+    tr[[5, 9]] *= bad
+    with pytest.raises(BundleError, match=r"transport on edge 5 is not unitary"):
+        HermitianBundle(m, 2, tr, b.potential)
+    mats = GaugeTransform.random(np.random.default_rng(20), m.num_vertices, 2).matrices
+    mats[[3, 4]] *= bad
+    with pytest.raises(BundleError, match=r"gauge matrix at vertex 3 is not unitary"):
+        GaugeTransform(mats)
+    with pytest.raises(BundleError, match=r"fiber map at vertex 3 is not unitary"):
+        StructureIso(b, m, np.arange(m.num_vertices), mats)

@@ -391,6 +391,25 @@ def test_a_task_that_raises_still_releases_its_objects(traced_maps, monkeypatch)
     assert traced_maps["assemble"] == 1 and len(traced_maps["maps"]) == 1
 
 
+def test_blago_reference_runs_before_the_wave_map(traced_maps, monkeypatch):
+    # verify_blago solves its direct reference first and only then builds
+    # the map, so the reference's working set never sits on top of the map:
+    # no map is alive when duhamel_states starts or returns
+    states, alive = runner.duhamel_states, []
+
+    def reference(*args):
+        alive.append([ref() is not None for ref in traced_maps["maps"]])
+        out = states(*args)
+        alive.append([ref() is not None for ref in traced_maps["maps"]])
+        return out
+
+    monkeypatch.setattr(runner, "duhamel_states", reference)
+    rep = run_experiment(parse_config(BASE_CONFIG))
+    assert rep.passed
+    assert alive == [[], []]
+    assert traced_maps["alive"] == [[]] and len(traced_maps["maps"]) == 1
+
+
 def test_config_echo_reruns_exactly(tmp_path):
     cfg = parse_config(BASE_CONFIG)
     rep = run_experiment(cfg)

@@ -13,7 +13,7 @@ from fracbundle.bundle import (
     translation_iso,
 )
 from fracbundle.errors import OperatorError
-from fracbundle.manifold import build_manifold
+from fracbundle.manifold import DiscreteManifold, build_manifold
 from fracbundle.operator import apply_function, assemble, kernel_projector
 
 
@@ -194,3 +194,51 @@ def test_projectors_idempotent_complementary():
     assert np.max(np.abs(proj.project_complement(k1))) < 1e-10
     assert proj.kernel_fraction(c1) < 1e-10
     assert proj.kernel_fraction(k1) == pytest.approx(1.0, abs=1e-10)
+
+
+def random_rank2_bundle(seed):
+    """A random rank-2 bundle on a 5x4 torus graph with non-uniform volumes
+    and weights."""
+    rng = np.random.default_rng(seed)
+    t = build_manifold({"kind": "torus_grid", "counts": [5, 4], "lengths": [5.0, 4.0]})
+    m = DiscreteManifold(t.num_vertices, t.edges, t.lengths,
+                         rng.uniform(0.5, 2.0, len(t.edges)),
+                         rng.uniform(0.5, 2.0, t.num_vertices), t.dimension)
+    return build_bundle(m, 2, connection="random", potential="random_hermitian", seed=seed)
+
+
+def per_edge_matrix(b):
+    """The operator matrix summed one edge at a time, then the potential."""
+    m, r = b.manifold, b.rank
+    mu = m.volumes
+    mat = np.zeros((m.num_vertices * r,) * 2, dtype=np.complex128)
+    eye = np.eye(r)
+    for i, (x, y) in enumerate(m.edges):
+        w = m.weights[i]
+        cxy, cyx = w * np.sqrt(mu[y] / mu[x]), w * np.sqrt(mu[x] / mu[y])
+        sx, sy = slice(x * r, (x + 1) * r), slice(y * r, (y + 1) * r)
+        mat[sx, sx] += cxy * eye
+        mat[sy, sy] += cyx * eye
+        mat[sx, sy] -= cxy * b.transport[i]
+        mat[sy, sx] -= cyx * b.transport[i].conj().T
+    for v in range(m.num_vertices):
+        mat[v * r:(v + 1) * r, v * r:(v + 1) * r] += b.potential[v]
+    return mat
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_assemble_is_the_per_edge_sum_bit_for_bit(seed):
+    b = random_rank2_bundle(seed)
+    got, want = assemble(b).matrix, per_edge_matrix(b)
+    assert np.array_equal(got, want)
+    # sign bits too: a zero entry stays +0.0 or -0.0 as the loop leaves it
+    assert got.tobytes() == want.tobytes()
+
+
+def test_coefficients_are_the_conjugated_eigenbasis_product_bit_for_bit():
+    b = build_bundle(torus(), 2, connection="random", potential="random_positive", seed=9)
+    op = assemble(b)
+    u = b.random_section(np.random.default_rng(10))
+    mu = np.repeat(b.manifold.volumes, b.rank)
+    want = op.eigensections.conj().T @ (mu * op.to_flat(u))
+    assert op.coefficients(u).tobytes() == want.tobytes()
