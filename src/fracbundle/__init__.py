@@ -33,8 +33,6 @@ from .s2s import (
     local_structure,
     frac_map_assemble,
     wave_map_assemble,
-    blago_inner,
-    gram_matrix,
 )
 from .reconstruction import (
     ProbeConfig,

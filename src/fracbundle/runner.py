@@ -255,10 +255,10 @@ def _task_verify_transmutation(scene, cfg):
 
 
 def _seeded_pair_sources(scene, cfg, count, rng):
-    """Seeded sources of three random bumps each, as the (DeltaSources, owners)
-    delta columns s2s.blago_bilinear reads for dense sources: the bumps on one
-    flat region component of one source sum into one (N+1,) profile, in owner
-    then component order."""
+    """Seeded sources of three random bumps each, as (DeltaSources, owners):
+    each source is the sum of its delta columns, and the bumps on one flat
+    region component of one source sum into one (N+1,) profile, in owner then
+    component order."""
     grid = scene.grid
     n, r = len(scene.region), scene.bundle.rank
     T = cfg.horizon

@@ -32,7 +32,6 @@ from .manifold import Region, edge_index, shortest_paths
 from .operator import KERNEL_FRACTION_TOL, SpectralOperator
 from .propagators import (
     TimeGrid,
-    TimeSection,
     duhamel_weights,
     folded_kernel,
     fractional_kernel_matrix,
@@ -114,8 +113,10 @@ class LocalStructure:
 
     @staticmethod
     def from_payload(p):
+        """A local_structure@1 payload; arrays that disagree with its vertices
+        or its edges are a DataBoundaryError."""
         n = len(p["vertices"])
-        return LocalStructure(
+        local = LocalStructure(
             vertices=tuple(int(v) for v in p["vertices"]),
             volumes=np.asarray(p["volumes"], dtype=np.float64),
             rank=int(p["rank"]),
@@ -124,6 +125,14 @@ class LocalStructure:
             edge_weights=np.asarray(p["edge_weights"], dtype=np.float64),
             distances=np.asarray(p["distances"], dtype=np.float64).reshape(n, n),
         )
+        e = len(local.edges)
+        for name, count in (("volumes", n), ("edge_lengths", e), ("edge_weights", e)):
+            if getattr(local, name).shape != (count,):
+                raise DataBoundaryError(f"local structure {name} has shape "
+                                        f"{getattr(local, name).shape}, not ({count},)")
+        if np.any((local.edges < 0) | (local.edges >= n)):
+            raise DataBoundaryError(f"local structure edges must join vertices 0..{n - 1}")
+        return local
 
 
 def local_structure(region: Region, rank) -> LocalStructure:
@@ -237,43 +246,42 @@ def _real_linear(f, x, axis):
 @dataclass(frozen=True)
 class DeltaSources:
     """m delta sources on the region: source i is the nodal time profile
-    profiles[profile[i]] at the flat region component component[i]."""
+    profiles[profile[i]] at the flat region component component[i].  Every
+    source supported in the region is a sum of such columns."""
 
     profiles: np.ndarray   # (L, N+1) time profiles
     profile: np.ndarray    # (m,) integer
     component: np.ndarray  # (m,) integer
 
+    def __post_init__(self):
+        idx = (self.profile, self.component)
+        if not (isinstance(self.profiles, np.ndarray) and self.profiles.ndim == 2
+                and all(isinstance(i, np.ndarray) and i.dtype.kind in "iu" for i in idx)
+                and self.profile.ndim == 1 and self.profile.shape == self.component.shape):
+            raise OperatorError("delta sources need a 2-D profiles array and 1-D integer "
+                                "profile and component arrays of one length, not "
+                                + ", ".join(f"{type(a).__name__} {np.shape(a)}"
+                                            for a in (self.profiles, *idx)))
+
     def __len__(self):
         return len(self.profile)
 
 
-def _delta_columns(wmap, sources):
-    """(delta, owners): a batch of sources for the map as DeltaSources.  A
-    DeltaSources is itself, source k its own owner.  Dense (m, N+1, D) sources
-    are their nonzero columns, each on a profile of its own, in owner then
-    component order: column k is the time profile of sources[owners[k]] at its
-    component.  A dense batch of another shape, profiles that are not N+1
-    samples long and indices off their range are an OperatorError."""
-    if isinstance(sources, DeltaSources):
-        delta, owners = sources, np.arange(len(sources))
-    else:
-        sources = np.asarray(sources)
-        n1, d = len(wmap.grid), wmap.local.dim
-        if sources.ndim != 3 or sources.shape[1:] != (n1, d):
-            raise OperatorError(f"dense sources must have shape (m, {n1}, {d}), the region's "
-                                f"{d} components at the map's {n1} samples, not shape "
-                                f"{sources.shape}")
-        owners, comps = np.nonzero(np.any(sources != 0, axis=1))
-        delta = DeltaSources(sources[owners, :, comps], np.arange(len(owners)), comps)
-    if np.shape(delta.profiles)[1:] != (len(wmap.grid),):
+def _check_sources(wmap, sources):
+    """Refuse a batch the map cannot read: anything but DeltaSources (a dense
+    (m, N+1, D) array is the DeltaSources of its nonzero columns), profiles
+    that are not N+1 samples long and indices off their range."""
+    if not isinstance(sources, DeltaSources):
+        raise OperatorError(f"sources must be DeltaSources, not {type(sources).__name__}: a "
+                            f"dense source is the DeltaSources of its nonzero columns")
+    if sources.profiles.shape[1] != len(wmap.grid):
         raise OperatorError(f"source time profiles must have the map's {len(wmap.grid)} "
-                            f"samples, not shape {np.shape(delta.profiles)}")
-    for name, idx, n in (("profile", delta.profile, len(delta.profiles)),
-                         ("component", delta.component, wmap.local.dim)):
+                            f"samples, not shape {sources.profiles.shape}")
+    for name, idx, n in (("profile", sources.profile, len(sources.profiles)),
+                         ("component", sources.component, wmap.local.dim)):
         bad = idx[(idx < 0) | (idx >= n)]
         if len(bad):
             raise OperatorError(f"delta source {name} index {bad[0]} is outside 0..{n - 1}")
-    return delta, owners
 
 
 @dataclass(frozen=True)
@@ -319,68 +327,35 @@ class WaveMapData:
     def half_index(self):
         return self.grid.n_steps // 2
 
-    def source_array(self, f):
-        """Validate and restrict a source to nodal region data (N+1, |U| r).
-
-        A TimeSection is full-manifold data (N+1, V, r) and must vanish off
-        the region; an array is region data, (N+1, |U|, r) or (N+1, |U| r),
-        in region vertex order.
-        """
-        n1, rank = len(self.grid), self.local.rank
-        if isinstance(f, TimeSection):
-            if f.grid.n_steps != self.grid.n_steps or abs(f.grid.t_max - self.grid.t_max) > 1e-12:
-                raise OperatorError("source grid does not match the map grid")
-            vals = f.values
-            verts = list(self.local.vertices)
-            if vals.shape[2] != rank or vals.shape[1] <= max(verts):
-                raise OperatorError(f"source sections of shape {vals.shape[1:]} do not cover "
-                                    f"the region vertices at fiber rank {rank}")
-            off = np.ones(vals.shape[1], dtype=bool)
-            off[verts] = False
-            if np.any(vals[:, off, :] != 0):
-                raise DataBoundaryError("source is not supported in the observation region")
-            return vals[:, verts, :].reshape(n1, self.local.dim)
-        arr = np.asarray(f, dtype=np.complex128)
-        if arr.shape in ((n1, self.local.size, rank), (n1, self.local.dim)):
-            return arr.reshape(n1, self.local.dim)
-        raise OperatorError("unrecognized source shape")
-
     def respond(self, sources, rows=None):
-        """Apply the map to a batch of nodal sources.
+        """Apply the map to a DeltaSources batch of m delta sources.
 
-        sources: dense (m, N+1, D) with D = |U| r, or a DeltaSources of m
-        delta sources.  Returns (m, N+1, D) responses, exact for
-        piecewise-linear sources.  With rows given, only those response
-        samples are evaluated, by the direct interval sum, and the result is
-        (m, len(rows), D); each time profile of a DeltaSources is then
-        evaluated once, against every kernel column.  A dense source is the
-        sum of its nonzero columns, each responding as a delta source.
+        Returns (m, N+1, D) responses, D = |U| r, exact for piecewise-linear
+        sources.  With rows given, only those response samples are
+        evaluated, by the direct interval sum, and the result is
+        (m, len(rows), D); each time profile is then evaluated once, against
+        every kernel column.
         """
         d = self.local.dim
-        delta, owners = _delta_columns(self, sources)
-        if delta is not sources:
-            out = np.zeros((len(sources), len(self.grid) if rows is None else len(rows), d),
-                           dtype=np.complex128)
-            np.add.at(out, owners, self.respond(delta, rows))
-            return out
+        _check_sources(self, sources)
         mu = self.local.weights_flat()
-        comps = delta.component
+        comps = sources.component
         if rows is not None:
             combos = _real_linear(lambda p: mode_convolve_rows(self.conv_a, self.conv_b, p.T,
                                                                rows, "tij,tp->tpij"),
-                                  delta.profiles, axis=1)
+                                  sources.profiles, axis=1)
             # (m, len(rows), D): column c of the response to the profile of source i
             out = hermitian_rows(combos, range(d))
-            return out[:, delta.profile, :, comps] * mu[comps, None, None]
+            return out[:, sources.profile, :, comps] * mu[comps, None, None]
         # a delta source meets one kernel column, the conjugate of a kernel
         # row: transforming only the columns in use, each once, keeps the
         # working set one (N+1, D) block
-        out = np.empty((len(delta), len(self.grid), d), dtype=np.complex128)
+        out = np.empty((len(sources), len(self.grid), d), dtype=np.complex128)
         for c in np.unique(comps):
             spectra = pl_spectra(*(np.conj(hermitian_rows(s, [c])[:, 0])
                                    for s in (self.conv_a, self.conv_b)))
             for i in np.nonzero(comps == c)[0]:
-                profile = delta.profiles[delta.profile[i]]
+                profile = sources.profiles[sources.profile[i]]
                 out[i] = mode_convolve(spectra, profile * mu[c], "ti,t->ti")
         return out
 
@@ -482,27 +457,10 @@ def _jstar_quadratic_coeffs(f, dt, n_half):
                  for s, a, b in zip((1, dt, dt), fwd, bwd))
 
 
-def blago_bilinear(wmap: WaveMapData, F, H):
-    """Matrix of wave-state pairings <w^f(T), w^h(T)> from map data alone.
-
-    F and H are each a dense (m, N+1, D) batch of nodal sources supported in
-    the region or a DeltaSources.  Uses the identity
-        <w^f(T), w^h(T)> = int_0^T [ <f, J L h> - <L f, J h> ] dt
-    with the map responses and the time averages exact for piecewise-linear
-    sources and the outer time integral by the high-order sampled rule.  A dense
-    source is the sum of its nonzero columns: each column pairs as a delta
-    source and the pairings add up per source.
-    """
-    (f, of), (h, oh) = _delta_columns(wmap, F), _delta_columns(wmap, H)
-    out = _spectral_pairing(wmap, f, h)
-    if f is F and h is H:
-        return out
-    return owner_sums(out, of, oh, (len(F), len(H)))
-
-
 def owner_sums(pairings, owners_f, owners_h, shape):
-    """The (mf, mh) pairing matrix of dense sources from the pairings of their
-    delta columns: entry (i, j) sums the column pairings with owners (i, j)."""
+    """The (mf, mh) pairing matrix of sources that are sums of delta columns,
+    from the pairings of the columns: entry (i, j) sums the column pairings
+    with owners (i, j)."""
     out = np.zeros(shape, dtype=np.complex128)
     np.add.at(out, (owners_f[:, None], owners_h[None, :]), pairings)
     return out
@@ -523,8 +481,16 @@ def _runs(keys):
     return values, [slice(a, b) for a, b in zip(starts, np.append(starts[1:], len(keys)))]
 
 
-def _spectral_pairing(wmap: WaveMapData, F: DeltaSources, H: DeltaSources):
-    """blago_bilinear for delta sources, in one pass over the F profiles.
+def blago_bilinear(wmap: WaveMapData, F: DeltaSources, H: DeltaSources):
+    """Matrix of wave-state pairings <w^f(T), w^h(T)> from map data alone.
+
+    F and H are each a DeltaSources batch; a source that is a sum of delta
+    columns pairs as the owner_sums of its columns' pairings.  Uses the
+    identity
+        <w^f(T), w^h(T)> = int_0^T [ <f, J L h> - <L f, J h> ] dt
+    with the map responses and the time averages exact for piecewise-linear
+    sources and the outer time integral by the high-order sampled rule, in one
+    pass over the F profiles.
 
     The response of a delta source p at component c is column-wise
     mu_c (K[:, :, c] * p - B_up p[0]) with K = folded_kernel(conv_a, conv_b,
@@ -552,6 +518,8 @@ def _spectral_pairing(wmap: WaveMapData, F: DeltaSources, H: DeltaSources):
     only the keys at its own row and column.  The B_up terms, for profiles
     that start nonzero, are one product per side.
     """
+    _check_sources(wmap, F)
+    _check_sources(wmap, H)
     out = np.zeros((len(F), len(H)), dtype=np.complex128)
     if not (len(F) and len(H)):
         return out
@@ -630,21 +598,3 @@ def _spectral_pairing(wmap: WaveMapData, F: DeltaSources, H: DeltaSources):
         vals *= np.multiply.outer(mu[kc_f], mu[kc_h])
         out[few] = vals[key_f[:, None], key_h[None, :]]
     return out
-
-
-def blago_inner(wmap: WaveMapData, f, h):
-    """<w^f(T, .), w^h(T, .)> computed from the wave map data only."""
-    F = wmap.source_array(f)[None, :, :]
-    H = wmap.source_array(h)[None, :, :]
-    return complex(blago_bilinear(wmap, F, H)[0, 0])
-
-
-def gram_matrix(wmap: WaveMapData, sources):
-    """Hermitian Gram of wave states at time T for a list of sources.
-
-    The pairwise identity values are Hermitized (the identity is exactly
-    conjugate-symmetric; averaging removes quadrature asymmetry).
-    """
-    batch = np.stack([wmap.source_array(s) for s in sources])
-    G = blago_bilinear(wmap, batch, batch)
-    return 0.5 * (G + G.conj().T)

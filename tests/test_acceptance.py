@@ -49,7 +49,9 @@ from fracbundle.reconstruction import (
     recover_local_operator,
 )
 from fracbundle.reference import chart_operator_from_bundle
-from fracbundle.s2s import blago_bilinear, frac_map_assemble, hermitian_rows, wave_map_assemble
+from fracbundle.s2s import frac_map_assemble, hermitian_rows, wave_map_assemble
+
+from dense_sources import dense_pairing, region_values
 
 
 def verdict(number, ok, detail):
@@ -145,8 +147,8 @@ def test_acceptance_4_blago_identity(cycle64_wave):
             amp = rng.standard_normal() + 1j * rng.standard_normal()
             vals[:, v, 0] += amp * bump_profile(grid.times, start, width)
         sources.append(TimeSection(grid, vals))
-    batch = np.stack([wmap.source_array(s) for s in sources])
-    G_engine = blago_bilinear(wmap, batch, batch)
+    batch = np.stack([region_values(s, U.vertices) for s in sources])
+    G_engine = dense_pairing(wmap, batch, batch)
     states = [duhamel_solve(op, f).values[wmap.half_index] for f in sources]
     worst = 0.0
     pairs = 0

@@ -25,6 +25,8 @@ from fracbundle.reconstruction import ProbeConfig
 from fracbundle import reconstruction, runner, s2s
 from fracbundle.runner import emit_report, run_experiment
 
+from dense_sources import delta_columns, dense_pairing
+
 BASE_CONFIG = {
     "manifold": {"kind": "cycle", "count": 16, "length": float(2 * np.pi)},
     "bundle": {"rank": 1, "connection": "trivial", "potential": "zero", "seed": 11},
@@ -805,11 +807,11 @@ def test_blago_engine_gram_is_the_dense_pairing_bit_for_bit():
     dense = seeded_dense_sources(scene, cfg, 15)
     got, got_owners = runner._seeded_pair_sources(scene, cfg, 15,
                                                   np.random.default_rng(cfg.seed + 2))
-    want, want_owners = s2s._delta_columns(scene.wmap, dense)
+    want, want_owners = delta_columns(dense)
     for a, b in ((got.profiles, want.profiles), (got.profile, want.profile),
                  (got.component, want.component), (got_owners, want_owners)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    G = s2s.blago_bilinear(scene.wmap, dense, dense)
+    G = dense_pairing(scene.wmap, dense, dense)
     header, rows = tables["blago_pairs"]
     assert len(rows) == 100
     for i, j, _, _, engine_re, engine_im, _ in rows:

@@ -39,7 +39,9 @@ from fracbundle.reconstruction import (
     recover_local_operator,
 )
 from fracbundle.reference import chart_operator_from_bundle
-from fracbundle.s2s import WaveMapData, blago_bilinear, gram_matrix, wave_map_assemble
+from fracbundle.s2s import WaveMapData, blago_bilinear, wave_map_assemble
+
+from dense_sources import dense_gram, region_values
 
 
 def bump(times, center, width):
@@ -117,7 +119,8 @@ def torus_scene():
 def engine_residuals(wmap, targets, spans):
     """prefix_residuals of source targets against every leading block of the
     source spans, on their Gram at the engine's ridge; also returns the ridge."""
-    G = gram_matrix(wmap, list(targets) + list(spans))
+    G = dense_gram(wmap, np.stack([region_values(s, wmap.local.vertices)
+                                   for s in [*targets, *spans]]))
     reg = RIDGE_FACTOR * np.trace(G).real / len(G)
     nt = len(targets)
     return prefix_residuals(G, np.arange(nt, len(G)), np.arange(nt), reg), G, reg

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import re
 import tracemalloc
 
 import numpy as np
@@ -43,9 +42,7 @@ from fracbundle.s2s import (
     _jh_quadratic_coeffs,
     _jstar_quadratic_coeffs,
     blago_bilinear,
-    blago_inner,
     frac_map_assemble,
-    gram_matrix,
     hermitian_rows,
     local_structure,
     region_slices,
@@ -57,6 +54,14 @@ from fracbundle.timequad import (
     quadratic_times_sampled_array,
     time_average_linear,
     time_average_nodes,
+)
+
+from dense_sources import (
+    delta_columns,
+    dense_gram,
+    dense_pairing,
+    dense_respond,
+    region_values,
 )
 
 
@@ -90,6 +95,12 @@ def make_source(grid, region, rank, vertex_local, fiber, center, width, num_vert
     prof = bump(grid.times, center, width)
     vals[:, region.vertices[vertex_local], fiber] = prof
     return TimeSection(grid, vals)
+
+
+def blago_inner(wmap, f, h):
+    """<w^f(T), w^h(T)> of two TimeSections supported in the region."""
+    F, H = (region_values(s, wmap.local.vertices)[None] for s in (f, h))
+    return complex(dense_pairing(wmap, F, H)[0, 0])
 
 
 # -- local structure ---------------------------------------------------------
@@ -311,7 +322,7 @@ def test_wave_map_consistency_with_duhamel(wave_scene):
     f.values[:, U.vertices[4], 0] += (0.3 - 0.7j) * bump(grid.times, 1.9, 0.7)
     w = duhamel_solve(op, f)
     direct = w.values[:, list(U.vertices), :].reshape(len(grid), -1)
-    resp = wmap.respond(wmap.source_array(f)[None])[0]
+    resp = dense_respond(wmap, region_values(f, U.vertices)[None])[0]
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(resp - direct)) < 1e-9 * scale
 
@@ -359,7 +370,7 @@ def sampled_pairing(wmap, F, H, f_side=jstar_side):
     It is the reference for both forms of blago_bilinear.
     """
     dt, n_half, n1 = wmap.grid.dt, wmap.half_index, len(wmap.grid)
-    responses_f, responses_h = wmap.respond(F), wmap.respond(H)
+    responses_f, responses_h = dense_respond(wmap, F), dense_respond(wmap, H)
     E2 = np.array([quadratic_times_sampled_array(*_jh_quadratic_coeffs(h, dt, n_half), n1, dt)
                    for h in H])
     T2 = np.einsum("fjx,x,hjx->fh", np.conj(responses_f), wmap.local.weights_flat(), E2)
@@ -372,35 +383,18 @@ def assert_pairs_like(got, want):
 
 
 def test_delta_source_paths_match_dense(probe_scene):
+    # the probe family's delta sources against the same sources stated
+    # densely, and against the pairing summed over full response series
     wmap, fam, dense = probe_scene
     assert len(fam) == 54
 
     resp_delta = wmap.respond(fam.sources)
-    resp_dense = wmap.respond(dense)
+    resp_dense = dense_respond(wmap, dense)
     assert np.max(np.abs(resp_delta - resp_dense)) <= 1e-12 * np.max(np.abs(resp_dense))
     G_delta = blago_bilinear(wmap, fam.sources, fam.sources)
-    G_dense = blago_bilinear(wmap, dense, dense)
+    G_dense = dense_pairing(wmap, dense, dense)
     assert np.max(np.abs(G_delta - G_dense)) <= 1e-12 * np.max(np.abs(G_dense))
     assert_pairs_like(G_delta, sampled_pairing(wmap, dense, dense))
-
-
-def test_dense_sources_pair_as_the_delta_sources_of_their_columns_bit_for_bit(probe_scene):
-    # the dense form is one rule on top of the delta form: its nonzero columns,
-    # each on a profile of its own, paired and summed per owning source
-    wmap = probe_scene[0]
-    dense = dense_sources(np.random.default_rng(3), wmap, True)
-    columns, owners = s2s._delta_columns(wmap, dense)
-    assert len(columns.profiles) == len(columns) == len(owners)
-    G = s2s.owner_sums(blago_bilinear(wmap, columns, columns), owners, owners, (4, 4))
-    assert np.array_equal(G, blago_bilinear(wmap, dense, dense))
-
-
-def test_a_dense_side_pairs_with_a_delta_side_as_both_dense(probe_scene):
-    # each side of the pairing takes either form on its own
-    wmap, fam, dense = probe_scene
-    want = blago_bilinear(wmap, dense, dense)
-    assert_pairs_like(blago_bilinear(wmap, dense, fam.sources), want)
-    assert_pairs_like(blago_bilinear(wmap, fam.sources, dense), want)
 
 
 @pytest.mark.parametrize("field, bad", [("component", -1), ("component", 18),
@@ -423,39 +417,52 @@ def test_delta_source_indices_off_their_range_are_refused(probe_scene, field, ba
 def test_delta_source_profiles_of_another_length_are_refused(probe_scene, samples):
     # the map has 241 time rows; a shorter profile paired as if zero-padded
     # and respond(rows=) read either one, both silently
-    wmap, fam, dense = probe_scene
+    wmap, fam = probe_scene[:2]
     src = fam.sources
     profiles = np.zeros((len(src.profiles), samples))
     n = min(samples, len(wmap.grid))
     profiles[:, :n] = src.profiles[:, :n]
     bent = dataclasses.replace(src, profiles=profiles)
-    bent_dense = np.zeros((len(fam), samples, wmap.local.dim))
-    bent_dense[:, :n] = dense[:, :n]
     for call in (lambda: wmap.respond(bent), lambda: wmap.respond(bent, rows=[3, 5]),
-                 lambda: blago_bilinear(wmap, bent, src), lambda: blago_bilinear(wmap, src, bent),
-                 lambda: blago_bilinear(wmap, bent_dense, dense),
-                 lambda: wmap.respond(bent_dense, rows=[3, 5])):
+                 lambda: blago_bilinear(wmap, bent, src), lambda: blago_bilinear(wmap, src, bent)):
         with pytest.raises(OperatorError, match=f"241 samples, not shape .*{samples}"):
             call()
 
 
-@pytest.mark.parametrize("shape", [(1, 241), (1, 241, 9, 2), (1, 241, 17)],
-                         ids=["2d", "4d", "short_components"])
+@pytest.mark.parametrize("shape", [(1, 241), (1, 241, 9, 2), (1, 241, 17), (54, 241, 18)],
+                         ids=["2d", "4d", "short_components", "map_shape"])
 def test_dense_sources_of_another_shape_are_refused(probe_scene, shape):
-    # a dense batch is (m, N+1, D): a 2-D or a 4-D (m, N+1, |U|, r) batch
-    # raised a bare numpy ValueError, and one with fewer components than D
-    # paired silently; the error names the shape
-    wmap, fam, dense = probe_scene
-    bent = np.ones(shape)
+    # the map's one source form is DeltaSources: a dense batch of any shape,
+    # the map's own (m, N+1, D) included, is refused on either side, and the
+    # error names the form it must take
+    wmap, fam = probe_scene[:2]
+    bent, src = np.ones(shape), fam.sources
     for call in (lambda: wmap.respond(bent), lambda: wmap.respond(bent, rows=[3, 5]),
-                 lambda: blago_bilinear(wmap, bent, dense), lambda: blago_bilinear(wmap, dense, bent)):
-        with pytest.raises(OperatorError, match=r"\(m, 241, 18\).*not shape " + re.escape(str(shape))):
+                 lambda: blago_bilinear(wmap, bent, src), lambda: blago_bilinear(wmap, src, bent)):
+        with pytest.raises(OperatorError, match="must be DeltaSources, not ndarray"):
             call()
 
 
+@pytest.mark.parametrize("fields", [
+    {"profile": np.array([0, 1]), "component": np.array([3])},
+    {"profile": np.array([[0, 1]]), "component": np.array([[3, 5]])},
+    {"profile": np.array([0]), "component": [3]},
+    {"profile": np.array([0.0]), "component": np.array([3])},
+    {"profiles": np.ones(241)},
+], ids=["lengths_differ", "2d_indices", "list_component", "float_profile", "1d_profiles"])
+def test_malformed_delta_sources_are_refused_at_construction(probe_scene, fields):
+    # unchecked, a profile index without its component would respond at
+    # another source's component, 2-D indices would give a 4-D response, and
+    # a list component would raise a bare TypeError
+    profiles = probe_scene[1].sources.profiles
+    with pytest.raises(OperatorError, match="1-D integer profile and component arrays of one"):
+        DeltaSources(**{"profiles": profiles, "profile": np.array([0]),
+                        "component": np.array([3]), **fields})
+
+
 def test_blago_bilinear_has_one_path(probe_scene, monkeypatch):
-    # both forms pair delta columns in one spectral pass over the F profiles
-    # and build no response series; a profile need not vanish at t = 0
+    # the pairing runs one spectral pass over the F profiles and builds no
+    # response series; a profile need not vanish at t = 0
     wmap, fam, dense = probe_scene
     comps = fam.sources.component[:6]
     # each of the six sources on a profile of its own, one starting at 0.5
@@ -473,7 +480,6 @@ def test_blago_bilinear_has_one_path(probe_scene, monkeypatch):
     monkeypatch.setattr(propagators, "mode_convolve", forbidden)
     monkeypatch.setattr(s2s, "mode_convolve", forbidden)
     assert_pairs_like(blago_bilinear(wmap, delta, delta), want)
-    assert_pairs_like(blago_bilinear(wmap, sources, sources), want)
 
 
 def test_complex_families_pair_at_every_component(probe_scene):
@@ -510,7 +516,7 @@ def test_only_profiles_at_every_component_run_an_inverse_transform(probe_scene, 
     src = fam.sources
     pick = [0, 20, 40]
     few = DeltaSources(src.profiles, src.profile[pick], src.component[pick])
-    for side in (few, dense[:6]):
+    for side in (few, delta_columns(dense[:6])[0]):
         blago_bilinear(wmap, side, side)
         assert calls == []
     blago_bilinear(wmap, src, src)
@@ -570,8 +576,8 @@ def dense_sources(rng, wmap, complex_amplitudes):
 @given(torus=st.booleans(), rank=st.integers(1, 2), complex_f=st.booleans(),
        complex_h=st.booleans(), seed=st.integers(0, 2**31 - 1))
 def test_spectral_pairing_matches_dense_sources(torus, rank, complex_f, complex_h, seed):
-    # both forms of blago_bilinear against the pairing summed over full
-    # response series of the same sources
+    # blago_bilinear against the pairing summed over full response series of
+    # the same sources, also for dense sources paired as their delta columns
     rng = np.random.default_rng(seed)
     if torus:
         m = build_manifold({"kind": "torus_grid", "counts": [4, 3], "lengths": [2.0, 1.5]})
@@ -590,24 +596,22 @@ def test_spectral_pairing_matches_dense_sources(torus, rank, complex_f, complex_
     assert_pairs_like(blago_bilinear(wmap, F, H), sampled_pairing(wmap, delta_f, delta_h))
     dense_f = np.concatenate([delta_f, dense_sources(rng, wmap, complex_f)])
     dense_h = np.concatenate([dense_sources(rng, wmap, complex_h), delta_h])
-    G = blago_bilinear(wmap, dense_f, dense_h)
+    G = dense_pairing(wmap, dense_f, dense_h)
     assert_pairs_like(G, sampled_pairing(wmap, dense_f, dense_h))
     # the zero source is the last F source and the fourth H source
     assert np.all(G[-1] == 0) and np.all(G[:, 3] == 0)
 
 
 def test_pairing_with_an_empty_side_is_an_empty_matrix(probe_scene):
-    wmap, fam, dense = probe_scene
+    wmap, fam = probe_scene[:2]
     src = fam.sources
 
     def first(m):
         return DeltaSources(src.profiles, src.profile[:m], src.component[:m])
 
     for mf, mh in ((0, 3), (3, 0), (0, 0)):
-        delta = blago_bilinear(wmap, first(mf), first(mh))
-        full = blago_bilinear(wmap, dense[:mf], dense[:mh])
-        for G in (delta, full):
-            assert G.shape == (mf, mh) and G.dtype == np.complex128
+        G = blago_bilinear(wmap, first(mf), first(mh))
+        assert G.shape == (mf, mh) and G.dtype == np.complex128
     # the rows-only responses of no delta source
     none = wmap.respond(first(0), rows=[3, 5])
     assert none.shape == (0, 2, wmap.local.dim)
@@ -622,7 +626,7 @@ def test_pairing_at_a_few_components_folds_only_their_rows(probe_scene):
     delta = DeltaSources(src.profiles, src.profile[pick], src.component[pick])
     assert len(set(delta.component.tolist())) == 3 < wmap.local.dim
     want = sampled_pairing(wmap, dense[pick], dense[pick])
-    for side in (delta, dense[pick]):
+    for side in (delta, delta_columns(dense[pick])[0]):
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -639,9 +643,9 @@ def test_respond_rows_match_full_series(probe_scene):
     n = wmap.grid.n_steps
     rows = [0, 1, n // 2 - 2, n // 2, n // 2 + 2, n]
     rng = np.random.default_rng(8)
-    # a dense source that is nonzero at t = 0 exercises the A[j] src[0] term
+    # the columns of dense noise, nonzero at t = 0, exercise the A[j] src[0] term
     noise = rng.standard_normal(dense[:3].shape) + 1j * rng.standard_normal(dense[:3].shape)
-    for sources in (fam.sources, dense, noise):
+    for sources in (fam.sources, delta_columns(dense)[0], delta_columns(noise)[0]):
         full = wmap.respond(sources)
         at_rows = wmap.respond(sources, rows=rows)
         assert at_rows.shape == (len(sources), len(rows), wmap.local.dim)
@@ -690,34 +694,6 @@ def test_first_arrival_reads_the_unpacked_kernel_block(probe_scene):
         hit = np.nonzero(amp > eta * np.max(amp))[0][0]
         assert arr[y, x] == wmap.grid.times[hit]
     assert arr[5, 5] == 0.0
-
-
-def test_source_support_validated(wave_scene):
-    m, b, op, U, grid, wmap = wave_scene
-    vals = np.zeros((len(grid), m.num_vertices, 1), dtype=complex)
-    vals[:, (U.vertices[-1] + 2) % m.num_vertices, 0] = bump(grid.times, 1.0, 0.5)
-    with pytest.raises(DataBoundaryError):
-        wmap.source_array(TimeSection(grid, vals))
-
-
-
-def test_time_sections_are_read_as_manifold_data():
-    # a region covering every vertex in rotated order: TimeSection values are
-    # indexed by manifold vertex whatever their shape, never by region position
-    m, b, op = cycle_scene(8, 8.0, rank=2, connection="random", potential="random_positive", seed=3)
-    U = arc_region(m, 3, 8)
-    grid = TimeGrid(6.0, 240)
-    wmap = wave_map_assemble(op, U, grid)
-    f = make_source(grid, U, 2, 1, 0, center=1.0, width=0.8, num_vertices=8)
-    got = wmap.source_array(f).reshape(len(grid), 8, 2)
-    assert np.array_equal(got, f.values[:, list(U.vertices)])
-    w = duhamel_solve(op, f).values[wmap.half_index]
-    direct = l2_inner(b, w, w).real
-    assert abs(blago_inner(wmap, f, f) - direct) <= 1e-6 * direct
-    # a fiber rank other than the map's, or too few vertices for the region
-    for shape in ((len(grid), 16, 1), (len(grid), 7, 2)):
-        with pytest.raises(OperatorError):
-            wmap.source_array(TimeSection(grid, np.zeros(shape)))
 
 
 # -- time averaging -----------------------------------------------------------
@@ -817,10 +793,10 @@ def test_adjoint_rule_against_duhamel_states():
                     (rng.standard_normal() + 1j * rng.standard_normal())
                     * bump(grid.times, rng.uniform(width / 2, T - width / 2), width))
             sources.append(TimeSection(grid, vals))
-        batch = np.stack([wmap.source_array(src) for src in sources])
+        batch = np.stack([region_values(src, U.vertices) for src in sources])
         G_direct = direct_pairings(op, grid, sources)
         scale = np.max(np.abs(G_direct))
-        new_errs.append(np.max(np.abs(blago_bilinear(wmap, batch, batch) - G_direct)) / scale)
+        new_errs.append(np.max(np.abs(dense_pairing(wmap, batch, batch) - G_direct)) / scale)
         old_errs.append(np.max(np.abs(sampled_pairing(wmap, batch, batch, qj_side) - G_direct))
                         / scale)
     assert max(new_errs) < 1e-6
@@ -846,7 +822,7 @@ def test_blago_matches_direct(wave_scene):
                                             rng.standard_normal(len(U)) + 1j * rng.standard_normal(len(U)))
     sources.append(TimeSection(grid, vals))
     G_direct = direct_pairings(op, grid, sources)
-    G_engine = gram_matrix(wmap, sources)
+    G_engine = dense_gram(wmap, np.stack([region_values(s, U.vertices) for s in sources]))
     scale = np.max(np.abs(G_direct))
     # within the default verify_blago tolerance
     assert np.max(np.abs(G_engine - G_direct)) < 1e-6 * scale
@@ -907,7 +883,7 @@ def test_gram_matrix_properties(wave_scene):
     m, b, op, U, grid, wmap = wave_scene
     f1 = make_source(grid, U, 1, 1, 0, 0.9, 0.5, m.num_vertices)
     f2 = make_source(grid, U, 1, 3, 0, 1.4, 0.6, m.num_vertices)
-    G = gram_matrix(wmap, [f1, f2, f1])
+    G = dense_gram(wmap, np.stack([region_values(s, U.vertices) for s in (f1, f2, f1)]))
     assert np.max(np.abs(G - G.conj().T)) == 0.0
     assert G[0, 0].real > 0
     assert abs(G[0, 2] - G[0, 0]) < 1e-8 * abs(G[0, 0])  # duplicated source
@@ -939,25 +915,25 @@ def test_pairing_engine_invariants_on_random_scenes(n, rank, count, seed):
                 amp * bump(grid.times, center, width))
     batch = sources.reshape(len(sources), len(grid), -1)
 
-    G = gram_matrix(wmap, list(batch))
+    G = dense_gram(wmap, batch)
     trace = np.trace(G).real
     assert np.array_equal(G, G.conj().T)
     assert np.linalg.eigvalsh(G).min() >= -1e-10 * trace
 
     F, H = batch[:2], batch[2:]
-    P = blago_bilinear(wmap, F, H)
+    P = dense_pairing(wmap, F, H)
     scale = np.max(np.abs(P))
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    combo_f = blago_bilinear(wmap, np.tensordot(a, F, axes=1)[None], H)[0]
+    combo_f = dense_pairing(wmap, np.tensordot(a, F, axes=1)[None], H)[0]
     assert np.max(np.abs(combo_f - np.conj(a) @ P)) <= 1e-10 * scale
-    combo_h = blago_bilinear(wmap, F, np.tensordot(a, H, axes=1)[None])[:, 0]
+    combo_h = dense_pairing(wmap, F, np.tensordot(a, H, axes=1)[None])[:, 0]
     assert np.max(np.abs(combo_h - P @ a)) <= 1e-10 * scale
 
     g = GaugeTransform.random(rng, n, rank)
     wmap_g = wave_map_assemble(assemble(apply_gauge(b, g)), U, grid)
     S = g.matrices[list(U.vertices)]
     gauged = np.einsum("vji,ktvj->ktvi", S.conj(), sources)
-    G_g = gram_matrix(wmap_g, list(gauged.reshape(batch.shape)))
+    G_g = dense_gram(wmap_g, gauged.reshape(batch.shape))
     assert np.max(np.abs(G_g - G)) <= 1e-10 * np.max(np.abs(G))
 
 
@@ -1003,6 +979,31 @@ def test_wave_map_payload_refuses_a_block_that_is_not_hermitian(wave_scene):
     block[1, 3] -= 1e-9 * np.max(np.abs(block)) * (1 - 1e-5)
     payload["conv_b"][7] = complex_to_list(block)
     WaveMapData.from_payload(payload)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("edges", [[0, 1], [0, 9]]),
+    ("edges", [[-1, 0]]),
+    ("volumes", [1.0] * 6),
+    ("volumes", [1.0] * 4),
+    ("edge_lengths", [1.0] * 3),
+    ("edge_weights", [1.0] * 5),
+], ids=["endpoint_past_the_region", "negative_endpoint", "extra_volumes", "short_volumes",
+        "short_edge_lengths", "long_edge_weights"])
+def test_wave_map_payload_refuses_local_arrays_that_disagree_with_the_region(field, bad):
+    # a 5-vertex arc has 4 inner edges; unchecked, an edge to vertex 9 would
+    # give neighbors(0) == [9], extra volumes and a short edge_lengths list
+    # would be read silently, and short volumes would fail in the pairing
+    m, b, op = cycle_scene(8, 8.0)
+    payload = wave_map_assemble(op, arc_region(m, 0, 5), TimeGrid(2.0, 16)).to_payload()
+    local = payload["local"]
+    assert len(local["vertices"]) == 5 and len(local["edges"]) == 4
+    WaveMapData.from_payload(payload)
+    local[field] = bad
+    if field == "edges":
+        local["edge_lengths"] = local["edge_weights"] = [1.0] * len(bad)
+    with pytest.raises(DataBoundaryError, match="local structure"):
+        WaveMapData.from_payload(payload)
 
 
 def test_frac_map_round_trip():

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from fracbundle.config import KNOWN_TASKS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -198,6 +200,112 @@ def test_import_and_parse_load_no_scipy_submodule():
     assert loaded == {"parse": [], "run": [], "status": ["pass", "pass"], "oracle": [],
                       "linalg_after_gram": [False], "distances": ["linalg"],
                       "distance_status": ["pass"]}
+
+
+# The functions of src/fracbundle that a small run of every task does not
+# reach, by the reason each stays; README's "Public surface" names each one
+UNREACHED = {
+    "wrapped by perfbench/spans.py or a test reference": (
+        "propagators.duhamel_solve", "propagators.mode_convolve", "propagators.pl_spectra",
+        "reconstruction.family_responses", "reconstruction.ProbeEngine.max_residual",
+        "s2s.frac_map_assemble", "timequad.interval_integrals", "timequad.prefix_integrals",
+        "timequad.time_average_nodes", "timequad.time_average_linear",
+        "timequad.pl_times_sampled_array"),
+    "the paper's containment predicate": ("reconstruction.ProbeEngine.containment",),
+    "the payload round trips that acceptance 9 checks": (
+        "s2s.LocalStructure.to_payload", "s2s.LocalStructure.from_payload",
+        "s2s.FracMapData.apply", "s2s.FracMapData.to_payload", "s2s.FracMapData.from_payload",
+        "s2s.WaveMapData.to_payload", "s2s.WaveMapData.to_payload.blocks",
+        "s2s.WaveMapData.from_payload", "s2s.WaveMapData.from_payload.packed",
+        "serialize.real_to_list", "serialize.complex_to_list", "serialize.complex_from_list",
+        "propagators.pack_hermitian"),
+    "a config value no pinned workload uses": ("bundle.random_hermitian",),
+    "group operations": ("bundle.GaugeTransform.identity", "bundle.GaugeTransform.inverse"),
+    "raised only for a refused config": ("errors.ConfigError.__init__",),
+    "runs only for profiles nonzero at t = 0": ("s2s._b_up_sums",),
+}
+
+REACH = """
+import json, os, sys
+src = os.path.join(sys.argv[1], "")
+reached = set()
+
+def record(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(src):
+        reached.add((os.path.basename(frame.f_code.co_filename), frame.f_code.co_firstlineno))
+
+sys.setprofile(record)
+from fracbundle import cli
+for path, out in zip(sys.argv[2::2], sys.argv[3::2]):
+    cli.main(["run", path, "--out", out])
+sys.setprofile(None)
+print(json.dumps(sorted(reached)))
+"""
+
+
+def defined_functions():
+    """{(file name, first line): dotted name} of every function and method
+    defined in src/fracbundle, nested ones too; the first line is that of
+    the first decorator, as in the function's code object."""
+    found = {}
+
+    def visit(node, prefix, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(name, line)] = f"{prefix}.{child.name}"
+                visit(child, f"{prefix}.{child.name}", name)
+            else:
+                visit(child, f"{prefix}.{child.name}" if isinstance(child, ast.ClassDef)
+                      else prefix, name)
+
+    for path in sorted((ROOT / "src" / "fracbundle").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, path.name)
+    return found
+
+
+def test_every_function_is_reached_or_listed(tmp_path):
+    # a fresh interpreter, profiled from before `import fracbundle` so that
+    # import-time calls count, runs every task on a small cycle and on a small
+    # torus whose 4x4 chart has loops; task statuses do not matter, only
+    # reach.  Each function of src/fracbundle is reached or listed, each
+    # listed one is defined and unreached, and README names it
+    cycle = dict(readme_example_config(), tasks=list(KNOWN_TASKS),
+                 time={"horizon": 4.5, "steps": 384})
+    cycle["manifold"] = dict(cycle["manifold"], count=24)
+    cycle["region"] = dict(cycle["region"], count=8)
+    torus = {
+        "manifold": {"kind": "torus_grid", "counts": [6, 6], "lengths": [6.0, 6.0]},
+        "bundle": {"rank": 2, "connection": "random", "potential": "random_positive",
+                   "potential_scale": 0.3, "potential_shift": 0.2, "seed": 3},
+        "region": {"type": "block", "rows": 4, "cols": 4},
+        "time": {"horizon": 4.0, "steps": 400},
+        "tasks": list(KNOWN_TASKS),
+        "seed": 4,
+        "options": {"probe_delta": 1.2, "probe_lead_step": 0.5, "probe_width": 1.0},
+    }
+    args = []
+    for name, cfg in (("cycle", cycle), ("torus", torus)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
+        args += [str(tmp_path / f"{name}.json"), str(tmp_path / name)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", REACH, str(ROOT / "src" / "fracbundle"), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    reached = {tuple(key) for key in json.loads(proc.stdout.splitlines()[-1])}
+    defined = defined_functions()
+    listed = [name for names in UNREACHED.values() for name in names]
+    assert len(set(listed)) == len(listed)
+    reached_names = {name for key, name in defined.items() if key in reached}
+    assert len(reached_names) > 100
+    assert sorted(set(defined.values()) - reached_names - set(listed)) == []
+    assert sorted(set(listed) & reached_names) == []
+    assert sorted(set(listed) - set(defined.values())) == []
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Public surface", 1)[1].split("\n## ", 1)[0]
+    assert sorted(name for name in listed if f"`{name}`" not in section) == []
 
 
 def readme_example_config():
