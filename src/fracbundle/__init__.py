@@ -40,10 +40,12 @@ from .reconstruction import (
     SourceFamily,
     DistanceProfileSet,
     RayPlan,
+    RayPoint,
     ChartOperator,
     build_source_family,
     first_arrival_matrix,
     cut_time_estimate,
+    ray_point,
     exterior_distance,
     distance_family,
     match_profiles,

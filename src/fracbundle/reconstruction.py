@@ -18,7 +18,11 @@ responses of a second probe family near the horizon.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -135,6 +139,27 @@ class ProbeConfig:
     eta: float = 0.1  # first-arrival threshold
 
 
+def _lapack():
+    """scipy's f2py LAPACK extension, scipy.linalg._flapack, loaded on its own.
+
+    The scipy.linalg package around it costs about 0.2 s and 28 MB to
+    import and serves no sweep; its lapack module re-exports these same
+    functions.  The top-level scipy import runs first (its distributor init
+    prepares the extension's libraries).  The extension loads once, at the
+    first factor, and a loaded one is reused.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        import scipy
+
+        loaders = (ExtensionFileLoader, EXTENSION_SUFFIXES)
+        spec = FileFinder(os.path.join(scipy.__path__[0], "linalg"), loaders).find_spec(name)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
 def _ridge_factor(M, reg):
     """Cholesky factor of the Hermitian M + reg I, computed in place in M.
 
@@ -144,11 +169,8 @@ def _ridge_factor(M, reg):
     conj(M + reg I) = L L^H; its strict upper triangle is never read.  A
     matrix that is not positive definite is a ReconstructionError.
     """
-    # scipy.linalg loads at the first factor, not at import: runs without a
-    # containment sweep never pay for it
-    from scipy.linalg import lapack
-
     M[np.diag_indices(len(M))] += reg
+    lapack = _lapack()
     potrf = lapack.zpotrf if np.iscomplexobj(M) else lapack.dpotrf
     L, info = potrf(M.T, lower=1, clean=0, overwrite_a=1)
     if info != 0:
@@ -156,12 +178,13 @@ def _ridge_factor(M, reg):
     return L
 
 
-def prefix_residuals(gram, span_idx, target_idx, reg):
-    """Relative residuals of target states against every leading block of a span.
+def prefix_residuals(gram, span_idx, target_idx, norms, reg, rows):
+    """Relative residuals of target states against leading blocks of a span.
 
-    Row k holds, per target, the residual of projecting its state onto the
-    states span_idx[:k] under the ridge Gram G + reg I; row 0 is the empty
-    span (all ones).  One Cholesky factor L of the bordered matrix
+    Row j holds, per target, the residual of projecting its state onto the
+    states span_idx[:rows[j]] under the ridge Gram G + reg I; norms are the
+    targets' squared norms real(G[t, t]), and a row for the empty span is
+    all ones.  One Cholesky factor L of the bordered matrix
     [[G_SS, G_St], [G_tS, G_tt]] + reg I gives every row: its lower-left
     block is Y^H with Y = L_SS^{-1} G_St, the factor of a leading block of
     the span is the leading block of L_SS, so the projection onto
@@ -171,7 +194,7 @@ def prefix_residuals(gram, span_idx, target_idx, reg):
 
     The bordered matrix is gathered with one flat-index take and factored
     in place by _ridge_factor, whose factor is conj(L), so |Y|^2 is
-    unchanged.
+    unchanged.  Only the requested rows are turned into residuals.
     """
     s = np.asarray(span_idx, dtype=np.int64)
     t = np.asarray(target_idx, dtype=np.int64)
@@ -180,19 +203,20 @@ def prefix_residuals(gram, span_idx, target_idx, reg):
     ns = len(s)
     proj = np.zeros((ns + 1, len(t)))
     np.cumsum(np.abs(L[ns:, :ns].T) ** 2, axis=0, out=proj[1:])
-    norms = np.real(gram[t, t])
+    proj = proj[rows]
     return np.sqrt(np.clip((norms - proj) / norms, 0.0, 1.0))
 
 
-def _box_curve(eng, span, targets, n_span, n_tgt):
+def _box_curve(eng, span, targets, norms, n_span, n_tgt):
     """Per radius k, the largest residual of targets[:n_tgt[k]] against
     span[:n_span[k]], 1 where the box holds no target: both lists come in
-    lead order, so every radius reads one prefix_residuals table."""
+    lead order, so every radius reads one prefix_residuals table; norms are
+    the targets' squared norms."""
     n_tgt = np.asarray(n_tgt)
     if len(targets) == 0:
         return np.ones(len(n_tgt))
-    res = prefix_residuals(eng.gram, span, targets, eng.reg)
-    worst = np.maximum.accumulate(res[n_span], axis=1)[np.arange(len(n_tgt)), n_tgt - 1]
+    res = prefix_residuals(eng.gram, span, targets, norms, eng.reg, n_span)
+    worst = np.maximum.accumulate(res, axis=1)[np.arange(len(n_tgt)), n_tgt - 1]
     return np.where(n_tgt > 0, worst, 1.0)
 
 
@@ -277,7 +301,9 @@ class ProbeEngine:
         the one-radius _box_curve (1 for an empty span)."""
         if len(target_idx) == 0:
             raise ReconstructionError("no target probes in the box")
-        return float(_box_curve(self, span_idx, target_idx, [len(span_idx)], [len(target_idx)])[0])
+        norms = self.gram[target_idx, target_idx].real
+        return float(_box_curve(self, span_idx, target_idx, norms, [len(span_idx)],
+                                [len(target_idx)])[0])
 
     def containment(self, x, tau_x, balls):
         """Verdict for ball(x, tau_x) strictly inside the union of balls, given
@@ -392,7 +418,8 @@ def _cut_time_curve(eng, x, y, s, r_grid, eps):
         return curve
     span = eng.box_indices(x, r_grid[-1])
     targets = eng.box_indices(y, tau_t[-1])
-    curve[valid] = _box_curve(eng, span, targets, eng.box_sizes(span, r_grid[valid]),
+    curve[valid] = _box_curve(eng, span, targets, eng.gram[targets, targets].real,
+                              eng.box_sizes(span, r_grid[valid]),
                               eng.box_sizes(targets, tau_t[valid]))
     return curve
 
@@ -419,37 +446,62 @@ def ray_cut_time(eng: ProbeEngine, x, y, s):
     return cut_time_estimate(eng, x, y, s, sweep)
 
 
-def _exterior_curve(eng, x_span, t_idx, z, r_grid):
-    """Residual of the target box against x_span u box(z, r) at every sweep radius.
+@dataclass(frozen=True)
+class RayPoint:
+    """The point at parameter r_prime on the ray from x through y, as its
+    exterior sweeps read it: what no single region vertex z decides, built
+    once per point by ray_point."""
 
-    The span is the lead-ordered union [x_span, box(z, r_max)], so the span
-    at each radius is a leading block of the span at the largest one.
-    """
-    span = eng.union([x_span, eng.box_indices(z, r_grid[-1])])
-    n_span = len(x_span) + eng.box_sizes(span[len(x_span):], r_grid)
-    return _box_curve(eng, span, t_idx, n_span, np.full(len(r_grid), len(t_idx)))
+    r_prime: float
+    x_box: np.ndarray    # box(x, r_prime), the head of every sweep's span
+    targets: np.ndarray  # box(y, r_prime - s + eps), the states to reproduce
+    norms: np.ndarray    # their squared norms, real(G[t, t])
+    eps: float           # the shell width
+    r_grid: np.ndarray   # the sweep radii, ascending
+    z_boxes: tuple       # per region vertex z, box(z, r_grid[-1])
 
 
-def exterior_distance(eng: ProbeEngine, x, y, s, r_prime, z, r_grid):
-    """Distance from the ray point at parameter r_prime (through x toward y)
-    to the region vertex z, via the two-ball containment sweep.
-
-    Valid for r_prime below the cut time of the ray (caller's precondition;
-    distance_family enforces it).  The returned infimum is corrected for
-    the mesh-scale shell witness (half a shell plus half a sweep step of
-    systematic overshoot).
-    """
+def ray_point(eng: ProbeEngine, x, y, s, r_prime, r_grid, z_boxes):
+    """The RayPoint at r_prime on the ray from x through y, s the first
+    arrival at y; z_boxes are the boxes of every region vertex at the
+    largest of the radii r_grid, which points on one grid share."""
     r_grid = _sweep_radii(r_grid)
     eps = _shell_width(eng.wmap)
     tau_target = r_prime - s + eps
     if tau_target <= eng.cfg.delta:
         raise ReconstructionError("target ball too small for the probe delta")
-    t_idx = eng.box_indices(y, tau_target)
-    if len(t_idx) == 0:
+    targets = eng.box_indices(y, tau_target)
+    if len(targets) == 0:
         raise ReconstructionError("target box has no probes")
-    curve = _exterior_curve(eng, eng.box_indices(x, r_prime), t_idx, z, r_grid)
+    return RayPoint(r_prime, eng.box_indices(x, r_prime), targets,
+                    eng.gram[targets, targets].real, eps, r_grid, z_boxes)
+
+
+def _exterior_curve(eng, point: RayPoint, z):
+    """Residual of the target box against x_box u box(z, r) at every sweep radius.
+
+    The span is the lead-ordered union [x_box, box(z, r_max)], so the span
+    at each radius is a leading block of the span at the largest one.
+    """
+    x_box = point.x_box
+    span = eng.union([x_box, point.z_boxes[z]])
+    n_span = len(x_box) + eng.box_sizes(span[len(x_box):], point.r_grid)
+    return _box_curve(eng, span, point.targets, point.norms, n_span,
+                      np.full(len(n_span), len(point.targets)))
+
+
+def exterior_distance(eng: ProbeEngine, point: RayPoint, z):
+    """Distance from a ray point to the region vertex z, via the two-ball
+    containment sweep.
+
+    Valid for a ray parameter below the cut time of the ray (caller's
+    precondition; distance_family enforces it).  The returned infimum is
+    corrected for the mesh-scale shell witness (half a shell plus half a
+    sweep step of systematic overshoot).
+    """
+    curve = _exterior_curve(eng, point, z)
     # an unaccepted sweep stays +inf
-    return max(_sweep_radius(r_grid, curve) - 0.5 * eps, 0.0)
+    return max(_sweep_radius(point.r_grid, curve) - 0.5 * point.eps, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +568,9 @@ def distance_family(eng: ProbeEngine, rays, arrivals):
     diam_cap = wmap.horizon - cfg.delta
     rg = np.arange(h / 2 + cfg.delta, diam_cap, h / 2)
     full = wmap.local.full_balls(cfg.delta)
+    # every exterior sweep's z box at the largest radius; ray_point refuses
+    # a grid of fewer than two radii
+    z_boxes = tuple(eng.box_indices(z, rg[-1]) for z in range(n)) if len(rg) else ()
     rays_skipped = 0
     for ray in rays:
         # edge-of-region bases have undersized probe boxes and produce mushy
@@ -528,9 +583,10 @@ def distance_family(eng: ProbeEngine, rays, arrivals):
         for r_prime in ray.r_values:
             if r_prime >= min(CUT_MARGIN * tstar, diam_cap):
                 continue
+            point = ray_point(eng, ray.x, ray.y, s, r_prime, rg, z_boxes)
             prof = np.empty(n)
             for z in range(n):
-                prof[z] = exterior_distance(eng, ray.x, ray.y, s, r_prime, z, rg)
+                prof[z] = exterior_distance(eng, point, z)
                 if not np.isfinite(prof[z]):
                     break
                 if not lipschitz_at(prof, z):

@@ -113,26 +113,37 @@ class LocalStructure:
 
     @staticmethod
     def from_payload(p):
-        """A local_structure@1 payload; arrays that disagree with its vertices
-        or its edges are a DataBoundaryError."""
-        n = len(p["vertices"])
-        local = LocalStructure(
-            vertices=tuple(int(v) for v in p["vertices"]),
-            volumes=np.asarray(p["volumes"], dtype=np.float64),
-            rank=int(p["rank"]),
-            edges=np.asarray(p["edges"], dtype=np.int64).reshape(-1, 2),
-            edge_lengths=np.asarray(p["edge_lengths"], dtype=np.float64),
-            edge_weights=np.asarray(p["edge_weights"], dtype=np.float64),
-            distances=np.asarray(p["distances"], dtype=np.float64).reshape(n, n),
-        )
-        e = len(local.edges)
-        for name, count in (("volumes", n), ("edge_lengths", e), ("edge_weights", e)):
-            if getattr(local, name).shape != (count,):
+        """A local_structure@1 payload; a repeated vertex id, or arrays that
+        disagree with its vertices or its edges, are a DataBoundaryError."""
+        vertices = tuple(int(v) for v in p["vertices"])
+        n = len(vertices)
+        if len(set(vertices)) != n:
+            raise DataBoundaryError("local structure vertices repeat an id")
+        edges = np.asarray(p["edges"], dtype=np.int64).reshape(-1, 2)
+        e = len(edges)
+        arrays = {}
+        for name, count in (("volumes", n), ("edge_lengths", e), ("edge_weights", e),
+                            ("distances", n * n)):
+            arrays[name] = np.asarray(p[name], dtype=np.float64)
+            if arrays[name].shape != (count,):
                 raise DataBoundaryError(f"local structure {name} has shape "
-                                        f"{getattr(local, name).shape}, not ({count},)")
-        if np.any((local.edges < 0) | (local.edges >= n)):
+                                        f"{arrays[name].shape}, not ({count},)")
+        if np.any((edges < 0) | (edges >= n)):
             raise DataBoundaryError(f"local structure edges must join vertices 0..{n - 1}")
-        return local
+        arrays["distances"] = arrays["distances"].reshape(n, n)
+        return LocalStructure(vertices=vertices, rank=int(p["rank"]), edges=edges, **arrays)
+
+
+def _payload_block(local, row, what):
+    """One (dim, dim) complex block of a map payload; a list of another
+    length, as from a rank that disagrees with the blocks, is a
+    DataBoundaryError."""
+    d = local.dim
+    if len(row) != 2 * d * d:
+        raise DataBoundaryError(f"{what} holds {len(row) // 2} entries, but the local "
+                                f"structure's {local.size} vertices of rank {local.rank} "
+                                f"need {d * d}")
+    return complex_from_list(row, (d, d))
 
 
 def local_structure(region: Region, rank) -> LocalStructure:
@@ -205,12 +216,11 @@ class FracMapData:
     @staticmethod
     def from_payload(p):
         local = LocalStructure.from_payload(p["local"])
-        d = local.dim
         return FracMapData(
             order=float(p["order"]),
             local=local,
-            block=complex_from_list(p["block"], (d, d)),
-            kernel_block=complex_from_list(p["kernel_block"], (d, d)),
+            block=_payload_block(local, p["block"], "frac map block"),
+            kernel_block=_payload_block(local, p["kernel_block"], "frac map kernel_block"),
         )
 
 
@@ -388,7 +398,7 @@ class WaveMapData:
             rows = p[name]
             stack = np.empty((d, d, len(rows)))
             for m, row in enumerate(rows):
-                block = complex_from_list(row, (d, d))
+                block = _payload_block(local, row, f"wave map {name} block at time row {m}")
                 skew = np.max(np.abs(block - block.conj().T), initial=0.0) / 2
                 if skew > HERMITIAN_TOL * np.max(np.abs(block), initial=0.0):
                     raise DataBoundaryError(f"wave map {name} block at time row {m} is not "

@@ -36,6 +36,7 @@ from fracbundle.reconstruction import (
     gauge_invariant_compare,
     match_profiles,
     prefix_residuals,
+    ray_point,
     recover_local_operator,
 )
 from fracbundle.reference import chart_operator_from_bundle
@@ -123,7 +124,10 @@ def engine_residuals(wmap, targets, spans):
                                    for s in [*targets, *spans]]))
     reg = RIDGE_FACTOR * np.trace(G).real / len(G)
     nt = len(targets)
-    return prefix_residuals(G, np.arange(nt, len(G)), np.arange(nt), reg), G, reg
+    t = np.arange(nt)
+    res = prefix_residuals(G, np.arange(nt, len(G)), t, np.real(G[t, t]), reg,
+                           np.arange(len(G) - nt + 1))
+    return res, G, reg
 
 
 def package_imports(path):
@@ -292,7 +296,8 @@ def test_prefix_residuals_match_per_prefix_solves(data):
     span = np.asarray(order[:data.draw(st.integers(0, m), label="span size")], dtype=np.int64)
     targets = np.asarray(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m,
                                             unique=True), label="targets"), dtype=np.int64)
-    res = prefix_residuals(G, span, targets, reg)
+    norms = np.real(G[targets, targets])
+    res = prefix_residuals(G, span, targets, norms, reg, np.arange(len(span) + 1))
     assert np.array_equal(G, G_in)
     assert res.shape == (len(span) + 1, len(targets))
     direct = np.array([_direct_residual(G, targets, span[:j], reg)
@@ -306,8 +311,15 @@ def test_prefix_residuals_match_per_prefix_solves(data):
     G_ind = G - shift * np.eye(m)
     G_ind_in = G_ind.copy()
     with pytest.raises(ReconstructionError, match="not positive definite"):
-        prefix_residuals(G_ind, span, targets, reg)
+        prefix_residuals(G_ind, span, targets, norms, reg, np.arange(len(span) + 1))
     assert np.array_equal(G_ind, G_ind_in)
+
+
+def fresh_ray_point(eng, x, y, s, r_prime, r_grid):
+    """ray_point with every region vertex's box at the largest radius built anew."""
+    r_max = np.max(r_grid)
+    z_boxes = tuple(eng.box_indices(z, r_max) for z in range(eng.wmap.local.size))
+    return ray_point(eng, x, y, s, r_prime, r_grid, z_boxes)
 
 
 def sweep_curves(eng, h, s):
@@ -317,8 +329,7 @@ def sweep_curves(eng, h, s):
     x, y, z = 4, 5, 0
     r_prime = 8 * h
     r_grid = np.arange(cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
-    t_idx = eng.box_indices(y, r_prime - s + eps)
-    exterior = _exterior_curve(eng, eng.box_indices(x, r_prime), t_idx, z, r_grid)
+    exterior = _exterior_curve(eng, fresh_ray_point(eng, x, y, s, r_prime, r_grid), z)
     cut_grid = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
     return exterior, _cut_time_curve(eng, x, y, s, cut_grid, eps)
 
@@ -490,15 +501,17 @@ def test_sweep_curves_match_sorted_union_spans(cycle32_scene, cycle32_engine, mo
     r_grid = np.arange(cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
     t_idx = eng.box_indices(y, r_prime - s + eps)
     x_span = eng.box_indices(x, r_prime)
+    point = fresh_ray_point(eng, x, y, s, r_prime, r_grid)
+    assert np.array_equal(point.targets, t_idx) and np.array_equal(point.x_box, x_span)
     spans = []
 
-    def recorded(gram, span_idx, target_idx, reg):
+    def recorded(gram, span_idx, *args):
         spans.append(np.asarray(span_idx))
-        return prefix_residuals(gram, span_idx, target_idx, reg)
+        return prefix_residuals(gram, span_idx, *args)
 
     monkeypatch.setattr(recon, "prefix_residuals", recorded)
     for z in (0, 5):  # the z ball misses, then overlaps, the x ball
-        curve = _exterior_curve(eng, x_span, t_idx, z, r_grid)
+        curve = _exterior_curve(eng, point, z)
         # the span is the x box, then the z box members not already in it:
         # a repeated member would only shift the curve at the ridge's scale
         assert np.array_equal(spans[-1][:len(x_span)], x_span)
@@ -597,12 +610,13 @@ def test_exterior_distance_recovers_profile(cycle32_scene, cycle32_engine):
     p = U.vertices[x] + 8  # along the +1 ray
     dist = shortest_distances(m, [p])
     r_grid = np.arange(cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
+    point = fresh_ray_point(cycle32_engine, x, y, s, r_prime, r_grid)
     for z in (0, 4, 9):
-        d_est = exterior_distance(cycle32_engine, x, y, s, r_prime, z, r_grid)
+        d_est = exterior_distance(cycle32_engine, point, z)
         d_true = dist[0, U.vertices[z]]
         assert abs(d_est - d_true) <= 0.15 * np.pi  # sup-norm scale tolerance
     # z = x returns approximately r_prime itself
-    d_xx = exterior_distance(cycle32_engine, x, y, s, r_prime, x, r_grid)
+    d_xx = exterior_distance(cycle32_engine, point, x)
     assert abs(d_xx - r_prime) <= 3 * h
 
 
@@ -626,9 +640,9 @@ def test_distance_family_factors_once_per_sweep(cycle32_scene, cycle32_engine, m
     # every cut-time and exterior sweep is one in-place LAPACK factorization,
     # and the sweeps never go through numpy.linalg.cholesky; the engine build,
     # done by the fixture, is not a sweep
-    from scipy.linalg import lapack
-
     import fracbundle.reconstruction as recon
+
+    lapack = recon._lapack()
 
     m, b, op, U, wmap, cfg, h = cycle32_scene
     calls = {"potrf": 0, "exterior_distance": 0, "cut_time_estimate": 0}
@@ -660,8 +674,7 @@ def test_distance_family_on_a_complex_line_bundle(complex_cycle32_scene, complex
     # the metric is recovered whatever the connection and potential: on a
     # complex line bundle every sweep factors in complex arithmetic (zpotrf)
     # and the profiles still match the region's distances
-    from scipy.linalg import lapack
-
+    lapack = reconstruction._lapack()
     m, b, op, U, wmap, cfg, h = complex_cycle32_scene
     assert np.iscomplexobj(complex_cycle32_engine.gram)
     calls = {"dpotrf": 0, "zpotrf": 0, "exterior_distance": 0, "cut_time_estimate": 0}
@@ -733,8 +746,9 @@ def distance_family_without_early_exit(eng, rays):
         for r_prime in ray.r_values:
             if r_prime >= min(reconstruction.CUT_MARGIN * tstar, wmap.horizon - cfg.delta):
                 continue
-            prof = np.array([reconstruction.exterior_distance(eng, ray.x, ray.y, s, r_prime,
-                                                              z, rg) for z in range(n)])
+            # a fresh ray point per sweep: nothing is shared between them
+            prof = np.array([reconstruction.exterior_distance(
+                eng, fresh_ray_point(eng, ray.x, ray.y, s, r_prime, rg), z) for z in range(n)])
             candidates.append((prof, {"kind": "ray", "x": ray.x, "y": ray.y, "r": float(r_prime)}))
     kept, provenance, lipschitz_dropped = [], [], 0
     fallen = {"nonfinite": 0, "lipschitz_then_nonfinite": 0}
@@ -768,11 +782,11 @@ def test_distance_family_early_exit_matches_full_sweeps(cycle32_scene, cycle32_e
     sweep = reconstruction.exterior_distance
     calls = [0]
 
-    def counted(eng, x, y, s, r_prime, z, r_grid):
+    def counted(eng, point, z):
         calls[0] += 1
-        if nonfinite_sweeps and z == 2 * round(r_prime / h) - 4:
+        if nonfinite_sweeps and z == 2 * round(point.r_prime / h) - 4:
             return np.inf
-        return sweep(eng, x, y, s, r_prime, z, r_grid)
+        return sweep(eng, point, z)
 
     monkeypatch.setattr(reconstruction, "exterior_distance", counted)
     rays = [RayPlan(x=4, y=5, r_values=tuple(np.arange(2 * h, 10.5 * h, h))),

@@ -988,12 +988,18 @@ def test_wave_map_payload_refuses_a_block_that_is_not_hermitian(wave_scene):
     ("volumes", [1.0] * 4),
     ("edge_lengths", [1.0] * 3),
     ("edge_weights", [1.0] * 5),
+    ("distances", [0.0] * 24),
+    ("vertices", [0, 1, 2, 3, 3]),
+    ("rank", 2),
 ], ids=["endpoint_past_the_region", "negative_endpoint", "extra_volumes", "short_volumes",
-        "short_edge_lengths", "long_edge_weights"])
+        "short_edge_lengths", "long_edge_weights", "short_distances", "repeated_vertex",
+        "rank_past_the_blocks"])
 def test_wave_map_payload_refuses_local_arrays_that_disagree_with_the_region(field, bad):
     # a 5-vertex arc has 4 inner edges; unchecked, an edge to vertex 9 would
     # give neighbors(0) == [9], extra volumes and a short edge_lengths list
-    # would be read silently, and short volumes would fail in the pairing
+    # would be read silently, short volumes would fail in the pairing, a
+    # repeated vertex id would be accepted, and a short distance list or a
+    # rank of 2 on rank-1 blocks would fail in a bare numpy reshape
     m, b, op = cycle_scene(8, 8.0)
     payload = wave_map_assemble(op, arc_region(m, 0, 5), TimeGrid(2.0, 16)).to_payload()
     local = payload["local"]
@@ -1014,6 +1020,15 @@ def test_frac_map_round_trip():
                                                           sort_keys=True)))
     assert np.array_equal(back.block, fmap.block)
     assert back.local.rank == 2
+
+
+def test_frac_map_payload_refuses_a_rank_that_disagrees_with_its_blocks():
+    m, b, op = cycle_scene(10, 10.0, rank=2, connection="random", seed=9)
+    payload = frac_map_assemble(op, arc_region(m, 2, 4), 0.6).to_payload()
+    payload["local"]["rank"] = 1
+    with pytest.raises(DataBoundaryError, match="frac map block holds 64 entries, but the "
+                                                "local structure's 4 vertices of rank 1 need 16"):
+        FracMapData.from_payload(payload)
 
 
 def test_payload_keys_whitelisted(wave_scene):

@@ -150,16 +150,16 @@ loaded["run"] = scipy_submodules()
 loaded["status"] = [t.status for t in report.tasks]
 shortest_distances(build_manifold(readme_cfg["manifold"]), range(16))
 loaded["oracle"] = scipy_submodules()
-gram, loaded["linalg_after_gram"] = reconstruction.family_gram, []
+gram, loaded["lapack_after_gram"] = reconstruction.family_gram, []
 
 def recorded(*args):
     out = gram(*args)
-    loaded["linalg_after_gram"].append("scipy.linalg" in sys.modules)
+    loaded["lapack_after_gram"].append("scipy.linalg._flapack" in sys.modules)
     return out
 
 reconstruction.family_gram = recorded
 report = run_experiment(parse_config(cycle_cfg))
-loaded["distances"] = sorted({m.split(".")[1] for m in scipy_submodules()})
+loaded["distances"] = scipy_submodules()
 loaded["distance_status"] = [t.status for t in report.tasks]
 print(json.dumps(loaded))
 """
@@ -167,12 +167,12 @@ print(json.dumps(loaded))
 
 def test_import_and_parse_load_no_scipy_submodule():
     # scipy.fft, scipy.sparse and scipy.linalg cost about 0.4 s to import;
-    # only the containment sweeps load one, scipy.linalg, at their first
-    # factor.  A fresh interpreter imports the package and parses the README
-    # config, runs the blago check and operator recovery on a small torus,
-    # then the shortest-path oracle on the README cycle: none loads scipy.
-    # A distance task on a smaller README-like cycle then loads scipy.linalg
-    # only after the probe Gram, the run's memory peak, is built
+    # no run imports one.  A fresh interpreter imports the package and parses
+    # the README config, runs the blago check and operator recovery on a
+    # small torus, then the shortest-path oracle on the README cycle: none
+    # loads scipy.  A distance task on a smaller README-like cycle then loads
+    # scipy's LAPACK extension alone, without the scipy.linalg package around
+    # it, and only after the probe Gram, the run's memory peak, is built
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     example = readme.split("Example config:", 1)[1]
     readme_cfg = re.search(r"```json\n(.*?)```", example, flags=re.S).group(1)
@@ -198,8 +198,62 @@ def test_import_and_parse_load_no_scipy_submodule():
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert loaded == {"parse": [], "run": [], "status": ["pass", "pass"], "oracle": [],
-                      "linalg_after_gram": [False], "distances": ["linalg"],
+                      "lapack_after_gram": [False], "distances": ["scipy.linalg._flapack"],
                       "distance_status": ["pass"]}
+
+
+POTRF_ALONE = """
+import json, sys
+import numpy as np
+from fracbundle import reconstruction
+from fracbundle.errors import ReconstructionError
+
+rng = np.random.default_rng(11)
+grams = []
+for n in (1, 5, 32, 129):
+    for is_complex in (False, True):
+        A = rng.standard_normal((n, n + 3))
+        if is_complex:
+            A = A + 1j * rng.standard_normal((n, n + 3))
+        grams.append(A @ A.conj().T)
+reg = 1e-6
+factors = [reconstruction._ridge_factor(G.copy(), reg) for G in grams]
+out = {"alone": "scipy.linalg" not in sys.modules}
+refused = []
+for G in grams:
+    try:
+        reconstruction._ridge_factor(-G, reg)
+        refused.append(False)
+    except ReconstructionError as exc:
+        refused.append("not positive definite" in str(exc))
+out["refused"] = refused
+from scipy.linalg import lapack
+
+same = []
+for G, L in zip(grams, factors):
+    M = G.copy()
+    M[np.diag_indices(len(M))] += reg
+    potrf = lapack.zpotrf if np.iscomplexobj(M) else lapack.dpotrf
+    ref, info = potrf(M.T, lower=1, clean=0)
+    same.append(info == 0 and L.dtype == ref.dtype and np.array_equal(np.tril(L), np.tril(ref)))
+out["same"] = same
+print(json.dumps(out))
+"""
+
+
+def test_potrf_loaded_alone_matches_scipy_linalg_lapack():
+    # the sweeps load scipy's LAPACK extension without the scipy.linalg
+    # package.  In a fresh interpreter, factors of random real and complex
+    # Hermitian matrices taken that way are bit-identical to those of
+    # scipy.linalg.lapack, imported afterwards as the reference, and a
+    # matrix that is not positive definite is a ReconstructionError
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", POTRF_ALONE], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"alone": True, "refused": [True] * 8, "same": [True] * 8}
 
 
 # The functions of src/fracbundle that a small run of every task does not
@@ -217,6 +271,7 @@ UNREACHED = {
         "s2s.FracMapData.apply", "s2s.FracMapData.to_payload", "s2s.FracMapData.from_payload",
         "s2s.WaveMapData.to_payload", "s2s.WaveMapData.to_payload.blocks",
         "s2s.WaveMapData.from_payload", "s2s.WaveMapData.from_payload.packed",
+        "s2s._payload_block",
         "serialize.real_to_list", "serialize.complex_to_list", "serialize.complex_from_list",
         "propagators.pack_hermitian"),
     "a config value no pinned workload uses": ("bundle.random_hermitian",),
