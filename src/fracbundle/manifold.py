@@ -156,7 +156,7 @@ def build_manifold(spec):
     A cycle is the one-axis torus.  Vertex v has one edge per axis, to its
     successor along that axis; edges are listed vertex-major, axis-minor.
     meta holds the kind and the lattice's axis counts, lengths and mesh
-    lengths h; a cycle's also holds its count and length, and h is a number.
+    lengths h.
     """
     kind = spec.get("kind")
     if kind == "cycle":
@@ -176,9 +176,6 @@ def build_manifold(spec):
     dim = len(counts)
     ids = lattice(counts)
     successors = np.stack([np.roll(ids, -1, axis=a).ravel() for a in range(dim)], axis=1)
-    meta = {"kind": kind, "counts": counts, "lengths": totals, "h": hs}
-    if kind == "cycle":
-        meta.update(count=counts[0], length=totals[0], h=hs[0])
     return DiscreteManifold(
         num_vertices=ids.size,
         edges=np.stack([np.repeat(ids.ravel(), dim), successors.ravel()], axis=1),
@@ -186,7 +183,7 @@ def build_manifold(spec):
         weights=np.tile([1.0 / h**2 for h in hs], ids.size),
         volumes=np.full(ids.size, math.prod(hs)),
         dimension=dim,
-        meta=meta,
+        meta={"kind": kind, "counts": counts, "lengths": totals, "h": hs},
     )
 
 

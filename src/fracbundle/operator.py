@@ -76,9 +76,9 @@ class SpectralOperator:
         return np.abs(self.eigenvalues) < cut
 
     # -- coordinate helpers -------------------------------------------------
-    def _weights_flat(self):
-        mu = self.bundle.manifold.volumes
-        return np.repeat(mu, self.bundle.rank)
+    def weights_flat(self):
+        """The volume weight of every flat (vertex * rank + fiber) index."""
+        return np.repeat(self.bundle.manifold.volumes, self.bundle.rank)
 
     def to_flat(self, section):
         return np.asarray(section, dtype=np.complex128).reshape(self.dim)
@@ -93,7 +93,7 @@ class SpectralOperator:
         f = self.to_flat(section)
         # conj(conj(mu f) @ E) is E^* (mu f) bit for bit, without a conjugated
         # copy of the eigenbasis
-        return np.conj(np.conj(self._weights_flat() * f) @ self.eigensections)
+        return np.conj(np.conj(self.weights_flat() * f) @ self.eigensections)
 
     def synthesize(self, coeffs):
         return self.to_section(self.eigensections @ np.asarray(coeffs, dtype=np.complex128))

@@ -326,7 +326,7 @@ def duhamel_solve(op: SpectralOperator, f: TimeSection | Sequence[TimeSection]):
         _check_source(op, src, grid)
     n1 = len(grid)
     V, r = op.bundle.manifold.num_vertices, op.bundle.rank
-    wflat = np.repeat(op.bundle.manifold.volumes, r)
+    wflat = op.weights_flat()
     analysis = op.eigensections.conj()
     synthesis = op.eigensections.T
     A, B = duhamel_weights(op.eigenvalues, grid.dt, grid.n_steps)
@@ -357,7 +357,7 @@ def duhamel_states(op: SpectralOperator, f: TimeSection | Iterable[TimeSection],
     single = isinstance(f, TimeSection)
     rows = np.asarray(rows, dtype=np.int64)
     V, r = op.bundle.manifold.num_vertices, op.bundle.rank
-    wflat = np.repeat(op.bundle.manifold.volumes, r)
+    wflat = op.weights_flat()
     E = op.eigensections
     grid = None
     out = []

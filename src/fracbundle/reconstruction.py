@@ -27,7 +27,7 @@ from importlib.util import module_from_spec
 import numpy as np
 
 from .errors import ReconstructionError
-from .s2s import DeltaSources, WaveMapData, blago_bilinear, hermitian_rows
+from .s2s import DeltaSources, WaveMapData, blago_bilinear, flat_indices, hermitian_rows
 
 # residual below which a plain containment verdict accepts
 CONTAINMENT_TOL = 0.05
@@ -94,7 +94,7 @@ def build_source_family(wmap: WaveMapData, vertices, leads, width):
     if len(leads) == 0 or len(verts) == 0:
         raise ReconstructionError("empty probe family")
     per_lead = len(verts) * r
-    comps = np.tile((r * verts[:, None] + np.arange(r)).ravel(), len(leads))
+    comps = np.tile(flat_indices(verts, r), len(leads))
     profiles = np.array([bump_profile(wmap.grid.times, T - lead, width) for lead in leads])
     return SourceFamily(
         vertex=comps // r,
@@ -332,7 +332,7 @@ def _arrival_row(wmap: WaveMapData, y, eta):
     if not 0 < eta < 1:
         raise ReconstructionError("eta must be in (0, 1)")
     r = wmap.local.rank
-    rows = hermitian_rows(wmap.kernel, range(y * r, (y + 1) * r))
+    rows = hermitian_rows(wmap.kernel, flat_indices([y], r))
     amp = np.max(np.abs(rows).reshape(len(rows), r, -1, r), axis=(1, 3))
     peak = np.max(amp, axis=0)
     if not np.all(np.isfinite(peak)):
@@ -405,13 +405,14 @@ def _sweep_radius(r_grid, curve):
     return float(r_grid[hit] - 0.5 * (r_grid[1] - r_grid[0]))
 
 
-def _cut_time_curve(eng, x, y, s, r_grid, eps):
-    """Residual of box(y, r - s + eps) against box(x, r) at every sweep radius.
+def _cut_time_curve(eng, x, y, s, r_grid):
+    """Residual of box(y, r - s + eps) against box(x, r) at every sweep radius,
+    eps the shell width.
 
     Both boxes are taken in lead order at the largest radius; radii with no
     admissible target ball read 1.
     """
-    tau_t = r_grid - s + eps
+    tau_t = r_grid - s + _shell_width(eng.wmap)
     valid = (tau_t > eng.cfg.delta + 1e-12) & (r_grid > s)
     curve = np.ones(len(r_grid))
     if not np.any(valid):
@@ -433,7 +434,7 @@ def cut_time_estimate(eng: ProbeEngine, x, y, s, r_grid):
     minus half a step), or +inf when nothing is accepted.
     """
     r_grid = _sweep_radii(r_grid)
-    return _sweep_radius(r_grid, _cut_time_curve(eng, x, y, s, r_grid, _shell_width(eng.wmap)))
+    return _sweep_radius(r_grid, _cut_time_curve(eng, x, y, s, r_grid))
 
 
 def ray_cut_time(eng: ProbeEngine, x, y, s):
@@ -458,23 +459,24 @@ class RayPoint:
     norms: np.ndarray    # their squared norms, real(G[t, t])
     eps: float           # the shell width
     r_grid: np.ndarray   # the sweep radii, ascending
-    z_boxes: tuple       # per region vertex z, box(z, r_grid[-1])
 
 
-def ray_point(eng: ProbeEngine, x, y, s, r_prime, r_grid, z_boxes):
+def ray_point(eng: ProbeEngine, x, y, s, r_prime):
     """The RayPoint at r_prime on the ray from x through y, s the first
-    arrival at y; z_boxes are the boxes of every region vertex at the
-    largest of the radii r_grid, which points on one grid share."""
-    r_grid = _sweep_radii(r_grid)
-    eps = _shell_width(eng.wmap)
+    arrival at y; its sweeps step h/2 from delta + h/2 below T - delta,
+    h mesh_length."""
+    wmap, delta = eng.wmap, eng.cfg.delta
+    h = mesh_length(wmap)
+    r_grid = _sweep_radii(np.arange(h / 2 + delta, wmap.horizon - delta, h / 2))
+    eps = _shell_width(wmap)
     tau_target = r_prime - s + eps
-    if tau_target <= eng.cfg.delta:
+    if tau_target <= delta:
         raise ReconstructionError("target ball too small for the probe delta")
     targets = eng.box_indices(y, tau_target)
     if len(targets) == 0:
         raise ReconstructionError("target box has no probes")
     return RayPoint(r_prime, eng.box_indices(x, r_prime), targets,
-                    eng.gram[targets, targets].real, eps, r_grid, z_boxes)
+                    eng.gram[targets, targets].real, eps, r_grid)
 
 
 def _exterior_curve(eng, point: RayPoint, z):
@@ -484,7 +486,7 @@ def _exterior_curve(eng, point: RayPoint, z):
     at each radius is a leading block of the span at the largest one.
     """
     x_box = point.x_box
-    span = eng.union([x_box, point.z_boxes[z]])
+    span = eng.union([x_box, eng.box_indices(z, point.r_grid[-1])])
     n_span = len(x_box) + eng.box_sizes(span[len(x_box):], point.r_grid)
     return _box_curve(eng, span, point.targets, point.norms, n_span,
                       np.full(len(n_span), len(point.targets)))
@@ -566,11 +568,7 @@ def distance_family(eng: ProbeEngine, rays, arrivals):
             prov.append({"kind": "region", "vertex": i})
     lipschitz_dropped = n - len(profiles)
     diam_cap = wmap.horizon - cfg.delta
-    rg = np.arange(h / 2 + cfg.delta, diam_cap, h / 2)
     full = wmap.local.full_balls(cfg.delta)
-    # every exterior sweep's z box at the largest radius; ray_point refuses
-    # a grid of fewer than two radii
-    z_boxes = tuple(eng.box_indices(z, rg[-1]) for z in range(n)) if len(rg) else ()
     rays_skipped = 0
     for ray in rays:
         # edge-of-region bases have undersized probe boxes and produce mushy
@@ -583,7 +581,7 @@ def distance_family(eng: ProbeEngine, rays, arrivals):
         for r_prime in ray.r_values:
             if r_prime >= min(CUT_MARGIN * tstar, diam_cap):
                 continue
-            point = ray_point(eng, ray.x, ray.y, s, r_prime, rg, z_boxes)
+            point = ray_point(eng, ray.x, ray.y, s, r_prime)
             prof = np.empty(n)
             for z in range(n):
                 prof[z] = exterior_distance(eng, point, z)
@@ -718,9 +716,8 @@ def recover_local_operator(wmap: WaveMapData, chart, cfg: ProbeConfig):
     for v in chart:
         nbrs = local.neighbors(v)
         cols = [v] + nbrs
-        colslices = np.concatenate([np.arange(c * r, (c + 1) * r) for c in cols])
-        M = at_T[:, colslices]
-        Y = -d2[:, v * r:(v + 1) * r]
+        M = at_T[:, flat_indices(cols, r)]
+        Y = -d2[:, flat_indices([v], r)]
         # Y[h, a] = sum_{c, b} P[v, c][a, b] M[h, c*r + b]: lstsq returns the
         # stacked (c*r + b, a) layout, so each block is the plain transpose
         sol, _, rank, svals = np.linalg.lstsq(M, Y, rcond=1e-10)

@@ -53,7 +53,7 @@ from .reconstruction import (
     recover_local_operator,
 )
 from .reference import chart_operator_from_bundle
-from .s2s import DeltaSources, blago_bilinear, owner_sums, region_slices, wave_map_assemble
+from .s2s import DeltaSources, blago_bilinear, flat_indices, owner_sums, wave_map_assemble
 
 REPORT_SCHEMA = "fracbundle_report@1"
 
@@ -190,7 +190,7 @@ def _task_verify_spectral(scene, cfg):
     # every gated maximum is np.max, which a NaN wins; Python's max drops a
     # NaN that does not come first
     measures["hermiticity_residual"] = float(np.max(herm))
-    mu = np.repeat(scene.manifold.volumes, b.rank)
+    mu = op.weights_flat()
     measures["eigensection_orthonormality"] = float(np.max(np.abs(
         op.eigensections.conj().T @ (mu[:, None] * op.eigensections) - np.eye(op.dim))))
     # fractional round trip and the Gamma route
@@ -290,7 +290,7 @@ def _task_verify_blago(scene, cfg):
     # the map's never coexist
     half = scene.grid.n_steps // 2
     ref_grid = TimeGrid(cfg.horizon, half)
-    at = region_slices(scene.region, scene.bundle.rank)[columns.component]
+    at = flat_indices(scene.region.vertices, scene.bundle.rank)[columns.component]
     shape = (half + 1, scene.manifold.num_vertices, scene.bundle.rank)
 
     def sources():
@@ -355,7 +355,7 @@ def _task_verify_gauge_equivariance(scene, cfg):
     S = np.zeros((len(U1) * r, len(U1) * r), dtype=complex)
     for i, v2 in enumerate(U2.vertices):
         S[i * r:(i + 1) * r, i * r:(i + 1) * r] = iso.fiber[v2]
-    idx1, idx2 = region_slices(U1, r), region_slices(U2, r)
+    idx1, idx2 = flat_indices(U1.vertices, r), flat_indices(U2.vertices, r)
 
     def kernel_dev(kernel_matrix, t):
         K1, K2 = kernel_matrix(op1, t, idx1), kernel_matrix(op2, t, idx2)

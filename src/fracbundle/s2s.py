@@ -166,9 +166,10 @@ def local_structure(region: Region, rank) -> LocalStructure:
     )
 
 
-def region_slices(region: Region, rank):
-    """Flat (vertex * rank + fiber) indices of a region, in region vertex order."""
-    return (np.asarray(region.vertices, dtype=np.int64)[:, None] * rank + np.arange(rank)).ravel()
+def flat_indices(vertices, rank):
+    """Flat (vertex * rank + fiber) indices of the vertex ids, in their order:
+    the C-order (V, rank) layout of every section."""
+    return (np.asarray(vertices, dtype=np.int64)[:, None] * rank + np.arange(rank)).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +227,7 @@ class FracMapData:
 
 def frac_map_assemble(op: SpectralOperator, region: Region, s) -> FracMapData:
     """Freeze the local fractional source-to-solution data for order s."""
-    idx = region_slices(region, op.bundle.rank)
+    idx = flat_indices(region.vertices, op.bundle.rank)
     return FracMapData(
         order=float(s),
         local=local_structure(region, op.bundle.rank),
@@ -420,7 +421,7 @@ def wave_map_assemble(op: SpectralOperator, region: Region, grid: TimeGrid) -> W
     """Freeze the wave source-to-solution data over a [0, 2T] grid."""
     if grid.n_steps % 2 != 0:
         raise OperatorError("use an even number of steps so T sits on the grid")
-    idx = region_slices(region, op.bundle.rank)
+    idx = flat_indices(region.vertices, op.bundle.rank)
     kernel = wave_kernel_matrix(op, grid.times[:, None], idx)
     # each weight table goes as soon as its stack is built
     A, B = duhamel_weights(op.eigenvalues, grid.dt, grid.n_steps)

@@ -315,23 +315,13 @@ def test_prefix_residuals_match_per_prefix_solves(data):
     assert np.array_equal(G_ind, G_ind_in)
 
 
-def fresh_ray_point(eng, x, y, s, r_prime, r_grid):
-    """ray_point with every region vertex's box at the largest radius built anew."""
-    r_max = np.max(r_grid)
-    z_boxes = tuple(eng.box_indices(z, r_max) for z in range(eng.wmap.local.size))
-    return ray_point(eng, x, y, s, r_prime, r_grid, z_boxes)
-
-
 def sweep_curves(eng, h, s):
     """Exterior and cut-time curves at x, y, z = 4, 5, 0, the sweeps checked below."""
     wmap, cfg = eng.wmap, eng.cfg
-    eps = _shell_width(wmap)
     x, y, z = 4, 5, 0
-    r_prime = 8 * h
-    r_grid = np.arange(cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
-    exterior = _exterior_curve(eng, fresh_ray_point(eng, x, y, s, r_prime, r_grid), z)
+    exterior = _exterior_curve(eng, ray_point(eng, x, y, s, 8 * h), z)
     cut_grid = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
-    return exterior, _cut_time_curve(eng, x, y, s, cut_grid, eps)
+    return exterior, _cut_time_curve(eng, x, y, s, cut_grid)
 
 
 @pytest.fixture(scope="module")
@@ -501,8 +491,9 @@ def test_sweep_curves_match_sorted_union_spans(cycle32_scene, cycle32_engine, mo
     r_grid = np.arange(cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
     t_idx = eng.box_indices(y, r_prime - s + eps)
     x_span = eng.box_indices(x, r_prime)
-    point = fresh_ray_point(eng, x, y, s, r_prime, r_grid)
+    point = ray_point(eng, x, y, s, r_prime)
     assert np.array_equal(point.targets, t_idx) and np.array_equal(point.x_box, x_span)
+    assert np.array_equal(point.r_grid, r_grid) and point.eps == eps
     spans = []
 
     def recorded(gram, span_idx, *args):
@@ -522,7 +513,7 @@ def test_sweep_curves_match_sorted_union_spans(cycle32_scene, cycle32_engine, mo
         assert np.max(np.abs(curve - direct)) <= 1e-8
 
     cut_grid = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
-    curve = _cut_time_curve(eng, x, y, s, cut_grid, eps)
+    curve = _cut_time_curve(eng, x, y, s, cut_grid)
     direct = []
     for r in cut_grid:
         tau_t = r - s + eps
@@ -609,8 +600,7 @@ def test_exterior_distance_recovers_profile(cycle32_scene, cycle32_engine):
     r_prime = 8 * h
     p = U.vertices[x] + 8  # along the +1 ray
     dist = shortest_distances(m, [p])
-    r_grid = np.arange(cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
-    point = fresh_ray_point(cycle32_engine, x, y, s, r_prime, r_grid)
+    point = ray_point(cycle32_engine, x, y, s, r_prime)
     for z in (0, 4, 9):
         d_est = exterior_distance(cycle32_engine, point, z)
         d_true = dist[0, U.vertices[z]]
@@ -733,7 +723,6 @@ def distance_family_without_early_exit(eng, rays):
 
     arr = first_arrival_matrix(wmap, cfg.eta)
     candidates = [(prof, {"kind": "region", "vertex": i}) for i, prof in enumerate(arr)]
-    rg = np.arange(h / 2 + cfg.delta, wmap.horizon - cfg.delta, h / 2)
     ball_sizes = [len(wmap.local.local_ball(v, cfg.delta)) for v in range(n)]
     rays_skipped = 0
     for ray in rays:
@@ -748,7 +737,7 @@ def distance_family_without_early_exit(eng, rays):
                 continue
             # a fresh ray point per sweep: nothing is shared between them
             prof = np.array([reconstruction.exterior_distance(
-                eng, fresh_ray_point(eng, ray.x, ray.y, s, r_prime, rg), z) for z in range(n)])
+                eng, ray_point(eng, ray.x, ray.y, s, r_prime), z) for z in range(n)])
             candidates.append((prof, {"kind": "ray", "x": ray.x, "y": ray.y, "r": float(r_prime)}))
     kept, provenance, lipschitz_dropped = [], [], 0
     fallen = {"nonfinite": 0, "lipschitz_then_nonfinite": 0}

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from fracbundle.bundle import (
     translation_iso,
 )
 from fracbundle.errors import DataBoundaryError, OperatorError
-from fracbundle.manifold import Region, build_manifold
+from fracbundle.manifold import Region, build_manifold, edge_index
 from fracbundle.operator import assemble, kernel_projector
 from fracbundle.propagators import (
     TimeGrid,
@@ -42,10 +43,10 @@ from fracbundle.s2s import (
     _jh_quadratic_coeffs,
     _jstar_quadratic_coeffs,
     blago_bilinear,
+    flat_indices,
     frac_map_assemble,
     hermitian_rows,
     local_structure,
-    region_slices,
     wave_map_assemble,
 )
 from fracbundle.serialize import complex_from_list, complex_to_list
@@ -112,7 +113,7 @@ def test_local_structure_restriction():
     assert loc.size == 5
     assert loc.rank == 1
     assert len(loc.edges) == 4  # arc has count-1 internal edges
-    h = m.meta["h"]
+    h = m.meta["h"][0]
     assert loc.distances[0, 4] == pytest.approx(4 * h)
     assert np.allclose(loc.volumes, h)
 
@@ -306,13 +307,52 @@ def test_wave_map_kernel_is_the_wave_kernel_block():
     U = arc_region(m, 9, 5)
     grid = TimeGrid(3.0, 96)
     wmap = wave_map_assemble(op, U, grid)
-    idx = region_slices(U, 2)
+    idx = flat_indices(U.vertices, 2)
     assert list(idx[:4]) == [18, 19, 20, 21]
+    # the C-order (V, r) reshape that every section uses
+    assert np.array_equal(idx, np.arange(24).reshape(12, 2)[list(U.vertices)].ravel())
     kernel = hermitian_rows(wmap.kernel, range(len(idx)))
     scale = np.max(np.abs(kernel))
     for t_idx in (0, 5, 40, 96):
         block = wave_kernel_matrix(op, grid.times[t_idx], idx)
         assert np.max(np.abs(block - kernel[t_idx])) <= 1e-15 * scale
+
+
+def test_frozen_data_see_the_monodromy():
+    # the README cycle with a phase e^{i theta} on the edge (40, 41), outside
+    # the region 0..15: the local structure cannot tell the bundles apart,
+    # the wave kernel on the region can.  Only walks winding the cycle cross
+    # the edge and come back, and the shortest has n = 64 - 15 = 49 edges.
+    # The lattice line kernel is K(t)[0, n] = (1/h) int_0^t J_2n(2s/h) ds,
+    # and |J_m(x)| <= (x/2)^m / m! bounds it by (t/h)^(2n+1) / (2n+1)!; each
+    # of the two single windings moves an entry by at most twice that, and
+    # the bound is doubled again for the longer windings.  The kernels must
+    # agree within rounding (1e-12 of the peak) until that bound reaches it
+    m = build_manifold({"kind": "cycle", "count": 64, "length": 2 * np.pi})
+    U = Region(m, tuple(range(16)))
+    grid = TimeGrid(9.0, 1280)
+    b = build_bundle(m, 1)
+    edge = edge_index(m.edges, m.num_vertices, [(40, 41)])[0]
+
+    def twisted_map(theta):
+        transport = b.transport.copy()
+        transport[edge] *= np.exp(1j * theta)
+        return wave_map_assemble(assemble(HermitianBundle(m, 1, transport, b.potential)), U, grid)
+
+    plain = twisted_map(0.0)
+    peak = np.max(np.abs(plain.kernel))
+    rounding = 1e-12 * peak
+    h = m.meta["h"][0]
+    log_bound = [math.log(8.0) + 99 * math.log(t / h) - math.lgamma(100) if t > 0 else -np.inf
+                 for t in grid.times]
+    agree = np.asarray(log_bound) < math.log(rounding)  # before the winding tail shows
+    assert 0.25 * len(grid) < np.count_nonzero(agree)  # a window of a quarter of the grid
+    for theta in (0.1, 1.0, np.pi):
+        twisted = twisted_map(theta)
+        assert twisted.local.to_payload() == plain.local.to_payload()
+        diff = np.abs(twisted.kernel - plain.kernel)
+        assert np.max(diff[agree]) <= 2 * rounding
+        assert np.max(diff) > 1e6 * rounding
 
 
 def test_wave_map_consistency_with_duhamel(wave_scene):

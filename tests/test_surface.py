@@ -8,8 +8,10 @@ every `fracbundle run` pays before it reads its config.
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import fracbundle
 from fracbundle.config import KNOWN_TASKS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,6 +88,63 @@ def test_readme_constants_match_the_library():
         if getattr(owner, name, None) != eval(value, {"__builtins__": {}}):
             wrong.append(f"{module or 'reconstruction'}.{name} = {value}")
     assert not wrong
+
+
+def library_callables():
+    """{name: [(function or class, whether it takes self)]} of the functions,
+    classes and methods each module of src/fracbundle defines."""
+    found = {}
+    for info in pkgutil.iter_modules(fracbundle.__path__):
+        module = importlib.import_module(f"fracbundle.{info.name}")
+        for name, obj in vars(module).items():
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            if obj.__module__ != module.__name__:
+                continue  # imported from another module, listed there
+            found.setdefault(name, []).append((obj, False))
+            for attr, member in vars(obj).items() if inspect.isclass(obj) else ():
+                if isinstance(member, staticmethod):
+                    found.setdefault(attr, []).append((member.__func__, False))
+                elif inspect.isfunction(member):
+                    found.setdefault(attr, []).append((member, True))
+    return found
+
+
+def test_readme_calls_match_the_library():
+    # every backticked `name(args)` that parses as a Python call, nested
+    # calls too, and names one library function, class or method (a module
+    # or class prefix picks among names defined twice) passes arguments its
+    # signature accepts
+    found = library_callables()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    checked, wrong = 0, []
+    for text in re.findall(r"`([^`\n]+)`", readme):
+        try:
+            tree = ast.parse(text, mode="eval")
+        except SyntaxError:
+            continue
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            func = call.func
+            candidates = found.get(func.attr if isinstance(func, ast.Attribute)
+                                   else getattr(func, "id", None), [])
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                prefix = func.value.id
+                candidates = [c for c in candidates
+                              if c[0].__module__ == f"fracbundle.{prefix}"
+                              or c[0].__qualname__.startswith(f"{prefix}.")] or candidates
+            if len(candidates) != 1:
+                continue
+            obj, takes_self = candidates[0]
+            signature = inspect.signature(obj)
+            signature = signature.replace(
+                parameters=list(signature.parameters.values())[takes_self:])
+            try:
+                signature.bind(*call.args, **{k.arg: None for k in call.keywords})
+            except TypeError:
+                wrong.append(text)
+            checked += 1
+    assert checked >= 30
+    assert wrong == []
 
 
 def test_readme_options_match_config():
