@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import QuadratureError
+
 _SIZE = 6
 
 
@@ -28,27 +30,26 @@ def _moment_tables():
     """
     tables = np.zeros((3, _SIZE, _SIZE))
     for shift in range(_SIZE):
-        rel = np.arange(_SIZE, dtype=np.float64) - shift
         for k in range(_SIZE):
-            # Lagrange basis polynomial on the stencil nodes
-            num = np.poly1d([1.0])
-            den = 1.0
-            for mm in range(_SIZE):
-                if mm == k:
-                    continue
-                num *= np.poly1d([1.0, -rel[mm]])
-                den *= rel[k] - rel[mm]
-            basis = num / den
+            # Lagrange basis in plain floats, rounded as a numpy poly1d build rounds
+            num, den = [1.0], 1.0
+            for m in range(_SIZE):
+                if m != k:
+                    num = [a - (m - shift) * b for a, b in zip(num + [0.0], [0.0] + num)]
+                    den *= k - m
             for p in range(3):
-                poly = basis * np.poly1d([1.0] + [0.0] * p)
-                anti = np.polyint(poly)
-                tables[p, shift, k] = anti(1.0) - anti(0.0)
+                anti = 0.0  # antiderivative of u^p L_k at u = 1, in Horner order
+                for i, c in enumerate(num):
+                    anti += c / den / (_SIZE + p - i)
+                tables[p, shift, k] = anti
     return tables
 
 _TABLES = _moment_tables()
 
 
 def _stencil_starts(n_intervals, n_nodes):
+    if n_nodes < _SIZE:
+        raise QuadratureError(f"{n_nodes} time nodes are fewer than the {_SIZE}-node quadrature stencil")
     starts = np.clip(np.arange(n_intervals) - 2, 0, n_nodes - _SIZE)
     return starts, np.arange(n_intervals) - starts
 
@@ -103,8 +104,7 @@ def pl_times_sampled_array(psi, n_half, dt):
     psi = np.asarray(psi)
     n_nodes = psi.shape[0]
     starts, shifts = _stencil_starts(n_half, n_nodes)
-    left = np.zeros((n_half,) + psi.shape[1:], dtype=psi.dtype)
-    right = np.zeros_like(left)
+    out = np.zeros((n_nodes,) + psi.shape[1:], dtype=psi.dtype)
     for shift in np.unique(shifts):
         rows = np.nonzero(shifts == shift)[0]
         st = starts[rows]
@@ -114,11 +114,9 @@ def pl_times_sampled_array(psi, n_half, dt):
             vals = psi[st + k]
             acc0 += _TABLES[0, shift, k] * vals
             acc1 += _TABLES[1, shift, k] * vals
-        left[rows] = acc0 - acc1
-        right[rows] = acc1
-    out = np.zeros((n_nodes,) + psi.shape[1:], dtype=psi.dtype)
-    out[:n_half] += left
-    out[1:n_half + 1] += right
+        # a node takes at most one share from each side, so the add order moves no bit
+        out[rows] += acc0 - acc1
+        out[rows + 1] += acc1
     return dt * out
 
 

@@ -49,7 +49,7 @@ from fracbundle.reconstruction import (
     recover_local_operator,
 )
 from fracbundle.reference import chart_operator_from_bundle
-from fracbundle.s2s import frac_map_assemble, hermitian_rows, wave_map_assemble
+from fracbundle.s2s import flat_indices, frac_map_assemble, hermitian_rows, wave_map_assemble
 
 from dense_sources import dense_pairing, region_values
 
@@ -182,8 +182,8 @@ def test_acceptance_5_gauge_equivariance():
     inv_base[iso.base] = np.arange(m.num_vertices)
     U2 = Region(m, tuple(int(inv_base[v]) for v in U1.vertices))
     S = np.zeros((len(U1) * r, len(U1) * r), dtype=complex)
-    for i, v2 in enumerate(U2.vertices):
-        S[i * r:(i + 1) * r, i * r:(i + 1) * r] = iso.fiber[v2]
+    blocks = flat_indices(range(len(U2)), r).reshape(-1, r)
+    S[blocks[:, :, None], blocks[:, None, :]] = iso.fiber[list(U2.vertices)]
     frac_dev = 0.0
     for s in (0.3, 0.5, 0.7):
         f1 = frac_map_assemble(op1, U1, s)
@@ -198,8 +198,7 @@ def test_acceptance_5_gauge_equivariance():
         np.max(np.abs(np.einsum("ij,tjk,kl->til", S.conj().T, k1, S) - k2)),
         np.max(np.abs(np.einsum("ij,tjk,kl->til", S.conj().T, a1, S) - a2)),
     ))
-    idx1 = np.array([v * r + j for v in U1.vertices for j in range(r)])
-    idx2 = np.array([v * r + j for v in U2.vertices for j in range(r)])
+    idx1, idx2 = flat_indices(U1.vertices, r), flat_indices(U2.vertices, r)
     heat_dev = 0.0
     for t in grid.times[1:]:
         H1 = heat_kernel_matrix(op1, t, idx1)

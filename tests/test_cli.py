@@ -182,6 +182,18 @@ def test_a_negative_operator_is_a_spectral_task_error():
     assert task.measures == {}
 
 
+def test_a_grid_shorter_than_the_quadrature_stencil_is_a_blago_task_error():
+    # time.steps 4 is a valid config, but its wave data has 5 time nodes,
+    # one fewer than the pairing's six-node stencil: the task reads no gate
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["time"]["steps"] = 4
+    raw["tasks"] = ["verify_blago"]
+    task = run_experiment(parse_config(raw)).tasks[0]
+    assert task.status == "error"
+    assert task.message == "5 time nodes are fewer than the 6-node quadrature stencil"
+    assert task.measures == {}
+
+
 def test_distances_task_builds_one_probe_engine(monkeypatch):
     # every sweep of the task reads the engine the runner built
     built, swept = [], []

@@ -15,6 +15,7 @@ from fracbundle.bundle import (
 from fracbundle.errors import OperatorError
 from fracbundle.manifold import DiscreteManifold, build_manifold
 from fracbundle.operator import apply_function, assemble, kernel_projector
+from fracbundle.s2s import flat_indices
 
 
 def cycle(n=8, length=None):
@@ -130,8 +131,8 @@ def test_spectrum_gauge_invariant_and_matrix_conjugated():
     # block-diagonal gauge conjugation, entrywise
     V, r = b.manifold.num_vertices, b.rank
     S = np.zeros((V * r, V * r), dtype=complex)
-    for v in range(V):
-        S[v * r:(v + 1) * r, v * r:(v + 1) * r] = g.matrices[v]
+    blocks = flat_indices(range(V), r).reshape(V, r)
+    S[blocks[:, :, None], blocks[:, None, :]] = g.matrices
     conj = S.conj().T @ op.matrix @ S
     assert np.max(np.abs(conj - opg.matrix)) < 1e-11
 
@@ -221,8 +222,8 @@ def per_edge_matrix(b):
         mat[sy, sy] += cyx * eye
         mat[sx, sy] -= cxy * b.transport[i]
         mat[sy, sx] -= cyx * b.transport[i].conj().T
-    for v in range(m.num_vertices):
-        mat[v * r:(v + 1) * r, v * r:(v + 1) * r] += b.potential[v]
+    blocks = flat_indices(range(m.num_vertices), r).reshape(-1, r)
+    mat[blocks[:, :, None], blocks[:, None, :]] += b.potential
     return mat
 
 

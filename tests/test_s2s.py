@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fracbundle import propagators, s2s
+from fracbundle import propagators, s2s, timequad
 from fracbundle.bundle import (
     GaugeTransform,
     HermitianBundle,
@@ -21,7 +22,7 @@ from fracbundle.bundle import (
     pullback_bundle,
     translation_iso,
 )
-from fracbundle.errors import DataBoundaryError, OperatorError
+from fracbundle.errors import DataBoundaryError, OperatorError, QuadratureError
 from fracbundle.manifold import Region, build_manifold, edge_index
 from fracbundle.operator import assemble, kernel_projector
 from fracbundle.propagators import (
@@ -51,7 +52,9 @@ from fracbundle.s2s import (
 )
 from fracbundle.serialize import complex_from_list, complex_to_list
 from fracbundle.timequad import (
+    interval_integrals,
     pl_times_sampled_array,
+    prefix_integrals,
     quadratic_times_sampled_array,
     time_average_linear,
     time_average_nodes,
@@ -762,6 +765,72 @@ def test_time_average_vanishes_at_horizon():
     assert out[60] == 0.0
 
 
+def poly1d_moment_tables():
+    """The numpy polynomial build of timequad's moment table, kept verbatim
+    as the reference its plain-float build must reproduce bit for bit."""
+    tables = np.zeros((3, 6, 6))
+    for shift in range(6):
+        rel = np.arange(6, dtype=np.float64) - shift
+        for k in range(6):
+            # Lagrange basis polynomial on the stencil nodes
+            num = np.poly1d([1.0])
+            den = 1.0
+            for mm in range(6):
+                if mm == k:
+                    continue
+                num *= np.poly1d([1.0, -rel[mm]])
+                den *= rel[k] - rel[mm]
+            basis = num / den
+            for p in range(3):
+                poly = basis * np.poly1d([1.0] + [0.0] * p)
+                anti = np.polyint(poly)
+                tables[p, shift, k] = anti(1.0) - anti(0.0)
+    return tables
+
+
+def exact_moment(p, shift, k):
+    """int_0^1 u^p L_k(u) du in exact rationals, L_k the Lagrange basis on
+    the stencil offsets m - shift, coefficients lowest power first."""
+    coeffs = [Fraction(1)]
+    for m in range(6):
+        if m != k:
+            coeffs = [(a - (m - shift) * b) / (k - m)
+                      for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+    return sum(c / (j + p + 1) for j, c in enumerate(coeffs))
+
+
+def test_moment_table_is_the_poly1d_build_and_near_the_exact_one():
+    # bit for bit the numpy polynomial build it replaced, so no pairing moves;
+    # that build is not correctly rounded: 75 of its 108 entries differ from
+    # the exact rationals, by at most 4.4e-16
+    assert np.array_equal(timequad._TABLES, poly1d_moment_tables())
+    exact = np.array([[[float(exact_moment(p, shift, k)) for k in range(6)]
+                       for shift in range(6)] for p in range(3)])
+    assert np.max(np.abs(timequad._TABLES - exact)) <= 4.5e-16
+
+
+STENCIL_RULES = {
+    "interval_integrals": lambda y, dt: np.sum(interval_integrals(y, dt)),
+    "prefix_integrals": lambda y, dt: prefix_integrals(y, dt)[-1],
+    "time_average_nodes": lambda y, dt: 2 * time_average_nodes(y, dt)[0],
+    "pl_times_sampled_array": lambda y, dt: np.sum(pl_times_sampled_array(y, len(y) - 1, dt)),
+    "quadratic_times_sampled_array": lambda y, dt: y @ quadratic_times_sampled_array(
+        np.ones(len(y) - 1), np.zeros(len(y) - 1), np.zeros(len(y) - 1), len(y), dt),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(STENCIL_RULES))
+def test_stencil_rules_refuse_fewer_than_six_nodes(rule):
+    # int_0^{(n-1) dt} t^2 dt through each six-node rule: exact at six
+    # nodes; at five the stencil would start at node -1, the last node
+    dt = 0.05
+    for n in (6, 7):
+        t = dt * np.arange(n)
+        assert abs(STENCIL_RULES[rule](t**2, dt) - t[-1] ** 3 / 3) <= 1e-16
+    with pytest.raises(QuadratureError, match="6-node quadrature stencil"):
+        STENCIL_RULES[rule]((dt * np.arange(5)) ** 2, dt)
+
+
 def adjoint_average_linear(samples, dt):
     """(J* f)(s) = F(min(s, 2T - s)) / 2 at the nodes for an exactly
     piecewise-linear f, F its trapezoid prefix."""
@@ -1102,8 +1171,8 @@ def test_map_data_gauge_equivariance():
     # conjugate the pulled-back block by the local fiber maps and relabeling
     S = np.zeros((f1.local.dim, f1.local.dim), dtype=complex)
     r = 2
-    for i, v2 in enumerate(U2.vertices):
-        S[i * r:(i + 1) * r, i * r:(i + 1) * r] = iso.fiber[v2]
+    blocks = flat_indices(range(len(U2)), r).reshape(-1, r)
+    S[blocks[:, :, None], blocks[:, None, :]] = iso.fiber[list(U2.vertices)]
     expected = S.conj().T @ f1.block @ S
     assert np.max(np.abs(expected - f2.block)) < 1e-11
 
@@ -1116,10 +1185,8 @@ def test_map_data_gauge_equivariance():
         assert np.max(np.abs(expected_k - hermitian_rows(w2.kernel[t_idx], every))) < 1e-11
     # heat kernels on U x U agree across the grid after pullback
     for t in (0.15, 0.8):
-        idx1 = np.array([v * r + j for v in U1.vertices for j in range(r)])
-        idx2 = np.array([v * r + j for v in U2.vertices for j in range(r)])
-        H1 = heat_kernel_matrix(op1, t, idx1)
-        H2 = heat_kernel_matrix(op2, t, idx2)
+        H1 = heat_kernel_matrix(op1, t, flat_indices(U1.vertices, r))
+        H2 = heat_kernel_matrix(op2, t, flat_indices(U2.vertices, r))
         assert np.max(np.abs(S.conj().T @ H1 @ S - H2)) < 1e-10
     # and a pulled-back section maps the same way through the wave kernel
     u1 = b1.random_section(rng)

@@ -262,6 +262,32 @@ def test_import_and_parse_load_no_scipy_submodule():
                       "distance_status": ["pass"]}
 
 
+NO_POLYNOMIAL = """
+import json, sys
+import numpy
+
+class NoPolynomial:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a numpy.poly1d was built")
+
+numpy.poly1d = NoPolynomial
+import fracbundle, fracbundle.runner, fracbundle.cli
+from fracbundle.config import parse_config
+
+parse_config(json.loads(sys.argv[1]))
+"""
+
+
+def test_import_builds_no_polynomial_object():
+    # timequad's moment table is built at import in plain floats: a numpy
+    # poly1d build of it took about 18 ms, half of the package's own import
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                                                    os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", NO_POLYNOMIAL, json.dumps(readme_example_config())],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 POTRF_ALONE = """
 import json, sys
 import numpy as np
