@@ -14,7 +14,7 @@ from .bundle import (
     pullback_bundle,
     translation_iso,
 )
-from .operator import SpectralOperator, assemble, apply_function, kernel_projector
+from .operator import SpectralOperator, assemble, apply_function
 from .propagators import (
     TimeGrid,
     TimeSection,

@@ -75,6 +75,20 @@ class SpectralOperator:
         cut = KERNEL_THRESHOLD * max(1.0, self.max_eigenvalue)
         return np.abs(self.eigenvalues) < cut
 
+    def project_complement(self, u):
+        """u with its kernel modes removed."""
+        c = self.coefficients(u)
+        c[self.kernel_mask()] = 0.0
+        return self.synthesize(c)
+
+    def kernel_fraction(self, u):
+        """Relative mu-weighted mass of the kernel component of u."""
+        c = self.coefficients(u)
+        total = float(np.sum(np.abs(c) ** 2))
+        if total == 0.0:
+            return 0.0
+        return float(np.sqrt(np.sum(np.abs(c[self.kernel_mask()]) ** 2) / total))
+
     # -- coordinate helpers -------------------------------------------------
     def weights_flat(self):
         """The volume weight of every flat (vertex * rank + fiber) index."""
@@ -152,32 +166,3 @@ def apply_function(op: SpectralOperator, phi, u):
     if not np.all(np.isfinite(vals)):
         raise OperatorError("spectral symbol is singular on an eigenvalue")
     return op.synthesize(vals * op.coefficients(u))
-
-
-@dataclass(frozen=True)
-class KernelProjector:
-    """Projector onto the kernel modes and its complement."""
-
-    operator: SpectralOperator
-    mask: np.ndarray
-
-    @property
-    def kernel_dimension(self):
-        return int(np.sum(self.mask))
-
-    def project_complement(self, u):
-        c = self.operator.coefficients(u)
-        c[self.mask] = 0.0
-        return self.operator.synthesize(c)
-
-    def kernel_fraction(self, u):
-        """Relative mu-weighted mass of the kernel component of u."""
-        c = self.operator.coefficients(u)
-        total = float(np.sum(np.abs(c) ** 2))
-        if total == 0.0:
-            return 0.0
-        return float(np.sqrt(np.sum(np.abs(c[self.mask]) ** 2) / total))
-
-
-def kernel_projector(op: SpectralOperator) -> KernelProjector:
-    return KernelProjector(operator=op, mask=op.kernel_mask())

@@ -20,7 +20,7 @@ import numpy as np
 from . import modefun
 from .bundle import l2_norm
 from .errors import OperatorError, QuadratureError
-from .operator import KERNEL_FRACTION_TOL, SpectralOperator, apply_function, kernel_projector
+from .operator import KERNEL_FRACTION_TOL, SpectralOperator, apply_function
 
 
 @dataclass(frozen=True)
@@ -387,36 +387,37 @@ def fractional_symbol(op: SpectralOperator, p):
         return np.where(op.kernel_mask(), 0.0, np.abs(op.eigenvalues) ** p)
 
 
+def _require_order(s):
+    """The fractional routes take orders s in (0, 1) only."""
+    if not 0 < s < 1:
+        raise OperatorError("fractional order must be in (0, 1)")
+
+
 def fractional_kernel_matrix(op: SpectralOperator, s, idx):
     """Block [idx, idx] of the kernel of P^{-s}, sum_k |lam_k|^{-s} V_k V_k^* over
     the modes off the kernel, for 0 < s < 1."""
-    if not 0 < s < 1:
-        raise OperatorError("fractional order must be in (0, 1)")
+    _require_order(s)
     return spectral_block(op, fractional_symbol(op, -s), idx)
 
 
 def fractional_apply(op: SpectralOperator, s, u):
     """P^s u for 0 < s < 1 (kernel modes contribute zero)."""
-    if not 0 < s < 1:
-        raise OperatorError("fractional order must be in (0, 1)")
+    _require_order(s)
     return op.synthesize(fractional_symbol(op, s) * op.coefficients(u))
 
 
 def _require_no_kernel_component(op, u):
-    proj = kernel_projector(op)
-    frac = proj.kernel_fraction(u)
+    frac = op.kernel_fraction(u)
     if frac > KERNEL_FRACTION_TOL:
         raise OperatorError(
             f"input has kernel fraction {frac:.3e} > {KERNEL_FRACTION_TOL:.0e}; "
             "project onto the kernel complement first"
         )
-    return proj
 
 
 def fractional_inverse_spectral(op: SpectralOperator, s, u):
     """P^{-s} u on the kernel complement, via the eigenvalue symbol."""
-    if not 0 < s < 1:
-        raise OperatorError("fractional order must be in (0, 1)")
+    _require_order(s)
     vals = fractional_symbol(op, -s)
     _require_no_kernel_component(op, u)
     return op.synthesize(vals * op.coefficients(u))
@@ -467,8 +468,7 @@ def fractional_inverse_quadrature(op: SpectralOperator, s, u):
     Cross-route check against fractional_inverse_spectral; raises
     QuadratureError when the node-doubling error estimate misses GAMMA_TOL.
     """
-    if not 0 < s < 1:
-        raise OperatorError("fractional order must be in (0, 1)")
+    _require_order(s)
     op.require_nonnegative()
     _require_no_kernel_component(op, u)
     mask = op.kernel_mask()

@@ -388,9 +388,12 @@ def _first_accept(curve):
     return int(np.argmax(curve < thr)), res_lo, res_hi
 
 
-def _sweep_radii(r_grid):
-    """A sweep's radii in ascending order; a sweep needs two."""
-    r_grid = np.sort(np.asarray(r_grid, dtype=np.float64))
+def _sweep_radii(eng, start):
+    """The radii of a sweep from start: steps of h/2 from start + delta + h/2
+    below T - delta, h mesh_length; a sweep needs two."""
+    wmap, delta = eng.wmap, eng.cfg.delta
+    h = mesh_length(wmap)
+    r_grid = np.arange(start + delta + h / 2, wmap.horizon - delta, h / 2)
     if len(r_grid) < 2:
         raise ReconstructionError("radius sweep needs at least two values")
     return r_grid
@@ -425,26 +428,18 @@ def _cut_time_curve(eng, x, y, s, r_grid):
     return curve
 
 
-def cut_time_estimate(eng: ProbeEngine, x, y, s, r_grid):
-    """Smallest radius at which ball(y, r - s + eps) fits inside ball(x, r).
-
-    Sweeps the given radii with a mesh-scale shell witness; the verdict
-    threshold is the log-midpoint between the sweep's violation plateau and
-    its acceptance floor.  Returns the midpoint convention (first accepted
-    minus half a step), or +inf when nothing is accepted.
-    """
-    r_grid = _sweep_radii(r_grid)
-    return _sweep_radius(r_grid, _cut_time_curve(eng, x, y, s, r_grid))
-
-
-def ray_cut_time(eng: ProbeEngine, x, y, s):
+def cut_time_estimate(eng: ProbeEngine, x, y, s):
     """Cut time of the ray from x through y, s the first arrival at y (entry
-    [y, x] of first_arrival_matrix); the sweep steps h/2 from s + delta + h/2
-    below T - delta, h mesh_length."""
-    wmap, cfg = eng.wmap, eng.cfg
-    step = mesh_length(wmap) / 2
-    sweep = np.arange(s + cfg.delta + step, wmap.horizon - cfg.delta, step)
-    return cut_time_estimate(eng, x, y, s, sweep)
+    [y, x] of first_arrival_matrix): the smallest radius at which
+    ball(y, r - s + eps) fits inside ball(x, r).
+
+    Sweeps the radii of _sweep_radii from s with a mesh-scale shell witness;
+    the verdict threshold is the log-midpoint between the sweep's violation
+    plateau and its acceptance floor.  Returns the midpoint convention (first
+    accepted minus half a step), or +inf when nothing is accepted.
+    """
+    r_grid = _sweep_radii(eng, s)
+    return _sweep_radius(r_grid, _cut_time_curve(eng, x, y, s, r_grid))
 
 
 @dataclass(frozen=True)
@@ -463,11 +458,9 @@ class RayPoint:
 
 def ray_point(eng: ProbeEngine, x, y, s, r_prime):
     """The RayPoint at r_prime on the ray from x through y, s the first
-    arrival at y; its sweeps step h/2 from delta + h/2 below T - delta,
-    h mesh_length."""
+    arrival at y; its sweeps take the radii of _sweep_radii from 0."""
     wmap, delta = eng.wmap, eng.cfg.delta
-    h = mesh_length(wmap)
-    r_grid = _sweep_radii(np.arange(h / 2 + delta, wmap.horizon - delta, h / 2))
+    r_grid = _sweep_radii(eng, 0.0)
     eps = _shell_width(wmap)
     tau_target = r_prime - s + eps
     if tau_target <= delta:
@@ -577,7 +570,7 @@ def distance_family(eng: ProbeEngine, rays, arrivals):
             rays_skipped += 1
             continue
         s = arrivals[ray.y, ray.x]
-        tstar = ray_cut_time(eng, ray.x, ray.y, s)
+        tstar = cut_time_estimate(eng, ray.x, ray.y, s)
         for r_prime in ray.r_values:
             if r_prime >= min(CUT_MARGIN * tstar, diam_cap):
                 continue

@@ -23,7 +23,7 @@ from .bundle import (
 from .config import ExperimentConfig, build_scene, parse_config
 from .errors import ConfigError, FracBundleError
 from .manifold import Region, shortest_distances
-from .operator import assemble, kernel_projector
+from .operator import assemble
 from .propagators import (
     TimeGrid,
     TimeSection,
@@ -44,12 +44,12 @@ from .reconstruction import (
     ProbeEngine,
     RayPlan,
     bump_profile,
+    cut_time_estimate,
     distance_family,
     first_arrival_matrix,
     gauge_invariant_compare,
     match_profiles,
     mesh_length,
-    ray_cut_time,
     recover_local_operator,
 )
 from .reference import chart_operator_from_bundle
@@ -178,7 +178,7 @@ def _task_verify_spectral(scene, cfg):
     measures, tables = {}, {}
     measures["min_eigenvalue"] = op.min_eigenvalue
     measures["max_eigenvalue"] = op.max_eigenvalue
-    measures["kernel_dimension"] = kernel_projector(op).kernel_dimension
+    measures["kernel_dimension"] = int(np.count_nonzero(op.kernel_mask()))
     # Hermiticity and eigensection quality
     herm = []
     for _ in range(5):
@@ -194,16 +194,15 @@ def _task_verify_spectral(scene, cfg):
     measures["eigensection_orthonormality"] = float(np.max(np.abs(
         op.eigensections.conj().T @ (mu[:, None] * op.eigensections) - np.eye(op.dim))))
     # fractional round trip and the Gamma route
-    proj = kernel_projector(op)
     rt_devs, gamma_devs = [], []
     per_order = max(1, cfg.options["round_trip_sections"] // len(cfg.orders))
     for s in cfg.orders:
         for u in scene.random_sections(per_order, rng):
-            f = proj.project_complement(u)
+            f = op.project_complement(u)
             inv = fractional_inverse_spectral(op, s, f)
             back = fractional_apply(op, s, inv)
             rt_devs.append(l2_norm(b, back - f) / l2_norm(b, f))
-        f = proj.project_complement(scene.random_sections(1, rng)[0])
+        f = op.project_complement(scene.random_sections(1, rng)[0])
         qv = fractional_inverse_quadrature(op, s, f)
         sv = fractional_inverse_spectral(op, s, f)
         gamma_devs.append(l2_norm(b, qv - sv) / l2_norm(b, sv))
@@ -352,9 +351,9 @@ def _task_verify_gauge_equivariance(scene, cfg):
     inv_base = np.empty(m.num_vertices, dtype=np.int64)
     inv_base[iso.base] = np.arange(m.num_vertices)
     U2 = Region(m, tuple(inv_base[list(U1.vertices)]))
-    S = np.zeros((len(U1) * r, len(U1) * r), dtype=complex)
-    for i, v2 in enumerate(U2.vertices):
-        S[i * r:(i + 1) * r, i * r:(i + 1) * r] = iso.fiber[v2]
+    n = len(U1)
+    S = np.zeros((n * r, n * r), dtype=complex)
+    S.reshape(n, r, n, r)[np.arange(n), :, np.arange(n), :] = iso.fiber[np.asarray(U2.vertices)]
     idx1, idx2 = flat_indices(U1.vertices, r), flat_indices(U2.vertices, r)
 
     def kernel_dev(kernel_matrix, t):
@@ -440,7 +439,7 @@ def _task_reconstruct_distances(scene, cfg):
         raise FracBundleError(f"cut-time ray base {x} has no neighbor in the region")
     # every sweep of the task reads this one engine
     eng = ProbeEngine(wmap, pcfg)
-    tstar = ray_cut_time(eng, x, y, arr[y, x])
+    tstar = cut_time_estimate(eng, x, y, arr[y, x])
     measures["cut_time"] = float(tstar)
     # the ray follows one lattice axis: its cut sits at half that axis length
     ids, _ = wmap.local.edge_index([(x, y)])

@@ -17,7 +17,7 @@ P is self-adjoint, so every block of the three wave stacks is Hermitian,
 K(t; x, y)^* = K(t; y, x), and is stored once, packed real
 (propagators.pack_hermitian).  No reader unpacks a whole stack: the rows a
 reader needs come out through hermitian_rows, and a combination of
-blocks is formed packed, by one real product, and unpacked afterwards.
+blocks is formed packed, by one product, and unpacked afterwards.
 """
 
 from __future__ import annotations
@@ -244,16 +244,6 @@ def frac_map_assemble(op: SpectralOperator, region: Region, s) -> FracMapData:
 HERMITIAN_TOL = 1e-12
 
 
-def _real_linear(f, x, axis):
-    """f(x) for a real-linear f of real arrays.  Complex x goes through one
-    call on its real and imaginary parts, stacked along axis 0 of x; axis
-    is the axis of f's result that carries them."""
-    if np.isrealobj(x):
-        return f(x)
-    re, im = np.split(f(np.concatenate([x.real, x.imag])), 2, axis=axis)
-    return re + 1j * im
-
-
 @dataclass(frozen=True)
 class DeltaSources:
     """m delta sources on the region: source i is the nodal time profile
@@ -352,9 +342,8 @@ class WaveMapData:
         mu = self.local.weights_flat()
         comps = sources.component
         if rows is not None:
-            combos = _real_linear(lambda p: mode_convolve_rows(self.conv_a, self.conv_b, p.T,
-                                                               rows, "tij,tp->tpij"),
-                                  sources.profiles, axis=1)
+            combos = mode_convolve_rows(self.conv_a, self.conv_b, sources.profiles.T, rows,
+                                        "tij,tp->tpij")
             # (m, len(rows), D): column c of the response to the profile of source i
             out = hermitian_rows(combos, range(d))
             return out[:, sources.profile, :, comps] * mu[comps, None, None]
@@ -479,11 +468,12 @@ def owner_sums(pairings, owners_f, owners_h, shape):
 
 def _b_up_sums(wmap: WaveMapData, tests):
     """sum_{m<N} tests[:, m] B_up[m] with B_up[m] = conv_b[m + 1], packed
-    (L, D, D): one real product of the tests against the packed stack, whose
-    time-innermost layout makes its (D D, N+1) form a view."""
+    (L, D, D): one product of the tests against the packed stack, whose
+    time-innermost layout makes its (D D, N+1) form a view; complex tests give
+    the complex combination that hermitian_rows reads."""
     d = wmap.local.dim
     stack = np.moveaxis(wmap.conv_b, 0, -1).reshape(d * d, -1)
-    return _real_linear(lambda t: t[:, :-1] @ stack[:, 1:].T, tests, 0).reshape(-1, d, d)
+    return (tests[:, :-1] @ stack[:, 1:].T).reshape(-1, d, d)
 
 
 def _runs(keys):
@@ -517,10 +507,11 @@ def blago_bilinear(wmap: WaveMapData, F: DeltaSources, H: DeltaSources):
     At a length n that holds every lag without wrapping, Z_l has the one
     spectrum
         Zhat_l = FFT(w_l) conj(FFT(conj h_l')) - conj(FFT(f_l)) FFT(e_l').
-    A profile at every component (every probe family's is) takes one
-    inverse FFT of Zhat_l against every H profile and one real product with
-    the packed fold, and only that (L', D, D) product is unpacked; the H
-    spectra are held.  A profile at a few components is contracted in
+    When both sides are real, a profile at every component (every probe
+    family's is) takes one inverse real FFT of Zhat_l against every H
+    profile and one real product with the packed fold, and only that
+    (L', D, D) product is unpacked; the H half spectra are held.  Every other
+    profile (complex ones too) is contracted in
     frequency, (1/n) sum_w Zhat_l(w) Ktilde_cc'(w) with
     Ktilde = conj(FFT(conj K)), so no inverse FFT runs.  There the spectra
     of the F (profile, component) keys are held, and one H component c' at
@@ -547,22 +538,20 @@ def blago_bilinear(wmap: WaveMapData, F: DeltaSources, H: DeltaSources):
     wb = _b_up_sums(wmap, w) if np.any(ph[:, 0]) else None
     eb = _b_up_sums(wmap, e) if np.any(pf[:, 0]) else None
     mu = wmap.local.weights_flat()
-    at_every = np.bincount(np.unique(lf * d + cf) // d, minlength=len(pf)) == d
+    # real profiles give real lags, paired in half spectra; complex ones
+    # pair through the few-component contraction
+    at_every = ((np.bincount(np.unique(lf * d + cf) // d, minlength=len(pf)) == d)
+                & np.isrealobj(pf) & np.isrealobj(ph))
 
     every = np.flatnonzero(at_every)
     if len(every):
-        # real profiles give real lags: half spectra
-        if np.isrealobj(pf) and np.isrealobj(ph):
-            fwd, inv = np.fft.rfft, np.fft.irfft
-        else:
-            fwd, inv = np.fft.fft, np.fft.ifft
-        spec_h = np.conj(fwd(np.conj(ph), n=n)), fwd(e, n=n)
+        spec_h = np.conj(np.fft.rfft(ph, n=n)), np.fft.rfft(e, n=n)
         fold = folded_kernel(wmap.conv_a, wmap.conv_b, n1).reshape(n1, d * d)
         scale = np.multiply.outer(mu, mu)
         for l in every:
-            z = spec_h[0] * fwd(w[l], n=n)
-            z -= spec_h[1] * np.conj(fwd(pf[l], n=n))
-            prod = _real_linear(lambda c: c @ fold, inv(z, n=n)[:, :n1], 0)
+            z = spec_h[0] * np.fft.rfft(w[l], n=n)
+            z -= spec_h[1] * np.conj(np.fft.rfft(pf[l], n=n))
+            prod = np.fft.irfft(z, n=n)[:, :n1] @ fold
             if wb is not None:
                 prod = prod - np.multiply.outer(ph[:, 0], wb[l].ravel())
             if eb is not None:

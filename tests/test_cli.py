@@ -212,7 +212,7 @@ def test_distances_task_builds_one_probe_engine(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(reconstruction.ProbeEngine, "__init__", counted)
-    for name in ("ray_cut_time", "distance_family"):
+    for name in ("cut_time_estimate", "distance_family"):
         monkeypatch.setattr(runner, name, recorded(name))
     raw = json.loads(json.dumps(BASE_CONFIG))
     raw["tasks"] = ["reconstruct_distances"]

@@ -9,7 +9,7 @@ from fracbundle import modefun, propagators
 from fracbundle.bundle import HermitianBundle, build_bundle, l2_inner, l2_norm
 from fracbundle.errors import OperatorError, QuadratureError
 from fracbundle.manifold import build_manifold
-from fracbundle.operator import apply_function, assemble, kernel_projector
+from fracbundle.operator import apply_function, assemble
 from fracbundle.propagators import (
     TimeGrid,
     TimeSection,
@@ -534,9 +534,8 @@ def test_wave_cos_plus_kernel_solves_ivp():
 def test_fractional_round_trip_spectral():
     rng = np.random.default_rng(8)
     op = torus_op()
-    proj = kernel_projector(op)
     for s in (0.1, 0.5, 0.9):
-        f = proj.project_complement(op.bundle.random_section(rng))
+        f = op.project_complement(op.bundle.random_section(rng))
         u = fractional_inverse_spectral(op, s, f)
         back = fractional_apply(op, s, u)
         assert l2_norm(op.bundle, back - f) < 1e-10 * l2_norm(op.bundle, f)
@@ -599,10 +598,9 @@ def test_gamma_quadrature_past_its_tolerance_is_a_quadrature_error(monkeypatch):
 def test_gamma_route_matches_spectral_all_orders():
     rng = np.random.default_rng(9)
     op = torus_op()
-    proj = kernel_projector(op)
     worst = 0.0
     for s in np.arange(0.1, 0.95, 0.1):
-        f = proj.project_complement(op.bundle.random_section(rng))
+        f = op.project_complement(op.bundle.random_section(rng))
         a = fractional_inverse_spectral(op, s, f)
         q = fractional_inverse_quadrature(op, s, f)
         worst = max(worst, l2_norm(op.bundle, a - q) / l2_norm(op.bundle, a))

@@ -23,6 +23,7 @@ from fracbundle.reconstruction import (
     _exterior_curve,
     _first_accept,
     _shell_width,
+    _sweep_radius,
     RIDGE_FACTOR,
     ProbeConfig,
     ProbeEngine,
@@ -581,16 +582,31 @@ def test_cut_time_on_cycle(cycle32_scene, cycle32_engine):
     # finer acceptance scene holds 15%)
     m, b, op, U, wmap, cfg, h = cycle32_scene
     s = first_arrival_matrix(wmap, cfg.eta)[5, 4]
-    r_grid = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
-    tstar = cut_time_estimate(cycle32_engine, 4, 5, s, r_grid)
+    tstar = cut_time_estimate(cycle32_engine, 4, 5, s)
     assert abs(tstar - np.pi) <= 0.20 * np.pi
+
+
+def test_both_sweeps_read_one_radius_ladder(cycle32_scene, cycle32_engine):
+    # the cut-time sweep steps h/2 from s + delta + h/2 below T - delta, h the
+    # mesh length, and reads its curve there; every ray point's sweeps take
+    # the same ladder from 0, bit for bit
+    m, b, op, U, wmap, cfg, h = cycle32_scene
+    mesh = reconstruction.mesh_length(wmap)
+    s = first_arrival_matrix(wmap, cfg.eta)[5, 4]
+    r_grid = np.arange(s + cfg.delta + mesh / 2, wmap.horizon - cfg.delta, mesh / 2)
+    want = _sweep_radius(r_grid, _cut_time_curve(cycle32_engine, 4, 5, s, r_grid))
+    assert np.isfinite(want) and cut_time_estimate(cycle32_engine, 4, 5, s) == want
+    point = ray_point(cycle32_engine, 4, 5, s, 8 * h)
+    ladder = np.arange(cfg.delta + mesh / 2, wmap.horizon - cfg.delta, mesh / 2)
+    assert point.r_grid.dtype == ladder.dtype and np.array_equal(point.r_grid, ladder)
 
 
 def test_cut_time_sentinel_when_sweep_below_distance(cycle32_scene, cycle32_engine):
     m, b, op, U, wmap, cfg, h = cycle32_scene
     s = first_arrival_matrix(wmap, cfg.eta)[5, 4]
     r_grid = np.array([0.25 * s, 0.5 * s, 0.75 * s])  # entirely below the distance
-    assert cut_time_estimate(cycle32_engine, 4, 5, s, r_grid) == np.inf
+    curve = _cut_time_curve(cycle32_engine, 4, 5, s, r_grid)
+    assert _sweep_radius(r_grid, curve) == np.inf
 
 
 def test_exterior_distance_recovers_profile(cycle32_scene, cycle32_engine):
@@ -730,8 +746,7 @@ def distance_family_without_early_exit(eng, rays):
             rays_skipped += 1
             continue
         s = arr[ray.y, ray.x]
-        cut_grid = np.arange(s + cfg.delta + h / 2, wmap.horizon - cfg.delta, h / 2)
-        tstar = reconstruction.cut_time_estimate(eng, ray.x, ray.y, s, cut_grid)
+        tstar = reconstruction.cut_time_estimate(eng, ray.x, ray.y, s)
         for r_prime in ray.r_values:
             if r_prime >= min(reconstruction.CUT_MARGIN * tstar, wmap.horizon - cfg.delta):
                 continue

@@ -24,14 +24,16 @@ from fracbundle.bundle import (
 )
 from fracbundle.errors import DataBoundaryError, OperatorError, QuadratureError
 from fracbundle.manifold import Region, build_manifold, edge_index
-from fracbundle.operator import assemble, kernel_projector
+from fracbundle.operator import assemble
 from fracbundle.propagators import (
     TimeGrid,
     TimeSection,
     duhamel_solve,
     duhamel_states,
     fractional_apply,
+    fractional_inverse_quadrature,
     fractional_inverse_spectral,
+    fractional_kernel_matrix,
     heat_kernel_matrix,
     pack_hermitian,
     wave_kernel_matrix,
@@ -148,8 +150,11 @@ def test_full_balls_are_the_largest_local_balls():
 def test_fractional_routes_reject_orders_outside_the_unit_interval(s):
     m, b, op = cycle_scene(8, 8.0)
     u = b.random_section(np.random.default_rng(0))
+    idx = flat_indices(arc_region(m, 0, 3).vertices, b.rank)
     for call in (lambda: fractional_apply(op, s, u),
                  lambda: fractional_inverse_spectral(op, s, u),
+                 lambda: fractional_inverse_quadrature(op, s, u),
+                 lambda: fractional_kernel_matrix(op, s, idx),
                  lambda: frac_map_assemble(op, arc_region(m, 0, 3), s)):
         with pytest.raises(OperatorError, match="fractional order"):
             call()
@@ -180,11 +185,10 @@ def test_frac_map_apply_then_power_returns_source():
     U = arc_region(m, 3, 4)
     s = 0.45
     fmap = frac_map_assemble(op, U, s)
-    proj = kernel_projector(op)
     # region-supported source with its (tiny) kernel part removed
     raw = np.zeros((12, 2), dtype=complex)
     raw[list(U.vertices)] = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    f = proj.project_complement(raw)
+    f = op.project_complement(raw)
     # f is no longer exactly region-supported, so apply the map to the
     # region restriction and compare against the global route
     fU = f[list(U.vertices)]
@@ -219,8 +223,7 @@ def test_frac_map_full_region_composition():
     U = Region(m, tuple(range(8)))
     s = 0.4
     fmap = frac_map_assemble(op, U, s)
-    proj = kernel_projector(op)
-    f = proj.project_complement(b.random_section(rng))
+    f = op.project_complement(b.random_section(rng))
     u = fmap.apply(f)
     back = fractional_apply(op, s, u)
     assert np.max(np.abs(back - f)) < 1e-10 * max(1.0, np.max(np.abs(f)))
@@ -525,12 +528,20 @@ def test_blago_bilinear_has_one_path(probe_scene, monkeypatch):
     assert_pairs_like(blago_bilinear(wmap, delta, delta), want)
 
 
-def test_complex_families_pair_at_every_component(probe_scene):
-    # every profile of a probe family sits at every component, the path with
-    # one inverse transform per F profile; the sides carry different complex
-    # amplitudes, and one profile of each side starts nonzero, so both
-    # B_up p[0] terms enter
+def test_complex_families_pair_at_every_component(probe_scene, monkeypatch):
+    # every profile of a probe family sits at every component; with complex
+    # amplitudes it pairs through the contraction in frequency, which runs
+    # no inverse transform.  The sides carry different complex amplitudes,
+    # and one profile of each side starts nonzero, so both B_up p[0] terms
+    # enter
     wmap, fam, dense = probe_scene
+    calls = []
+    for name in ("ifft", "irfft"):
+        def counted(*args, inverse=getattr(np.fft, name), **kwargs):
+            calls.append(inverse)
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
     src = fam.sources
     rng = np.random.default_rng(12)
     sides = []
@@ -541,7 +552,9 @@ def test_complex_families_pair_at_every_component(probe_scene):
         batch[np.arange(len(src)), :, src.component] = profiles[src.profile]
         sides.append((DeltaSources(profiles, src.profile, src.component), batch))
     (F, dense_f), (H, dense_h) = sides
-    assert_pairs_like(blago_bilinear(wmap, F, H), sampled_pairing(wmap, dense_f, dense_h))
+    got = blago_bilinear(wmap, F, H)
+    assert calls == []
+    assert_pairs_like(got, sampled_pairing(wmap, dense_f, dense_h))
 
 
 def test_only_profiles_at_every_component_run_an_inverse_transform(probe_scene, monkeypatch):
