@@ -9,7 +9,6 @@ the piecewise-linear reading of the source samples.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from collections.abc import Iterable, Sequence
@@ -79,8 +78,8 @@ def spectral_block(op: SpectralOperator, values, idx):
     (T, K) a packed (T, D, D) stack (see pack_hermitian), for the
     D = len(idx) flat (vertex * rank + fiber) indices idx; np.arange(op.dim)
     gives the whole matrix.  Every kernel of the package is such a block:
-    the heat and wave kernels, the Duhamel weights, P^{-s} and the kernel
-    projector.  Blocks carry no volume weights:
+    the heat and wave kernels, the Duhamel weights, P^{-s} and the
+    kernel-mode block of the fractional map.  Blocks carry no volume weights:
     (phi(P) u)(x) = sum_y mu_y K(x, y) u(y).
 
     The values are real (every symbol above is); complex values raise
@@ -211,28 +210,20 @@ def folded_kernel(A, B, rows):
 
 
 @functools.cache
-def _smooth_lengths(limit):
-    """Every 11-smooth integer up to limit, ascending."""
-    lengths = [1]
-    for p in (2, 3, 5, 7, 11):
-        multiples = []
-        for q in lengths:
-            while q <= limit:
-                multiples.append(q)
-                q *= p
-        lengths = multiples
-    return tuple(sorted(lengths))
-
-
 def next_fast_len(n):
     """Smallest 11-smooth integer >= n (factors 2, 3, 5, 7, 11), for n >= 1:
     the FFT length scipy.fft.next_fast_len(n) picks for complex input.  Both
     torus workloads convolve at 2401 = 7^4, which a 5-smooth rule would
     round up to 2430.
+
+    A smooth m >= n > 1 is p times a smooth number >= ceil(n / p) for each
+    prime p that divides it, so the answer is the least p *
+    next_fast_len(ceil(n / p)).  Memoized, the recursion visits about one
+    argument per smooth number up to n.
     """
-    # the power of two >= n is 11-smooth, so the table up to it holds the answer
-    lengths = _smooth_lengths(1 << (n - 1).bit_length())
-    return lengths[bisect.bisect_left(lengths, n)]
+    if n <= 1:
+        return 1
+    return min(p * next_fast_len(-(-n // p)) for p in (2, 3, 5, 7, 11))
 
 
 def pl_spectra(A, B):
@@ -247,37 +238,37 @@ def pl_spectra(A, B):
     return np.fft.fft(folded_kernel(A, B, A.shape[0]), n=n, axis=0), B[1:]
 
 
-def mode_convolve(spectra, src, subscripts):
+def mode_convolve(spectra, src):
     """Exact Duhamel response to a piecewise-linear source, by FFT.
 
     spectra = pl_spectra(A, B) with A[0] = B[0] = 0 (the zero padding of
     duhamel_weights); src holds N+1 nodal source samples along axis 0.
     Returns the N+1 response samples
         out[j] = sum_m A[m] src[j - m] + B[m] src[j - m + 1],  out[0] = 0,
-    where each product is the einsum `subscripts` of a kernel and a source
-    sample: "tk,tk->tk" per mode, "ti,t->ti" for one source column.
+    where each product broadcasts a kernel row against a source row: src is
+    (N+1, K) per mode, or (N+1, 1) for one source column.
     """
     folded, b_up = spectra
     n = folded.shape[0]
-    acc = np.einsum(subscripts, folded, np.fft.fft(src, n=n, axis=0))
+    acc = folded * np.fft.fft(src, n=n, axis=0)
     out = np.fft.ifft(acc, axis=0)[:src.shape[0]]
     # the folded kernel also pairs B[j + 1] with src[0], a term the interval
     # sum does not have
-    out[:-1] -= np.einsum(subscripts, b_up, src[:1])
+    out[:-1] -= b_up * src[:1]
     out[0] = 0.0  # no interval precedes t = 0 (zero initial data, exactly)
     return out
 
 
-def mode_convolve_rows(A, B, src, rows, subscripts):
-    """The interval sum of mode_convolve at the given rows only, summed directly.
+def mode_convolve_rows(A, B, src, rows):
+    """The interval sum of mode_convolve at the given rows only, summed
+    directly, for every kernel column against every source column.
 
     With A[0] = B[0] = 0 the sum at row j is
         out[j] = sum_{k<j} (A[k] + B[k+1]) src[j - k] + A[j] src[0],
     with the rows of folded_kernel(A, B, j), so out[0] = 0.  Only kernel rows
     0..max(rows) and source rows 0..max(rows) are read: one product of the
-    shifted source rows against the folded kernel, with the einsum
-    `subscripts` of mode_convolve (which must not use the letter r).
-    Returns the len(rows) response samples along axis 0.  The rows must be
+    shifted source rows against the folded kernel.  Kernel columns (T, *X)
+    against source columns (T, Y) give (len(rows), Y, *X).  The rows must be
     given and lie in 0..N for the N + 1 rows of src (others raise
     OperatorError), and A and B must hold rows 0..max(rows) at least.
     """
@@ -291,12 +282,8 @@ def mode_convolve_rows(A, B, src, rows, subscripts):
     shifted = np.zeros((len(rows), top) + src.shape[1:], dtype=src.dtype)
     for r, j in enumerate(rows):
         shifted[r, :j] = src[j:0:-1]
-    kernel, source_out = subscripts.split(",")
-    source, output = source_out.split("->")
-    at_rows = output.replace("t", "r")
-    out = np.einsum(f"{kernel},r{source}->{at_rows}", folded, shifted, optimize=True)
-    out += np.einsum(f"{kernel.replace('t', 'r')},{source.replace('t', '')}->{at_rows}",
-                     A[rows], src[0])
+    out = np.einsum("t...,rty->ry...", folded, shifted, optimize=True)
+    out += np.einsum("r...,y->ry...", A[rows], src[0])
     return out
 
 
@@ -334,7 +321,7 @@ def duhamel_solve(op: SpectralOperator, f: TimeSection | Sequence[TimeSection]):
     out = []
     for src in sources:
         coeffs = (src.values.reshape(n1, op.dim) * wflat[None, :]) @ analysis
-        wmodes = mode_convolve(spectra, coeffs, "tk,tk->tk")
+        wmodes = mode_convolve(spectra, coeffs)
         out.append(TimeSection(grid, (wmodes @ synthesis).reshape(n1, V, r)))
     return out[0] if single else out
 
@@ -370,7 +357,7 @@ def duhamel_states(op: SpectralOperator, f: TimeSection | Iterable[TimeSection],
         _check_source(op, src, grid)
         vals = src.values.reshape(len(grid), op.dim)
         cols = np.nonzero(np.any(vals != 0, axis=0))[0]
-        wcols = mode_convolve_rows(A, B, vals[:, cols] * wflat[cols], rows, "tk,tc->tck")
+        wcols = mode_convolve_rows(A, B, vals[:, cols] * wflat[cols], rows)
         wmodes = np.einsum("rck,ck->rk", wcols, E[cols].conj())
         out.append((wmodes @ E.T).reshape(len(rows), V, r))
     return out[0] if single else out

@@ -178,46 +178,37 @@ def _ridge_factor(M, reg):
     return L
 
 
-def prefix_residuals(gram, span_idx, target_idx, norms, reg, rows):
-    """Relative residuals of target states against leading blocks of a span.
-
-    Row j holds, per target, the residual of projecting its state onto the
-    states span_idx[:rows[j]] under the ridge Gram G + reg I; norms are the
-    targets' squared norms real(G[t, t]), and a row for the empty span is
-    all ones.  One Cholesky factor L of the bordered matrix
-    [[G_SS, G_St], [G_tS, G_tt]] + reg I gives every row: its lower-left
+def _box_curve(eng, span, targets, n_span, n_tgt):
+    """Per radius k, the largest relative residual of the states
+    targets[:n_tgt[k]] projected onto span[:n_span[k]] under the ridge Gram
+    G + reg I of eng, 1 where the box holds no target.  Both lists come in
+    lead order, so one Cholesky factor L of the bordered matrix
+    [[G_SS, G_St], [G_tS, G_tt]] + reg I gives every radius: its lower-left
     block is Y^H with Y = L_SS^{-1} G_St, the factor of a leading block of
     the span is the leading block of L_SS, so the projection onto
-    span_idx[:k] is the sum of |Y|^2 over the first k rows.  The bordered
+    span[:k] is the sum of |Y|^2 over the first k rows.  The bordered
     matrix is a Gram plus reg I, hence positive definite even when targets
     repeat span members.
 
-    The bordered matrix is gathered with one flat-index take and factored
-    in place by _ridge_factor, whose factor is conj(L), so |Y|^2 is
-    unchanged.  Only the requested rows are turned into residuals.
+    The bordered matrix is gathered with one flat-index take, the targets'
+    squared norms real(G[t, t]) are read off its diagonal, and _ridge_factor
+    then factors it in place (its factor is conj(L), so |Y|^2 is
+    unchanged).  Clip and square root are monotone, so they are taken after
+    the maximum over each box.
     """
-    s = np.asarray(span_idx, dtype=np.int64)
-    t = np.asarray(target_idx, dtype=np.int64)
-    idx = np.concatenate([s, t])
-    L = _ridge_factor(np.take(gram, idx[:, None] * gram.shape[1] + idx), reg)
-    ns = len(s)
-    proj = np.zeros((ns + 1, len(t)))
-    np.cumsum(np.abs(L[ns:, :ns].T) ** 2, axis=0, out=proj[1:])
-    proj = proj[rows]
-    return np.sqrt(np.clip((norms - proj) / norms, 0.0, 1.0))
-
-
-def _box_curve(eng, span, targets, norms, n_span, n_tgt):
-    """Per radius k, the largest residual of targets[:n_tgt[k]] against
-    span[:n_span[k]], 1 where the box holds no target: both lists come in
-    lead order, so every radius reads one prefix_residuals table; norms are
-    the targets' squared norms."""
     n_tgt = np.asarray(n_tgt)
     if len(targets) == 0:
         return np.ones(len(n_tgt))
-    res = prefix_residuals(eng.gram, span, targets, norms, eng.reg, n_span)
-    worst = np.maximum.accumulate(res, axis=1)[np.arange(len(n_tgt)), n_tgt - 1]
-    return np.where(n_tgt > 0, worst, 1.0)
+    idx = np.concatenate([span, targets]).astype(np.int64, copy=False)
+    M = np.take(eng.gram, idx[:, None] * eng.gram.shape[1] + idx)
+    ns = len(span)
+    norms = M.diagonal()[ns:].real.copy()
+    L = _ridge_factor(M, eng.reg)
+    proj = np.zeros((ns + 1, len(targets)))
+    np.cumsum(np.abs(L[ns:, :ns].T) ** 2, axis=0, out=proj[1:])
+    rel = (norms - proj[n_span]) / norms
+    worst = np.maximum.accumulate(rel, axis=1)[np.arange(len(n_tgt)), n_tgt - 1]
+    return np.where(n_tgt > 0, np.sqrt(np.clip(worst, 0.0, 1.0)), 1.0)
 
 
 def lead_count(horizon, dt, width, lead_step):
@@ -240,7 +231,8 @@ class ProbeEngine:
         self.cfg = cfg
         n_leads = lead_count(wmap.horizon, wmap.grid.dt, cfg.width, cfg.lead_step)
         if n_leads < 2:
-            raise ReconstructionError("lead ladder is empty; enlarge the horizon")
+            raise ReconstructionError(f"lead ladder holds {n_leads} of the 2 leads the sweeps "
+                                      "need; enlarge the horizon")
         leads = cfg.width + cfg.lead_step * np.arange(n_leads)
         self.leads = leads
         self.family = build_source_family(
@@ -301,8 +293,7 @@ class ProbeEngine:
         the one-radius _box_curve (1 for an empty span)."""
         if len(target_idx) == 0:
             raise ReconstructionError("no target probes in the box")
-        norms = self.gram[target_idx, target_idx].real
-        return float(_box_curve(self, span_idx, target_idx, norms, [len(span_idx)],
+        return float(_box_curve(self, span_idx, target_idx, [len(span_idx)],
                                 [len(target_idx)])[0])
 
     def containment(self, x, tau_x, balls):
@@ -422,8 +413,7 @@ def _cut_time_curve(eng, x, y, s, r_grid):
         return curve
     span = eng.box_indices(x, r_grid[-1])
     targets = eng.box_indices(y, tau_t[-1])
-    curve[valid] = _box_curve(eng, span, targets, eng.gram[targets, targets].real,
-                              eng.box_sizes(span, r_grid[valid]),
+    curve[valid] = _box_curve(eng, span, targets, eng.box_sizes(span, r_grid[valid]),
                               eng.box_sizes(targets, tau_t[valid]))
     return curve
 
@@ -451,7 +441,6 @@ class RayPoint:
     r_prime: float
     x_box: np.ndarray    # box(x, r_prime), the head of every sweep's span
     targets: np.ndarray  # box(y, r_prime - s + eps), the states to reproduce
-    norms: np.ndarray    # their squared norms, real(G[t, t])
     eps: float           # the shell width
     r_grid: np.ndarray   # the sweep radii, ascending
 
@@ -468,8 +457,7 @@ def ray_point(eng: ProbeEngine, x, y, s, r_prime):
     targets = eng.box_indices(y, tau_target)
     if len(targets) == 0:
         raise ReconstructionError("target box has no probes")
-    return RayPoint(r_prime, eng.box_indices(x, r_prime), targets,
-                    eng.gram[targets, targets].real, eps, r_grid)
+    return RayPoint(r_prime, eng.box_indices(x, r_prime), targets, eps, r_grid)
 
 
 def _exterior_curve(eng, point: RayPoint, z):
@@ -481,7 +469,7 @@ def _exterior_curve(eng, point: RayPoint, z):
     x_box = point.x_box
     span = eng.union([x_box, eng.box_indices(z, point.r_grid[-1])])
     n_span = len(x_box) + eng.box_sizes(span[len(x_box):], point.r_grid)
-    return _box_curve(eng, span, point.targets, point.norms, n_span,
+    return _box_curve(eng, span, point.targets, n_span,
                       np.full(len(n_span), len(point.targets)))
 
 

@@ -412,7 +412,7 @@ def _task_reconstruct_distances(scene, cfg):
     pcfg = scene.probe_config()
     wmap = scene.wmap
     m = scene.manifold
-    h = float(np.min(m.lengths))
+    h = min(m.meta["h"])
     region = scene.region
     # oracle rows from the region's vertices: dist[i, v] for region position i
     dist = shortest_distances(m, region.vertices)
@@ -444,9 +444,7 @@ def _task_reconstruct_distances(scene, cfg):
     # the ray follows one lattice axis: its cut sits at half that axis length
     ids, _ = wmap.local.edge_index([(x, y)])
     ell = wmap.local.edge_lengths[ids[0]]
-    lengths = m.meta["lengths"]
-    axis = int(np.argmin([abs(ell - L / c) for L, c in zip(lengths, m.meta["counts"])]))
-    oracle_cut = lengths[axis] / 2
+    oracle_cut = m.meta["lengths"][m.meta["h"].index(ell)] / 2
     measures["cut_time_oracle"] = float(oracle_cut)
     measures["cut_time_rel"] = float(abs(tstar - oracle_cut) / oracle_cut)
     tables["cut_times"] = ((["x", "y", "estimate", "oracle"]),

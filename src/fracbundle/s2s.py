@@ -342,8 +342,7 @@ class WaveMapData:
         mu = self.local.weights_flat()
         comps = sources.component
         if rows is not None:
-            combos = mode_convolve_rows(self.conv_a, self.conv_b, sources.profiles.T, rows,
-                                        "tij,tp->tpij")
+            combos = mode_convolve_rows(self.conv_a, self.conv_b, sources.profiles.T, rows)
             # (m, len(rows), D): column c of the response to the profile of source i
             out = hermitian_rows(combos, range(d))
             return out[:, sources.profile, :, comps] * mu[comps, None, None]
@@ -356,7 +355,7 @@ class WaveMapData:
                                    for s in (self.conv_a, self.conv_b)))
             for i in np.nonzero(comps == c)[0]:
                 profile = sources.profiles[sources.profile[i]]
-                out[i] = mode_convolve(spectra, profile * mu[c], "ti,t->ti")
+                out[i] = mode_convolve(spectra, (profile * mu[c])[:, None])
         return out
 
     def to_payload(self):

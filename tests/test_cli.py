@@ -194,6 +194,24 @@ def test_a_grid_shorter_than_the_quadrature_stencil_is_a_blago_task_error():
     assert task.measures == {}
 
 
+@pytest.mark.parametrize("horizon, leads", [(0.3, 1), (0.1, 0)])
+def test_a_short_lead_ladder_is_a_distance_task_error_that_counts_its_leads(horizon, leads):
+    # the README scene on a short horizon fits fewer than the two probe
+    # leads the sweeps need, and the refusal says how many fit
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("Example config:", 1)[1].split("```json\n", 1)[1]
+    raw = json.loads(example.split("```", 1)[0])
+    raw["tasks"] = ["reconstruct_distances"]
+    raw["time"] = {"horizon": horizon, "steps": 64}
+    cfg = parse_config(raw)
+    assert reconstruction.lead_count(horizon, 2 * horizon / 64, cfg.options["probe_width"],
+                                     cfg.options["probe_lead_step"]) == leads
+    task = run_experiment(cfg).tasks[0]
+    assert task.status == "error"
+    assert task.message == (f"lead ladder holds {leads} of the 2 leads the sweeps need; "
+                            "enlarge the horizon")
+
+
 def test_distances_task_builds_one_probe_engine(monkeypatch):
     # every sweep of the task reads the engine the runner built
     built, swept = [], []

@@ -258,12 +258,22 @@ def test_duhamel_initial_conditions_zero():
     assert np.max(np.abs(w.values[1])) < 10 * grid.dt**2 * np.max(np.abs(vals))
 
 
-@pytest.mark.parametrize("subscripts, weight_shape, source_shape", [
-    ("tk,tk->tk", (5,), (5,)),      # per mode
-    ("tij,tj->ti", (4, 4), (4,)),   # dense region source
-    ("ti,t->ti", (4,), ()),         # one source column
-])
-def test_mode_convolve_matches_direct_sum(subscripts, weight_shape, source_shape):
+def _interval_sum(A, B, f):
+    """out[j] = sum_{m=1..j} A[m] f[j - m] + B[m] f[j - m + 1], each product
+    broadcast, summed term by term."""
+    out = np.zeros(np.broadcast_shapes(A.shape, f.shape), dtype=complex)
+    for j in range(1, len(A)):
+        for m in range(1, j + 1):
+            out[j] += A[m] * f[j - m] + B[m] * f[j - m + 1]
+    return out
+
+
+@pytest.mark.parametrize("weight_shape, source_shape", [
+    ((5,), (5,)),    # per mode, as duhamel_solve convolves
+    ((4,), (1,)),    # one source column, as respond's full series
+    ((3, 3), (2,)),  # kernel columns against source columns, as respond's rows
+], ids=["per_mode", "one_column", "columns"])
+def test_mode_convolve_matches_direct_sum(weight_shape, source_shape):
     rng = np.random.default_rng(13)
     n1 = 9
 
@@ -277,21 +287,21 @@ def test_mode_convolve_matches_direct_sum(subscripts, weight_shape, source_shape
     # correction: the response is A[j] src[0], not (A + B_up)[j] src[0]
     row0 = np.zeros_like(src)
     row0[0] = src[0]
-    pair = subscripts.replace("t", "")
+    # the direct rows form, including j = 0 and j = N, pairs every kernel
+    # column with every source column
+    rows = [0, 1, n1 // 2, n1 - 1, 3]
     for f in (src, row0):
-        out = mode_convolve(pl_spectra(A, B), f, subscripts)
-        direct = np.zeros_like(out)
-        for j in range(1, n1):
-            for m in range(1, j + 1):
-                direct[j] += np.einsum(pair, A[m], f[j - m]) + np.einsum(pair, B[m], f[j - m + 1])
-        assert np.all(out[0] == 0.0)
-        assert np.max(np.abs(out - direct)) < 1e-12 * np.max(np.abs(direct))
-        # the direct rows form is the same sum, including j = 0 and j = N
-        rows = [0, 1, n1 // 2, n1 - 1, 3]
-        at_rows = mode_convolve_rows(A, B, f, rows, subscripts)
-        assert at_rows.shape == (len(rows),) + out.shape[1:]
+        at_rows = mode_convolve_rows(A, B, f, rows)
+        assert at_rows.shape == (len(rows),) + source_shape + weight_shape
         assert np.all(at_rows[0] == 0.0)
-        assert np.max(np.abs(at_rows - out[rows])) < 1e-13 * np.max(np.abs(out))
+        for y in range(source_shape[0]):
+            direct = _interval_sum(A, B, f[:, y].reshape((n1,) + (1,) * len(weight_shape)))
+            assert np.max(np.abs(at_rows[:, y] - direct[rows])) < 1e-13 * np.max(np.abs(direct))
+        if len(weight_shape) == 1:  # the FFT route broadcasts the source against the kernel
+            out = mode_convolve(pl_spectra(A, B), f)
+            direct = _interval_sum(A, B, f)
+            assert np.all(out[0] == 0.0)
+            assert np.max(np.abs(out - direct)) < 1e-12 * np.max(np.abs(direct))
 
 
 def _random_sections(rng, grid, op, count):
@@ -316,7 +326,7 @@ def test_duhamel_batch_matches_single_solves():
     A, B = duhamel_weights(op.eigenvalues, grid.dt, grid.n_steps)
     for f, w in zip(sources, batch):
         coeffs = (f.values.reshape(n1, op.dim) * wflat) @ V.conj()
-        wmodes = mode_convolve(pl_spectra(A, B), coeffs, "tk,tk->tk")
+        wmodes = mode_convolve(pl_spectra(A, B), coeffs)
         explicit = sum(np.outer(wmodes[:, k], V[:, k]) for k in range(op.dim))
         got = w.values.reshape(n1, op.dim)
         assert np.max(np.abs(got - explicit)) < 1e-13 * np.max(np.abs(explicit))

@@ -19,6 +19,7 @@ from fracbundle.manifold import Region, build_manifold, shortest_distances
 from fracbundle.operator import assemble
 from fracbundle.propagators import TimeGrid, TimeSection, duhamel_solve
 from fracbundle.reconstruction import (
+    _box_curve,
     _cut_time_curve,
     _exterior_curve,
     _first_accept,
@@ -36,7 +37,6 @@ from fracbundle.reconstruction import (
     first_arrival_matrix,
     gauge_invariant_compare,
     match_profiles,
-    prefix_residuals,
     ray_point,
     recover_local_operator,
 )
@@ -119,15 +119,17 @@ def torus_scene():
 # -- projection residuals -----------------------------------------------------
 
 def engine_residuals(wmap, targets, spans):
-    """prefix_residuals of source targets against every leading block of the
-    source spans, on their Gram at the engine's ridge; also returns the ridge."""
+    """The _box_curve of the source targets against every leading block of
+    the source spans, on their Gram at the engine's ridge (read through a
+    stand-in engine that carries only gram and reg); also returns the Gram
+    and the ridge."""
     G = dense_gram(wmap, np.stack([region_values(s, wmap.local.vertices)
                                    for s in [*targets, *spans]]))
     reg = RIDGE_FACTOR * np.trace(G).real / len(G)
     nt = len(targets)
-    t = np.arange(nt)
-    res = prefix_residuals(G, np.arange(nt, len(G)), t, np.real(G[t, t]), reg,
-                           np.arange(len(G) - nt + 1))
+    n_span = np.arange(len(G) - nt + 1)
+    res = _box_curve(SimpleNamespace(gram=G, reg=reg), np.arange(nt, len(G)), np.arange(nt),
+                     n_span, np.full(len(n_span), nt))
     return res, G, reg
 
 
@@ -171,10 +173,10 @@ def test_projection_residual_self_and_empty(cycle32_scene):
     f2 = src(5, 1.5, 0.6)
     f3 = src(7, 2.0, 0.5)
     res, G, reg = engine_residuals(wmap, [f1], [f1, f2, f3])
-    assert res[0, 0] == 1.0  # the empty span
+    assert res[0] == 1.0  # the empty span
     # member of its own span: only the ridge is left, |res|^2 <= reg / |f1|^2
-    assert res[-1, 0] <= np.sqrt(reg / G[0, 0].real) * (1 + 1e-6)
-    assert res[-1, 0] < 1e-3
+    assert res[-1] <= np.sqrt(reg / G[0, 0].real) * (1 + 1e-6)
+    assert res[-1] < 1e-3
 
 
 def test_projection_residual_far_target(cycle32_scene):
@@ -190,7 +192,7 @@ def test_projection_residual_far_target(cycle32_scene):
         sv[:, U.vertices[vloc], 0] = bump(grid.times, wmap.horizon - 0.3, 0.25)
         spans.append(TimeSection(grid, sv))
     res = engine_residuals(wmap, [target], spans)[0]
-    assert res[-1, 0] > 0.9
+    assert res[-1] > 0.9
     # direct oracle agrees that the states are nearly orthogonal
     wt = duhamel_solve(op, target).values[wmap.half_index]
     overlaps = []
@@ -281,9 +283,9 @@ def _direct_residual(gram, target_idx, span_idx, reg):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_prefix_residuals_match_per_prefix_solves(data):
-    # real and complex Grams; the factor works in place on a gathered copy,
-    # so the Gram itself must come back untouched
+def test_box_curve_matches_per_prefix_solves(data):
+    # real and complex Grams, read through a stand-in engine; the factor
+    # works in place on a gathered copy, so the Gram must come back untouched
     m = data.draw(st.integers(2, 9), label="family size")
     k = data.draw(st.integers(1, m + 2), label="Gram rank bound")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -297,22 +299,35 @@ def test_prefix_residuals_match_per_prefix_solves(data):
     span = np.asarray(order[:data.draw(st.integers(0, m), label="span size")], dtype=np.int64)
     targets = np.asarray(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m,
                                             unique=True), label="targets"), dtype=np.int64)
-    norms = np.real(G[targets, targets])
-    res = prefix_residuals(G, span, targets, norms, reg, np.arange(len(span) + 1))
+    # radii as box sizes: non-decreasing span prefixes and target prefixes,
+    # the first rows possibly with no target at all
+    n_rows = data.draw(st.integers(1, 6), label="radii")
+    n_span = sorted(data.draw(st.lists(st.integers(0, len(span)), min_size=n_rows,
+                                       max_size=n_rows), label="span sizes"))
+    n_empty = data.draw(st.integers(0, n_rows), label="radii with no target")
+    n_tgt = [0] * n_empty + sorted(data.draw(st.lists(
+        st.integers(1, len(targets)), min_size=n_rows - n_empty, max_size=n_rows - n_empty),
+        label="target sizes"))
+    eng = SimpleNamespace(gram=G, reg=reg)
+    curve = _box_curve(eng, span, targets, n_span, n_tgt)
     assert np.array_equal(G, G_in)
-    assert res.shape == (len(span) + 1, len(targets))
-    direct = np.array([_direct_residual(G, targets, span[:j], reg)
-                       for j in range(len(span) + 1)])
-    assert np.max(np.abs(res - direct)) <= 1e-10
-    assert np.all((res >= 0.0) & (res <= 1.0))
-    assert np.all(np.diff(res, axis=0) <= 0.0)  # a longer prefix never projects less
+    assert curve.shape == (n_rows,)
+    assert np.all(curve[:n_empty] == 1.0)
+    direct = [np.max(_direct_residual(G, targets[:nt], span[:ns], reg)) if nt else 1.0
+              for ns, nt in zip(n_span, n_tgt)]
+    assert np.max(np.abs(curve - direct)) <= 1e-10
+    assert np.all((curve >= 0.0) & (curve <= 1.0))
+    # with every target at every radius, a longer prefix never projects less
+    every = np.arange(len(span) + 1)
+    full = _box_curve(eng, span, targets, every, np.full(len(every), len(targets)))
+    assert np.all(np.diff(full) <= 0.0)
     # shifted down by more than reg plus the trace (which bounds every
     # eigenvalue), every bordered matrix is negative definite
     shift = reg + data.draw(st.floats(1.01, 4.0), label="shift factor") * np.trace(G).real
     G_ind = G - shift * np.eye(m)
     G_ind_in = G_ind.copy()
     with pytest.raises(ReconstructionError, match="not positive definite"):
-        prefix_residuals(G_ind, span, targets, norms, reg, np.arange(len(span) + 1))
+        _box_curve(SimpleNamespace(gram=G_ind, reg=reg), span, targets, n_span, n_tgt)
     assert np.array_equal(G_ind, G_ind_in)
 
 
@@ -497,11 +512,11 @@ def test_sweep_curves_match_sorted_union_spans(cycle32_scene, cycle32_engine, mo
     assert np.array_equal(point.r_grid, r_grid) and point.eps == eps
     spans = []
 
-    def recorded(gram, span_idx, *args):
+    def recorded(engine, span_idx, *args):
         spans.append(np.asarray(span_idx))
-        return prefix_residuals(gram, span_idx, *args)
+        return _box_curve(engine, span_idx, *args)
 
-    monkeypatch.setattr(recon, "prefix_residuals", recorded)
+    monkeypatch.setattr(recon, "_box_curve", recorded)
     for z in (0, 5):  # the z ball misses, then overlaps, the x ball
         curve = _exterior_curve(eng, point, z)
         # the span is the x box, then the z box members not already in it:
