@@ -114,7 +114,8 @@ def family_gram(wmap: WaveMapData, fam: SourceFamily):
     The pairing is hermitized in place, (G + G^H) / 2, one panel of
     GRAM_PANEL rows at a time: the panel G[a:b, a:] becomes (P + conj Q^T)
     / 2 with Q = G[a:, a:b], and Q the exact conjugate transpose of that, so
-    no second Gram is formed.
+    no second Gram is formed.  The Gram keeps blago_bilinear's dtype:
+    float64 on real map data.
     """
     G = blago_bilinear(wmap, fam.sources, fam.sources)
     for a in range(0, len(G), GRAM_PANEL):
@@ -194,7 +195,7 @@ def _box_curve(eng, span, targets, n_span, n_tgt):
     squared norms real(G[t, t]) are read off its diagonal, and _ridge_factor
     then factors it in place (its factor is conj(L), so |Y|^2 is
     unchanged).  Clip and square root are monotone, so they are taken after
-    the maximum over each box.
+    the maximum over each box; a box of every target is one row maximum.
     """
     n_tgt = np.asarray(n_tgt)
     if len(targets) == 0:
@@ -207,7 +208,11 @@ def _box_curve(eng, span, targets, n_span, n_tgt):
     proj = np.zeros((ns + 1, len(targets)))
     np.cumsum(np.abs(L[ns:, :ns].T) ** 2, axis=0, out=proj[1:])
     rel = (norms - proj[n_span]) / norms
-    worst = np.maximum.accumulate(rel, axis=1)[np.arange(len(n_tgt)), n_tgt - 1]
+    if np.all(n_tgt == len(targets)):
+        # every target at every radius, as in the exterior sweeps
+        worst = rel.max(axis=1)
+    else:
+        worst = np.maximum.accumulate(rel, axis=1)[np.arange(len(n_tgt)), n_tgt - 1]
     return np.where(n_tgt > 0, np.sqrt(np.clip(worst, 0.0, 1.0)), 1.0)
 
 
@@ -238,14 +243,13 @@ class ProbeEngine:
         self.family = build_source_family(
             wmap, range(wmap.local.size), leads, cfg.width
         )
-        gram = family_gram(wmap, self.family)
+        # real map data pair to a float64 Gram (blago_bilinear's rule), so
+        # every sweep then factors and gathers in real arithmetic
+        self.gram = family_gram(wmap, self.family)
         # LAPACK potrf factors a NaN without complaint (info = 0), and every
         # sweep would then read NaN residuals as "not contained"
-        if not np.all(np.isfinite(gram)):
+        if not np.all(np.isfinite(self.gram)):
             raise ReconstructionError("probe Gram is not finite")
-        # the map data of a real operator pair to an exactly real Gram; kept
-        # real, every sweep factors and gathers in real arithmetic
-        self.gram = gram if np.any(gram.imag) else np.ascontiguousarray(gram.real)
         # sweeps share prefix factors across spans, so the ridge cannot
         # depend on the span: one value for the whole family
         self.reg = RIDGE_FACTOR * np.trace(self.gram).real / len(self.family)
@@ -535,11 +539,12 @@ def distance_family(eng: ProbeEngine, rays, arrivals):
     h = mesh_length(wmap)
     slack = 0.35
     bound = wmap.local.distances * (1 + slack) + slack * h + 1e-9
+    # a gap keeps the bound both ways exactly when it keeps the smaller one
+    both = np.minimum(bound, bound.T)
 
     def lipschitz_at(prof, z):
         """Whether prof[z] keeps the bound against prof[:z + 1], both ways."""
-        gap = np.abs(prof[z] - prof[:z + 1])
-        return bool(np.all(gap <= bound[z, :z + 1]) and np.all(gap <= bound[:z + 1, z]))
+        return bool(np.all(np.abs(prof[z] - prof[:z + 1]) <= both[z, :z + 1]))
 
     # 1-Lipschitz validity filter against the local metric
     profiles, prov = [], []

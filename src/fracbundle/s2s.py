@@ -350,7 +350,9 @@ class WaveMapData:
         # row: transforming only the columns in use, each once, keeps the
         # working set one (N+1, D) block
         out = np.empty((len(sources), len(self.grid), d), dtype=np.complex128)
-        for c in np.unique(comps):
+        used = np.zeros(d, dtype=bool)
+        used[comps] = True
+        for c in np.flatnonzero(used):
             spectra = pl_spectra(*(np.conj(hermitian_rows(s, [c])[:, 0])
                                    for s in (self.conv_a, self.conv_b)))
             for i in np.nonzero(comps == c)[0]:
@@ -475,6 +477,15 @@ def _b_up_sums(wmap: WaveMapData, tests):
     return (tests[:, :-1] @ stack[:, 1:].T).reshape(-1, d, d)
 
 
+def _packed_real(stack):
+    """Whether every block of a packed (T, D, D) stack is real: no strictly
+    lower (imaginary) entry is nonzero.  Read one block row at a time, a
+    contiguous run in the time-innermost layout, so no stack-sized mask or
+    copy forms."""
+    rows = np.moveaxis(stack, 0, -1)
+    return not any(np.any(rows[a, :a]) for a in range(1, len(rows)))
+
+
 def _runs(keys):
     """(values, slices): each run of equal values in sorted keys and where it lies."""
     values, starts = np.unique(keys, return_index=True)
@@ -518,18 +529,35 @@ def blago_bilinear(wmap: WaveMapData, F: DeltaSources, H: DeltaSources):
     one contiguous spectrum per F component, are formed: each entry pairs
     only the keys at its own row and column.  The B_up terms, for profiles
     that start nonzero, are one product per side.
+
+    The pairing comes back float64 exactly when it runs in real arithmetic
+    end to end: every F profile is real and at every component, H is real,
+    and the map's conv_a and conv_b blocks are real (no nonzero packed
+    imaginary entry).  Complex maps, the few-component path and empty sides
+    give complex128.  This is the one rule for a pairing's dtype, and
+    callers keep the array as returned.
     """
     _check_sources(wmap, F)
     _check_sources(wmap, H)
-    out = np.zeros((len(F), len(H)), dtype=np.complex128)
     if not (len(F) and len(H)):
-        return out
+        return np.zeros((len(F), len(H)), dtype=np.complex128)
     grid = wmap.grid
     dt = grid.dt
     n1, n_half, d = len(grid), wmap.half_index, wmap.local.dim
     n = next_fast_len(2 * n1 - 1)
     pf, lf, cf = F.profiles, F.profile, F.component
     ph, lh, ch = H.profiles, H.profile, H.component
+    # real profiles give real lags, paired in half spectra; complex ones
+    # pair through the few-component contraction
+    seen = np.zeros((len(pf), d), dtype=bool)
+    seen[lf, cf] = True
+    at_every = np.all(seen, axis=1) & np.isrealobj(pf) & np.isrealobj(ph)
+    every = np.flatnonzero(at_every)
+    few = np.flatnonzero(~at_every[lf])
+    # real sides on the every-component path and a real map pair in real
+    # arithmetic end to end
+    real = not len(few) and _packed_real(wmap.conv_a) and _packed_real(wmap.conv_b)
+    out = np.zeros((len(F), len(H)), dtype=np.float64 if real else np.complex128)
     w = np.conj(timequad.quadratic_times_sampled_array(
         *_jstar_quadratic_coeffs(pf.T, dt, n_half), n1, dt).T)
     e = timequad.quadratic_times_sampled_array(*_jh_quadratic_coeffs(ph.T, dt, n_half),
@@ -537,12 +565,6 @@ def blago_bilinear(wmap: WaveMapData, F: DeltaSources, H: DeltaSources):
     wb = _b_up_sums(wmap, w) if np.any(ph[:, 0]) else None
     eb = _b_up_sums(wmap, e) if np.any(pf[:, 0]) else None
     mu = wmap.local.weights_flat()
-    # real profiles give real lags, paired in half spectra; complex ones
-    # pair through the few-component contraction
-    at_every = ((np.bincount(np.unique(lf * d + cf) // d, minlength=len(pf)) == d)
-                & np.isrealobj(pf) & np.isrealobj(ph))
-
-    every = np.flatnonzero(at_every)
     if len(every):
         spec_h = np.conj(np.fft.rfft(ph, n=n)), np.fft.rfft(e, n=n)
         fold = folded_kernel(wmap.conv_a, wmap.conv_b, n1).reshape(n1, d * d)
@@ -556,12 +578,13 @@ def blago_bilinear(wmap: WaveMapData, F: DeltaSources, H: DeltaSources):
             if eb is not None:
                 prod = prod + np.conj(pf[l, 0]) * eb.reshape(len(ph), -1)
             block = hermitian_rows(prod.reshape(-1, d, d), range(d))
+            if real:
+                block = block.real
             block *= scale
             i = np.flatnonzero(lf == l)
             out[i] = block[lh[None, :], cf[i, None], ch[None, :]]
         del spec_h, fold
 
-    few = np.flatnonzero(~at_every[lf])
     if len(few):
         # the (profile, component) keys of each side, in component order
         keys_f, key_f = np.unique(cf[few] * len(pf) + lf[few], return_inverse=True)

@@ -47,11 +47,17 @@ def _moment_tables():
 _TABLES = _moment_tables()
 
 
-def _stencil_starts(n_intervals, n_nodes):
+def _stencil_groups(n_intervals, n_nodes):
+    """(shift, rows, starts) per group of the first n_intervals intervals that
+    share a stencil shift, in ascending shift order: the group's interval
+    rows and their stencils' first nodes, each consecutive."""
     if n_nodes < _SIZE:
         raise QuadratureError(f"{n_nodes} time nodes are fewer than the {_SIZE}-node quadrature stencil")
     starts = np.clip(np.arange(n_intervals) - 2, 0, n_nodes - _SIZE)
-    return starts, np.arange(n_intervals) - starts
+    shifts = np.arange(n_intervals) - starts
+    for shift in np.flatnonzero(np.bincount(shifts)):
+        rows = np.flatnonzero(shifts == shift)
+        yield shift, rows, starts[rows]
 
 
 def interval_integrals(samples, dt):
@@ -59,11 +65,8 @@ def interval_integrals(samples, dt):
     samples = np.asarray(samples)
     n_nodes = samples.shape[0]
     n_int = n_nodes - 1
-    starts, shifts = _stencil_starts(n_int, n_nodes)
     out = np.zeros((n_int,) + samples.shape[1:], dtype=samples.dtype)
-    for shift in np.unique(shifts):
-        rows = np.nonzero(shifts == shift)[0]
-        st = starts[rows]
+    for shift, rows, st in _stencil_groups(n_int, n_nodes):
         acc = np.zeros((len(rows),) + samples.shape[1:], dtype=samples.dtype)
         for k in range(_SIZE):
             acc += _TABLES[0, shift, k] * samples[st + k]
@@ -103,11 +106,8 @@ def pl_times_sampled_array(psi, n_half, dt):
     """
     psi = np.asarray(psi)
     n_nodes = psi.shape[0]
-    starts, shifts = _stencil_starts(n_half, n_nodes)
     out = np.zeros((n_nodes,) + psi.shape[1:], dtype=psi.dtype)
-    for shift in np.unique(shifts):
-        rows = np.nonzero(shifts == shift)[0]
-        st = starts[rows]
+    for shift, rows, st in _stencil_groups(n_half, n_nodes):
         acc0 = np.zeros((len(rows),) + psi.shape[1:], dtype=psi.dtype)
         acc1 = np.zeros_like(acc0)
         for k in range(_SIZE):
@@ -129,17 +129,12 @@ def quadratic_times_sampled_array(c0, c1, c2, n_nodes, dt):
     """
     c0 = np.asarray(c0)
     n_half = c0.shape[0]
-    starts, shifts = _stencil_starts(n_half, n_nodes)
     out = np.zeros((n_nodes,) + c0.shape[1:], dtype=np.result_type(c0, c1, c2))
-    for shift in np.unique(shifts):
-        rows = np.nonzero(shifts == shift)[0]
-        st = starts[rows]
+    for shift, rows, st in _stencil_groups(n_half, n_nodes):
+        a0, a1, a2 = c0[rows], c1[rows], c2[rows]
         for k in range(_SIZE):
-            contrib = (
-                _TABLES[0, shift, k] * c0[rows]
-                + _TABLES[1, shift, k] * c1[rows]
-                + _TABLES[2, shift, k] * c2[rows]
+            # the group's stencil starts are consecutive: offset k adds to one slice
+            out[st[0] + k:st[0] + k + len(rows)] += (
+                _TABLES[0, shift, k] * a0 + _TABLES[1, shift, k] * a1 + _TABLES[2, shift, k] * a2
             )
-            # st + k is strictly increasing within a shift group: no index repeats
-            out[st + k] += contrib
     return dt * out

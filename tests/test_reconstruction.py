@@ -450,6 +450,28 @@ def test_family_gram_is_the_hermitized_pairing_bit_for_bit(cycle64_family):
     assert np.array_equal(gram, gram.conj().T)
 
 
+def test_family_gram_is_float64_exactly_on_real_map_data(cycle32_scene, complex_cycle32_scene):
+    # the pairing decides the Gram's dtype: a probe family on the trivial
+    # bundle's real map pairs in real arithmetic end to end and gives
+    # float64, and the complex bundle's map gives complex128.  Real profiles
+    # at a few components of the real map pair through the few-component
+    # path, which stays complex128 and agrees with the float64 rows
+    grams = {}
+    for scene in (cycle32_scene, complex_cycle32_scene):
+        wmap, cfg = scene[4], scene[5]
+        leads = cfg.width + cfg.lead_step * np.arange(3)
+        fam = build_source_family(wmap, range(wmap.local.size), leads, cfg.width)
+        grams[scene is cycle32_scene] = fam, family_gram(wmap, fam)
+    assert grams[False][1].dtype == np.complex128 and np.any(grams[False][1].imag)
+    fam, gram = grams[True]
+    assert gram.dtype == np.float64
+    src = fam.sources
+    few = s2s.DeltaSources(src.profiles, src.profile[:4], src.component[:4])
+    G = blago_bilinear(cycle32_scene[4], few, src)
+    assert G.dtype == np.complex128
+    assert np.max(np.abs(G - gram[:4])) <= 1e-10 * np.max(np.abs(gram))
+
+
 def test_family_gram_hermitizes_within_less_than_one_gram(monkeypatch):
     # the pairing's output is hermitized in place, a panel of rows at a
     # time: the extra memory stays under one full Gram, and every entry is

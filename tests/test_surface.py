@@ -199,8 +199,9 @@ from fracbundle.manifold import build_manifold, shortest_distances
 from fracbundle.runner import run_experiment
 
 def scipy_submodules():
+    # the scipy submodules, and numpy.ma, which a flagless np.unique imports
     return sorted(m for m in sys.modules if m.split(".")[:2] in
-                  (["scipy", "fft"], ["scipy", "sparse"], ["scipy", "linalg"]))
+                  (["scipy", "fft"], ["scipy", "sparse"], ["scipy", "linalg"], ["numpy", "ma"]))
 
 readme_cfg, torus_cfg, cycle_cfg = (json.loads(arg) for arg in sys.argv[1:4])
 parse_config(readme_cfg)
@@ -232,7 +233,9 @@ def test_import_and_parse_load_no_scipy_submodule():
     # small torus, then the shortest-path oracle on the README cycle: none
     # loads scipy.  A distance task on a smaller README-like cycle then loads
     # scipy's LAPACK extension alone, without the scipy.linalg package around
-    # it, and only after the probe Gram, the run's memory peak, is built
+    # it, and only after the probe Gram, the run's memory peak, is built.
+    # No phase loads numpy.ma either (9-13 ms and 1.3 MB in a fresh
+    # interpreter): in numpy 2.4 a np.unique without flags imports it
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     example = readme.split("Example config:", 1)[1]
     readme_cfg = re.search(r"```json\n(.*?)```", example, flags=re.S).group(1)
